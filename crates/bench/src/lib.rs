@@ -1,9 +1,9 @@
 //! Shared helpers for the NMP-PaK benchmark harness.
 //!
-//! The Criterion benches and the `experiments` binary all need the same prepared
-//! context: a synthetic workload, one software assembly run with a recorded
-//! compaction trace, and the per-backend simulations. This crate centralizes that
-//! setup so every bench regenerates its table/figure from identical inputs.
+//! The `experiments` binary's subcommands all need the same prepared context: a
+//! synthetic workload, one software assembly run with a recorded compaction
+//! trace, and the per-backend simulations. This crate centralizes that setup so
+//! every table/figure is regenerated from identical inputs.
 
 pub mod baseline;
 pub mod pipeline_bench;

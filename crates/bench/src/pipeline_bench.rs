@@ -82,7 +82,8 @@ pub struct BatchStreamingComparison {
     pub batches: usize,
     /// Measured end-to-end wall clock of [`BatchSchedule::Sequential`].
     pub sequential: Duration,
-    /// Measured end-to-end wall clock of [`BatchSchedule::Overlapped`].
+    /// Measured end-to-end wall clock of the default depth-1
+    /// [`BatchSchedule::Pipelined`] schedule.
     pub overlapped: Duration,
     /// Measured end-to-end wall clock of [`BatchSchedule::Pipelined`] at depth
     /// [`BENCH_PIPELINE_DEPTH`].
@@ -864,7 +865,7 @@ fn run_batch_streaming_bench(
     let sequential_assembler =
         BatchAssembler::with_schedule(config, BENCH_BATCH_FRACTION, BatchSchedule::Sequential);
     let overlapped_assembler =
-        BatchAssembler::with_schedule(config, BENCH_BATCH_FRACTION, BatchSchedule::Overlapped);
+        BatchAssembler::with_schedule(config, BENCH_BATCH_FRACTION, BatchSchedule::default());
     let pipelined_assembler = BatchAssembler::with_schedule(
         config,
         BENCH_BATCH_FRACTION,

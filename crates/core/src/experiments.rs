@@ -1,7 +1,7 @@
 //! Experiment drivers: one function per table/figure of the paper's evaluation.
 //!
-//! Each driver returns plain data (labels and numbers) so the `experiments` binary and
-//! the Criterion benches can print the same rows the paper reports. `EXPERIMENTS.md`
+//! Each driver returns plain data (labels and numbers) so the `experiments` binary
+//! can print the rows the paper reports. `EXPERIMENTS.md`
 //! records, for every experiment, the paper's numbers next to the numbers measured
 //! with these drivers on the scaled synthetic workloads.
 

@@ -19,16 +19,16 @@
 //! Batches flow through the staged pipeline ([`crate::stage::AssemblyPipeline`])
 //! under a [`BatchSchedule`]:
 //!
-//! * [`BatchSchedule::Sequential`] runs each batch A→E before starting the next —
+//! * [`BatchSchedule::Sequential`] runs each batch A→D before starting the next —
 //!   the original PaKman process flow.
-//! * [`BatchSchedule::Overlapped`] (the default) executes the paper's pipelined
-//!   flow for real: while batch *i* runs Iterative Compaction and the walk
-//!   (stages D–E) on the calling thread, the counting and construction front
-//!   (stages A–C) of batch *i + 1* runs on its own scoped thread.
-//! * [`BatchSchedule::Pipelined`] generalizes the overlap to a *k*-deep
-//!   in-flight window: the fronts of batches *i + 1 … i + depth* run on worker
-//!   threads while batch *i* finishes, with the admitted read bytes bounded by
-//!   `max_inflight_bytes`.
+//! * [`BatchSchedule::Pipelined`] executes the paper's pipelined flow for real:
+//!   while batch *i* runs Iterative Compaction (stage D) on the calling thread,
+//!   the counting and construction fronts (stages A–C) of batches
+//!   *i + 1 … i + depth* run on their own scoped threads, with the admitted
+//!   read bytes bounded by `max_inflight_bytes`. Depth 1 is the default.
+//!
+//! Stage E runs once, on the merged graph: a batch's own contigs would be
+//! discarded by the merge, so no batch walks its graph.
 //!
 //! All schedules are **bit-identical**: every batch is a deterministic function
 //! of its reads alone, and per-batch outputs are merged in batch-index order
@@ -41,10 +41,10 @@ use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use crate::memory::{MemoryBudget, MemoryFootprint};
-use crate::pipeline::{AssemblyOutput, PhaseTimings};
+use crate::pipeline::PhaseTimings;
 use crate::shard::ShardingTelemetry;
 use crate::spill::SpillTelemetry;
-use crate::stage::{AssemblyPipeline, FrontArtifact};
+use crate::stage::{AssemblyPipeline, CompactArtifact, FrontArtifact};
 use crate::trace::CompactionTrace;
 use crate::walk::generate_contigs;
 use nmp_pak_genome::{InMemorySource, ReadChunk, ReadSource, SequencingRead};
@@ -159,24 +159,19 @@ impl BatchPlan {
 }
 
 /// How the batches are driven through the staged pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchSchedule {
-    /// Each batch runs A→E to completion before the next batch starts (the
+    /// Each batch runs A→D to completion before the next batch starts (the
     /// original sequential-stage process flow).
     Sequential,
-    /// The paper's pipelined flow: stages A–C of batch *i + 1* run on a scoped
-    /// worker thread while batch *i* runs stages D–E on the calling thread.
-    /// Equivalent to `Pipelined { depth: 1, max_inflight_bytes: None }`.
-    /// Output is bit-identical to [`BatchSchedule::Sequential`].
-    #[default]
-    Overlapped,
-    /// A *k*-deep software pipeline: while batch *i* runs stages D–E on the
-    /// calling thread, the fronts (A–C) of up to `depth` later batches run
-    /// concurrently on scoped worker threads. Output is bit-identical to
-    /// [`BatchSchedule::Sequential`] at any depth, thread count, or budget.
+    /// The paper's pipelined flow as a *k*-deep software pipeline: while batch
+    /// *i* runs stage D on the calling thread, the fronts (A–C) of up to
+    /// `depth` later batches run concurrently on scoped worker threads. Output
+    /// is bit-identical to [`BatchSchedule::Sequential`] at any depth, thread
+    /// count, or budget.
     Pipelined {
         /// Maximum number of batch fronts in flight while one batch finishes
-        /// (clamped to at least 1; `1` reproduces [`BatchSchedule::Overlapped`]).
+        /// (clamped to at least 1).
         depth: usize,
         /// Budget on the approximate bytes of read data admitted to the window
         /// (see [`ReadChunk::approx_read_bytes`]). Admission of further batches
@@ -185,6 +180,16 @@ pub enum BatchSchedule {
         /// makes progress. `None` leaves the window unbounded.
         max_inflight_bytes: Option<u64>,
     },
+}
+
+impl Default for BatchSchedule {
+    /// One front in flight behind the compacting batch, no byte budget.
+    fn default() -> Self {
+        BatchSchedule::Pipelined {
+            depth: 1,
+            max_inflight_bytes: None,
+        }
+    }
 }
 
 /// Output of a batched assembly run.
@@ -196,7 +201,8 @@ pub struct BatchAssemblyOutput {
     pub stats: AssemblyStats,
     /// Per-batch compaction statistics, in batch-index order.
     pub batch_compaction: Vec<CompactionStats>,
-    /// Per-batch phase timings, in batch-index order.
+    /// Per-batch phase timings, in batch-index order (`walk` is zero: stage E
+    /// runs once, on the merged graph).
     pub batch_timings: Vec<PhaseTimings>,
     /// Per-batch compaction traces, in batch-index order (empty unless
     /// [`PakmanConfig::record_trace`] is set).
@@ -237,8 +243,9 @@ impl BatchAssemblyOutput {
 struct BatchOutcome {
     /// Total read bases in the batch (the census the footprint model needs).
     read_bases: u64,
-    /// The batch's assembly output; `None` if the batch was entirely pruned.
-    output: Option<AssemblyOutput>,
+    /// The batch's compacted graph and telemetry; `None` if the batch was
+    /// entirely pruned.
+    output: Option<CompactArtifact>,
 }
 
 /// Assembles a read stream batch-by-batch and merges the compacted graphs.
@@ -251,7 +258,7 @@ pub struct BatchAssembler {
 
 impl BatchAssembler {
     /// Creates a batch assembler processing `batch_fraction` of the reads at a
-    /// time, with the default [`BatchSchedule::Overlapped`] streaming schedule.
+    /// time, with the default depth-1 [`BatchSchedule::Pipelined`] schedule.
     pub fn new(config: PakmanConfig, batch_fraction: f64) -> Self {
         BatchAssembler::with_schedule(config, batch_fraction, BatchSchedule::default())
     }
@@ -345,7 +352,6 @@ impl BatchAssembler {
         let pipeline = AssemblyPipeline::new(self.config)?;
         let (outcomes, peak_inflight) = match self.schedule {
             BatchSchedule::Sequential => run_sequential(&pipeline, source, control)?,
-            BatchSchedule::Overlapped => run_pipelined(&pipeline, source, 1, None, control)?,
             BatchSchedule::Pipelined {
                 depth,
                 max_inflight_bytes,
@@ -380,22 +386,28 @@ impl BatchAssembler {
             };
             total_read_bases += outcome.read_bases;
             total_kmers += output.kmer_stats.total_kmers;
-            total_macronode_bytes += output.footprint.macronode_bytes;
-            if output.footprint.peak_bytes() > peak_batch_footprint.peak_bytes() {
-                peak_batch_footprint = output.footprint;
+            total_macronode_bytes += output.macronode_bytes;
+            let footprint = MemoryFootprint::from_workload(
+                output.total_read_bases,
+                output.kmer_stats.total_kmers,
+                output.macronode_bytes,
+            );
+            if footprint.peak_bytes() > peak_batch_footprint.peak_bytes() {
+                peak_batch_footprint = footprint;
             }
-            batch_compaction.push(output.compaction);
-            batch_timings.push(output.timings);
-            if let Some(trace) = output.trace {
-                batch_traces.push(trace);
-            }
-            if let Some(sharding) = output.sharding {
-                batch_sharding.push(sharding);
-            }
-            if let Some(spill) = output.spill {
-                batch_spill.push(spill);
-            }
-            merged_nodes.extend(output.graph.into_nodes());
+            batch_timings.push(PhaseTimings {
+                access_reads: output.access_reads,
+                kmer_counting: output.kmer_counting,
+                macronode_construction: output.macronode_construction,
+                compaction: output.compaction,
+                walk: std::time::Duration::ZERO,
+            });
+            let compacted = output.compacted;
+            batch_compaction.push(compacted.stats);
+            batch_traces.extend(compacted.trace);
+            batch_sharding.extend(compacted.sharding);
+            batch_spill.extend(output.spill);
+            merged_nodes.extend(compacted.graph.into_nodes());
         }
 
         if merged_nodes.is_empty() {
@@ -431,19 +443,6 @@ impl BatchAssembler {
     }
 }
 
-/// Runs one batch A→E; an entirely pruned batch yields `None`.
-fn run_batch(
-    pipeline: &AssemblyPipeline,
-    batch: &[SequencingRead],
-    control: &RunControl<'_>,
-) -> Result<Option<AssemblyOutput>, PakmanError> {
-    match pipeline.run_controlled(batch, control) {
-        Ok(output) => Ok(Some(output)),
-        Err(PakmanError::EmptyInput { .. }) => Ok(None),
-        Err(other) => Err(other),
-    }
-}
-
 /// Runs the front half (A–C) of one batch, consuming its chunk; an entirely
 /// pruned batch yields `None`.
 fn run_front_chunk(
@@ -458,7 +457,7 @@ fn run_front_chunk(
     }
 }
 
-/// The sequential schedule: batch *i* completes A→E before batch *i + 1* is
+/// The sequential schedule: batch *i* completes A→D before batch *i + 1* is
 /// even pulled from the source, so exactly one chunk is resident at a time.
 fn run_sequential<'r, S: ReadSource<'r>>(
     pipeline: &AssemblyPipeline,
@@ -473,18 +472,18 @@ fn run_sequential<'r, S: ReadSource<'r>>(
             continue;
         }
         peak_bytes = peak_bytes.max(chunk.approx_read_bytes());
-        let output = run_batch(pipeline, chunk.reads(), control)?;
-        outcomes.push(BatchOutcome {
-            read_bases: chunk.total_bases(),
-            output,
-        });
+        let read_bases = chunk.total_bases();
+        let output = run_front_chunk(pipeline, chunk, control)?
+            .map(|front| pipeline.compact_part(front, control))
+            .transpose()?;
+        outcomes.push(BatchOutcome { read_bases, output });
     }
     Ok((outcomes, peak_bytes))
 }
 
 /// The streaming schedule: a `depth + 1`-deep software pipeline over the batches.
 ///
-/// While batch *i* runs stages D–E on the calling thread, the fronts (A–C) of
+/// While batch *i* runs stage D on the calling thread, the fronts (A–C) of
 /// batches *i + 1 … i + depth* run on scoped worker threads. Chunks are pulled
 /// from the source only when admitted to the window, and admission stalls while
 /// the approximate in-flight read bytes exceed `max_inflight_bytes` (one pulled
@@ -549,10 +548,7 @@ fn run_pipelined<'r, S: ReadSource<'r>>(
                 result = Err(err);
                 break;
             }
-            match front
-                .map(|f| pipeline.finish_controlled(f, control))
-                .transpose()
-            {
+            match front.map(|f| pipeline.compact_part(f, control)).transpose() {
                 Ok(output) => outcomes.push(BatchOutcome {
                     read_bases: batch.read_bases,
                     output,
@@ -939,7 +935,7 @@ mod tests {
         let sequential = BatchAssembler::with_schedule(config, 0.2, BatchSchedule::Sequential)
             .assemble(&reads)
             .unwrap();
-        let overlapped = BatchAssembler::with_schedule(config, 0.2, BatchSchedule::Overlapped)
+        let overlapped = BatchAssembler::with_schedule(config, 0.2, BatchSchedule::default())
             .assemble(&reads)
             .unwrap();
         assert_eq!(overlapped.contigs, sequential.contigs);
@@ -1057,6 +1053,12 @@ mod tests {
     #[test]
     fn default_schedule_is_overlapped() {
         let assembler = BatchAssembler::new(cfg(17), 0.5);
-        assert_eq!(assembler.schedule(), BatchSchedule::Overlapped);
+        assert_eq!(
+            assembler.schedule(),
+            BatchSchedule::Pipelined {
+                depth: 1,
+                max_inflight_bytes: None
+            }
+        );
     }
 }

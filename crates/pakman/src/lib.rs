@@ -91,4 +91,4 @@ pub use spill::SpillTelemetry;
 pub use stage::{AssemblyPipeline, CompactArtifact, DrainedReads, FrontArtifact, Stage};
 pub use trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 pub use transfer::{ShardMailbox, TransferNode};
-pub use walk::{generate_contigs, generate_contigs_threaded, longest_contig, write_contigs_fasta};
+pub use walk::{generate_contigs, longest_contig, write_contigs_fasta};

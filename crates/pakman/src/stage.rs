@@ -35,7 +35,7 @@ use crate::pipeline::PhaseTimings;
 use crate::shard::{compact_sharded_controlled, ShardedGraph, ShardingTelemetry};
 use crate::spill::SpillTelemetry;
 use crate::trace::CompactionTrace;
-use crate::walk::generate_contigs_threaded;
+use crate::walk::generate_contigs;
 use nmp_pak_genome::{ReadChunk, ReadSource, SequencingRead};
 use std::time::{Duration, Instant};
 
@@ -414,12 +414,11 @@ impl Stage<ConstructedGraph> for CompactStage {
     }
 }
 
-/// Step E: graph walk and contig generation (speculatively parallel over
-/// source nodes, bit-identical to the serial walk — see `pakman::walk`).
+/// Step E: graph walk and contig generation (the serial streaming walk of
+/// `pakman::walk`; ~1 % of runtime in the paper's Fig. 5).
 #[derive(Debug, Clone, Copy)]
 pub struct WalkStage {
     min_contig_length: usize,
-    threads: usize,
 }
 
 impl WalkStage {
@@ -427,7 +426,6 @@ impl WalkStage {
     pub fn new(config: &PakmanConfig) -> Self {
         WalkStage {
             min_contig_length: config.min_contig_length,
-            threads: config.threads,
         }
     }
 }
@@ -440,11 +438,7 @@ impl Stage<&CompactedGraph> for WalkStage {
     }
 
     fn run(&self, compacted: &CompactedGraph) -> Result<Vec<Contig>, PakmanError> {
-        Ok(generate_contigs_threaded(
-            &compacted.graph,
-            self.min_contig_length,
-            self.threads,
-        ))
+        Ok(generate_contigs(&compacted.graph, self.min_contig_length))
     }
 }
 
@@ -472,7 +466,9 @@ pub struct FrontArtifact {
 /// This is the second hand-off point (after [`FrontArtifact`] at the C/D
 /// boundary): the job server schedules [`AssemblyPipeline::compact_part`] and
 /// [`AssemblyPipeline::walk_part`] as separate work units, so stage work from
-/// different jobs can interleave on one shared pool.
+/// different jobs can interleave on one shared pool, and the batch scheduler
+/// ([`crate::batch`]) stops every batch here — it merges the compacted graphs
+/// and walks once.
 #[derive(Debug)]
 pub struct CompactArtifact {
     /// The compacted graph plus compaction telemetry.

@@ -6,9 +6,13 @@
 //! repeatedly follows the wired through-path with the highest remaining count, and
 //! spells out the visited (k-1)-mer plus every suffix extension along the way.
 //!
-//! The walk core is streaming: [`write_contigs_fasta`] emits each contig straight
-//! to a `Write` sink as the traversal produces it, and [`generate_contigs`]
-//! collects the same stream into a length-sorted `Vec`. Each contig's backing
+//! There is one serial stepping core with two sinks over it:
+//! [`write_contigs_fasta`] emits each contig straight to a `Write` sink as the
+//! traversal produces it, and [`generate_contigs`] collects the same stream into
+//! a length-sorted `Vec`. The walk is deliberately not parallel: every start
+//! shares the `used`-path state with all earlier ones, and the speculative
+//! fork that once ran here measured 35× slower than this core (DESIGN.md,
+//! "Streaming contig output"). Each contig's backing
 //! [`DnaString`] is allocated once, pre-sized from the span of the chosen path,
 //! and filled by appending packed codes — no per-node re-encoding.
 
@@ -16,7 +20,6 @@ use crate::contig::Contig;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use nmp_pak_genome::{fasta, DnaString, Kmer};
-use std::collections::HashSet;
 use std::io::Write;
 use std::ops::ControlFlow;
 
@@ -27,36 +30,6 @@ use std::ops::ControlFlow;
 pub fn generate_contigs(graph: &PakGraph, min_length: usize) -> Vec<Contig> {
     let mut contigs = Vec::new();
     walk_contigs(graph, min_length, &mut |contig| {
-        contigs.push(contig);
-        ControlFlow::Continue(())
-    });
-    contigs.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    contigs
-}
-
-/// [`generate_contigs`] with the per-source-node traversal parallelised over
-/// `threads` scoped workers, **bit-identical** to the serial walk at every
-/// thread count.
-///
-/// The scheme is speculative, the same shape as compaction's P1 shards: each
-/// pass's start candidates are walked *in parallel against the frozen
-/// `used`-path state at pass entry*, recording the trail of (slot, path) pairs
-/// each walk consumed; a serial commit loop then replays the candidates in the
-/// canonical order, and a speculative walk is accepted verbatim iff its whole
-/// trail is still unused at commit time. Acceptance is exact, not heuristic:
-/// `used` flags only ever get set, so the commit-time candidate set at every
-/// step of an accepted walk is a subset of the snapshot set that still contains
-/// the chosen path — and since `Iterator::max_by_key` returns the *last*
-/// maximum, a winner keeps winning in any subset that retains it (everything
-/// after it has a strictly smaller count). Touched walks are simply re-walked
-/// serially, so contested regions degrade to the serial algorithm.
-pub fn generate_contigs_threaded(
-    graph: &PakGraph,
-    min_length: usize,
-    threads: usize,
-) -> Vec<Contig> {
-    let mut contigs = Vec::new();
-    walk_contigs_threaded(graph, min_length, threads, &mut |contig| {
         contigs.push(contig);
         ControlFlow::Continue(())
     });
@@ -174,190 +147,16 @@ fn walk_contigs(
     }
 }
 
-/// The parallel walk core: each pass speculates in parallel against the frozen
-/// pass-entry `used` state, then commits serially in the canonical candidate
-/// order (see [`generate_contigs_threaded`] for why this is exact).
-fn walk_contigs_threaded(
-    graph: &PakGraph,
-    min_length: usize,
-    threads: usize,
-    emit: &mut dyn FnMut(Contig) -> ControlFlow<()>,
-) {
-    if threads <= 1 {
-        return walk_contigs(graph, min_length, emit);
-    }
-    let mut used: Vec<Vec<bool>> = vec![Vec::new(); graph.slot_count()];
-    for (slot, node) in graph.iter_alive() {
-        used[slot] = vec![false; node.paths().len()];
-    }
-
-    // Pass 1 candidates: true source nodes, every wired path. The serial pass
-    // checks `!used` at walk time; the commit loop reproduces that check.
-    let mut starts: Vec<(u32, u32)> = Vec::new();
-    for (slot, node) in graph.iter_alive() {
-        if node.incoming_count() > 0 {
-            continue;
-        }
-        for (path_idx, path) in node.paths().iter().enumerate() {
-            if path.suffix.is_some() {
-                starts.push((slot as u32, path_idx as u32));
-            }
-        }
-    }
-    if commit_pass(graph, &mut used, &starts, threads, min_length, emit).is_break() {
-        return;
-    }
-
-    // Pass 2 candidates: leftover interior paths with a live successor. The
-    // `!used` filter against the pass-entry state is sound — `used` only grows,
-    // so anything used now is still used when the serial pass would reach it.
-    starts.clear();
-    for (slot, node) in graph.iter_alive() {
-        for (path_idx, path) in node.paths().iter().enumerate() {
-            if path.prefix.is_some() && !used[slot][path_idx] {
-                if let Some(suffix) = path.suffix.as_ref() {
-                    if graph.contains(&node.successor_k1mer(suffix)) {
-                        starts.push((slot as u32, path_idx as u32));
-                    }
-                }
-            }
-        }
-    }
-    if commit_pass(graph, &mut used, &starts, threads, min_length, emit).is_break() {
-        return;
-    }
-
-    // Pass 3: isolated nodes — trivial, identical to the serial pass.
-    for (slot, node) in graph.iter_alive() {
-        if node.paths().iter().all(|p| p.suffix.is_none()) && used[slot].iter().all(|u| !u) {
-            for flag in &mut used[slot] {
-                *flag = true;
-            }
-            let contig = Contig::new(node.k1mer().to_dna_string());
-            if contig.len() >= min_length && emit(contig).is_break() {
-                return;
-            }
-        }
-    }
-}
-
-/// A speculative walk's result: the `(slot, path)` trail it consumed plus the
-/// contig it spelled. `None` when the start was already used at snapshot time.
-type Speculation = Option<(Vec<(u32, u32)>, Contig)>;
-
-/// Runs one speculate-then-commit pass over `starts` (canonical order).
-/// Returns `Break` if `emit` broke.
-fn commit_pass(
-    graph: &PakGraph,
-    used: &mut [Vec<bool>],
-    starts: &[(u32, u32)],
-    threads: usize,
-    min_length: usize,
-    emit: &mut dyn FnMut(Contig) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    if starts.is_empty() {
-        return ControlFlow::Continue(());
-    }
-
-    // Phase 1: speculative walks, read-only over the frozen `used` snapshot.
-    let mut speculated: Vec<Speculation> = Vec::new();
-    speculated.resize_with(starts.len(), || None);
-    let workers = threads.max(1).min(starts.len());
-    let chunk = starts.len().div_ceil(workers);
-    {
-        let snapshot: &[Vec<bool>] = used;
-        std::thread::scope(|scope| {
-            for (out_chunk, start_chunk) in speculated.chunks_mut(chunk).zip(starts.chunks(chunk)) {
-                scope.spawn(move || {
-                    let mut visited: HashSet<(u32, u32)> = HashSet::new();
-                    for (out, &(slot, path_idx)) in out_chunk.iter_mut().zip(start_chunk) {
-                        // Already used at pass entry → used at commit too
-                        // (flags only get set); the commit loop will skip it.
-                        if snapshot[slot as usize][path_idx as usize] {
-                            continue;
-                        }
-                        visited.clear();
-                        let mut trail: Vec<(u32, u32)> = Vec::new();
-                        let contig = walk_trail(
-                            graph,
-                            snapshot,
-                            &mut visited,
-                            &mut trail,
-                            slot as usize,
-                            path_idx as usize,
-                        );
-                        *out = Some((trail, contig));
-                    }
-                });
-            }
-        });
-    }
-
-    // Phase 2: serial commit in canonical order.
-    for (spec, &(slot, path_idx)) in speculated.iter_mut().zip(starts) {
-        let (slot, path_idx) = (slot as usize, path_idx as usize);
-        if used[slot][path_idx] {
-            continue;
-        }
-        let contig = match spec.take() {
-            Some((trail, contig)) if trail.iter().all(|&(s, p)| !used[s as usize][p as usize]) => {
-                // Nothing this walk consumed was taken by an earlier commit:
-                // the speculative walk is exactly what the serial walk would
-                // do now. Accept it verbatim.
-                for &(s, p) in &trail {
-                    used[s as usize][p as usize] = true;
-                }
-                contig
-            }
-            // Contested (or skipped at snapshot time): fall back to the
-            // serial walk against the live state.
-            _ => walk_from(graph, used, slot, path_idx),
-        };
-        if contig.len() >= min_length && emit(contig).is_break() {
-            return ControlFlow::Break(());
-        }
-    }
-    ControlFlow::Continue(())
-}
-
 /// Walks forward from `(slot, path_idx)`, collecting the suffix extension of every
 /// wired step, until the chain ends or every continuation has already been used.
+/// Each path is flagged in `used` as the walk steps onto it, so a walk that
+/// re-enters a node (a repeat longer than k) cannot take its own path twice.
 /// The contig is then spelled in one pass: a single allocation pre-sized to the
 /// walk's span, the start (k-1)-mer appended code by code, and each suffix spliced
 /// in packed form via [`DnaString::extend_from`].
 fn walk_from(
     graph: &PakGraph,
     used: &mut [Vec<bool>],
-    start_slot: usize,
-    start_path: usize,
-) -> Contig {
-    let mut visited: HashSet<(u32, u32)> = HashSet::new();
-    let mut trail: Vec<(u32, u32)> = Vec::new();
-    let contig = walk_trail(
-        graph,
-        used,
-        &mut visited,
-        &mut trail,
-        start_slot,
-        start_path,
-    );
-    for &(s, p) in &trail {
-        used[s as usize][p as usize] = true;
-    }
-    contig
-}
-
-/// The stepping core shared by the serial and speculative walks: `used` is
-/// read-only; the paths this walk consumes are recorded in `trail` (and
-/// mirrored in `visited` for O(1) cycle checks) instead of being flagged
-/// directly. A path counts as taken when it is in `used` *or* in `visited`,
-/// which makes the serial wrapper (mark the trail afterwards) behave exactly
-/// like the historical mark-as-you-go walk.
-fn walk_trail(
-    graph: &PakGraph,
-    used: &[Vec<bool>],
-    visited: &mut HashSet<(u32, u32)>,
-    trail: &mut Vec<(u32, u32)>,
     start_slot: usize,
     start_path: usize,
 ) -> Contig {
@@ -370,20 +169,16 @@ fn walk_trail(
     // Bound the walk defensively; each step consumes a path so this cannot loop
     // forever, but the explicit cap keeps malformed graphs from degenerating.
     let max_steps = graph.slot_count().saturating_mul(4) + 16;
-    let taken = |used: &[Vec<bool>], visited: &HashSet<(u32, u32)>, s: usize, p: usize| {
-        used[s][p] || visited.contains(&(s as u32, p as u32))
-    };
 
     for _ in 0..max_steps {
         let node = match graph.node(slot) {
             Some(n) => n,
             None => break,
         };
-        if taken(used, visited, slot, path_idx) {
+        if used[slot][path_idx] {
             break;
         }
-        visited.insert((slot as u32, path_idx as u32));
-        trail.push((slot as u32, path_idx as u32));
+        used[slot][path_idx] = true;
 
         let path = &node.paths()[path_idx];
         let Some(suffix) = path.suffix.as_ref() else {
@@ -404,9 +199,7 @@ fn walk_trail(
             .paths()
             .iter()
             .enumerate()
-            .filter(|(i, p)| {
-                !taken(used, visited, next_slot, *i) && p.prefix.as_ref() == Some(&incoming)
-            })
+            .filter(|(i, p)| !used[next_slot][*i] && p.prefix.as_ref() == Some(&incoming))
             .max_by_key(|(_, p)| p.count)
             .map(|(i, _)| i);
         // Compaction can leave the two sides of an edge at different extension lengths
@@ -419,7 +212,7 @@ fn walk_trail(
                 .iter()
                 .enumerate()
                 .filter(|(i, p)| {
-                    if taken(used, visited, next_slot, *i) {
+                    if used[next_slot][*i] {
                         return false;
                     }
                     match &p.prefix {
@@ -583,6 +376,31 @@ mod tests {
     }
 
     #[test]
+    fn a_walk_re_entering_a_node_does_not_reuse_its_own_path() {
+        // Three copies of the unit ACGTTC at k = 5. The walk from the read's
+        // start passes through node CGTT, comes back round to it one unit later,
+        // and must find that node's only path — the one it took itself — used:
+        // it stops there instead of circling until the step cap.
+        let read = "GGTCAACGTTCACGTTCACGTTCCCATG";
+        let graph = graph_from_reads(&[read], 5);
+        let mut used: Vec<Vec<bool>> = vec![Vec::new(); graph.slot_count()];
+        for (slot, node) in graph.iter_alive() {
+            used[slot] = vec![false; node.paths().len()];
+        }
+        let repeat_node = graph
+            .index_of(&Kmer::from_dna(&"CGTT".parse().unwrap(), 0, 4).unwrap())
+            .unwrap();
+        assert_eq!(used[repeat_node].len(), 1);
+
+        let start = graph
+            .index_of(&Kmer::from_dna(&read.parse().unwrap(), 0, 4).unwrap())
+            .unwrap();
+        let contig = walk_from(&graph, &mut used, start, 0);
+        assert_eq!(contig.sequence.to_string(), "GGTCAACGTTCACGTT");
+        assert!(used[repeat_node][0]);
+    }
+
+    #[test]
     fn longest_contig_helper() {
         let graph = graph_from_reads(&["ACGTACCTGATCAG", "GGCCTTA"], 5);
         let longest = longest_contig(&graph).unwrap();
@@ -635,10 +453,10 @@ mod tests {
         // The streamed records are exactly the collected contigs (walk order vs
         // length order), with self-describing names.
         let mut streamed: Vec<String> = records.iter().map(|r| r.sequence.to_string()).collect();
-        let mut collected: Vec<String> = generate_contigs(&graph, 0)
-            .iter()
-            .map(|c| c.sequence.to_string())
-            .collect();
+        let contigs = generate_contigs(&graph, 0);
+        // The walk keeps no state between calls: the same graph walks the same.
+        assert_eq!(generate_contigs(&graph, 0), contigs);
+        let mut collected: Vec<String> = contigs.iter().map(|c| c.sequence.to_string()).collect();
         streamed.sort();
         collected.sort();
         assert_eq!(streamed, collected);
@@ -647,53 +465,6 @@ mod tests {
                 record.name,
                 format!("contig_{i} length={}", record.sequence.len())
             );
-        }
-    }
-
-    #[test]
-    fn threaded_walk_is_bit_identical_to_serial() {
-        use crate::test_util::reads_for;
-        // A messy, repetitive workload: many overlapping reads, cycles from the
-        // periodic segment, plus disjoint components — all walk passes engage.
-        let mut reads = reads_for(6_000, 18.0, 23);
-        reads.extend(
-            ["ACGACGACGACGACGACG", "GGCCTTAAGTCCTA", "ACGTACCTGATCAG"]
-                .iter()
-                .enumerate()
-                .map(|(i, s)| SequencingRead::new(format!("x{i}"), s.parse().unwrap())),
-        );
-        let (counted, _) = count_kmers(
-            &reads,
-            KmerCounterConfig {
-                k: 11,
-                min_count: 1,
-                threads: 1,
-            },
-        )
-        .unwrap();
-        for compacted in [false, true] {
-            let mut graph = PakGraph::from_counted_kmers(&counted, 11, 1);
-            if compacted {
-                compact(
-                    &mut graph,
-                    &PakmanConfig {
-                        k: 11,
-                        compaction_node_threshold: 0,
-                        threads: 2,
-                        ..PakmanConfig::default()
-                    },
-                );
-            }
-            for min_length in [0, 30] {
-                let serial = generate_contigs(&graph, min_length);
-                for threads in [1, 2, 4, 8] {
-                    let threaded = generate_contigs_threaded(&graph, min_length, threads);
-                    assert_eq!(
-                        threaded, serial,
-                        "threads={threads} compacted={compacted} min_length={min_length}"
-                    );
-                }
-            }
         }
     }
 

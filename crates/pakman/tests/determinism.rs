@@ -164,10 +164,10 @@ fn spilled_counting_is_bit_identical_to_in_memory_across_threads_and_shards() {
 
 #[test]
 fn streaming_scheduler_is_bit_identical_to_the_sequential_path() {
-    // The overlapped scheduler runs stages A–C of batch i+1 concurrently with
-    // stages D–E of batch i; no interleaving may change any output bit, at any
-    // thread count, and both schedules must agree with the single-threaded
-    // sequential reference.
+    // The default depth-1 pipelined scheduler runs stages A–C of batch i+1
+    // concurrently with stage D of batch i; no interleaving may change any
+    // output bit, at any thread count, and both schedules must agree with the
+    // single-threaded sequential reference.
     let reads = simulated_reads(10_000, 30.0, 0xBA7C);
     let reference = assemble_batched(&reads, 1, BatchSchedule::Sequential);
     assert!(!reference.contigs.is_empty());
@@ -182,7 +182,7 @@ fn streaming_scheduler_is_bit_identical_to_the_sequential_path() {
 
     for threads in [1, 2, 4, 8] {
         let sequential = assemble_batched(&reads, threads, BatchSchedule::Sequential);
-        let overlapped = assemble_batched(&reads, threads, BatchSchedule::Overlapped);
+        let overlapped = assemble_batched(&reads, threads, BatchSchedule::default());
         assert_batch_outputs_identical(
             &sequential,
             &reference,
@@ -430,6 +430,45 @@ fn recorded_traces_are_identical_across_thread_counts() {
             trace_for(threads),
             reference,
             "trace diverged at threads = {threads}"
+        );
+    }
+}
+
+/// Contig count, total bases, and an FNV-1a hash over the contig sequences in
+/// returned order.
+fn contig_digest(contigs: &[nmp_pak_pakman::Contig]) -> (usize, usize, u64) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut bases = 0usize;
+    for contig in contigs {
+        bases += contig.len();
+        // A terminator per contig keeps the hash sensitive to contig boundaries.
+        for byte in contig.sequence.to_string().bytes().chain([b'\n']) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (contigs.len(), bases, hash)
+}
+
+#[test]
+fn contigs_match_the_golden_digests() {
+    // The constants were computed on commit 85524d6, whose stage E still had a
+    // speculative parallel fork and whose batches each walked their own graph;
+    // the single serial walk and the walk-once batch merge must not move a base.
+    let single_reads = simulated_reads(10_000, 30.0, 0xD5EED);
+    let batched_reads = simulated_reads(10_000, 30.0, 0xBA7C);
+    for threads in [1, 2, 8] {
+        let single = assemble(&single_reads, 21, threads);
+        assert_eq!(
+            contig_digest(&single.contigs),
+            (1145, 38_123, 8_941_878_621_728_546_560),
+            "single graph at threads = {threads}"
+        );
+        let batched = assemble_batched(&batched_reads, threads, BatchSchedule::default());
+        assert_eq!(batched.batch_compaction.len(), 4);
+        assert_eq!(
+            contig_digest(&batched.contigs),
+            (142, 17_228, 12_170_339_602_539_465_032),
+            "4 batches at threads = {threads}"
         );
     }
 }

@@ -114,7 +114,7 @@ fn sharding_telemetry_is_deterministic() {
 #[test]
 fn sharded_batched_pipelined_schedule_matches_single_graph_sequential() {
     // The stacked fast paths — owner-computes sharding composed with the k-deep
-    // overlapped batch scheduler — must still reproduce the fully conservative
+    // pipelined batch scheduler — must still reproduce the fully conservative
     // configuration (single graph, sequential schedule, one thread) bit for bit.
     let reads = simulated_reads(8_000, 25.0, 0xBA7C5);
     let reference = BatchAssembler::with_schedule(config(1, 1), 0.25, BatchSchedule::Sequential)

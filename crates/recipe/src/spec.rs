@@ -22,12 +22,8 @@ pub enum ScheduleSpec {
         /// Fraction of the reads per batch (0 < f ≤ 1).
         batch_fraction: f64,
     },
-    /// The front of batch i+1 overlaps the back of batch i.
-    Overlapped {
-        /// Fraction of the reads per batch (0 < f ≤ 1).
-        batch_fraction: f64,
-    },
-    /// Depth-`depth` software pipelining across batches.
+    /// Depth-`depth` software pipelining across batches: the fronts of batches
+    /// i+1 … i+depth overlap the back of batch i.
     Pipelined {
         /// Fraction of the reads per batch (0 < f ≤ 1).
         batch_fraction: f64,
@@ -47,7 +43,6 @@ impl ScheduleSpec {
         match self {
             ScheduleSpec::SingleBatch => "single".to_string(),
             ScheduleSpec::Sequential { batch_fraction } => format!("seq{batch_fraction}"),
-            ScheduleSpec::Overlapped { batch_fraction } => format!("ovl{batch_fraction}"),
             ScheduleSpec::Pipelined {
                 batch_fraction,
                 depth,
@@ -63,9 +58,6 @@ impl ScheduleSpec {
             ScheduleSpec::Sequential { batch_fraction } => {
                 Some((batch_fraction, BatchSchedule::Sequential))
             }
-            ScheduleSpec::Overlapped { batch_fraction } => {
-                Some((batch_fraction, BatchSchedule::Overlapped))
-            }
             ScheduleSpec::Pipelined {
                 batch_fraction,
                 depth,
@@ -79,8 +71,8 @@ impl ScheduleSpec {
         }
     }
 
-    /// The pipelining depth the schedule admits (1 for sequential/overlapped
-    /// — overlap is depth-1 pipelining — and `depth` for pipelined cells).
+    /// The pipelining depth the schedule admits (`depth` for pipelined cells,
+    /// 1 otherwise).
     pub fn depth(&self) -> usize {
         match *self {
             ScheduleSpec::Pipelined { depth, .. } => depth.max(1),

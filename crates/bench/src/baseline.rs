@@ -7,9 +7,9 @@
 //! allocation and linear-probe extension bumping, and a full-scan Iterative
 //! Compaction whose P2/P3 stages run serially and whose neighbour iteration
 //! aggregates extensions with an O(n²) dedupe and a `to_string()`-per-comparison
-//! sort. The `experiments` binary times them against the current pipeline and
-//! records the speedups in `BENCH_pipeline.json`, so every later PR has a
-//! measured trajectory rather than a claimed one.
+//! sort. The recipe probe ([`crate::sweep::BaselineProbe`]) times them against
+//! the current pipeline; the resulting `speedup.*` metrics are what the `smoke`
+//! recipe's CI floors gate.
 //!
 //! They are benchmark fixtures, not supported assembly entry points: all of them
 //! must keep producing output identical to the optimized pipeline (asserted by
@@ -171,7 +171,7 @@ pub fn build_graph_baseline(counted: &[CountedKmer], k: usize) -> PakGraph {
 ///
 /// Returns the statistics and (when `config.record_trace` is set) the trace; the
 /// current engine must reproduce both bit for bit, which is asserted by this
-/// module's tests and re-checked by every benchmark run.
+/// module's tests.
 pub fn compact_baseline(
     graph: &mut PakGraph,
     config: &PakmanConfig,
@@ -464,7 +464,9 @@ fn apply_transfer_baseline(dest: &mut MacroNode, transfer: &TransferNode) -> boo
 mod tests {
     use super::*;
     use nmp_pak_core::workload::Workload;
-    use nmp_pak_pakman::{count_kmers, KmerCounterConfig};
+    use nmp_pak_pakman::{
+        compact_with_scratch, count_kmers, CompactionMode, CompactionScratch, KmerCounterConfig,
+    };
 
     /// The baseline is only a valid speedup denominator while it still produces the
     /// same assembly state as the optimized pipeline.
@@ -490,5 +492,46 @@ mod tests {
         for slot in 0..opt_graph.slot_count() {
             assert_eq!(opt_graph.node(slot), base_graph.node(slot), "slot {slot}");
         }
+
+        // Step D: the pre-refactor compactor, the current engine's full scan,
+        // and its frontier agree on statistics, trace, and every graph slot.
+        let traced = PakmanConfig {
+            k,
+            record_trace: true,
+            ..PakmanConfig::default()
+        };
+        let mut base_compacted = base_graph;
+        let (base_stats, base_trace) = compact_baseline(&mut base_compacted, &traced);
+        let mut scratch = CompactionScratch::new();
+        let [full_scan, frontier] =
+            [CompactionMode::FullScan, CompactionMode::Frontier].map(|mode| {
+                let config = PakmanConfig {
+                    compaction_mode: mode,
+                    ..traced
+                };
+                let mut graph = opt_graph.clone();
+                let outcome = compact_with_scratch(&mut graph, &config, &mut scratch);
+                assert_eq!(outcome.stats, base_stats, "{mode:?} stats");
+                assert_eq!(outcome.trace, base_trace, "{mode:?} trace");
+                for slot in 0..graph.slot_count() {
+                    assert_eq!(
+                        graph.node(slot),
+                        base_compacted.node(slot),
+                        "{mode:?} slot {slot}"
+                    );
+                }
+                outcome.profile
+            });
+        // What the frontier buys: after the iteration-0 full scan it evaluates
+        // strictly fewer predicates than the alive census a full scan pays.
+        assert!(frontier.iterations.len() > 1);
+        assert!(frontier.iterations[1..]
+            .iter()
+            .all(|it| it.checked_nodes < it.alive_nodes));
+        assert_eq!(
+            full_scan.total_checked(),
+            full_scan.total_full_scan_checks()
+        );
+        assert!(frontier.total_checked() < full_scan.total_checked());
     }
 }

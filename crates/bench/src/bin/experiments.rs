@@ -1,49 +1,22 @@
 //! Prints every table and figure of the NMP-PaK evaluation for the synthetic
-//! workload.
+//! workload, and runs the recipe sweeps that carry the CI floors.
 //!
 //! Usage:
 //!
 //! ```text
-//! experiments            # run everything at the quick scale, including the
-//!                        # pipeline benchmark — overwrites ./BENCH_pipeline.json
-//! experiments fig12 tab1 # run a subset (no benchmark, no file written)
+//! experiments            # print every figure/table at the quick scale
+//!                        # (writes no file)
+//! experiments fig12 tab1 # print a subset
 //! experiments sweep fig12          # run a recipe sweep — writes ./BENCH_sweep.json
+//!                                  # and exits 1 when a recipe gate is violated
 //! experiments sweep smoke --server 2  # run the sweep's one-shot cells as
 //!                                  # concurrent job-server jobs
 //! experiments sweep fig12 'normalized_performance>=100'  # extra ad-hoc gate
 //!                                  # (applies to every cell; exit 1 on violation)
 //! NMP_PAK_SWEEP_OUT=/tmp/s.json experiments sweep smoke  # sweep report path
-//! experiments pipeline   # only the pipeline benchmark + BENCH_pipeline.json
-//! experiments compaction # only the Iterative Compaction engine comparison
-//!                        # (per-iteration P1/P2/P3 table, full-scan vs frontier)
-//! experiments sharding   # only the sharded-execution comparison (per-shard
-//!                        # load imbalance + inter-shard mailbox traffic)
-//! experiments spill      # only the external-memory counting comparison
-//!                        # (budget-capped spill vs in-memory, bit-identity)
-//! experiments async      # only the async-vs-lockstep shard schedule comparison
-//!                        # (verified-equivalent outputs, critical-path speedup)
 //! NMP_PAK_BENCH_SCALE=standard experiments   # the scale recorded in EXPERIMENTS.md
-//! NMP_PAK_BENCH_OUT=/tmp/b.json experiments pipeline      # report path override
-//! NMP_PAK_BENCH_MIN_SPEEDUP=1.3 experiments pipeline      # exit 1 below threshold
-//! NMP_PAK_BENCH_MIN_OVERLAP_SPEEDUP=1.0 experiments pipeline  # gate the streamed
-//!                                        # batch schedule's critical-path speedup
-//! NMP_PAK_BENCH_MIN_PIPELINED_SPEEDUP=1.0 experiments pipeline # gate the k-deep
-//!                                        # pipelined schedule the same way
-//! NMP_PAK_BENCH_MIN_COMPACTION_SPEEDUP=1.2 experiments compaction # gate the
-//!                                        # frontier compactor vs the pre-refactor one
-//! NMP_PAK_BENCH_MAX_SHARD_OVERHEAD=1.15 experiments sharding # gate the sharded
-//!                                        # engine's 1-shard overhead vs single-graph
-//! NMP_PAK_BENCH_MAX_SPILL_OVERHEAD=12.0 experiments spill # gate the budget-capped
-//!                                        # counter's wall-clock overhead vs in-memory
-//! NMP_PAK_BENCH_MIN_ASYNC_SPEEDUP=1.0 experiments async # gate the async schedule's
-//!                                        # critical-path speedup over lock-step
 //! ```
 
-use nmp_pak_bench::pipeline_bench::{
-    report_to_json, run_async_schedule_bench_standalone, run_compaction_bench_standalone,
-    run_pipeline_bench, run_sharding_bench_standalone, run_spill_bench_standalone,
-    AsyncScheduleComparison, CompactionComparison, ShardingComparison, SpillComparison,
-};
 use nmp_pak_bench::sweep::{print_report, run_sweep, write_report, SweepMode};
 use nmp_pak_bench::{pct, prepare_experiments, BenchScale};
 use nmp_pak_core::experiments::Experiments;
@@ -66,11 +39,6 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
     "tab3",
     "supercomputer",
     "footprint",
-    "pipeline",
-    "compaction",
-    "sharding",
-    "spill",
-    "async",
 ];
 
 fn usage() -> String {
@@ -98,29 +66,6 @@ fn main() {
     }
 
     let wanted = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-
-    // The compaction, sharding, and spill engine comparisons need no prepared
-    // experiment context; when only they are asked for, skip the backend
-    // simulations.
-    if !args.is_empty()
-        && args
-            .iter()
-            .all(|a| a == "compaction" || a == "sharding" || a == "spill" || a == "async")
-    {
-        if args.iter().any(|a| a == "compaction") {
-            compaction_bench();
-        }
-        if args.iter().any(|a| a == "sharding") {
-            sharding_bench();
-        }
-        if args.iter().any(|a| a == "spill") {
-            spill_bench();
-        }
-        if args.iter().any(|a| a == "async") {
-            async_bench();
-        }
-        return;
-    }
 
     let scale = BenchScale::from_env();
     eprintln!("# preparing workload and backend simulations ({scale:?} scale)…");
@@ -173,21 +118,6 @@ fn main() {
     }
     if wanted("footprint") {
         footprint(&exp);
-    }
-    if wanted("pipeline") {
-        pipeline_bench();
-    }
-    if wanted("compaction") && !args.is_empty() {
-        compaction_bench();
-    }
-    if wanted("sharding") && !args.is_empty() {
-        sharding_bench();
-    }
-    if wanted("spill") && !args.is_empty() {
-        spill_bench();
-    }
-    if wanted("async") && !args.is_empty() {
-        async_bench();
     }
 }
 
@@ -274,398 +204,6 @@ fn parse_gate(arg: &str) -> Option<Gate> {
     } else {
         Gate::at_most(metric, threshold)
     })
-}
-
-/// Times the budget-capped external-memory counter against the unconstrained
-/// in-memory counter on the benchmark workload, prints the spill telemetry,
-/// and applies the `NMP_PAK_BENCH_MAX_SPILL_OVERHEAD` gate.
-fn spill_bench() {
-    heading("Spill benchmark — external-memory counting vs in-memory");
-    let cmp = run_spill_bench_standalone(3);
-    print_spill_comparison(&cmp);
-    check_spill_gate(&cmp);
-}
-
-fn print_spill_comparison(cmp: &SpillComparison) {
-    let t = &cmp.telemetry;
-    println!(
-        "counting ({} threads): in-memory {:>9.3} ms   spilled {:>9.3} ms   overhead {:.2}x",
-        cmp.threads,
-        cmp.in_memory.as_secs_f64() * 1e3,
-        cmp.spilled.as_secs_f64() * 1e3,
-        cmp.overhead(),
-    );
-    println!(
-        "budget {} B over {} partitions: spilled {} B in {} runs, {} merge pass(es), \
-         peak resident {} B",
-        t.budget_bytes,
-        t.partitions,
-        t.bytes_spilled,
-        t.runs_written,
-        t.merge_passes,
-        t.peak_resident_bytes,
-    );
-}
-
-/// Optional regression gate: `NMP_PAK_BENCH_MAX_SPILL_OVERHEAD=12.0` fails the
-/// run when the budget-capped counter's wall-clock overhead over the in-memory
-/// counter exceeds the threshold, or when the budget stops producing real disk
-/// traffic (which would mean the spill path is being bypassed).
-fn check_spill_gate(cmp: &SpillComparison) {
-    let Ok(threshold) = std::env::var("NMP_PAK_BENCH_MAX_SPILL_OVERHEAD") else {
-        return;
-    };
-    let threshold: f64 = threshold
-        .parse()
-        .expect("NMP_PAK_BENCH_MAX_SPILL_OVERHEAD must be a number");
-    if cmp.overhead() > threshold {
-        eprintln!(
-            "spill benchmark regression: spilled-counting overhead {:.2}x exceeds \
-             the allowed {threshold}x",
-            cmp.overhead()
-        );
-        std::process::exit(1);
-    }
-    if cmp.telemetry.bytes_spilled == 0 || cmp.telemetry.merge_passes == 0 {
-        eprintln!(
-            "spill benchmark regression: the byte budget moved no data to disk — \
-             the spill path is being bypassed"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Times the sharded compactor across shard counts against the single-graph
-/// engine, prints the measured per-shard/per-channel load and mailbox traffic,
-/// and applies the `NMP_PAK_BENCH_MAX_SHARD_OVERHEAD` gate.
-fn sharding_bench() {
-    heading("Sharding benchmark — owner-computes shards vs single graph");
-    let cmp = run_sharding_bench_standalone(3);
-    print_sharding_comparison(&cmp);
-    check_sharding_gate(&cmp);
-}
-
-fn print_sharding_comparison(cmp: &ShardingComparison) {
-    println!(
-        "single-graph compaction ({} threads): {:>9.3} ms;   sharded engine at 1 shard: {:.2}x",
-        cmp.threads,
-        cmp.single_graph.as_secs_f64() * 1e3,
-        cmp.overhead_at_one(),
-    );
-    println!(
-        "{:<8}{:>12}{:>12}{:>16}{:>12}{:>14}{:>16}",
-        "shards", "wall (ms)", "imbalance", "mailbox (B)", "cross", "chan-imbal", "cross-chan (B)"
-    );
-    for run in &cmp.runs {
-        println!(
-            "{:<8}{:>12.3}{:>12.3}{:>16}{:>11.1}%{:>14.3}{:>16}",
-            run.shards,
-            run.wall.as_secs_f64() * 1e3,
-            run.telemetry.load_imbalance(),
-            run.telemetry.total_mailbox_bytes(),
-            run.telemetry.cross_shard_fraction() * 100.0,
-            run.channel_load.imbalance(),
-            run.channel_load.cross_channel_bytes,
-        );
-    }
-}
-
-/// Optional regression gate: `NMP_PAK_BENCH_MAX_SHARD_OVERHEAD=1.15` fails the
-/// run when the sharded engine at one shard exceeds the single-graph engine's
-/// wall time by more than the threshold, or when any multi-shard run stops
-/// moving cross-shard traffic (which would mean the mailbox is being bypassed).
-fn check_sharding_gate(cmp: &ShardingComparison) {
-    let Ok(threshold) = std::env::var("NMP_PAK_BENCH_MAX_SHARD_OVERHEAD") else {
-        return;
-    };
-    let threshold: f64 = threshold
-        .parse()
-        .expect("NMP_PAK_BENCH_MAX_SHARD_OVERHEAD must be a number");
-    if cmp.overhead_at_one() > threshold {
-        eprintln!(
-            "sharding benchmark regression: sharded-at-1-shard overhead {:.2}x exceeds \
-             the allowed {threshold}x",
-            cmp.overhead_at_one()
-        );
-        std::process::exit(1);
-    }
-    for run in cmp.runs.iter().filter(|r| r.shards > 1) {
-        if run.telemetry.total_cross_shard_bytes() == 0 {
-            eprintln!(
-                "sharding benchmark regression: {} shards moved zero cross-shard bytes — \
-                 the inter-shard mailbox is being bypassed",
-                run.shards
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Times the async shard schedule against lock-step at the paper's shard
-/// count, prints the verified-equivalent comparison, and applies the
-/// `NMP_PAK_BENCH_MIN_ASYNC_SPEEDUP` gate.
-fn async_bench() {
-    heading("Async schedule benchmark — barrier-free shards vs lock-step");
-    let cmp = run_async_schedule_bench_standalone(3);
-    print_async_comparison(&cmp);
-    check_async_gate(&cmp);
-}
-
-fn print_async_comparison(cmp: &AsyncScheduleComparison) {
-    println!(
-        "{} shards ({} threads, load imbalance {:.2}): lock-step {:>9.3} ms   async {:>9.3} ms   \
-         wall speedup {:.2}x",
-        cmp.shards,
-        cmp.threads,
-        cmp.load_imbalance,
-        cmp.lockstep_wall.as_secs_f64() * 1e3,
-        cmp.async_wall.as_secs_f64() * 1e3,
-        cmp.wall_speedup(),
-    );
-    println!(
-        "  critical path from measured rounds: barriered {:>9.3} ms   barrier-free {:>9.3} ms \
-         ({:.2}x); {} mailbox flushes, ledger identical to lock-step",
-        cmp.lockstep_critical_path.as_secs_f64() * 1e3,
-        cmp.async_critical_path.as_secs_f64() * 1e3,
-        cmp.critical_path_speedup(),
-        cmp.flushes,
-    );
-}
-
-/// Optional regression gate: `NMP_PAK_BENCH_MIN_ASYNC_SPEEDUP=1.0` fails the
-/// run when the async schedule's critical-path speedup over the barriered
-/// schedule falls below the threshold, or when the async run stops recording
-/// mailbox flushes (which would mean the eager flush path is being bypassed).
-/// The gate uses the critical-path ratio rebuilt from the async run's own
-/// measured round times rather than the raw wall clocks: the ratio is ≥ 1 on
-/// any host by construction, while the measured walls flake on shared runners.
-fn check_async_gate(cmp: &AsyncScheduleComparison) {
-    let Ok(threshold) = std::env::var("NMP_PAK_BENCH_MIN_ASYNC_SPEEDUP") else {
-        return;
-    };
-    let threshold: f64 = threshold
-        .parse()
-        .expect("NMP_PAK_BENCH_MIN_ASYNC_SPEEDUP must be a number");
-    if cmp.critical_path_speedup() < threshold {
-        eprintln!(
-            "async schedule regression: critical-path speedup {:.2}x is below \
-             the required {threshold}x",
-            cmp.critical_path_speedup()
-        );
-        std::process::exit(1);
-    }
-    if cmp.flushes == 0 {
-        eprintln!(
-            "async schedule regression: the async run recorded zero mailbox flushes — \
-             the eager flush path is being bypassed"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Times the three Iterative Compaction engines (pre-refactor serial, full-scan
-/// parallel, frontier parallel) on the benchmark workload, prints the frontier's
-/// per-iteration P1/P2/P3 breakdown, and applies the
-/// `NMP_PAK_BENCH_MIN_COMPACTION_SPEEDUP` gate.
-fn compaction_bench() {
-    heading("Compaction benchmark — frontier engine vs pre-refactor full scan");
-    let cmp = run_compaction_bench_standalone(3);
-    print_compaction_comparison(&cmp);
-    check_compaction_gate(&cmp);
-}
-
-fn print_compaction_comparison(cmp: &CompactionComparison) {
-    println!(
-        "engines ({} threads): baseline {:>9.3} ms   full-scan {:>9.3} ms   frontier {:>9.3} ms",
-        cmp.threads,
-        cmp.baseline.as_secs_f64() * 1e3,
-        cmp.full_scan.as_secs_f64() * 1e3,
-        cmp.frontier.as_secs_f64() * 1e3,
-    );
-    println!(
-        "speedup: {:.2}x vs baseline ({:.2}x of it from the frontier alone); \
-         checked nodes {} -> {} ({} iterations)",
-        cmp.speedup(),
-        cmp.frontier_vs_full_scan(),
-        cmp.full_scan_profile.total_checked(),
-        cmp.frontier_profile.total_checked(),
-        cmp.frontier_profile.iterations.len(),
-    );
-    println!(
-        "{:<10}{:>10}{:>10}{:>12}{:>12}{:>12}",
-        "iteration", "checked", "alive", "P1 (ms)", "P2 (ms)", "P3 (ms)"
-    );
-    for it in &cmp.frontier_profile.iterations {
-        println!(
-            "{:<10}{:>10}{:>10}{:>12.3}{:>12.3}{:>12.3}",
-            it.iteration,
-            it.checked_nodes,
-            it.alive_nodes,
-            it.p1.as_secs_f64() * 1e3,
-            it.p2.as_secs_f64() * 1e3,
-            it.p3.as_secs_f64() * 1e3,
-        );
-    }
-}
-
-/// Optional regression gate: `NMP_PAK_BENCH_MIN_COMPACTION_SPEEDUP=1.2` fails
-/// the run when the frontier compactor's speedup over the pre-refactor engine
-/// falls below the threshold, or when the frontier stops checking strictly
-/// fewer nodes than the full scan after iteration 0.
-fn check_compaction_gate(cmp: &CompactionComparison) {
-    let Ok(threshold) = std::env::var("NMP_PAK_BENCH_MIN_COMPACTION_SPEEDUP") else {
-        return;
-    };
-    let threshold: f64 = threshold
-        .parse()
-        .expect("NMP_PAK_BENCH_MIN_COMPACTION_SPEEDUP must be a number");
-    if cmp.speedup() < threshold {
-        eprintln!(
-            "compaction benchmark regression: frontier speedup {:.2}x is below \
-             the required {threshold}x",
-            cmp.speedup()
-        );
-        std::process::exit(1);
-    }
-    if !cmp.frontier_strictly_narrower() {
-        eprintln!(
-            "compaction benchmark regression: the frontier did not check strictly \
-             fewer nodes than the full scan after iteration 0"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Times the refactored B/C hot path against the pre-refactor baseline on the
-/// fixed-seed workload and records the result in `BENCH_pipeline.json` (path
-/// overridable via `NMP_PAK_BENCH_OUT`).
-fn pipeline_bench() {
-    heading("Pipeline benchmark — packed-u64 hot path vs pre-refactor baseline");
-    let report = run_pipeline_bench(3);
-    println!(
-        "workload: {} reads ({} bases), k = {}, {} threads",
-        report.reads,
-        report.read_bases,
-        nmp_pak_bench::pipeline_bench::BENCH_K,
-        report.threads
-    );
-    for (phase, cmp) in [
-        ("kmer_counting", &report.kmer_counting),
-        ("macronode_construction", &report.macronode_construction),
-    ] {
-        println!(
-            "{phase:<24} optimized {:>9.3} ms   baseline {:>9.3} ms   speedup {:>5.2}x",
-            cmp.optimized.as_secs_f64() * 1e3,
-            cmp.baseline.as_secs_f64() * 1e3,
-            cmp.speedup()
-        );
-    }
-    println!(
-        "counting + construction speedup: {:.2}x",
-        report.counting_plus_construction_speedup()
-    );
-    print_compaction_comparison(&report.compaction);
-    print_sharding_comparison(&report.sharding);
-    print_async_comparison(&report.async_schedule);
-    print_spill_comparison(&report.spill);
-
-    let streaming = &report.batch_streaming;
-    println!(
-        "batch streaming ({} batches, {} core(s)): sequential {:>9.3} ms   overlapped {:>9.3} ms   pipelined(d={}) {:>9.3} ms   speedup {:>5.2}x",
-        streaming.batches,
-        streaming.available_cores,
-        streaming.sequential.as_secs_f64() * 1e3,
-        streaming.overlapped.as_secs_f64() * 1e3,
-        nmp_pak_bench::pipeline_bench::BENCH_PIPELINE_DEPTH,
-        streaming.pipelined.as_secs_f64() * 1e3,
-        streaming.overlap_speedup()
-    );
-    println!(
-        "  critical path (non-competing halves): sequential {:>9.3} ms   overlapped {:>9.3} ms ({:>5.2}x)   pipelined {:>9.3} ms ({:>5.2}x)",
-        streaming.sequential_critical_path.as_secs_f64() * 1e3,
-        streaming.overlapped_critical_path.as_secs_f64() * 1e3,
-        streaming.critical_path_speedup(),
-        streaming.pipelined_critical_path.as_secs_f64() * 1e3,
-        streaming.pipelined_critical_path_speedup()
-    );
-
-    let path = std::env::var("NMP_PAK_BENCH_OUT").unwrap_or_else(|_| "BENCH_pipeline.json".into());
-    match std::fs::write(&path, report_to_json(&report)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(err) => eprintln!("could not write {path}: {err}"),
-    }
-
-    // Optional regression gate: NMP_PAK_BENCH_MIN_SPEEDUP=1.3 makes the run fail
-    // when the counting+construction speedup falls below the threshold (CI sets a
-    // conservative value so shared-runner noise doesn't flake the build).
-    if let Ok(threshold) = std::env::var("NMP_PAK_BENCH_MIN_SPEEDUP") {
-        let threshold: f64 = threshold
-            .parse()
-            .expect("NMP_PAK_BENCH_MIN_SPEEDUP must be a number");
-        let speedup = report.counting_plus_construction_speedup();
-        if speedup < threshold {
-            eprintln!(
-                "pipeline benchmark regression: counting+construction speedup \
-                 {speedup:.2}x is below the required {threshold}x"
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // Optional compaction gate: requires the frontier engine to beat the
-    // pre-refactor compactor by the given factor (CI sets 1.2; quiet hardware
-    // runs well above the 1.5 acceptance target).
-    check_compaction_gate(&report.compaction);
-
-    // Optional sharding gate: bounds the sharded engine's bookkeeping overhead
-    // at one shard and requires real cross-shard mailbox traffic when sharded.
-    check_sharding_gate(&report.sharding);
-
-    // Optional async gate: requires the async shard schedule's critical-path
-    // speedup over lock-step and real recorded mailbox flushes.
-    check_async_gate(&report.async_schedule);
-
-    // Optional spill gate: bounds the external-memory counter's wall-clock
-    // overhead and requires the byte budget to move real data to disk.
-    check_spill_gate(&report.spill);
-
-    // Optional streaming gate: NMP_PAK_BENCH_MIN_OVERLAP_SPEEDUP=1.0 requires the
-    // overlapped schedule's critical path to beat the sequential one. The gate
-    // uses the critical-path ratio (derived from the same measured per-batch
-    // stage times) rather than the raw wall clocks: the measured separation is a
-    // few percent and would flake on noisy shared runners, while the critical
-    // path is strictly shorter whenever there are ≥ 2 batches — on any host.
-    if let Ok(threshold) = std::env::var("NMP_PAK_BENCH_MIN_OVERLAP_SPEEDUP") {
-        let threshold: f64 = threshold
-            .parse()
-            .expect("NMP_PAK_BENCH_MIN_OVERLAP_SPEEDUP must be a number");
-        if streaming.critical_path_speedup() < threshold {
-            eprintln!(
-                "batch streaming regression: critical-path overlap speedup {:.2}x is \
-                 below the required {threshold}x",
-                streaming.critical_path_speedup()
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // Optional k-deep gate: NMP_PAK_BENCH_MIN_PIPELINED_SPEEDUP requires the
-    // pipelined schedule's critical path to beat the sequential one by the given
-    // factor. The k-deep window admits fronts no later than the 1-deep overlap,
-    // so this speedup is at least the overlap speedup on any host.
-    if let Ok(threshold) = std::env::var("NMP_PAK_BENCH_MIN_PIPELINED_SPEEDUP") {
-        let threshold: f64 = threshold
-            .parse()
-            .expect("NMP_PAK_BENCH_MIN_PIPELINED_SPEEDUP must be a number");
-        if streaming.pipelined_critical_path_speedup() < threshold {
-            eprintln!(
-                "batch streaming regression: k-deep pipelined critical-path speedup {:.2}x \
-                 is below the required {threshold}x",
-                streaming.pipelined_critical_path_speedup()
-            );
-            std::process::exit(1);
-        }
-    }
 }
 
 fn heading(title: &str) {

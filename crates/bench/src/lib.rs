@@ -6,7 +6,6 @@
 //! every table/figure is regenerated from identical inputs.
 
 pub mod baseline;
-pub mod pipeline_bench;
 pub mod sweep;
 
 use nmp_pak_core::assembler::NmpPakAssembler;

@@ -1,26 +1,25 @@
 //! Recipe-sweep support: the vendored-baseline [`MetricProbe`] plus the
 //! report printing/writing used by `experiments sweep`.
 //!
-//! The probe computes the `speedup.*`/overhead metrics the historical
-//! `NMP_PAK_BENCH_*` gates read — current engines timed against the vendored
-//! pre-refactor baselines (`crate::baseline`) — but only for the metrics the
-//! recipe's gates actually reference, so sweeps without timing gates (e.g.
-//! `fig12`) pay nothing.
+//! The probe computes the `speedup.*`/overhead/critical-path metrics the
+//! built-in recipes' CI floors read — current engines timed against the
+//! vendored pre-refactor baselines (`crate::baseline`) — but only for the
+//! metrics the recipe's gates actually reference, so sweeps without timing
+//! gates (e.g. `fig12`) pay nothing.
 
 use crate::baseline::{build_graph_baseline, compact_baseline, count_kmers_baseline};
-use crate::pipeline_bench::pipelined_critical_path;
 use nmp_pak_core::Workload;
 use nmp_pak_pakman::{
     compact_sharded, compact_with_scratch, count_kmers, count_kmers_spilled, BatchAssembler,
-    BatchSchedule, CompactionScratch, KmerCounterConfig, PakGraph, PakmanConfig, ShardedGraph,
-    SpillConfig,
+    BatchSchedule, CompactionScratch, KmerCounterConfig, PakGraph, PakmanConfig, PhaseTimings,
+    ShardedGraph, SpillConfig,
 };
 use nmp_pak_recipe::{metric, CellOutput, MetricProbe, Recipe, RecipeError, ScenarioSpec};
 use nmp_pak_recipe::{Executor, SweepReport};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// Spill partition count used by the probe's standalone overhead timing
-/// (matches the hand-rolled spill bench).
+/// Spill partition count used by the probe's standalone overhead timing (the
+/// paper's 8-channel owner map).
 const SWEEP_SPILL_PARTITIONS: usize = 8;
 
 /// [`MetricProbe`] over the vendored pre-refactor baselines.
@@ -199,6 +198,44 @@ impl MetricProbe for BaselineProbe {
     }
 }
 
+/// Critical path of the k-deep pipelined schedule over measured stage times,
+/// assuming non-competing workers (every admitted front has a core).
+///
+/// The scheduler admits the front of batch *j* when batch *j − depth* starts
+/// finishing, which gives the recurrence
+///
+/// ```text
+/// admit[j]        = 0                       for j < depth
+///                 = finish_start[j - depth] otherwise
+/// front_done[j]   = admit[j] + front_j
+/// finish_start[j] = max(finish_done[j - 1], front_done[j])
+/// finish_done[j]  = finish_start[j] + back_j
+/// ```
+///
+/// At `depth = 1` this reproduces the overlapped closed form
+/// `front₀ + Σ max(backᵢ, frontᵢ₊₁) + back_{n-1}`; deeper windows only move
+/// admissions earlier, so the result is non-increasing in `depth`.
+fn pipelined_critical_path(batch_timings: &[PhaseTimings], depth: usize) -> Duration {
+    let front = |t: &PhaseTimings| t.access_reads + t.kmer_counting + t.macronode_construction;
+    let back = |t: &PhaseTimings| t.compaction + t.walk;
+    let depth = depth.max(1);
+
+    let mut finish_starts: Vec<Duration> = Vec::with_capacity(batch_timings.len());
+    let mut finish_done = Duration::ZERO;
+    for (j, timings) in batch_timings.iter().enumerate() {
+        let admit = if j < depth {
+            Duration::ZERO
+        } else {
+            finish_starts[j - depth]
+        };
+        let front_done = admit + front(timings);
+        let finish_start = finish_done.max(front_done);
+        finish_starts.push(finish_start);
+        finish_done = finish_start + back(timings);
+    }
+    finish_done
+}
+
 /// How `experiments sweep` executes cells.
 #[derive(Debug, Clone, Copy)]
 pub enum SweepMode {
@@ -263,4 +300,59 @@ pub fn print_report(report: &SweepReport) {
 /// Propagates file I/O errors.
 pub fn write_report(report: &SweepReport, path: &str) -> std::io::Result<()> {
     std::fs::write(path, report.to_json())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pipelined_critical_path_generalizes_the_overlapped_closed_form() {
+        let ms = Duration::from_millis;
+        let timings = |batches: &[(u64, u64)]| -> Vec<PhaseTimings> {
+            batches
+                .iter()
+                .map(|&(front_ms, back_ms)| PhaseTimings {
+                    access_reads: Duration::ZERO,
+                    kmer_counting: ms(front_ms),
+                    macronode_construction: Duration::ZERO,
+                    compaction: ms(back_ms),
+                    walk: Duration::ZERO,
+                })
+                .collect()
+        };
+        // The depth-1 closed form: front₀ + Σ max(backᵢ, frontᵢ₊₁) + back_{n-1}.
+        let overlapped_closed_form = |batches: &[(u64, u64)]| {
+            let last = batches.len() - 1;
+            let stalls: u64 = (0..last).map(|i| batches[i].1.max(batches[i + 1].0)).sum();
+            ms(batches[0].0 + stalls + batches[last].1)
+        };
+
+        // Fronts longer than backs: a deeper window genuinely helps.
+        let front_heavy = [(30, 10); 4];
+        let sequential = ms(front_heavy.iter().map(|(f, b)| f + b).sum());
+        let overlapped = overlapped_closed_form(&front_heavy);
+        assert_eq!(
+            pipelined_critical_path(&timings(&front_heavy), 1),
+            overlapped
+        );
+        let deep = pipelined_critical_path(&timings(&front_heavy), 3);
+        assert!(deep < overlapped);
+        assert!(deep < sequential);
+        // Depth beyond the batch count saturates: every front starts at 0, so
+        // the bound is front₀ plus at most Σ back plus trailing stalls.
+        assert_eq!(
+            pipelined_critical_path(&timings(&front_heavy), 8),
+            pipelined_critical_path(&timings(&front_heavy), 4)
+        );
+        // Backs dominating: depth cannot help beyond the 1-deep overlap, and
+        // the result never regresses past it.
+        let back_heavy = [(5, 40); 3];
+        let overlapped = overlapped_closed_form(&back_heavy);
+        assert_eq!(
+            pipelined_critical_path(&timings(&back_heavy), 1),
+            overlapped
+        );
+        assert!(pipelined_critical_path(&timings(&back_heavy), 3) <= overlapped);
+    }
 }

@@ -51,7 +51,6 @@ fn smoke_recipe_runs_with_the_baseline_probe() {
     for gate in &mut recipe.gates {
         if gate.metric.starts_with("speedup.") || gate.metric.contains("critical_path") {
             gate.threshold = 0.01;
-            gate.env_override = None;
         }
     }
     let report = run_sweep(&recipe, SweepMode::Local).unwrap();
@@ -96,7 +95,6 @@ fn sharding_and_spill_recipes_carry_their_telemetry_gates() {
         for gate in &mut recipe.gates {
             if gate.metric.contains("overhead") {
                 gate.threshold = 1e9;
-                gate.env_override = None;
             }
         }
     };

@@ -329,8 +329,8 @@ impl Experiments {
 
     /// The run's external-memory counting telemetry, recorded when the
     /// assembly ran under a [`nmp_pak_pakman::SpillConfig`] resident-byte
-    /// budget (`None` on the in-memory counting path). The `experiments spill`
-    /// subcommand reports the same quantities for the standalone benchmark.
+    /// budget (`None` on the in-memory counting path). The `experiments sweep
+    /// spill` recipe reports the same quantities per budget.
     pub fn spill_telemetry(&self) -> Option<nmp_pak_pakman::SpillTelemetry> {
         self.assembly.spill
     }

@@ -186,8 +186,8 @@ pub struct IterationProfile {
     pub alive_nodes: usize,
 }
 
-/// Per-iteration profile of a whole compaction run (drives the
-/// `experiments compaction` benchmark and the `BENCH_pipeline.json` entry).
+/// Per-iteration profile of a whole compaction run (read by the repository
+/// benchmark's `compaction.*` metrics and the bench crate's engine-identity test).
 #[derive(Debug, Clone, Default)]
 pub struct CompactionProfile {
     /// One entry per executed iteration.

@@ -1372,9 +1372,12 @@ fn async_pop(engine: &AsyncEngine<'_>) -> Option<usize> {
             return Some(shard);
         }
         if queue.running == 0 {
-            debug_assert!(false, "async run queue stalled before the run ended");
+            // Release the peers before asserting: a panic under the guard
+            // would poison it and leave them asleep on `queue_cv`.
             queue.done = true;
+            drop(queue);
             engine.queue_cv.notify_all();
+            debug_assert!(false, "async run queue stalled before the run ended");
             return None;
         }
         queue = engine.queue_cv.wait(queue).expect("queue poisoned");
@@ -1398,18 +1401,16 @@ fn async_enqueue(engine: &AsyncEngine<'_>, shard: usize) {
 /// round either saw the marker still set (and this re-check sees its work) or
 /// re-enqueues the shard itself — no lost wakeups either way.
 fn async_finish(engine: &AsyncEngine<'_>, shard: usize) {
-    {
-        let mut queue = engine.queue.lock().expect("queue poisoned");
-        queue.active[shard] = false;
-        queue.running -= 1;
-    }
+    engine.queue.lock().expect("queue poisoned").active[shard] = false;
     if async_needs_rerun(engine, shard) {
         async_enqueue(engine, shard);
-    } else {
-        // Possibly the last actor: wake idle workers so the pool can notice
-        // `done` (or a stall) in `async_pop`.
-        engine.queue_cv.notify_all();
     }
+    // Stay counted in `running` until the re-enqueue decision is made: an
+    // idle peer seeing `running == 0` over an empty queue in that window
+    // would declare a stall. Then wake idle workers — possibly the last
+    // actor — so the pool can notice `done` (or a stall) in `async_pop`.
+    engine.queue.lock().expect("queue poisoned").running -= 1;
+    engine.queue_cv.notify_all();
 }
 
 /// Whether `shard` has pending work: it still owes the current wave, holds
@@ -1516,6 +1517,10 @@ fn async_round(
     let mut state = engine.states[shard].lock().expect("shard state poisoned");
     let state = &mut *state;
 
+    // Read the wave *before* draining: every flush tagged below it was
+    // deposited before it was published, so the drain below cannot miss one.
+    let wave = engine.global_wave.load(Ordering::Acquire);
+
     // ---- Drain: move arrivals out of the inbox immediately, freeing their
     // lanes, even when they cannot be applied yet — application waits for the
     // canonical wave boundary below. ----
@@ -1524,7 +1529,6 @@ fn async_round(
         state.inbuf.append(&mut inbox);
     }
 
-    let wave = engine.global_wave.load(Ordering::Acquire);
     let mut executed = false;
     if state.wave <= wave && !state.completion_pending {
         let r = state.wave;

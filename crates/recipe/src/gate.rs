@@ -1,10 +1,9 @@
 //! Declarative gates: per-metric pass/fail assertions over sweep cells.
 //!
-//! A gate names a metric, a direction ([`GateOp`]), a threshold, the cells it
-//! applies to ([`CellSelector`]), and optionally an environment variable whose
-//! value overrides the threshold at evaluation time — the migration path off
-//! the `NMP_PAK_BENCH_*` env-var sprawl: CI keeps exporting the same variables
-//! while the assertion itself lives in the recipe.
+//! A gate names a metric, a direction ([`GateOp`]), a threshold, and the cells
+//! it applies to ([`CellSelector`]). The threshold is the constant the recipe
+//! carries — nothing in the environment overrides it; to tighten a floor for
+//! one run, append an ad-hoc gate on the `experiments sweep` command line.
 //!
 //! Gates fail loudly rather than silently vacuously: a selector matching zero
 //! cells fails, and a matched cell missing the metric fails.
@@ -106,10 +105,8 @@ pub struct Gate {
     pub metric: String,
     /// Comparison direction.
     pub op: GateOp,
-    /// Default threshold, used when no environment override applies.
+    /// The floor (`AtLeast`) or cap (`AtMost`) the metric is held to.
     pub threshold: f64,
-    /// Environment variable whose (parseable) value overrides the threshold.
-    pub env_override: Option<String>,
     /// The cells the gate applies to.
     pub selector: CellSelector,
 }
@@ -121,7 +118,6 @@ impl Gate {
             metric: metric.into(),
             op: GateOp::AtLeast,
             threshold,
-            env_override: None,
             selector: CellSelector::all(),
         }
     }
@@ -132,16 +128,8 @@ impl Gate {
             metric: metric.into(),
             op: GateOp::AtMost,
             threshold,
-            env_override: None,
             selector: CellSelector::all(),
         }
-    }
-
-    /// Lets the named environment variable override the threshold.
-    #[must_use]
-    pub fn with_env(mut self, var: impl Into<String>) -> Gate {
-        self.env_override = Some(var.into());
-        self
     }
 
     /// Restricts the gate to cells matched by `selector`.
@@ -151,30 +139,20 @@ impl Gate {
         self
     }
 
-    /// The threshold in force: the environment override when set and
-    /// parseable, the recipe's default otherwise.
-    pub fn effective_threshold(&self) -> f64 {
-        self.env_override
-            .as_deref()
-            .and_then(|var| std::env::var(var).ok())
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(self.threshold)
-    }
-
     /// Human-readable description (`metric >= 1.3 on shards=1`).
     pub fn describe(&self) -> String {
         format!(
             "{} {} {} on {}",
             self.metric,
             self.op.symbol(),
-            self.effective_threshold(),
+            self.threshold,
             self.selector.label()
         )
     }
 
     /// Evaluates the gate over the sweep's cells.
     pub fn evaluate(&self, cells: &[CellResult]) -> GateOutcome {
-        let threshold = self.effective_threshold();
+        let threshold = self.threshold;
         let matched: Vec<&CellResult> = cells
             .iter()
             .filter(|c| self.selector.matches(&c.spec))
@@ -249,7 +227,7 @@ pub struct GateOutcome {
     pub description: String,
     /// The metric the gate read.
     pub metric: String,
-    /// The threshold in force (after any environment override).
+    /// The gate's threshold.
     pub threshold: f64,
     /// The worst observed value across selected cells, when all were present.
     pub observed: Option<f64>,

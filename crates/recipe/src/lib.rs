@@ -14,15 +14,14 @@
 //!   hand-rolled quick-scale figure drivers, so recipes are bit-identical to
 //!   the subcommands they replace.
 //! * [`Gate`] — a declarative assertion (`speedup >= 1.3`) over selected
-//!   cells, with an optional environment-variable threshold override for the
-//!   `NMP_PAK_BENCH_*` migration.
+//!   cells; the built-in recipes' timing gates are the repository's CI floors.
 //! * [`Executor`] — runs every cell through `PakmanAssembler`/`BatchAssembler`
 //!   (or concurrently through the [`nmp_pak_server::AssemblyServer`] under one
 //!   memory ledger), simulates requested backends on the recorded trace, and
 //!   emits one [`SweepReport`] (`BENCH_sweep.json`).
 //!
-//! Shipped recipes live in [`builtin`]: `fig12`, `sharding`, `spill`, and the
-//! CI `smoke` grid.
+//! Shipped recipes live in [`builtin`]: `fig12`, `sharding`, `spill`,
+//! `multinode`, and the CI `smoke` grid.
 
 #![warn(missing_docs)]
 

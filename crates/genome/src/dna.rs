@@ -2,6 +2,7 @@
 
 use crate::base::Base;
 use crate::error::GenomeError;
+use crate::kmer::mask_for;
 use std::fmt;
 
 /// Number of packed bytes stored inline before spilling to the heap; 16 bytes hold
@@ -19,10 +20,31 @@ pub const INLINE_BASES: usize = INLINE_BYTES * 4;
 /// high bits of the last partial byte are zero in both variants, and a heap vector
 /// has exactly `len.div_ceil(4)` bytes. Together these make byte-slice comparison
 /// an exact equality check regardless of which variant holds the data.
+///
+/// The inline buffer is read as one little-endian `u128` with base `i` at bits
+/// `2i`, so slicing, appending at any alignment and suffix comparison of inline
+/// sequences are shift/mask/OR operations on that word, 32 bases (one `u64`) at
+/// a time; the zero padding is what lets an append OR its bases in without
+/// clearing first. The array (not a `u128` field) keeps the alignment at 1 and
+/// `DnaString` at 32 bytes.
 #[derive(Clone)]
 enum Repr {
     Inline([u8; INLINE_BYTES]),
     Heap(Vec<u8>),
+}
+
+/// Bases moved per step of the word-at-a-time primitives: one `u64`.
+const WORD_BASES: usize = 32;
+
+/// Reverses the order of the 32 two-bit groups of `word`: byte order via
+/// `swap_bytes`, then the four groups inside every byte with two mask-shifts.
+/// Converts between the little-endian layout of [`DnaString`] (base `i` at bits
+/// `2i`) and the first-base-highest layout of [`crate::Kmer`].
+#[inline]
+pub(crate) fn reverse_base_order(word: u64) -> u64 {
+    let x = word.swap_bytes();
+    let x = ((x & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((x >> 4) & 0x0F0F_0F0F_0F0F_0F0F);
+    ((x & 0x3333_3333_3333_3333) << 2) | ((x >> 2) & 0x3333_3333_3333_3333)
 }
 
 /// A DNA sequence stored with 2 bits per base.
@@ -33,7 +55,11 @@ enum Repr {
 /// the same reason the paper packs k-mers into machine words. Sequences of up to
 /// [`INLINE_BASES`] bases live entirely inline (no heap allocation), which is what
 /// keeps MacroNode wiring and TransferNode extraction off the allocator: nearly all
-/// extensions flowing through Iterative Compaction are short.
+/// extensions flowing through Iterative Compaction are short. [`DnaString::slice`],
+/// [`DnaString::extend_from`], [`DnaString::ends_with`], `==` and the k-mer word
+/// conversions ([`DnaString::packed_window`], [`DnaString::from_packed`]) work on
+/// whole machine words, 32 bases per step; [`DnaString::push`],
+/// [`DnaString::get`] and the iterators are the per-base interface.
 ///
 /// # Example
 ///
@@ -54,6 +80,7 @@ pub struct DnaString {
 }
 
 impl Default for DnaString {
+    #[inline]
     fn default() -> Self {
         DnaString {
             repr: Repr::Inline([0; INLINE_BYTES]),
@@ -63,10 +90,18 @@ impl Default for DnaString {
 }
 
 impl PartialEq for DnaString {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         // Compare content, not representation: the same sequence may be inline in
         // one value and heap-allocated in another (e.g. a slice of a long contig).
-        self.len == other.len && self.used_bytes() == other.used_bytes()
+        if self.len != other.len {
+            return false;
+        }
+        match (&self.repr, &other.repr) {
+            // Zero padding makes the whole buffer comparable: one 128-bit compare.
+            (Repr::Inline(a), Repr::Inline(b)) => a == b,
+            _ => self.used_bytes() == other.used_bytes(),
+        }
     }
 }
 
@@ -81,11 +116,13 @@ impl std::hash::Hash for DnaString {
 
 impl DnaString {
     /// Creates an empty sequence.
+    #[inline]
     pub fn new() -> Self {
         DnaString::default()
     }
 
     /// Creates an empty sequence with capacity for `capacity` bases.
+    #[inline]
     pub fn with_capacity(capacity: usize) -> Self {
         if capacity <= INLINE_BASES {
             return DnaString::new();
@@ -152,8 +189,7 @@ impl DnaString {
 
     /// Appends one base given as its 2-bit code (the representation
     /// [`DnaString::codes`] yields), skipping the enum round-trip. Only the low
-    /// two bits are used; callers on the packed fast path (the graph walk)
-    /// append codes straight from another packed sequence.
+    /// two bits are used.
     pub fn push_code(&mut self, code: u8) {
         let code = code & 0b11;
         let byte_idx = self.len / 4;
@@ -178,31 +214,137 @@ impl DnaString {
         self.len += 1;
     }
 
-    /// Appends every base of `other`.
+    /// Appends every base of `other`, at any alignment, 32 bases per step: a
+    /// shift and an OR into the inline word while the result fits it, a
+    /// shift-merge across byte boundaries on the heap.
+    #[inline]
     pub fn extend_from(&mut self, other: &DnaString) {
-        if self.len.is_multiple_of(4) && !other.is_empty() {
-            // Byte-aligned destination: splice other's packed bytes wholesale.
-            // Other's trailing partial byte has zeroed spare bits (the invariant),
-            // so the result's invariant holds too.
-            let start = self.len / 4;
-            let nbytes = (self.len + other.len).div_ceil(4);
-            if matches!(&self.repr, Repr::Inline(_)) && nbytes > INLINE_BYTES {
-                self.spill_to_heap(nbytes);
+        self.append_window(other, 0, other.len);
+    }
+
+    /// The `n ≤ 32` bases at `[start, start + n)` as a little-endian word (base
+    /// `start + i` at bits `2i`, bits above `2n` zero).
+    #[inline]
+    fn window(&self, start: usize, n: usize) -> u64 {
+        debug_assert!(n <= WORD_BASES && start + n <= self.len);
+        if n == 0 {
+            return 0;
+        }
+        let word = match &self.repr {
+            Repr::Inline(buf) => u128::from_le_bytes(*buf) >> (2 * start),
+            Repr::Heap(v) => {
+                // 32 bases at a 0..=3 base offset span at most 9 bytes.
+                let first = start / 4;
+                let bytes = &v[first..v.len().min(first + 9)];
+                let mut buf = [0u8; INLINE_BYTES];
+                buf[..bytes.len()].copy_from_slice(bytes);
+                u128::from_le_bytes(buf) >> (2 * (start % 4))
             }
-            let src = other.used_bytes();
-            match &mut self.repr {
-                Repr::Inline(buf) => buf[start..start + src.len()].copy_from_slice(src),
-                Repr::Heap(v) => {
-                    debug_assert_eq!(v.len(), start);
-                    v.extend_from_slice(src);
-                }
-            }
-            self.len += other.len;
+        };
+        word as u64 & mask_for(n)
+    }
+
+    /// Appends the `n ≤ 32` bases of the little-endian `word` (bits above `2n`
+    /// must be zero — that is what keeps the padding invariant).
+    #[inline]
+    fn append_word(&mut self, word: u64, n: usize) {
+        debug_assert!(n <= WORD_BASES && word & !mask_for(n) == 0);
+        if n == 0 {
             return;
         }
-        for i in 0..other.len() {
-            self.push(other.get(i).expect("index within other"));
+        let new_len = self.len + n;
+        if let Repr::Inline(buf) = &mut self.repr {
+            if new_len <= INLINE_BASES {
+                let merged = u128::from_le_bytes(*buf) | (word as u128) << (2 * self.len);
+                *buf = merged.to_le_bytes();
+                self.len = new_len;
+                return;
+            }
+            self.spill_to_heap(new_len.div_ceil(4));
         }
+        let Repr::Heap(v) = &mut self.repr else {
+            unreachable!("spilled above")
+        };
+        // Shift-merge: the word's low bits complete the last partial byte, the
+        // rest become new bytes.
+        let partial = self.len % 4;
+        let bytes = ((word as u128) << (2 * partial)).to_le_bytes();
+        let mut from = 0usize;
+        if partial != 0 {
+            *v.last_mut().expect("a partial byte exists") |= bytes[0];
+            from = 1;
+        }
+        let fresh = new_len.div_ceil(4) - v.len();
+        v.extend_from_slice(&bytes[from..from + fresh]);
+        self.len = new_len;
+    }
+
+    /// Appends `other[start .. start + len]` a word at a time.
+    #[inline]
+    fn append_window(&mut self, other: &DnaString, start: usize, len: usize) {
+        let mut done = 0usize;
+        while done < len {
+            let n = (len - done).min(WORD_BASES);
+            self.append_word(other.window(start + done, n), n);
+            done += n;
+        }
+    }
+
+    /// `true` if the sequence ends with `suffix` (compared a word at a time;
+    /// every sequence ends with the empty one).
+    #[inline]
+    pub fn ends_with(&self, suffix: &DnaString) -> bool {
+        let Some(start) = self.len.checked_sub(suffix.len) else {
+            return false;
+        };
+        (0..suffix.len).step_by(WORD_BASES).all(|at| {
+            let n = (suffix.len - at).min(WORD_BASES);
+            self.window(start + at, n) == suffix.window(at, n)
+        })
+    }
+
+    /// The sequence of the `len ≤ 32` bases held in the low `2 * len` bits of
+    /// `packed` in the [`crate::Kmer`] bit layout (first base in the most
+    /// significant occupied 2-bit group) — the inverse of
+    /// [`DnaString::packed_window`]. Bits above `2 * len` are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 32`.
+    #[inline]
+    pub fn from_packed(packed: u64, len: usize) -> DnaString {
+        assert!(len <= WORD_BASES, "a packed word holds at most 32 bases");
+        if len == 0 {
+            return DnaString::new();
+        }
+        // Left-aligning first drops the ignored high bits; the reversal then
+        // lands base 0 at bits 0 with zero padding above.
+        let word = reverse_base_order(packed << (2 * (WORD_BASES - len)));
+        DnaString {
+            repr: Repr::Inline(u128::from(word).to_le_bytes()),
+            len,
+        }
+    }
+
+    /// The `len ≤ 32` bases at `[start, start + len)` packed in the
+    /// [`crate::Kmer`] bit layout: first base in the most significant occupied
+    /// 2-bit group, `0` for an empty window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 32` or the window extends past the end of the sequence.
+    #[inline]
+    pub fn packed_window(&self, start: usize, len: usize) -> u64 {
+        assert!(
+            len <= WORD_BASES && start + len <= self.len,
+            "window [{start}, {}) of at most {WORD_BASES} bases out of range (len {})",
+            start + len,
+            self.len
+        );
+        if len == 0 {
+            return 0;
+        }
+        reverse_base_order(self.window(start, len)) >> (2 * (WORD_BASES - len))
     }
 
     /// Returns the base at `index`, or `None` if out of range.
@@ -249,6 +391,7 @@ impl DnaString {
     /// # Panics
     ///
     /// Panics if the range extends past the end of the sequence.
+    #[inline]
     pub fn slice(&self, start: usize, len: usize) -> DnaString {
         assert!(
             start + len <= self.len,
@@ -257,9 +400,7 @@ impl DnaString {
             self.len
         );
         let mut out = DnaString::with_capacity(len);
-        for i in start..start + len {
-            out.push(self.base(i));
-        }
+        out.append_window(self, start, len);
         out
     }
 
@@ -516,7 +657,7 @@ mod tests {
         let b: DnaString = "TTT".parse().unwrap();
         a.extend_from(&b);
         assert_eq!(a.to_string(), "ACGTTT");
-        // Byte-aligned fast path (len % 4 == 0).
+        // Byte-aligned destination (len % 4 == 0).
         let mut c: DnaString = "ACGT".parse().unwrap();
         c.extend_from(&b);
         assert_eq!(c.to_string(), "ACGTTTT");

@@ -59,11 +59,10 @@ impl Kmer {
                 required: start + k,
             });
         }
-        let mut packed = 0u64;
-        for i in 0..k {
-            packed = (packed << 2) | dna.base(start + i).code() as u64;
-        }
-        Ok(Kmer { packed, k: k as u8 })
+        Ok(Kmer {
+            packed: dna.packed_window(start, k),
+            k: k as u8,
+        })
     }
 
     /// Builds a k-mer from an iterator of bases; `k` is the number of items consumed.
@@ -255,9 +254,11 @@ impl Kmer {
         }
     }
 
-    /// Converts to an owned [`DnaString`].
+    /// Converts to an owned [`DnaString`]: one 2-bit-group reversal from the
+    /// first-base-highest word to the string's little-endian layout.
+    #[inline]
     pub fn to_dna_string(&self) -> DnaString {
-        (0..self.k()).map(|i| self.base(i)).collect()
+        DnaString::from_packed(self.packed, self.k())
     }
 
     /// Iterates over all k-mers of `dna` with a sliding window of size `k`.
@@ -285,8 +286,9 @@ impl Kmer {
     }
 }
 
+/// Mask of the low `k ≤ 32` two-bit groups of a packed word.
 #[inline]
-fn mask_for(k: usize) -> u64 {
+pub(crate) fn mask_for(k: usize) -> u64 {
     if k >= 32 {
         u64::MAX
     } else {

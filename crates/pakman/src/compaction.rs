@@ -34,7 +34,7 @@ use crate::config::{CompactionMode, PakmanConfig};
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
-use crate::macronode::MacroNode;
+use crate::macronode::{MacroNode, ThroughPath};
 use crate::trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 use crate::transfer::{TransferNode, TransferSide};
 use serde::{Deserialize, Serialize};
@@ -769,6 +769,11 @@ fn extract_transfers(
     out: &mut Vec<(usize, TransferNode)>,
 ) {
     out.clear();
+    // Invalidated nodes are fully interior, so every path yields exactly two
+    // transfers: size the stream once instead of regrowing it by doubling.
+    out.reserve(transfer_count(
+        invalidated.iter().map(|&slot| graph.node(slot)),
+    ));
     let threads = threads.max(1).min(invalidated.len().max(1));
     if threads <= 1 || invalidated.len() < 32 {
         for &slot in invalidated {
@@ -794,6 +799,16 @@ fn extract_transfers(
     for buffer in buffers.iter_mut().take(used) {
         out.append(buffer);
     }
+}
+
+/// The exact length of the transfer stream the invalidated `nodes` (all fully
+/// interior) will produce: two TransferNodes per path. Shared with the sharded
+/// engine's extraction.
+pub(crate) fn transfer_count<'a>(nodes: impl Iterator<Item = Option<&'a MacroNode>>) -> usize {
+    2 * nodes
+        .flatten()
+        .map(|node| node.paths().len())
+        .sum::<usize>()
 }
 
 fn extract_one(graph: &PakGraph, slot: usize, out: &mut Vec<(usize, TransferNode)>) {
@@ -973,37 +988,37 @@ pub fn is_invalidation_target(graph: &PakGraph, node: &MacroNode) -> bool {
 /// [`is_invalidation_target`] generalized over the aliveness oracle, so the
 /// sharded engine can route neighbour lookups through the owner shards while
 /// evaluating the very same predicate.
+///
+/// The predicate is a conjunction over the neighbours — each is strictly
+/// dominated *and* alive — so it is evaluated cheapest conjunct first: one
+/// pure-arithmetic dominance pass over every neighbour, and only a node that
+/// survives it (about three checks in ten) pays the rank-index lookups of the
+/// aliveness pass. The verdict, and with it the frontier and every count, is
+/// the one a lookup-first evaluation returns.
 pub(crate) fn is_invalidation_target_with<F: Fn(&nmp_pak_genome::Kmer) -> bool>(
     contains: F,
     node: &MacroNode,
 ) -> bool {
-    if !node.is_fully_interior() {
-        return false;
-    }
     let own = node.k1mer();
-    let mut neighbour_count = 0usize;
-    for path in node.paths() {
-        let (Some(prefix), Some(suffix)) = (&path.prefix, &path.suffix) else {
-            // Unreachable after the is_fully_interior gate, but a terminal path
-            // must never count as a dominated neighbour.
-            return false;
-        };
-        for neighbour in [node.predecessor_k1mer(prefix), node.successor_k1mer(suffix)] {
-            // Every neighbour must still be alive: invalidating a node whose wiring
-            // has gone stale (a residual path pointing at an already-removed
-            // neighbour) would drop its TransferNodes and lose assembled sequence,
-            // so such nodes are kept. This is conservative — compaction stops
-            // earlier than PaKman's — but it keeps the walk lossless; see DESIGN.md.
-            if !contains(&neighbour) {
-                return false;
-            }
-            neighbour_count += 1;
-            if neighbour >= own {
-                return false;
-            }
-        }
-    }
-    neighbour_count > 0
+    let neighbours = |path: &ThroughPath| {
+        // A terminal path never counts as a dominated neighbour: only fully
+        // interior nodes are invalidated, so no contig endpoint is lost.
+        let (prefix, suffix) = (path.prefix.as_ref()?, path.suffix.as_ref()?);
+        Some([node.predecessor_k1mer(prefix), node.successor_k1mer(suffix)])
+    };
+    let dominates = |path: &ThroughPath| {
+        neighbours(path).is_some_and(|pair| pair.iter().all(|neighbour| *neighbour < own))
+    };
+    // Every neighbour must still be alive: invalidating a node whose wiring
+    // has gone stale (a residual path pointing at an already-removed
+    // neighbour) would drop its TransferNodes and lose assembled sequence,
+    // so such nodes are kept. This is conservative — compaction stops
+    // earlier than PaKman's — but it keeps the walk lossless; see DESIGN.md.
+    let all_alive =
+        |path: &ThroughPath| neighbours(path).is_some_and(|pair| pair.iter().all(&contains));
+    !node.paths().is_empty()
+        && node.paths().iter().all(dominates)
+        && node.paths().iter().all(all_alive)
 }
 
 /// Applies one TransferNode to its destination node, splitting paths as necessary so
@@ -1282,6 +1297,141 @@ mod tests {
                 assert!(frontier_it.checked_nodes <= frontier_it.alive_nodes);
             }
         }
+    }
+
+    /// A 20 kbp, 30× error-bearing read set's graph at k = 21 (the shape of the
+    /// determinism suites' inputs).
+    fn simulated_graph() -> PakGraph {
+        use nmp_pak_genome::{ReadSimulator, ReferenceGenome, SequencerConfig};
+        let genome = ReferenceGenome::builder()
+            .length(20_000)
+            .seed(0xD5EED)
+            .build()
+            .unwrap();
+        let reads = ReadSimulator::new(SequencerConfig {
+            coverage: 30.0,
+            substitution_error_rate: 0.001,
+            seed: 0xD5EEE,
+            ..SequencerConfig::default()
+        })
+        .simulate(&genome)
+        .unwrap();
+        let config = KmerCounterConfig {
+            k: 21,
+            min_count: 2,
+            threads: 1,
+        };
+        let (counted, _) = count_kmers(&reads, config).unwrap();
+        PakGraph::from_counted_kmers(&counted, 21, 1)
+    }
+
+    /// Runs `inspect` on the graph before every compaction iteration and after
+    /// the last one, stepping one iteration per `compact` call (each call's
+    /// iteration 0 is a full scan, so the steps compose to the ordinary run).
+    /// Returns the number of iterations that invalidated something.
+    fn at_every_iteration(graph: &mut PakGraph, mut inspect: impl FnMut(&PakGraph)) -> usize {
+        let one_step = PakmanConfig {
+            max_compaction_iterations: 1,
+            ..compact_config(0)
+        };
+        for step in 0.. {
+            inspect(graph);
+            let outcome = compact(graph, &one_step);
+            if outcome
+                .stats
+                .iterations
+                .iter()
+                .all(|it| it.invalidated == 0)
+            {
+                return step;
+            }
+        }
+        unreachable!("compaction converges")
+    }
+
+    #[test]
+    fn extract_pair_equals_the_spelled_oracle_on_every_path_at_every_iteration() {
+        let mut graph = simulated_graph();
+        let (mut interior_paths, mut longest) = (0usize, 0usize);
+        let steps = at_every_iteration(&mut graph, |graph| {
+            for (_, node) in graph.iter_alive() {
+                for path in node.paths() {
+                    let word = TransferNode::extract_pair(node, path);
+                    assert_eq!(word, TransferNode::extract_pair_spelled(node, path));
+                    if let Some((pred, succ)) = word {
+                        interior_paths += 1;
+                        longest = longest.max(pred.new_ext.len()).max(succ.new_ext.len());
+                    }
+                }
+            }
+        });
+        // The run went deep enough for extensions to outgrow the (k-1)-mer, so
+        // both branches of every primitive ran (heap-length extensions do not
+        // arise at this scale; transfer.rs covers them by hand).
+        assert!(steps >= 5, "only {steps} compaction iterations");
+        assert!(interior_paths > 20_000, "{interior_paths} interior paths");
+        assert!(longest > 20, "longest extension: {longest} bases");
+    }
+
+    /// The predicate as it was written before the arithmetic-first reordering:
+    /// per neighbour, the aliveness lookup and then the dominance comparison.
+    fn lookup_first_predicate(graph: &PakGraph, node: &MacroNode) -> bool {
+        if !node.is_fully_interior() {
+            return false;
+        }
+        let own = node.k1mer();
+        for path in node.paths() {
+            let (Some(prefix), Some(suffix)) = (&path.prefix, &path.suffix) else {
+                return false;
+            };
+            for neighbour in [node.predecessor_k1mer(prefix), node.successor_k1mer(suffix)] {
+                if !graph.contains(&neighbour) || neighbour >= own {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Asserts both predicates agree on every alive node; returns how many
+    /// nodes are targets and how many dominate every neighbour yet are kept
+    /// because one of them is gone (stale wiring).
+    fn predicates_agree(graph: &PakGraph) -> (usize, usize) {
+        let (mut targets, mut stale_rejections) = (0usize, 0usize);
+        for (slot, node) in graph.iter_alive() {
+            let verdict = is_invalidation_target(graph, node);
+            assert_eq!(verdict, lookup_first_predicate(graph, node), "slot {slot}");
+            targets += usize::from(verdict);
+            stale_rejections +=
+                usize::from(!verdict && is_invalidation_target_with(|_| true, node));
+        }
+        (targets, stale_rejections)
+    }
+
+    #[test]
+    fn arithmetic_first_and_lookup_first_predicates_agree_at_every_iteration() {
+        let mut graph = simulated_graph();
+        let mut targets = 0usize;
+        at_every_iteration(&mut graph, |graph| targets += predicates_agree(graph).0);
+        assert!(targets > 1_000);
+
+        // Stale wiring on demand: remove the neighbours of would-be targets
+        // behind their backs, as an earlier iteration's unmatched transfers do.
+        let mut graph = simulated_graph();
+        let doomed: Vec<usize> = graph
+            .iter_alive()
+            .filter(|(_, node)| is_invalidation_target(&graph, node))
+            .filter_map(|(_, node)| {
+                graph.index_of(&node.successor_k1mer(node.paths()[0].suffix.as_ref()?))
+            })
+            .step_by(3)
+            .collect();
+        assert!(doomed.len() > 100);
+        for slot in doomed {
+            graph.invalidate(slot);
+        }
+        let (_, stale_rejections) = predicates_agree(&graph);
+        assert!(stale_rejections > 100);
     }
 
     #[test]

@@ -85,10 +85,14 @@ impl RankIndex {
 /// a bucketed binary search over packed `u64` keys ([`RankIndex`]) — no hashing and
 /// no per-entry heap allocation on the compaction routing path. See `DESIGN.md`.
 ///
-/// Nodes live inline in the slot vector (a `MacroNode` is one `Kmer` plus a `Vec`
-/// handle, 40 bytes): there is no per-node pointer allocation to pay during
-/// construction and no pointer chase during the parallel invalidation scan, which
-/// is this implementation's reading of §4.5's "efficient memory management".
+/// Nodes live inline in the slot vector, and a node's first through-path lives
+/// inline in the node ([`crate::macronode::PathList`]): a slot is 88 contiguous
+/// bytes holding the (k-1)-mer and the first path, so the 1-in / 1-out nodes that
+/// make up most of the graph cost no per-node allocation during construction and
+/// no pointer chase during the invalidation scan, transfer application or the
+/// walk — this implementation's reading of §4.5's "efficient memory management".
+/// Only a node with two or more paths owns a heap vector (exactly as long as its
+/// path list), and only its paths are behind a pointer.
 #[derive(Debug, Clone, Default)]
 pub struct PakGraph {
     slots: Vec<Option<MacroNode>>,

@@ -58,6 +58,83 @@ impl ThroughPath {
     }
 }
 
+/// The through-path list of a [`MacroNode`], with the first path stored inline.
+///
+/// Most nodes of a PaK-graph are 1-in / 1-out chain links carrying exactly one
+/// path, so a node with one path owns no heap allocation: the node, its
+/// (k-1)-mer and its path are one contiguous slot of the graph's slot vector, and
+/// a check / apply / walk step reaches the extensions without a second
+/// dependent cache miss. From the second path on, all paths live in a vector
+/// grown to exactly the number of paths (extensions only ever split, a handful
+/// of times per node, so exact growth is cheap and nothing is over-reserved).
+///
+/// Dereferences to `[ThroughPath]`; equality compares the paths, not which
+/// variant holds them.
+#[derive(Debug, Clone)]
+pub struct PathList(Paths);
+
+#[derive(Debug, Clone)]
+enum Paths {
+    One(ThroughPath),
+    /// Zero paths (an unallocated vector) or at least two.
+    Many(Vec<ThroughPath>),
+}
+
+impl PathList {
+    fn new() -> Self {
+        PathList(Paths::Many(Vec::new()))
+    }
+
+    /// Appends one path.
+    pub fn push(&mut self, path: ThroughPath) {
+        self.0 = match std::mem::replace(&mut self.0, Paths::Many(Vec::new())) {
+            Paths::Many(paths) if paths.is_empty() => Paths::One(path),
+            Paths::Many(mut paths) => {
+                paths.reserve_exact(1);
+                paths.push(path);
+                Paths::Many(paths)
+            }
+            Paths::One(first) => Paths::Many(vec![first, path]),
+        };
+    }
+}
+
+impl Extend<ThroughPath> for PathList {
+    fn extend<I: IntoIterator<Item = ThroughPath>>(&mut self, iter: I) {
+        for path in iter {
+            self.push(path);
+        }
+    }
+}
+
+impl std::ops::Deref for PathList {
+    type Target = [ThroughPath];
+
+    fn deref(&self) -> &[ThroughPath] {
+        match &self.0 {
+            Paths::One(path) => std::slice::from_ref(path),
+            Paths::Many(paths) => paths,
+        }
+    }
+}
+
+impl std::ops::DerefMut for PathList {
+    fn deref_mut(&mut self) -> &mut [ThroughPath] {
+        match &mut self.0 {
+            Paths::One(path) => std::slice::from_mut(path),
+            Paths::Many(paths) => paths,
+        }
+    }
+}
+
+impl PartialEq for PathList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for PathList {}
+
 /// A MacroNode: a shared (k-1)-mer plus the sequence flow passing through it.
 ///
 /// # Example
@@ -79,7 +156,7 @@ impl ThroughPath {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MacroNode {
     k1mer: Kmer,
-    paths: Vec<ThroughPath>,
+    paths: PathList,
 }
 
 impl MacroNode {
@@ -87,7 +164,7 @@ impl MacroNode {
     pub fn new(k1mer: Kmer) -> Self {
         MacroNode {
             k1mer,
-            paths: Vec::new(),
+            paths: PathList::new(),
         }
     }
 
@@ -129,13 +206,14 @@ impl MacroNode {
         suffix_count: u32,
     ) -> Self {
         debug_assert!(prefix_count > 0 && suffix_count > 0);
-        let mut node = MacroNode::new(k1mer);
-        node.paths.push(ThroughPath::through(
-            std::iter::once(prefix).collect(),
-            std::iter::once(suffix).collect(),
-            prefix_count.max(suffix_count),
-        ));
-        node
+        MacroNode {
+            k1mer,
+            paths: PathList(Paths::One(ThroughPath::through(
+                std::iter::once(prefix).collect(),
+                std::iter::once(suffix).collect(),
+                prefix_count.max(suffix_count),
+            ))),
+        }
     }
 
     fn wire(&mut self, prefixes: Vec<(Base, u32)>, suffixes: Vec<(Base, u32)>) {
@@ -230,12 +308,12 @@ impl MacroNode {
         &self.paths
     }
 
-    /// Mutable access to the through-path list. Hidden: this exists for
-    /// compaction updates and the pre-refactor benchmark fixtures in
-    /// `nmp-pak-bench`; direct edits bypass the wiring invariants, so it is not
-    /// part of the supported API surface.
+    /// Mutable access to the through-path list (`iter_mut`, indexing, `push`,
+    /// `extend`). Hidden: this exists for compaction updates and the
+    /// pre-refactor benchmark fixtures in `nmp-pak-bench`; direct edits bypass
+    /// the wiring invariants, so it is not part of the supported API surface.
     #[doc(hidden)]
-    pub fn paths_mut(&mut self) -> &mut Vec<ThroughPath> {
+    pub fn paths_mut(&mut self) -> &mut PathList {
         &mut self.paths
     }
 
@@ -312,16 +390,17 @@ impl MacroNode {
     /// `prefix + self.k1mer`. Computed directly on the packed representations —
     /// no intermediate `DnaString` is spelled out — because stage P1 evaluates
     /// this for every neighbour of every checked node, every iteration.
+    #[inline]
     pub fn predecessor_k1mer(&self, prefix: &DnaString) -> Kmer {
         let k1_len = self.k1mer.k();
         let p = prefix.len();
         if p >= k1_len {
             // The neighbour lies entirely inside the extension.
-            return pack_window(prefix, 0, k1_len);
+            return Kmer::from_packed(prefix.packed_window(0, k1_len), k1_len);
         }
         // `prefix` supplies the leading bases; the rest is our own (k-1)-mer with
         // its last `p` bases dropped (`packed >> 2p`).
-        let high = pack_window_raw(prefix, 0, p);
+        let high = prefix.packed_window(0, p);
         let low = self.k1mer.packed() >> (2 * p);
         Kmer::from_packed((high << (2 * (k1_len - p))) | low, k1_len)
     }
@@ -329,18 +408,50 @@ impl MacroNode {
     /// The (k-1)-mer of the successor node reached through suffix extension `suffix`:
     /// the last k-1 bases of `self.k1mer + suffix`. Packed-arithmetic mirror of
     /// [`MacroNode::predecessor_k1mer`].
+    #[inline]
     pub fn successor_k1mer(&self, suffix: &DnaString) -> Kmer {
         let k1_len = self.k1mer.k();
         let s = suffix.len();
         if s >= k1_len {
-            return pack_window(suffix, s - k1_len, k1_len);
+            return Kmer::from_packed(suffix.packed_window(s - k1_len, k1_len), k1_len);
         }
         // Our own (k-1)-mer with its first `s` bases dropped (mask keeps the low
         // bases), then `suffix` appended below it.
         let keep = k1_len - s;
         let high = self.k1mer.packed() & ((1u64 << (2 * keep)) - 1);
-        let low = pack_window_raw(suffix, 0, s);
+        let low = suffix.packed_window(0, s);
         Kmer::from_packed((high << (2 * s)) | low, k1_len)
+    }
+
+    /// The suffix extension under which the predecessor reached through `prefix`
+    /// records this edge: the last `prefix.len()` bases of `prefix + self.k1mer`
+    /// (the spelled edge minus the predecessor's own (k-1)-mer) — `pred_ext` of
+    /// Fig. 4 (c). Word operations on the packed values; nothing is spelled.
+    #[inline]
+    pub fn predecessor_suffix(&self, prefix: &DnaString) -> DnaString {
+        let (k1_len, p) = (self.k1mer.k(), prefix.len());
+        if p <= k1_len {
+            // The low 2p bits of our own packed (k-1)-mer.
+            return DnaString::from_packed(self.k1mer.packed(), p);
+        }
+        let mut out = prefix.slice(k1_len, p - k1_len);
+        out.extend_from(&self.k1mer.to_dna_string());
+        out
+    }
+
+    /// The prefix extension under which the successor reached through `suffix`
+    /// records this edge: the first `suffix.len()` bases of `self.k1mer + suffix`.
+    /// Mirror of [`MacroNode::predecessor_suffix`]; the walk matches a
+    /// successor's paths against it.
+    #[inline]
+    pub fn successor_prefix(&self, suffix: &DnaString) -> DnaString {
+        let (k1_len, s) = (self.k1mer.k(), suffix.len());
+        if s <= k1_len {
+            return DnaString::from_packed(self.k1mer.packed() >> (2 * (k1_len - s)), s);
+        }
+        let mut out = self.k1mer.to_dna_string();
+        out.extend_from(&suffix.slice(0, s - k1_len));
+        out
     }
 
     /// Distinct predecessor (k-1)-mers over all prefix extensions.
@@ -383,40 +494,27 @@ impl MacroNode {
     }
 }
 
-/// `prefix + k1mer` spelled out as a [`DnaString`].
+/// `prefix + k1mer` spelled out as a [`DnaString`] — the reference construction
+/// the packed-arithmetic paths are tested against.
+#[cfg(test)]
 pub(crate) fn spell_prefix(prefix: &DnaString, k1mer: &Kmer) -> DnaString {
-    let mut s = DnaString::with_capacity(prefix.len() + k1mer.k());
-    s.extend_from(prefix);
-    s.extend(k1mer.to_dna_string().iter());
+    let mut s = prefix.clone();
+    s.extend_from(&k1mer.to_dna_string());
     s
 }
 
-/// `k1mer + suffix` spelled out as a [`DnaString`].
+/// `k1mer + suffix` spelled out as a [`DnaString`] (test reference, as above).
+#[cfg(test)]
 pub(crate) fn spell_suffix(k1mer: &Kmer, suffix: &DnaString) -> DnaString {
-    let mut s = DnaString::with_capacity(suffix.len() + k1mer.k());
-    s.extend(k1mer.to_dna_string().iter());
+    let mut s = k1mer.to_dna_string();
     s.extend_from(suffix);
     s
 }
 
 /// Extracts the `[start, start + len)` window of `dna` as a [`Kmer`].
+#[cfg(test)]
 pub(crate) fn kmer_from_slice(dna: &DnaString, start: usize, len: usize) -> Kmer {
     Kmer::from_dna(dna, start, len).expect("window bounds validated by caller")
-}
-
-/// Packs the `[start, start + len)` window of `dna` into a [`Kmer`] straight from
-/// the 2-bit codes — no intermediate `DnaString`, no per-base enum round-trip.
-fn pack_window(dna: &DnaString, start: usize, len: usize) -> Kmer {
-    Kmer::from_packed(pack_window_raw(dna, start, len), len)
-}
-
-/// The raw packed word of the `[start, start + len)` window, first base in the
-/// most significant occupied bits (the [`Kmer`] bit layout).
-fn pack_window_raw(dna: &DnaString, start: usize, len: usize) -> u64 {
-    dna.codes()
-        .skip(start)
-        .take(len)
-        .fold(0u64, |acc, code| (acc << 2) | code as u64)
 }
 
 /// ASCII-lexicographic rank of each 2-bit base code: the packed code order is
@@ -495,6 +593,59 @@ mod tests {
                 MacroNode::from_extensions(k("GTCA"), vec![(Base::A, pc)], vec![(Base::T, sc)]);
             assert_eq!(fast, general, "pc={pc} sc={sc}");
         }
+    }
+
+    #[test]
+    fn equality_clone_and_push_are_representation_independent() {
+        // The same paths reach a node three ways: the wiring of
+        // `from_extensions`, one `push_path` at a time (inline first path, then
+        // the exactly-grown vector), and one `extend` of the whole list.
+        let wired = MacroNode::from_extensions(
+            k("ACGT"),
+            vec![(Base::A, 10), (Base::C, 3)],
+            vec![(Base::G, 7), (Base::T, 6)],
+        );
+        assert!(wired.paths().len() >= 2);
+        let mut pushed = MacroNode::new(k("ACGT"));
+        let mut extended = MacroNode::new(k("ACGT"));
+        assert_eq!(pushed, extended);
+        assert!(pushed.paths().is_empty());
+        for (i, path) in wired.paths().iter().enumerate() {
+            assert_ne!(pushed, wired);
+            pushed.push_path(path.clone());
+            assert_eq!(pushed.paths(), &wired.paths()[..=i]);
+            assert_eq!(pushed.clone(), pushed);
+        }
+        extended.paths_mut().extend(wired.paths().to_vec());
+        assert_eq!(pushed, wired);
+        assert_eq!(extended, wired);
+        assert_eq!(pushed.size_bytes(), wired.size_bytes());
+
+        // A clone is equal and independent; `iter_mut` reaches the inline path.
+        let single = MacroNode::single_through(k("ACGT"), Base::A, 2, Base::T, 2);
+        let mut edited = single.clone();
+        assert_eq!(edited, single);
+        for path in edited.paths_mut().iter_mut() {
+            path.count += 1;
+        }
+        assert_ne!(edited, single);
+        assert_eq!(single.paths()[0].count, 2);
+        // One path pushed onto an empty node equals the single-path fast path.
+        let mut one = MacroNode::new(k("ACGT"));
+        one.push_path(single.paths()[0].clone());
+        assert_eq!(one, single);
+    }
+
+    #[test]
+    fn slot_and_transfer_layouts_stay_within_their_cache_line_budget() {
+        // A graph slot is the node, its (k-1)-mer and its first path in one
+        // piece: two cache lines at most. The transfer stream entry is what P2
+        // writes and P3 reads twice per transfer. A new field must not
+        // silently double either.
+        use std::mem::size_of;
+        assert!(size_of::<Option<MacroNode>>() <= 128);
+        assert_eq!(size_of::<Option<MacroNode>>(), size_of::<MacroNode>());
+        assert!(size_of::<(usize, crate::transfer::TransferNode)>() <= 112);
     }
 
     #[test]
@@ -632,7 +783,16 @@ mod tests {
                 kmer_from_slice(&succ_spell, succ_spell.len() - k1.k(), k1.k()),
                 "successor via extension {ext:?}"
             );
+            // What the neighbour records for the edge is the spelled edge
+            // minus that neighbour's own (k-1)-mer.
+            assert_eq!(
+                node.predecessor_suffix(&ext),
+                pred_spell.slice(k1.k(), ext.len())
+            );
+            assert_eq!(node.successor_prefix(&ext), succ_spell.slice(0, ext.len()));
         }
+        assert!(node.predecessor_suffix(&DnaString::new()).is_empty());
+        assert!(node.successor_prefix(&DnaString::new()).is_empty());
     }
 
     #[test]

@@ -58,8 +58,8 @@
 
 use crate::compaction::{
     apply_transfer, assemble_trace_checks, fold_census, fold_transfers,
-    is_invalidation_target_with, remove_sorted, CompactionOutcome, CompactionProfile,
-    CompactionStats, IterationProfile, IterationStats, SizeHistogram,
+    is_invalidation_target_with, remove_sorted, transfer_count, CompactionOutcome,
+    CompactionProfile, CompactionStats, IterationProfile, IterationStats, SizeHistogram,
 };
 use crate::config::{CompactionMode, PakmanConfig, ShardSchedule};
 use crate::control::RunControl;
@@ -877,6 +877,9 @@ fn extract_sharded_transfers(
     out: &mut Vec<(usize, TransferNode)>,
 ) {
     out.clear();
+    out.reserve(transfer_count(
+        invalidated.iter().map(|&slot| sharded.node_global(slot)),
+    ));
     let extract_one = |slot: usize, buffer: &mut Vec<(usize, TransferNode)>| {
         let node = sharded
             .node_global(slot)
@@ -1611,7 +1614,9 @@ fn async_round(
             // slot, then publish the deaths as wave-`r` deaths: concurrent
             // wave-`r` predicates still see the wave-start snapshot, wave
             // `r + 1` sees them dead. ----
-            let mut outbound: Vec<(u32, TransferNode)> = Vec::new();
+            let mut outbound: Vec<(u32, TransferNode)> = Vec::with_capacity(transfer_count(
+                invalidated.iter().map(|&local| state.graph.node(local)),
+            ));
             for &local in &invalidated {
                 let node = state.graph.node(local).expect("invalidated slot was alive");
                 let global = state.globals[local];

@@ -1,7 +1,7 @@
 //! TransferNodes: the messages that carry an invalidated MacroNode's sequence content
 //! to its neighbours during Iterative Compaction (Fig. 4 (c)–(d)).
 
-use crate::macronode::{spell_prefix, spell_suffix, MacroNode, ThroughPath};
+use crate::macronode::{MacroNode, ThroughPath};
 use nmp_pak_genome::{DnaString, Kmer};
 
 /// Which side of the destination MacroNode a TransferNode updates.
@@ -78,6 +78,13 @@ impl TransferNode {
     /// wrapping the result in a `Vec` — the form the parallel P2 stage pushes
     /// straight into its pre-allocated per-thread buffers. Terminal paths yield
     /// `None`.
+    ///
+    /// Everything is computed on the packed words: the destinations by
+    /// [`MacroNode::predecessor_k1mer`] / [`MacroNode::successor_k1mer`], the
+    /// extensions to match by [`MacroNode::predecessor_suffix`] /
+    /// [`MacroNode::successor_prefix`], the replacements by one word append each.
+    /// The edge `prefix + k1mer + suffix` is never spelled out.
+    #[inline]
     pub fn extract_pair(
         node: &MacroNode,
         path: &ThroughPath,
@@ -86,26 +93,18 @@ impl TransferNode {
             return None;
         };
         let k1 = node.k1mer();
-        let k1_len = k1.k();
 
-        // Predecessor side.
-        let pred_spell = spell_prefix(prefix, &k1); // e + X.k1mer
-        let pred_k1mer = crate::macronode::kmer_from_slice(&pred_spell, 0, k1_len);
-        let pred_match = pred_spell.slice(k1_len, pred_spell.len() - k1_len);
+        let pred_match = node.predecessor_suffix(prefix);
         let mut pred_new = pred_match.clone();
         pred_new.extend_from(suffix);
 
-        // Successor side.
-        let succ_spell = spell_suffix(&k1, suffix); // X.k1mer + f
-        let succ_k1mer =
-            crate::macronode::kmer_from_slice(&succ_spell, succ_spell.len() - k1_len, k1_len);
-        let succ_match = succ_spell.slice(0, succ_spell.len() - k1_len);
+        let succ_match = node.successor_prefix(suffix);
         let mut succ_new = prefix.clone();
         succ_new.extend_from(&succ_match);
 
         Some((
             TransferNode {
-                destination: pred_k1mer,
+                destination: node.predecessor_k1mer(prefix),
                 side: TransferSide::Predecessor,
                 match_ext: pred_match,
                 new_ext: pred_new,
@@ -113,13 +112,63 @@ impl TransferNode {
                 source: k1,
             },
             TransferNode {
-                destination: succ_k1mer,
+                destination: node.successor_k1mer(suffix),
                 side: TransferSide::Successor,
                 match_ext: succ_match,
                 new_ext: succ_new,
                 count: path.count,
                 source: k1,
             },
+        ))
+    }
+
+    /// The reference construction [`TransferNode::extract_pair`] is tested
+    /// against: Fig. 4 (c) read literally, on ASCII text — spell
+    /// `prefix + k1mer` and `k1mer + suffix`, cut the destinations and
+    /// extensions out of the spelled edges, and re-encode them base by base.
+    /// Shares no packed-word primitive with the production path.
+    #[cfg(test)]
+    pub(crate) fn extract_pair_spelled(
+        node: &MacroNode,
+        path: &ThroughPath,
+    ) -> Option<(TransferNode, TransferNode)> {
+        use nmp_pak_genome::Base;
+        let (Some(prefix), Some(suffix)) = (&path.prefix, &path.suffix) else {
+            return None;
+        };
+        fn bases(text: &str) -> impl Iterator<Item = Base> + '_ {
+            text.chars().map(|c| Base::from_char(c).expect("ACGT"))
+        }
+        let k1 = node.k1mer();
+        let k1_len = k1.k();
+        let (e, x, f) = (prefix.to_ascii(), k1.to_string(), suffix.to_ascii());
+
+        let pred_spell = format!("{e}{x}");
+        let (pred_k1mer, pred_match) = pred_spell.split_at(k1_len);
+        let succ_spell = format!("{x}{f}");
+        let (succ_match, succ_k1mer) = succ_spell.split_at(succ_spell.len() - k1_len);
+
+        let transfer = |destination: &str, side, match_ext: &str, new_ext: String| TransferNode {
+            destination: Kmer::from_bases(bases(destination)).expect("a (k-1)-mer"),
+            side,
+            match_ext: bases(match_ext).collect(),
+            new_ext: bases(&new_ext).collect(),
+            count: path.count,
+            source: k1,
+        };
+        Some((
+            transfer(
+                pred_k1mer,
+                TransferSide::Predecessor,
+                pred_match,
+                format!("{pred_match}{f}"),
+            ),
+            transfer(
+                succ_k1mer,
+                TransferSide::Successor,
+                succ_match,
+                format!("{e}{succ_match}"),
+            ),
         ))
     }
 }
@@ -349,6 +398,28 @@ mod tests {
         // Both sides still spell CAGTCATG.
         assert_eq!(format!("{}{}", pred.destination, pred.new_ext), "CAGTCATG");
         assert_eq!(format!("{}{}", succ.new_ext, succ.destination), "CAGTCATG");
+    }
+
+    #[test]
+    fn extract_pair_equals_the_spelled_oracle_around_every_length_boundary() {
+        // k - 1 = 5: extensions shorter than, as long as and longer than the
+        // (k-1)-mer on either side, up to extensions that live on the heap
+        // (> 64 bases) and push the replacement across the inline boundary.
+        let unit = "GATTACACCGTA";
+        let ext = |len: usize| d(&unit.repeat(len / unit.len() + 1)[..len]);
+        let lengths = [1, 2, 4, 5, 6, 11, 31, 32, 33, 59, 60, 64, 65, 100];
+        for &p in &lengths {
+            for &s in &lengths {
+                let mut node = MacroNode::new(k("GTCAT"));
+                node.push_path(ThroughPath::through(ext(p), ext(s), 3));
+                let path = &node.paths()[0];
+                assert_eq!(
+                    TransferNode::extract_pair(&node, path),
+                    TransferNode::extract_pair_spelled(&node, path),
+                    "prefix of {p} bases, suffix of {s}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::contig::Contig;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
-use nmp_pak_genome::{fasta, DnaString, Kmer};
+use nmp_pak_genome::{fasta, DnaString};
 use std::io::Write;
 use std::ops::ControlFlow;
 
@@ -83,10 +83,7 @@ fn walk_contigs(
     min_length: usize,
     emit: &mut dyn FnMut(Contig) -> ControlFlow<()>,
 ) {
-    let mut used: Vec<Vec<bool>> = vec![Vec::new(); graph.slot_count()];
-    for (slot, node) in graph.iter_alive() {
-        used[slot] = vec![false; node.paths().len()];
-    }
+    let mut used = UsedPaths::new(graph);
 
     let deliver = |contig: Contig, emit: &mut dyn FnMut(Contig) -> ControlFlow<()>| {
         if contig.len() >= min_length {
@@ -105,7 +102,7 @@ fn walk_contigs(
         }
         for path_idx in 0..node.paths().len() {
             let path = &node.paths()[path_idx];
-            if path.suffix.is_some() && !used[slot][path_idx] {
+            if path.suffix.is_some() && !used.of(slot)[path_idx] {
                 let contig = walk_from(graph, &mut used, slot, path_idx);
                 if deliver(contig, emit).is_break() {
                     return;
@@ -120,7 +117,7 @@ fn walk_contigs(
     for (slot, node) in graph.iter_alive() {
         for path_idx in 0..node.paths().len() {
             let path = &node.paths()[path_idx];
-            if path.prefix.is_some() && !used[slot][path_idx] {
+            if path.prefix.is_some() && !used.of(slot)[path_idx] {
                 if let Some(suffix) = path.suffix.as_ref() {
                     if graph.contains(&node.successor_k1mer(suffix)) {
                         let contig = walk_from(graph, &mut used, slot, path_idx);
@@ -135,10 +132,8 @@ fn walk_contigs(
 
     // Pass 3: isolated nodes with only terminal flow still carry their (k-1)-mer.
     for (slot, node) in graph.iter_alive() {
-        if node.paths().iter().all(|p| p.suffix.is_none()) && used[slot].iter().all(|u| !u) {
-            for flag in &mut used[slot] {
-                *flag = true;
-            }
+        if node.paths().iter().all(|p| p.suffix.is_none()) && used.of(slot).iter().all(|u| !u) {
+            used.of_mut(slot).fill(true);
             let contig = Contig::new(node.k1mer().to_dna_string());
             if deliver(contig, emit).is_break() {
                 return;
@@ -147,16 +142,48 @@ fn walk_contigs(
     }
 }
 
+/// The walk's used-path flags: one flat vector with one flag per path of every
+/// alive node, addressed through per-slot offsets (`offsets[slot] ..
+/// offsets[slot + 1]`; a dead slot's range is empty).
+struct UsedPaths {
+    flags: Vec<bool>,
+    offsets: Vec<u32>,
+}
+
+impl UsedPaths {
+    fn new(graph: &PakGraph) -> UsedPaths {
+        let mut offsets = Vec::with_capacity(graph.slot_count() + 1);
+        let mut total = 0u32;
+        offsets.push(0);
+        for slot in 0..graph.slot_count() {
+            total += graph.node(slot).map_or(0, |node| node.paths().len()) as u32;
+            offsets.push(total);
+        }
+        UsedPaths {
+            flags: vec![false; total as usize],
+            offsets,
+        }
+    }
+
+    fn of(&self, slot: usize) -> &[bool] {
+        &self.flags[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+
+    fn of_mut(&mut self, slot: usize) -> &mut [bool] {
+        &mut self.flags[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+}
+
 /// Walks forward from `(slot, path_idx)`, collecting the suffix extension of every
 /// wired step, until the chain ends or every continuation has already been used.
 /// Each path is flagged in `used` as the walk steps onto it, so a walk that
 /// re-enters a node (a repeat longer than k) cannot take its own path twice.
 /// The contig is then spelled in one pass: a single allocation pre-sized to the
-/// walk's span, the start (k-1)-mer appended code by code, and each suffix spliced
-/// in packed form via [`DnaString::extend_from`].
+/// walk's span, then the start (k-1)-mer and each suffix spliced in packed form
+/// via [`DnaString::extend_from`].
 fn walk_from(
     graph: &PakGraph,
-    used: &mut [Vec<bool>],
+    used: &mut UsedPaths,
     start_slot: usize,
     start_path: usize,
 ) -> Contig {
@@ -175,10 +202,9 @@ fn walk_from(
             Some(n) => n,
             None => break,
         };
-        if used[slot][path_idx] {
+        if std::mem::replace(&mut used.of_mut(slot)[path_idx], true) {
             break;
         }
-        used[slot][path_idx] = true;
 
         let path = &node.paths()[path_idx];
         let Some(suffix) = path.suffix.as_ref() else {
@@ -192,39 +218,24 @@ fn walk_from(
         let Some(next_slot) = graph.index_of(&successor_k1mer) else {
             break;
         };
-        let incoming = incoming_extension(&node.k1mer(), suffix);
+        let incoming = node.successor_prefix(suffix);
 
         let next_node = graph.node(next_slot).expect("successor is alive");
-        let exact = next_node
-            .paths()
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| !used[next_slot][*i] && p.prefix.as_ref() == Some(&incoming))
-            .max_by_key(|(_, p)| p.count)
-            .map(|(i, _)| i);
-        // Compaction can leave the two sides of an edge at different extension lengths
-        // (partial transfers); accept a consistent prefix — one string being a suffix
-        // of the other — when no exact match remains.
-        let next_path = exact.or_else(|| {
-            let incoming_text = incoming.to_ascii();
+        let next_used = used.of(next_slot);
+        let best_unused = |accept: &dyn Fn(&DnaString) -> bool| {
             next_node
                 .paths()
                 .iter()
                 .enumerate()
-                .filter(|(i, p)| {
-                    if used[next_slot][*i] {
-                        return false;
-                    }
-                    match &p.prefix {
-                        Some(prefix) => {
-                            let text = prefix.to_ascii();
-                            incoming_text.ends_with(&text) || text.ends_with(&incoming_text)
-                        }
-                        None => false,
-                    }
-                })
+                .filter(|(i, p)| !next_used[*i] && p.prefix.as_ref().is_some_and(accept))
                 .max_by_key(|(_, p)| p.count)
                 .map(|(i, _)| i)
+        };
+        // Compaction can leave the two sides of an edge at different extension lengths
+        // (partial transfers); accept a consistent prefix — one string being a suffix
+        // of the other — when no exact match remains.
+        let next_path = best_unused(&|prefix| *prefix == incoming).or_else(|| {
+            best_unused(&|prefix| incoming.ends_with(prefix) || prefix.ends_with(&incoming))
         });
 
         match next_path {
@@ -238,35 +249,14 @@ fn walk_from(
 
     // Spell the contig in one pre-sized allocation: the walk's span is known
     // exactly, so no growth reallocation and no per-node re-encoding happens.
-    let k1_len = start_k1mer.k();
-    let span = k1_len + suffixes.iter().map(|s| s.len()).sum::<usize>();
+    let span = start_k1mer.k() + suffixes.iter().map(|s| s.len()).sum::<usize>();
     let mut sequence = DnaString::with_capacity(span);
-    for i in 0..k1_len {
-        sequence.push_code(((start_k1mer.packed() >> (2 * (k1_len - 1 - i))) & 0b11) as u8);
-    }
+    sequence.extend_from(&start_k1mer.to_dna_string());
     for suffix in suffixes {
         sequence.extend_from(suffix);
     }
     debug_assert_eq!(sequence.len(), span);
     Contig::new(sequence)
-}
-
-/// The incoming extension a successor node records for the edge `k1mer → suffix`:
-/// the first `suffix.len()` bases of `k1mer + suffix` (the spelled edge minus the
-/// successor's own (k-1)-mer). Equivalent to
-/// `spell_suffix(k1mer, suffix).slice(0, suffix.len())` without materializing the
-/// full spelled edge.
-fn incoming_extension(k1mer: &Kmer, suffix: &DnaString) -> DnaString {
-    let k1_len = k1mer.k();
-    let len = suffix.len();
-    let mut out = DnaString::with_capacity(len);
-    for i in 0..len.min(k1_len) {
-        out.push_code(((k1mer.packed() >> (2 * (k1_len - 1 - i))) & 0b11) as u8);
-    }
-    for code in suffix.codes().take(len.saturating_sub(k1_len)) {
-        out.push_code(code);
-    }
-    out
 }
 
 /// Convenience: returns the longest contig spelled by the graph, if any.
@@ -283,7 +273,7 @@ mod tests {
     use crate::compaction::compact;
     use crate::config::PakmanConfig;
     use crate::kmer_count::{count_kmers, KmerCounterConfig};
-    use nmp_pak_genome::SequencingRead;
+    use nmp_pak_genome::{Kmer, SequencingRead};
 
     fn graph_from_reads(reads: &[&str], k: usize) -> PakGraph {
         let reads: Vec<SequencingRead> = reads
@@ -383,21 +373,18 @@ mod tests {
         // it stops there instead of circling until the step cap.
         let read = "GGTCAACGTTCACGTTCACGTTCCCATG";
         let graph = graph_from_reads(&[read], 5);
-        let mut used: Vec<Vec<bool>> = vec![Vec::new(); graph.slot_count()];
-        for (slot, node) in graph.iter_alive() {
-            used[slot] = vec![false; node.paths().len()];
-        }
+        let mut used = UsedPaths::new(&graph);
         let repeat_node = graph
             .index_of(&Kmer::from_dna(&"CGTT".parse().unwrap(), 0, 4).unwrap())
             .unwrap();
-        assert_eq!(used[repeat_node].len(), 1);
+        assert_eq!(used.of(repeat_node).len(), 1);
 
         let start = graph
             .index_of(&Kmer::from_dna(&read.parse().unwrap(), 0, 4).unwrap())
             .unwrap();
         let contig = walk_from(&graph, &mut used, start, 0);
         assert_eq!(contig.sequence.to_string(), "GGTCAACGTTCACGTT");
-        assert!(used[repeat_node][0]);
+        assert!(used.of(repeat_node)[0]);
     }
 
     #[test]
@@ -424,7 +411,7 @@ mod tests {
             let suffix: DnaString = suffix_text.parse().unwrap();
             let via_spell = crate::macronode::spell_suffix(&k1mer, &suffix).slice(0, suffix.len());
             assert_eq!(
-                incoming_extension(&k1mer, &suffix),
+                crate::macronode::MacroNode::new(k1mer).successor_prefix(&suffix),
                 via_spell,
                 "suffix {suffix_text}"
             );

@@ -16,12 +16,13 @@
 //!    build the TransferNodes destined for its predecessor and successor. Extraction
 //!    runs on scoped threads into pre-allocated per-thread buffers that are merged in
 //!    slot order, so the transfer stream keeps the canonical serial order.
-//! 3. **P3 — routing and update**: resolve each destination through the sorted-rank
-//!    index in parallel, then shard the transfers by destination slot into disjoint
-//!    contiguous slot ranges and apply the shards concurrently (`split_at_mut` over
-//!    the slot vector — the software equivalent of the paper's per-MacroNode
-//!    `omp_set_lock`). Per-destination application order stays canonical, so the
-//!    result is bit-identical to the serial path.
+//! 3. **P3 — routing and update**: every destination is a neighbour P1 already
+//!    resolved through the sorted-rank index, so P1 hands its ranks over and P3 only
+//!    re-tests their aliveness (one bitmap bit each); it then shards the transfers by
+//!    destination slot into disjoint contiguous slot ranges and applies the shards
+//!    concurrently (`split_at_mut` over the slot vector — the software equivalent of
+//!    the paper's per-MacroNode `omp_set_lock`). Per-destination application order
+//!    stays canonical, so the result is bit-identical to the serial path.
 //!
 //! All per-iteration buffers live in a reusable [`CompactionScratch`], so the
 //! untraced hot loop performs no per-iteration reallocation. Iterations repeat until
@@ -263,11 +264,17 @@ pub struct CompactionScratch {
     checks: Vec<NodeCheck>,
     /// Slots invalidated this iteration, ascending.
     invalidated: Vec<usize>,
+    /// Per-thread P1 buffers of resolved neighbour ranks, appended to `resolved`
+    /// in chunk (= slot) order.
+    rank_buffers: Vec<Vec<Option<usize>>>,
     /// Per-thread P2 extraction buffers, merged into `transfers` in slot order.
     extract_buffers: Vec<Vec<(usize, TransferNode)>>,
     /// Extracted transfers in canonical (slot-major, path-order) order.
     transfers: Vec<(usize, TransferNode)>,
-    /// Resolved destination slot per transfer (aligned with `transfers`).
+    /// Destination slot per transfer (aligned with `transfers`). Written by P1 —
+    /// the neighbour ranks of every node it invalidates, in the (pred, succ) path
+    /// order P2 emits the transfers in — and narrowed by P3 to the destinations
+    /// still alive after this iteration's invalidations.
     resolved: Vec<Option<usize>>,
     /// Whether each transfer's application found a matching extension.
     matched: Vec<bool>,
@@ -381,7 +388,7 @@ pub(crate) fn compact_with_scratch_controlled(
     debug_assert!(graph.slot_count() <= u32::MAX as usize);
     scratch
         .alive_list
-        .extend(graph.iter_alive().map(|(slot, _)| slot as u32));
+        .extend(graph.alive_slot_iter().map(|slot| slot as u32));
     let frontier = config.compaction_mode == CompactionMode::Frontier;
     let mut alive = initial_nodes;
 
@@ -418,6 +425,8 @@ pub(crate) fn compact_with_scratch_controlled(
             &scratch.recheck,
             config.threads,
             &mut scratch.check_results,
+            &mut scratch.rank_buffers,
+            &mut scratch.resolved,
         );
         // Fold the re-check results into the running census: a slot's previous
         // size leaves the histogram, its current size enters, and the cache is
@@ -494,18 +503,31 @@ pub(crate) fn compact_with_scratch_controlled(
         alive -= scratch.invalidated.len();
         let p2 = p2_start.elapsed();
 
-        // ---- Stage P3: parallel routing and sharded destination update ----
-        // Destinations are resolved through the graph's sorted-rank index (binary
-        // search over the packed (k-1)-mer layout) — no hashing per TransferNode.
-        // Application is sharded by destination slot; the canonical transfer order
-        // drives the recorded trace and the first-touch update order.
+        // ---- Stage P3: routing and sharded destination update ----
+        // P1 resolved every neighbour of every node it invalidated, in the order
+        // P2 emitted the transfers, so `resolved[i]` already holds the rank of
+        // `transfers[i].destination`: no second search. Ranks never change, but
+        // aliveness can — stale or asymmetric wiring lets a destination be
+        // invalidated in this very iteration — so it is re-tested after the
+        // invalidations above, which makes `resolved[i]` exactly
+        // `index_of(&transfers[i].destination)`. A length mismatch would pair
+        // transfers with the wrong destinations, so it stops the run in release
+        // builds too. Application is sharded by destination slot; the canonical
+        // transfer order drives the recorded trace and the first-touch update order.
         let p3_start = Instant::now();
-        resolve_destinations(
-            graph,
-            &scratch.transfers,
-            config.threads,
-            &mut scratch.resolved,
+        assert_eq!(
+            scratch.resolved.len(),
+            scratch.transfers.len(),
+            "P1 must hand P3 one resolved rank per extracted transfer"
         );
+        for dest in scratch.resolved.iter_mut() {
+            *dest = dest.filter(|&rank| graph.is_alive(rank));
+        }
+        debug_assert!(scratch
+            .transfers
+            .iter()
+            .zip(&scratch.resolved)
+            .all(|((_, transfer), dest)| *dest == graph.index_of(&transfer.destination)));
         apply_transfers_sharded(graph, scratch, config.threads);
 
         let fold = fold_transfers(
@@ -561,7 +583,8 @@ pub(crate) fn compact_with_scratch_controlled(
         }
     }
 
-    stats.final_nodes = graph.alive_count();
+    debug_assert_eq!(alive, graph.alive_count());
+    stats.final_nodes = alive;
     if stats.final_nodes <= config.compaction_node_threshold {
         stats.converged = true;
     }
@@ -712,14 +735,19 @@ pub(crate) fn remove_sorted(alive: &mut Vec<u32>, removed: &[usize]) {
 }
 
 /// Evaluates the invalidation predicate for `slots` (ascending), writing one
-/// result per slot into `results` in the same order. Parallel over contiguous
-/// chunks; the output is position-aligned with the input, so the thread count
-/// cannot change it.
+/// result per slot into `results` in the same order, and the neighbour ranks of
+/// every slot whose verdict is `true` into `ranks` (slot-major, then path order,
+/// predecessor before successor — the order P2 emits that slot's TransferNodes).
+/// Parallel over contiguous chunks; `results` is position-aligned with the input
+/// and the per-chunk rank buffers are appended in chunk order, so the thread
+/// count cannot change either output.
 fn run_checks_into(
     graph: &PakGraph,
     slots: &[usize],
     threads: usize,
     results: &mut Vec<NodeCheck>,
+    rank_buffers: &mut Vec<Vec<Option<usize>>>,
+    ranks: &mut Vec<Option<usize>>,
 ) {
     results.clear();
     results.resize(
@@ -730,31 +758,55 @@ fn run_checks_into(
             invalidated: false,
         },
     );
+    ranks.clear();
     let threads = threads.max(1).min(slots.len().max(1));
     if threads <= 1 || slots.len() < 64 {
         for (out, &slot) in results.iter_mut().zip(slots) {
-            *out = check_one(graph, slot);
+            *out = check_one(graph, slot, ranks);
         }
         return;
     }
     let chunk = slots.len().div_ceil(threads);
+    let used = slots.len().div_ceil(chunk);
+    if rank_buffers.len() < used {
+        rank_buffers.resize_with(used, Vec::new);
+    }
     std::thread::scope(|scope| {
-        for (out_chunk, slot_chunk) in results.chunks_mut(chunk).zip(slots.chunks(chunk)) {
+        for ((out_chunk, slot_chunk), buffer) in results
+            .chunks_mut(chunk)
+            .zip(slots.chunks(chunk))
+            .zip(rank_buffers.iter_mut())
+        {
             scope.spawn(move || {
+                buffer.clear();
                 for (out, &slot) in out_chunk.iter_mut().zip(slot_chunk) {
-                    *out = check_one(graph, slot);
+                    *out = check_one(graph, slot, buffer);
                 }
             });
         }
     });
+    for buffer in rank_buffers.iter_mut().take(used) {
+        ranks.append(buffer);
+    }
 }
 
-fn check_one(graph: &PakGraph, slot: usize) -> NodeCheck {
+/// One P1 evaluation. `ranks` keeps what the predicate resolved only when the
+/// verdict is `true` (a rejected node emits no transfers).
+fn check_one(graph: &PakGraph, slot: usize, ranks: &mut Vec<Option<usize>>) -> NodeCheck {
     let node = graph.node(slot).expect("slot is alive");
+    let mark = ranks.len();
+    let invalidated = is_invalidation_target_with(
+        |k1mer| graph.index_of(k1mer),
+        node,
+        |rank| ranks.push(Some(rank)),
+    );
+    if !invalidated {
+        ranks.truncate(mark);
+    }
     NodeCheck {
         slot,
         size_bytes: node.size_bytes(),
-        invalidated: is_invalidation_target(graph, node),
+        invalidated,
     }
 }
 
@@ -819,35 +871,6 @@ fn extract_one(graph: &PakGraph, slot: usize, out: &mut Vec<(usize, TransferNode
             out.push((slot, succ));
         }
     }
-}
-
-/// Resolves every transfer's destination slot through the sorted-rank index,
-/// in parallel, position-aligned with `transfers`.
-fn resolve_destinations(
-    graph: &PakGraph,
-    transfers: &[(usize, TransferNode)],
-    threads: usize,
-    resolved: &mut Vec<Option<usize>>,
-) {
-    resolved.clear();
-    resolved.resize(transfers.len(), None);
-    let threads = threads.max(1).min(transfers.len().max(1));
-    if threads <= 1 || transfers.len() < 64 {
-        for (out, (_, transfer)) in resolved.iter_mut().zip(transfers) {
-            *out = graph.index_of(&transfer.destination);
-        }
-        return;
-    }
-    let chunk = transfers.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (out_chunk, transfer_chunk) in resolved.chunks_mut(chunk).zip(transfers.chunks(chunk)) {
-            scope.spawn(move || {
-                for (out, (_, transfer)) in out_chunk.iter_mut().zip(transfer_chunk) {
-                    *out = graph.index_of(&transfer.destination);
-                }
-            });
-        }
-    });
 }
 
 /// Applies every resolved transfer to its destination node, filling
@@ -982,12 +1005,18 @@ fn apply_transfers_sharded(graph: &mut PakGraph, scratch: &mut CompactionScratch
 /// deduplicated neighbour set cannot change the verdict: every condition is
 /// universally quantified over the neighbours.
 pub fn is_invalidation_target(graph: &PakGraph, node: &MacroNode) -> bool {
-    is_invalidation_target_with(|k1mer| graph.contains(k1mer), node)
+    is_invalidation_target_with(|k1mer| graph.index_of(k1mer), node, |_| {})
 }
 
-/// [`is_invalidation_target`] generalized over the aliveness oracle, so the
-/// sharded engine can route neighbour lookups through the owner shards while
-/// evaluating the very same predicate.
+/// [`is_invalidation_target`] generalized over the neighbour lookup, so the
+/// sharded engines can route lookups through the owner shards while evaluating
+/// the very same predicate. `resolve` answers "alive, and where" for one
+/// neighbour (k-1)-mer (`None` = not alive); every answer is handed to `sink` in
+/// path order, predecessor before successor — the order
+/// [`TransferNode::extract_pair`] emits a path's two TransferNodes — so a caller
+/// that keeps them has each transfer's destination without searching again. On a
+/// `false` verdict the sink may have seen a prefix of the neighbours; the caller
+/// discards it. Callers with no use for the answers pass a no-op sink.
 ///
 /// The predicate is a conjunction over the neighbours — each is strictly
 /// dominated *and* alive — so it is evaluated cheapest conjunct first: one
@@ -995,9 +1024,10 @@ pub fn is_invalidation_target(graph: &PakGraph, node: &MacroNode) -> bool {
 /// survives it (about three checks in ten) pays the rank-index lookups of the
 /// aliveness pass. The verdict, and with it the frontier and every count, is
 /// the one a lookup-first evaluation returns.
-pub(crate) fn is_invalidation_target_with<F: Fn(&nmp_pak_genome::Kmer) -> bool>(
-    contains: F,
+pub(crate) fn is_invalidation_target_with<R>(
+    resolve: impl Fn(&nmp_pak_genome::Kmer) -> Option<R>,
     node: &MacroNode,
+    mut sink: impl FnMut(R),
 ) -> bool {
     let own = node.k1mer();
     let neighbours = |path: &ThroughPath| {
@@ -1009,16 +1039,24 @@ pub(crate) fn is_invalidation_target_with<F: Fn(&nmp_pak_genome::Kmer) -> bool>(
     let dominates = |path: &ThroughPath| {
         neighbours(path).is_some_and(|pair| pair.iter().all(|neighbour| *neighbour < own))
     };
+    if node.paths().is_empty() || !node.paths().iter().all(dominates) {
+        return false;
+    }
     // Every neighbour must still be alive: invalidating a node whose wiring
     // has gone stale (a residual path pointing at an already-removed
     // neighbour) would drop its TransferNodes and lose assembled sequence,
     // so such nodes are kept. This is conservative — compaction stops
     // earlier than PaKman's — but it keeps the walk lossless; see DESIGN.md.
-    let all_alive =
-        |path: &ThroughPath| neighbours(path).is_some_and(|pair| pair.iter().all(&contains));
-    !node.paths().is_empty()
-        && node.paths().iter().all(dominates)
-        && node.paths().iter().all(all_alive)
+    for path in node.paths() {
+        let pair = neighbours(path).expect("the dominance pass saw both extensions");
+        for neighbour in &pair {
+            match resolve(neighbour) {
+                Some(rank) => sink(rank),
+                None => return false,
+            }
+        }
+    }
+    true
 }
 
 /// Applies one TransferNode to its destination node, splitting paths as necessary so
@@ -1242,15 +1280,34 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_checks_agree() {
-        let graph = graph_from_reads(&["ACGTACCTGATCAGTTGCAACGGTTACCAGTACGATC"], 6);
-        let slots: Vec<usize> = graph.iter_alive().map(|(slot, _)| slot).collect();
-        let mut serial = Vec::new();
-        run_checks_into(&graph, &slots, 1, &mut serial);
-        let mut parallel = Vec::new();
-        run_checks_into(&graph, &slots, 4, &mut parallel);
-        // Results are position-aligned with the slot list in both cases.
+        let graph = simulated_graph();
+        let slots = graph.alive_slots();
+        let (mut serial, mut serial_ranks) = (Vec::new(), Vec::new());
+        run_checks_into(
+            &graph,
+            &slots,
+            1,
+            &mut serial,
+            &mut Vec::new(),
+            &mut serial_ranks,
+        );
+        // 64 slots and more take the threaded path.
+        assert!(slots.len() >= 64, "{} slots", slots.len());
+        let (mut parallel, mut parallel_ranks) = (Vec::new(), Vec::new());
+        run_checks_into(
+            &graph,
+            &slots,
+            4,
+            &mut parallel,
+            &mut Vec::new(),
+            &mut parallel_ranks,
+        );
+        // Results are position-aligned with the slot list in both cases, and
+        // the handed-off ranks come out in the same (slot-major) order.
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), slots.len());
+        assert_eq!(serial_ranks, parallel_ranks);
+        assert!(!serial_ranks.is_empty());
     }
 
     fn outcomes_identical(a: &CompactionOutcome, b: &CompactionOutcome, what: &str) {
@@ -1403,7 +1460,7 @@ mod tests {
             assert_eq!(verdict, lookup_first_predicate(graph, node), "slot {slot}");
             targets += usize::from(verdict);
             stale_rejections +=
-                usize::from(!verdict && is_invalidation_target_with(|_| true, node));
+                usize::from(!verdict && is_invalidation_target_with(|_| Some(()), node, |()| {}));
         }
         (targets, stale_rejections)
     }

@@ -13,9 +13,11 @@ use nmp_pak_genome::{Base, Kmer};
 ///
 /// A radix prefix table over the top bits of the packed key narrows each binary
 /// search to one bucket — the "static MacroNode→DIMM mapping table" of §4.2 in
-/// miniature. The structure is immutable after construction (invalidation clears
-/// slots, never moves them), so lookups are lock-free and `Sync` for the parallel
-/// compaction stages.
+/// miniature. The table is sized to about one key per bucket (up to
+/// [`RankIndex::MAX_PREFIX_BITS`]), so a lookup is one table read and a search
+/// over a bucket of one or two keys. The structure is immutable after
+/// construction (invalidation clears slots, never moves them), so lookups are
+/// lock-free and `Sync` for the parallel compaction stages.
 #[derive(Debug, Clone, Default)]
 struct RankIndex {
     /// Packed (k-1)-mer of every slot, ascending; the position *is* the slot index.
@@ -29,15 +31,21 @@ struct RankIndex {
 }
 
 impl RankIndex {
+    /// Cap on the prefix table: 2^20 buckets (4 MiB of `u32`s), reached by graphs
+    /// of half a million nodes and more. Measured on the 780 k-node graph of the
+    /// benchmark's `asm_1t` (random lookups): 2^16 buckets leave ≈ 12 keys per
+    /// bucket, 2^20 leave fewer than one (DESIGN.md, "The sorted-rank index").
+    const MAX_PREFIX_BITS: u32 = 20;
+
     /// Builds the index over `keys`, which must be ascending packed (k-1)-mers of
     /// `k1_len` bases each.
     fn build(keys: Vec<u64>, k1_len: usize) -> RankIndex {
         debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         let key_bits = (2 * k1_len) as u32;
-        // Size the prefix table to roughly one entry per key, capped at 2^16
-        // buckets (256 KiB of u32s) and at the key width itself.
+        // Size the prefix table to roughly one entry per key, capped at
+        // `MAX_PREFIX_BITS` and at the key width itself.
         let log2_len = usize::BITS - keys.len().leading_zeros();
-        let bits = key_bits.min(16).min(log2_len);
+        let bits = key_bits.min(Self::MAX_PREFIX_BITS).min(log2_len);
         let mut starts = vec![0u32; (1usize << bits) + 1];
         for &key in &keys {
             starts[(key >> (key_bits - bits)) as usize + 1] += 1;
@@ -72,6 +80,67 @@ impl RankIndex {
     }
 }
 
+/// One aliveness bit per slot plus the number of bits set: what `index_of`,
+/// `contains`, `alive_count`, `iter_alive` and `alive_slots` read instead of an
+/// 88-byte slot's discriminant. Bit `i` is set exactly while `slots[i]` is `Some`.
+#[derive(Debug, Clone, Default)]
+struct AliveBits {
+    words: Vec<u64>,
+    count: usize,
+}
+
+impl AliveBits {
+    /// `len` slots, all alive.
+    fn all(len: usize) -> AliveBits {
+        let mut words = vec![u64::MAX; len.div_ceil(64)];
+        let tail = len % 64;
+        if tail > 0 {
+            *words.last_mut().expect("len > 0 has a last word") = (1u64 << tail) - 1;
+        }
+        AliveBits { words, count: len }
+    }
+
+    /// Mirrors `slots[i].is_some()` (the one construction-time read of every slot
+    /// a graph with dead slots needs).
+    fn of_slots(slots: &[Option<MacroNode>]) -> AliveBits {
+        let mut bits = AliveBits {
+            words: vec![0; slots.len().div_ceil(64)],
+            count: 0,
+        };
+        for (i, slot) in slots.iter().enumerate() {
+            if slot.is_some() {
+                bits.words[i / 64] |= 1 << (i % 64);
+                bits.count += 1;
+            }
+        }
+        bits
+    }
+
+    #[inline]
+    fn get(&self, slot: usize) -> bool {
+        self.words
+            .get(slot / 64)
+            .is_some_and(|word| word >> (slot % 64) & 1 == 1)
+    }
+
+    fn clear(&mut self, slot: usize) {
+        debug_assert!(self.get(slot));
+        self.words[slot / 64] &= !(1 << (slot % 64));
+        self.count -= 1;
+    }
+
+    /// Set bits, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+}
+
 /// The PaK-graph: every MacroNode keyed by its (k-1)-mer.
 ///
 /// Nodes are stored in a slot vector ordered by ascending (k-1)-mer — the same layout
@@ -93,9 +162,14 @@ impl RankIndex {
 /// walk — this implementation's reading of §4.5's "efficient memory management".
 /// Only a node with two or more paths owns a heap vector (exactly as long as its
 /// path list), and only its paths are behind a pointer.
+///
+/// *Where* a (k-1)-mer lives and whether it is *alive* are answered without
+/// touching a slot: the rank index gives the slot, a one-bit-per-slot bitmap
+/// (cleared by [`PakGraph::invalidate`]) gives the aliveness.
 #[derive(Debug, Clone, Default)]
 pub struct PakGraph {
     slots: Vec<Option<MacroNode>>,
+    alive: AliveBits,
     index: RankIndex,
     k: usize,
 }
@@ -117,6 +191,18 @@ impl PakGraph {
     /// emits the MacroNodes in ascending (k-1)-mer order. The output is bit-identical
     /// at every thread count.
     pub fn from_counted_kmers(counted: &[CountedKmer], k: usize, threads: usize) -> PakGraph {
+        PakGraph::from_counted_kmers_sized(counted, k, threads).0
+    }
+
+    /// [`PakGraph::from_counted_kmers`] plus the sum of [`MacroNode::size_bytes`]
+    /// over the nodes it built, accumulated while each node is still in cache
+    /// (stage C's footprint input; [`PakGraph::total_size_bytes`] would re-read
+    /// the whole slot vector for the same number).
+    pub(crate) fn from_counted_kmers_sized(
+        counted: &[CountedKmer],
+        k: usize,
+        threads: usize,
+    ) -> (PakGraph, usize) {
         debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
         let k1_len = k - 1;
         let threads = threads.clamp(1, counted.len().max(1));
@@ -156,32 +242,47 @@ impl PakGraph {
         // Merge-scan both streams into nodes, split across threads at node-key
         // boundaries so each segment builds a disjoint, contiguous slot range.
         let cuts = node_split_points(&prefix_records, counted, threads);
-        let mut segments: Vec<(Vec<u64>, Vec<Option<MacroNode>>)> =
-            Vec::with_capacity(cuts.len() - 1);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(cuts.len() - 1);
-            for w in cuts.windows(2) {
-                let pr = &prefix_records[w[0].0..w[1].0];
-                let sf = &counted[w[0].1..w[1].1];
-                handles.push(scope.spawn(move || build_segment(pr, sf, k1_len)));
+        let segment = if cuts.len() == 2 {
+            // One segment (always, at `threads = 1`): built on this thread, and
+            // its vectors *are* the graph's — the slot vector is written once and
+            // never copied. (A spawned builder would put the nodes' heap parts in
+            // its own allocator arena, which the caller's frees do not trim: the
+            // benchmark's `asm_mt` peaked 16 MB, 18 %, higher that way.)
+            build_segment(&prefix_records, counted, k1_len)
+        } else {
+            let mut segments: Vec<Segment> = Vec::with_capacity(cuts.len() - 1);
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(cuts.len() - 1);
+                for w in cuts.windows(2) {
+                    let pr = &prefix_records[w[0].0..w[1].0];
+                    let sf = &counted[w[0].1..w[1].1];
+                    handles.push(scope.spawn(move || build_segment(pr, sf, k1_len)));
+                }
+                for handle in handles {
+                    segments.push(handle.join().expect("node-build worker panicked"));
+                }
+            });
+            // Several segments: concatenate into one pair sized once.
+            let total: usize = segments.iter().map(|seg| seg.keys.len()).sum();
+            let mut whole = Segment {
+                keys: Vec::with_capacity(total),
+                slots: Vec::with_capacity(total),
+                size_bytes: 0,
+            };
+            for seg in segments {
+                whole.keys.extend(seg.keys);
+                whole.slots.extend(seg.slots);
+                whole.size_bytes += seg.size_bytes;
             }
-            for handle in handles {
-                segments.push(handle.join().expect("node-build worker panicked"));
-            }
-        });
-
-        let total: usize = segments.iter().map(|(keys, _)| keys.len()).sum();
-        let mut keys = Vec::with_capacity(total);
-        let mut slots = Vec::with_capacity(total);
-        for (seg_keys, seg_slots) in segments {
-            keys.extend(seg_keys);
-            slots.extend(seg_slots);
-        }
-        PakGraph {
-            slots,
-            index: RankIndex::build(keys, k1_len),
+            whole
+        };
+        let graph = PakGraph {
+            alive: AliveBits::all(segment.slots.len()),
+            slots: segment.slots,
+            index: RankIndex::build(segment.keys, k1_len),
             k,
-        }
+        };
+        (graph, segment.size_bytes)
     }
 
     /// Builds a graph directly from its sorted parts: `keys[i]` is the packed
@@ -194,6 +295,7 @@ impl PakGraph {
         debug_assert_eq!(keys.len(), slots.len());
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
         PakGraph {
+            alive: AliveBits::of_slots(&slots),
             slots,
             index: RankIndex::build(keys, k - 1),
             k,
@@ -219,6 +321,7 @@ impl PakGraph {
             slots.push(Some(node));
         }
         PakGraph {
+            alive: AliveBits::all(slots.len()),
             slots,
             index: RankIndex::build(keys, k - 1),
             k,
@@ -237,7 +340,7 @@ impl PakGraph {
 
     /// Number of alive (non-invalidated) MacroNodes.
     pub fn alive_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.alive.count
     }
 
     /// Returns `true` if the graph has no alive nodes.
@@ -251,7 +354,14 @@ impl PakGraph {
             return None;
         }
         let idx = self.index.rank_of(k1mer.packed())?;
-        self.slots[idx].as_ref().map(|_| idx)
+        self.alive.get(idx).then_some(idx)
+    }
+
+    /// `true` if `slot` holds an alive node. A slot's rank never changes, so a
+    /// rank resolved earlier stays valid and only its aliveness needs re-testing.
+    #[inline]
+    pub fn is_alive(&self, slot: usize) -> bool {
+        self.alive.get(slot)
     }
 
     /// `true` if a node with this (k-1)-mer is alive.
@@ -272,7 +382,9 @@ impl PakGraph {
     /// Mutable view of the raw slot vector. Crate-internal: the parallel P3
     /// update splits this into disjoint contiguous destination shards
     /// (`split_at_mut`) so scoped threads can apply TransferNodes to different
-    /// slot ranges concurrently without locks.
+    /// slot ranges concurrently without locks. Callers mutate nodes in place and
+    /// never clear a slot — only [`PakGraph::invalidate`] does, keeping the
+    /// alive bitmap in step.
     pub(crate) fn slots_mut(&mut self) -> &mut [Option<MacroNode>] {
         &mut self.slots
     }
@@ -285,24 +397,31 @@ impl PakGraph {
     /// Invalidates (removes) the node at `slot`, returning it. The slot is left empty;
     /// physical deletion is deferred, matching §4.5.
     pub fn invalidate(&mut self, slot: usize) -> Option<MacroNode> {
-        self.slots.get_mut(slot)?.take()
+        let node = self.slots.get_mut(slot)?.take()?;
+        self.alive.clear(slot);
+        Some(node)
     }
 
-    /// Iterates over `(slot, node)` for every alive node.
+    /// Iterates over `(slot, node)` for every alive node, ascending (dead slots
+    /// are skipped off the bitmap, not visited).
     pub fn iter_alive(&self) -> impl Iterator<Item = (usize, &MacroNode)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|n| (i, n)))
+        self.alive.iter().map(|slot| {
+            let node = self.slots[slot].as_ref().expect("alive bit implies a node");
+            (slot, node)
+        })
     }
 
-    /// Slot indices of all alive nodes.
+    /// Slot indices of all alive nodes, ascending.
     pub fn alive_slots(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
+        let mut slots = Vec::with_capacity(self.alive.count);
+        slots.extend(self.alive_slot_iter());
+        slots
+    }
+
+    /// [`PakGraph::alive_slots`] without the vector (the compaction engines fill
+    /// their `u32` alive census from it).
+    pub(crate) fn alive_slot_iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.alive.iter()
     }
 
     /// Sum of [`MacroNode::size_bytes`] over alive nodes.
@@ -375,6 +494,16 @@ fn node_split_points(
     cuts
 }
 
+/// One contiguous run of the slot layout as [`build_segment`] produces it.
+pub(crate) struct Segment {
+    /// Packed (k-1)-mer of every slot, ascending.
+    pub keys: Vec<u64>,
+    /// The nodes, all alive, aligned with `keys`.
+    pub slots: Vec<Option<MacroNode>>,
+    /// Sum of [`MacroNode::size_bytes`] over `slots`.
+    pub size_bytes: usize,
+}
+
 /// Builds the MacroNodes of one node-key segment: a linear merge-scan over the
 /// sorted prefix-extension records and the suffix-extension stream, accumulating
 /// per-base counts in fixed `[u32; 4]` arrays (no map, no per-entry allocation).
@@ -384,10 +513,11 @@ pub(crate) fn build_segment(
     prefix_records: &[(u64, u64)],
     counted: &[CountedKmer],
     k1_len: usize,
-) -> (Vec<u64>, Vec<Option<MacroNode>>) {
+) -> Segment {
     let suffix_key = |ck: &CountedKmer| ck.kmer.packed() >> 2;
     let mut keys = Vec::with_capacity(prefix_records.len().max(counted.len()));
     let mut slots: Vec<Option<MacroNode>> = Vec::with_capacity(keys.capacity());
+    let mut size_bytes = 0usize;
 
     let (mut i, mut j) = (0usize, 0usize);
     while i < prefix_records.len() || j < counted.len() {
@@ -428,10 +558,15 @@ pub(crate) fn build_segment(
                 extension_list(suffixes),
             )
         };
+        size_bytes += node.size_bytes();
         keys.push(key);
         slots.push(Some(node));
     }
-    (keys, slots)
+    Segment {
+        keys,
+        slots,
+        size_bytes,
+    }
 }
 
 /// The single nonzero entry of a per-base accumulator (caller guarantees there is
@@ -612,6 +747,46 @@ mod tests {
         assert!(graph.total_size_bytes() > 0);
         assert!(graph.edge_count() > 0);
         assert!(!graph.is_empty());
+    }
+
+    #[test]
+    fn from_parts_mirrors_dead_slots_in_the_bitmap() {
+        let graph = graph_from_reads(&["ACGTACCTGATCAGTTGCAAC"], 5);
+        let keys = graph.slot_keys().to_vec();
+        let mut slots = graph.into_slots();
+        for slot in slots.iter_mut().step_by(2) {
+            *slot = None;
+        }
+        let alive: Vec<usize> = (0..slots.len()).filter(|i| i % 2 == 1).collect();
+        let rebuilt = PakGraph::from_parts(keys.clone(), slots, 5);
+        assert_eq!(rebuilt.alive_slots(), alive);
+        assert_eq!(rebuilt.alive_count(), alive.len());
+        for (slot, &key) in keys.iter().enumerate() {
+            let found = rebuilt.index_of(&Kmer::from_packed(key, 4));
+            assert_eq!(found, (slot % 2 == 1).then_some(slot));
+        }
+    }
+
+    #[test]
+    fn alive_bits_cover_word_boundaries() {
+        for len in [0usize, 1, 63, 64, 65, 128, 130] {
+            let mut bits = AliveBits::all(len);
+            assert_eq!(
+                bits.iter().collect::<Vec<_>>(),
+                (0..len).collect::<Vec<_>>()
+            );
+            assert_eq!(bits.count, len);
+            assert!(!bits.get(len), "bit {len} of {len} is past the end");
+            if len > 1 {
+                bits.clear(len - 1);
+                bits.clear(0);
+                assert_eq!(bits.count, len - 2);
+                assert_eq!(
+                    bits.iter().collect::<Vec<_>>(),
+                    (1..len - 1).collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ use crate::compaction::{
 use crate::config::{CompactionMode, PakmanConfig, ShardSchedule};
 use crate::control::RunControl;
 use crate::error::PakmanError;
-use crate::graph::{build_segment, PakGraph};
+use crate::graph::{build_segment, PakGraph, Segment};
 use crate::kmer_count::{partition_counted_by_owner, CountedKmer};
 use crate::macronode::MacroNode;
 use crate::memory::MemoryBudget;
@@ -77,9 +77,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// One shard's built parts: slot keys (ascending) and the slot vector.
-type ShardParts = (Vec<u64>, Vec<Option<MacroNode>>);
 
 /// The PaK-graph split into owner-computes shards, with the global rank mapping
 /// that keeps every externally visible artifact (traces, statistics, the
@@ -119,9 +116,21 @@ impl ShardedGraph {
         shard_count: usize,
         threads: usize,
     ) -> ShardedGraph {
+        ShardedGraph::from_counted_kmers_sized(counted, k, shard_count, threads).0
+    }
+
+    /// [`ShardedGraph::from_counted_kmers`] plus the total MacroNode bytes of the
+    /// nodes it built (see [`PakGraph::from_counted_kmers_sized`]).
+    pub(crate) fn from_counted_kmers_sized(
+        counted: &[CountedKmer],
+        k: usize,
+        shard_count: usize,
+        threads: usize,
+    ) -> (ShardedGraph, usize) {
         let shard_count = shard_count.max(1);
         if shard_count == 1 {
-            return ShardedGraph::from_single(PakGraph::from_counted_kmers(counted, k, threads));
+            let (graph, size_bytes) = PakGraph::from_counted_kmers_sized(counted, k, threads);
+            return (ShardedGraph::from_single(graph), size_bytes);
         }
         debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
         let k1_len = k - 1;
@@ -158,7 +167,7 @@ impl ShardedGraph {
         // runs the single-graph merge-scan over its two streams.
         let workers = threads.clamp(1, shard_count);
         let per_worker = shard_count.div_ceil(workers);
-        let mut parts: Vec<Option<ShardParts>> = (0..shard_count).map(|_| None).collect();
+        let mut parts: Vec<Option<Segment>> = (0..shard_count).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
             for chunk in jobs.chunks_mut(per_worker) {
@@ -183,11 +192,13 @@ impl ShardedGraph {
         });
 
         let mut shards = Vec::with_capacity(shard_count);
+        let mut size_bytes = 0usize;
         for part in parts {
-            let (keys, slots) = part.expect("every shard was built");
-            shards.push(PakGraph::from_parts(keys, slots, k));
+            let part = part.expect("every shard was built");
+            size_bytes += part.size_bytes;
+            shards.push(PakGraph::from_parts(part.keys, part.slots, k));
         }
-        ShardedGraph::from_shards(shards, k)
+        (ShardedGraph::from_shards(shards, k), size_bytes)
     }
 
     /// Wraps an already-built single graph as a one-shard sharded graph (the
@@ -305,6 +316,16 @@ impl ShardedGraph {
         }
         let (shard, local) = self.route[slot];
         self.shards[shard as usize].node(local as usize)
+    }
+
+    /// `true` if global slot `slot` holds an alive node (its owner's alive bit).
+    #[inline]
+    pub(crate) fn is_alive_global(&self, slot: usize) -> bool {
+        if self.shards.len() == 1 {
+            return self.shards[0].is_alive(slot);
+        }
+        let (shard, local) = self.route[slot];
+        self.shards[shard as usize].is_alive(local as usize)
     }
 
     /// Invalidates the node at global slot `slot` on its owner shard.
@@ -594,7 +615,7 @@ pub fn compact_sharded_controlled(
 
     // Global-slot-indexed census state, mirroring the single-graph scratch.
     let mut alive_list: Vec<u32> = (0..slot_count as u32)
-        .filter(|&slot| sharded.node_global(slot as usize).is_some())
+        .filter(|&slot| sharded.is_alive_global(slot as usize))
         .collect();
     let mut alive = initial_nodes;
     let mut cached_size = vec![0usize; slot_count];
@@ -844,7 +865,11 @@ fn run_sharded_checks(
         NodeCheck {
             slot,
             size_bytes: node.size_bytes(),
-            invalidated: is_invalidation_target_with(|k1mer| sharded.contains(k1mer), node),
+            invalidated: is_invalidation_target_with(
+                |k1mer| sharded.contains(k1mer).then_some(()),
+                node,
+                |()| {},
+            ),
         }
     };
     let threads = threads.max(1).min(slots.len().max(1));
@@ -1158,7 +1183,7 @@ fn compact_sharded_async(
 
     let death_wave: Vec<AtomicUsize> = (0..slot_count)
         .map(|slot| {
-            AtomicUsize::new(if sharded.node_global(slot).is_some() {
+            AtomicUsize::new(if sharded.is_alive_global(slot) {
                 usize::MAX
             } else {
                 0
@@ -1180,9 +1205,7 @@ fn compact_sharded_async(
         .iter_mut()
         .zip(global_slots.iter())
         .map(|(graph, globals)| {
-            let alive_list: Vec<u32> = (0..graph.slot_count() as u32)
-                .filter(|&local| graph.node(local as usize).is_some())
-                .collect();
+            let alive_list: Vec<u32> = graph.alive_slot_iter().map(|slot| slot as u32).collect();
             let slots = graph.slot_count();
             Mutex::new(AsyncShardState {
                 graph,
@@ -1598,13 +1621,11 @@ fn async_round(
                 let Some(node) = state.graph.node(local as usize) else {
                     continue;
                 };
-                let lookup = |k1mer: &Kmer| -> bool {
-                    match engine.global_keys.binary_search(&k1mer.packed()) {
-                        Ok(slot) => engine.death_wave[slot].load(Ordering::Acquire) > r,
-                        Err(_) => false,
-                    }
+                let lookup = |k1mer: &Kmer| {
+                    let slot = engine.global_keys.binary_search(&k1mer.packed()).ok()?;
+                    (engine.death_wave[slot].load(Ordering::Acquire) > r).then_some(())
                 };
-                if is_invalidation_target_with(lookup, node) {
+                if is_invalidation_target_with(lookup, node, |()| {}) {
                     invalidated.push(local as usize);
                 }
             }

@@ -104,16 +104,6 @@ impl BuiltGraph {
             BuiltGraph::Sharded(sharded) => sharded.alive_count(),
         }
     }
-
-    /// Sum of MacroNode sizes in bytes over alive nodes.
-    pub fn total_size_bytes(&self) -> usize {
-        match self {
-            BuiltGraph::Single(graph) => graph.total_size_bytes(),
-            BuiltGraph::Sharded(sharded) => (0..sharded.shard_count())
-                .map(|s| sharded.shard(s).total_size_bytes())
-                .sum(),
-        }
-    }
 }
 
 /// Artifact of step C: the wired, uncompacted PaK-graph.
@@ -327,24 +317,24 @@ impl Stage<CountedBatch> for ConstructStage {
     }
 
     fn run(&self, counted: CountedBatch) -> Result<ConstructedGraph, PakmanError> {
-        let graph = if self.shards.is_sharded() {
-            BuiltGraph::Sharded(ShardedGraph::from_counted_kmers(
+        // The builders sum the node sizes as they write the nodes, so the
+        // footprint input costs no second pass over the slot vector.
+        let (graph, macronode_bytes) = if self.shards.is_sharded() {
+            let (sharded, bytes) = ShardedGraph::from_counted_kmers_sized(
                 &counted.counted,
                 self.k,
                 self.shards.shard_count,
                 self.threads,
-            ))
+            );
+            (BuiltGraph::Sharded(sharded), bytes)
         } else {
-            BuiltGraph::Single(PakGraph::from_counted_kmers(
-                &counted.counted,
-                self.k,
-                self.threads,
-            ))
+            let (graph, bytes) =
+                PakGraph::from_counted_kmers_sized(&counted.counted, self.k, self.threads);
+            (BuiltGraph::Single(graph), bytes)
         };
-        let macronode_bytes = graph.total_size_bytes() as u64;
         Ok(ConstructedGraph {
             graph,
-            macronode_bytes,
+            macronode_bytes: macronode_bytes as u64,
             kmer_stats: counted.stats,
             total_read_bases: counted.total_read_bases,
             spill: counted.spill,

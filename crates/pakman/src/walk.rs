@@ -156,7 +156,11 @@ impl UsedPaths {
         let mut total = 0u32;
         offsets.push(0);
         for slot in 0..graph.slot_count() {
-            total += graph.node(slot).map_or(0, |node| node.paths().len()) as u32;
+            // Off the alive bitmap: a dead slot is never read.
+            if graph.is_alive(slot) {
+                let node = graph.node(slot).expect("alive bit implies a node");
+                total += node.paths().len() as u32;
+            }
             offsets.push(total);
         }
         UsedPaths {

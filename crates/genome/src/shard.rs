@@ -30,13 +30,14 @@ pub fn mix_packed(packed: u64) -> u64 {
 /// The shard that owns the (k-1)-mer with this packed code, out of
 /// `shard_count` shards.
 ///
-/// `shard_count` is clamped to at least 1 (a zero shard count is a
-/// configuration error upstream; clamping keeps this hot-path function
-/// branch-light and panic-free).
+/// One shard (or the configuration error of zero, kept panic-free) owns
+/// everything: no mix and no 64-bit division on the one-shard hot path.
 #[inline]
 pub fn shard_of_packed(packed: u64, shard_count: usize) -> usize {
-    let shards = shard_count.max(1) as u64;
-    (mix_packed(packed) % shards) as usize
+    if shard_count <= 1 {
+        return 0;
+    }
+    (mix_packed(packed) % shard_count as u64) as usize
 }
 
 /// The shard that owns `k1mer` (its MacroNode's home), out of `shard_count`

@@ -2,8 +2,10 @@
 //! accelerates.
 //!
 //! Every iteration performs the three pipeline stages the paper maps onto its
-//! processing elements (Fig. 10), each parallelised over
-//! [`PakmanConfig::threads`] scoped worker threads (§4.5):
+//! processing elements (Fig. 10), each cut into at most
+//! [`PakmanConfig::threads`] chunks by [`crate::par`] (§4.5) — chunk 0 on the
+//! calling thread, a helper per further chunk, and a helper only for a grain of
+//! work, so the small phases of a late iteration (or of a small graph) run inline:
 //!
 //! 1. **P1 — invalidation check**: compute the (k-1)-mers of every neighbour and mark
 //!    the node for invalidation if its own (k-1)-mer is strictly the lexicographically
@@ -13,16 +15,14 @@
 //!    every other alive node's cached verdict still stands (see DESIGN.md for the
 //!    invariant proof).
 //! 2. **P2 — TransferNode extraction**: for each through-path of an invalidated node,
-//!    build the TransferNodes destined for its predecessor and successor. Extraction
-//!    runs on scoped threads into pre-allocated per-thread buffers that are merged in
-//!    slot order, so the transfer stream keeps the canonical serial order.
+//!    build the TransferNodes destined for its predecessor and successor. Chunk 0
+//!    writes the transfer stream itself and the helpers' pre-allocated buffers are
+//!    appended in slot order, so the stream keeps the canonical serial order.
 //! 3. **P3 — routing and update**: every destination is a neighbour P1 already
 //!    resolved through the sorted-rank index, so P1 hands its ranks over and P3 only
-//!    re-tests their aliveness (one bitmap bit each); it then shards the transfers by
-//!    destination slot into disjoint contiguous slot ranges and applies the shards
-//!    concurrently (`split_at_mut` over the slot vector — the software equivalent of
-//!    the paper's per-MacroNode `omp_set_lock`). Per-destination application order
-//!    stays canonical, so the result is bit-identical to the serial path.
+//!    re-tests their aliveness (one bitmap bit each) and applies the stream in place,
+//!    in canonical order, on the calling thread (a destination-sharded parallel apply
+//!    never repaid its serial sort and scatter — DESIGN.md, "Fork-join and grain").
 //!
 //! All per-iteration buffers live in a reusable [`CompactionScratch`], so the
 //! untraced hot loop performs no per-iteration reallocation. Iterations repeat until
@@ -36,6 +36,7 @@ use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use crate::macronode::{MacroNode, ThroughPath};
+use crate::par::{fork_join_into, plan, GRAIN};
 use crate::trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 use crate::transfer::{TransferNode, TransferSide};
 use serde::{Deserialize, Serialize};
@@ -264,10 +265,10 @@ pub struct CompactionScratch {
     checks: Vec<NodeCheck>,
     /// Slots invalidated this iteration, ascending.
     invalidated: Vec<usize>,
-    /// Per-thread P1 buffers of resolved neighbour ranks, appended to `resolved`
-    /// in chunk (= slot) order.
+    /// P1's resolved neighbour ranks of chunks 1.. (chunk 0 writes `resolved`
+    /// itself), appended to `resolved` in chunk (= slot) order.
     rank_buffers: Vec<Vec<Option<usize>>>,
-    /// Per-thread P2 extraction buffers, merged into `transfers` in slot order.
+    /// P2's extraction buffers of chunks 1.., appended to `transfers` in slot order.
     extract_buffers: Vec<Vec<(usize, TransferNode)>>,
     /// Extracted transfers in canonical (slot-major, path-order) order.
     transfers: Vec<(usize, TransferNode)>,
@@ -278,18 +279,6 @@ pub struct CompactionScratch {
     resolved: Vec<Option<usize>>,
     /// Whether each transfer's application found a matching extension.
     matched: Vec<bool>,
-    /// Sorted destination slots (shard-boundary selection).
-    dest_sorted: Vec<u32>,
-    /// Slot-space cut points of the destination shards (ascending, first 0).
-    shard_cuts: Vec<usize>,
-    /// Transfers per shard (aligned with the `shard_cuts` windows).
-    shard_counts: Vec<usize>,
-    /// Running scatter positions of the counting sort (one per shard).
-    shard_offsets: Vec<usize>,
-    /// Transfer indices permuted into shard-major order, canonical within a shard.
-    shard_index: Vec<u32>,
-    /// Apply results aligned with `shard_index`, scattered back into `matched`.
-    shard_matched: Vec<bool>,
     /// Per-slot touched bitmap (reset via `touched_order`, not a full clear).
     touched: Vec<bool>,
     /// Destinations in first-touch order (the deterministic update-trace order).
@@ -322,12 +311,11 @@ impl CompactionScratch {
 
 /// Runs Iterative Compaction on `graph` in place.
 ///
-/// All three pipeline stages are parallelised over `config.threads` scoped
-/// worker threads (§4.5): P1 evaluates the (frontier-restricted) check set in
-/// parallel, P2 extracts TransferNodes into per-thread buffers merged in slot
-/// order, and P3 resolves destinations in parallel and applies the transfers
-/// sharded by destination slot. Output is bit-identical across thread counts
-/// and [`CompactionMode`]s.
+/// P1 and P2 fork over at most `config.threads` chunks (§4.5): P1 evaluates
+/// the (frontier-restricted) check set in parallel, P2 extracts TransferNodes
+/// into per-chunk buffers merged in slot order; P3 takes P1's resolved
+/// destinations and applies the stream in place. Output is bit-identical
+/// across thread counts and [`CompactionMode`]s.
 pub fn compact(graph: &mut PakGraph, config: &PakmanConfig) -> CompactionOutcome {
     let mut scratch = CompactionScratch::new();
     compact_with_scratch(graph, config, &mut scratch)
@@ -421,9 +409,10 @@ pub(crate) fn compact_with_scratch_controlled(
             scratch.dirty_list.clear();
         }
         run_checks_into(
-            graph,
+            |slot| graph.node(slot),
+            |k1mer| graph.index_of(k1mer),
             &scratch.recheck,
-            config.threads,
+            plan(scratch.recheck.len(), config.threads, GRAIN),
             &mut scratch.check_results,
             &mut scratch.rank_buffers,
             &mut scratch.resolved,
@@ -489,9 +478,10 @@ pub(crate) fn compact_with_scratch_controlled(
         // ---- Stage P2: parallel TransferNode extraction, then invalidation ----
         let p2_start = Instant::now();
         extract_transfers(
-            graph,
+            |slot| graph.node(slot),
             &scratch.invalidated,
-            config.threads,
+            // An invalidated node emits two transfers a path: a grain of transfers.
+            plan(2 * scratch.invalidated.len(), config.threads, GRAIN),
             &mut scratch.extract_buffers,
             &mut scratch.transfers,
         );
@@ -512,8 +502,8 @@ pub(crate) fn compact_with_scratch_controlled(
         // invalidations above, which makes `resolved[i]` exactly
         // `index_of(&transfers[i].destination)`. A length mismatch would pair
         // transfers with the wrong destinations, so it stops the run in release
-        // builds too. Application is sharded by destination slot; the canonical
-        // transfer order drives the recorded trace and the first-touch update order.
+        // builds too. The stream is applied in place, in canonical order, which
+        // also drives the recorded trace and the first-touch update order.
         let p3_start = Instant::now();
         assert_eq!(
             scratch.resolved.len(),
@@ -528,7 +518,15 @@ pub(crate) fn compact_with_scratch_controlled(
             .iter()
             .zip(&scratch.resolved)
             .all(|((_, transfer), dest)| *dest == graph.index_of(&transfer.destination)));
-        apply_transfers_sharded(graph, scratch, config.threads);
+        scratch.matched.clear();
+        for ((_, transfer), dest) in scratch.transfers.iter().zip(&scratch.resolved) {
+            scratch.matched.push(dest.is_some_and(|slot| {
+                apply_transfer(
+                    graph.node_mut(slot).expect("destination is alive"),
+                    transfer,
+                )
+            }));
+        }
 
         let fold = fold_transfers(
             &scratch.transfers,
@@ -738,13 +736,17 @@ pub(crate) fn remove_sorted(alive: &mut Vec<u32>, removed: &[usize]) {
 /// result per slot into `results` in the same order, and the neighbour ranks of
 /// every slot whose verdict is `true` into `ranks` (slot-major, then path order,
 /// predecessor before successor — the order P2 emits that slot's TransferNodes).
-/// Parallel over contiguous chunks; `results` is position-aligned with the input
-/// and the per-chunk rank buffers are appended in chunk order, so the thread
-/// count cannot change either output.
-fn run_checks_into(
-    graph: &PakGraph,
+/// Cut into `chunks` contiguous chunks ([`plan`] over [`GRAIN`]):
+/// `results` is position-aligned with the input, chunk 0 writes `ranks` itself
+/// and the helpers' rank buffers are appended in chunk order, so the chunk
+/// count cannot change either output. Both engines run this one function:
+/// `node_at` and `resolve` read the single graph, or route a global slot and a
+/// neighbour lookup to the owner shard.
+pub(crate) fn run_checks_into<'a>(
+    node_at: impl Fn(usize) -> Option<&'a MacroNode> + Sync,
+    resolve: impl Fn(&nmp_pak_genome::Kmer) -> Option<usize> + Sync,
     slots: &[usize],
-    threads: usize,
+    chunks: usize,
     results: &mut Vec<NodeCheck>,
     rank_buffers: &mut Vec<Vec<Option<usize>>>,
     ranks: &mut Vec<Option<usize>>,
@@ -759,64 +761,41 @@ fn run_checks_into(
         },
     );
     ranks.clear();
-    let threads = threads.max(1).min(slots.len().max(1));
-    if threads <= 1 || slots.len() < 64 {
-        for (out, &slot) in results.iter_mut().zip(slots) {
-            *out = check_one(graph, slot, ranks);
-        }
-        return;
-    }
-    let chunk = slots.len().div_ceil(threads);
-    let used = slots.len().div_ceil(chunk);
-    if rank_buffers.len() < used {
-        rank_buffers.resize_with(used, Vec::new);
-    }
-    std::thread::scope(|scope| {
-        for ((out_chunk, slot_chunk), buffer) in results
-            .chunks_mut(chunk)
-            .zip(slots.chunks(chunk))
-            .zip(rank_buffers.iter_mut())
-        {
-            scope.spawn(move || {
-                buffer.clear();
-                for (out, &slot) in out_chunk.iter_mut().zip(slot_chunk) {
-                    *out = check_one(graph, slot, buffer);
+    let chunk = slots.len().div_ceil(chunks).max(1);
+    fork_join_into(
+        results.chunks_mut(chunk).zip(slots.chunks(chunk)),
+        ranks,
+        rank_buffers,
+        |(out_chunk, slot_chunk), ranks| {
+            for (out, &slot) in out_chunk.iter_mut().zip(slot_chunk) {
+                let node = node_at(slot).expect("slot is alive");
+                // The ranks are kept only when the verdict is `true` (a
+                // rejected node emits no transfers).
+                let mark = ranks.len();
+                let invalidated =
+                    is_invalidation_target_with(&resolve, node, |rank| ranks.push(Some(rank)));
+                if !invalidated {
+                    ranks.truncate(mark);
                 }
-            });
-        }
-    });
-    for buffer in rank_buffers.iter_mut().take(used) {
-        ranks.append(buffer);
-    }
-}
-
-/// One P1 evaluation. `ranks` keeps what the predicate resolved only when the
-/// verdict is `true` (a rejected node emits no transfers).
-fn check_one(graph: &PakGraph, slot: usize, ranks: &mut Vec<Option<usize>>) -> NodeCheck {
-    let node = graph.node(slot).expect("slot is alive");
-    let mark = ranks.len();
-    let invalidated = is_invalidation_target_with(
-        |k1mer| graph.index_of(k1mer),
-        node,
-        |rank| ranks.push(Some(rank)),
+                *out = NodeCheck {
+                    slot,
+                    size_bytes: node.size_bytes(),
+                    invalidated,
+                };
+            }
+        },
     );
-    if !invalidated {
-        ranks.truncate(mark);
-    }
-    NodeCheck {
-        slot,
-        size_bytes: node.size_bytes(),
-        invalidated,
-    }
 }
 
 /// Extracts the TransferNodes of every invalidated slot (ascending) into `out`
-/// in canonical slot-major order. Parallel over contiguous chunks into the
-/// pre-allocated per-thread `buffers`, merged in chunk (= slot) order.
-fn extract_transfers(
-    graph: &PakGraph,
+/// in canonical slot-major order. Cut into `chunks` contiguous chunks ([`plan`]
+/// over [`GRAIN`]): chunk 0 writes the stream itself, the helpers fill the
+/// pre-allocated `buffers`, appended in chunk (= slot) order. Shared by both
+/// engines through `node_at`, like [`run_checks_into`].
+pub(crate) fn extract_transfers<'a>(
+    node_at: impl Fn(usize) -> Option<&'a MacroNode> + Sync,
     invalidated: &[usize],
-    threads: usize,
+    chunks: usize,
     buffers: &mut Vec<Vec<(usize, TransferNode)>>,
     out: &mut Vec<(usize, TransferNode)>,
 ) {
@@ -824,171 +803,35 @@ fn extract_transfers(
     // Invalidated nodes are fully interior, so every path yields exactly two
     // transfers: size the stream once instead of regrowing it by doubling.
     out.reserve(transfer_count(
-        invalidated.iter().map(|&slot| graph.node(slot)),
+        invalidated.iter().map(|&slot| node_at(slot)),
     ));
-    let threads = threads.max(1).min(invalidated.len().max(1));
-    if threads <= 1 || invalidated.len() < 32 {
-        for &slot in invalidated {
-            extract_one(graph, slot, out);
-        }
-        return;
-    }
-    let chunk = invalidated.len().div_ceil(threads);
-    let used = invalidated.len().div_ceil(chunk);
-    if buffers.len() < used {
-        buffers.resize_with(used, Vec::new);
-    }
-    std::thread::scope(|scope| {
-        for (buffer, slot_chunk) in buffers.iter_mut().zip(invalidated.chunks(chunk)) {
-            scope.spawn(move || {
-                buffer.clear();
-                for &slot in slot_chunk {
-                    extract_one(graph, slot, buffer);
+    let chunk = invalidated.len().div_ceil(chunks).max(1);
+    fork_join_into(
+        invalidated.chunks(chunk),
+        out,
+        buffers,
+        |slot_chunk, out| {
+            for &slot in slot_chunk {
+                let node = node_at(slot).expect("invalidated slot was alive");
+                for path in node.paths() {
+                    if let Some((pred, succ)) = TransferNode::extract_pair(node, path) {
+                        out.push((slot, pred));
+                        out.push((slot, succ));
+                    }
                 }
-            });
-        }
-    });
-    for buffer in buffers.iter_mut().take(used) {
-        out.append(buffer);
-    }
+            }
+        },
+    );
 }
 
 /// The exact length of the transfer stream the invalidated `nodes` (all fully
-/// interior) will produce: two TransferNodes per path. Shared with the sharded
-/// engine's extraction.
+/// interior) will produce: two TransferNodes per path. Shared with the async
+/// sharded engine's extraction.
 pub(crate) fn transfer_count<'a>(nodes: impl Iterator<Item = Option<&'a MacroNode>>) -> usize {
     2 * nodes
         .flatten()
         .map(|node| node.paths().len())
         .sum::<usize>()
-}
-
-fn extract_one(graph: &PakGraph, slot: usize, out: &mut Vec<(usize, TransferNode)>) {
-    let node = graph.node(slot).expect("invalidated slot was alive");
-    for path in node.paths() {
-        if let Some((pred, succ)) = TransferNode::extract_pair(node, path) {
-            out.push((slot, pred));
-            out.push((slot, succ));
-        }
-    }
-}
-
-/// Applies every resolved transfer to its destination node, filling
-/// `scratch.matched` (aligned with `scratch.transfers`).
-///
-/// Parallelism shards the transfers by **destination slot** into disjoint
-/// contiguous slot ranges: each scoped thread owns one range of the slot vector
-/// (`split_at_mut`) and applies its shard's transfers in canonical order.
-/// Because a transfer only mutates its own destination and per-destination order
-/// is preserved, the matched flags — and the destination nodes — are
-/// bit-identical to a serial application.
-fn apply_transfers_sharded(graph: &mut PakGraph, scratch: &mut CompactionScratch, threads: usize) {
-    let CompactionScratch {
-        transfers,
-        resolved,
-        matched,
-        dest_sorted,
-        shard_cuts,
-        shard_counts,
-        shard_offsets,
-        shard_index,
-        shard_matched,
-        ..
-    } = scratch;
-    let transfers: &[(usize, TransferNode)] = transfers;
-    let resolved: &[Option<usize>] = resolved;
-
-    matched.clear();
-    matched.resize(transfers.len(), false);
-    let threads = threads.max(1);
-    if threads <= 1 || transfers.len() < 64 {
-        for (i, (_, transfer)) in transfers.iter().enumerate() {
-            if let Some(dest_slot) = resolved[i] {
-                let dest = graph.node_mut(dest_slot).expect("destination is alive");
-                matched[i] = apply_transfer(dest, transfer);
-            }
-        }
-        return;
-    }
-
-    // Shard boundaries: quantiles of the sorted destination slots, so shards
-    // carry roughly equal transfer counts while staying contiguous in slot space.
-    dest_sorted.clear();
-    dest_sorted.extend(resolved.iter().flatten().map(|&d| d as u32));
-    if dest_sorted.is_empty() {
-        return;
-    }
-    dest_sorted.sort_unstable();
-    shard_cuts.clear();
-    shard_cuts.push(0);
-    for s in 1..threads {
-        let cut = dest_sorted[s * dest_sorted.len() / threads] as usize;
-        if cut > *shard_cuts.last().expect("shard_cuts is non-empty") {
-            shard_cuts.push(cut);
-        }
-    }
-    shard_cuts.push(graph.slot_count());
-    let shards = shard_cuts.len() - 1;
-    let shard_of = |dest: usize| shard_cuts.partition_point(|&cut| cut <= dest) - 1;
-
-    // Counting sort of transfer indices into shard-major order; the scatter is
-    // stable, so canonical order is preserved within each shard.
-    shard_counts.clear();
-    shard_counts.resize(shards, 0);
-    for dest in resolved.iter().flatten() {
-        shard_counts[shard_of(*dest)] += 1;
-    }
-    let total: usize = shard_counts.iter().sum();
-    shard_index.clear();
-    shard_index.resize(total, 0);
-    shard_offsets.clear();
-    let mut running = 0usize;
-    for &count in shard_counts.iter() {
-        shard_offsets.push(running);
-        running += count;
-    }
-    for (i, dest) in resolved.iter().enumerate() {
-        if let Some(dest) = dest {
-            let shard = shard_of(*dest);
-            shard_index[shard_offsets[shard]] = i as u32;
-            shard_offsets[shard] += 1;
-        }
-    }
-
-    shard_matched.clear();
-    shard_matched.resize(total, false);
-    std::thread::scope(|scope| {
-        let mut rest_slots = graph.slots_mut();
-        let mut rest_index: &[u32] = shard_index;
-        let mut rest_matched: &mut [bool] = shard_matched;
-        for shard in 0..shards {
-            // Shards tile the slot space: `rest_slots` always starts at slot `lo`.
-            let lo = shard_cuts[shard];
-            let hi = shard_cuts[shard + 1];
-            let (shard_slots, remaining_slots) = rest_slots.split_at_mut(hi - lo);
-            rest_slots = remaining_slots;
-            let (index, remaining_index) = rest_index.split_at(shard_counts[shard]);
-            rest_index = remaining_index;
-            let (matched_out, remaining_matched) = rest_matched.split_at_mut(shard_counts[shard]);
-            rest_matched = remaining_matched;
-            if index.is_empty() {
-                continue;
-            }
-            scope.spawn(move || {
-                for (out, &transfer_idx) in matched_out.iter_mut().zip(index) {
-                    let transfer_idx = transfer_idx as usize;
-                    let dest = resolved[transfer_idx].expect("sharded transfers are resolved");
-                    let node = shard_slots[dest - lo]
-                        .as_mut()
-                        .expect("destination is alive");
-                    *out = apply_transfer(node, &transfers[transfer_idx].1);
-                }
-            });
-        }
-    });
-    for (pos, &transfer_idx) in shard_index.iter().enumerate() {
-        matched[transfer_idx as usize] = shard_matched[pos];
-    }
 }
 
 /// Stage P1 decision: the node is invalidated if it is fully interior and its
@@ -1284,18 +1127,19 @@ mod tests {
         let slots = graph.alive_slots();
         let (mut serial, mut serial_ranks) = (Vec::new(), Vec::new());
         run_checks_into(
-            &graph,
+            |slot| graph.node(slot),
+            |k1mer| graph.index_of(k1mer),
             &slots,
             1,
             &mut serial,
             &mut Vec::new(),
             &mut serial_ranks,
         );
-        // 64 slots and more take the threaded path.
-        assert!(slots.len() >= 64, "{} slots", slots.len());
+        // The chunk count is the argument: four chunks, three of them helpers.
         let (mut parallel, mut parallel_ranks) = (Vec::new(), Vec::new());
         run_checks_into(
-            &graph,
+            |slot| graph.node(slot),
+            |k1mer| graph.index_of(k1mer),
             &slots,
             4,
             &mut parallel,
@@ -1308,6 +1152,48 @@ mod tests {
         assert_eq!(serial.len(), slots.len());
         assert_eq!(serial_ranks, parallel_ranks);
         assert!(!serial_ranks.is_empty());
+    }
+
+    #[test]
+    fn parallel_and_serial_extraction_agree() {
+        // One iteration's P1 and P2 by hand, on one chunk and on four: the same
+        // stream, and P1's hand-off lines up with it entry for entry.
+        let graph = simulated_graph();
+        let run = |chunks: usize| {
+            let mut scratch = CompactionScratch::new();
+            run_checks_into(
+                |slot| graph.node(slot),
+                |k1mer| graph.index_of(k1mer),
+                &graph.alive_slots(),
+                chunks,
+                &mut scratch.check_results,
+                &mut scratch.rank_buffers,
+                &mut scratch.resolved,
+            );
+            let invalidated: Vec<usize> = scratch
+                .check_results
+                .iter()
+                .filter(|check| check.invalidated)
+                .map(|check| check.slot)
+                .collect();
+            extract_transfers(
+                |slot| graph.node(slot),
+                &invalidated,
+                chunks,
+                &mut scratch.extract_buffers,
+                &mut scratch.transfers,
+            );
+            (scratch.transfers, scratch.resolved)
+        };
+        let (serial_transfers, serial_resolved) = run(1);
+        let (parallel_transfers, parallel_resolved) = run(4);
+        assert!(serial_transfers.len() > 1_000);
+        assert_eq!(serial_transfers, parallel_transfers);
+        assert_eq!(serial_resolved, parallel_resolved);
+        assert_eq!(serial_resolved.len(), serial_transfers.len());
+        for ((_, transfer), dest) in serial_transfers.iter().zip(&serial_resolved) {
+            assert_eq!(*dest, graph.index_of(&transfer.destination));
+        }
     }
 
     fn outcomes_identical(a: &CompactionOutcome, b: &CompactionOutcome, what: &str) {

@@ -220,7 +220,11 @@ pub struct PakmanConfig {
     pub compaction_node_threshold: usize,
     /// Hard cap on compaction iterations (safety net; the paper's run converges in 219).
     pub max_compaction_iterations: usize,
-    /// Number of worker threads for the parallel phases. `1` disables threading.
+    /// Upper bound on the threads a data-parallel phase of stages B–D uses: the
+    /// calling thread plus at most `threads - 1` spawned helpers. A helper is
+    /// spawned only for a grain of work, so small phases run on the caller
+    /// alone whatever this says, and `1` spawns nothing. Output never depends
+    /// on it.
     pub threads: usize,
     /// Stage-P1 scan strategy for Iterative Compaction (frontier-driven by
     /// default; output is bit-identical either way).

@@ -3,7 +3,7 @@
 
 use crate::kmer_count::CountedKmer;
 use crate::macronode::MacroNode;
-use crate::par::{parallel_merge_round, radix_sort_pairs};
+use crate::par::{fork_join, parallel_merge_round, plan, radix_sort_pairs, GRAIN};
 
 use nmp_pak_genome::{Base, Kmer};
 
@@ -176,7 +176,7 @@ pub struct PakGraph {
 
 impl PakGraph {
     /// Builds the PaK-graph from counted k-mers (MacroNode construction and wiring),
-    /// parallelized over `threads` worker threads.
+    /// on the calling thread plus up to `threads - 1` helpers.
     ///
     /// Every k-mer `b₀ b₁ … b_{k-1}` with count `c` contributes:
     /// * prefix `b₀` (count `c`) to the node of its suffix (k-1)-mer `b₁ … b_{k-1}`, and
@@ -187,7 +187,7 @@ impl PakGraph {
     /// The build is a linear single pass over the sorted counted k-mers: the
     /// suffix-extension stream is consumed in place (its node key `packed >> 2`
     /// inherits the input order), the prefix-extension stream is materialized into
-    /// per-thread vectors, sorted, and merged, and one merge-scan over both streams
+    /// per-chunk vectors, sorted, and merged, and one merge-scan over both streams
     /// emits the MacroNodes in ascending (k-1)-mer order. The output is bit-identical
     /// at every thread count.
     pub fn from_counted_kmers(counted: &[CountedKmer], k: usize, threads: usize) -> PakGraph {
@@ -203,79 +203,63 @@ impl PakGraph {
         k: usize,
         threads: usize,
     ) -> (PakGraph, usize) {
+        // One plan for the whole build: a counted stream too short to repay a
+        // spawn is built on the calling thread, whatever `threads` allows.
+        PakGraph::build_chunked(counted, k, plan(counted.len(), threads, GRAIN))
+    }
+
+    /// [`PakGraph::from_counted_kmers_sized`] on a given chunk count (the
+    /// plan's; unit tests force it).
+    fn build_chunked(counted: &[CountedKmer], k: usize, chunks: usize) -> (PakGraph, usize) {
         debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
         let k1_len = k - 1;
-        let threads = threads.clamp(1, counted.len().max(1));
 
         // The prefix-extension stream: one record per k-mer, its suffix (k-1)-mer
         // key and first base packed into a single machine word (`key << 2 | base`,
-        // unique per record) with the count as payload. Built per thread into
+        // unique per record) with the count as payload. Built per chunk into
         // pre-allocated vectors (§4.5 (a)+(b)), radix-sorted, then merged pairwise
         // in parallel.
         let k1_shift = 2 * k1_len;
         let k1_mask = (1u64 << k1_shift) - 1;
-        let chunk_size = counted.len().div_ceil(threads).max(1);
-        let mut runs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for chunk in counted.chunks(chunk_size) {
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<(u64, u64)> = Vec::with_capacity(chunk.len());
-                    for ck in chunk {
-                        let packed = ck.kmer.packed();
-                        let first_base = packed >> k1_shift;
-                        local.push((((packed & k1_mask) << 2) | first_base, ck.count as u64));
-                    }
-                    radix_sort_pairs(&mut local, k1_shift as u32 + 2);
-                    local
-                }));
+        let chunk_size = counted.len().div_ceil(chunks).max(1);
+        let mut runs = fork_join(counted.chunks(chunk_size), |chunk| {
+            let mut local: Vec<(u64, u64)> = Vec::with_capacity(chunk.len());
+            for ck in chunk {
+                let packed = ck.kmer.packed();
+                let first_base = packed >> k1_shift;
+                local.push((((packed & k1_mask) << 2) | first_base, ck.count as u64));
             }
-            for handle in handles {
-                runs.push(handle.join().expect("prefix-record worker panicked"));
-            }
+            radix_sort_pairs(&mut local, k1_shift as u32 + 2);
+            local
         });
         while runs.len() > 1 {
             runs = parallel_merge_round(runs);
         }
         let prefix_records = runs.pop().unwrap_or_default();
 
-        // Merge-scan both streams into nodes, split across threads at node-key
+        // Merge-scan both streams into nodes, split across the chunks at node-key
         // boundaries so each segment builds a disjoint, contiguous slot range.
-        let cuts = node_split_points(&prefix_records, counted, threads);
-        let segment = if cuts.len() == 2 {
-            // One segment (always, at `threads = 1`): built on this thread, and
-            // its vectors *are* the graph's — the slot vector is written once and
-            // never copied. (A spawned builder would put the nodes' heap parts in
-            // its own allocator arena, which the caller's frees do not trim: the
-            // benchmark's `asm_mt` peaked 16 MB, 18 %, higher that way.)
-            build_segment(&prefix_records, counted, k1_len)
-        } else {
-            let mut segments: Vec<Segment> = Vec::with_capacity(cuts.len() - 1);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(cuts.len() - 1);
-                for w in cuts.windows(2) {
-                    let pr = &prefix_records[w[0].0..w[1].0];
-                    let sf = &counted[w[0].1..w[1].1];
-                    handles.push(scope.spawn(move || build_segment(pr, sf, k1_len)));
-                }
-                for handle in handles {
-                    segments.push(handle.join().expect("node-build worker panicked"));
-                }
-            });
-            // Several segments: concatenate into one pair sized once.
-            let total: usize = segments.iter().map(|seg| seg.keys.len()).sum();
-            let mut whole = Segment {
-                keys: Vec::with_capacity(total),
-                slots: Vec::with_capacity(total),
-                size_bytes: 0,
-            };
-            for seg in segments {
-                whole.keys.extend(seg.keys);
-                whole.slots.extend(seg.slots);
-                whole.size_bytes += seg.size_bytes;
-            }
-            whole
-        };
+        // Segment 0 is built on this thread and its vectors *become* the
+        // graph's: with one segment (always, at `threads = 1`) the slot vector
+        // is written once and never copied, with several only segments 1.. are
+        // appended. (A spawned builder would put the nodes' heap parts in its own
+        // allocator arena, which the caller's frees do not trim: the benchmark's
+        // `asm_mt` peaked 16 MB, 18 %, higher that way.)
+        let cuts = node_split_points(&prefix_records, counted, chunks);
+        let mut segments = fork_join(cuts.windows(2), |w| {
+            let pr = &prefix_records[w[0].0..w[1].0];
+            build_segment(pr, &counted[w[0].1..w[1].1], k1_len)
+        })
+        .into_iter();
+        let mut segment = segments.next().expect("cuts bound at least one segment");
+        let rest: usize = segments.as_slice().iter().map(|seg| seg.keys.len()).sum();
+        segment.keys.reserve_exact(rest);
+        segment.slots.reserve_exact(rest);
+        for seg in segments {
+            segment.keys.extend(seg.keys);
+            segment.slots.extend(seg.slots);
+            segment.size_bytes += seg.size_bytes;
+        }
         let graph = PakGraph {
             alive: AliveBits::all(segment.slots.len()),
             slots: segment.slots,
@@ -377,16 +361,6 @@ impl PakGraph {
     /// Mutable access to the alive node at `slot`, if any.
     pub fn node_mut(&mut self, slot: usize) -> Option<&mut MacroNode> {
         self.slots.get_mut(slot)?.as_mut()
-    }
-
-    /// Mutable view of the raw slot vector. Crate-internal: the parallel P3
-    /// update splits this into disjoint contiguous destination shards
-    /// (`split_at_mut`) so scoped threads can apply TransferNodes to different
-    /// slot ranges concurrently without locks. Callers mutate nodes in place and
-    /// never clear a slot — only [`PakGraph::invalidate`] does, keeping the
-    /// alive bitmap in step.
-    pub(crate) fn slots_mut(&mut self) -> &mut [Option<MacroNode>] {
-        &mut self.slots
     }
 
     /// The alive node with the given (k-1)-mer.
@@ -680,15 +654,19 @@ mod tests {
             },
         )
         .unwrap();
-        let reference = PakGraph::from_counted_kmers(&counted, 7, 1);
-        for threads in [2, 3, 4, 8] {
-            let parallel = PakGraph::from_counted_kmers(&counted, 7, threads);
-            assert_eq!(parallel.slot_count(), reference.slot_count());
+        // The plan would build this little stream in one chunk at any thread
+        // count; forcing the chunk count runs the merge rounds, the node-key
+        // split points and the segment concatenation.
+        let (reference, reference_bytes) = PakGraph::build_chunked(&counted, 7, 1);
+        for chunks in [2, 3, 4, 8] {
+            let (parallel, bytes) = PakGraph::build_chunked(&counted, 7, chunks);
+            assert_eq!(bytes, reference_bytes, "chunks = {chunks}");
+            assert_eq!(parallel.slot_keys(), reference.slot_keys());
             for slot in 0..reference.slot_count() {
                 assert_eq!(
                     parallel.node(slot),
                     reference.node(slot),
-                    "threads = {threads}"
+                    "chunks = {chunks}"
                 );
             }
         }

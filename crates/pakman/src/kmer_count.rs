@@ -2,18 +2,23 @@
 //!
 //! Implements the paper's §4.5 "Improved Parallelism" optimizations:
 //!
-//! * **(a) parallel sliding window** — reads are partitioned across worker threads and
-//!   each thread slides its own window over its reads;
-//! * **(b) pre-allocated per-thread vectors** — every worker extracts packed k-mers into
+//! * **(a) parallel sliding window** — reads are cut into contiguous chunks and each
+//!   chunk slides its own window over its reads;
+//! * **(b) pre-allocated per-chunk vectors** — every chunk extracts packed k-mers into
 //!   its own vector sized up front, avoiding repeated reallocation of one shared vector;
-//! * **(c) parallel sorting** — per-thread vectors are sorted independently and merged,
+//! * **(c) parallel sorting** — per-chunk vectors are sorted independently and merged,
 //!   replacing the serial global sort of the original PaKman implementation.
+//!
+//! Chunks are planned and run by [`crate::par`]: the calling thread works chunk 0,
+//! a helper is spawned for each further chunk, and there are only as many chunks
+//! as the read set holds grains ([`COUNT_GRAIN`] k-mer windows) — a small read
+//! set, and every read set at `threads = 1`, is counted without a spawn.
 //!
 //! The whole phase is *bucket-major*: the top bits of the packed k-mer statically
 //! partition the value space (the same ascending-order discipline the paper uses to
-//! lay MacroNodes out across DIMMs, §4.2), every thread scatters into its own copy
+//! lay MacroNodes out across DIMMs, §4.2), every chunk scatters into its own copy
 //! of those buckets while extracting, and each bucket is then finished
-//! independently — per-thread runs sorted while cache-resident, merged pairwise,
+//! independently — per-chunk runs sorted while cache-resident, merged pairwise,
 //! and the *final* merge fused with the duplicate run-length count and the
 //! error-threshold prune, emitting [`CountedKmer`]s directly from the packed `u64`
 //! stream via [`Kmer::from_packed`]. Concatenating the buckets in order *is* the
@@ -24,7 +29,7 @@ use crate::config::{PakmanConfig, SpillConfig};
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::memory::MemoryBudget;
-use crate::par::merge_two;
+use crate::par::{fork_join, merge_two, plan, COUNT_GRAIN};
 use crate::spill::{kway_merge, SpillIoStats, SpillStore, SpillTelemetry};
 use nmp_pak_genome::{Kmer, SequencingRead};
 
@@ -35,7 +40,8 @@ pub struct KmerCounterConfig {
     pub k: usize,
     /// k-mers observed fewer than this many times are pruned.
     pub min_count: u32,
-    /// Number of worker threads.
+    /// Upper bound on the threads counting uses, the caller's included (see
+    /// [`PakmanConfig::threads`]).
     pub threads: usize,
 }
 
@@ -83,78 +89,49 @@ pub fn count_kmers(
     config: KmerCounterConfig,
 ) -> Result<(Vec<CountedKmer>, KmerCountStats), PakmanError> {
     validate_counter_config(&config)?;
+    // One plan for both phases: the chunk count comes from the k-mer windows
+    // the reads hold, so a read set too small to repay a spawn is counted on
+    // the calling thread, whatever `threads` allows.
+    let windows = kmer_windows(reads, config.k);
+    let chunks = plan(windows, config.threads, COUNT_GRAIN);
+    count_kmers_chunked(reads, config, windows, chunks)
+}
 
-    let threads = config.threads.min(reads.len().max(1));
-    let chunk_size = reads.len().div_ceil(threads).max(1);
-    let bucket_bits = bucket_bits_for(reads, &config, threads);
-    let buckets = 1usize << bucket_bits;
+/// [`count_kmers`] on a given chunk count (the plan's; unit tests force it).
+fn count_kmers_chunked(
+    reads: &[SequencingRead],
+    config: KmerCounterConfig,
+    windows: usize,
+    chunks: usize,
+) -> Result<(Vec<CountedKmer>, KmerCountStats), PakmanError> {
+    let bucket_bits = bucket_bits_for(windows, config.k, chunks);
 
-    // Phase 1 — §4.5 (a)+(b)+(c): per-thread extraction over the packed read
-    // bytes, scattering into per-thread buckets, each bucket sorted independently.
-    let mut per_thread: Vec<Vec<Vec<u64>>> = Vec::with_capacity(threads);
-    let mut skipped_total = 0usize;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for chunk in reads.chunks(chunk_size) {
-            let k = config.k;
-            handles.push(scope.spawn(move || extract_sorted_buckets(chunk, k, bucket_bits)));
-        }
-        for handle in handles {
-            let (local, skipped) = handle.join().expect("k-mer counting worker panicked");
-            skipped_total += skipped;
-            per_thread.push(local);
-        }
-    });
-
-    let total_kmers: u64 = per_thread
-        .iter()
-        .flat_map(|t| t.iter())
-        .map(|b| b.len() as u64)
-        .sum();
+    // Phase 1 — §4.5 (a)+(b)+(c): per-chunk extraction over the packed read
+    // bytes, scattering into per-chunk buckets, each bucket sorted independently.
+    let (mut bucket_runs, total_kmers, skipped_total) =
+        extract_bucket_runs(reads, chunks, config.k, bucket_bits);
     if total_kmers == 0 {
         return Err(PakmanError::EmptyInput {
             message: format!("no read is at least k = {} bases long", config.k),
         });
     }
 
-    // Regroup the sorted runs bucket-major (moves vector handles, not data).
-    let mut bucket_runs: Vec<Vec<Vec<u64>>> =
-        (0..buckets).map(|_| Vec::with_capacity(threads)).collect();
-    for thread_buckets in per_thread {
-        for (b, run) in thread_buckets.into_iter().enumerate() {
-            if !run.is_empty() {
-                bucket_runs[b].push(run);
-            }
-        }
-    }
-
-    // Phase 2: per bucket, merge the per-thread runs pairwise and fuse the
+    // Phase 2: per bucket, merge the per-chunk runs pairwise and fuse the
     // run-length count + prune into the final merge. Buckets are distributed over
-    // scoped threads in contiguous ranges, so concatenating the worker outputs in
-    // order yields the ascending counted stream whatever the thread count.
-    let per_worker = buckets.div_ceil(threads);
-    let mut worker_outputs: Vec<(Vec<CountedKmer>, usize, usize)> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for group in bucket_runs.chunks_mut(per_worker) {
-            let k = config.k;
-            let min_count = config.min_count;
-            handles.push(scope.spawn(move || {
-                let mut counted = Vec::new();
-                let (mut distinct, mut pruned) = (0usize, 0usize);
-                for runs in group.iter_mut() {
-                    let runs = std::mem::take(runs);
-                    let (c, d, p) = merge_count_bucket(runs, k, min_count);
-                    counted.extend(c);
-                    distinct += d;
-                    pruned += p;
-                }
-                (counted, distinct, pruned)
-            }));
+    // the chunks in contiguous ranges, so concatenating the chunk outputs in
+    // order yields the ascending counted stream whatever the chunk count.
+    let per_chunk = bucket_runs.len().div_ceil(chunks);
+    let worker_outputs = fork_join(bucket_runs.chunks_mut(per_chunk), |group| {
+        let mut counted = Vec::new();
+        let (mut distinct, mut pruned) = (0usize, 0usize);
+        for runs in group.iter_mut() {
+            let runs = std::mem::take(runs);
+            let (c, d, p) = merge_count_bucket(runs, config.k, config.min_count);
+            counted.extend(c);
+            distinct += d;
+            pruned += p;
         }
-        for handle in handles {
-            worker_outputs.push(handle.join().expect("merge-count worker panicked"));
-        }
+        (counted, distinct, pruned)
     });
 
     let surviving: usize = worker_outputs.iter().map(|(c, _, _)| c.len()).sum();
@@ -190,18 +167,49 @@ fn validate_counter_config(config: &KmerCounterConfig) -> Result<(), PakmanError
     Ok(())
 }
 
-/// Bucket count: aim for per-(thread, bucket) runs of a few hundred elements so
-/// every sort in phase 1 stays cache-resident. Shared by all threads — bucket
+/// The k-mer windows `reads` hold (reads shorter than `k` hold none): stage B's
+/// length for [`plan`] and the bucket sizing.
+fn kmer_windows(reads: &[SequencingRead], k: usize) -> usize {
+    reads.iter().map(|r| r.len().saturating_sub(k - 1)).sum()
+}
+
+/// Bucket count: aim for per-(chunk, bucket) runs of a few hundred elements so
+/// every sort in phase 1 stays cache-resident. Shared by all chunks — bucket
 /// boundaries are a pure function of the k-mer value, never of the chunking.
-fn bucket_bits_for(reads: &[SequencingRead], config: &KmerCounterConfig, threads: usize) -> u32 {
-    let kmer_bits = 2 * config.k as u32;
-    let capacity_total: usize = reads
-        .iter()
-        .map(|r| r.len().saturating_sub(config.k - 1))
-        .sum();
-    (usize::BITS - (capacity_total / (512 * threads)).leading_zeros())
-        .min(kmer_bits - 1)
+fn bucket_bits_for(windows: usize, k: usize, chunks: usize) -> u32 {
+    (usize::BITS - (windows / (512 * chunks)).leading_zeros())
+        .min(2 * k as u32 - 1)
         .min(12)
+}
+
+/// Phase 1 over `reads` cut into `chunks` contiguous chunks (chunk 0 on the
+/// calling thread): every chunk extracts and sorts its own copy of the buckets,
+/// and the sorted runs are regrouped bucket-major (vector handles move, data
+/// does not). Returns the runs, the k-mers extracted and the reads skipped.
+fn extract_bucket_runs(
+    reads: &[SequencingRead],
+    chunks: usize,
+    k: usize,
+    bucket_bits: u32,
+) -> (Vec<Vec<Vec<u64>>>, u64, usize) {
+    let chunk_size = reads.len().div_ceil(chunks).max(1);
+    let per_chunk = fork_join(reads.chunks(chunk_size), |chunk| {
+        extract_sorted_buckets(chunk, k, bucket_bits)
+    });
+    let mut bucket_runs: Vec<Vec<Vec<u64>>> = (0..1usize << bucket_bits)
+        .map(|_| Vec::with_capacity(chunks))
+        .collect();
+    let (mut total_kmers, mut skipped_total) = (0u64, 0usize);
+    for (chunk_buckets, skipped) in per_chunk {
+        skipped_total += skipped;
+        for (b, run) in chunk_buckets.into_iter().enumerate() {
+            if !run.is_empty() {
+                total_kmers += run.len() as u64;
+                bucket_runs[b].push(run);
+            }
+        }
+    }
+    (bucket_runs, total_kmers, skipped_total)
 }
 
 /// Counts the k-mers of `reads` under a resident-byte budget, spilling the
@@ -289,8 +297,12 @@ fn count_spilled_inner(
     budget: &MemoryBudget,
     control: &RunControl<'_>,
 ) -> Result<(Vec<CountedKmer>, KmerCountStats, SpillTelemetry), PakmanError> {
-    let threads = config.threads.min(reads.len().max(1));
-    let bucket_bits = bucket_bits_for(reads, &config, threads);
+    let windows = kmer_windows(reads, config.k);
+    let bucket_bits = bucket_bits_for(
+        windows,
+        config.k,
+        plan(windows, config.threads, COUNT_GRAIN),
+    );
     let buckets = 1usize << bucket_bits;
 
     let mut resident: Vec<Vec<u64>> = vec![Vec::new(); buckets];
@@ -317,57 +329,35 @@ fn count_spilled_inner(
         let wave = &reads[start..end];
         start = end;
 
-        // §4.5 (a)+(b)+(c) on the wave, identical to count_kmers phase 1.
-        let wave_threads = threads.min(wave.len());
-        let chunk_size = wave.len().div_ceil(wave_threads).max(1);
-        let mut per_thread: Vec<Vec<Vec<u64>>> = Vec::with_capacity(wave_threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(wave_threads);
-            for chunk in wave.chunks(chunk_size) {
-                let k = config.k;
-                handles.push(scope.spawn(move || extract_sorted_buckets(chunk, k, bucket_bits)));
-            }
-            for handle in handles {
-                let (local, skipped) = handle.join().expect("k-mer counting worker panicked");
-                skipped_total += skipped;
-                per_thread.push(local);
-            }
-        });
-
-        // Regroup bucket-major and charge the new bytes to the shared ledger.
-        let mut wave_runs: Vec<Vec<Vec<u64>>> = (0..buckets).map(|_| Vec::new()).collect();
-        for thread_buckets in per_thread {
-            for (b, run) in thread_buckets.into_iter().enumerate() {
-                if !run.is_empty() {
-                    total_kmers += run.len() as u64;
-                    budget.charge(run.len() as u64 * 8);
-                    wave_runs[b].push(run);
-                }
-            }
-        }
+        // §4.5 (a)+(b)+(c) on the wave, identical to count_kmers phase 1, on a
+        // plan of the wave's own size; the new bytes go on the shared ledger.
+        let chunks = plan((wave_bytes / 8) as usize, config.threads, COUNT_GRAIN);
+        let (mut wave_runs, wave_kmers, skipped) =
+            extract_bucket_runs(wave, chunks, config.k, bucket_bits);
+        total_kmers += wave_kmers;
+        skipped_total += skipped;
+        budget.charge(wave_kmers * 8);
 
         // Fold the wave into the one sorted resident run per bucket (parallel
         // over contiguous bucket ranges, same discipline as count_kmers phase 2).
-        let per_worker = buckets.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (res_group, wave_group) in resident
-                .chunks_mut(per_worker)
-                .zip(wave_runs.chunks_mut(per_worker))
-            {
-                scope.spawn(move || {
-                    for (res, runs) in res_group.iter_mut().zip(wave_group.iter_mut()) {
-                        let mut runs = std::mem::take(runs);
-                        if runs.is_empty() {
-                            continue;
-                        }
-                        if !res.is_empty() {
-                            runs.push(std::mem::take(res));
-                        }
-                        *res = merge_runs_to_one(runs);
+        let per_chunk = buckets.div_ceil(chunks);
+        fork_join(
+            resident
+                .chunks_mut(per_chunk)
+                .zip(wave_runs.chunks_mut(per_chunk)),
+            |(res_group, wave_group)| {
+                for (res, runs) in res_group.iter_mut().zip(wave_group.iter_mut()) {
+                    let mut runs = std::mem::take(runs);
+                    if runs.is_empty() {
+                        continue;
                     }
-                });
-            }
-        });
+                    if !res.is_empty() {
+                        runs.push(std::mem::take(res));
+                    }
+                    *res = merge_runs_to_one(runs);
+                }
+            },
+        );
 
         // Evict largest-first until residency falls to half the budget, so the
         // next wave has headroom and small hot buckets stay in memory.
@@ -640,7 +630,7 @@ fn merge_count_segment(
     min_count: u32,
 ) -> (Vec<CountedKmer>, usize, usize) {
     if a.is_empty() || b.is_empty() {
-        // Degenerate merge (single surviving run — always the case at one thread):
+        // Degenerate merge (single surviving run — always the case on one chunk):
         // a plain run-length scan, no two-pointer bookkeeping.
         return run_length_count(if a.is_empty() { b } else { a }, k, min_count);
     }
@@ -816,28 +806,20 @@ mod tests {
             "ACGTACGTACGTTTTACG",
             "TTGACCAGTTGACCAGTT",
         ]);
-        let single = count_kmers(
-            &reads,
-            KmerCounterConfig {
-                k: 7,
-                min_count: 1,
-                threads: 1,
-            },
-        )
-        .unwrap()
-        .0;
-        for threads in [2, 3, 8] {
-            let multi = count_kmers(
-                &reads,
-                KmerCounterConfig {
-                    k: 7,
-                    min_count: 1,
-                    threads,
-                },
-            )
-            .unwrap()
-            .0;
-            assert_eq!(single, multi, "threads = {threads}");
+        let config = KmerCounterConfig {
+            k: 7,
+            min_count: 1,
+            threads: 8,
+        };
+        // The plan counts these four reads in one chunk at any thread count;
+        // forcing the chunk count runs the per-chunk buckets and their merges.
+        let windows = kmer_windows(&reads, 7);
+        assert_eq!(plan(windows, 8, COUNT_GRAIN), 1);
+        let single = count_kmers_chunked(&reads, config, windows, 1).unwrap();
+        assert_eq!(count_kmers(&reads, config).unwrap(), single);
+        for chunks in [2, 3, 8] {
+            let multi = count_kmers_chunked(&reads, config, windows, chunks).unwrap();
+            assert_eq!(single, multi, "chunks = {chunks}");
         }
     }
 
@@ -972,6 +954,26 @@ mod tests {
         assert!(telemetry.merge_passes >= 1, "{telemetry:?}");
         assert!(telemetry.peak_resident_bytes > 0);
         assert_eq!(telemetry.partitions, 8);
+        assert_eq!(counted, expected);
+        assert_eq!(stats, expected_stats);
+    }
+
+    #[test]
+    fn spilled_waves_of_several_chunks_are_bit_identical_to_in_memory() {
+        // A 4 MiB budget ingests waves of 2 MiB — 256 Ki windows less at most
+        // one read's 90 — so every full wave is extracted and folded on three
+        // chunks at `threads = 4`.
+        let reads = synthetic_reads(8_000, 100, 0x5A11);
+        let config = KmerCounterConfig {
+            k: 11,
+            min_count: 2,
+            threads: 4,
+        };
+        assert_eq!(plan((1 << 18) - 90, config.threads, COUNT_GRAIN), 3);
+        let (expected, expected_stats) = count_kmers(&reads, config).unwrap();
+        let spill = SpillConfig::bounded(4 << 20);
+        let (counted, stats, telemetry) = count_kmers_spilled(&reads, config, &spill, 2).unwrap();
+        assert!(telemetry.bytes_spilled > 0, "{telemetry:?}");
         assert_eq!(counted, expected);
         assert_eq!(stats, expected_stats);
     }

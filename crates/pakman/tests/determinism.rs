@@ -30,16 +30,44 @@ fn simulated_reads(length: usize, coverage: f64, seed: u64) -> Vec<SequencingRea
 }
 
 fn assemble(reads: &[SequencingRead], k: usize, threads: usize) -> AssemblyOutput {
+    assemble_sharded(reads, k, threads, 1)
+}
+
+fn assemble_sharded(
+    reads: &[SequencingRead],
+    k: usize,
+    threads: usize,
+    shards: usize,
+) -> AssemblyOutput {
     PakmanAssembler::new(PakmanConfig {
         k,
         min_kmer_count: 2,
         compaction_node_threshold: 10,
         threads,
         record_trace: false,
+        shards: ShardConfig {
+            shard_count: shards,
+        },
         ..PakmanConfig::default()
     })
     .assemble(reads)
     .unwrap()
+}
+
+fn assert_outputs_identical(run: &AssemblyOutput, reference: &AssemblyOutput, what: &str) {
+    assert_eq!(run.contigs, reference.contigs, "contigs diverged: {what}");
+    assert_eq!(
+        run.stats, reference.stats,
+        "assembly stats diverged: {what}"
+    );
+    assert_eq!(
+        run.kmer_stats, reference.kmer_stats,
+        "k-mer stats diverged: {what}"
+    );
+    assert_eq!(
+        run.compaction, reference.compaction,
+        "compaction stats diverged: {what}"
+    );
 }
 
 #[test]
@@ -47,25 +75,28 @@ fn full_pipeline_is_bit_identical_across_thread_counts() {
     let reads = simulated_reads(10_000, 30.0, 0xD5EED);
     let reference = assemble(&reads, 21, 1);
     assert!(!reference.contigs.is_empty());
-
     for threads in [2, 4, 8] {
         let multi = assemble(&reads, 21, threads);
-        assert_eq!(
-            multi.contigs, reference.contigs,
-            "contigs diverged at threads = {threads}"
-        );
-        assert_eq!(
-            multi.stats, reference.stats,
-            "assembly stats diverged at threads = {threads}"
-        );
-        assert_eq!(
-            multi.kmer_stats, reference.kmer_stats,
-            "k-mer stats diverged at threads = {threads}"
-        );
-        assert_eq!(
-            multi.compaction, reference.compaction,
-            "compaction stats diverged at threads = {threads}"
-        );
+        assert_outputs_identical(&multi, &reference, &format!("threads = {threads}"));
+    }
+
+    // Small phases run on the calling thread whatever `threads` says (a helper
+    // is spawned only for a grain of work), so most of the 10 kbp run above is
+    // one chunk. 24 kbp holds two grains of every phase — 64 Ki k-mer windows
+    // in stage B, 8 Ki counted k-mers in stage C, 8 Ki checks and 8 Ki
+    // transfers in iteration 0 — so `threads = 2` forks stages B, C and D's
+    // P1 / P2 in both engines and P3 in the sharded lock-step one.
+    let reads = simulated_reads(24_000, 30.0, 0xD5EED);
+    let reference = assemble(&reads, 21, 1);
+    let windows: usize = reads.iter().map(|read| read.len() - 20).sum();
+    let first = &reference.compaction.iterations[0];
+    assert!(windows >= 2 * 65_536, "{windows} k-mer windows");
+    assert!(first.alive_before >= 2 * 8_192, "{first:?}");
+    assert!(first.transfers >= 2 * 8_192, "{first:?}");
+    for shards in [1, 4] {
+        let multi = assemble_sharded(&reads, 21, 2, shards);
+        let what = format!("24 kbp, threads = 2, shards = {shards}");
+        assert_outputs_identical(&multi, &reference, &what);
     }
 }
 

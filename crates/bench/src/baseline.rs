@@ -464,9 +464,7 @@ fn apply_transfer_baseline(dest: &mut MacroNode, transfer: &TransferNode) -> boo
 mod tests {
     use super::*;
     use nmp_pak_core::workload::Workload;
-    use nmp_pak_pakman::{
-        compact_with_scratch, count_kmers, CompactionMode, CompactionScratch, KmerCounterConfig,
-    };
+    use nmp_pak_pakman::{compact, count_kmers, CompactionMode, KmerCounterConfig};
 
     /// The baseline is only a valid speedup denominator while it still produces the
     /// same assembly state as the optimized pipeline.
@@ -502,7 +500,6 @@ mod tests {
         };
         let mut base_compacted = base_graph;
         let (base_stats, base_trace) = compact_baseline(&mut base_compacted, &traced);
-        let mut scratch = CompactionScratch::new();
         let [full_scan, frontier] =
             [CompactionMode::FullScan, CompactionMode::Frontier].map(|mode| {
                 let config = PakmanConfig {
@@ -510,7 +507,7 @@ mod tests {
                     ..traced
                 };
                 let mut graph = opt_graph.clone();
-                let outcome = compact_with_scratch(&mut graph, &config, &mut scratch);
+                let outcome = compact(&mut graph, &config);
                 assert_eq!(outcome.stats, base_stats, "{mode:?} stats");
                 assert_eq!(outcome.trace, base_trace, "{mode:?} trace");
                 for slot in 0..graph.slot_count() {

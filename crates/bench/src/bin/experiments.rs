@@ -14,7 +14,7 @@
 //! experiments sweep fig12 'normalized_performance>=100'  # extra ad-hoc gate
 //!                                  # (applies to every cell; exit 1 on violation)
 //! NMP_PAK_SWEEP_OUT=/tmp/s.json experiments sweep smoke  # sweep report path
-//! NMP_PAK_BENCH_SCALE=standard experiments   # the scale recorded in EXPERIMENTS.md
+//! NMP_PAK_BENCH_SCALE=standard experiments   # the 100 kbp workload (slower)
 //! ```
 
 use nmp_pak_bench::sweep::{print_report, run_sweep, write_report, SweepMode};

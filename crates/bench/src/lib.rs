@@ -17,8 +17,7 @@ use nmp_pak_core::workload::Workload;
 pub enum BenchScale {
     /// ~20 kbp genome, 20× coverage: seconds-fast, used by default and in CI.
     Quick,
-    /// ~100 kbp genome, 30× coverage: the scale used for the numbers recorded in
-    /// `EXPERIMENTS.md`.
+    /// ~100 kbp genome, 30× coverage: slower, closer to the paper's workload shape.
     Standard,
 }
 

@@ -10,9 +10,8 @@
 use crate::baseline::{build_graph_baseline, compact_baseline, count_kmers_baseline};
 use nmp_pak_core::Workload;
 use nmp_pak_pakman::{
-    compact, compact_sharded, compact_with_scratch, count_kmers, count_kmers_spilled,
-    BatchAssembler, BatchSchedule, CompactionScratch, KmerCounterConfig, PakGraph, PakmanConfig,
-    PhaseTimings, ShardedGraph, SpillConfig,
+    compact, compact_sharded, count_kmers, count_kmers_spilled, BatchAssembler, BatchSchedule,
+    KmerCounterConfig, PakGraph, PakmanConfig, PhaseTimings, ShardedGraph, SpillConfig,
 };
 use nmp_pak_recipe::{metric, CellOutput, MetricProbe, Recipe, RecipeError, ScenarioSpec};
 use nmp_pak_recipe::{Executor, SweepReport};
@@ -104,11 +103,10 @@ impl MetricProbe for BaselineProbe {
                 let reference = PakGraph::from_counted_kmers(&counted, config.k, config.threads);
 
                 if want(metric::SPEEDUP_COMPACTION) {
-                    let mut scratch = CompactionScratch::new();
                     let current = best_of(reps, || {
                         let mut graph = reference.clone();
                         seconds(|| {
-                            let _ = compact_with_scratch(&mut graph, &untraced, &mut scratch);
+                            let _ = compact(&mut graph, &untraced);
                         })
                     });
                     let baseline = best_of(reps, || {
@@ -129,9 +127,9 @@ impl MetricProbe for BaselineProbe {
                     // this cell is read tighter: the two engines run back to back
                     // and the median of the per-pair ratios is reported (a host
                     // hiccup slows both sides of a pair, and one lucky run cannot
-                    // move a median), and both allocate their per-run buffers
-                    // inside the timed region — the sharded engine has no scratch
-                    // to carry over, so the single-graph one gets none.
+                    // move a median). Both sides run the one barriered driver,
+                    // so the ratio is what the lock-step store adds to it: the
+                    // routing pass and the telemetry ledgers.
                     let mut ratios: Vec<f64> = (0..OVERHEAD_PAIRS.max(reps))
                         .map(|_| {
                             let mut graph = reference.clone();

@@ -1,9 +1,7 @@
 //! Experiment drivers: one function per table/figure of the paper's evaluation.
 //!
 //! Each driver returns plain data (labels and numbers) so the `experiments` binary
-//! can print the rows the paper reports. `EXPERIMENTS.md`
-//! records, for every experiment, the paper's numbers next to the numbers measured
-//! with these drivers on the scaled synthetic workloads.
+//! can print the rows the paper reports, measured on the scaled synthetic workloads.
 
 use crate::assembler::NmpPakAssembler;
 use crate::backend::{BackendId, BackendResult, CompactionBackend, NmpBackend};

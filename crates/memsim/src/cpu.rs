@@ -10,7 +10,7 @@
 //! and per-update lock hand-offs.
 //!
 //! The model's constants are calibrated once against the paper's reported breakdown
-//! and then held fixed across all experiments; see `EXPERIMENTS.md`.
+//! and then held fixed across all experiments.
 
 use crate::config::DramConfig;
 use crate::layout::NodeLayout;

@@ -928,51 +928,38 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_schedule_matches_sequential() {
-        let reads = reads_for(6_000, 20.0, 91);
-        let mut config = cfg(17);
-        config.record_trace = true;
-        let sequential = BatchAssembler::with_schedule(config, 0.2, BatchSchedule::Sequential)
-            .assemble(&reads)
-            .unwrap();
-        let overlapped = BatchAssembler::with_schedule(config, 0.2, BatchSchedule::default())
-            .assemble(&reads)
-            .unwrap();
-        assert_eq!(overlapped.contigs, sequential.contigs);
-        assert_eq!(overlapped.stats, sequential.stats);
-        assert_eq!(overlapped.batch_compaction, sequential.batch_compaction);
-        assert_eq!(overlapped.batch_traces, sequential.batch_traces);
-        assert!(!overlapped.batch_traces.is_empty());
-    }
-
-    #[test]
     fn pipelined_schedules_match_sequential_at_any_depth() {
         let reads = reads_for(6_000, 20.0, 91);
         let mut config = cfg(17);
         config.record_trace = true;
-        let sequential = BatchAssembler::with_schedule(config, 0.1, BatchSchedule::Sequential)
-            .assemble(&reads)
-            .unwrap();
-        for depth in [0, 1, 3, 16] {
-            let pipelined = BatchAssembler::with_schedule(
-                config,
-                0.1,
-                BatchSchedule::Pipelined {
-                    depth,
-                    max_inflight_bytes: None,
-                },
-            )
-            .assemble(&reads)
-            .unwrap();
-            assert_eq!(pipelined.contigs, sequential.contigs, "depth = {depth}");
-            assert_eq!(
-                pipelined.batch_compaction, sequential.batch_compaction,
-                "depth = {depth}"
-            );
-            assert_eq!(
-                pipelined.batch_traces, sequential.batch_traces,
-                "depth = {depth}"
-            );
+        let at_depth = |depth| BatchSchedule::Pipelined {
+            depth,
+            max_inflight_bytes: None,
+        };
+        // The default schedule on fifths of the reads, every depth on tenths.
+        let sweeps = [
+            (0.2, vec![BatchSchedule::default()]),
+            (0.1, [0, 1, 3, 16].map(at_depth).to_vec()),
+        ];
+        for (fraction, schedules) in sweeps {
+            let sequential =
+                BatchAssembler::with_schedule(config, fraction, BatchSchedule::Sequential)
+                    .assemble(&reads)
+                    .unwrap();
+            assert!(!sequential.batch_traces.is_empty());
+            for schedule in schedules {
+                let pipelined = BatchAssembler::with_schedule(config, fraction, schedule)
+                    .assemble(&reads)
+                    .unwrap();
+                let what = format!("{schedule:?} on batches of {fraction}");
+                assert_eq!(pipelined.contigs, sequential.contigs, "{what}");
+                assert_eq!(pipelined.stats, sequential.stats, "{what}");
+                assert_eq!(
+                    pipelined.batch_compaction, sequential.batch_compaction,
+                    "{what}"
+                );
+                assert_eq!(pipelined.batch_traces, sequential.batch_traces, "{what}");
+            }
         }
     }
 
@@ -1051,7 +1038,7 @@ mod tests {
     }
 
     #[test]
-    fn default_schedule_is_overlapped() {
+    fn default_schedule_is_depth_one_pipelined() {
         let assembler = BatchAssembler::new(cfg(17), 0.5);
         assert_eq!(
             assembler.schedule(),

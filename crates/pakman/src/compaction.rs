@@ -24,11 +24,16 @@
 //!    in canonical order, on the calling thread (a destination-sharded parallel apply
 //!    never repaid its serial sort and scatter — DESIGN.md, "Fork-join and grain").
 //!
-//! All per-iteration buffers live in a reusable [`CompactionScratch`], so the
-//! untraced hot loop performs no per-iteration reallocation. Iterations repeat until
-//! the alive node count drops below the configured threshold, no node can be
-//! invalidated, or the iteration cap is hit. Both scan modes, every thread count, and
-//! the serial fallback produce bit-identical statistics, traces, and contigs — the
+//! One private driver, `run_barriered`, runs that iteration for both barriered
+//! entry points: it is generic over a `NodeStore` — where the nodes live and how
+//! the transfer stream reaches them — which [`compact`] instantiates with the
+//! [`PakGraph`] itself and [`crate::shard::compact_sharded`] with its owner-routed
+//! lock-step store, so a stage-D change is made once. All per-iteration buffers
+//! live in the driver's scratch, so the untraced hot loop performs no
+//! per-iteration reallocation. Iterations repeat until the alive node count drops
+//! below the configured threshold, no node can be invalidated, or the iteration cap
+//! is hit. Both scan modes, every thread count, every shard count and the serial
+//! fallback produce bit-identical statistics, traces, and contigs — the
 //! determinism contract of DESIGN.md.
 
 use crate::config::{CompactionMode, PakmanConfig};
@@ -39,6 +44,7 @@ use crate::macronode::{MacroNode, ThroughPath};
 use crate::par::{fork_join_into, plan, GRAIN};
 use crate::trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 use crate::transfer::{TransferNode, TransferSide};
+use nmp_pak_genome::Kmer;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -229,14 +235,91 @@ pub struct CompactionOutcome {
     pub profile: CompactionProfile,
 }
 
-/// Reusable scratch state for [`compact`]: every buffer the per-iteration loop
-/// needs, allocated once and carried across iterations — and across runs when
-/// callers hold onto it via [`compact_with_scratch`]. This is §4.5's
-/// "pre-allocated per-thread buffers" applied to compaction: the untraced hot
-/// loop performs no per-iteration heap allocation once the buffers have grown to
-/// their steady-state sizes.
+/// Where a barriered compaction run's nodes live, in one slot space, and how its
+/// transfer stream reaches them — all the two barriered entry points differ in.
+/// [`run_barriered`] is monomorphised per store: a [`PakGraph`] answers from its
+/// own slots and applies in place, so a single-graph run executes no routing or
+/// telemetry code; the sharded lock-step store (`shard.rs`) routes every access
+/// to the owner shard and keeps the mailbox ledger.
+pub(crate) trait NodeStore: Sync {
+    /// The checkpoint a cancellation is reported at.
+    const CHECKPOINT: &'static str;
+
+    /// Number of slots, alive or not.
+    fn slot_count(&self) -> usize;
+    /// `true` if `slot` holds an alive node.
+    fn is_alive(&self, slot: usize) -> bool;
+    /// The alive node at `slot`, if any.
+    fn node(&self, slot: usize) -> Option<&MacroNode>;
+    /// The slot of the alive node with this (k-1)-mer, if any.
+    fn index_of(&self, k1mer: &Kmer) -> Option<usize>;
+    /// Invalidates the alive node at `slot`.
+    fn invalidate(&mut self, slot: usize);
+    /// P1 evaluated the predicate on `slots` this iteration (a load ledger's hook).
+    fn checked(&mut self, _slots: &[usize]) {}
+    /// Stage P3 proper: applies the canonical stream — `resolved[i]` is the slot
+    /// of `transfers[i]`'s destination if it is still alive — so that every
+    /// destination receives its transfers in stream order, and fills `matched`
+    /// (aligned with `transfers`) with whether each found its extension.
+    fn apply(
+        &mut self,
+        iteration: usize,
+        threads: usize,
+        transfers: &[(usize, TransferNode)],
+        resolved: &[Option<usize>],
+        matched: &mut Vec<bool>,
+    );
+}
+
+impl NodeStore for PakGraph {
+    const CHECKPOINT: &'static str = "compaction";
+
+    fn slot_count(&self) -> usize {
+        PakGraph::slot_count(self)
+    }
+    fn is_alive(&self, slot: usize) -> bool {
+        PakGraph::is_alive(self, slot)
+    }
+    fn node(&self, slot: usize) -> Option<&MacroNode> {
+        PakGraph::node(self, slot)
+    }
+    fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
+        PakGraph::index_of(self, k1mer)
+    }
+    fn invalidate(&mut self, slot: usize) {
+        PakGraph::invalidate(self, slot);
+    }
+    /// In place, in canonical order, on the calling thread (a destination-sharded
+    /// parallel apply never repaid its serial sort and scatter — DESIGN.md,
+    /// "Fork-join and grain").
+    fn apply(
+        &mut self,
+        _iteration: usize,
+        _threads: usize,
+        transfers: &[(usize, TransferNode)],
+        resolved: &[Option<usize>],
+        matched: &mut Vec<bool>,
+    ) {
+        matched.clear();
+        for ((_, transfer), dest) in transfers.iter().zip(resolved) {
+            matched.push(dest.is_some_and(|slot| {
+                apply_transfer(self.node_mut(slot).expect("destination is alive"), transfer)
+            }));
+        }
+    }
+}
+
+/// Every buffer [`run_barriered`]'s loop needs, allocated once per run and
+/// carried across its iterations — §4.5's "pre-allocated per-thread buffers"
+/// applied to compaction: the untraced hot loop performs no per-iteration heap
+/// allocation once the buffers have grown to their steady-state sizes. Slots
+/// are the store's (global slots under a sharded store), so the frontier
+/// bookkeeping is the same wherever the nodes live. The methods are the
+/// driver's steps, one call site each; the fields a step reads are the outputs
+/// of the steps before it (`pub(crate)` where `shard.rs`'s phase test runs P1
+/// and P2 by hand over its store).
 #[derive(Debug, Default)]
-pub struct CompactionScratch {
+pub(crate) struct CompactionScratch {
     /// Per-slot: node must be re-evaluated this iteration (frontier dirty bitmap).
     dirty: Vec<bool>,
     /// Slots marked in `dirty`, unordered; sorted into `recheck` at the start of
@@ -257,26 +340,26 @@ pub struct CompactionScratch {
     /// and `running_hist` for every alive node.
     census_primed: bool,
     /// Slots to re-evaluate this iteration, ascending.
-    recheck: Vec<usize>,
+    pub(crate) recheck: Vec<usize>,
     /// Evaluation results, aligned with `recheck`.
-    check_results: Vec<NodeCheck>,
+    pub(crate) check_results: Vec<NodeCheck>,
     /// The assembled per-alive-node check list (only populated when tracing; the
     /// trace takes ownership of it each iteration).
     checks: Vec<NodeCheck>,
     /// Slots invalidated this iteration, ascending.
-    invalidated: Vec<usize>,
+    pub(crate) invalidated: Vec<usize>,
     /// P1's resolved neighbour ranks of chunks 1.. (chunk 0 writes `resolved`
     /// itself), appended to `resolved` in chunk (= slot) order.
     rank_buffers: Vec<Vec<Option<usize>>>,
     /// P2's extraction buffers of chunks 1.., appended to `transfers` in slot order.
-    extract_buffers: Vec<Vec<(usize, TransferNode)>>,
+    pub(crate) extract_buffers: Vec<Vec<(usize, TransferNode)>>,
     /// Extracted transfers in canonical (slot-major, path-order) order.
-    transfers: Vec<(usize, TransferNode)>,
+    pub(crate) transfers: Vec<(usize, TransferNode)>,
     /// Destination slot per transfer (aligned with `transfers`). Written by P1 —
     /// the neighbour ranks of every node it invalidates, in the (pred, succ) path
     /// order P2 emits the transfers in — and narrowed by P3 to the destinations
     /// still alive after this iteration's invalidations.
-    resolved: Vec<Option<usize>>,
+    pub(crate) resolved: Vec<Option<usize>>,
     /// Whether each transfer's application found a matching extension.
     matched: Vec<bool>,
     /// Per-slot touched bitmap (reset via `touched_order`, not a full clear).
@@ -286,26 +369,180 @@ pub struct CompactionScratch {
 }
 
 impl CompactionScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        CompactionScratch::default()
+    /// The scratch of a run over `slot_count` slots; the per-transfer and
+    /// per-check buffers grow on first use.
+    pub(crate) fn new(slot_count: usize) -> Self {
+        CompactionScratch {
+            dirty: vec![false; slot_count],
+            cached_size: vec![0; slot_count],
+            running_hist: SizeHistogram::new(),
+            touched: vec![false; slot_count],
+            ..CompactionScratch::default()
+        }
     }
 
-    /// Sizes the per-slot buffers for a graph with `slot_count` slots and clears
-    /// any state left over from a previous run.
-    fn reset_for(&mut self, slot_count: usize) {
-        self.dirty.clear();
-        self.dirty.resize(slot_count, false);
-        self.cached_size.clear();
-        self.cached_size.resize(slot_count, 0);
-        self.touched.clear();
-        self.touched.resize(slot_count, false);
-        self.dirty_list.clear();
+    /// Stage P1: evaluates the invalidation predicate for `recheck` (ascending),
+    /// writing one result per slot into `check_results` in the same order, and
+    /// the neighbour ranks of every slot whose verdict is `true` into `resolved`
+    /// (slot-major, then path order, predecessor before successor — the order P2
+    /// emits that slot's TransferNodes). Cut into `chunks` contiguous chunks
+    /// ([`plan`] over [`GRAIN`]): `check_results` is position-aligned with the
+    /// input, chunk 0 writes `resolved` itself and the helpers' rank buffers are
+    /// appended in chunk order, so the chunk count cannot change either output.
+    pub(crate) fn check<S: NodeStore>(&mut self, store: &S, chunks: usize) {
+        self.check_results.clear();
+        self.check_results.resize(
+            self.recheck.len(),
+            NodeCheck {
+                slot: 0,
+                size_bytes: 0,
+                invalidated: false,
+            },
+        );
+        self.resolved.clear();
+        let chunk = self.recheck.len().div_ceil(chunks).max(1);
+        fork_join_into(
+            self.check_results
+                .chunks_mut(chunk)
+                .zip(self.recheck.chunks(chunk)),
+            &mut self.resolved,
+            &mut self.rank_buffers,
+            |(out_chunk, slot_chunk), ranks| {
+                for (out, &slot) in out_chunk.iter_mut().zip(slot_chunk) {
+                    let node = store.node(slot).expect("slot is alive");
+                    // The ranks are kept only when the verdict is `true` (a
+                    // rejected node emits no transfers).
+                    let mark = ranks.len();
+                    let invalidated = is_invalidation_target_with(
+                        |k1mer| store.index_of(k1mer),
+                        node,
+                        |rank| ranks.push(Some(rank)),
+                    );
+                    if !invalidated {
+                        ranks.truncate(mark);
+                    }
+                    *out = NodeCheck {
+                        slot,
+                        size_bytes: node.size_bytes(),
+                        invalidated,
+                    };
+                }
+            },
+        );
+    }
+
+    /// Folds P1's results into the incremental alive census: each re-checked
+    /// slot's previous size leaves the running histogram, its current size
+    /// enters, the size cache refreshes, and the invalidated slots are collected
+    /// in ascending order. Clean slots keep their recorded size — it cannot have
+    /// changed (only a landed transfer changes a size, and that marks the slot
+    /// dirty) — so the histogram equals a from-scratch one over all alive nodes
+    /// in O(re-checked) instead of O(alive).
+    fn fold_census(&mut self) {
+        self.invalidated.clear();
+        for check in &self.check_results {
+            if self.census_primed {
+                self.running_hist.unrecord(self.cached_size[check.slot]);
+            }
+            self.running_hist.record(check.size_bytes);
+            self.cached_size[check.slot] = check.size_bytes;
+            if check.invalidated {
+                self.invalidated.push(check.slot);
+            }
+        }
+        self.census_primed = true;
+    }
+
+    /// Assembles the traced per-alive-node check list: re-checked slots report
+    /// their fresh result, clean slots their cached `(size, not-invalidated)`
+    /// verdict, so replays are identical across scan modes; only traced runs pay
+    /// this O(alive) assembly.
+    fn assemble_trace_checks(&mut self) {
+        let mut ri = 0usize;
+        for &slot32 in &self.alive_list {
+            let slot = slot32 as usize;
+            let check = if self.recheck.get(ri) == Some(&slot) {
+                let check = self.check_results[ri];
+                ri += 1;
+                check
+            } else {
+                NodeCheck {
+                    slot,
+                    size_bytes: self.cached_size[slot],
+                    invalidated: false,
+                }
+            };
+            self.checks.push(check);
+        }
+        debug_assert_eq!(ri, self.recheck.len(), "every re-check slot is alive");
+    }
+
+    /// Stage P2: extracts the TransferNodes of every `invalidated` slot
+    /// (ascending) into `transfers` in canonical slot-major order. Cut into
+    /// `chunks` contiguous chunks ([`plan`] over [`GRAIN`]): chunk 0 writes the
+    /// stream itself, the helpers fill the pre-allocated `extract_buffers`,
+    /// appended in chunk (= slot) order.
+    pub(crate) fn extract<S: NodeStore>(&mut self, store: &S, chunks: usize) {
+        self.transfers.clear();
+        // Invalidated nodes are fully interior, so every path yields exactly two
+        // transfers: size the stream once instead of regrowing it by doubling.
+        self.transfers.reserve(transfer_count(
+            self.invalidated.iter().map(|&slot| store.node(slot)),
+        ));
+        let chunk = self.invalidated.len().div_ceil(chunks).max(1);
+        fork_join_into(
+            self.invalidated.chunks(chunk),
+            &mut self.transfers,
+            &mut self.extract_buffers,
+            |slot_chunk, out| {
+                for &slot in slot_chunk {
+                    let node = store.node(slot).expect("invalidated slot was alive");
+                    for path in node.paths() {
+                        if let Some((pred, succ)) = TransferNode::extract_pair(node, path) {
+                            out.push((slot, pred));
+                            out.push((slot, succ));
+                        }
+                    }
+                }
+            },
+        );
+    }
+
+    /// The canonical post-P3 fold over the transfer stream: resets and rebuilds
+    /// the first-touch update order, marks the next iteration's dirty frontier,
+    /// and returns the unmatched count and the trace's transfer events (empty
+    /// unless `want_events`).
+    fn fold_transfers(&mut self, frontier: bool, want_events: bool) -> (usize, Vec<TransferEvent>) {
+        for &slot in &self.touched_order {
+            self.touched[slot] = false;
+        }
         self.touched_order.clear();
-        self.checks.clear();
-        self.alive_list.clear();
-        self.running_hist = SizeHistogram::new();
-        self.census_primed = false;
+        let mut unmatched = 0usize;
+        let mut events = Vec::with_capacity(if want_events { self.transfers.len() } else { 0 });
+        for (i, (source_slot, transfer)) in self.transfers.iter().enumerate() {
+            let Some(dest_slot) = self.resolved[i] else {
+                unmatched += 1;
+                continue;
+            };
+            if want_events {
+                events.push(TransferEvent {
+                    source_slot: *source_slot,
+                    dest_slot,
+                    size_bytes: transfer.size_bytes(),
+                });
+            }
+            if !self.matched[i] {
+                unmatched += 1;
+            } else if !self.touched[dest_slot] {
+                self.touched[dest_slot] = true;
+                self.touched_order.push(dest_slot);
+            }
+            if frontier && !self.dirty[dest_slot] {
+                self.dirty[dest_slot] = true;
+                self.dirty_list.push(dest_slot);
+            }
+        }
+        (unmatched, events)
     }
 }
 
@@ -317,19 +554,7 @@ impl CompactionScratch {
 /// destinations and applies the stream in place. Output is bit-identical
 /// across thread counts and [`CompactionMode`]s.
 pub fn compact(graph: &mut PakGraph, config: &PakmanConfig) -> CompactionOutcome {
-    let mut scratch = CompactionScratch::new();
-    compact_with_scratch(graph, config, &mut scratch)
-}
-
-/// [`compact`] with caller-provided scratch state, so repeated runs (batch
-/// pipelines, benchmarks) reuse the grown buffers instead of reallocating them.
-pub fn compact_with_scratch(
-    graph: &mut PakGraph,
-    config: &PakmanConfig,
-    scratch: &mut CompactionScratch,
-) -> CompactionOutcome {
-    compact_with_scratch_controlled(graph, config, scratch, &RunControl::default())
-        .expect("null control never cancels")
+    compact_controlled(graph, config, &RunControl::default()).expect("null control never cancels")
 }
 
 /// [`compact`] under a [`RunControl`]: the cancellation token is polled at the
@@ -347,23 +572,32 @@ pub fn compact_controlled(
     config: &PakmanConfig,
     control: &RunControl<'_>,
 ) -> Result<CompactionOutcome, PakmanError> {
-    let mut scratch = CompactionScratch::new();
-    compact_with_scratch_controlled(graph, config, &mut scratch, control)
+    run_barriered(graph, config, control)
 }
 
-pub(crate) fn compact_with_scratch_controlled(
-    graph: &mut PakGraph,
+/// The barriered iteration loop — the one copy of it. Every iteration runs
+/// frontier build → P1 → census fold → P2 + invalidation → hand-off re-test →
+/// [`NodeStore::apply`] → transfer fold over `store`'s slot space, with an
+/// all-chunks join after each forked phase; what differs between a single graph
+/// and lock-step shards is behind [`NodeStore`].
+pub(crate) fn run_barriered<S: NodeStore>(
+    store: &mut S,
     config: &PakmanConfig,
-    scratch: &mut CompactionScratch,
     control: &RunControl<'_>,
 ) -> Result<CompactionOutcome, PakmanError> {
-    let initial_nodes = graph.alive_count();
+    let slot_count = store.slot_count();
+    debug_assert!(slot_count <= u32::MAX as usize);
+    let mut scratch = CompactionScratch::new(slot_count);
+    let alive_slots = (0..slot_count).filter(|&slot| store.is_alive(slot));
+    scratch.alive_list = alive_slots.map(|slot| slot as u32).collect();
+    let initial_nodes = scratch.alive_list.len();
     let mut trace = config.record_trace.then(|| {
-        let mut sizes = vec![0usize; graph.slot_count()];
-        for (slot, node) in graph.iter_alive() {
-            sizes[slot] = node.size_bytes();
+        let mut sizes = vec![0usize; slot_count];
+        for &slot in &scratch.alive_list {
+            let node = store.node(slot as usize).expect("slot is alive");
+            sizes[slot as usize] = node.size_bytes();
         }
-        CompactionTrace::new(graph.slot_count(), sizes)
+        CompactionTrace::new(slot_count, sizes)
     });
 
     let mut stats = CompactionStats {
@@ -372,17 +606,11 @@ pub(crate) fn compact_with_scratch_controlled(
         ..CompactionStats::default()
     };
     let mut profile = CompactionProfile::default();
-    scratch.reset_for(graph.slot_count());
-    debug_assert!(graph.slot_count() <= u32::MAX as usize);
-    scratch
-        .alive_list
-        .extend(graph.alive_slot_iter().map(|slot| slot as u32));
     let frontier = config.compaction_mode == CompactionMode::Frontier;
-    let mut alive = initial_nodes;
 
     for iteration in 0..config.max_compaction_iterations {
-        control.check("compaction")?;
-        let alive_before = alive;
+        control.check(S::CHECKPOINT)?;
+        let alive_before = scratch.alive_list.len();
         control.compaction_iteration(iteration, alive_before);
         if alive_before <= config.compaction_node_threshold {
             stats.converged = true;
@@ -393,62 +621,29 @@ pub(crate) fn compact_with_scratch_controlled(
         let p1_start = Instant::now();
         scratch.recheck.clear();
         if !frontier || iteration == 0 {
-            scratch
-                .recheck
-                .extend(scratch.alive_list.iter().map(|&slot| slot as usize));
+            let alive_slots = scratch.alive_list.iter().map(|&slot| slot as usize);
+            scratch.recheck.extend(alive_slots);
         } else {
             // The frontier: destinations touched by the previous iteration's
             // transfers, in ascending slot order. Everything else is clean and
             // keeps its cached "not a target" verdict (see DESIGN.md).
             scratch.dirty_list.sort_unstable();
-            for i in 0..scratch.dirty_list.len() {
-                let slot = scratch.dirty_list[i];
+            for &slot in &scratch.dirty_list {
                 scratch.dirty[slot] = false;
-                scratch.recheck.push(slot);
             }
-            scratch.dirty_list.clear();
+            scratch.recheck.append(&mut scratch.dirty_list);
         }
-        run_checks_into(
-            |slot| graph.node(slot),
-            |k1mer| graph.index_of(k1mer),
-            &scratch.recheck,
-            plan(scratch.recheck.len(), config.threads, GRAIN),
-            &mut scratch.check_results,
-            &mut scratch.rank_buffers,
-            &mut scratch.resolved,
-        );
-        // Fold the re-check results into the running census: a slot's previous
-        // size leaves the histogram, its current size enters, and the cache is
-        // refreshed. Clean slots keep their recorded size — it cannot have
-        // changed (only a landed transfer changes a size, and that marks the
-        // slot dirty) — so the snapshot below equals a from-scratch histogram
-        // over all alive nodes in O(re-checked) instead of O(alive).
-        fold_census(
-            &scratch.check_results,
-            scratch.census_primed,
-            &mut scratch.running_hist,
-            &mut scratch.cached_size,
-            &mut scratch.invalidated,
-        );
-        scratch.census_primed = true;
+        scratch.check(store, plan(scratch.recheck.len(), config.threads, GRAIN));
+        store.checked(&scratch.recheck);
+        scratch.fold_census();
         let histogram = scratch.running_hist.clone();
-
-        // The trace still lists one NodeCheck per alive node per iteration
-        // (clean nodes report their cached verdict), so replays are identical
-        // across scan modes; only traced runs pay this O(alive) assembly.
+        // The trace lists one NodeCheck per alive node per iteration.
         if trace.is_some() {
-            assemble_trace_checks(
-                &scratch.alive_list,
-                &scratch.recheck,
-                &scratch.check_results,
-                &scratch.cached_size,
-                &mut scratch.checks,
-            );
+            scratch.assemble_trace_checks();
         }
-        let p1 = p1_start.elapsed();
         profile.iterations.push(IterationProfile {
             iteration,
-            p1,
+            p1: p1_start.elapsed(),
             p2: Duration::ZERO,
             p3: Duration::ZERO,
             checked_nodes: scratch.recheck.len(),
@@ -477,23 +672,17 @@ pub(crate) fn compact_with_scratch_controlled(
 
         // ---- Stage P2: parallel TransferNode extraction, then invalidation ----
         let p2_start = Instant::now();
-        extract_transfers(
-            |slot| graph.node(slot),
-            &scratch.invalidated,
-            // An invalidated node emits two transfers a path: a grain of transfers.
-            plan(2 * scratch.invalidated.len(), config.threads, GRAIN),
-            &mut scratch.extract_buffers,
-            &mut scratch.transfers,
-        );
+        // An invalidated node emits two transfers a path: a grain of transfers.
+        let chunks = plan(2 * scratch.invalidated.len(), config.threads, GRAIN);
+        scratch.extract(store, chunks);
         for &slot in &scratch.invalidated {
-            graph.invalidate(slot);
+            store.invalidate(slot);
             scratch.running_hist.unrecord(scratch.cached_size[slot]);
         }
         remove_sorted(&mut scratch.alive_list, &scratch.invalidated);
-        alive -= scratch.invalidated.len();
         let p2 = p2_start.elapsed();
 
-        // ---- Stage P3: routing and sharded destination update ----
+        // ---- Stage P3: routing and destination update ----
         // P1 resolved every neighbour of every node it invalidated, in the order
         // P2 emitted the transfers, so `resolved[i]` already holds the rank of
         // `transfers[i].destination`: no second search. Ranks never change, but
@@ -502,8 +691,7 @@ pub(crate) fn compact_with_scratch_controlled(
         // invalidations above, which makes `resolved[i]` exactly
         // `index_of(&transfers[i].destination)`. A length mismatch would pair
         // transfers with the wrong destinations, so it stops the run in release
-        // builds too. The stream is applied in place, in canonical order, which
-        // also drives the recorded trace and the first-touch update order.
+        // builds too.
         let p3_start = Instant::now();
         assert_eq!(
             scratch.resolved.len(),
@@ -511,56 +699,31 @@ pub(crate) fn compact_with_scratch_controlled(
             "P1 must hand P3 one resolved rank per extracted transfer"
         );
         for dest in scratch.resolved.iter_mut() {
-            *dest = dest.filter(|&rank| graph.is_alive(rank));
+            *dest = dest.filter(|&rank| store.is_alive(rank));
         }
         debug_assert!(scratch
             .transfers
             .iter()
             .zip(&scratch.resolved)
-            .all(|((_, transfer), dest)| *dest == graph.index_of(&transfer.destination)));
-        scratch.matched.clear();
-        for ((_, transfer), dest) in scratch.transfers.iter().zip(&scratch.resolved) {
-            scratch.matched.push(dest.is_some_and(|slot| {
-                apply_transfer(
-                    graph.node_mut(slot).expect("destination is alive"),
-                    transfer,
-                )
-            }));
-        }
-
-        let fold = fold_transfers(
+            .all(|((_, transfer), dest)| *dest == store.index_of(&transfer.destination)));
+        store.apply(
+            iteration,
+            config.threads,
             &scratch.transfers,
             &scratch.resolved,
-            &scratch.matched,
-            frontier,
-            trace.is_some(),
-            &mut scratch.touched,
-            &mut scratch.touched_order,
-            &mut scratch.dirty,
-            &mut scratch.dirty_list,
+            &mut scratch.matched,
         );
-        let unmatched = fold.unmatched;
-        let transfer_events = fold.events;
-
-        let updates: Vec<UpdateEvent> = if trace.is_some() {
-            scratch
-                .touched_order
-                .iter()
-                .map(|&dest_slot| UpdateEvent {
-                    dest_slot,
-                    size_bytes: graph
-                        .node(dest_slot)
-                        .map(MacroNode::size_bytes)
-                        .unwrap_or(0),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let p3 = p3_start.elapsed();
+        let (unmatched, transfer_events) = scratch.fold_transfers(frontier, trace.is_some());
+        let mut updates: Vec<UpdateEvent> = Vec::new();
+        if trace.is_some() {
+            updates.extend(scratch.touched_order.iter().map(|&dest_slot| UpdateEvent {
+                dest_slot,
+                size_bytes: store.node(dest_slot).map_or(0, MacroNode::size_bytes),
+            }));
+        }
         if let Some(entry) = profile.iterations.last_mut() {
             entry.p2 = p2;
-            entry.p3 = p3;
+            entry.p3 = p3_start.elapsed();
         }
 
         stats.total_transfers += scratch.transfers.len();
@@ -581,8 +744,9 @@ pub(crate) fn compact_with_scratch_controlled(
         }
     }
 
-    debug_assert_eq!(alive, graph.alive_count());
-    stats.final_nodes = alive;
+    stats.final_nodes = scratch.alive_list.len();
+    let alive_in_store = || (0..slot_count).filter(|&slot| store.is_alive(slot)).count();
+    debug_assert_eq!(stats.final_nodes, alive_in_store());
     if stats.final_nodes <= config.compaction_node_threshold {
         stats.converged = true;
     }
@@ -591,123 +755,6 @@ pub(crate) fn compact_with_scratch_controlled(
         trace,
         profile,
     })
-}
-
-/// Folds position-aligned P1 results into the incremental alive census: each
-/// re-checked slot's previous size leaves the running histogram, its current
-/// size enters, the size cache refreshes, and invalidated slots are collected
-/// in ascending order. `census_primed` must be `false` exactly while no slot
-/// has been recorded yet (iteration 0). Shared by both compaction engines —
-/// the bit-identity of their histograms hangs on this fold being one function.
-pub(crate) fn fold_census(
-    check_results: &[NodeCheck],
-    census_primed: bool,
-    running_hist: &mut SizeHistogram,
-    cached_size: &mut [usize],
-    invalidated: &mut Vec<usize>,
-) {
-    invalidated.clear();
-    for check in check_results {
-        if census_primed {
-            running_hist.unrecord(cached_size[check.slot]);
-        }
-        running_hist.record(check.size_bytes);
-        cached_size[check.slot] = check.size_bytes;
-        if check.invalidated {
-            invalidated.push(check.slot);
-        }
-    }
-}
-
-/// Assembles the traced per-alive-node check list: re-checked slots report
-/// their fresh result, clean slots their cached `(size, not-invalidated)`
-/// verdict. `recheck` must be an ascending subset of `alive_list` and
-/// `check_results` position-aligned with `recheck`. Shared by both engines so
-/// traced replays are identical across scan modes *and* execution shapes.
-pub(crate) fn assemble_trace_checks(
-    alive_list: &[u32],
-    recheck: &[usize],
-    check_results: &[NodeCheck],
-    cached_size: &[usize],
-    checks: &mut Vec<NodeCheck>,
-) {
-    let mut ri = 0usize;
-    for &slot32 in alive_list {
-        let slot = slot32 as usize;
-        let check = if recheck.get(ri) == Some(&slot) {
-            let check = check_results[ri];
-            ri += 1;
-            check
-        } else {
-            NodeCheck {
-                slot,
-                size_bytes: cached_size[slot],
-                invalidated: false,
-            }
-        };
-        checks.push(check);
-    }
-    debug_assert_eq!(ri, recheck.len(), "every re-check slot is alive");
-}
-
-/// Result of [`fold_transfers`]: the unmatched census plus the trace events
-/// (empty unless requested).
-pub(crate) struct TransferFold {
-    pub unmatched: usize,
-    pub events: Vec<TransferEvent>,
-}
-
-/// The canonical post-P3 fold over the transfer stream: resets and rebuilds
-/// the first-touch update order, counts unmatched transfers, emits the trace
-/// transfer events, and marks the next iteration's dirty frontier. Both
-/// engines run this identical fold over their canonical streams, which is what
-/// keeps their traces and frontiers bit-identical.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fold_transfers(
-    transfers: &[(usize, TransferNode)],
-    resolved: &[Option<usize>],
-    matched: &[bool],
-    frontier: bool,
-    want_events: bool,
-    touched: &mut [bool],
-    touched_order: &mut Vec<usize>,
-    dirty: &mut [bool],
-    dirty_list: &mut Vec<usize>,
-) -> TransferFold {
-    for &slot in touched_order.iter() {
-        touched[slot] = false;
-    }
-    touched_order.clear();
-    let mut unmatched = 0usize;
-    let mut events: Vec<TransferEvent> =
-        Vec::with_capacity(if want_events { transfers.len() } else { 0 });
-    for (i, (source_slot, transfer)) in transfers.iter().enumerate() {
-        match resolved[i] {
-            Some(dest_slot) => {
-                if want_events {
-                    events.push(TransferEvent {
-                        source_slot: *source_slot,
-                        dest_slot,
-                        size_bytes: transfer.size_bytes(),
-                    });
-                }
-                if matched[i] {
-                    if !touched[dest_slot] {
-                        touched[dest_slot] = true;
-                        touched_order.push(dest_slot);
-                    }
-                } else {
-                    unmatched += 1;
-                }
-                if frontier && !dirty[dest_slot] {
-                    dirty[dest_slot] = true;
-                    dirty_list.push(dest_slot);
-                }
-            }
-            None => unmatched += 1,
-        }
-    }
-    TransferFold { unmatched, events }
 }
 
 /// Removes the sorted slot set `removed` from the sorted `alive` list in place
@@ -730,98 +777,6 @@ pub(crate) fn remove_sorted(alive: &mut Vec<u32>, removed: &[usize]) {
     }
     debug_assert_eq!(ri, removed.len(), "every removed slot was alive");
     alive.truncate(write);
-}
-
-/// Evaluates the invalidation predicate for `slots` (ascending), writing one
-/// result per slot into `results` in the same order, and the neighbour ranks of
-/// every slot whose verdict is `true` into `ranks` (slot-major, then path order,
-/// predecessor before successor — the order P2 emits that slot's TransferNodes).
-/// Cut into `chunks` contiguous chunks ([`plan`] over [`GRAIN`]):
-/// `results` is position-aligned with the input, chunk 0 writes `ranks` itself
-/// and the helpers' rank buffers are appended in chunk order, so the chunk
-/// count cannot change either output. Both engines run this one function:
-/// `node_at` and `resolve` read the single graph, or route a global slot and a
-/// neighbour lookup to the owner shard.
-pub(crate) fn run_checks_into<'a>(
-    node_at: impl Fn(usize) -> Option<&'a MacroNode> + Sync,
-    resolve: impl Fn(&nmp_pak_genome::Kmer) -> Option<usize> + Sync,
-    slots: &[usize],
-    chunks: usize,
-    results: &mut Vec<NodeCheck>,
-    rank_buffers: &mut Vec<Vec<Option<usize>>>,
-    ranks: &mut Vec<Option<usize>>,
-) {
-    results.clear();
-    results.resize(
-        slots.len(),
-        NodeCheck {
-            slot: 0,
-            size_bytes: 0,
-            invalidated: false,
-        },
-    );
-    ranks.clear();
-    let chunk = slots.len().div_ceil(chunks).max(1);
-    fork_join_into(
-        results.chunks_mut(chunk).zip(slots.chunks(chunk)),
-        ranks,
-        rank_buffers,
-        |(out_chunk, slot_chunk), ranks| {
-            for (out, &slot) in out_chunk.iter_mut().zip(slot_chunk) {
-                let node = node_at(slot).expect("slot is alive");
-                // The ranks are kept only when the verdict is `true` (a
-                // rejected node emits no transfers).
-                let mark = ranks.len();
-                let invalidated =
-                    is_invalidation_target_with(&resolve, node, |rank| ranks.push(Some(rank)));
-                if !invalidated {
-                    ranks.truncate(mark);
-                }
-                *out = NodeCheck {
-                    slot,
-                    size_bytes: node.size_bytes(),
-                    invalidated,
-                };
-            }
-        },
-    );
-}
-
-/// Extracts the TransferNodes of every invalidated slot (ascending) into `out`
-/// in canonical slot-major order. Cut into `chunks` contiguous chunks ([`plan`]
-/// over [`GRAIN`]): chunk 0 writes the stream itself, the helpers fill the
-/// pre-allocated `buffers`, appended in chunk (= slot) order. Shared by both
-/// engines through `node_at`, like [`run_checks_into`].
-pub(crate) fn extract_transfers<'a>(
-    node_at: impl Fn(usize) -> Option<&'a MacroNode> + Sync,
-    invalidated: &[usize],
-    chunks: usize,
-    buffers: &mut Vec<Vec<(usize, TransferNode)>>,
-    out: &mut Vec<(usize, TransferNode)>,
-) {
-    out.clear();
-    // Invalidated nodes are fully interior, so every path yields exactly two
-    // transfers: size the stream once instead of regrowing it by doubling.
-    out.reserve(transfer_count(
-        invalidated.iter().map(|&slot| node_at(slot)),
-    ));
-    let chunk = invalidated.len().div_ceil(chunks).max(1);
-    fork_join_into(
-        invalidated.chunks(chunk),
-        out,
-        buffers,
-        |slot_chunk, out| {
-            for &slot in slot_chunk {
-                let node = node_at(slot).expect("invalidated slot was alive");
-                for path in node.paths() {
-                    if let Some((pred, succ)) = TransferNode::extract_pair(node, path) {
-                        out.push((slot, pred));
-                        out.push((slot, succ));
-                    }
-                }
-            }
-        },
-    );
 }
 
 /// The exact length of the transfer stream the invalidated `nodes` (all fully
@@ -1121,37 +1076,27 @@ mod tests {
         assert!(outcome.stats.iteration_count() <= 1);
     }
 
+    /// P1 over `slots` on `chunks` chunks, on a scratch of its own.
+    fn checks_on(graph: &PakGraph, slots: &[usize], chunks: usize) -> CompactionScratch {
+        let mut scratch = CompactionScratch::new(graph.slot_count());
+        scratch.recheck.extend_from_slice(slots);
+        scratch.check(graph, chunks);
+        scratch
+    }
+
     #[test]
     fn parallel_and_serial_checks_agree() {
         let graph = simulated_graph();
         let slots = graph.alive_slots();
-        let (mut serial, mut serial_ranks) = (Vec::new(), Vec::new());
-        run_checks_into(
-            |slot| graph.node(slot),
-            |k1mer| graph.index_of(k1mer),
-            &slots,
-            1,
-            &mut serial,
-            &mut Vec::new(),
-            &mut serial_ranks,
-        );
+        let serial = checks_on(&graph, &slots, 1);
         // The chunk count is the argument: four chunks, three of them helpers.
-        let (mut parallel, mut parallel_ranks) = (Vec::new(), Vec::new());
-        run_checks_into(
-            |slot| graph.node(slot),
-            |k1mer| graph.index_of(k1mer),
-            &slots,
-            4,
-            &mut parallel,
-            &mut Vec::new(),
-            &mut parallel_ranks,
-        );
+        let parallel = checks_on(&graph, &slots, 4);
         // Results are position-aligned with the slot list in both cases, and
         // the handed-off ranks come out in the same (slot-major) order.
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), slots.len());
-        assert_eq!(serial_ranks, parallel_ranks);
-        assert!(!serial_ranks.is_empty());
+        assert_eq!(serial.check_results, parallel.check_results);
+        assert_eq!(serial.check_results.len(), slots.len());
+        assert_eq!(serial.resolved, parallel.resolved);
+        assert!(!serial.resolved.is_empty());
     }
 
     #[test]
@@ -1160,29 +1105,9 @@ mod tests {
         // stream, and P1's hand-off lines up with it entry for entry.
         let graph = simulated_graph();
         let run = |chunks: usize| {
-            let mut scratch = CompactionScratch::new();
-            run_checks_into(
-                |slot| graph.node(slot),
-                |k1mer| graph.index_of(k1mer),
-                &graph.alive_slots(),
-                chunks,
-                &mut scratch.check_results,
-                &mut scratch.rank_buffers,
-                &mut scratch.resolved,
-            );
-            let invalidated: Vec<usize> = scratch
-                .check_results
-                .iter()
-                .filter(|check| check.invalidated)
-                .map(|check| check.slot)
-                .collect();
-            extract_transfers(
-                |slot| graph.node(slot),
-                &invalidated,
-                chunks,
-                &mut scratch.extract_buffers,
-                &mut scratch.transfers,
-            );
+            let mut scratch = checks_on(&graph, &graph.alive_slots(), chunks);
+            scratch.fold_census();
+            scratch.extract(&graph, chunks);
             (scratch.transfers, scratch.resolved)
         };
         let (serial_transfers, serial_resolved) = run(1);
@@ -1375,22 +1300,6 @@ mod tests {
         }
         let (_, stale_rejections) = predicates_agree(&graph);
         assert!(stale_rejections > 100);
-    }
-
-    #[test]
-    fn scratch_reuse_across_runs_is_bit_identical() {
-        let cfg = compact_config(0);
-        let mut scratch = CompactionScratch::new();
-        // First run grows the buffers; the second (different graph shape) must be
-        // oblivious to the leftovers.
-        let mut warmup = graph_from_reads(&["ACGTACCTGATCAGTTGCAACGGTT"], 5);
-        let _ = compact_with_scratch(&mut warmup, &cfg, &mut scratch);
-
-        let mut fresh_graph = graph_from_reads(&["ACGTACCTGATCAGTTGCAAC"], 5);
-        let mut reused_graph = fresh_graph.clone();
-        let fresh = compact(&mut fresh_graph, &cfg);
-        let reused = compact_with_scratch(&mut reused_graph, &cfg, &mut scratch);
-        outcomes_identical(&fresh, &reused, "scratch reuse");
     }
 
     #[test]

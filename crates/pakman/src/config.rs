@@ -110,8 +110,8 @@ impl ShardConfig {
     ///
     /// Returns [`PakmanError::InvalidConfig`] for a zero shard count. A shard
     /// count exceeding the number of alive MacroNodes is *not* an error —
-    /// some shards simply own zero nodes — but the sharded builder emits a
-    /// warning, since those shards (channels) sit idle.
+    /// some shards simply own zero nodes and their channels sit idle, which
+    /// shows as zeros in `ShardingTelemetry::initial_alive_per_shard`.
     pub fn validate(&self) -> Result<(), PakmanError> {
         if self.shard_count == 0 {
             return Err(PakmanError::InvalidConfig {

@@ -12,6 +12,11 @@
 //! [`crate::compact_sharded_controlled`], the `*_controlled` pipeline methods)
 //! are bit-identical to their uncontrolled twins when the token never fires:
 //! control is observation plus early exit, never a change to the computation.
+//! The two compaction entry points run one barriered iteration driver (the
+//! lock-step schedule), so they share one contract: the token is polled, then
+//! the observer called, at the top of every iteration, and only the checkpoint
+//! label differs (`"compaction"` / `"sharded compaction"`). The async shard
+//! schedule polls once per shard round and between mailbox flushes instead.
 
 use crate::error::PakmanError;
 use crate::memory::MemoryBudget;

@@ -68,8 +68,8 @@ pub mod walk;
 
 pub use batch::{BatchAssembler, BatchAssemblyOutput, BatchPlan, BatchSchedule};
 pub use compaction::{
-    compact, compact_controlled, compact_with_scratch, CompactionOutcome, CompactionProfile,
-    CompactionScratch, CompactionStats, IterationProfile, IterationStats, SizeHistogram,
+    compact, compact_controlled, CompactionOutcome, CompactionProfile, CompactionStats,
+    IterationProfile, IterationStats, SizeHistogram,
 };
 pub use config::{CompactionMode, PakmanConfig, ShardConfig, ShardSchedule, SpillConfig};
 pub use contig::{AssemblyStats, Contig};

@@ -18,7 +18,9 @@
 //!   exchanged to their owner at build time (the construction-time mailbox);
 //! * [`compact_sharded`] — Iterative Compaction with P1/P2/P3 running
 //!   per-shard and a batched, slot-ordered [`ShardMailbox`] exchanged **once
-//!   per iteration** for cross-shard TransferNodes;
+//!   per iteration** for cross-shard TransferNodes. The lock-step schedule has
+//!   no loop of its own: it is [`crate::compaction`]'s barriered driver over a
+//!   store that routes every access to the owner shard (`Lockstep`, below);
 //! * [`ShardingTelemetry`] — the measured per-shard load and inter-shard
 //!   traffic the hardware models consume instead of assuming uniformity.
 //!
@@ -57,9 +59,8 @@
 //! a test sweep across shard counts, thread counts, and compaction modes.
 
 use crate::compaction::{
-    apply_transfer, assemble_trace_checks, extract_transfers, fold_census, fold_transfers,
-    is_invalidation_target_with, remove_sorted, run_checks_into, transfer_count, CompactionOutcome,
-    CompactionProfile, CompactionStats, IterationProfile, IterationStats, SizeHistogram,
+    apply_transfer, is_invalidation_target_with, remove_sorted, run_barriered, transfer_count,
+    CompactionOutcome, CompactionProfile, CompactionStats, NodeStore,
 };
 use crate::config::{CompactionMode, PakmanConfig, ShardSchedule};
 use crate::control::RunControl;
@@ -69,14 +70,13 @@ use crate::kmer_count::{partition_counted_by_owner, CountedKmer};
 use crate::macronode::MacroNode;
 use crate::memory::MemoryBudget;
 use crate::par::{fork_join, plan, radix_sort_pairs, GRAIN};
-use crate::trace::{CompactionTrace, IterationTrace, NodeCheck, UpdateEvent};
 use crate::transfer::{ShardMailbox, TransferNode};
 use nmp_pak_genome::{shard_of_packed, Kmer};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The PaK-graph split into owner-computes shards, with the global rank mapping
 /// that keeps every externally visible artifact (traces, statistics, the
@@ -108,8 +108,9 @@ impl ShardedGraph {
     /// and the global slot layout (ascending keys over the union) is identical
     /// too. A shard count of 1 delegates to the single-graph builder outright.
     ///
-    /// Warns (without panicking) when there are more shards than MacroNodes:
-    /// the surplus shards own zero nodes and the corresponding channels idle.
+    /// More shards than MacroNodes is not an error: the surplus shards own zero
+    /// nodes and the corresponding channels idle (zeros in
+    /// [`ShardingTelemetry::initial_alive_per_shard`]).
     pub fn from_counted_kmers(
         counted: &[CountedKmer],
         k: usize,
@@ -205,16 +206,8 @@ impl ShardedGraph {
     /// Assembles the global rank mapping over per-shard graphs (ascending
     /// merge of the per-shard key sequences).
     fn from_shards(shards: Vec<PakGraph>, k: usize) -> ShardedGraph {
-        let shard_count = shards.len();
         let total: usize = shards.iter().map(PakGraph::slot_count).sum();
         debug_assert!(total <= u32::MAX as usize);
-        if shard_count > total {
-            eprintln!(
-                "warning: {shard_count} shards over {total} MacroNodes — \
-                 {unowned} shard(s) own zero k-mers and their channels idle",
-                unowned = shard_count - total
-            );
-        }
         // Merge the per-shard key sequences into the global ascending order by
         // radix-sorting (key, shard/local) pairs — keys are globally unique, so
         // this is a total order and runs in O(total) passes.
@@ -427,6 +420,22 @@ pub struct ShardingTelemetry {
 }
 
 impl ShardingTelemetry {
+    /// The telemetry of a run about to start on `sharded`: residency recorded,
+    /// every ledger empty.
+    fn at_start(sharded: &ShardedGraph) -> ShardingTelemetry {
+        let shard_count = sharded.shard_count();
+        ShardingTelemetry {
+            shard_count,
+            initial_alive_per_shard: sharded.per_shard_alive(),
+            final_alive_per_shard: Vec::new(),
+            checked_per_shard: vec![0; shard_count],
+            mailbox: Vec::new(),
+            route_bytes: vec![0; shard_count * shard_count],
+            flushes: Vec::new(),
+            round_nanos: Vec::new(),
+        }
+    }
+
     /// Per-shard load imbalance: max over mean of the per-shard P1 work
     /// (falls back to the initial residency when no predicate ran). 1.0 means
     /// perfectly balanced; the hardware model multiplies its
@@ -539,7 +548,7 @@ pub fn compact_sharded(
     config: &PakmanConfig,
 ) -> (CompactionOutcome, ShardingTelemetry) {
     compact_sharded_controlled(sharded, config, &RunControl::default())
-        .expect("null control never cancels")
+        .expect("an uncancelled run fails only on a broken schedule invariant")
 }
 
 /// [`compact_sharded`] under a [`RunControl`]: the cancellation token is polled
@@ -551,7 +560,10 @@ pub fn compact_sharded(
 /// # Errors
 ///
 /// Returns [`PakmanError::Cancelled`] if the control's token fires between
-/// iterations; the sharded graph is left mid-compaction and should be dropped.
+/// iterations, and — under [`ShardSchedule::Async`] only —
+/// [`PakmanError::ScheduleInvariant`] if the schedule broke one of its own
+/// invariants; either way the sharded graph is left mid-compaction and should
+/// be dropped.
 pub fn compact_sharded_controlled(
     sharded: &mut ShardedGraph,
     config: &PakmanConfig,
@@ -566,203 +578,94 @@ pub fn compact_sharded_controlled(
     {
         return compact_sharded_async(sharded, config, control);
     }
-    let shard_count = sharded.shard_count();
-    let slot_count = sharded.global_slot_count();
-    let initial_nodes = sharded.alive_count();
-    let frontier = config.compaction_mode == CompactionMode::Frontier;
+    let mut store = Lockstep::over(sharded);
+    let outcome = run_barriered(&mut store, config, control)?;
+    let mut telemetry = store.telemetry;
+    telemetry.final_alive_per_shard = sharded.per_shard_alive();
+    Ok((outcome, telemetry))
+}
 
-    let mut trace = config.record_trace.then(|| {
-        let mut sizes = vec![0usize; slot_count];
-        for (slot, size) in sizes.iter_mut().enumerate() {
-            if let Some(node) = sharded.node_global(slot) {
-                *size = node.size_bytes();
-            }
+/// The lock-step [`NodeStore`]: the barriered driver's slots are global slots,
+/// every access is routed to the owner shard — the identity mapping for one
+/// shard, chosen by `locate` and `shard_of_packed` from the shard count — and P3
+/// is the once-per-iteration mailbox exchange, entered in the telemetry.
+struct Lockstep<'g> {
+    sharded: &'g mut ShardedGraph,
+    mailbox: ShardMailbox,
+    telemetry: ShardingTelemetry,
+    /// Per-shard outcome buffers of a grouped [`apply_mailbox`], reused.
+    outcomes: Vec<Vec<bool>>,
+}
+
+impl<'g> Lockstep<'g> {
+    fn over(sharded: &'g mut ShardedGraph) -> Lockstep<'g> {
+        Lockstep {
+            mailbox: ShardMailbox::new(sharded.shard_count()),
+            telemetry: ShardingTelemetry::at_start(sharded),
+            outcomes: Vec::new(),
+            sharded,
         }
-        CompactionTrace::new(slot_count, sizes)
-    });
+    }
+}
 
-    let mut stats = CompactionStats {
-        initial_nodes,
-        final_nodes: initial_nodes,
-        ..CompactionStats::default()
-    };
-    let mut profile = CompactionProfile::default();
-    let mut telemetry = ShardingTelemetry {
-        shard_count,
-        initial_alive_per_shard: sharded.per_shard_alive(),
-        final_alive_per_shard: Vec::new(),
-        checked_per_shard: vec![0; shard_count],
-        mailbox: Vec::new(),
-        route_bytes: vec![0; shard_count * shard_count],
-        flushes: Vec::new(),
-        round_nanos: Vec::new(),
-    };
+impl NodeStore for Lockstep<'_> {
+    const CHECKPOINT: &'static str = "sharded compaction";
 
-    // Global-slot-indexed census state, mirroring the single-graph scratch.
-    let mut alive_list: Vec<u32> = (0..slot_count as u32)
-        .filter(|&slot| sharded.is_alive_global(slot as usize))
-        .collect();
-    let mut alive = initial_nodes;
-    let mut cached_size = vec![0usize; slot_count];
-    let mut dirty = vec![false; slot_count];
-    let mut dirty_list: Vec<usize> = Vec::new();
-    let mut running_hist = SizeHistogram::new();
-    let mut census_primed = false;
-
-    let mut mailbox = ShardMailbox::new(shard_count);
-    let mut recheck: Vec<usize> = Vec::new();
-    let mut check_results: Vec<NodeCheck> = Vec::new();
-    let mut invalidated: Vec<usize> = Vec::new();
-    let mut rank_buffers: Vec<Vec<Option<usize>>> = Vec::new();
-    let mut extract_buffers: Vec<Vec<(usize, TransferNode)>> = Vec::new();
-    let mut transfers: Vec<(usize, TransferNode)> = Vec::new();
-    let mut apply_outcomes: Vec<Vec<bool>> = Vec::new();
-    let mut resolved: Vec<Option<usize>> = Vec::new();
-    let mut matched: Vec<bool> = Vec::new();
-    let mut touched = vec![false; slot_count];
-    let mut touched_order: Vec<usize> = Vec::new();
-    let mut checks: Vec<NodeCheck> = Vec::new();
-
-    for iteration in 0..config.max_compaction_iterations {
-        control.check("sharded compaction")?;
-        let alive_before = alive;
-        control.compaction_iteration(iteration, alive_before);
-        if alive_before <= config.compaction_node_threshold {
-            stats.converged = true;
-            break;
+    fn slot_count(&self) -> usize {
+        self.sharded.global_slot_count()
+    }
+    fn is_alive(&self, slot: usize) -> bool {
+        self.sharded.is_alive_global(slot)
+    }
+    fn node(&self, slot: usize) -> Option<&MacroNode> {
+        self.sharded.node_global(slot)
+    }
+    fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
+        self.sharded.index_of_global(k1mer)
+    }
+    fn invalidate(&mut self, slot: usize) {
+        self.sharded.invalidate_global(slot);
+    }
+    fn checked(&mut self, slots: &[usize]) {
+        for &slot in slots {
+            self.telemetry.checked_per_shard[self.sharded.shard_of_global(slot)] += 1;
         }
+    }
 
-        // ---- Stage P1: per-shard invalidation checks over the global
-        // frontier (read-only; neighbour lookups route to the owner shard) ----
-        let p1_start = Instant::now();
-        recheck.clear();
-        if !frontier || iteration == 0 {
-            recheck.extend(alive_list.iter().map(|&slot| slot as usize));
-        } else {
-            dirty_list.sort_unstable();
-            for &slot in &dirty_list {
-                dirty[slot] = false;
-                recheck.push(slot);
-            }
-            dirty_list.clear();
-        }
-        let chunks = plan(recheck.len(), config.threads, GRAIN);
-        let outs = (&mut check_results, &mut rank_buffers, &mut resolved);
-        match sharded.shards.as_slice() {
-            // One shard is the identity mapping: P1 reads it directly, the
-            // `locate` branch hoisted out of the ≈ 4 lookups a checked node.
-            [only] => run_checks_into(
-                |slot| only.node(slot),
-                |k1mer| only.index_of(k1mer),
-                &recheck,
-                chunks,
-                outs.0,
-                outs.1,
-                outs.2,
-            ),
-            _ => run_checks_into(
-                |slot| sharded.node_global(slot),
-                |k1mer| sharded.index_of_global(k1mer),
-                &recheck,
-                chunks,
-                outs.0,
-                outs.1,
-                outs.2,
-            ),
-        }
-        for &slot in &recheck {
-            telemetry.checked_per_shard[sharded.shard_of_global(slot)] += 1;
-        }
-
-        fold_census(
-            &check_results,
-            census_primed,
-            &mut running_hist,
-            &mut cached_size,
-            &mut invalidated,
-        );
-        census_primed = true;
-        let histogram = running_hist.clone();
-
-        if trace.is_some() {
-            assemble_trace_checks(
-                &alive_list,
-                &recheck,
-                &check_results,
-                &cached_size,
-                &mut checks,
-            );
-        }
-        let p1 = p1_start.elapsed();
-        profile.iterations.push(IterationProfile {
-            iteration,
-            p1,
-            p2: Duration::ZERO,
-            p3: Duration::ZERO,
-            checked_nodes: recheck.len(),
-            alive_nodes: alive_before,
-        });
-
-        if invalidated.is_empty() {
-            stats.iterations.push(IterationStats {
-                iteration,
-                alive_before,
-                invalidated: 0,
-                transfers: 0,
-                unmatched_transfers: 0,
-                histogram,
-            });
-            if let Some(trace) = trace.as_mut() {
-                trace.iterations.push(IterationTrace {
-                    checks: std::mem::take(&mut checks),
-                    transfers: Vec::new(),
-                    updates: Vec::new(),
-                });
-            }
-            stats.converged = true;
-            break;
-        }
-
-        // ---- Stage P2: per-shard TransferNode extraction (canonical
-        // global-slot-major stream), then invalidation on the owner shards ----
-        let p2_start = Instant::now();
-        extract_transfers(
-            |slot| sharded.node_global(slot),
-            &invalidated,
-            plan(2 * invalidated.len(), config.threads, GRAIN),
-            &mut extract_buffers,
-            &mut transfers,
-        );
-        for &slot in &invalidated {
-            sharded.invalidate_global(slot);
-            running_hist.unrecord(cached_size[slot]);
-        }
-        remove_sorted(&mut alive_list, &invalidated);
-        alive -= invalidated.len();
-        let p2 = p2_start.elapsed();
-
-        // ---- The inter-shard mailbox: one batched exchange per iteration.
-        // Stable partition of the canonical stream → slot-ordered delivery.
-        let p3_start = Instant::now();
-        mailbox.route(&transfers, |i| sharded.shard_of_global(transfers[i].0));
-        telemetry.mailbox.push(MailboxIterationStats {
+    /// The inter-shard mailbox: one batched exchange per iteration — a stable
+    /// partition of the canonical stream, so delivery is slot-ordered — then
+    /// every destination shard applies its inbox ([`apply_mailbox`]).
+    fn apply(
+        &mut self,
+        iteration: usize,
+        threads: usize,
+        transfers: &[(usize, TransferNode)],
+        resolved: &[Option<usize>],
+        matched: &mut Vec<bool>,
+    ) {
+        let sharded = &mut *self.sharded;
+        let mailbox = &mut self.mailbox;
+        mailbox.route(transfers, |i| sharded.shard_of_global(transfers[i].0));
+        self.telemetry.mailbox.push(MailboxIterationStats {
             iteration,
             transfers: mailbox.transfer_count(),
             cross_shard_transfers: mailbox.cross_shard_transfer_count(),
             bytes: mailbox.total_bytes(),
             cross_shard_bytes: mailbox.cross_shard_bytes(),
         });
-        for (cell, routed) in telemetry.route_bytes.iter_mut().zip(mailbox.route_bytes()) {
+        let route_bytes = self.telemetry.route_bytes.iter_mut();
+        for (cell, routed) in route_bytes.zip(mailbox.route_bytes()) {
             *cell += routed;
         }
         // Decompose the barriered exchange into per-(src, dst) flush records
         // so lock-step and async expose the same per-flush ledger (already in
         // (iteration, src, dst) order by construction).
+        let shard_count = sharded.shard_count();
         for src in 0..shard_count {
             for dst in 0..shard_count {
                 let routed = mailbox.routed_transfers(src, dst);
                 if routed > 0 {
-                    telemetry.flushes.push(MailboxFlushStats {
+                    self.telemetry.flushes.push(MailboxFlushStats {
                         src,
                         dst,
                         src_iteration: iteration,
@@ -772,105 +675,12 @@ pub fn compact_sharded_controlled(
                 }
             }
         }
-
-        // ---- Stage P3: every destination shard drains its inbox in mailbox
-        // (= canonical per-destination) order and applies locally — shards in
-        // parallel, no locks. The destinations are the neighbours P1 resolved
-        // on their owner shards, handed over in stream order and re-tested for
-        // aliveness after this iteration's invalidations, exactly as in the
-        // single-graph engine: one rank search per edge here too.
-        assert_eq!(
-            resolved.len(),
-            transfers.len(),
-            "P1 must hand P3 one resolved slot per extracted transfer"
-        );
-        for dest in resolved.iter_mut() {
-            *dest = dest.filter(|&slot| sharded.is_alive_global(slot));
-        }
-        debug_assert!(transfers
-            .iter()
-            .zip(&resolved)
-            .all(|((_, transfer), dest)| *dest == sharded.index_of_global(&transfer.destination)));
         matched.clear();
         matched.resize(transfers.len(), false);
-        apply_mailbox(
-            sharded,
-            &mailbox,
-            &transfers,
-            &resolved,
-            plan(transfers.len(), config.threads, GRAIN),
-            &mut apply_outcomes,
-            &mut matched,
-        );
-
-        // ---- Canonical fold over the global stream: unmatched census,
-        // first-touch update order, trace events, and the next frontier —
-        // the exact fold the single-graph engine runs ([`fold_transfers`]).
-        let fold = fold_transfers(
-            &transfers,
-            &resolved,
-            &matched,
-            frontier,
-            trace.is_some(),
-            &mut touched,
-            &mut touched_order,
-            &mut dirty,
-            &mut dirty_list,
-        );
-        let unmatched = fold.unmatched;
-        let transfer_events = fold.events;
-
-        let updates: Vec<UpdateEvent> = if trace.is_some() {
-            touched_order
-                .iter()
-                .map(|&dest_slot| UpdateEvent {
-                    dest_slot,
-                    size_bytes: sharded
-                        .node_global(dest_slot)
-                        .map(MacroNode::size_bytes)
-                        .unwrap_or(0),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let p3 = p3_start.elapsed();
-        if let Some(entry) = profile.iterations.last_mut() {
-            entry.p2 = p2;
-            entry.p3 = p3;
-        }
-
-        stats.total_transfers += transfers.len();
-        stats.iterations.push(IterationStats {
-            iteration,
-            alive_before,
-            invalidated: invalidated.len(),
-            transfers: transfers.len(),
-            unmatched_transfers: unmatched,
-            histogram,
-        });
-        if let Some(trace) = trace.as_mut() {
-            trace.iterations.push(IterationTrace {
-                checks: std::mem::take(&mut checks),
-                transfers: transfer_events,
-                updates,
-            });
-        }
+        let chunks = plan(transfers.len(), threads, GRAIN);
+        let outs = &mut self.outcomes;
+        apply_mailbox(sharded, mailbox, transfers, resolved, chunks, outs, matched);
     }
-
-    stats.final_nodes = sharded.alive_count();
-    if stats.final_nodes <= config.compaction_node_threshold {
-        stats.converged = true;
-    }
-    telemetry.final_alive_per_shard = sharded.per_shard_alive();
-    Ok((
-        CompactionOutcome {
-            stats,
-            trace,
-            profile,
-        },
-        telemetry,
-    ))
 }
 
 /// Stage P3 proper, filling `matched` (aligned with `transfers`). One chunk
@@ -1034,6 +844,21 @@ struct AsyncEngine<'g> {
     max_iterations: usize,
 }
 
+impl AsyncEngine<'_> {
+    /// Records `err` as the run's failure unless one is recorded already, and
+    /// shuts the pool down: `done` is set and every parked worker is woken. The
+    /// post-run drain then releases every in-flight flush, so a violated
+    /// scheduling invariant leaves the ledger at zero exactly as a cancellation
+    /// does.
+    fn fail(&self, err: PakmanError) {
+        let mut failure = self.failure.lock().expect("failure slot poisoned");
+        failure.get_or_insert(err);
+        drop(failure);
+        self.queue.lock().expect("queue poisoned").done = true;
+        self.queue_cv.notify_all();
+    }
+}
+
 /// [`compact_sharded_controlled`] without the thread barrier: a worker pool of
 /// `min(threads, shards)` drains a run queue of shards, each pop running one
 /// *local* round (drain inbox → apply the previous wave's canonical stream →
@@ -1059,16 +884,8 @@ fn compact_sharded_async(
         final_nodes: initial_nodes,
         ..CompactionStats::default()
     };
-    let mut telemetry = ShardingTelemetry {
-        shard_count,
-        initial_alive_per_shard: sharded.per_shard_alive(),
-        final_alive_per_shard: Vec::new(),
-        checked_per_shard: vec![0; shard_count],
-        mailbox: Vec::new(),
-        route_bytes: vec![0; shard_count * shard_count],
-        flushes: Vec::new(),
-        round_nanos: vec![Vec::new(); shard_count],
-    };
+    let mut telemetry = ShardingTelemetry::at_start(sharded);
+    telemetry.round_nanos = vec![Vec::new(); shard_count];
 
     control.check("async sharded compaction")?;
     control.compaction_iteration(0, initial_nodes);
@@ -1176,6 +993,19 @@ fn compact_sharded_async(
         });
     }
 
+    // A run that ended on its own has applied every flush it buffered; one left
+    // over would be dropped below, so it fails the run (a cancelled run keeps
+    // its own failure).
+    let states = engine.states.iter();
+    let unapplied: usize = states
+        .map(|state| state.lock().expect("shard state poisoned").inbuf.len())
+        .sum();
+    if unapplied > 0 {
+        engine.fail(PakmanError::ScheduleInvariant {
+            message: format!("async run ended with {unapplied} buffered flush(es) unapplied"),
+        });
+    }
+
     let AsyncEngine {
         states,
         inboxes,
@@ -1211,7 +1041,6 @@ fn compact_sharded_async(
     let mut final_nodes = 0usize;
     for (src, state) in states.into_iter().enumerate() {
         let state = state.into_inner().expect("shard state poisoned");
-        debug_assert!(state.inbuf.is_empty(), "converged run applied every flush");
         telemetry.checked_per_shard[src] = state.checked;
         for (dst, &bytes) in state.route_bytes.iter().enumerate() {
             telemetry.route_bytes[src * shard_count + dst] = bytes;
@@ -1276,16 +1105,8 @@ fn async_worker(engine: &AsyncEngine<'_>, control: &RunControl<'_>, ledger: &Mem
                 }
             }
             Err(err) => {
-                engine
-                    .failure
-                    .lock()
-                    .expect("failure slot poisoned")
-                    .get_or_insert(err);
-                let mut queue = engine.queue.lock().expect("queue poisoned");
-                queue.done = true;
-                queue.running -= 1;
-                drop(queue);
-                engine.queue_cv.notify_all();
+                engine.fail(err);
+                engine.queue.lock().expect("queue poisoned").running -= 1;
                 break;
             }
         }
@@ -1295,7 +1116,8 @@ fn async_worker(engine: &AsyncEngine<'_>, control: &RunControl<'_>, ledger: &Mem
 /// Pops the next runnable shard, blocking while work may still appear.
 /// Returns `None` once the run is done. Every wave completion either refills
 /// the queue or sets `done`, and a blocked sender re-enqueues itself, so an
-/// idle pool over an empty queue can only mean the run is over.
+/// idle pool over an empty queue that is not `done` is a broken invariant: the
+/// run fails with [`PakmanError::ScheduleInvariant`].
 fn async_pop(engine: &AsyncEngine<'_>) -> Option<usize> {
     let mut queue = engine.queue.lock().expect("queue poisoned");
     loop {
@@ -1307,12 +1129,18 @@ fn async_pop(engine: &AsyncEngine<'_>) -> Option<usize> {
             return Some(shard);
         }
         if queue.running == 0 {
-            // Release the peers before asserting: a panic under the guard
-            // would poison it and leave them asleep on `queue_cv`.
-            queue.done = true;
+            // Nothing queued, nothing running, not done: no completion is left
+            // to refill the queue. Fail the run rather than hand back a
+            // half-compacted graph as `Ok` (the guard goes first: `fail` takes it).
+            let message = format!(
+                "async run queue stalled in wave {}: {} of {} shards still owe it, \
+                 none is queued or running",
+                engine.global_wave.load(Ordering::Acquire),
+                queue.wave_remaining,
+                engine.shard_count
+            );
             drop(queue);
-            engine.queue_cv.notify_all();
-            debug_assert!(false, "async run queue stalled before the run ended");
+            engine.fail(PakmanError::ScheduleInvariant { message });
             return None;
         }
         queue = engine.queue_cv.wait(queue).expect("queue poisoned");
@@ -1474,10 +1302,20 @@ fn async_round(
         // order-sensitive partial-count takes and path splits inside
         // [`apply_transfer`] land identically. ----
         if r > 0 {
+            // A flush older than wave `r - 1` missed its wave's canonical pass;
+            // applying it now would land it out of order. Checked before the
+            // drain, so it stays in `inbuf` for the post-run release.
+            if let Some(late) = state.inbuf.iter().find(|f| f.src_iteration + 1 < r) {
+                let (from, tag) = (late.src, late.src_iteration);
+                return Err(PakmanError::ScheduleInvariant {
+                    message: format!(
+                        "shard {shard} starts wave {r} holding shard {from}'s flush of wave {tag}"
+                    ),
+                });
+            }
             let mut due: Vec<AsyncFlush> = Vec::new();
             let mut held: Vec<AsyncFlush> = Vec::new();
             for flush in state.inbuf.drain(..) {
-                debug_assert!(flush.src_iteration + 1 >= r, "flush missed its wave");
                 if flush.src_iteration < r {
                     due.push(flush);
                 } else {
@@ -1665,7 +1503,7 @@ fn async_round(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compaction::compact;
+    use crate::compaction::{compact, CompactionScratch};
     use crate::kmer_count::{count_kmers, KmerCounterConfig};
     use crate::test_util::reads_for;
     use crate::walk::generate_contigs;
@@ -1742,33 +1580,30 @@ mod tests {
 
         // P1, then P2 over P1's verdicts, on one chunk and on three.
         let slots: Vec<usize> = (0..sharded.global_slot_count()).collect();
-        let checks_on = |chunks: usize| {
-            let (mut checks, mut ranks) = (Vec::new(), Vec::new());
-            run_checks_into(
-                |slot| sharded.node_global(slot),
-                |k1mer| sharded.index_of_global(k1mer),
-                &slots,
-                chunks,
-                &mut checks,
-                &mut Vec::new(),
-                &mut ranks,
-            );
-            (checks, ranks)
+        let mut routed = sharded.clone();
+        let store = Lockstep::over(&mut routed);
+        let phases_on = |chunks: usize| {
+            let mut scratch = CompactionScratch::new(slots.len());
+            scratch.recheck.extend_from_slice(&slots);
+            scratch.check(&store, chunks);
+            let invalidated = scratch.check_results.iter();
+            let invalidated = invalidated.filter(|check| check.invalidated);
+            scratch
+                .invalidated
+                .extend(invalidated.map(|check| check.slot));
+            scratch.extract(&store, chunks);
+            scratch
         };
-        let (checks, ranks) = checks_on(1);
-        assert_eq!((checks.clone(), ranks.clone()), checks_on(3));
-        let invalidated: Vec<usize> = checks
-            .iter()
-            .filter(|check| check.invalidated)
-            .map(|check| check.slot)
-            .collect();
-        let node_at = |slot| sharded.node_global(slot);
-        let (mut stream, mut chunked_stream) = (Vec::new(), Vec::new());
-        extract_transfers(node_at, &invalidated, 1, &mut Vec::new(), &mut stream);
-        let mut buffers = Vec::new();
-        extract_transfers(node_at, &invalidated, 3, &mut buffers, &mut chunked_stream);
+        let (serial, chunked) = (phases_on(1), phases_on(3));
+        let (checks, ranks) = (serial.check_results, serial.resolved);
+        assert_eq!(
+            (&checks, &ranks),
+            (&chunked.check_results, &chunked.resolved)
+        );
+        let (invalidated, stream) = (serial.invalidated, serial.transfers);
         assert!(stream.len() > 1_000, "{} transfers", stream.len());
-        assert_eq!(stream, chunked_stream);
+        assert_eq!(stream, chunked.transfers);
+        let buffers = chunked.extract_buffers;
         assert!(buffers.iter().all(Vec::is_empty), "helper buffers drain");
         // P1's hand-off is the stream's destinations, resolved on their owners.
         assert_eq!(ranks.len(), stream.len());
@@ -1808,58 +1643,51 @@ mod tests {
     #[test]
     fn sharded_compaction_is_bit_identical_to_single_graph() {
         let counted = counted_for(17);
-        let mut reference_graph = PakGraph::from_counted_kmers(&counted, 17, 1);
-        let reference = compact(&mut reference_graph, &cfg(1));
-
-        for shards in [1usize, 2, 7, 32] {
-            for threads in [1usize, 4] {
-                let mut sharded = ShardedGraph::from_counted_kmers(&counted, 17, shards, threads);
-                let (outcome, telemetry) = compact_sharded(&mut sharded, &cfg(threads));
-                let what = format!("shards = {shards}, threads = {threads}");
-                assert_eq!(outcome.stats, reference.stats, "stats diverged: {what}");
-                assert_eq!(outcome.trace, reference.trace, "trace diverged: {what}");
-                assert_eq!(telemetry.shard_count, shards);
-                assert_eq!(
-                    telemetry.initial_alive_per_shard.iter().sum::<usize>(),
-                    reference.stats.initial_nodes
-                );
-                assert_eq!(
-                    telemetry.final_alive_per_shard.iter().sum::<usize>(),
-                    reference.stats.final_nodes
-                );
-                // Every transfer went through the mailbox.
-                assert_eq!(telemetry.total_transfers(), reference.stats.total_transfers);
-                let global = sharded.into_global_graph();
-                for slot in 0..reference_graph.slot_count() {
+        for mode in [CompactionMode::Frontier, CompactionMode::FullScan] {
+            let cfg = |threads| PakmanConfig {
+                compaction_mode: mode,
+                ..cfg(threads)
+            };
+            let mut reference_graph = PakGraph::from_counted_kmers(&counted, 17, 1);
+            let reference = compact(&mut reference_graph, &cfg(1));
+            let reference_contigs = generate_contigs(&reference_graph, 0);
+            for shards in [1usize, 2, 5, 7, 32] {
+                for threads in [1usize, 2, 4] {
+                    let mut sharded =
+                        ShardedGraph::from_counted_kmers(&counted, 17, shards, threads);
+                    let (outcome, telemetry) = compact_sharded(&mut sharded, &cfg(threads));
+                    let what = format!("{mode:?}, shards = {shards}, threads = {threads}");
+                    assert_eq!(outcome.stats, reference.stats, "stats diverged: {what}");
+                    assert_eq!(outcome.trace, reference.trace, "trace diverged: {what}");
+                    assert_eq!(telemetry.shard_count, shards);
                     assert_eq!(
-                        global.node(slot),
-                        reference_graph.node(slot),
-                        "graph diverged at slot {slot}: {what}"
+                        telemetry.initial_alive_per_shard.iter().sum::<usize>(),
+                        reference.stats.initial_nodes
                     );
+                    assert_eq!(
+                        telemetry.final_alive_per_shard.iter().sum::<usize>(),
+                        reference.stats.final_nodes
+                    );
+                    // Every transfer went through the mailbox.
+                    assert_eq!(telemetry.total_transfers(), reference.stats.total_transfers);
+                    // A full scan checks every alive node on every iteration.
+                    if mode == CompactionMode::FullScan {
+                        for it in &outcome.profile.iterations {
+                            assert_eq!(it.checked_nodes, it.alive_nodes, "{what}");
+                        }
+                    }
+                    let global = sharded.into_global_graph();
+                    for slot in 0..reference_graph.slot_count() {
+                        assert_eq!(
+                            global.node(slot),
+                            reference_graph.node(slot),
+                            "graph diverged at slot {slot}: {what}"
+                        );
+                    }
+                    let contigs = generate_contigs(&global, 0);
+                    assert_eq!(contigs, reference_contigs, "contigs diverged: {what}");
                 }
-                let contigs = generate_contigs(&global, 0);
-                let reference_contigs = generate_contigs(&reference_graph, 0);
-                assert_eq!(contigs, reference_contigs, "contigs diverged: {what}");
             }
-        }
-    }
-
-    #[test]
-    fn full_scan_mode_matches_too() {
-        let counted = counted_for(17);
-        let full_cfg = PakmanConfig {
-            compaction_mode: CompactionMode::FullScan,
-            ..cfg(2)
-        };
-        let mut reference_graph = PakGraph::from_counted_kmers(&counted, 17, 1);
-        let reference = compact(&mut reference_graph, &full_cfg);
-        let mut sharded = ShardedGraph::from_counted_kmers(&counted, 17, 5, 2);
-        let (outcome, _) = compact_sharded(&mut sharded, &full_cfg);
-        assert_eq!(outcome.stats, reference.stats);
-        assert_eq!(outcome.trace, reference.trace);
-        // A full scan checks every alive node on every iteration.
-        for it in &outcome.profile.iterations {
-            assert_eq!(it.checked_nodes, it.alive_nodes);
         }
     }
 
@@ -1888,9 +1716,9 @@ mod tests {
     }
 
     #[test]
-    fn more_shards_than_nodes_warns_but_works() {
+    fn more_shards_than_nodes_leaves_idle_shards_and_stays_bit_identical() {
         // A tiny read set: far fewer (k-1)-mers than shards, so some shards own
-        // zero k-mers. The build must warn (not panic) and stay bit-identical.
+        // zero k-mers. The build must not panic and stays bit-identical.
         let reads = crate::test_util::reads_from(&["ACGTACCTGATCAGT", "ACGTACCTGATCAGT"]);
         let (counted, _) = count_kmers(
             &reads,
@@ -1920,6 +1748,61 @@ mod tests {
         assert_eq!(outcome.stats, single_outcome.stats);
         assert_eq!(outcome.trace, single_outcome.trace);
         assert_eq!(telemetry.shard_count, 64);
+    }
+
+    #[test]
+    fn a_stalled_async_queue_fails_the_run_and_unparks_every_waiter() {
+        // A hand-built engine over no shards whose one wave is still owed while
+        // nothing is queued: the state no completion can get the run out of.
+        let engine = AsyncEngine {
+            states: Vec::new(),
+            inboxes: Vec::new(),
+            death_wave: Vec::new(),
+            global_keys: &[],
+            alive: AtomicUsize::new(0),
+            global_wave: AtomicUsize::new(3),
+            finishing: AtomicBool::new(false),
+            queue: Mutex::new(AsyncQueue {
+                runnable: VecDeque::new(),
+                active: Vec::new(),
+                // As if this thread were mid-round, so the waiter parks.
+                running: 1,
+                done: false,
+                wave_remaining: 2,
+                wave_deaths: 0,
+                finishing: false,
+                converged: false,
+            }),
+            queue_cv: Condvar::new(),
+            failure: Mutex::new(None),
+            shard_count: 2,
+            frontier: true,
+            threshold: 0,
+            max_iterations: 10,
+        };
+        std::thread::scope(|scope| {
+            let (about_to_wait, waiting) = std::sync::mpsc::channel();
+            let engine = &engine;
+            let waiter = scope.spawn(move || {
+                about_to_wait.send(()).expect("the test thread listens");
+                async_pop(engine)
+            });
+            waiting.recv().expect("the waiter announces itself");
+            // The round ends without re-enqueueing anything. Whichever thread
+            // then finds the idle pool over the empty queue fails the run; the
+            // other is woken (or arrives) to `done`. Neither may hang.
+            engine.queue.lock().unwrap().running -= 1;
+            engine.queue_cv.notify_all();
+            assert_eq!(async_pop(engine), None);
+            assert_eq!(waiter.join().expect("the waiter does not panic"), None);
+        });
+        assert!(engine.queue.lock().unwrap().done);
+        let failure = engine.failure.lock().unwrap().take();
+        let Some(PakmanError::ScheduleInvariant { message }) = failure else {
+            panic!("expected a schedule-invariant failure, got {failure:?}");
+        };
+        assert!(message.contains("stalled in wave 3"), "{message}");
+        assert!(message.contains("2 of 2 shards"), "{message}");
     }
 
     #[test]

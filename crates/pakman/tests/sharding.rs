@@ -7,8 +7,12 @@
 
 use nmp_pak_genome::{ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead};
 use nmp_pak_pakman::{
-    AssemblyOutput, BatchAssembler, BatchSchedule, PakmanAssembler, PakmanConfig, ShardConfig,
+    compact, compact_controlled, compact_sharded, compact_sharded_controlled, count_kmers,
+    AssemblyOutput, BatchAssembler, BatchSchedule, CancelToken, KmerCounterConfig, PakGraph,
+    PakmanAssembler, PakmanConfig, PakmanError, ProgressObserver, RunControl, ShardConfig,
+    ShardedGraph,
 };
+use std::sync::Mutex;
 
 const SHARD_SWEEP: [usize; 4] = [1, 2, 7, 32];
 const THREAD_SWEEP: [usize; 3] = [1, 4, 8];
@@ -166,8 +170,8 @@ fn sharded_batched_pipelined_schedule_matches_single_graph_sequential() {
 #[test]
 fn zero_kmer_shards_are_harmless_at_pipeline_level() {
     // A workload far smaller than the shard count: many shards own zero
-    // k-mers. The run must warn (not panic) and still match the single-graph
-    // output exactly.
+    // k-mers. The run must not panic and still match the single-graph output
+    // exactly.
     let reads = simulated_reads(2_000, 8.0, 0xE0E0);
     let small_config = |shards: usize| PakmanConfig {
         k: 15,
@@ -195,5 +199,161 @@ fn zero_kmer_shards_are_harmless_at_pipeline_level() {
     assert!(
         telemetry.initial_alive_per_shard.contains(&0),
         "with 4096 shards over a tiny graph, some shard owns zero k-mers"
+    );
+}
+
+/// Records every `compaction_iteration` callback and cancels the run from
+/// inside callback `cancel_at`, if any.
+struct Recording {
+    seen: Mutex<Vec<(usize, usize)>>,
+    cancel_at: Option<usize>,
+    token: CancelToken,
+}
+
+impl Recording {
+    fn new(cancel_at: Option<usize>) -> Recording {
+        Recording {
+            seen: Mutex::new(Vec::new()),
+            cancel_at,
+            token: CancelToken::new(),
+        }
+    }
+
+    fn control(&self) -> RunControl<'_> {
+        RunControl::with_cancel(self.token.clone()).observed_by(self)
+    }
+
+    fn seen(self) -> Vec<(usize, usize)> {
+        self.seen.into_inner().unwrap()
+    }
+}
+
+impl ProgressObserver for Recording {
+    fn compaction_iteration(&self, iteration: usize, alive_nodes: usize) {
+        self.seen.lock().unwrap().push((iteration, alive_nodes));
+        if self.cancel_at == Some(iteration) {
+            self.token.cancel();
+        }
+    }
+}
+
+/// The single graph of the control-contract tests and a sharded build of it.
+fn control_contract_graphs(config: &PakmanConfig) -> (PakGraph, impl Fn(usize) -> ShardedGraph) {
+    let reads = simulated_reads(8_000, 25.0, 0xC0417);
+    let (counted, _) = count_kmers(&reads, KmerCounterConfig::from(config)).unwrap();
+    let single = PakGraph::from_counted_kmers(&counted, config.k, 1);
+    let one_shard = single.clone();
+    let k = config.k;
+    let sharded = move |shards: usize| match shards {
+        1 => ShardedGraph::from_single(one_shard.clone()),
+        _ => ShardedGraph::from_counted_kmers(&counted, k, shards, 1),
+    };
+    (single, sharded)
+}
+
+fn assert_same_graph(a: &PakGraph, b: &PakGraph, what: &str) {
+    assert_eq!(a.slot_count(), b.slot_count(), "{what}");
+    for slot in 0..a.slot_count() {
+        assert_eq!(a.node(slot), b.node(slot), "slot {slot}: {what}");
+    }
+}
+
+#[test]
+fn both_barriered_entry_points_keep_one_control_contract() {
+    // Callback `n` fires at the top of iteration `n`, after the cancellation
+    // poll: a token cancelled inside it lets iteration `n` finish and stops the
+    // run at the next poll — `n + 1` callbacks, `n + 1` iterations applied.
+    const CANCEL_AT: usize = 2;
+    for threads in [1usize, 4] {
+        let config = PakmanConfig {
+            record_trace: false,
+            ..config(1, threads)
+        };
+        let (single, sharded) = control_contract_graphs(&config);
+
+        let watched = Recording::new(None);
+        let mut graph = single.clone();
+        compact_controlled(&mut graph, &config, &watched.control()).unwrap();
+        let callbacks = watched.seen();
+        assert!(
+            callbacks.len() > CANCEL_AT + 2,
+            "{} callbacks",
+            callbacks.len()
+        );
+        assert_eq!(callbacks[0], (0, single.alive_count()));
+
+        // What a run stopped after callback `CANCEL_AT` must leave behind.
+        let mut stopped = single.clone();
+        let capped = PakmanConfig {
+            max_compaction_iterations: CANCEL_AT + 1,
+            ..config
+        };
+        compact(&mut stopped, &capped);
+
+        let cancelling = Recording::new(Some(CANCEL_AT));
+        let mut graph = single.clone();
+        let err = compact_controlled(&mut graph, &config, &cancelling.control()).unwrap_err();
+        assert_eq!(
+            err,
+            PakmanError::Cancelled {
+                at: "compaction".to_string()
+            }
+        );
+        assert_eq!(cancelling.seen(), callbacks[..=CANCEL_AT]);
+        assert_same_graph(
+            &graph,
+            &stopped,
+            &format!("single graph, threads = {threads}"),
+        );
+
+        for shards in [1usize, 2, 8] {
+            let what = format!("shards = {shards}, threads = {threads}");
+            let watched = Recording::new(None);
+            compact_sharded_controlled(&mut sharded(shards), &config, &watched.control()).unwrap();
+            assert_eq!(watched.seen(), callbacks, "{what}");
+
+            let cancelling = Recording::new(Some(CANCEL_AT));
+            let mut graph = sharded(shards);
+            let err =
+                compact_sharded_controlled(&mut graph, &config, &cancelling.control()).unwrap_err();
+            let at = "sharded compaction".to_string();
+            assert_eq!(err, PakmanError::Cancelled { at }, "{what}");
+            assert_eq!(cancelling.seen(), callbacks[..=CANCEL_AT], "{what}");
+            assert_same_graph(&graph.into_global_graph(), &stopped, &what);
+        }
+    }
+}
+
+#[test]
+fn one_shard_lockstep_ledger_agrees_with_the_outcome() {
+    let config = PakmanConfig {
+        record_trace: false,
+        ..config(1, 1)
+    };
+    let (_, sharded) = control_contract_graphs(&config);
+    let (outcome, telemetry) = compact_sharded(&mut sharded(1), &config);
+    assert!(outcome.stats.total_transfers > 0);
+    assert_eq!(telemetry.total_transfers(), outcome.stats.total_transfers);
+    assert_eq!(telemetry.cross_shard_fraction(), 0.0);
+    assert_eq!(
+        telemetry.checked_per_shard,
+        [outcome.profile.total_checked() as u64]
+    );
+    // One (0 → 0) flush record per iteration that moved anything, in order.
+    let moved = outcome
+        .stats
+        .iterations
+        .iter()
+        .filter(|it| it.transfers > 0);
+    let expected: Vec<(usize, u64)> = moved
+        .map(|it| (it.iteration, it.transfers as u64))
+        .collect();
+    let recorded = telemetry.flushes.iter();
+    let recorded: Vec<(usize, u64)> = recorded.map(|f| (f.src_iteration, f.transfers)).collect();
+    assert_eq!(recorded, expected);
+    assert!(telemetry.flushes.iter().all(|f| (f.src, f.dst) == (0, 0)));
+    assert_eq!(
+        telemetry.total_flush_bytes(),
+        telemetry.total_mailbox_bytes()
     );
 }

@@ -66,9 +66,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             telemetry.total_cross_shard_bytes() > 0,
             "sharded execution must route cross-shard mailbox traffic"
         );
+        // Over-partitioning shows here, not on stderr: a shard that owns no
+        // k-mers starts at zero and its channel idles.
+        let idle = telemetry.initial_alive_per_shard.iter();
         println!(
-            "\n{} shards: bit-identical ✓   per-shard alive (final): {:?}",
-            telemetry.shard_count, telemetry.final_alive_per_shard,
+            "\n{} shards ({} idle): bit-identical ✓   per-shard alive (final): {:?}",
+            telemetry.shard_count,
+            idle.filter(|&&alive| alive == 0).count(),
+            telemetry.final_alive_per_shard,
         );
         println!(
             "  P1 load imbalance {:.3}, mailbox {} B/iter avg, {:.1}% cross-shard",

@@ -9,15 +9,13 @@
 //! experiments fig12 tab1 # print a subset
 //! experiments sweep fig12          # run a recipe sweep — writes ./BENCH_sweep.json
 //!                                  # and exits 1 when a recipe gate is violated
-//! experiments sweep smoke --server 2  # run the sweep's one-shot cells as
-//!                                  # concurrent job-server jobs
 //! experiments sweep fig12 'normalized_performance>=100'  # extra ad-hoc gate
 //!                                  # (applies to every cell; exit 1 on violation)
 //! NMP_PAK_SWEEP_OUT=/tmp/s.json experiments sweep smoke  # sweep report path
 //! NMP_PAK_BENCH_SCALE=standard experiments   # the 100 kbp workload (slower)
 //! ```
 
-use nmp_pak_bench::sweep::{print_report, run_sweep, write_report, SweepMode};
+use nmp_pak_bench::sweep::{print_report, run_sweep, write_report};
 use nmp_pak_bench::{pct, prepare_experiments, BenchScale};
 use nmp_pak_core::experiments::Experiments;
 use nmp_pak_recipe::{builtin, Gate};
@@ -44,7 +42,7 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
 fn usage() -> String {
     format!(
         "usage: experiments [SUBCOMMAND]...\n       experiments sweep <recipe> \
-         [--server N] [metric>=x | metric<=x]...\n\nsubcommands: {}\nrecipes:     {}",
+         [metric>=x | metric<=x]...\n\nsubcommands: {}\nrecipes:     {}",
         KNOWN_SUBCOMMANDS.join(" "),
         builtin::names().join(" ")
     )
@@ -121,7 +119,7 @@ fn main() {
     }
 }
 
-/// `experiments sweep <recipe> [--server N] [metric>=x | metric<=x]...`:
+/// `experiments sweep <recipe> [metric>=x | metric<=x]...`:
 /// resolves a shipped recipe, runs it with the vendored-baseline probe,
 /// prints the matrix, writes `BENCH_sweep.json` (path override:
 /// `NMP_PAK_SWEEP_OUT`), and exits 1 when any gate — built-in or ad-hoc —
@@ -140,27 +138,15 @@ fn sweep_main(args: &[String]) {
         std::process::exit(1);
     };
 
-    let mut mode = SweepMode::Local;
-    let mut rest = args[1..].iter().peekable();
-    while let Some(arg) = rest.next() {
-        if arg == "--server" {
-            let workers = rest
-                .next()
-                .and_then(|w| w.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("error: `--server` needs a worker count\n\n{}", usage());
-                    std::process::exit(1);
-                });
-            mode = SweepMode::Server { workers };
-        } else if let Some(gate) = parse_gate(arg) {
-            recipe.gates.push(gate);
-        } else {
+    for arg in &args[1..] {
+        let Some(gate) = parse_gate(arg) else {
             eprintln!("error: unknown sweep argument `{arg}`\n\n{}", usage());
             std::process::exit(1);
-        }
+        };
+        recipe.gates.push(gate);
     }
 
-    let report = match run_sweep(&recipe, mode) {
+    let report = match run_sweep(&recipe) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("error: sweep `{name}` failed: {err}");

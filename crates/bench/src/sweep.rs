@@ -254,30 +254,16 @@ fn pipelined_critical_path(batch_timings: &[PhaseTimings], depth: usize) -> Dura
     finish_done
 }
 
-/// How `experiments sweep` executes cells.
-#[derive(Debug, Clone, Copy)]
-pub enum SweepMode {
-    /// Every cell in-process.
-    Local,
-    /// Unique one-shot runs as concurrent job-server jobs.
-    Server {
-        /// Worker threads in the server pool.
-        workers: usize,
-    },
-}
-
 /// Runs a recipe with the vendored-baseline probe attached.
 ///
 /// # Errors
 ///
 /// Propagates [`RecipeError`] from enumeration and execution; gate violations
 /// are reported in the returned [`SweepReport`], not as errors.
-pub fn run_sweep(recipe: &Recipe, mode: SweepMode) -> Result<SweepReport, RecipeError> {
-    let executor = match mode {
-        SweepMode::Local => Executor::local(),
-        SweepMode::Server { workers } => Executor::via_server(workers, None),
-    };
-    executor.with_probe(BaselineProbe::default()).run(recipe)
+pub fn run_sweep(recipe: &Recipe) -> Result<SweepReport, RecipeError> {
+    Executor::local()
+        .with_probe(BaselineProbe::default())
+        .run(recipe)
 }
 
 /// Prints the per-cell matrix and gate verdicts to stdout.

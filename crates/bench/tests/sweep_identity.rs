@@ -2,7 +2,7 @@
 //! are bit-identical to the hand-rolled `experiments fig12` subcommand, and a
 //! deliberately violated gate fails the sweep.
 
-use nmp_pak_bench::sweep::{run_sweep, BaselineProbe, SweepMode};
+use nmp_pak_bench::sweep::{run_sweep, BaselineProbe};
 use nmp_pak_bench::{prepare_experiments, BenchScale};
 use nmp_pak_recipe::{builtin, metric, Executor, Gate};
 
@@ -53,7 +53,7 @@ fn smoke_recipe_runs_with_the_baseline_probe() {
             gate.threshold = 0.01;
         }
     }
-    let report = run_sweep(&recipe, SweepMode::Local).unwrap();
+    let report = run_sweep(&recipe).unwrap();
     assert_eq!(report.cells.len(), 3);
     assert!(
         report.passed(),

@@ -55,10 +55,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // simulates backends.
     let software = assembler.run_source(workload.source(), BackendId::NMP_PAK)?;
     let (assembly, layout) = (software.assembly, software.layout);
-    let trace = assembly.trace.clone().expect("trace is forced on");
+    let trace = assembly.trace.as_ref().expect("trace is forced on");
     let ctx = SimulationContext::new(assembly.footprint.peak_bytes());
     let registry = BackendRegistry::extended(&assembler.system);
-    let results = registry.simulate_all(&trace, &layout, &ctx);
+    let results = registry.simulate_all(trace, &layout, &ctx);
     let baseline = results
         .iter()
         .find(|r| r.backend == BackendId::CPU_BASELINE)

@@ -71,27 +71,15 @@ impl NmpPakAssembler {
         BackendRegistry::standard(&self.system)
     }
 
-    /// Runs the software pipeline once, returning the assembly output plus the
-    /// replay inputs every backend shares.
-    fn run_software(
-        &self,
-        workload: &Workload,
-    ) -> Result<(AssemblyOutput, CompactionTrace, NodeLayout), PakmanError> {
-        let assembly = PakmanAssembler::new(self.pakman).assemble(&workload.reads)?;
-        self.replay_inputs(assembly)
-    }
-
-    /// Extracts the trace and MacroNode layout every backend replays.
-    fn replay_inputs(
-        &self,
-        assembly: AssemblyOutput,
-    ) -> Result<(AssemblyOutput, CompactionTrace, NodeLayout), PakmanError> {
+    /// The trace `assembly` recorded and the MacroNode layout built from it:
+    /// what every backend replays. The trace stays where it was recorded.
+    fn replay_inputs<'a>(&self, assembly: &'a AssemblyOutput) -> (&'a CompactionTrace, NodeLayout) {
         let trace = assembly
             .trace
-            .clone()
+            .as_ref()
             .expect("trace recording is forced on by NmpPakAssembler");
         let layout = NodeLayout::new(&trace.initial_sizes, &self.system.dram);
-        Ok((assembly, trace, layout))
+        (trace, layout)
     }
 
     /// Runs the pipeline on `workload` and simulates compaction on the backend
@@ -127,9 +115,10 @@ impl NmpPakAssembler {
         workload: &Workload,
         backend: &dyn CompactionBackend,
     ) -> Result<SystemRun, PakmanError> {
-        let (assembly, trace, layout) = self.run_software(workload)?;
+        let assembly = PakmanAssembler::new(self.pakman).assemble(&workload.reads)?;
+        let (trace, layout) = self.replay_inputs(&assembly);
         let ctx = Self::context_for(&assembly);
-        let backend_result = backend.simulate(&trace, &layout, &ctx);
+        let backend_result = backend.simulate(trace, &layout, &ctx);
         Ok(SystemRun {
             assembly,
             layout,
@@ -172,9 +161,9 @@ impl NmpPakAssembler {
             message: format!("backend id `{id}` is not in the standard registry"),
         })?;
         let assembly = PakmanAssembler::new(self.pakman).assemble_source(source)?;
-        let (assembly, trace, layout) = self.replay_inputs(assembly)?;
+        let (trace, layout) = self.replay_inputs(&assembly);
         let ctx = Self::context_for(&assembly);
-        let backend_result = backend.simulate(&trace, &layout, &ctx);
+        let backend_result = backend.simulate(trace, &layout, &ctx);
         Ok(SystemRun {
             assembly,
             layout,
@@ -192,9 +181,10 @@ impl NmpPakAssembler {
         &self,
         workload: &Workload,
     ) -> Result<(AssemblyOutput, Vec<BackendResult>), PakmanError> {
-        let (assembly, trace, layout) = self.run_software(workload)?;
+        let assembly = PakmanAssembler::new(self.pakman).assemble(&workload.reads)?;
+        let (trace, layout) = self.replay_inputs(&assembly);
         let ctx = Self::context_for(&assembly);
-        let results = self.registry().simulate_all(&trace, &layout, &ctx);
+        let results = self.registry().simulate_all(trace, &layout, &ctx);
         Ok((assembly, results))
     }
 }

@@ -9,7 +9,6 @@ use super::{BackendId, BackendResult, CompactionBackend, SimulationContext, Syst
 use nmp_pak_memsim::cpu::simulate_cpu_compaction;
 use nmp_pak_memsim::{CpuConfig, DramConfig, NodeLayout, ProcessFlow};
 use nmp_pak_pakman::CompactionTrace;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the unoptimized-software CPU backend.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// thread count. This knob used to be `SystemConfig::unoptimized_threads`, where
 /// every other backend silently ignored it; it now lives with the one backend
 /// that uses it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnoptimizedCpuConfig {
     /// Thread count modelling the unoptimized software's limited parallel
     /// sections.

@@ -28,7 +28,6 @@ pub use registry::BackendRegistry;
 use nmp_pak_memsim::{CpuConfig, DramConfig, GpuConfig, MemoryStats, NodeLayout, TrafficSummary};
 use nmp_pak_nmphw::{CommStats, NmpConfig};
 use nmp_pak_pakman::CompactionTrace;
-use serde::{Deserialize, Serialize};
 
 /// Stable identifier of an execution backend.
 ///
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 /// configurations have the constants below, and custom backends mint their own
 /// with [`BackendId::new`]. Lookup by id (or by figure label) goes through
 /// [`BackendRegistry`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BackendId(&'static str);
 
 impl BackendId {
@@ -190,7 +189,7 @@ pub trait CompactionBackend: std::fmt::Debug + Send + Sync {
 ///
 /// Per-backend knobs (e.g. the unoptimized software's limited thread count) live
 /// with their backend — see [`UnoptimizedCpuConfig`] — not here.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SystemConfig {
     /// Main-memory organization (shared by the CPU host and the NMP DIMMs).
     pub dram: DramConfig,
@@ -203,7 +202,7 @@ pub struct SystemConfig {
 }
 
 /// The outcome of simulating Iterative Compaction on one backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendResult {
     /// Which backend produced this result.
     pub backend: BackendId,

@@ -25,10 +25,9 @@
 use super::{BackendId, BackendResult, CompactionBackend, SimulationContext, SystemConfig};
 use nmp_pak_memsim::{AddressMapping, DramConfig, MemoryStats, NodeLayout, TrafficSummary};
 use nmp_pak_pakman::CompactionTrace;
-use serde::{Deserialize, Serialize};
 
 /// Microarchitectural parameters of the in-DRAM bitwise model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PandaConfig {
     /// Compute-capable subarrays per bank that can operate concurrently.
     pub compute_subarrays_per_bank: usize,

@@ -37,7 +37,8 @@ pub struct Experiments {
     pub workload: Workload,
     /// The assembler (software + system configuration).
     pub assembler: NmpPakAssembler,
-    /// The software assembly output.
+    /// The software assembly output; its `trace` is `None`, moved to
+    /// [`Experiments::trace`] (at most one copy of the trace is ever resident).
     pub assembly: AssemblyOutput,
     /// The recorded compaction trace.
     pub trace: CompactionTrace,
@@ -70,10 +71,10 @@ impl Experiments {
     ///
     /// Propagates software-pipeline errors.
     pub fn prepare(workload: Workload, assembler: NmpPakAssembler) -> Result<Self, PakmanError> {
-        let (assembly, backends) = assembler.run_all_backends(&workload)?;
+        let (mut assembly, backends) = assembler.run_all_backends(&workload)?;
         let trace = assembly
             .trace
-            .clone()
+            .take()
             .expect("NmpPakAssembler always records the trace");
         let layout = NodeLayout::new(&trace.initial_sizes, &assembler.system.dram);
         Ok(Experiments {
@@ -310,25 +311,10 @@ impl Experiments {
         }
     }
 
-    /// Re-simulates the NMP backend with a custom configuration (used by ablations).
-    pub fn simulate_nmp_variant(&self, config: NmpConfig) -> BackendResult {
-        let backend = NmpBackend::with_config(
-            BackendId::NMP_PAK,
-            "NMP-PaK",
-            config,
-            &self.assembler.system,
-        );
-        backend.simulate(
-            &self.trace,
-            &self.layout,
-            &NmpPakAssembler::context_for(&self.assembly),
-        )
-    }
-
-    /// The run's external-memory counting telemetry, recorded when the
-    /// assembly ran under a [`nmp_pak_pakman::SpillConfig`] resident-byte
-    /// budget (`None` on the in-memory counting path). The `experiments sweep
-    /// spill` recipe reports the same quantities per budget.
+    /// The k-mer counter's telemetry, recorded when the assembly ran under a
+    /// [`nmp_pak_pakman::SpillConfig`] resident-byte budget (`None` when
+    /// counting had no bound). The `experiments sweep spill` recipe reports the
+    /// same quantities per budget.
     pub fn spill_telemetry(&self) -> Option<nmp_pak_pakman::SpillTelemetry> {
         self.assembly.spill
     }

@@ -60,6 +60,6 @@ pub use reference::{ReferenceGenome, ReferenceGenomeBuilder, RepeatSpec};
 pub use sequencer::{ReadSimulator, SequencerConfig};
 pub use shard::{shard_of_k1mer, shard_of_packed};
 pub use source::{
-    FastaFastqSource, InMemorySource, OwnedMemorySource, PrefetchSource, ReadChunk, ReadSource,
-    SequenceFileFormat, SyntheticSource,
+    FastaFastqSource, InMemorySource, PrefetchSource, ReadChunk, ReadSource, SequenceFileFormat,
+    SyntheticSource,
 };

@@ -257,53 +257,6 @@ impl<'r> ReadSource<'r> for InMemorySource<'r> {
     }
 }
 
-/// Owning [`ReadSource`] over a materialized read set.
-///
-/// The owning counterpart of [`InMemorySource`], for callers that hand the
-/// reads themselves to a consumer with no slice to borrow from (e.g. a job
-/// server accepting reads in a submitted job spec). Implements
-/// `ReadSource<'static>` and yields owned chunks; the concatenated stream is
-/// exactly the wrapped `Vec`, in order.
-#[derive(Debug, Clone)]
-pub struct OwnedMemorySource {
-    reads: std::collections::VecDeque<SequencingRead>,
-    chunk_reads: usize,
-}
-
-impl OwnedMemorySource {
-    /// A source yielding chunks of at most [`DEFAULT_CHUNK_READS`] reads.
-    pub fn new(reads: Vec<SequencingRead>) -> OwnedMemorySource {
-        OwnedMemorySource::with_chunk_reads(reads, DEFAULT_CHUNK_READS)
-    }
-
-    /// A source yielding chunks of at most `chunk_reads` reads (clamped to at
-    /// least 1).
-    pub fn with_chunk_reads(reads: Vec<SequencingRead>, chunk_reads: usize) -> OwnedMemorySource {
-        OwnedMemorySource {
-            reads: reads.into(),
-            chunk_reads: chunk_reads.max(1),
-        }
-    }
-}
-
-impl ReadSource<'static> for OwnedMemorySource {
-    fn next_chunk(&mut self) -> Result<Option<ReadChunk<'static>>, GenomeError> {
-        if self.reads.is_empty() {
-            return Ok(None);
-        }
-        let take = self.chunk_reads.min(self.reads.len());
-        Ok(Some(ReadChunk::Owned(self.reads.drain(..take).collect())))
-    }
-
-    fn reads_hint(&self) -> (usize, Option<usize>) {
-        (self.reads.len(), Some(self.reads.len()))
-    }
-
-    fn bases_hint(&self) -> Option<u64> {
-        Some(self.reads.iter().map(|r| r.len() as u64).sum())
-    }
-}
-
 /// The on-disk format a [`FastaFastqSource`] is parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SequenceFileFormat {

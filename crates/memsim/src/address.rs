@@ -6,10 +6,9 @@
 //! inside a DIMM.
 
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 
 /// The DRAM coordinates of one physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramLocation {
     /// Channel (and DIMM) index.
     pub channel: usize,
@@ -29,7 +28,7 @@ pub struct DramLocation {
 /// addr / dimm_capacity`), then striped across banks at row-buffer granularity so
 /// consecutive rows of a node land in different banks (bank-level parallelism for
 /// streaming a large node), matching the layout assumptions in §4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AddressMapping {
     config: DramConfig,
     /// Bytes assigned to each DIMM before wrapping to the next channel.

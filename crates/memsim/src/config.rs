@@ -1,10 +1,8 @@
 //! DRAM organization and timing parameters (Table 2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// DDR4 timing parameters, expressed in memory-controller clock cycles
 /// (one cycle = 0.625 ns at DDR4-3200).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTimings {
     /// Row-to-column delay (ACT → READ/WRITE).
     pub t_rcd: u64,
@@ -53,7 +51,7 @@ impl DramTimings {
 
 /// DRAM organization: the paper's system is DDR4-3200, 8 channels, one DIMM per
 /// channel, 2 ranks per channel, 1 TB total (Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Number of memory channels (each hosting one DIMM in this model).
     pub channels: usize,

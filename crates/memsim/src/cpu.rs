@@ -17,10 +17,9 @@ use crate::layout::NodeLayout;
 use crate::stats::MemoryStats;
 use crate::traffic::{build_iteration_requests, ProcessFlow, TrafficSummary};
 use nmp_pak_pakman::CompactionTrace;
-use serde::{Deserialize, Serialize};
 
 /// CPU machine parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Hardware threads used by the run (the paper profiles with 64).
     pub threads: usize,
@@ -65,7 +64,7 @@ impl Default for CpuConfig {
 
 /// Stall-time decomposition of a compaction run, as fractions summing to 1
 /// (the categories of Fig. 6).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StallBreakdown {
     /// Core computation.
     pub base: f64,
@@ -89,7 +88,7 @@ impl StallBreakdown {
 }
 
 /// Result of simulating Iterative Compaction on the CPU model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuRunResult {
     /// Simulated runtime in nanoseconds.
     pub runtime_ns: f64,

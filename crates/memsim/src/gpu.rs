@@ -13,10 +13,9 @@ use crate::layout::NodeLayout;
 use crate::stats::MemoryStats;
 use crate::traffic::{build_iteration_requests, ProcessFlow, TrafficSummary};
 use nmp_pak_pakman::CompactionTrace;
-use serde::{Deserialize, Serialize};
 
 /// GPU device parameters (defaults: A100 40 GB).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Device memory capacity in bytes.
     pub memory_capacity_bytes: u64,
@@ -69,7 +68,7 @@ impl GpuConfig {
 }
 
 /// Result of simulating a compaction trace on the GPU model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuRunResult {
     /// Simulated runtime in nanoseconds.
     pub runtime_ns: f64,

@@ -8,10 +8,9 @@
 
 use crate::config::DramConfig;
 use crate::request::MemRequest;
-use serde::{Deserialize, Serialize};
 
 /// The physical layout of every MacroNode slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeLayout {
     /// Byte address of each slot.
     addresses: Vec<u64>,

@@ -1,9 +1,7 @@
 //! Memory requests.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether a request reads or writes memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A read (MacroNode fetch, TransferNode fetch).
     Read,
@@ -15,7 +13,7 @@ pub enum AccessKind {
 ///
 /// A MacroNode larger than one line produces several requests sharing the same
 /// `mn_slot` tag, mirroring the paper's `mn_idx` trace grouping (§5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Physical byte address of the first byte accessed.
     pub addr: u64,

@@ -1,9 +1,7 @@
 //! Traffic and bandwidth statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate memory-system statistics for one simulated region of execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryStats {
     /// Number of read requests (line granularity).
     pub read_lines: u64,

@@ -17,10 +17,9 @@
 use crate::layout::NodeLayout;
 use crate::request::MemRequest;
 use nmp_pak_pakman::trace::IterationTrace;
-use serde::{Deserialize, Serialize};
 
 /// Which process flow to model when expanding a trace into memory requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessFlow {
     /// Original PaKman flow: one full pass over all MacroNodes per stage
     /// (3 read passes), plus a bookkeeping write-back of every node per iteration.
@@ -34,7 +33,7 @@ pub enum ProcessFlow {
 }
 
 /// Aggregate read/write traffic over a whole trace, normalized later for Fig. 14.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSummary {
     /// Read requests (node granularity).
     pub reads: u64,
@@ -129,20 +128,6 @@ pub fn build_iteration_requests(
     }
 
     requests
-}
-
-/// Sums the traffic of a whole trace under `flow`.
-pub fn summarize_trace(
-    trace: &nmp_pak_pakman::CompactionTrace,
-    layout: &NodeLayout,
-    flow: ProcessFlow,
-) -> TrafficSummary {
-    let mut summary = TrafficSummary::default();
-    for iteration in &trace.iterations {
-        let requests = build_iteration_requests(iteration, layout, flow);
-        summary.add_requests(&requests);
-    }
-    summary
 }
 
 impl NodeLayout {

@@ -7,10 +7,9 @@
 //! comparison.
 
 use crate::config::NmpConfig;
-use serde::{Deserialize, Serialize};
 
 /// Area (mm²) and power (mW) of one hardware component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentBudget {
     /// Component name.
     pub name: &'static str,
@@ -26,7 +25,7 @@ pub const BUFFER_CHIP_AREA_MM2: f64 = 100.0;
 pub const DIMM_POWER_W: f64 = 13.0;
 
 /// The Table 3 component model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaPowerModel {
     /// Per-PE components (buffers, scratchpads, ALUs).
     pub pe_components: Vec<ComponentBudget>,
@@ -115,7 +114,7 @@ impl AreaPowerModel {
 
 /// §6.6 comparison: power and area advantage of an 8-DIMM NMP-PaK system over the GPU
 /// cluster needed to hold the same footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuComparison {
     /// GPUs required for the footprint.
     pub gpus_needed: u64,

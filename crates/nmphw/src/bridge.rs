@@ -5,10 +5,8 @@
 //! broadcast mechanism; its 25 GB/s links are shared by all cross-DIMM traffic of a
 //! compaction iteration.
 
-use serde::{Deserialize, Serialize};
-
 /// Network-bridge model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkBridge {
     /// Per-link bandwidth in GB/s (25 GB/s in the paper).
     pub link_bandwidth_gbps: f64,

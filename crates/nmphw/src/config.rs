@@ -1,9 +1,7 @@
 //! NMP hardware configuration (Table 2's "NMP Implementation" block).
 
-use serde::{Deserialize, Serialize};
-
 /// Which processing-element timing variant to model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeVariant {
     /// The proposed pipelined systolic PE with its RTL-derived cycle counts.
     Pipelined,
@@ -13,7 +11,7 @@ pub enum PeVariant {
 }
 
 /// Configuration of the NMP system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NmpConfig {
     /// Processing elements per channel (the paper evaluates 1–64 and picks 16–32).
     pub pes_per_channel: usize,

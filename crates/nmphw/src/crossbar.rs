@@ -5,10 +5,8 @@
 //! in the same DIMM but a different PE traverse it; the model charges a fixed
 //! per-hop latency plus output-port serialization.
 
-use serde::{Deserialize, Serialize};
-
 /// Crossbar model: per-transfer latency and per-port bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossbarSwitch {
     /// Number of PE ports (the bridge adds one more).
     pub pe_ports: usize,

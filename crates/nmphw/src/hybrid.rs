@@ -8,10 +8,9 @@
 
 use crate::config::NmpConfig;
 use nmp_pak_pakman::trace::IterationTrace;
-use serde::{Deserialize, Serialize};
 
 /// The split of one iteration's MacroNodes between the NMP PEs and the host CPU.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HybridSchedule {
     /// Slots processed by the NMP PEs (size ≤ threshold).
     pub nmp_slots: Vec<usize>,
@@ -35,7 +34,7 @@ impl HybridSchedule {
 }
 
 /// Splits each iteration's node set by the offload threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridScheduler {
     /// Nodes strictly larger than this many bytes go to the CPU.
     pub threshold_bytes: usize,

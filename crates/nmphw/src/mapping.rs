@@ -4,10 +4,8 @@
 //! destination MacroNode can be found by comparing its slot against one boundary per
 //! DIMM — a tiny lookup table held in every PE's stage P3, eliminating any search.
 
-use serde::{Deserialize, Serialize};
-
 /// Mapping table from MacroNode slot ranges to DIMMs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimmMappingTable {
     /// `boundaries[d]` is the first slot index *not* stored in DIMM `d`
     /// (exclusive upper bound); boundaries are non-decreasing.
@@ -54,7 +52,7 @@ impl DimmMappingTable {
 /// same discipline as rank-over-node placement in distributed PaKman); fewer
 /// shards than channels leave the surplus channels idle, which the load model
 /// reports rather than hides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardChannelMap {
     shards: usize,
     channels: usize,

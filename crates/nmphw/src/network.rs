@@ -14,13 +14,11 @@
 //! an 8-way partition, which is why multi-node scaling is communication-bound)
 //! without running more than one host.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mapping::ShardChannelMap;
 use nmp_pak_pakman::ShardingTelemetry;
 
 /// Inter-node wiring of the simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Topology {
     /// Every node pair has a direct link (one hop).
     #[default]
@@ -32,7 +30,7 @@ pub enum Topology {
 }
 
 /// Cost model for one inter-node link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-hop wire + switch latency in nanoseconds.
     pub latency_ns: f64,
@@ -178,7 +176,7 @@ impl NetworkModel {
 }
 
 /// The projected cost of running a measured one-host workload on a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultinodeProjection {
     /// Cluster size the projection targets.
     pub nodes: usize,

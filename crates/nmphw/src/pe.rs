@@ -9,10 +9,9 @@
 //! instruction count statistics for each stage" methodology (§5.2).
 
 use crate::config::{NmpConfig, PeVariant};
-use serde::{Deserialize, Serialize};
 
 /// Cycle counts of one MacroNode's trip through the PE pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCycles {
     /// Stage P1: invalidation check (neighbour (k-1)-mer computation + comparisons).
     pub p1: u64,
@@ -30,7 +29,7 @@ impl StageCycles {
 }
 
 /// The PE cycle model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeCycleModel {
     /// Fixed cycles per stage (pipeline control, field decoding).
     pub fixed_cycles_per_stage: u64,

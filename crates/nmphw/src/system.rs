@@ -17,10 +17,9 @@ use crate::mapping::{DimmMappingTable, ShardChannelMap};
 use crate::pe::PeCycleModel;
 use nmp_pak_memsim::{CpuConfig, DramConfig, MemoryStats, NodeLayout, ProcessFlow, TrafficSummary};
 use nmp_pak_pakman::{CompactionTrace, ShardingTelemetry};
-use serde::{Deserialize, Serialize};
 
 /// Communication-locality statistics for TransferNode routing (§6.3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Transfers whose source and destination are handled by the same PE.
     pub same_pe: u64,
@@ -65,7 +64,7 @@ impl CommStats {
 }
 
 /// Result of one NMP-PaK simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NmpRunResult {
     /// Simulated Iterative Compaction runtime in nanoseconds.
     pub runtime_ns: f64,
@@ -95,7 +94,7 @@ impl NmpRunResult {
 /// P1 evaluations of the shards it hosts, and cross-channel bytes come from the
 /// mailbox's shard→shard byte matrix — only bytes whose source and destination
 /// shards land on *different channels* count as bridge traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelLoadStats {
     /// The shard → channel mapping used.
     pub map: ShardChannelMap,

@@ -45,12 +45,11 @@ use crate::par::{fork_join_into, plan, GRAIN};
 use crate::trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 use crate::transfer::{TransferNode, TransferSide};
 use nmp_pak_genome::Kmer;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Histogram of MacroNode sizes with the power-of-two buckets of Fig. 7
 /// (≤256 B, 512 B, 1 KB, 2 KB, 4 KB, 8 KB, 16 KB, 32 KB, >32 KB).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SizeHistogram {
     /// Count per bucket; bucket `i` covers `(bound[i-1], bound[i]]` with the bounds
     /// given by [`SizeHistogram::BUCKET_BOUNDS`], and the final bucket is overflow.
@@ -125,7 +124,7 @@ impl SizeHistogram {
 }
 
 /// Per-iteration compaction statistics (drives Figs. 7 and 8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationStats {
     /// Iteration number (0-based).
     pub iteration: usize,
@@ -143,7 +142,7 @@ pub struct IterationStats {
 }
 
 /// Whole-run compaction statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompactionStats {
     /// Alive nodes before the first iteration.
     pub initial_nodes: usize,
@@ -212,14 +211,6 @@ impl CompactionProfile {
     /// iteration start).
     pub fn total_full_scan_checks(&self) -> usize {
         self.iterations.iter().map(|i| i.alive_nodes).sum()
-    }
-
-    /// Summed wall-clock of the three stages: `(P1, P2, P3)`.
-    pub fn stage_totals(&self) -> (Duration, Duration, Duration) {
-        self.iterations.iter().fold(
-            (Duration::ZERO, Duration::ZERO, Duration::ZERO),
-            |(p1, p2, p3), it| (p1 + it.p1, p2 + it.p2, p3 + it.p3),
-        )
     }
 }
 

@@ -2,7 +2,6 @@
 
 use crate::error::PakmanError;
 use nmp_pak_genome::kmer::MAX_K;
-use serde::{Deserialize, Serialize};
 
 /// Which P1 scan strategy Iterative Compaction uses.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// thread count; they differ only in how much work stage P1 performs. See the
 /// "frontier invariant" section of DESIGN.md for why skipping clean nodes cannot
 /// change any output bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CompactionMode {
     /// Re-evaluate the invalidation predicate for every alive node every
     /// iteration — the pre-frontier behaviour, kept as a benchmark baseline and
@@ -42,7 +41,7 @@ pub enum CompactionMode {
 /// is allowed to differ. `compaction_node_threshold` and the iteration cap are
 /// applied against the global census at wave boundaries, exactly as under the
 /// barrier. Trace recording (`record_trace`) forces lock-step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ShardSchedule {
     /// Barriered iterations; bit-identical to the single-graph engine.
     #[default]
@@ -63,7 +62,7 @@ pub enum ShardSchedule {
 /// computes. A shard maps onto one NMP channel in the hardware model, so the
 /// natural production value is the channel count ([`ShardConfig::per_channel`];
 /// the paper's system has 8 channels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardConfig {
     /// Number of owner-computes shards. `1` keeps the monolithic single-graph
     /// execution path; values above 1 route construction and compaction through
@@ -122,30 +121,29 @@ impl ShardConfig {
     }
 }
 
-/// External-memory k-mer counting knob: the byte budget the bucket-major
-/// counter's resident value-partitioned buckets may occupy before the largest
-/// buckets are flushed to disk as sorted packed-`u64` runs.
+/// The k-mer counter's memory bound: the byte budget its resident
+/// value-partitioned buckets may occupy before the largest are evicted to disk
+/// as sorted packed-`u64` runs.
 ///
-/// Spill files are partitioned by the frozen
+/// There is one counter ([`crate::kmer_count`]): it consumes reads in waves,
+/// folds each wave into one sorted run per bucket, evicts when its ledger is
+/// overdrawn and fuses the count into the last merge. `None` is that counter
+/// with a single wave and nothing to evict; `Some(bytes)` sizes the waves to
+/// half the bound and turns eviction on. A bounded run that never overdraws
+/// creates no file. Run files are partitioned by the frozen
 /// [`nmp_pak_genome::shard_of_packed`] owner hash — the same hash that assigns
 /// MacroNodes to shards — so on-disk partitions align with shard ownership for
-/// free. Counting with any budget is **bit-identical** to in-memory counting:
-/// the read-back is a k-way merge of sorted runs fused with the identical
-/// run-length count + prune, so spilling changes where the bytes live, never
-/// what is counted. The budget is accounted through the same
-/// [`crate::memory::MemoryBudget`] machinery as the batch scheduler's
-/// `max_inflight_bytes` window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// free. Counting with any budget is **bit-identical** to counting with none:
+/// every finish feeds the same run-length count + prune, so the bound changes
+/// where the bytes live, never what is counted. The budget is accounted
+/// through the same [`crate::memory::MemoryBudget`] machinery as the batch
+/// scheduler's `max_inflight_bytes` window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpillConfig {
-    /// Byte budget for the counter's resident buckets. `None` keeps counting
-    /// fully in memory (the default); `Some(bytes)` engages the spill path,
-    /// which flushes the largest buckets once the resident extracted k-mers
-    /// exceed the budget.
+    /// Byte budget for the counter's resident buckets. `None` counts with no
+    /// bound (the default); `Some(bytes)` evicts the largest buckets once the
+    /// resident extracted k-mers exceed the budget.
     pub max_resident_bytes: Option<u64>,
-    /// Maximum number of sorted runs fused per k-way merge pass during
-    /// read-back; partitions holding more runs are reduced by intermediate
-    /// merge passes first.
-    pub merge_fan_in: usize,
 }
 
 impl Default for SpillConfig {
@@ -155,27 +153,22 @@ impl Default for SpillConfig {
 }
 
 impl SpillConfig {
-    /// Default merge fan-in: wide enough that a toy workload merges in one
-    /// pass, narrow enough that cursor buffers stay cache-friendly.
-    pub const DEFAULT_MERGE_FAN_IN: usize = 16;
-
-    /// Fully in-memory counting (no spill).
+    /// Counting with no bound (nothing is ever evicted).
     pub fn in_memory() -> Self {
         SpillConfig {
             max_resident_bytes: None,
-            merge_fan_in: Self::DEFAULT_MERGE_FAN_IN,
         }
     }
 
-    /// External-memory counting under a resident-byte budget.
+    /// Counting under a resident-byte budget (external memory when it
+    /// overflows).
     pub fn bounded(max_resident_bytes: u64) -> Self {
         SpillConfig {
             max_resident_bytes: Some(max_resident_bytes),
-            merge_fan_in: Self::DEFAULT_MERGE_FAN_IN,
         }
     }
 
-    /// `true` when the external-memory counting path is engaged.
+    /// `true` when counting runs under a byte budget.
     pub fn is_bounded(&self) -> bool {
         self.max_resident_bytes.is_some()
     }
@@ -184,19 +177,14 @@ impl SpillConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`PakmanError::InvalidConfig`] for a zero-byte budget or a merge
-    /// fan-in below 2. A budget far smaller than the workload is *not* an
-    /// error — the counter simply spills every extraction wave.
+    /// Returns [`PakmanError::InvalidConfig`] for a zero-byte budget. A budget
+    /// far smaller than the workload is *not* an error — the counter simply
+    /// evicts after every extraction wave.
     pub fn validate(&self) -> Result<(), PakmanError> {
         if self.max_resident_bytes == Some(0) {
             return Err(PakmanError::InvalidConfig {
                 message: "spill budget must be positive (use None for in-memory counting)"
                     .to_string(),
-            });
-        }
-        if self.merge_fan_in < 2 {
-            return Err(PakmanError::InvalidConfig {
-                message: format!("merge fan-in {} must be at least 2", self.merge_fan_in),
             });
         }
         Ok(())
@@ -209,7 +197,7 @@ impl SpillConfig {
 /// compaction termination threshold of 100 000 MacroNodes (scaled down here because the
 /// synthetic workloads are smaller), and k-mers observed fewer than twice pruned as
 /// sequencing errors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PakmanConfig {
     /// k-mer length (2..=32). The paper uses 32.
     pub k: usize,
@@ -238,8 +226,8 @@ pub struct PakmanConfig {
     /// single-graph engine; async drops the barrier and is verified equivalent
     /// on final output. Ignored when `shards.shard_count == 1`.
     pub shard_schedule: ShardSchedule,
-    /// External-memory k-mer counting budget (see [`SpillConfig`]). The default
-    /// is fully in-memory counting; any budget produces bit-identical output.
+    /// The k-mer counter's memory bound (see [`SpillConfig`]). The default is
+    /// none; any budget produces bit-identical output.
     pub spill: SpillConfig,
     /// Record a [`crate::trace::CompactionTrace`] during Iterative Compaction so the
     /// memory-system simulators can replay it.
@@ -384,42 +372,19 @@ mod tests {
     }
 
     #[test]
-    fn spill_config_validates_budget_and_fan_in() {
+    fn spill_config_validates_budget() {
         assert!(SpillConfig::in_memory().validate().is_ok());
         assert!(!SpillConfig::in_memory().is_bounded());
         assert!(SpillConfig::bounded(64 * 1024).validate().is_ok());
         assert!(SpillConfig::bounded(64 * 1024).is_bounded());
         assert!(SpillConfig::bounded(0).validate().is_err());
-        assert!(SpillConfig {
-            merge_fan_in: 1,
-            ..SpillConfig::in_memory()
-        }
-        .validate()
-        .is_err());
         assert!(PakmanConfig {
             spill: SpillConfig::bounded(0),
             ..PakmanConfig::default()
         }
         .validate()
         .is_err());
-        // The default configuration keeps the in-memory path.
+        // The default configuration counts with no bound.
         assert_eq!(PakmanConfig::default().spill, SpillConfig::in_memory());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let cfg = PakmanConfig {
-            k: 21,
-            threads: 8,
-            ..PakmanConfig::default()
-        };
-        let json = serde_json_like(&cfg);
-        assert!(json.contains("21"));
-    }
-
-    // serde_json is not in the dependency set; exercise Serialize via the Debug-stable
-    // bincode-free path by checking the derive compiles and the struct is Copy.
-    fn serde_json_like(cfg: &PakmanConfig) -> String {
-        format!("{cfg:?}")
     }
 }

@@ -1,7 +1,6 @@
 //! Contigs and assembly-quality metrics.
 
 use nmp_pak_genome::DnaString;
-use serde::{Deserialize, Serialize};
 
 /// A contig: one contiguous stretch of assembled genome (Fig. 1, step 8).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +31,7 @@ impl Contig {
 /// N50 is the paper's quality metric (§4.4, Table 1): the length of the smallest
 /// contig such that contigs of that length or longer cover at least half of the total
 /// assembly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AssemblyStats {
     /// Number of contigs.
     pub contig_count: usize,

@@ -1,7 +1,7 @@
 //! Cooperative run control: cancellation, progress observation, and a shared
 //! memory ledger for multi-tenant execution.
 //!
-//! [`crate::PakmanConfig`] is `Copy + Serialize` — a pure description of *what*
+//! [`crate::PakmanConfig`] is plain `Copy` data — a pure description of *what*
 //! to assemble — so everything about *who is watching this particular run* lives
 //! here instead: a [`CancelToken`] polled at stage boundaries and between
 //! compaction iterations, a [`ProgressObserver`] that streams stage/iteration

@@ -8,7 +8,6 @@
 //! so the footprint experiments (Table 1 context, §6.6 GPU-capacity analysis) can be
 //! reproduced at any scale.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -125,7 +124,7 @@ impl MemoryBudget {
 }
 
 /// Peak-memory model for one assembly run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryFootprint {
     /// Bytes of packed input reads held in memory.
     pub reads_bytes: u64,

@@ -17,11 +17,10 @@ use crate::shard::ShardingTelemetry;
 use crate::stage::AssemblyPipeline;
 use crate::trace::CompactionTrace;
 use nmp_pak_genome::{ReadSource, SequencingRead};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Wall-clock time spent in each assembly phase (the quantities behind Fig. 5).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Step A: accessing and distributing reads (here: partitioning / bookkeeping).
     pub access_reads: Duration,

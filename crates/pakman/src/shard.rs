@@ -72,7 +72,6 @@ use crate::memory::MemoryBudget;
 use crate::par::{fork_join, plan, radix_sort_pairs, GRAIN};
 use crate::transfer::{ShardMailbox, TransferNode};
 use nmp_pak_genome::{shard_of_packed, Kmer};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -354,7 +353,7 @@ impl ShardedGraph {
 }
 
 /// Mailbox traffic of one compaction iteration (the per-iteration exchange).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MailboxIterationStats {
     /// Iteration number (0-based).
     pub iteration: usize,
@@ -377,7 +376,7 @@ pub struct MailboxIterationStats {
 /// cell with traffic. Either way the per-flush bytes sum to the whole-run
 /// route matrix, so the network model charges identical traffic from both
 /// engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MailboxFlushStats {
     /// Source shard.
     pub src: usize,
@@ -394,7 +393,7 @@ pub struct MailboxFlushStats {
 /// Measured per-shard load and inter-shard traffic of one sharded run — the
 /// telemetry the `nmphw` channel model and the PANDA cost model consume instead
 /// of assuming uniform work and uniform traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardingTelemetry {
     /// Number of shards the run executed with.
     pub shard_count: usize,

@@ -1,11 +1,14 @@
-//! External-memory spill machinery for the bucket-major k-mer counter.
+//! The run files of the bucket-major k-mer counter (its external memory).
 //!
-//! When counting runs under a [`crate::config::SpillConfig`] byte budget, the
-//! counter flushes its largest resident buckets to disk as **sorted
-//! packed-`u64` runs** and streams them back at the end through a k-way merge
-//! fused with the same run-length count + prune as the in-memory path, so the
-//! counted output is bit-identical at any budget (see DESIGN.md, "External
-//! memory: spilled k-mer counting").
+//! When [`crate::kmer_count`]'s wave loop overdraws a
+//! [`crate::config::SpillConfig`] byte budget, it evicts its largest resident
+//! buckets to disk as **sorted packed-`u64` runs** and streams them back at
+//! the end through a k-way merge into the same emitter every finish feeds, so
+//! the counted output is bit-identical at any budget (see DESIGN.md,
+//! "External-memory counting"). This module owns the files — format, framing
+//! checks, fan-in reduction, k-way read-back — and no counting: the store is
+//! created on the counter's first eviction, so a run that never overdraws
+//! touches no file.
 //!
 //! # On-disk format
 //!
@@ -26,17 +29,16 @@
 //! silently wrong assembly.
 
 use crate::error::PakmanError;
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Telemetry of one external-memory counting run (recorded whenever
-/// [`crate::config::SpillConfig`] engages the spill path, even if the workload
-/// never actually overflowed the budget).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// Telemetry of one counting run under a byte budget (recorded whenever
+/// [`crate::config::SpillConfig`] is bounded, even if the workload never
+/// overflowed the budget — then everything but the peak reads zero).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillTelemetry {
     /// The configured resident-byte budget.
     pub budget_bytes: u64,
@@ -74,9 +76,22 @@ pub(crate) struct SpillIoStats {
     pub(crate) merge_passes: u32,
 }
 
+/// Sorted runs fused per k-way merge pass during read-back; a partition holding
+/// more is reduced by intermediate passes first. Wide enough that a toy
+/// workload merges in one pass, narrow enough that cursor buffers stay
+/// cache-friendly.
+pub(crate) const MERGE_FAN_IN: usize = 16;
+
 /// Unique suffix for spill directories, so concurrent counters in one process
 /// (e.g. pipelined batch fronts) never collide.
 static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+thread_local! {
+    /// Stores this thread has created: lets a test pin "a run that never
+    /// overdraws its budget creates no spill directory".
+    pub(crate) static STORES_CREATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 fn io_err(context: &str, path: &Path, err: std::io::Error) -> PakmanError {
     PakmanError::Spill {
@@ -112,17 +127,14 @@ impl SpillStore {
             SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).map_err(|e| io_err("creating spill directory", &dir, e))?;
+        #[cfg(test)]
+        STORES_CREATED.with(|created| created.set(created.get() + 1));
         Ok(SpillStore {
             dir,
             partitions,
             runs: Vec::new(),
             io: SpillIoStats::default(),
         })
-    }
-
-    /// `true` once at least one run has been written.
-    pub(crate) fn has_runs(&self) -> bool {
-        !self.runs.is_empty()
     }
 
     fn partition_path(&self, partition: usize) -> PathBuf {
@@ -419,7 +431,7 @@ mod tests {
         let mut store = SpillStore::create(4).unwrap();
         let bucket = sorted_bucket(&[9, 1, 5, 5, 3, 7, 1]);
         store.flush_buckets(&[&bucket]).unwrap();
-        assert!(store.has_runs());
+        assert!(!store.runs.is_empty());
         let (mut cursors, io, _store) = store.into_cursors(16).unwrap();
         assert_eq!(io.merge_passes, 1);
         assert!(io.bytes_spilled > 0);

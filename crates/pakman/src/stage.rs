@@ -28,9 +28,7 @@ use crate::contig::Contig;
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
-use crate::kmer_count::{
-    count_kmers, count_kmers_spilled_controlled, CountedKmer, KmerCountStats, KmerCounterConfig,
-};
+use crate::kmer_count::{count_kmers_controlled, CountedKmer, KmerCountStats, KmerCounterConfig};
 use crate::pipeline::PhaseTimings;
 use crate::shard::{compact_sharded_controlled, ShardedGraph, ShardingTelemetry};
 use crate::spill::SpillTelemetry;
@@ -79,8 +77,8 @@ pub struct CountedBatch {
     pub stats: KmerCountStats,
     /// Carried forward from [`ReadAccess`] for the footprint model.
     pub total_read_bases: u64,
-    /// External-memory counting telemetry when the spill path ran
-    /// ([`SpillConfig`] bounded), `None` on the in-memory path.
+    /// The counter's telemetry when it ran under a byte budget
+    /// ([`SpillConfig`] bounded), `None` when it had no bound.
     pub spill: Option<SpillTelemetry>,
 }
 
@@ -234,9 +232,9 @@ impl CountStage {
         }
     }
 
-    /// [`Stage::run`] under a [`RunControl`]: on the spilled path the resident
-    /// budget is chained into the control's global ledger and cancellation is
-    /// polled between ingest waves. Bit-identical to `run` either way.
+    /// [`Stage::run`] under a [`RunControl`]: a bounded resident budget is
+    /// chained into the control's global ledger and cancellation is polled
+    /// between ingest waves. Bit-identical to `run` either way.
     ///
     /// # Errors
     ///
@@ -246,19 +244,13 @@ impl CountStage {
         access: ReadAccess<'_>,
         control: &RunControl<'_>,
     ) -> Result<CountedBatch, PakmanError> {
-        let (counted, stats, spill) = if self.spill.is_bounded() {
-            let (counted, stats, telemetry) = count_kmers_spilled_controlled(
-                access.reads,
-                self.config,
-                &self.spill,
-                self.partitions,
-                control,
-            )?;
-            (counted, stats, Some(telemetry))
-        } else {
-            let (counted, stats) = count_kmers(access.reads, self.config)?;
-            (counted, stats, None)
-        };
+        let (counted, stats, spill) = count_kmers_controlled(
+            access.reads,
+            self.config,
+            &self.spill,
+            self.partitions,
+            control,
+        )?;
         if counted.is_empty() {
             return Err(PakmanError::EmptyInput {
                 message: format!(

@@ -10,10 +10,8 @@
 //! (read-modify-write). The `memsim` and `nmphw` crates replay it against their DRAM,
 //! CPU, GPU and NMP models.
 
-use serde::{Deserialize, Serialize};
-
 /// One invalidation-check access (pipeline stage P1) for a MacroNode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCheck {
     /// Stable slot index of the node (its rank in ascending (k-1)-mer order).
     pub slot: usize,
@@ -25,7 +23,7 @@ pub struct NodeCheck {
 }
 
 /// One TransferNode routed from an invalidated node to a neighbour (stages P2→P3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferEvent {
     /// Slot of the invalidated source node.
     pub source_slot: usize,
@@ -36,7 +34,7 @@ pub struct TransferEvent {
 }
 
 /// One destination-node update (stage P3 read-modify-write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateEvent {
     /// Slot of the updated node.
     pub dest_slot: usize,
@@ -45,7 +43,7 @@ pub struct UpdateEvent {
 }
 
 /// Everything that happened during one compaction iteration.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IterationTrace {
     /// Stage P1 accesses: one per alive node, in ascending slot order. This
     /// holds under the frontier scan too — nodes outside the dirty set report
@@ -81,7 +79,7 @@ impl IterationTrace {
 }
 
 /// The full trace of an Iterative Compaction run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactionTrace {
     /// Number of MacroNode slots in the graph (alive + later-invalidated); slot indices
     /// in the iteration records are `< slot_count`.

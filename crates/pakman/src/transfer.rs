@@ -66,14 +66,6 @@ impl TransferNode {
         out
     }
 
-    /// Extracts the (predecessor, successor) TransferNode pair for one interior path.
-    pub fn extract_for_path(node: &MacroNode, path: &ThroughPath) -> Vec<TransferNode> {
-        match TransferNode::extract_pair(node, path) {
-            Some((pred, succ)) => vec![pred, succ],
-            None => Vec::new(),
-        }
-    }
-
     /// Extracts the (predecessor, successor) pair for one interior path without
     /// wrapping the result in a `Vec` — the form the parallel P2 stage pushes
     /// straight into its pre-allocated per-thread buffers. Terminal paths yield

@@ -4,11 +4,8 @@
 //! Cells sharing a (workload, config, schedule) software run share its output
 //! (the pipeline is deterministic: same inputs ⇒ bit-identical outputs), so a
 //! backend sweep pays for one assembly plus one simulation per backend —
-//! exactly like the hand-rolled Fig. 12 driver. In
-//! [`ExecMode::Server`] the unique one-shot runs are submitted to an
-//! [`AssemblyServer`] as concurrent jobs under one shared `MemoryBudget`
-//! ledger; the server guarantees each job is bit-identical to a one-shot
-//! `PakmanAssembler` run, so results do not depend on the mode.
+//! exactly like the hand-rolled Fig. 12 driver. Every run is in-process, one
+//! after another.
 
 use crate::error::RecipeError;
 use crate::gate::GateOutcome;
@@ -23,7 +20,6 @@ use nmp_pak_pakman::{
     AssemblyOutput, AssemblyStats, BatchAssembler, BatchAssemblyOutput, PakmanAssembler,
     PakmanConfig,
 };
-use nmp_pak_server::{AssemblyServer, JobInput, JobSpec, ServerConfig};
 
 /// Well-known metric names.
 ///
@@ -174,47 +170,16 @@ pub trait MetricProbe {
     ) -> Vec<(String, f64)>;
 }
 
-/// How cells' software runs execute.
-#[derive(Debug, Clone, Copy)]
-pub enum ExecMode {
-    /// Every run in-process, one after another.
-    Local,
-    /// Unique one-shot runs as concurrent [`AssemblyServer`] jobs under one
-    /// shared memory ledger; batched-schedule cells still run locally (the
-    /// server does not schedule batch plans).
-    Server {
-        /// Worker threads in the server's shared pool.
-        workers: usize,
-        /// Global memory-ledger cap; `None` is unbounded.
-        memory_cap_bytes: Option<u64>,
-    },
-}
-
 /// Runs recipes: enumerates cells, executes them, computes metrics, and
 /// evaluates gates into a [`SweepReport`].
 pub struct Executor {
-    mode: ExecMode,
     probes: Vec<Box<dyn MetricProbe>>,
 }
 
 impl Executor {
     /// An executor running every cell in-process.
     pub fn local() -> Executor {
-        Executor {
-            mode: ExecMode::Local,
-            probes: Vec::new(),
-        }
-    }
-
-    /// An executor submitting unique one-shot runs to an [`AssemblyServer`].
-    pub fn via_server(workers: usize, memory_cap_bytes: Option<u64>) -> Executor {
-        Executor {
-            mode: ExecMode::Server {
-                workers,
-                memory_cap_bytes,
-            },
-            probes: Vec::new(),
-        }
+        Executor { probes: Vec::new() }
     }
 
     /// Registers a metric probe.
@@ -253,14 +218,6 @@ impl Executor {
 
         let mut workloads: Vec<((usize, u64, u64, u64), Workload)> = Vec::new();
         let mut runs: Vec<(RunKey, CellOutput)> = Vec::new();
-
-        if let ExecMode::Server {
-            workers,
-            memory_cap_bytes,
-        } = self.mode
-        {
-            self.prefill_via_server(&specs, workers, memory_cap_bytes, &mut workloads, &mut runs)?;
-        }
 
         let system = SystemConfig::default();
         let registry = BackendRegistry::standard(&system);
@@ -308,53 +265,6 @@ impl Executor {
             cells,
             gates,
         })
-    }
-
-    /// Runs every unique one-shot (workload, config) pair as a concurrent
-    /// server job and caches the outputs.
-    fn prefill_via_server(
-        &self,
-        specs: &[ScenarioSpec],
-        workers: usize,
-        memory_cap_bytes: Option<u64>,
-        workloads: &mut Vec<(WorkloadKey, Workload)>,
-        runs: &mut Vec<(RunKey, CellOutput)>,
-    ) -> Result<(), RecipeError> {
-        let mut pending: Vec<RunKey> = Vec::new();
-        for spec in specs {
-            if spec.schedule.is_batched() {
-                continue;
-            }
-            let key = RunKey::of(spec);
-            if !pending.contains(&key) {
-                pending.push(key);
-            }
-            workload_index(workloads, spec)?;
-        }
-        if pending.is_empty() {
-            return Ok(());
-        }
-
-        let server = AssemblyServer::start(ServerConfig {
-            workers,
-            memory_cap_bytes,
-        });
-        let mut handles = Vec::with_capacity(pending.len());
-        for key in &pending {
-            let reads = workloads
-                .iter()
-                .find(|(k, _)| *k == key.workload)
-                .map(|(_, w)| w.reads.clone())
-                .expect("workload synthesized above");
-            let handle = server.submit(JobSpec::new(JobInput::Reads(reads), key.config))?;
-            handles.push(handle);
-        }
-        for (key, handle) in pending.into_iter().zip(handles) {
-            let output = handle.join()?;
-            runs.push((key, CellOutput::Single(Box::new(output))));
-        }
-        server.shutdown();
-        Ok(())
     }
 }
 

@@ -15,10 +15,9 @@
 //!   the subcommands they replace.
 //! * [`Gate`] — a declarative assertion (`speedup >= 1.3`) over selected
 //!   cells; the built-in recipes' timing gates are the repository's CI floors.
-//! * [`Executor`] — runs every cell through `PakmanAssembler`/`BatchAssembler`
-//!   (or concurrently through the [`nmp_pak_server::AssemblyServer`] under one
-//!   memory ledger), simulates requested backends on the recorded trace, and
-//!   emits one [`SweepReport`] (`BENCH_sweep.json`).
+//! * [`Executor`] — runs every cell through `PakmanAssembler`/`BatchAssembler`,
+//!   simulates requested backends on the recorded trace, and emits one
+//!   [`SweepReport`] (`BENCH_sweep.json`).
 //!
 //! Shipped recipes live in [`builtin`]: `fig12`, `sharding`, `spill`,
 //! `multinode`, and the CI `smoke` grid.
@@ -36,7 +35,7 @@ pub mod spec;
 
 pub use axis::{Axis, AxisKey, Setting};
 pub use error::RecipeError;
-pub use exec::{metric, CellOutput, CellResult, ExecMode, Executor, MetricProbe};
+pub use exec::{metric, CellOutput, CellResult, Executor, MetricProbe};
 pub use gate::{CellSelector, Gate, GateOp, GateOutcome};
 pub use grid::{Filter, Grid};
 pub use report::SweepReport;

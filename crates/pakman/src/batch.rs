@@ -1,9 +1,11 @@
 //! Customized batch processing (§4.4 of the paper) with overlapped batch
 //! streaming (§4.5, Fig. 2) over a chunked [`ReadSource`].
 //!
-//! The input read stream is partitioned into batches; each batch's compacted
-//! PaK-graph is kept (they are small — tens of MB in the paper) and all of them
-//! are merged before the final graph walk. This trades a lower peak memory
+//! The input read stream is partitioned into batches, and what batching buys is
+//! that only one batch's PaK-graph is ever resident: when a batch's Iterative
+//! Compaction ends, its graph is consumed into its alive nodes (small — tens of
+//! MB in the paper), those are folded into one running merged node list, and
+//! the next batch's graph is built only then. This trades a lower peak memory
 //! footprint against contig quality: very small batches fragment the graph
 //! (k-mers split across batches fall below the pruning threshold, and the
 //! per-batch compaction takes divergent routes), which is the N50-vs-batch-size
@@ -22,16 +24,19 @@
 //! * [`BatchSchedule::Sequential`] runs each batch A→D before starting the next —
 //!   the original PaKman process flow.
 //! * [`BatchSchedule::Pipelined`] executes the paper's pipelined flow for real:
-//!   while batch *i* runs Iterative Compaction (stage D) on the calling thread,
-//!   the counting and construction fronts (stages A–C) of batches
-//!   *i + 1 … i + depth* run on their own scoped threads, with the admitted
-//!   read bytes bounded by `max_inflight_bytes`. Depth 1 is the default.
+//!   while batch *i* is built and compacted (stages C–D) and folded into the
+//!   merge on the calling thread, ingest and counting (stages A–B — the half
+//!   that holds the reads, and whose footprint the spill budget bounds) of
+//!   batches *i + 1 … i + depth* run on their own scoped threads, with the
+//!   admitted read bytes bounded by `max_inflight_bytes`. A graph is built,
+//!   compacted, folded and freed by one thread, so its memory goes back to the
+//!   allocator arena the next graph is taken from. Depth 1 is the default.
 //!
 //! Stage E runs once, on the merged graph: a batch's own contigs would be
 //! discarded by the merge, so no batch walks its graph.
 //!
 //! All schedules are **bit-identical**: every batch is a deterministic function
-//! of its reads alone, and per-batch outputs are merged in batch-index order
+//! of its reads alone, and per-batch outputs are folded in batch-index order
 //! regardless of completion order (the determinism contract of DESIGN.md).
 
 use crate::compaction::CompactionStats;
@@ -40,15 +45,18 @@ use crate::contig::{AssemblyStats, Contig};
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
+use crate::macronode::MacroNode;
 use crate::memory::{MemoryBudget, MemoryFootprint};
 use crate::pipeline::PhaseTimings;
 use crate::shard::ShardingTelemetry;
 use crate::spill::SpillTelemetry;
-use crate::stage::{AssemblyPipeline, CompactArtifact, FrontArtifact};
+use crate::stage::{AssemblyPipeline, CountedArtifact};
 use crate::trace::CompactionTrace;
 use crate::walk::generate_contigs;
+use nmp_pak_genome::shard::mix_packed;
 use nmp_pak_genome::{InMemorySource, ReadChunk, ReadSource, SequencingRead};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A plan dividing a read set into batches.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,12 +173,12 @@ pub enum BatchSchedule {
     /// original sequential-stage process flow).
     Sequential,
     /// The paper's pipelined flow as a *k*-deep software pipeline: while batch
-    /// *i* runs stage D on the calling thread, the fronts (A–C) of up to
-    /// `depth` later batches run concurrently on scoped worker threads. Output
-    /// is bit-identical to [`BatchSchedule::Sequential`] at any depth, thread
-    /// count, or budget.
+    /// *i* runs stages C–D on the calling thread, ingest and counting (A–B) of
+    /// up to `depth` later batches run concurrently on scoped worker threads.
+    /// Output is bit-identical to [`BatchSchedule::Sequential`] at any depth,
+    /// thread count, or budget.
     Pipelined {
-        /// Maximum number of batch fronts in flight while one batch finishes
+        /// Maximum number of batches being counted while one batch finishes
         /// (clamped to at least 1).
         depth: usize,
         /// Budget on the approximate bytes of read data admitted to the window
@@ -183,7 +191,7 @@ pub enum BatchSchedule {
 }
 
 impl Default for BatchSchedule {
-    /// One front in flight behind the compacting batch, no byte budget.
+    /// One batch being counted behind the compacting one, no byte budget.
     fn default() -> Self {
         BatchSchedule::Pipelined {
             depth: 1,
@@ -221,7 +229,9 @@ pub struct BatchAssemblyOutput {
     /// scheduler ([`ReadChunk::approx_read_bytes`] accounting). For a streamed
     /// source this is the ingestion memory high-water mark — bounded by
     /// [`BatchSchedule::Pipelined::max_inflight_bytes`] whenever every single
-    /// batch fits the budget.
+    /// batch fits the budget. A batch's bytes are released when its counting
+    /// is joined: its reads are dropped at the end of stage B, before its
+    /// graph is built.
     pub peak_inflight_read_bytes: u64,
     /// The merged compacted graph.
     pub merged_graph: PakGraph,
@@ -238,14 +248,68 @@ impl BatchAssemblyOutput {
     }
 }
 
-/// Everything the scheduler records about one batch, in batch-index order.
-#[derive(Debug)]
-struct BatchOutcome {
-    /// Total read bases in the batch (the census the footprint model needs).
-    read_bases: u64,
-    /// The batch's compacted graph and telemetry; `None` if the batch was
-    /// entirely pruned.
-    output: Option<CompactArtifact>,
+/// The running merge: all that is resident of the batches finished so far —
+/// their alive nodes folded into one list, and their records (an entirely
+/// pruned batch leaves none) in batch-index order.
+#[derive(Debug, Default)]
+struct Folded {
+    /// One node per (k-1)-mer, ascending; a node several batches share carries
+    /// their paths in batch order.
+    nodes: Vec<MacroNode>,
+    compaction: Vec<CompactionStats>,
+    timings: Vec<PhaseTimings>,
+    traces: Vec<CompactionTrace>,
+    sharding: Vec<ShardingTelemetry>,
+    spill: Vec<SpillTelemetry>,
+    peak_batch_footprint: MemoryFootprint,
+    /// Sums over the batches: the unbatched footprint's inputs.
+    total_read_bases: u64,
+    total_kmers: u64,
+    total_macronode_bytes: u64,
+}
+
+impl Folded {
+    /// Builds, compacts and folds one counted batch (C → D → fold) on the
+    /// calling thread: the batch's graph lives from here to the end of this
+    /// call and nowhere else.
+    fn finish_batch(
+        &mut self,
+        pipeline: &AssemblyPipeline,
+        counted: CountedArtifact,
+        control: &RunControl<'_>,
+    ) -> Result<(), PakmanError> {
+        let front = pipeline.construct_part(counted, control)?;
+        let batch = pipeline.compact_part(front, control)?;
+        let compacted = batch.compacted;
+        self.nodes = fold_nodes(
+            std::mem::take(&mut self.nodes),
+            compacted.graph.into_nodes(),
+        );
+        let total_kmers = batch.kmer_stats.total_kmers;
+        let footprint = MemoryFootprint::from_workload(
+            batch.total_read_bases,
+            total_kmers,
+            batch.macronode_bytes,
+        );
+        if footprint.peak_bytes() > self.peak_batch_footprint.peak_bytes() {
+            self.peak_batch_footprint = footprint;
+        }
+        self.total_read_bases += batch.total_read_bases;
+        self.total_kmers += total_kmers;
+        self.total_macronode_bytes += batch.macronode_bytes;
+        self.timings.push(PhaseTimings {
+            access_reads: batch.access_reads,
+            kmer_counting: batch.kmer_counting,
+            macronode_construction: batch.macronode_construction,
+            compaction: batch.compaction,
+            walk: std::time::Duration::ZERO,
+        });
+        self.compaction.push(compacted.stats);
+        self.traces.extend(compacted.trace);
+        self.sharding.extend(compacted.sharding);
+        self.spill.extend(batch.spill);
+        Ok(())
+    }
 }
 
 /// Assembles a read stream batch-by-batch and merges the compacted graphs.
@@ -350,92 +414,55 @@ impl BatchAssembler {
         control: &RunControl<'_>,
     ) -> Result<BatchAssemblyOutput, PakmanError> {
         let pipeline = AssemblyPipeline::new(self.config)?;
-        let (outcomes, peak_inflight) = match self.schedule {
+        let (folded, peak_inflight) = match self.schedule {
             BatchSchedule::Sequential => run_sequential(&pipeline, source, control)?,
             BatchSchedule::Pipelined {
                 depth,
                 max_inflight_bytes,
             } => run_pipelined(&pipeline, source, depth, max_inflight_bytes, control)?,
         };
-        self.merge(outcomes, peak_inflight)
+        self.merge(folded, peak_inflight)
     }
 
-    /// Merges per-batch outcomes (in batch-index order) into the final result.
+    /// Turns the running merge into the final result: one walk over the merged
+    /// graph, then contig deduplication.
     fn merge(
         &self,
-        outcomes: Vec<BatchOutcome>,
+        folded: Folded,
         peak_inflight_read_bytes: u64,
     ) -> Result<BatchAssemblyOutput, PakmanError> {
-        let mut merged_nodes = Vec::new();
-        let mut batch_compaction = Vec::with_capacity(outcomes.len());
-        let mut batch_timings = Vec::with_capacity(outcomes.len());
-        let mut batch_traces = Vec::new();
-        let mut batch_sharding = Vec::new();
-        let mut batch_spill = Vec::new();
-        let mut peak_batch_footprint = MemoryFootprint::default();
-        let mut total_read_bases = 0u64;
-        let mut total_kmers = 0u64;
-        let mut total_macronode_bytes = 0u64;
-
-        for outcome in outcomes {
-            // A batch that is entirely pruned away contributes nothing; this can
-            // happen for very small batches, which is precisely the quality
-            // degradation the batching trade-off studies.
-            let Some(output) = outcome.output else {
-                continue;
-            };
-            total_read_bases += outcome.read_bases;
-            total_kmers += output.kmer_stats.total_kmers;
-            total_macronode_bytes += output.macronode_bytes;
-            let footprint = MemoryFootprint::from_workload(
-                output.total_read_bases,
-                output.kmer_stats.total_kmers,
-                output.macronode_bytes,
-            );
-            if footprint.peak_bytes() > peak_batch_footprint.peak_bytes() {
-                peak_batch_footprint = footprint;
-            }
-            batch_timings.push(PhaseTimings {
-                access_reads: output.access_reads,
-                kmer_counting: output.kmer_counting,
-                macronode_construction: output.macronode_construction,
-                compaction: output.compaction,
-                walk: std::time::Duration::ZERO,
-            });
-            let compacted = output.compacted;
-            batch_compaction.push(compacted.stats);
-            batch_traces.extend(compacted.trace);
-            batch_sharding.extend(compacted.sharding);
-            batch_spill.extend(output.spill);
-            merged_nodes.extend(compacted.graph.into_nodes());
-        }
-
-        if merged_nodes.is_empty() {
+        // A batch that is entirely pruned away contributes nothing; this can
+        // happen for very small batches, which is precisely the quality
+        // degradation the batching trade-off studies.
+        if folded.nodes.is_empty() {
             return Err(PakmanError::EmptyInput {
                 message: "no batch produced any MacroNodes".to_string(),
             });
         }
 
-        // Merge compacted PaK-graphs: nodes sharing a (k-1)-mer have their through-path
+        // In the merged graph nodes sharing a (k-1)-mer have their through-path
         // lists concatenated. Because every batch covers the same genome at reduced
         // coverage, the merged graph spells each region several times; contig-level
         // deduplication keeps one copy of each assembled region.
-        let merged_graph = merge_nodes(merged_nodes, self.config.k);
+        let merged_graph = PakGraph::from_nodes(folded.nodes, self.config.k);
         let raw_contigs = generate_contigs(&merged_graph, self.config.min_contig_length);
         let contigs = dedup_contigs(raw_contigs, self.config.k);
         let stats = AssemblyStats::from_contigs(&contigs);
-        let unbatched_footprint =
-            MemoryFootprint::from_workload(total_read_bases, total_kmers, total_macronode_bytes);
+        let unbatched_footprint = MemoryFootprint::from_workload(
+            folded.total_read_bases,
+            folded.total_kmers,
+            folded.total_macronode_bytes,
+        );
 
         Ok(BatchAssemblyOutput {
             contigs,
             stats,
-            batch_compaction,
-            batch_timings,
-            batch_traces,
-            batch_sharding,
-            batch_spill,
-            peak_batch_footprint,
+            batch_compaction: folded.compaction,
+            batch_timings: folded.timings,
+            batch_traces: folded.traces,
+            batch_sharding: folded.sharding,
+            batch_spill: folded.spill,
+            peak_batch_footprint: folded.peak_batch_footprint,
             unbatched_footprint,
             peak_inflight_read_bytes,
             merged_graph,
@@ -443,15 +470,15 @@ impl BatchAssembler {
     }
 }
 
-/// Runs the front half (A–C) of one batch, consuming its chunk; an entirely
-/// pruned batch yields `None`.
-fn run_front_chunk(
+/// Runs ingest and counting (A–B) of one batch and drops its reads; an
+/// entirely pruned batch yields `None`.
+fn count_chunk(
     pipeline: &AssemblyPipeline,
     chunk: ReadChunk<'_>,
     control: &RunControl<'_>,
-) -> Result<Option<FrontArtifact>, PakmanError> {
-    match pipeline.front_controlled(chunk.reads(), control) {
-        Ok(front) => Ok(Some(front)),
+) -> Result<Option<CountedArtifact>, PakmanError> {
+    match pipeline.count_part(chunk.reads(), control) {
+        Ok(counted) => Ok(Some(counted)),
         Err(PakmanError::EmptyInput { .. }) => Ok(None),
         Err(other) => Err(other),
     }
@@ -463,8 +490,8 @@ fn run_sequential<'r, S: ReadSource<'r>>(
     pipeline: &AssemblyPipeline,
     mut source: S,
     control: &RunControl<'_>,
-) -> Result<(Vec<BatchOutcome>, u64), PakmanError> {
-    let mut outcomes = Vec::new();
+) -> Result<(Folded, u64), PakmanError> {
+    let mut folded = Folded::default();
     let mut peak_bytes = 0u64;
     while let Some(chunk) = source.next_chunk()? {
         control.check("sequential batch loop")?;
@@ -472,36 +499,35 @@ fn run_sequential<'r, S: ReadSource<'r>>(
             continue;
         }
         peak_bytes = peak_bytes.max(chunk.approx_read_bytes());
-        let read_bases = chunk.total_bases();
-        let output = run_front_chunk(pipeline, chunk, control)?
-            .map(|front| pipeline.compact_part(front, control))
-            .transpose()?;
-        outcomes.push(BatchOutcome { read_bases, output });
+        if let Some(counted) = count_chunk(pipeline, chunk, control)? {
+            folded.finish_batch(pipeline, counted, control)?;
+        }
     }
-    Ok((outcomes, peak_bytes))
+    Ok((folded, peak_bytes))
 }
 
 /// The streaming schedule: a `depth + 1`-deep software pipeline over the batches.
 ///
-/// While batch *i* runs stage D on the calling thread, the fronts (A–C) of
-/// batches *i + 1 … i + depth* run on scoped worker threads. Chunks are pulled
-/// from the source only when admitted to the window, and admission stalls while
-/// the approximate in-flight read bytes exceed `max_inflight_bytes` (one pulled
-/// chunk may be staged while blocked; a chunk larger than the whole budget is
-/// admitted alone so the schedule cannot deadlock).
+/// While batch *i* runs C → D → fold on the calling thread, ingest and counting
+/// (A–B) of batches *i + 1 … i + depth* run on scoped worker threads. Chunks are
+/// pulled from the source only when admitted to the window, and admission stalls
+/// while the approximate in-flight read bytes exceed `max_inflight_bytes` (one
+/// pulled chunk may be staged while blocked; a chunk larger than the whole
+/// budget is admitted alone so the schedule cannot deadlock).
 ///
-/// Fronts are joined and finished strictly in batch-index order, so the output
-/// is bit-identical to [`run_sequential`] no matter how the threads interleave.
+/// Counted batches are joined and finished strictly in batch-index order, so
+/// the output is bit-identical to [`run_sequential`] no matter how the threads
+/// interleave.
 fn run_pipelined<'r, S: ReadSource<'r>>(
     pipeline: &AssemblyPipeline,
     mut source: S,
     depth: usize,
     max_inflight_bytes: Option<u64>,
     control: &RunControl<'_>,
-) -> Result<(Vec<BatchOutcome>, u64), PakmanError> {
+) -> Result<(Folded, u64), PakmanError> {
     let depth = depth.max(1);
     std::thread::scope(|scope| {
-        let mut outcomes = Vec::new();
+        let mut folded = Folded::default();
         let mut window: Window<'_, 'r> = Window {
             inflight: VecDeque::new(),
             staged: None,
@@ -515,50 +541,26 @@ fn run_pipelined<'r, S: ReadSource<'r>>(
             depth,
         };
 
-        // Errors break out of the loop (instead of `?`-returning) so the
-        // ledger-settling cleanup below runs on every exit path.
-        let mut result: Result<(), PakmanError> = Ok(());
-        loop {
-            if let Err(err) = control.check("pipelined batch loop") {
-                result = Err(err);
-                break;
-            }
-            if let Err(err) = window.admit(scope, pipeline, &mut source, control) {
-                result = Err(err);
-                break;
-            }
+        // The loop's errors return from this closure, not from the function, so
+        // the ledger-settling cleanup below runs on every exit path.
+        let result: Result<(), PakmanError> = (|| loop {
+            control.check("pipelined batch loop")?;
+            window.admit(scope, pipeline, &mut source, control)?;
             let Some(batch) = window.inflight.pop_front() else {
-                break;
+                return Ok(());
             };
-            let front = match batch.handle.join().expect("front-stage worker panicked") {
-                Ok(front) => {
-                    window.budget.release(batch.bytes);
-                    front
-                }
-                Err(err) => {
-                    window.budget.release(batch.bytes);
-                    result = Err(err);
-                    break;
-                }
-            };
-            // Admit the replacement *before* finishing, so the next fronts run
-            // while this batch compacts — the paper's overlap of compaction
-            // with counting, now `depth` batches deep.
-            if let Err(err) = window.admit(scope, pipeline, &mut source, control) {
-                result = Err(err);
-                break;
+            // The worker dropped the batch's reads when its counting ended.
+            let joined = batch.handle.join().expect("counting worker panicked");
+            window.budget.release(batch.bytes);
+            let counted = joined?;
+            // Admit the replacement *before* finishing, so the next batches are
+            // counted while this one is built and compacted — the paper's
+            // overlap of compaction with counting, now `depth` batches deep.
+            window.admit(scope, pipeline, &mut source, control)?;
+            if let Some(counted) = counted {
+                folded.finish_batch(pipeline, counted, control)?;
             }
-            match front.map(|f| pipeline.compact_part(f, control)).transpose() {
-                Ok(output) => outcomes.push(BatchOutcome {
-                    read_bases: batch.read_bases,
-                    output,
-                }),
-                Err(err) => {
-                    result = Err(err);
-                    break;
-                }
-            }
-        }
+        })();
         // On error (including cancellation) the window may still hold staged or
         // in-flight charges; settle the ledger before the scope joins workers so
         // a chained global budget never leaks a dead job's bytes.
@@ -566,24 +568,26 @@ fn run_pipelined<'r, S: ReadSource<'r>>(
             window.budget.release(staged.approx_read_bytes());
         }
         for batch in window.inflight.drain(..) {
-            let _ = batch.handle.join().expect("front-stage worker panicked");
+            let _ = batch.handle.join().expect("counting worker panicked");
             window.budget.release(batch.bytes);
         }
         result?;
-        Ok((outcomes, window.budget.peak_bytes()))
+        Ok((folded, window.budget.peak_bytes()))
     })
 }
 
-/// One spawned batch front: the worker's handle plus the admission accounting.
+/// One batch being counted (A–B) on a worker: the worker's handle plus the
+/// admission accounting of the reads it holds.
 struct Inflight<'scope> {
-    read_bases: u64,
     bytes: u64,
-    handle: std::thread::ScopedJoinHandle<'scope, Result<Option<FrontArtifact>, PakmanError>>,
+    handle: std::thread::ScopedJoinHandle<'scope, Result<Option<CountedArtifact>, PakmanError>>,
 }
 
-/// The pipelined scheduler's in-flight window state. Resident read bytes are
-/// accounted through the same [`MemoryBudget`] machinery as the external-memory
-/// counter's spill budget (the shared-accounting contract in DESIGN.md).
+/// The pipelined scheduler's in-flight window state: the batches whose reads
+/// are resident, either being counted on a worker or staged. Resident read
+/// bytes are accounted through the same [`MemoryBudget`] machinery as the
+/// external-memory counter's spill budget (the shared-accounting contract in
+/// DESIGN.md).
 struct Window<'scope, 'r> {
     inflight: VecDeque<Inflight<'scope>>,
     /// A chunk pulled from the source but blocked by the byte budget. Its bytes
@@ -596,7 +600,7 @@ struct Window<'scope, 'r> {
 }
 
 impl<'scope, 'r: 'scope> Window<'scope, 'r> {
-    /// Admits batches until the window holds `depth` fronts, the byte budget
+    /// Admits batches until `depth` of them are being counted, the byte budget
     /// blocks, or the source runs dry.
     fn admit<'env, S: ReadSource<'r>>(
         &mut self,
@@ -630,13 +634,8 @@ impl<'scope, 'r: 'scope> Window<'scope, 'r> {
                 break;
             }
             let bytes = chunk.approx_read_bytes();
-            let read_bases = chunk.total_bases();
-            let handle = scope.spawn(move || run_front_chunk(pipeline, chunk, control));
-            self.inflight.push_back(Inflight {
-                read_bases,
-                bytes,
-                handle,
-            });
+            let handle = scope.spawn(move || count_chunk(pipeline, chunk, control));
+            self.inflight.push_back(Inflight { bytes, handle });
         }
         Ok(())
     }
@@ -649,11 +648,10 @@ impl<'scope, 'r: 'scope> Window<'scope, 'r> {
 /// filter used when per-batch assemblies of the same genome are combined.
 fn dedup_contigs(mut contigs: Vec<Contig>, k: usize) -> Vec<Contig> {
     use nmp_pak_genome::Kmer;
-    use std::collections::HashSet;
 
     let k = k.clamp(2, 31);
     contigs.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen: HashSet<u64, BuildHasherDefault<PackedHasher>> = HashSet::default();
     let mut kept = Vec::with_capacity(contigs.len());
     for contig in contigs {
         if contig.len() < k {
@@ -663,26 +661,76 @@ fn dedup_contigs(mut contigs: Vec<Contig>, k: usize) -> Vec<Contig> {
             }
             continue;
         }
-        let kmers: Vec<u64> = Kmer::iter_windows(&contig.sequence, k)
-            .expect("length checked above")
-            .map(|kmer| kmer.packed())
-            .collect();
-        let known = kmers.iter().filter(|km| seen.contains(km)).count();
-        if (known as f64) < 0.8 * kmers.len() as f64 {
-            seen.extend(kmers);
+        // Test the windows against the set while sliding; only a contig that
+        // is kept slides a second time, to enter its own.
+        let windows = || {
+            Kmer::iter_windows(&contig.sequence, k)
+                .expect("length checked above")
+                .map(|kmer| kmer.packed())
+        };
+        let total = contig.len() - k + 1;
+        let known = windows().filter(|km| seen.contains(km)).count();
+        if (known as f64) < 0.8 * total as f64 {
+            seen.extend(windows());
             kept.push(contig);
         }
     }
     kept
 }
 
-fn merge_nodes(nodes: Vec<crate::macronode::MacroNode>, k: usize) -> PakGraph {
-    // Sort-and-scan merge of duplicate (k-1)-mers: the stable sort keeps batch
-    // order among duplicates, so the merged node carries its paths in the same
-    // order a map-based merge would have produced — without per-entry allocation.
-    let mut nodes = nodes;
-    nodes.sort_by_key(crate::macronode::MacroNode::k1mer);
-    let mut merged: Vec<crate::macronode::MacroNode> = Vec::with_capacity(nodes.len());
+/// Hashes [`dedup_contigs`]' packed k-mers with one [`mix_packed`] instead of
+/// SipHash: the keys are this run's own contigs, not outside input.
+#[derive(Default)]
+struct PackedHasher(u64);
+
+impl Hasher for PackedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the set is keyed by u64 only");
+    }
+    fn write_u64(&mut self, packed: u64) {
+        self.0 = mix_packed(packed);
+    }
+}
+
+/// Folds one batch's alive nodes (`batch`, ascending distinct (k-1)-mers — a
+/// graph's slot order) into the running merge (`merged`, likewise) by a
+/// two-way merge. A (k-1)-mer both sides hold keeps one node whose paths are
+/// the earlier batches' followed by this batch's: folding the batches in index
+/// order yields exactly what a stable sort of all their nodes by (k-1)-mer
+/// followed by a scan would (`merge_nodes`, the test oracle).
+fn fold_nodes(merged: Vec<MacroNode>, batch: Vec<MacroNode>) -> Vec<MacroNode> {
+    if merged.is_empty() {
+        return batch;
+    }
+    let mut out = Vec::with_capacity(merged.len() + batch.len());
+    let mut merged = merged.into_iter().peekable();
+    for node in batch {
+        while let Some(earlier) = merged.next_if(|m| m.k1mer() < node.k1mer()) {
+            out.push(earlier);
+        }
+        match merged.next_if(|m| m.k1mer() == node.k1mer()) {
+            Some(mut earlier) => {
+                for path in node.paths() {
+                    earlier.push_path(path.clone());
+                }
+                out.push(earlier);
+            }
+            None => out.push(node),
+        }
+    }
+    out.extend(merged);
+    out
+}
+
+/// The sort-and-scan merge [`fold_nodes`] replaced, kept as its oracle: the
+/// stable sort keeps batch order among duplicate (k-1)-mers.
+#[cfg(test)]
+fn merge_nodes(mut nodes: Vec<MacroNode>) -> Vec<MacroNode> {
+    nodes.sort_by_key(MacroNode::k1mer);
+    let mut merged: Vec<MacroNode> = Vec::with_capacity(nodes.len());
     for node in nodes {
         match merged.last_mut() {
             Some(last) if last.k1mer() == node.k1mer() => {
@@ -693,7 +741,7 @@ fn merge_nodes(nodes: Vec<crate::macronode::MacroNode>, k: usize) -> PakGraph {
             _ => merged.push(node),
         }
     }
-    PakGraph::from_nodes(merged, k)
+    merged
 }
 
 #[cfg(test)]
@@ -960,6 +1008,53 @@ mod tests {
                 );
                 assert_eq!(pipelined.batch_traces, sequential.batch_traces, "{what}");
             }
+        }
+    }
+
+    #[test]
+    fn folding_batches_equals_the_sort_and_scan_merge() {
+        use crate::macronode::ThroughPath;
+        use nmp_pak_genome::{DnaString, Kmer};
+
+        // xorshift64*, the generator of `tests/count_props.rs`.
+        let mut state = 0x00F0_1DED_u64;
+        let mut below = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            ((state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize) % bound
+        };
+        for case in 0..300 {
+            // 0–6 batches over the 64 possible 3-mers, each batch holding none,
+            // a quarter, half or three quarters of them (ascending, distinct)
+            // with 1–3 paths a node; `count` tags every path with its origin.
+            let mut tag = 0u32;
+            let batches: Vec<Vec<MacroNode>> = (0..below(7))
+                .map(|_| {
+                    let density = below(4);
+                    let mut nodes = Vec::new();
+                    for packed in 0..64u64 {
+                        if below(4) >= density {
+                            continue;
+                        }
+                        let mut node = MacroNode::new(Kmer::from_packed(packed, 3));
+                        for _ in 0..1 + below(3) {
+                            let mut ext = || {
+                                let mut dna = DnaString::new();
+                                (0..1 + below(40)).for_each(|_| dna.push_code(below(4) as u8));
+                                dna
+                            };
+                            tag += 1;
+                            node.push_path(ThroughPath::through(ext(), ext(), tag));
+                        }
+                        nodes.push(node);
+                    }
+                    nodes
+                })
+                .collect();
+            let folded = batches.iter().cloned().fold(Vec::new(), fold_nodes);
+            assert_eq!(folded, merge_nodes(batches.concat()), "case {case}");
+            assert!(folded.windows(2).all(|w| w[0].k1mer() < w[1].k1mer()));
         }
     }
 

@@ -293,8 +293,10 @@ impl PakGraph {
         &self.index.keys
     }
 
-    /// Builds a graph from already-constructed MacroNodes (used when merging batches).
-    /// Nodes are re-sorted into ascending (k-1)-mer order.
+    /// Builds a graph from already-constructed MacroNodes with distinct
+    /// (k-1)-mers, in any order: the nodes are sorted into ascending (k-1)-mer
+    /// order here. The batch merge hands over an already-ascending list, which
+    /// the sort passes over in one linear scan.
     pub fn from_nodes(mut nodes: Vec<MacroNode>, k: usize) -> PakGraph {
         debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
         nodes.sort_by_key(MacroNode::k1mer);
@@ -403,9 +405,12 @@ impl PakGraph {
         self.iter_alive().map(|(_, n)| n.size_bytes()).sum()
     }
 
-    /// Collects the alive nodes into a vector (consuming the graph).
+    /// Collects the alive nodes, ascending by (k-1)-mer, into a vector sized to
+    /// exactly the alive count (consuming the graph).
     pub fn into_nodes(self) -> Vec<MacroNode> {
-        self.slots.into_iter().flatten().collect()
+        let mut nodes = Vec::with_capacity(self.alive.count);
+        nodes.extend(self.slots.into_iter().flatten());
+        nodes
     }
 
     /// Consumes the graph into its raw slot vector (dead slots included).
@@ -481,6 +486,10 @@ pub(crate) struct Segment {
 /// Builds the MacroNodes of one node-key segment: a linear merge-scan over the
 /// sorted prefix-extension records and the suffix-extension stream, accumulating
 /// per-base counts in fixed `[u32; 4]` arrays (no map, no per-entry allocation).
+/// A counting pre-pass over the same two streams sizes the key and slot vectors
+/// exactly, so each is allocated and written once: neither stream's length
+/// bounds the node count (a lone read of L bases has L − k + 1 k-mers and
+/// L − k + 2 (k-1)-mers), and a vector that outgrows its reservation doubles.
 /// Crate-internal: the sharded builder runs one segment per shard over the
 /// owner-partitioned streams.
 pub(crate) fn build_segment(
@@ -489,19 +498,32 @@ pub(crate) fn build_segment(
     k1_len: usize,
 ) -> Segment {
     let suffix_key = |ck: &CountedKmer| ck.kmer.packed() >> 2;
-    let mut keys = Vec::with_capacity(prefix_records.len().max(counted.len()));
-    let mut slots: Vec<Option<MacroNode>> = Vec::with_capacity(keys.capacity());
+    // The next node key: the smaller head of the two streams.
+    let head = |i: usize, j: usize| match (prefix_records.get(i), counted.get(j)) {
+        (Some(&(rec, _)), Some(ck)) => Some((rec >> 2).min(suffix_key(ck))),
+        (Some(&(rec, _)), None) => Some(rec >> 2),
+        (None, Some(ck)) => Some(suffix_key(ck)),
+        (None, None) => None,
+    };
+
+    let (mut i, mut j, mut nodes) = (0usize, 0usize, 0usize);
+    while let Some(key) = head(i, j) {
+        i += prefix_records[i..]
+            .iter()
+            .take_while(|rec| rec.0 >> 2 == key)
+            .count();
+        j += counted[j..]
+            .iter()
+            .take_while(|ck| suffix_key(ck) == key)
+            .count();
+        nodes += 1;
+    }
+    let mut keys = Vec::with_capacity(nodes);
+    let mut slots: Vec<Option<MacroNode>> = Vec::with_capacity(nodes);
     let mut size_bytes = 0usize;
 
     let (mut i, mut j) = (0usize, 0usize);
-    while i < prefix_records.len() || j < counted.len() {
-        let key = match (prefix_records.get(i), counted.get(j)) {
-            (Some(&(rec, _)), Some(ck)) => (rec >> 2).min(suffix_key(ck)),
-            (Some(&(rec, _)), None) => rec >> 2,
-            (None, Some(ck)) => suffix_key(ck),
-            (None, None) => unreachable!("loop condition guarantees one side remains"),
-        };
-
+    while let Some(key) = head(i, j) {
         let mut prefixes = [0u32; 4];
         while let Some(&(rec, count)) = prefix_records.get(i) {
             if rec >> 2 != key {
@@ -669,6 +691,39 @@ mod tests {
                     "chunks = {chunks}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn slot_and_key_vectors_are_sized_exactly() {
+        // A lone read of L bases has L − k + 1 k-mers but L − k + 2 (k-1)-mers:
+        // more nodes than either input stream has records.
+        let reads = crate::test_util::reads_from(&["ACGTACCTGATCAGTTGCAACGGTTACCAGT"]);
+        let config = KmerCounterConfig {
+            k: 7,
+            min_count: 1,
+            threads: 1,
+        };
+        let (counted, _) = count_kmers(&reads, config).unwrap();
+        for chunks in [1, 2, 3] {
+            let (mut graph, _) = PakGraph::build_chunked(&counted, 7, chunks);
+            assert!(graph.slot_count() > counted.len(), "chunks = {chunks}");
+            assert_eq!(
+                graph.slots.capacity(),
+                graph.slots.len(),
+                "chunks = {chunks}"
+            );
+            assert_eq!(
+                graph.index.keys.capacity(),
+                graph.index.keys.len(),
+                "chunks = {chunks}"
+            );
+            // The survivors' vector is sized by the alive count, not the slots.
+            graph.invalidate(0);
+            graph.invalidate(3);
+            let alive = graph.alive_count();
+            let nodes = graph.into_nodes();
+            assert_eq!((nodes.len(), nodes.capacity()), (alive, alive));
         }
     }
 

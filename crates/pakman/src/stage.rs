@@ -12,11 +12,13 @@
 //! * [`AssemblyPipeline::front`] runs A–C and returns a [`FrontArtifact`];
 //! * [`AssemblyPipeline::finish`] runs D–E on a `FrontArtifact`.
 //!
-//! That split is what the streaming batch scheduler ([`crate::batch`]) exploits to
-//! execute the paper's pipelined process flow (§4.4–4.5, Fig. 2): the front halves
-//! of later batches run on their own scoped threads while batch *i* is in Iterative
-//! Compaction. Both halves are deterministic, so overlapping them cannot change
-//! any output bit.
+//! The job server schedules the halves as separate work units. The streaming
+//! batch scheduler ([`crate::batch`]) splits one stage earlier, at B|C (a
+//! crate-private split of the front half), to execute the paper's pipelined
+//! process flow (§4.4–4.5, Fig. 2) with one graph resident: ingest and counting
+//! (A–B) of later batches run on their own scoped threads while batch *i* is
+//! built and compacted (C–D) on the calling thread. Every part is
+//! deterministic, so overlapping them cannot change any output bit.
 //!
 //! Ingestion is pluggable: [`AccessStage`] consumes borrowed slices, borrowed
 //! [`ReadChunk`]s pulled from a [`ReadSource`], or (via [`AccessStage::drain`] /
@@ -426,9 +428,10 @@ impl Stage<&CompactedGraph> for WalkStage {
 
 /// Everything the front half (stages A–C) of the pipeline produces for one batch.
 ///
-/// This is the artifact handed across threads by the streaming batch scheduler:
-/// it owns the constructed graph and carries the statistics and partial timings
-/// the back half needs to complete an [`crate::pipeline::AssemblyOutput`].
+/// This is the artifact the job server hands from its Front phase to its
+/// Compact phase: it owns the constructed graph and carries the statistics and
+/// partial timings the back half needs to complete an
+/// [`crate::pipeline::AssemblyOutput`].
 #[derive(Debug)]
 pub struct FrontArtifact {
     /// The constructed (uncompacted) graph plus carried statistics.
@@ -441,6 +444,15 @@ pub struct FrontArtifact {
     pub macronode_construction: Duration,
 }
 
+/// What stages A–B hand to stage C: the counted stream plus the timings so far
+/// (the B|C boundary the batch scheduler splits [`FrontArtifact`]'s half at).
+#[derive(Debug)]
+pub(crate) struct CountedArtifact {
+    counted: CountedBatch,
+    access_reads: Duration,
+    kmer_counting: Duration,
+}
+
 /// Everything stages A–D of the pipeline have produced for one run: the
 /// compacted graph plus the carried statistics and timings stage E needs to
 /// assemble the final [`crate::pipeline::AssemblyOutput`].
@@ -449,8 +461,8 @@ pub struct FrontArtifact {
 /// boundary): the job server schedules [`AssemblyPipeline::compact_part`] and
 /// [`AssemblyPipeline::walk_part`] as separate work units, so stage work from
 /// different jobs can interleave on one shared pool, and the batch scheduler
-/// ([`crate::batch`]) stops every batch here — it merges the compacted graphs
-/// and walks once.
+/// ([`crate::batch`]) stops every batch here — it folds the compacted graph's
+/// alive nodes into its running merge and walks once.
 #[derive(Debug)]
 pub struct CompactArtifact {
     /// The compacted graph plus compaction telemetry.
@@ -546,6 +558,18 @@ impl AssemblyPipeline {
         reads: &[SequencingRead],
         control: &RunControl<'_>,
     ) -> Result<FrontArtifact, PakmanError> {
+        self.construct_part(self.count_part(reads, control)?, control)
+    }
+
+    /// Stages A–B of [`AssemblyPipeline::front_controlled`]: the half that
+    /// needs the reads, and the one whose footprint the spill budget bounds.
+    /// The batch scheduler runs it for later batches on worker threads and
+    /// drops the reads when it returns.
+    pub(crate) fn count_part(
+        &self,
+        reads: &[SequencingRead],
+        control: &RunControl<'_>,
+    ) -> Result<CountedArtifact, PakmanError> {
         control.check("stage A (access reads)")?;
         control.stage_started(Stage::<&[SequencingRead]>::name(&self.access));
         let t0 = Instant::now();
@@ -558,16 +582,30 @@ impl AssemblyPipeline {
         let counted = self.count.run_controlled(access, control)?;
         let kmer_counting = t1.elapsed();
 
+        Ok(CountedArtifact {
+            counted,
+            access_reads,
+            kmer_counting,
+        })
+    }
+
+    /// Stage C of [`AssemblyPipeline::front_controlled`], on the thread that
+    /// will compact the graph it builds.
+    pub(crate) fn construct_part(
+        &self,
+        counted: CountedArtifact,
+        control: &RunControl<'_>,
+    ) -> Result<FrontArtifact, PakmanError> {
         control.check("stage C (MacroNode construction)")?;
         control.stage_started(Stage::<CountedBatch>::name(&self.construct));
         let t2 = Instant::now();
-        let built = self.construct.run(counted)?;
+        let built = self.construct.run(counted.counted)?;
         let macronode_construction = t2.elapsed();
 
         Ok(FrontArtifact {
             built,
-            access_reads,
-            kmer_counting,
+            access_reads: counted.access_reads,
+            kmer_counting: counted.kmer_counting,
             macronode_construction,
         })
     }

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Stream the file back through the batch scheduler: 8 batches of
-    //    FASTQ records, fronts of up to 3 batches overlapping each compaction,
+    //    FASTQ records, counting of up to 3 batches overlapping each compaction,
     //    and at most ~2 batches of reads admitted at any instant. The
     //    bit-identity check against the slice path below compares the same
     //    batch boundaries, so the read count must split into 8 equal chunks.

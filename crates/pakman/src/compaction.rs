@@ -2,10 +2,7 @@
 //! accelerates.
 //!
 //! Every iteration performs the three pipeline stages the paper maps onto its
-//! processing elements (Fig. 10), each cut into at most
-//! [`PakmanConfig::threads`] chunks by [`crate::par`] (§4.5) — chunk 0 on the
-//! calling thread, a helper per further chunk, and a helper only for a grain of
-//! work, so the small phases of a late iteration (or of a small graph) run inline:
+//! processing elements (Fig. 10):
 //!
 //! 1. **P1 — invalidation check**: compute the (k-1)-mers of every neighbour and mark
 //!    the node for invalidation if its own (k-1)-mer is strictly the lexicographically
@@ -13,20 +10,28 @@
 //!    [`CompactionMode::Frontier`] (the default) only *dirty* nodes — destinations of
 //!    the previous iteration's TransferNodes — are re-evaluated after iteration 0;
 //!    every other alive node's cached verdict still stands (see DESIGN.md for the
-//!    invariant proof).
+//!    invariant proof). Cut into at most [`PakmanConfig::threads`] chunks by
+//!    [`crate::par`] (§4.5) — chunk 0 on the calling thread, a helper per further
+//!    chunk, and a helper only for a grain of work, so a late iteration's (or a
+//!    small graph's) checks run inline.
 //! 2. **P2 — TransferNode extraction**: for each through-path of an invalidated node,
-//!    build the TransferNodes destined for its predecessor and successor. Chunk 0
-//!    writes the transfer stream itself and the helpers' pre-allocated buffers are
-//!    appended in slot order, so the stream keeps the canonical serial order.
+//!    build the TransferNodes destined for its predecessor and successor.
 //! 3. **P3 — routing and update**: every destination is a neighbour P1 already
 //!    resolved through the sorted-rank index, so P1 hands its ranks over and P3 only
-//!    re-tests their aliveness (one bitmap bit each) and applies the stream in place,
-//!    in canonical order, on the calling thread (a destination-sharded parallel apply
-//!    never repaid its serial sort and scatter — DESIGN.md, "Fork-join and grain").
+//!    re-tests their aliveness (one bitmap bit each) and applies the transfer.
+//!
+//! P2 and P3 are one streamed pass, as on the paper's PE: the iteration first
+//! clears the alive bit of every node P1 invalidated, then visits them in
+//! ascending slot order, takes each out of its slot, and sends every TransferNode
+//! it yields straight into its destination; no transfer stream is materialised.
+//! Extraction reads only retired nodes and application writes only alive ones
+//! (two adjacent nodes are never invalidated together), so this is the canonical
+//! serial order by construction, on the calling thread (a destination-sharded
+//! parallel apply never repaid its sort and scatter: DESIGN.md, "Fork-join and grain").
 //!
 //! One private driver, `run_barriered`, runs that iteration for both barriered
 //! entry points: it is generic over a `NodeStore` — where the nodes live and how
-//! the transfer stream reaches them — which [`compact`] instantiates with the
+//! a transfer reaches its destination — which [`compact`] instantiates with the
 //! [`PakGraph`] itself and [`crate::shard::compact_sharded`] with its owner-routed
 //! lock-step store, so a stage-D change is made once. All per-iteration buffers
 //! live in the driver's scratch, so the untraced hot loop performs no
@@ -182,9 +187,13 @@ pub struct IterationProfile {
     pub iteration: usize,
     /// Wall-clock of stage P1 (invalidation checks).
     pub p1: Duration,
-    /// Wall-clock of stage P2 (TransferNode extraction + invalidation).
+    /// Wall-clock of the streamed pass: retiring the invalidated nodes, then P2
+    /// and P3 per node — extraction, routing and the update of every destination
+    /// a store applies on delivery.
     pub p2: Duration,
-    /// Wall-clock of stage P3 (routing and destination update).
+    /// Wall-clock of the end-of-iteration flush: a store that posts its
+    /// transfers applies them here, the outcomes are folded, and a traced run
+    /// records its update events.
     pub p3: Duration,
     /// Invalidation predicates actually evaluated this iteration (the frontier
     /// re-check set; equals `alive_nodes` under [`CompactionMode::FullScan`]).
@@ -226,12 +235,13 @@ pub struct CompactionOutcome {
     pub profile: CompactionProfile,
 }
 
-/// Where a barriered compaction run's nodes live, in one slot space, and how its
-/// transfer stream reaches them — all the two barriered entry points differ in.
-/// [`run_barriered`] is monomorphised per store: a [`PakGraph`] answers from its
-/// own slots and applies in place, so a single-graph run executes no routing or
-/// telemetry code; the sharded lock-step store (`shard.rs`) routes every access
-/// to the owner shard and keeps the mailbox ledger.
+/// Where a barriered compaction run's nodes live, in one slot space, and how a
+/// TransferNode reaches its destination — all the two barriered entry points
+/// differ in. [`run_barriered`] is monomorphised per store: a [`PakGraph`]
+/// answers from its own slots and applies on delivery, so a single-graph run
+/// executes no routing or telemetry code; the sharded lock-step store
+/// (`shard.rs`) routes every access to the owner shard and keeps the mailbox
+/// ledger.
 pub(crate) trait NodeStore: Sync {
     /// The checkpoint a cancellation is reported at.
     const CHECKPOINT: &'static str;
@@ -240,26 +250,35 @@ pub(crate) trait NodeStore: Sync {
     fn slot_count(&self) -> usize;
     /// `true` if `slot` holds an alive node.
     fn is_alive(&self, slot: usize) -> bool;
-    /// The alive node at `slot`, if any.
+    /// The node at `slot`: alive, or retired and not yet taken.
     fn node(&self, slot: usize) -> Option<&MacroNode>;
     /// The slot of the alive node with this (k-1)-mer, if any.
     fn index_of(&self, k1mer: &Kmer) -> Option<usize>;
-    /// Invalidates the alive node at `slot`.
-    fn invalidate(&mut self, slot: usize);
+    /// The first half of an invalidation: `slot` stops being alive, its node
+    /// stays readable.
+    fn retire(&mut self, slot: usize);
+    /// The second half: moves the retired node out of `slot`.
+    fn take_retired(&mut self, slot: usize) -> MacroNode;
     /// P1 evaluated the predicate on `slots` this iteration (a load ledger's hook).
     fn checked(&mut self, _slots: &[usize]) {}
-    /// Stage P3 proper: applies the canonical stream — `resolved[i]` is the slot
-    /// of `transfers[i]`'s destination if it is still alive — so that every
-    /// destination receives its transfers in stream order, and fills `matched`
-    /// (aligned with `transfers`) with whether each found its extension.
-    fn apply(
+    /// Opens `iteration`'s stream; `chunks` is the plan of its apply over the
+    /// whole stream ([`plan`] over [`GRAIN`]).
+    fn open(&mut self, _iteration: usize, _chunks: usize) {}
+    /// Stage P3 for one TransferNode of the canonical stream, sent by the
+    /// retired node of slot `source`; `dest` is its destination's slot if that
+    /// is still alive. `Some(matched)` — whether it found its extension — if it
+    /// was applied on the spot; `None` if it was dropped (no `dest`) or posted
+    /// for [`NodeStore::close`].
+    fn deliver(
         &mut self,
-        iteration: usize,
-        threads: usize,
-        transfers: &[(usize, TransferNode)],
-        resolved: &[Option<usize>],
-        matched: &mut Vec<bool>,
-    );
+        source: usize,
+        dest: Option<usize>,
+        transfer: TransferNode,
+    ) -> Option<bool>;
+    /// Ends the iteration: applies what [`NodeStore::deliver`] posted, every
+    /// destination receiving its transfers in delivery order, and reports each
+    /// posted transfer's `(dest, matched)` in delivery order.
+    fn close(&mut self, _settle: impl FnMut(usize, bool)) {}
 }
 
 impl NodeStore for PakGraph {
@@ -277,25 +296,38 @@ impl NodeStore for PakGraph {
     fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
         PakGraph::index_of(self, k1mer)
     }
-    fn invalidate(&mut self, slot: usize) {
-        PakGraph::invalidate(self, slot);
+    fn retire(&mut self, slot: usize) {
+        PakGraph::retire(self, slot);
     }
-    /// In place, in canonical order, on the calling thread (a destination-sharded
-    /// parallel apply never repaid its serial sort and scatter — DESIGN.md,
-    /// "Fork-join and grain").
-    fn apply(
-        &mut self,
-        _iteration: usize,
-        _threads: usize,
-        transfers: &[(usize, TransferNode)],
-        resolved: &[Option<usize>],
-        matched: &mut Vec<bool>,
-    ) {
-        matched.clear();
-        for ((_, transfer), dest) in transfers.iter().zip(resolved) {
-            matched.push(dest.is_some_and(|slot| {
-                apply_transfer(self.node_mut(slot).expect("destination is alive"), transfer)
-            }));
+    fn take_retired(&mut self, slot: usize) -> MacroNode {
+        PakGraph::take_retired(self, slot)
+    }
+    /// In place, on the spot.
+    fn deliver(&mut self, _: usize, dest: Option<usize>, transfer: TransferNode) -> Option<bool> {
+        let node = self.node_mut(dest?).expect("destination is alive");
+        Some(apply_transfer(node, &transfer))
+    }
+}
+
+/// The next iteration's frontier: one bit per slot, set for every destination a
+/// transfer reached. Marking is an OR; draining yields the marked slots in
+/// ascending order and leaves every word zero — no list to sort.
+#[derive(Debug, Default)]
+struct Frontier(Vec<u64>);
+
+impl Frontier {
+    fn mark(&mut self, slot: usize) {
+        self.0[slot / 64] |= 1 << (slot % 64);
+    }
+
+    /// Appends the marked slots to `out`, ascending, clearing them.
+    fn drain_into(&mut self, out: &mut Vec<usize>) {
+        for (w, word) in self.0.iter_mut().enumerate() {
+            let mut rest = std::mem::take(word);
+            while rest != 0 {
+                out.push(w * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
         }
     }
 }
@@ -307,15 +339,12 @@ impl NodeStore for PakGraph {
 /// are the store's (global slots under a sharded store), so the frontier
 /// bookkeeping is the same wherever the nodes live. The methods are the
 /// driver's steps, one call site each; the fields a step reads are the outputs
-/// of the steps before it (`pub(crate)` where `shard.rs`'s phase test runs P1
-/// and P2 by hand over its store).
+/// of the steps before it (`pub(crate)` where `shard.rs`'s phase test runs the
+/// steps by hand over its store).
 #[derive(Debug, Default)]
 pub(crate) struct CompactionScratch {
-    /// Per-slot: node must be re-evaluated this iteration (frontier dirty bitmap).
-    dirty: Vec<bool>,
-    /// Slots marked in `dirty`, unordered; sorted into `recheck` at the start of
-    /// each frontier iteration.
-    dirty_list: Vec<usize>,
+    /// Destinations the last streamed pass reached: the slots to re-evaluate.
+    dirty: Frontier,
     /// Per-slot `size_bytes` as of the node's last evaluation. Valid for every
     /// clean node — a node's size changes only when a transfer lands on it, which
     /// marks it dirty.
@@ -342,42 +371,66 @@ pub(crate) struct CompactionScratch {
     /// P1's resolved neighbour ranks of chunks 1.. (chunk 0 writes `resolved`
     /// itself), appended to `resolved` in chunk (= slot) order.
     rank_buffers: Vec<Vec<Option<usize>>>,
-    /// P2's extraction buffers of chunks 1.., appended to `transfers` in slot order.
-    pub(crate) extract_buffers: Vec<Vec<(usize, TransferNode)>>,
-    /// Extracted transfers in canonical (slot-major, path-order) order.
-    pub(crate) transfers: Vec<(usize, TransferNode)>,
-    /// Destination slot per transfer (aligned with `transfers`). Written by P1 —
-    /// the neighbour ranks of every node it invalidates, in the (pred, succ) path
-    /// order P2 emits the transfers in — and narrowed by P3 to the destinations
-    /// still alive after this iteration's invalidations.
+    /// The hand-off: the slot of each transfer's destination, in the order the
+    /// streamed pass produces the transfers. Written by P1 — the neighbour ranks
+    /// of every node it invalidates, in (pred, succ) path order; the pass
+    /// re-tests each one's aliveness as it consumes it.
     pub(crate) resolved: Vec<Option<usize>>,
-    /// Whether each transfer's application found a matching extension.
-    matched: Vec<bool>,
+    /// Transfers of the open iteration that did not land: destination gone, or
+    /// no matching extension.
+    pub(crate) unmatched: usize,
     /// Per-slot touched bitmap (reset via `touched_order`, not a full clear).
     touched: Vec<bool>,
     /// Destinations in first-touch order (the deterministic update-trace order).
-    touched_order: Vec<usize>,
+    pub(crate) touched_order: Vec<usize>,
+    /// The first nodes a pass takes out of their slots — up to two grains of
+    /// them — parked until it ends and dropped together; the capacity stays with
+    /// the run. Like the reservations of [`CompactionScratch::new`] this is for
+    /// runs too small to fork, and for the allocator, not for speed: DESIGN.md,
+    /// "Step D", has what these blocks do to glibc's steady state on many small
+    /// assemblies, and what a per-pass block, or none, does instead.
+    retired: Vec<MacroNode>,
 }
 
 impl CompactionScratch {
-    /// The scratch of a run over `slot_count` slots; the per-transfer and
-    /// per-check buffers grow on first use.
-    pub(crate) fn new(slot_count: usize) -> Self {
-        CompactionScratch {
-            dirty: vec![false; slot_count],
+    /// The scratch of a run over `store`: its alive census taken, its vectors
+    /// reserved (why so: DESIGN.md, "Step D"). A store with more slots than the
+    /// census's `u32`s can name is [`PakmanError::InvalidConfig`], unallocated.
+    pub(crate) fn new<S: NodeStore>(store: &S) -> Result<Self, PakmanError> {
+        let slot_count = store.slot_count();
+        if u32::try_from(slot_count).is_err() {
+            let checkpoint = S::CHECKPOINT;
+            let message =
+                format!("{checkpoint}: {slot_count} slots do not fit the 32-bit alive census");
+            return Err(PakmanError::InvalidConfig { message });
+        }
+        let alive_slots = (0..slot_count).filter(|&slot| store.is_alive(slot));
+        let alive_list: Vec<u32> = alive_slots.map(|slot| slot as u32).collect();
+        // The vectors that grow start at iteration 0's bound — an entry a node,
+        // two ranks a node — for a run of up to two grains, which forks nowhere
+        // and then never regrows; a larger one doubles from there as before.
+        let n = alive_list.len().min(2 * GRAIN);
+        Ok(CompactionScratch {
+            recheck: Vec::with_capacity(n),
+            check_results: Vec::with_capacity(n),
+            invalidated: Vec::with_capacity(n),
+            touched_order: Vec::with_capacity(n),
+            resolved: Vec::with_capacity(2 * n),
+            dirty: Frontier(vec![0; slot_count.div_ceil(64)]),
             cached_size: vec![0; slot_count],
+            alive_list,
             running_hist: SizeHistogram::new(),
             touched: vec![false; slot_count],
             ..CompactionScratch::default()
-        }
+        })
     }
 
     /// Stage P1: evaluates the invalidation predicate for `recheck` (ascending),
     /// writing one result per slot into `check_results` in the same order, and
     /// the neighbour ranks of every slot whose verdict is `true` into `resolved`
-    /// (slot-major, then path order, predecessor before successor — the order P2
-    /// emits that slot's TransferNodes). Cut into `chunks` contiguous chunks
-    /// ([`plan`] over [`GRAIN`]): `check_results` is position-aligned with the
+    /// (slot-major, then path order, predecessor before successor — the order the
+    /// streamed pass emits that slot's TransferNodes). Cut into `chunks`
+    /// contiguous chunks ([`plan`] over [`GRAIN`]): `check_results` is position-aligned with the
     /// input, chunk 0 writes `resolved` itself and the helpers' rank buffers are
     /// appended in chunk order, so the chunk count cannot change either output.
     pub(crate) fn check<S: NodeStore>(&mut self, store: &S, chunks: usize) {
@@ -429,7 +482,7 @@ impl CompactionScratch {
     /// changed (only a landed transfer changes a size, and that marks the slot
     /// dirty) — so the histogram equals a from-scratch one over all alive nodes
     /// in O(re-checked) instead of O(alive).
-    fn fold_census(&mut self) {
+    pub(crate) fn fold_census(&mut self) {
         self.invalidated.clear();
         for check in &self.check_results {
             if self.census_primed {
@@ -468,84 +521,120 @@ impl CompactionScratch {
         debug_assert_eq!(ri, self.recheck.len(), "every re-check slot is alive");
     }
 
-    /// Stage P2: extracts the TransferNodes of every `invalidated` slot
-    /// (ascending) into `transfers` in canonical slot-major order. Cut into
-    /// `chunks` contiguous chunks ([`plan`] over [`GRAIN`]): chunk 0 writes the
-    /// stream itself, the helpers fill the pre-allocated `extract_buffers`,
-    /// appended in chunk (= slot) order.
-    pub(crate) fn extract<S: NodeStore>(&mut self, store: &S, chunks: usize) {
-        self.transfers.clear();
-        // Invalidated nodes are fully interior, so every path yields exactly two
-        // transfers: size the stream once instead of regrowing it by doubling.
-        self.transfers.reserve(transfer_count(
-            self.invalidated.iter().map(|&slot| store.node(slot)),
-        ));
-        let chunk = self.invalidated.len().div_ceil(chunks).max(1);
-        fork_join_into(
-            self.invalidated.chunks(chunk),
-            &mut self.transfers,
-            &mut self.extract_buffers,
-            |slot_chunk, out| {
-                for &slot in slot_chunk {
-                    let node = store.node(slot).expect("invalidated slot was alive");
-                    for path in node.paths() {
-                        if let Some((pred, succ)) = TransferNode::extract_pair(node, path) {
-                            out.push((slot, pred));
-                            out.push((slot, succ));
-                        }
-                    }
-                }
-            },
+    /// Stages P2 and P3 as one streamed pass over the `invalidated` slots
+    /// (ascending; none on the iteration that converges). Every target is
+    /// retired first — the aliveness re-test of a handed-off rank must see all
+    /// of this iteration's invalidations: stale or asymmetric wiring lets a
+    /// destination be invalidated beside its source, and the re-test is what
+    /// makes `dest` exactly `index_of(&transfer.destination)`. Then each retired
+    /// node is taken out of its slot and its TransferNodes go, in path order,
+    /// predecessor before successor, straight to the store; what reached an
+    /// alive destination is recorded as it lands — the trace event (into
+    /// `events`, when tracing), the next frontier, and through
+    /// [`CompactionScratch::settle`] the outcome. `chunks` is the store's to use
+    /// ([`NodeStore::open`]). Returns the number of transfers delivered.
+    ///
+    /// The hand-off is checked ahead of the first change to any node, in release
+    /// builds too: P1 must have handed over one rank per transfer the
+    /// invalidated nodes will yield (two a path — they are fully interior), or
+    /// transfers would be paired with the wrong destinations.
+    pub(crate) fn stream<S: NodeStore>(
+        &mut self,
+        store: &mut S,
+        iteration: usize,
+        chunks: usize,
+        frontier: bool,
+        mut events: Option<&mut Vec<TransferEvent>>,
+    ) -> usize {
+        let expected = transfer_count(self.invalidated.iter().map(|&slot| store.node(slot)));
+        assert_eq!(
+            self.resolved.len(),
+            expected,
+            "P1 must hand P3 one resolved rank per transfer of the nodes it invalidated"
         );
-    }
-
-    /// The canonical post-P3 fold over the transfer stream: resets and rebuilds
-    /// the first-touch update order, marks the next iteration's dirty frontier,
-    /// and returns the unmatched count and the trace's transfer events (empty
-    /// unless `want_events`).
-    fn fold_transfers(&mut self, frontier: bool, want_events: bool) -> (usize, Vec<TransferEvent>) {
+        for &slot in &self.invalidated {
+            store.retire(slot);
+            self.running_hist.unrecord(self.cached_size[slot]);
+        }
+        remove_sorted(&mut self.alive_list, &self.invalidated);
         for &slot in &self.touched_order {
             self.touched[slot] = false;
         }
         self.touched_order.clear();
-        let mut unmatched = 0usize;
-        let mut events = Vec::with_capacity(if want_events { self.transfers.len() } else { 0 });
-        for (i, (source_slot, transfer)) in self.transfers.iter().enumerate() {
-            let Some(dest_slot) = self.resolved[i] else {
-                unmatched += 1;
-                continue;
-            };
-            if want_events {
-                events.push(TransferEvent {
-                    source_slot: *source_slot,
-                    dest_slot,
-                    size_bytes: transfer.size_bytes(),
-                });
+        self.unmatched = 0;
+        if let Some(events) = events.as_deref_mut() {
+            events.reserve_exact(expected);
+        }
+        store.open(iteration, chunks);
+        let parking = self.invalidated.len().min(2 * GRAIN);
+        self.retired.reserve(parking);
+
+        let mut delivered = 0usize;
+        for i in 0..self.invalidated.len() {
+            let source = self.invalidated[i];
+            let node = store.take_retired(source);
+            let pairs = node.paths().iter();
+            let pairs = pairs.filter_map(|path| TransferNode::extract_pair(&node, path));
+            for transfer in pairs.flat_map(|(pred, succ)| [pred, succ]) {
+                let dest = self.resolved[delivered].filter(|&rank| store.is_alive(rank));
+                debug_assert_eq!(dest, store.index_of(&transfer.destination));
+                delivered += 1;
+                if let (Some(events), Some(dest_slot)) = (events.as_deref_mut(), dest) {
+                    events.push(TransferEvent {
+                        source_slot: source,
+                        dest_slot,
+                        size_bytes: transfer.size_bytes(),
+                    });
+                }
+                let settled = store.deliver(source, dest, transfer);
+                let Some(dest_slot) = dest else {
+                    self.unmatched += 1;
+                    continue;
+                };
+                if frontier {
+                    self.dirty.mark(dest_slot);
+                }
+                if let Some(matched) = settled {
+                    self.settle(dest_slot, matched);
+                }
             }
-            if !self.matched[i] {
-                unmatched += 1;
-            } else if !self.touched[dest_slot] {
-                self.touched[dest_slot] = true;
-                self.touched_order.push(dest_slot);
-            }
-            if frontier && !self.dirty[dest_slot] {
-                self.dirty[dest_slot] = true;
-                self.dirty_list.push(dest_slot);
+            if self.retired.len() < parking {
+                self.retired.push(node);
             }
         }
-        (unmatched, events)
+        self.retired.clear();
+        assert_eq!(
+            delivered, expected,
+            "the streamed pass must consume every rank P1 handed over"
+        );
+        delivered
+    }
+
+    /// Records the outcome of one transfer delivered to alive slot `dest`: the
+    /// unmatched count, or the first-touch update order. Called in canonical
+    /// order — by the pass itself, or by [`NodeStore::close`] for a store that
+    /// posts.
+    pub(crate) fn settle(&mut self, dest: usize, matched: bool) {
+        if !matched {
+            self.unmatched += 1;
+        } else if !self.touched[dest] {
+            self.touched[dest] = true;
+            self.touched_order.push(dest);
+        }
     }
 }
 
 /// Runs Iterative Compaction on `graph` in place.
 ///
-/// P1 and P2 fork over at most `config.threads` chunks (§4.5): P1 evaluates
-/// the (frontier-restricted) check set in parallel, P2 extracts TransferNodes
-/// into per-chunk buffers merged in slot order; P3 takes P1's resolved
-/// destinations and applies the stream in place. Output is bit-identical
-/// across thread counts and [`CompactionMode`]s.
+/// P1 forks over at most `config.threads` chunks (§4.5), evaluating the
+/// (frontier-restricted) check set in parallel; the streamed pass then takes
+/// P1's resolved destinations and sends each invalidated node's TransferNodes
+/// straight into them. Output is bit-identical across thread counts and
+/// [`CompactionMode`]s. Panics on a graph of more than `u32::MAX` slots (the
+/// typed error of [`compact_controlled`]).
 pub fn compact(graph: &mut PakGraph, config: &PakmanConfig) -> CompactionOutcome {
-    compact_controlled(graph, config, &RunControl::default()).expect("null control never cancels")
+    compact_controlled(graph, config, &RunControl::default())
+        .expect("the null control never cancels and a graph's slots fit the 32-bit census")
 }
 
 /// [`compact`] under a [`RunControl`]: the cancellation token is polled at the
@@ -557,7 +646,9 @@ pub fn compact(graph: &mut PakGraph, config: &PakmanConfig) -> CompactionOutcome
 /// # Errors
 ///
 /// Returns [`PakmanError::Cancelled`] if the control's token fires between
-/// iterations; the graph is left mid-compaction and should be dropped.
+/// iterations; the graph is left mid-compaction and should be dropped. Returns
+/// [`PakmanError::InvalidConfig`], with the graph untouched, if it has more
+/// than `u32::MAX` slots: the alive census stores slots as `u32`.
 pub fn compact_controlled(
     graph: &mut PakGraph,
     config: &PakmanConfig,
@@ -567,20 +658,17 @@ pub fn compact_controlled(
 }
 
 /// The barriered iteration loop — the one copy of it. Every iteration runs
-/// frontier build → P1 → census fold → P2 + invalidation → hand-off re-test →
-/// [`NodeStore::apply`] → transfer fold over `store`'s slot space, with an
-/// all-chunks join after each forked phase; what differs between a single graph
-/// and lock-step shards is behind [`NodeStore`].
+/// frontier build → P1 → census fold → the streamed pass (retire, then P2 + P3
+/// per invalidated node) → [`NodeStore::close`] over `store`'s slot space, with
+/// an all-chunks join after each forked phase; what differs between a single
+/// graph and lock-step shards is behind [`NodeStore`].
 pub(crate) fn run_barriered<S: NodeStore>(
     store: &mut S,
     config: &PakmanConfig,
     control: &RunControl<'_>,
 ) -> Result<CompactionOutcome, PakmanError> {
     let slot_count = store.slot_count();
-    debug_assert!(slot_count <= u32::MAX as usize);
-    let mut scratch = CompactionScratch::new(slot_count);
-    let alive_slots = (0..slot_count).filter(|&slot| store.is_alive(slot));
-    scratch.alive_list = alive_slots.map(|slot| slot as u32).collect();
+    let mut scratch = CompactionScratch::new(store)?;
     let initial_nodes = scratch.alive_list.len();
     let mut trace = config.record_trace.then(|| {
         let mut sizes = vec![0usize; slot_count];
@@ -615,14 +703,10 @@ pub(crate) fn run_barriered<S: NodeStore>(
             let alive_slots = scratch.alive_list.iter().map(|&slot| slot as usize);
             scratch.recheck.extend(alive_slots);
         } else {
-            // The frontier: destinations touched by the previous iteration's
-            // transfers, in ascending slot order. Everything else is clean and
+            // The frontier: destinations the previous iteration's transfers
+            // reached, in ascending slot order. Everything else is clean and
             // keeps its cached "not a target" verdict (see DESIGN.md).
-            scratch.dirty_list.sort_unstable();
-            for &slot in &scratch.dirty_list {
-                scratch.dirty[slot] = false;
-            }
-            scratch.recheck.append(&mut scratch.dirty_list);
+            scratch.dirty.drain_into(&mut scratch.recheck);
         }
         scratch.check(store, plan(scratch.recheck.len(), config.threads, GRAIN));
         store.checked(&scratch.recheck);
@@ -632,79 +716,25 @@ pub(crate) fn run_barriered<S: NodeStore>(
         if trace.is_some() {
             scratch.assemble_trace_checks();
         }
-        profile.iterations.push(IterationProfile {
-            iteration,
-            p1: p1_start.elapsed(),
-            p2: Duration::ZERO,
-            p3: Duration::ZERO,
-            checked_nodes: scratch.recheck.len(),
-            alive_nodes: alive_before,
-        });
+        let p1 = p1_start.elapsed();
 
-        if scratch.invalidated.is_empty() {
-            stats.iterations.push(IterationStats {
-                iteration,
-                alive_before,
-                invalidated: 0,
-                transfers: 0,
-                unmatched_transfers: 0,
-                histogram,
-            });
-            if let Some(trace) = trace.as_mut() {
-                trace.iterations.push(IterationTrace {
-                    checks: std::mem::take(&mut scratch.checks),
-                    transfers: Vec::new(),
-                    updates: Vec::new(),
-                });
-            }
-            stats.converged = true;
-            break;
-        }
-
-        // ---- Stage P2: parallel TransferNode extraction, then invalidation ----
+        // ---- Stages P2 + P3: the streamed pass, then the store's flush ----
+        // Every destination is a neighbour P1 resolved, handed over in the
+        // order the pass emits the transfers: no second search.
         let p2_start = Instant::now();
-        // An invalidated node emits two transfers a path: a grain of transfers.
-        let chunks = plan(2 * scratch.invalidated.len(), config.threads, GRAIN);
-        scratch.extract(store, chunks);
-        for &slot in &scratch.invalidated {
-            store.invalidate(slot);
-            scratch.running_hist.unrecord(scratch.cached_size[slot]);
-        }
-        remove_sorted(&mut scratch.alive_list, &scratch.invalidated);
-        let p2 = p2_start.elapsed();
-
-        // ---- Stage P3: routing and destination update ----
-        // P1 resolved every neighbour of every node it invalidated, in the order
-        // P2 emitted the transfers, so `resolved[i]` already holds the rank of
-        // `transfers[i].destination`: no second search. Ranks never change, but
-        // aliveness can — stale or asymmetric wiring lets a destination be
-        // invalidated in this very iteration — so it is re-tested after the
-        // invalidations above, which makes `resolved[i]` exactly
-        // `index_of(&transfers[i].destination)`. A length mismatch would pair
-        // transfers with the wrong destinations, so it stops the run in release
-        // builds too.
-        let p3_start = Instant::now();
-        assert_eq!(
-            scratch.resolved.len(),
-            scratch.transfers.len(),
-            "P1 must hand P3 one resolved rank per extracted transfer"
-        );
-        for dest in scratch.resolved.iter_mut() {
-            *dest = dest.filter(|&rank| store.is_alive(rank));
-        }
-        debug_assert!(scratch
-            .transfers
-            .iter()
-            .zip(&scratch.resolved)
-            .all(|((_, transfer), dest)| *dest == store.index_of(&transfer.destination)));
-        store.apply(
+        let mut transfer_events = Vec::new();
+        let transfers = scratch.stream(
+            store,
             iteration,
-            config.threads,
-            &scratch.transfers,
-            &scratch.resolved,
-            &mut scratch.matched,
+            plan(scratch.resolved.len(), config.threads, GRAIN),
+            frontier,
+            trace.is_some().then_some(&mut transfer_events),
         );
-        let (unmatched, transfer_events) = scratch.fold_transfers(frontier, trace.is_some());
+        let p2 = p2_start.elapsed();
+        let p3_start = Instant::now();
+        if transfers > 0 {
+            store.close(|dest, matched| scratch.settle(dest, matched));
+        }
         let mut updates: Vec<UpdateEvent> = Vec::new();
         if trace.is_some() {
             updates.extend(scratch.touched_order.iter().map(|&dest_slot| UpdateEvent {
@@ -712,18 +742,22 @@ pub(crate) fn run_barriered<S: NodeStore>(
                 size_bytes: store.node(dest_slot).map_or(0, MacroNode::size_bytes),
             }));
         }
-        if let Some(entry) = profile.iterations.last_mut() {
-            entry.p2 = p2;
-            entry.p3 = p3_start.elapsed();
-        }
+        profile.iterations.push(IterationProfile {
+            iteration,
+            p1,
+            p2,
+            p3: p3_start.elapsed(),
+            checked_nodes: scratch.recheck.len(),
+            alive_nodes: alive_before,
+        });
 
-        stats.total_transfers += scratch.transfers.len();
+        stats.total_transfers += transfers;
         stats.iterations.push(IterationStats {
             iteration,
             alive_before,
             invalidated: scratch.invalidated.len(),
-            transfers: scratch.transfers.len(),
-            unmatched_transfers: unmatched,
+            transfers,
+            unmatched_transfers: scratch.unmatched,
             histogram,
         });
         if let Some(trace) = trace.as_mut() {
@@ -732,6 +766,10 @@ pub(crate) fn run_barriered<S: NodeStore>(
                 transfers: transfer_events,
                 updates,
             });
+        }
+        if scratch.invalidated.is_empty() {
+            stats.converged = true;
+            break;
         }
     }
 
@@ -751,23 +789,10 @@ pub(crate) fn run_barriered<S: NodeStore>(
 /// Removes the sorted slot set `removed` from the sorted `alive` list in place
 /// (one forward pass; both inputs ascending).
 pub(crate) fn remove_sorted(alive: &mut Vec<u32>, removed: &[usize]) {
-    if removed.is_empty() {
-        return;
-    }
     debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
-    let mut write = 0usize;
-    let mut ri = 0usize;
-    for read in 0..alive.len() {
-        let slot = alive[read];
-        if ri < removed.len() && removed[ri] == slot as usize {
-            ri += 1;
-            continue;
-        }
-        alive[write] = slot;
-        write += 1;
-    }
-    debug_assert_eq!(ri, removed.len(), "every removed slot was alive");
-    alive.truncate(write);
+    let mut rest = removed.iter().peekable();
+    alive.retain(|&slot| rest.next_if(|&&gone| gone == slot as usize).is_none());
+    debug_assert!(rest.next().is_none(), "every removed slot was alive");
 }
 
 /// The exact length of the transfer stream the invalidated `nodes` (all fully
@@ -1069,7 +1094,7 @@ mod tests {
 
     /// P1 over `slots` on `chunks` chunks, on a scratch of its own.
     fn checks_on(graph: &PakGraph, slots: &[usize], chunks: usize) -> CompactionScratch {
-        let mut scratch = CompactionScratch::new(graph.slot_count());
+        let mut scratch = CompactionScratch::new(graph).unwrap();
         scratch.recheck.extend_from_slice(slots);
         scratch.check(graph, chunks);
         scratch
@@ -1090,26 +1115,242 @@ mod tests {
         assert!(!serial.resolved.is_empty());
     }
 
-    #[test]
-    fn parallel_and_serial_extraction_agree() {
-        // One iteration's P1 and P2 by hand, on one chunk and on four: the same
-        // stream, and P1's hand-off lines up with it entry for entry.
-        let graph = simulated_graph();
-        let run = |chunks: usize| {
-            let mut scratch = checks_on(&graph, &graph.alive_slots(), chunks);
-            scratch.fold_census();
-            scratch.extract(&graph, chunks);
-            (scratch.transfers, scratch.resolved)
-        };
-        let (serial_transfers, serial_resolved) = run(1);
-        let (parallel_transfers, parallel_resolved) = run(4);
-        assert!(serial_transfers.len() > 1_000);
-        assert_eq!(serial_transfers, parallel_transfers);
-        assert_eq!(serial_resolved, parallel_resolved);
-        assert_eq!(serial_resolved.len(), serial_transfers.len());
-        for ((_, transfer), dest) in serial_transfers.iter().zip(&serial_resolved) {
-            assert_eq!(*dest, graph.index_of(&transfer.destination));
+    /// A store that answers and applies as the graph it wraps, keeping every
+    /// delivery: `(source, dest, transfer, matched)`.
+    struct Recording {
+        graph: PakGraph,
+        deliveries: Vec<(usize, Option<usize>, TransferNode, bool)>,
+    }
+
+    impl NodeStore for Recording {
+        const CHECKPOINT: &'static str = "recording";
+
+        fn slot_count(&self) -> usize {
+            self.graph.slot_count()
         }
+        fn is_alive(&self, slot: usize) -> bool {
+            self.graph.is_alive(slot)
+        }
+        fn node(&self, slot: usize) -> Option<&MacroNode> {
+            self.graph.node(slot)
+        }
+        fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
+            self.graph.index_of(k1mer)
+        }
+        fn retire(&mut self, slot: usize) {
+            self.graph.retire(slot);
+        }
+        fn take_retired(&mut self, slot: usize) -> MacroNode {
+            NodeStore::take_retired(&mut self.graph, slot)
+        }
+        fn deliver(
+            &mut self,
+            source: usize,
+            dest: Option<usize>,
+            transfer: TransferNode,
+        ) -> Option<bool> {
+            let matched = self.graph.deliver(source, dest, transfer.clone());
+            self.deliveries
+                .push((source, dest, transfer, matched == Some(true)));
+            matched
+        }
+    }
+
+    /// The simulated graph plus the hand-wired case of `tests/graph_index.rs` at
+    /// k = 21, so its first iteration meets every kind of delivery: `G…` lists
+    /// `T…` as a predecessor that does not list it back, both dominate what they
+    /// list, and `T…` is retired beside the node that sends to it.
+    fn graph_with_a_doomed_destination() -> PakGraph {
+        let dna = |text: String| text.parse::<DnaString>().unwrap();
+        let k1mer = |unit: &str| Kmer::from_ascii(&unit.repeat(20 / unit.len())).unwrap();
+        let wired = |unit: &str, path: Option<(&str, &str)>| {
+            let mut node = MacroNode::new(k1mer(unit));
+            if let Some((prefix, suffix)) = path {
+                let path = ThroughPath::through(dna(prefix.repeat(20)), dna(suffix.repeat(10)), 1);
+                node.push_path(path);
+            }
+            node
+        };
+        let mut nodes = simulated_graph().into_nodes();
+        nodes.push(wired("G", Some(("T", "CC"))));
+        nodes.push(wired("T", Some(("A", "AC"))));
+        nodes.extend(["A", "C", "AC"].map(|unit| wired(unit, None)));
+        PakGraph::from_nodes(nodes, 21)
+    }
+
+    #[test]
+    fn the_streamed_pass_equals_the_materialised_stream() {
+        // One iteration by hand — P1 on four chunks, then the streamed pass —
+        // against the flow it replaced: extract every transfer, invalidate every
+        // target, resolve each destination afresh, apply in stream order.
+        let graph = graph_with_a_doomed_destination();
+        let mut scratch = checks_on(&graph, &graph.alive_slots(), 4);
+        scratch.fold_census();
+        let invalidated = scratch.invalidated.clone();
+
+        let mut oracle = graph.clone();
+        let mut stream: Vec<(usize, TransferNode)> = Vec::new();
+        for &slot in &invalidated {
+            let node = oracle.node(slot).expect("a target is alive");
+            stream.extend(
+                TransferNode::extract_all(node)
+                    .into_iter()
+                    .map(|t| (slot, t)),
+            );
+        }
+        for &slot in &invalidated {
+            oracle.invalidate(slot);
+        }
+        let expected: Vec<_> = stream
+            .into_iter()
+            .map(|(source, transfer)| {
+                let dest = oracle.index_of(&transfer.destination);
+                let matched = dest
+                    .is_some_and(|slot| apply_transfer(oracle.node_mut(slot).unwrap(), &transfer));
+                (source, dest, transfer, matched)
+            })
+            .collect();
+        assert!(expected.len() > 1_000);
+        let dropped = expected.iter().filter(|entry| entry.1.is_none()).count();
+        assert_eq!(dropped, 1, "GGGG's transfer to TTTT finds it retired");
+
+        let mut store = Recording {
+            graph: graph.clone(),
+            deliveries: Vec::new(),
+        };
+        let mut events = Vec::new();
+        let delivered = scratch.stream(&mut store, 0, 1, true, Some(&mut events));
+        assert_eq!(delivered, expected.len());
+        assert_eq!(store.deliveries, expected);
+        // The nodes the pass parked (its first two grains' worth) went with it.
+        assert!(scratch.retired.is_empty());
+        assert!(scratch.retired.capacity() >= invalidated.len().min(2 * GRAIN));
+        for slot in 0..graph.slot_count() {
+            assert_eq!(store.graph.node(slot), oracle.node(slot), "slot {slot}");
+            assert_eq!(store.graph.is_alive(slot), oracle.is_alive(slot));
+        }
+
+        // What the pass recorded as each transfer landed is the fold of that
+        // stream: events for the live destinations, the unmatched count, the
+        // first-touch order, and the next frontier.
+        let landed = expected.iter().filter_map(|(source, dest, transfer, _)| {
+            Some(TransferEvent {
+                source_slot: *source,
+                dest_slot: (*dest)?,
+                size_bytes: transfer.size_bytes(),
+            })
+        });
+        assert_eq!(events, landed.collect::<Vec<_>>());
+        let unmatched = expected.iter().filter(|entry| !entry.3).count();
+        assert_eq!(scratch.unmatched, unmatched);
+        assert!(
+            unmatched > dropped,
+            "some live destination lacks the extension"
+        );
+        let mut first_touch: Vec<usize> = Vec::new();
+        for (_, dest, _, matched) in &expected {
+            if *matched && !first_touch.contains(&dest.unwrap()) {
+                first_touch.push(dest.unwrap());
+            }
+        }
+        assert_eq!(scratch.touched_order, first_touch);
+        let mut reached: Vec<usize> = events.iter().map(|event| event.dest_slot).collect();
+        reached.sort_unstable();
+        reached.dedup();
+        let mut frontier = Vec::new();
+        scratch.dirty.drain_into(&mut frontier);
+        assert_eq!(frontier, reached);
+    }
+
+    #[test]
+    fn a_short_hand_off_stops_the_pass_before_any_node_changes() {
+        let graph = simulated_graph();
+        let mut scratch = checks_on(&graph, &graph.alive_slots(), 1);
+        scratch.fold_census();
+        assert!(scratch.invalidated.len() > 100);
+        scratch.resolved.pop();
+        let mut victim = graph.clone();
+        let pass = std::panic::AssertUnwindSafe(|| scratch.stream(&mut victim, 0, 1, true, None));
+        let panic = std::panic::catch_unwind(pass).expect_err("a short hand-off must not run");
+        let message = panic.downcast_ref::<String>().expect("an assert message");
+        assert!(
+            message.contains("one resolved rank per transfer"),
+            "{message}"
+        );
+        assert_eq!(victim.alive_count(), graph.alive_count());
+        for slot in 0..graph.slot_count() {
+            assert!(victim.is_alive(slot));
+            assert_eq!(victim.node(slot), graph.node(slot), "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn frontier_bitmap_round_trips_its_edges_and_drains_to_zero() {
+        for slot_count in [1usize, 64, 65, 130, 1_000] {
+            let mut frontier = Frontier(vec![0; slot_count.div_ceil(64)]);
+            let mut edges: Vec<usize> = [0, 63, 64, slot_count - 1]
+                .into_iter()
+                .filter(|&slot| slot < slot_count)
+                .collect();
+            // Marked out of order and twice over: the drain is ascending, once each.
+            for &slot in edges.iter().rev().chain(&edges) {
+                frontier.mark(slot);
+            }
+            edges.sort_unstable();
+            edges.dedup();
+            let mut drained = vec![usize::MAX];
+            frontier.drain_into(&mut drained);
+            assert_eq!(drained[1..], edges, "{slot_count} slots");
+            assert!(
+                frontier.0.iter().all(|&word| word == 0),
+                "{slot_count} slots"
+            );
+            frontier.drain_into(&mut drained);
+            assert_eq!(
+                drained.len(),
+                1 + edges.len(),
+                "a drained frontier is empty"
+            );
+        }
+    }
+
+    #[test]
+    fn more_slots_than_the_census_can_name_is_a_typed_error() {
+        /// Claims 2^32 slots and must not be asked anything else.
+        struct Oversized;
+        impl NodeStore for Oversized {
+            const CHECKPOINT: &'static str = "oversized store";
+            fn slot_count(&self) -> usize {
+                u32::MAX as usize + 1
+            }
+            fn is_alive(&self, _: usize) -> bool {
+                unreachable!("rejected before the census is taken")
+            }
+            fn node(&self, _: usize) -> Option<&MacroNode> {
+                unreachable!()
+            }
+            fn index_of(&self, _: &Kmer) -> Option<usize> {
+                unreachable!()
+            }
+            fn retire(&mut self, _: usize) {
+                unreachable!()
+            }
+            fn take_retired(&mut self, _: usize) -> MacroNode {
+                unreachable!()
+            }
+            fn deliver(&mut self, _: usize, _: Option<usize>, _: TransferNode) -> Option<bool> {
+                unreachable!()
+            }
+        }
+        let err = run_barriered(&mut Oversized, &compact_config(0), &RunControl::default())
+            .expect_err("2^32 slots overflow the u32 census");
+        let PakmanError::InvalidConfig { message } = err else {
+            panic!("expected InvalidConfig, got {err:?}");
+        };
+        assert!(
+            message.contains("oversized store: 4294967296 slots"),
+            "{message}"
+        );
     }
 
     fn outcomes_identical(a: &CompactionOutcome, b: &CompactionOutcome, what: &str) {

@@ -82,7 +82,9 @@ impl RankIndex {
 
 /// One aliveness bit per slot plus the number of bits set: what `index_of`,
 /// `contains`, `alive_count`, `iter_alive` and `alive_slots` read instead of an
-/// 88-byte slot's discriminant. Bit `i` is set exactly while `slots[i]` is `Some`.
+/// 88-byte slot's discriminant. Bit `i` is set exactly while `slots[i]` is `Some`
+/// (a slot [`PakGraph::retire`]d mid-iteration still holds its node, bit clear,
+/// until the same iteration takes it out).
 #[derive(Debug, Clone, Default)]
 struct AliveBits {
     words: Vec<u64>,
@@ -376,6 +378,23 @@ impl PakGraph {
         let node = self.slots.get_mut(slot)?.take()?;
         self.alive.clear(slot);
         Some(node)
+    }
+
+    /// The first half of an invalidation, for the compaction driver: clears the
+    /// alive bit of `slot` and leaves the node where it is, readable through
+    /// [`PakGraph::node`] until [`PakGraph::take_retired`] moves it out. Every
+    /// lookup already answers "not alive", so an iteration can retire all of its
+    /// targets before it extracts the first of them.
+    pub(crate) fn retire(&mut self, slot: usize) {
+        self.alive.clear(slot);
+    }
+
+    /// The second half: moves the node [`PakGraph::retire`]d at `slot` out.
+    pub(crate) fn take_retired(&mut self, slot: usize) -> MacroNode {
+        debug_assert!(!self.alive.get(slot), "slot {slot} was not retired");
+        self.slots[slot]
+            .take()
+            .expect("a retired slot holds its node")
     }
 
     /// Iterates over `(slot, node)` for every alive node, ascending (dead slots

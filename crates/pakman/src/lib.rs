@@ -90,5 +90,5 @@ pub use shard::{
 pub use spill::SpillTelemetry;
 pub use stage::{AssemblyPipeline, CompactArtifact, DrainedReads, FrontArtifact, Stage};
 pub use trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
-pub use transfer::{ShardMailbox, TransferNode};
+pub use transfer::{PostedTransfer, ShardMailbox, TransferNode};
 pub use walk::{generate_contigs, longest_contig, write_contigs_fasta};

@@ -454,6 +454,22 @@ impl MacroNode {
         out
     }
 
+    /// `prefix == self.successor_prefix(suffix)` without building the right-hand
+    /// side: the first bases of `prefix` against this node's (k-1)-mer, the rest
+    /// against the head of `suffix`, a word at a time. The walk asks this of
+    /// every candidate path of every step.
+    #[inline]
+    pub fn successor_prefix_is(&self, suffix: &DnaString, prefix: &DnaString) -> bool {
+        let (k1_len, s) = (self.k1mer.k(), suffix.len());
+        let head = s.min(k1_len);
+        prefix.len() == s
+            && prefix.packed_window(0, head) == self.k1mer.packed() >> (2 * (k1_len - head))
+            && (k1_len..s).step_by(32).all(|at| {
+                let n = (s - at).min(32);
+                prefix.packed_window(at, n) == suffix.packed_window(at - k1_len, n)
+            })
+    }
+
     /// Distinct predecessor (k-1)-mers over all prefix extensions.
     pub fn predecessor_k1mers(&self) -> Vec<Kmer> {
         let mut out: Vec<Kmer> = self
@@ -639,9 +655,10 @@ mod tests {
     #[test]
     fn slot_and_transfer_layouts_stay_within_their_cache_line_budget() {
         // A graph slot is the node, its (k-1)-mer and its first path in one
-        // piece: two cache lines at most. The transfer stream entry is what P2
-        // writes and P3 reads twice per transfer. A new field must not
-        // silently double either.
+        // piece: two cache lines at most. A TransferNode with its source slot is
+        // what the streamed pass builds and hands over per transfer (and what a
+        // posting store keeps per inbox entry). A new field must not silently
+        // double either.
         use std::mem::size_of;
         assert!(size_of::<Option<MacroNode>>() <= 128);
         assert_eq!(size_of::<Option<MacroNode>>(), size_of::<MacroNode>());

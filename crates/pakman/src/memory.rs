@@ -153,8 +153,17 @@ impl MemoryFootprint {
     ) -> MemoryFootprint {
         let reads_bytes = read_bases.div_ceil(4);
         let kmer_buffer_bytes = total_kmers * 8;
-        // During compaction the graph plus in-flight TransferNodes and bookkeeping is
-        // the live set; transfers are a small fraction of node bytes.
+        // During compaction the live set is the graph plus what stage D holds
+        // beside it. The eighth is the allowance for in-flight transfer state.
+        // Since the streamed pass that is one path's pair of TransferNodes and
+        // the nodes retired this iteration, parked until the pass ends — nodes
+        // `macronode_bytes` already counts, so the term now errs high. (Until
+        // that pass the whole iteration's transfers were materialised — 2 × Σ
+        // paths entries of 112 B, 9.7 MB beside the 13.3 MB slot vector of one
+        // of the benchmark's `batch_stream` batches — and "a small fraction of
+        // node bytes", as this comment then read, was false.) The driver's
+        // per-slot scratch (≈ 70 B a slot on iteration 0) is not modelled: it is
+        // part of what `memory.rss_vs_model_x` reads above 1.
         let compaction_peak_bytes = macronode_bytes + macronode_bytes / 8;
         let unoptimized_compaction_peak_bytes =
             (compaction_peak_bytes as f64 * UNOPTIMIZED_EXPANSION_FACTOR) as u64;

@@ -8,7 +8,7 @@
 //!   budget and the grain constant, so a phase too small to repay a
 //!   spawn runs inline on the caller (DESIGN.md, "Fork-join and grain").
 //!   [`fork_join_into`] is the same for chunks that emit runs of one stream
-//!   (P1's rank hand-off, P2's transfers): chunk 0 writes the stream itself.
+//!   (P1's rank hand-off): chunk 0 writes the stream itself.
 //! * [`parallel_merge_round`] merges sorted runs pairwise, one chunk per pair;
 //! * [`merge_two`] is the sequential two-run merge used inside a round (and by
 //!   the k-mer counter's per-bucket pairwise merges, whose *final* merge is fused
@@ -16,8 +16,8 @@
 //! * [`radix_sort_pairs`] orders the construction records by their packed key.
 
 /// The grain: the fewest items a spawned helper is handed, for every site whose
-/// item is node-sized work (a counted k-mer of stage C, a P1 check, a P2 or P3
-/// transfer — 50–270 ns each, so ≥ 0.4 ms: several times a scope's 68 µs).
+/// item is node-sized work (a counted k-mer of stage C, a P1 check, a lock-step
+/// P3 transfer — 50–270 ns each, so ≥ 0.4 ms: several times a scope's 68 µs).
 pub(crate) const GRAIN: usize = 8_192;
 /// The same share in stage B's much smaller item, the k-mer window (13–37 ns).
 pub(crate) const COUNT_GRAIN: usize = 8 * GRAIN;

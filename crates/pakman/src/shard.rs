@@ -70,7 +70,7 @@ use crate::kmer_count::{partition_counted_by_owner, CountedKmer};
 use crate::macronode::MacroNode;
 use crate::memory::MemoryBudget;
 use crate::par::{fork_join, plan, radix_sort_pairs, GRAIN};
-use crate::transfer::{ShardMailbox, TransferNode};
+use crate::transfer::{PostedTransfer, ShardMailbox, TransferNode};
 use nmp_pak_genome::{shard_of_packed, Kmer};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -304,12 +304,6 @@ impl ShardedGraph {
     pub(crate) fn is_alive_global(&self, slot: usize) -> bool {
         let (shard, local) = self.locate(slot);
         self.shards[shard].is_alive(local)
-    }
-
-    /// Invalidates the node at global slot `slot` on its owner shard.
-    pub fn invalidate_global(&mut self, slot: usize) -> Option<MacroNode> {
-        let (shard, local) = self.locate(slot);
-        self.shards[shard].invalidate(local)
     }
 
     /// `true` if a node with this (k-1)-mer is alive — resolved on its owner
@@ -586,14 +580,18 @@ pub fn compact_sharded_controlled(
 
 /// The lock-step [`NodeStore`]: the barriered driver's slots are global slots,
 /// every access is routed to the owner shard — the identity mapping for one
-/// shard, chosen by `locate` and `shard_of_packed` from the shard count — and P3
-/// is the once-per-iteration mailbox exchange, entered in the telemetry.
+/// shard, chosen by `locate` and `shard_of_packed` from the shard count — and
+/// every delivery crosses the inter-shard mailbox, which books it; the
+/// iteration's bookings enter the telemetry when it closes.
 struct Lockstep<'g> {
     sharded: &'g mut ShardedGraph,
     mailbox: ShardMailbox,
     telemetry: ShardingTelemetry,
-    /// Per-shard outcome buffers of a grouped [`apply_mailbox`], reused.
-    outcomes: Vec<Vec<bool>>,
+    /// The open iteration.
+    iteration: usize,
+    /// Chunks its apply runs on, at most one a shard ([`apply_inboxes`] works by
+    /// groups of shards): one applies on delivery, more post each transfer.
+    chunks: usize,
 }
 
 impl<'g> Lockstep<'g> {
@@ -601,7 +599,8 @@ impl<'g> Lockstep<'g> {
         Lockstep {
             mailbox: ShardMailbox::new(sharded.shard_count()),
             telemetry: ShardingTelemetry::at_start(sharded),
-            outcomes: Vec::new(),
+            iteration: 0,
+            chunks: 1,
             sharded,
         }
     }
@@ -622,120 +621,107 @@ impl NodeStore for Lockstep<'_> {
     fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
         self.sharded.index_of_global(k1mer)
     }
-    fn invalidate(&mut self, slot: usize) {
-        self.sharded.invalidate_global(slot);
+    fn retire(&mut self, slot: usize) {
+        let (shard, local) = self.sharded.locate(slot);
+        self.sharded.shards[shard].retire(local);
+    }
+    fn take_retired(&mut self, slot: usize) -> MacroNode {
+        let (shard, local) = self.sharded.locate(slot);
+        self.sharded.shards[shard].take_retired(local)
     }
     fn checked(&mut self, slots: &[usize]) {
         for &slot in slots {
             self.telemetry.checked_per_shard[self.sharded.shard_of_global(slot)] += 1;
         }
     }
+    fn open(&mut self, iteration: usize, chunks: usize) {
+        self.mailbox.clear();
+        (self.iteration, self.chunks) = (iteration, chunks.min(self.sharded.shard_count()));
+    }
 
-    /// The inter-shard mailbox: one batched exchange per iteration — a stable
-    /// partition of the canonical stream, so delivery is slot-ordered — then
-    /// every destination shard applies its inbox ([`apply_mailbox`]).
-    fn apply(
+    /// Books the transfer on its (src, dst) lane, then applies it in place —
+    /// measured on 4 shards, 6–25 % the faster at one chunk — or moves it into
+    /// its destination shard's inbox: posting in stream order is a stable
+    /// partition of the canonical stream, so delivery stays slot-ordered.
+    fn deliver(
         &mut self,
-        iteration: usize,
-        threads: usize,
-        transfers: &[(usize, TransferNode)],
-        resolved: &[Option<usize>],
-        matched: &mut Vec<bool>,
-    ) {
-        let sharded = &mut *self.sharded;
-        let mailbox = &mut self.mailbox;
-        mailbox.route(transfers, |i| sharded.shard_of_global(transfers[i].0));
-        self.telemetry.mailbox.push(MailboxIterationStats {
-            iteration,
-            transfers: mailbox.transfer_count(),
-            cross_shard_transfers: mailbox.cross_shard_transfer_count(),
-            bytes: mailbox.total_bytes(),
-            cross_shard_bytes: mailbox.cross_shard_bytes(),
-        });
-        let route_bytes = self.telemetry.route_bytes.iter_mut();
-        for (cell, routed) in route_bytes.zip(mailbox.route_bytes()) {
-            *cell += routed;
+        source: usize,
+        dest: Option<usize>,
+        transfer: TransferNode,
+    ) -> Option<bool> {
+        let src = self.sharded.shard_of_global(source);
+        let dst = self.mailbox.enter(src, &transfer);
+        let global = dest?;
+        let (shard, local) = self.sharded.locate(global);
+        debug_assert_eq!(shard, dst);
+        if self.chunks > 1 {
+            self.mailbox.post(dst, global, local, transfer);
+            return None;
         }
-        // Decompose the barriered exchange into per-(src, dst) flush records
-        // so lock-step and async expose the same per-flush ledger (already in
-        // (iteration, src, dst) order by construction).
-        let shard_count = sharded.shard_count();
-        for src in 0..shard_count {
-            for dst in 0..shard_count {
-                let routed = mailbox.routed_transfers(src, dst);
-                if routed > 0 {
-                    self.telemetry.flushes.push(MailboxFlushStats {
-                        src,
-                        dst,
-                        src_iteration: iteration,
-                        transfers: routed,
-                        bytes: mailbox.routed_bytes(src, dst),
-                    });
-                }
+        let node = self.sharded.shards[shard].node_mut(local);
+        Some(apply_transfer(
+            node.expect("destination is alive"),
+            &transfer,
+        ))
+    }
+
+    /// Enters the iteration's exchange in the telemetry — one flush record per
+    /// (src, dst) lane with traffic, so lock-step and async expose the same
+    /// per-flush ledger (already in (iteration, src, dst) order by
+    /// construction), and their sums — then has every destination shard apply
+    /// its inbox ([`apply_inboxes`]) and settles the outcomes in delivery order.
+    fn close(&mut self, settle: impl FnMut(usize, bool)) {
+        let (mailbox, telemetry) = (&mut self.mailbox, &mut self.telemetry);
+        let mut exchange = MailboxIterationStats {
+            iteration: self.iteration,
+            transfers: 0,
+            cross_shard_transfers: 0,
+            bytes: 0,
+            cross_shard_bytes: 0,
+        };
+        for (src, dst, transfers, bytes) in mailbox.lanes() {
+            exchange.transfers += transfers as usize;
+            exchange.bytes += bytes;
+            if src != dst {
+                exchange.cross_shard_transfers += transfers as usize;
+                exchange.cross_shard_bytes += bytes;
             }
+            telemetry.route_bytes[src * telemetry.shard_count + dst] += bytes;
+            telemetry.flushes.push(MailboxFlushStats {
+                src,
+                dst,
+                src_iteration: self.iteration,
+                transfers,
+                bytes,
+            });
         }
-        matched.clear();
-        matched.resize(transfers.len(), false);
-        let chunks = plan(transfers.len(), threads, GRAIN);
-        let outs = &mut self.outcomes;
-        apply_mailbox(sharded, mailbox, transfers, resolved, chunks, outs, matched);
+        telemetry.mailbox.push(exchange);
+        if self.chunks > 1 {
+            apply_inboxes(&mut self.sharded.shards, mailbox.inboxes_mut(), self.chunks);
+            mailbox.settle(settle);
+        }
     }
 }
 
-/// Stage P3 proper, filling `matched` (aligned with `transfers`). One chunk
-/// applies the stream in place, in canonical order. More hand each destination
-/// shard its inbox, applied in mailbox (= canonical per-destination) order —
+/// The forked stage P3: every destination shard applies its inbox, in inbox
+/// (= canonical per-destination) order, marking each transfer's outcome —
 /// contiguous groups of shards per chunk, the first group on the calling
-/// thread — into its reused `outcomes` buffer, which is then scattered into
-/// canonical-stream positions. Measured on 4 shards: in place is 6–25 % the
-/// faster at one chunk, the groups 28 % at two on a 400 kbp graph (DESIGN.md).
-fn apply_mailbox(
-    sharded: &mut ShardedGraph,
-    mailbox: &ShardMailbox,
-    transfers: &[(usize, TransferNode)],
-    resolved: &[Option<usize>],
-    chunks: usize,
-    outcomes: &mut Vec<Vec<bool>>,
-    matched: &mut [bool],
-) {
-    if chunks == 1 {
-        for (i, (_, transfer)) in transfers.iter().enumerate() {
-            if let Some(global) = resolved[i] {
-                let (shard, local) = sharded.locate(global);
-                let node = sharded.shards[shard].node_mut(local);
-                matched[i] = apply_transfer(node.expect("destination is alive"), transfer);
-            }
-        }
-        return;
-    }
-    let shard_count = sharded.shards.len();
-    let route = &sharded.route;
-    outcomes.resize_with(shard_count, Vec::new);
-    let per_chunk = shard_count.div_ceil(chunks);
-    let groups = sharded
-        .shards
+/// thread. Measured on 4 shards: 28 % faster than in place at two chunks on a
+/// 400 kbp graph (DESIGN.md).
+fn apply_inboxes(shards: &mut [PakGraph], inboxes: &mut [Vec<PostedTransfer>], chunks: usize) {
+    let per_chunk = shards.len().div_ceil(chunks);
+    let groups = shards
         .chunks_mut(per_chunk)
-        .zip(outcomes.chunks_mut(per_chunk));
-    fork_join(groups.enumerate(), |(group, (graphs, outs))| {
-        for (offset, (shard_graph, out)) in graphs.iter_mut().zip(outs).enumerate() {
-            out.clear();
-            for &index in mailbox.inbox(group * per_chunk + offset) {
-                out.push(resolved[index as usize].is_some_and(|global| {
-                    let (owner, local) = route[global];
-                    debug_assert_eq!(owner as usize, group * per_chunk + offset);
-                    let node = shard_graph
-                        .node_mut(local as usize)
-                        .expect("destination is alive");
-                    apply_transfer(node, &transfers[index as usize].1)
-                }));
+        .zip(inboxes.chunks_mut(per_chunk));
+    fork_join(groups, |(graphs, inboxes)| {
+        for (graph, inbox) in graphs.iter_mut().zip(inboxes) {
+            for posted in inbox {
+                let node = graph.node_mut(posted.local_slot);
+                posted.matched =
+                    apply_transfer(node.expect("destination is alive"), &posted.transfer);
             }
         }
     });
-    for (shard, out) in outcomes.iter().enumerate() {
-        for (&index, &did_match) in mailbox.inbox(shard).iter().zip(out) {
-            matched[index as usize] = did_match;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1577,66 +1563,133 @@ mod tests {
             nodes_of(grouped.into_global_graph())
         );
 
-        // P1, then P2 over P1's verdicts, on one chunk and on three.
-        let slots: Vec<usize> = (0..sharded.global_slot_count()).collect();
-        let mut routed = sharded.clone();
-        let store = Lockstep::over(&mut routed);
-        let phases_on = |chunks: usize| {
-            let mut scratch = CompactionScratch::new(slots.len());
-            scratch.recheck.extend_from_slice(&slots);
+        // One iteration by hand — P1, the streamed pass, the close — on one
+        // chunk (every transfer applied in place on delivery) and on three (every
+        // transfer posted, five inboxes applied in three groups).
+        let iteration_on = |chunks: usize| {
+            let mut routed = sharded.clone();
+            let mut store = Lockstep::over(&mut routed);
+            let mut scratch = CompactionScratch::new(&store).unwrap();
+            scratch.recheck.extend(0..store.slot_count());
             scratch.check(&store, chunks);
-            let invalidated = scratch.check_results.iter();
-            let invalidated = invalidated.filter(|check| check.invalidated);
-            scratch
-                .invalidated
-                .extend(invalidated.map(|check| check.slot));
-            scratch.extract(&store, chunks);
-            scratch
+            scratch.fold_census();
+            let mut events = Vec::new();
+            let delivered = scratch.stream(&mut store, 0, chunks, true, Some(&mut events));
+            assert!(delivered > 1_000, "{delivered} transfers");
+            assert_eq!(scratch.resolved.len(), delivered);
+            // Posted transfers settle at the close, delivered ones on the spot.
+            assert_eq!(scratch.touched_order.is_empty(), chunks > 1);
+            store.close(|dest, matched| scratch.settle(dest, matched));
+            assert!(!scratch.touched_order.is_empty());
+            let ledger = store.telemetry;
+            let nodes = nodes_of(routed.into_global_graph());
+            let checks = (scratch.check_results, scratch.resolved, events);
+            let outcomes = (scratch.unmatched, scratch.touched_order);
+            (checks, outcomes, ledger, nodes)
         };
-        let (serial, chunked) = (phases_on(1), phases_on(3));
-        let (checks, ranks) = (serial.check_results, serial.resolved);
-        assert_eq!(
-            (&checks, &ranks),
-            (&chunked.check_results, &chunked.resolved)
-        );
-        let (invalidated, stream) = (serial.invalidated, serial.transfers);
-        assert!(stream.len() > 1_000, "{} transfers", stream.len());
-        assert_eq!(stream, chunked.transfers);
-        let buffers = chunked.extract_buffers;
-        assert!(buffers.iter().all(Vec::is_empty), "helper buffers drain");
-        // P1's hand-off is the stream's destinations, resolved on their owners.
-        assert_eq!(ranks.len(), stream.len());
-        for ((_, transfer), dest) in stream.iter().zip(&ranks) {
-            assert_eq!(*dest, sharded.index_of_global(&transfer.destination));
-        }
+        let (serial, grouped) = (iteration_on(1), iteration_on(3));
+        assert_eq!(serial.2.total_transfers(), serial.0 .1.len());
+        assert!(serial.2.cross_shard_fraction() > 0.5);
+        assert_eq!(serial, grouped);
+    }
 
-        // P3 through the mailbox: five inboxes on one chunk and in three groups.
-        let apply = |chunks: usize| {
-            let mut graph = sharded.clone();
-            for &slot in &invalidated {
-                graph.invalidate_global(slot);
+    /// Five nodes wired asymmetrically so that a destination dies in the very
+    /// iteration that sends to it (the graph of `tests/graph_index.rs`): `GGGG`
+    /// lists `TTTT` as its predecessor, `TTTT` does not list `GGGG` back, and
+    /// both dominate every neighbour they do list (A < C < T < G). `CCCC` holds
+    /// the extension `GGGG`'s transfer looks for; `AAAA` and `ACAC` hold none.
+    fn asymmetric_nodes() -> Vec<MacroNode> {
+        let dna = |text: &str| text.parse::<nmp_pak_genome::DnaString>().unwrap();
+        let node = |k1mer: &str, prefix: Option<&str>, suffix: Option<&str>| {
+            let mut node = MacroNode::new(Kmer::from_ascii(k1mer).unwrap());
+            if prefix.is_some() || suffix.is_some() {
+                node.push_path(crate::macronode::ThroughPath {
+                    prefix: prefix.map(dna),
+                    suffix: suffix.map(dna),
+                    count: 1,
+                });
             }
-            let resolved: Vec<Option<usize>> = ranks
-                .iter()
-                .map(|dest| dest.filter(|&slot| graph.is_alive_global(slot)))
-                .collect();
-            let mut mailbox = ShardMailbox::new(5);
-            mailbox.route(&stream, |i| graph.shard_of_global(stream[i].0));
-            let mut matched = vec![false; stream.len()];
-            apply_mailbox(
-                &mut graph,
-                &mailbox,
-                &stream,
-                &resolved,
-                chunks,
-                &mut Vec::new(),
-                &mut matched,
-            );
-            (nodes_of(graph.into_global_graph()), matched)
+            node
         };
-        let serial = apply(1);
-        assert!(serial.1.iter().any(|&matched| matched));
-        assert_eq!(serial, apply(3));
+        vec![
+            node("AAAA", None, None),
+            node("ACAC", None, None),
+            node("CCCC", Some("GGGG"), None),
+            node("TTTT", Some("AAAA"), Some("ACAC")),
+            node("GGGG", Some("TTTT"), Some("CCCC")),
+        ]
+    }
+
+    #[test]
+    fn a_destination_retired_beside_its_source_is_dropped_under_every_store() {
+        use crate::trace::{TransferEvent, UpdateEvent};
+        let nodes = asymmetric_nodes();
+        let sharded_over = |shards: usize| {
+            let mut parts: Vec<Vec<MacroNode>> = vec![Vec::new(); shards];
+            for node in &nodes {
+                parts[node.owner_shard(shards)].push(node.clone());
+            }
+            let graphs = parts.into_iter().map(|part| PakGraph::from_nodes(part, 5));
+            ShardedGraph::from_shards(graphs.collect(), 5)
+        };
+        for record_trace in [true, false] {
+            let config = |mode| PakmanConfig {
+                k: 5,
+                compaction_node_threshold: 0,
+                threads: 1,
+                record_trace,
+                compaction_mode: mode,
+                ..PakmanConfig::default()
+            };
+            let mut reference_graph = PakGraph::from_nodes(nodes.clone(), 5);
+            let reference = compact(&mut reference_graph, &config(CompactionMode::FullScan));
+
+            // Slots ascend A < C < T < G: AAAA 0, ACAC 1, CCCC 2, TTTT 3, GGGG 4.
+            // Both targets go in iteration 0; of their four transfers the one to
+            // TTTT is dropped, two find no extension, and CCCC takes GGGG's.
+            let first = &reference.stats.iterations[0];
+            assert_eq!((first.invalidated, first.transfers), (2, 4));
+            assert_eq!(first.unmatched_transfers, 3);
+            assert_eq!(reference_graph.alive_slots(), [0, 1, 2]);
+            let spelled = reference_graph.node(2).unwrap().paths()[0].prefix.clone();
+            assert_eq!(spelled.unwrap().to_string(), "TTTTGGGG");
+            assert_eq!(reference.trace.is_some(), record_trace);
+            if let Some(trace) = &reference.trace {
+                let event = |source_slot, dest_slot| TransferEvent {
+                    source_slot,
+                    dest_slot,
+                    size_bytes: 27,
+                };
+                let landed = [event(3, 0), event(3, 1), event(4, 2)];
+                assert_eq!(trace.iterations[0].transfers, landed);
+                let update = UpdateEvent {
+                    dest_slot: 2,
+                    size_bytes: reference_graph.node(2).unwrap().size_bytes(),
+                };
+                assert_eq!(trace.iterations[0].updates, [update]);
+            }
+
+            for mode in [CompactionMode::FullScan, CompactionMode::Frontier] {
+                let mut single = PakGraph::from_nodes(nodes.clone(), 5);
+                let outcome = compact(&mut single, &config(mode));
+                assert_eq!(outcome.stats, reference.stats, "{mode:?}");
+                assert_eq!(outcome.trace, reference.trace, "{mode:?}");
+                for shards in [1usize, 4] {
+                    let what = format!("{mode:?}, shards = {shards}, traced = {record_trace}");
+                    let mut sharded = sharded_over(shards);
+                    let (outcome, telemetry) = compact_sharded(&mut sharded, &config(mode));
+                    assert_eq!(outcome.stats, reference.stats, "{what}");
+                    assert_eq!(outcome.trace, reference.trace, "{what}");
+                    // The dropped transfer crossed the mailbox all the same.
+                    assert_eq!(telemetry.total_transfers(), 4, "{what}");
+                    let global = sharded.into_global_graph();
+                    for slot in 0..5 {
+                        assert_eq!(global.node(slot), reference_graph.node(slot), "{what}");
+                        assert_eq!(single.node(slot), reference_graph.node(slot), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

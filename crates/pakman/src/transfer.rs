@@ -67,8 +67,8 @@ impl TransferNode {
     }
 
     /// Extracts the (predecessor, successor) pair for one interior path without
-    /// wrapping the result in a `Vec` — the form the parallel P2 stage pushes
-    /// straight into its pre-allocated per-thread buffers. Terminal paths yield
+    /// wrapping the result in a `Vec` — the form compaction's streamed pass
+    /// hands, one transfer at a time, to its store. Terminal paths yield
     /// `None`.
     ///
     /// Everything is computed on the packed words: the destinations by
@@ -165,38 +165,50 @@ impl TransferNode {
     }
 }
 
+/// One TransferNode resting in its destination shard's inbox.
+#[derive(Debug, Clone)]
+pub struct PostedTransfer {
+    /// Position among the iteration's posted transfers (the canonical order).
+    seq: usize,
+    /// Global slot of the destination node.
+    dest_slot: usize,
+    /// The destination's local slot on the receiving shard.
+    pub local_slot: usize,
+    /// The transfer itself, moved here once.
+    pub transfer: TransferNode,
+    /// Whether applying it found the extension to replace; the receiving shard
+    /// fills this in.
+    pub matched: bool,
+}
+
 /// The batched inter-shard TransferNode exchange of one compaction iteration —
 /// the shared-memory analogue of distributed PaKman's `MPI_Alltoallv` and the
 /// cross-channel hop of the NMP hardware.
 ///
-/// [`ShardMailbox::route`] walks the canonical (source-slot-major, path-order)
-/// transfer stream **once per iteration** and appends each transfer's index to
-/// its destination owner's inbox. Because the walk is a stable partition of the
-/// canonical stream, every inbox is *slot-ordered*: transfers addressed to the
-/// same destination arrive in exactly the order the serial compactor would have
-/// applied them, which is what keeps the sharded P3 bit-identical (path splits
-/// compose in delivery order). The mailbox also keeps the traffic ledger — how
-/// many transfers and bytes stayed on their source shard versus crossed shards
-/// — that the hardware model consumes as measured cross-channel traffic.
+/// The compaction driver streams the canonical (source-slot-major, path-order)
+/// transfers through it one at a time. [`ShardMailbox::enter`] books each on its
+/// (source shard, destination shard) lane — the traffic ledger the hardware
+/// model consumes as measured cross-channel traffic. A store that applies on
+/// delivery needs nothing more. One that applies shard-parallel
+/// [`ShardMailbox::post`]s each transfer into its destination owner's inbox:
+/// posting in stream order is a stable partition of the canonical stream, so
+/// every inbox is *slot-ordered* — transfers addressed to the same destination
+/// rest in exactly the order the serial compactor would have applied them,
+/// which is what keeps the sharded P3 bit-identical (path splits compose in
+/// delivery order) — and [`ShardMailbox::settle`] hands the outcomes back in
+/// posting order.
 #[derive(Debug, Clone, Default)]
 pub struct ShardMailbox {
-    /// Per destination shard: indices into the canonical transfer stream, in
-    /// canonical (therefore per-destination slot) order.
-    inboxes: Vec<Vec<u32>>,
-    /// Bytes routed shard→shard this iteration, flattened `src * shards + dst`.
-    route_bytes: Vec<u64>,
-    /// Transfers routed shard→shard this iteration, same flattening — the
-    /// count companion of `route_bytes`, consumed when per-(src, dst) flush
-    /// records are synthesized from a barriered exchange.
-    route_counts: Vec<u64>,
-    /// Transfers whose destination shard differs from their source shard.
-    cross_shard_transfers: usize,
-    /// Total transfers routed this iteration.
-    transfers: usize,
-    /// Total payload bytes this iteration.
-    bytes: u64,
-    /// Payload bytes that crossed shards this iteration.
-    cross_shard_bytes: u64,
+    /// Per destination shard: the posted transfers, in posting (therefore
+    /// per-destination slot) order.
+    inboxes: Vec<Vec<PostedTransfer>>,
+    /// `(destination slot, matched)` by posting position, rebuilt by `settle`.
+    outcomes: Vec<(usize, bool)>,
+    /// Transfers posted this iteration.
+    posted: usize,
+    /// `(transfers, payload bytes)` entered shard→shard this iteration,
+    /// flattened `src * shards + dst`.
+    lanes: Vec<(u64, u64)>,
 }
 
 impl ShardMailbox {
@@ -205,104 +217,81 @@ impl ShardMailbox {
         let shards = shard_count.max(1);
         ShardMailbox {
             inboxes: vec![Vec::new(); shards],
-            route_bytes: vec![0; shards * shards],
-            route_counts: vec![0; shards * shards],
+            lanes: vec![(0, 0); shards * shards],
             ..ShardMailbox::default()
         }
     }
 
-    /// Number of shards this mailbox exchanges between.
-    pub fn shard_count(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// Clears the inboxes and per-iteration counters (capacity is kept — the
-    /// exchange buffers are reused across iterations, §4.5's pre-allocation
-    /// discipline applied to the mailbox).
+    /// Clears the inboxes and the lanes (capacity is kept — the exchange
+    /// buffers are reused across iterations, §4.5's pre-allocation discipline
+    /// applied to the mailbox).
     pub fn clear(&mut self) {
         for inbox in &mut self.inboxes {
             inbox.clear();
         }
-        self.route_bytes.iter_mut().for_each(|b| *b = 0);
-        self.route_counts.iter_mut().for_each(|c| *c = 0);
-        self.cross_shard_transfers = 0;
-        self.transfers = 0;
-        self.bytes = 0;
-        self.cross_shard_bytes = 0;
+        self.posted = 0;
+        self.lanes.fill((0, 0));
     }
 
-    /// Routes the canonical transfer stream: transfer `i` (from source shard
-    /// `source_shards(i)`) goes to the inbox of its destination's owner. One
-    /// pass, stable, executed once per iteration.
-    pub fn route(
-        &mut self,
-        transfers: &[(usize, TransferNode)],
-        source_shards: impl Fn(usize) -> usize,
-    ) {
-        self.clear();
+    /// Books `transfer`, sent by shard `src`, on the lane to its destination's
+    /// owner, and returns that owner.
+    pub fn enter(&mut self, src: usize, transfer: &TransferNode) -> usize {
         let shards = self.inboxes.len();
-        debug_assert!(transfers.len() <= u32::MAX as usize);
-        for (i, (_, transfer)) in transfers.iter().enumerate() {
-            let dst = nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards);
-            let src = source_shards(i);
-            debug_assert!(src < shards);
-            let bytes = transfer.size_bytes() as u64;
-            self.inboxes[dst].push(i as u32);
-            self.route_bytes[src * shards + dst] += bytes;
-            self.route_counts[src * shards + dst] += 1;
-            self.transfers += 1;
-            self.bytes += bytes;
-            if src != dst {
-                self.cross_shard_transfers += 1;
-                self.cross_shard_bytes += bytes;
+        debug_assert!(src < shards);
+        let dst = nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards);
+        let lane = &mut self.lanes[src * shards + dst];
+        lane.0 += 1;
+        lane.1 += transfer.size_bytes() as u64;
+        dst
+    }
+
+    /// The lanes with traffic this iteration: `(src, dst, transfers, payload
+    /// bytes)`, in (src, dst) order.
+    pub fn lanes(&self) -> impl Iterator<Item = (usize, usize, u64, u64)> + '_ {
+        let shards = self.inboxes.len();
+        let busy = self.lanes.iter().enumerate().filter(|(_, lane)| lane.0 > 0);
+        busy.map(move |(i, &(transfers, bytes))| (i / shards, i % shards, transfers, bytes))
+    }
+
+    /// Moves an entered `transfer` into the inbox of shard `dst`, which owns its
+    /// destination: global slot `dest_slot`, the shard's `local_slot`.
+    pub fn post(
+        &mut self,
+        dst: usize,
+        dest_slot: usize,
+        local_slot: usize,
+        transfer: TransferNode,
+    ) {
+        self.inboxes[dst].push(PostedTransfer {
+            seq: self.posted,
+            dest_slot,
+            local_slot,
+            transfer,
+            matched: false,
+        });
+        self.posted += 1;
+    }
+
+    /// All inboxes, indexed by destination shard, for the receiving shards to
+    /// apply (each in inbox order) and mark.
+    pub fn inboxes_mut(&mut self) -> &mut [Vec<PostedTransfer>] {
+        &mut self.inboxes
+    }
+
+    /// Empties the inboxes and reports every posted transfer's `(destination
+    /// slot, matched)` in posting order — the canonical stream order again.
+    pub fn settle(&mut self, mut report: impl FnMut(usize, bool)) {
+        self.outcomes.clear();
+        self.outcomes.resize(self.posted, (0, false));
+        for inbox in &mut self.inboxes {
+            for posted in inbox.drain(..) {
+                self.outcomes[posted.seq] = (posted.dest_slot, posted.matched);
             }
         }
-    }
-
-    /// The slot-ordered inbox of destination shard `shard` (indices into the
-    /// canonical transfer stream).
-    pub fn inbox(&self, shard: usize) -> &[u32] {
-        &self.inboxes[shard]
-    }
-
-    /// All inboxes, indexed by destination shard.
-    pub fn inboxes(&self) -> &[Vec<u32>] {
-        &self.inboxes
-    }
-
-    /// Bytes routed from `src` shard to `dst` shard this iteration.
-    pub fn routed_bytes(&self, src: usize, dst: usize) -> u64 {
-        self.route_bytes[src * self.inboxes.len() + dst]
-    }
-
-    /// The flattened shard×shard byte matrix (`src * shard_count + dst`).
-    pub fn route_bytes(&self) -> &[u64] {
-        &self.route_bytes
-    }
-
-    /// Transfers routed from `src` shard to `dst` shard this iteration.
-    pub fn routed_transfers(&self, src: usize, dst: usize) -> u64 {
-        self.route_counts[src * self.inboxes.len() + dst]
-    }
-
-    /// Transfers routed this iteration.
-    pub fn transfer_count(&self) -> usize {
-        self.transfers
-    }
-
-    /// Transfers that crossed shards this iteration.
-    pub fn cross_shard_transfer_count(&self) -> usize {
-        self.cross_shard_transfers
-    }
-
-    /// Total payload bytes this iteration.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Payload bytes that crossed shards this iteration.
-    pub fn cross_shard_bytes(&self) -> u64 {
-        self.cross_shard_bytes
+        self.posted = 0;
+        for &(dest_slot, matched) in &self.outcomes {
+            report(dest_slot, matched);
+        }
     }
 }
 
@@ -433,7 +422,7 @@ mod tests {
     #[test]
     fn mailbox_routing_is_stable_and_fully_accounted() {
         // A small canonical stream: transfers to several destinations, sources
-        // attributed round-robin across 3 shards.
+        // attributed round-robin across 3 shards, destination slots made up.
         let shards = 3usize;
         let node_a = MacroNode::from_extensions(k("GTCA"), vec![(Base::A, 2)], vec![(Base::T, 2)]);
         let node_b = MacroNode::from_extensions(k("CATG"), vec![(Base::C, 1)], vec![(Base::G, 1)]);
@@ -444,38 +433,64 @@ mod tests {
             }
         }
         let mut mailbox = ShardMailbox::new(shards);
-        mailbox.route(&stream, |i| stream[i].0 % shards);
+        let post_all = |mailbox: &mut ShardMailbox| {
+            for (i, (slot, transfer)) in stream.iter().enumerate() {
+                let dst = mailbox.enter(slot % shards, transfer);
+                let dest = &transfer.destination;
+                assert_eq!(nmp_pak_genome::shard_of_packed(dest.packed(), shards), dst);
+                mailbox.post(dst, 100 + i, i, transfer.clone());
+            }
+        };
+        post_all(&mut mailbox);
 
         // Every transfer lands in exactly one inbox, at its owner.
-        let total: usize = (0..shards).map(|s| mailbox.inbox(s).len()).sum();
+        let total: usize = mailbox.inboxes_mut().iter().map(Vec::len).sum();
         assert_eq!(total, stream.len());
-        assert_eq!(mailbox.transfer_count(), stream.len());
-        for s in 0..shards {
-            for &i in mailbox.inbox(s) {
-                let dest = &stream[i as usize].1.destination;
+        for (s, inbox) in mailbox.inboxes_mut().iter_mut().enumerate() {
+            for posted in inbox.iter_mut() {
+                // `local_slot` is the stream position here.
+                assert_eq!(posted.transfer, stream[posted.local_slot].1);
+                let dest = &posted.transfer.destination;
                 assert_eq!(nmp_pak_genome::shard_of_packed(dest.packed(), shards), s);
+                posted.matched = posted.local_slot % 2 == 0;
             }
-            // Slot-ordered delivery: inbox indices ascend (stable partition of
-            // the canonical stream).
-            assert!(mailbox.inbox(s).windows(2).all(|w| w[0] < w[1]));
+            // Slot-ordered delivery: stream positions ascend within an inbox
+            // (a stable partition of the canonical stream).
+            assert!(inbox.windows(2).all(|w| w[0].local_slot < w[1].local_slot));
         }
-        // The byte ledger is conserved and splits into stay/cross.
-        let expected_bytes: u64 = stream.iter().map(|(_, t)| t.size_bytes() as u64).sum();
-        assert_eq!(mailbox.total_bytes(), expected_bytes);
-        let matrix_sum: u64 = mailbox.route_bytes().iter().sum();
-        assert_eq!(matrix_sum, expected_bytes);
-        // The count matrix is conserved too.
-        let count_sum: u64 = (0..shards)
-            .flat_map(|s| (0..shards).map(move |d| (s, d)))
-            .map(|(s, d)| mailbox.routed_transfers(s, d))
-            .sum();
-        assert_eq!(count_sum as usize, stream.len());
-        let diag: u64 = (0..shards).map(|s| mailbox.routed_bytes(s, s)).sum();
-        assert_eq!(mailbox.cross_shard_bytes(), expected_bytes - diag);
-        // Re-routing after clear reproduces the same assignment.
-        let before: Vec<Vec<u32>> = mailbox.inboxes().to_vec();
-        mailbox.route(&stream, |i| stream[i].0 % shards);
-        assert_eq!(mailbox.inboxes(), &before[..]);
+        // The lanes account for every transfer and byte, each on the lane of
+        // its source's shard and its destination's owner.
+        let mut traffic = vec![(0u64, 0u64); shards * shards];
+        for (slot, transfer) in &stream {
+            let dst = nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards);
+            let lane = &mut traffic[slot % shards * shards + dst];
+            *lane = (lane.0 + 1, lane.1 + transfer.size_bytes() as u64);
+        }
+        let cells = (0..shards).flat_map(|s| (0..shards).map(move |d| (s, d)));
+        let expected_lanes: Vec<(usize, usize, u64, u64)> = cells
+            .map(|(s, d)| (s, d, traffic[s * shards + d].0, traffic[s * shards + d].1))
+            .filter(|lane| lane.2 > 0)
+            .collect();
+        assert!(expected_lanes.len() > 1 && expected_lanes.len() < shards * shards);
+        assert_eq!(mailbox.lanes().collect::<Vec<_>>(), expected_lanes);
+
+        // Settling hands the outcomes back in posting order and empties the
+        // inboxes; posting again after a clear settles the same way.
+        let expected: Vec<(usize, bool)> =
+            (0..stream.len()).map(|i| (100 + i, i % 2 == 0)).collect();
+        let mut settled = Vec::new();
+        mailbox.settle(|dest, matched| settled.push((dest, matched)));
+        assert_eq!(settled, expected);
+        assert!(mailbox.inboxes_mut().iter().all(Vec::is_empty));
+        mailbox.clear();
+        assert_eq!(mailbox.lanes().count(), 0);
+        post_all(&mut mailbox);
+        assert_eq!(mailbox.lanes().collect::<Vec<_>>(), expected_lanes);
+        settled.clear();
+        mailbox.settle(|dest, matched| settled.push((dest, matched)));
+        let unmarked: Vec<(usize, bool)> =
+            expected.iter().map(|&(dest, _)| (dest, false)).collect();
+        assert_eq!(settled, unmarked);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::contig::Contig;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
+use crate::macronode::MacroNode;
 use nmp_pak_genome::{fasta, DnaString};
 use std::io::Write;
 use std::ops::ControlFlow;
@@ -83,7 +84,9 @@ fn walk_contigs(
     min_length: usize,
     emit: &mut dyn FnMut(Contig) -> ControlFlow<()>,
 ) {
-    let mut used = UsedPaths::new(graph);
+    let (mut used, sources, isolated) = UsedPaths::scan(graph);
+    // One suffix list for every walk of the run.
+    let mut suffixes = Vec::new();
 
     let deliver = |contig: Contig, emit: &mut dyn FnMut(Contig) -> ControlFlow<()>| {
         if contig.len() >= min_length {
@@ -96,14 +99,12 @@ fn walk_contigs(
     // Pass 1: start from true source nodes (no incoming interior flow at all). Reads
     // that merely *start* at an otherwise covered node contribute redundant terminal
     // flow and are not separate contig starts.
-    for (slot, node) in graph.iter_alive() {
-        if node.incoming_count() > 0 {
-            continue;
-        }
+    for slot in sources {
+        let node = graph.node(slot).expect("a source slot is alive");
         for path_idx in 0..node.paths().len() {
             let path = &node.paths()[path_idx];
             if path.suffix.is_some() && !used.of(slot)[path_idx] {
-                let contig = walk_from(graph, &mut used, slot, path_idx);
+                let contig = walk_from(graph, &mut used, &mut suffixes, slot, path_idx);
                 if deliver(contig, emit).is_break() {
                     return;
                 }
@@ -120,7 +121,7 @@ fn walk_contigs(
             if path.prefix.is_some() && !used.of(slot)[path_idx] {
                 if let Some(suffix) = path.suffix.as_ref() {
                     if graph.contains(&node.successor_k1mer(suffix)) {
-                        let contig = walk_from(graph, &mut used, slot, path_idx);
+                        let contig = walk_from(graph, &mut used, &mut suffixes, slot, path_idx);
                         if deliver(contig, emit).is_break() {
                             return;
                         }
@@ -131,9 +132,10 @@ fn walk_contigs(
     }
 
     // Pass 3: isolated nodes with only terminal flow still carry their (k-1)-mer.
-    for (slot, node) in graph.iter_alive() {
-        if node.paths().iter().all(|p| p.suffix.is_none()) && used.of(slot).iter().all(|u| !u) {
+    for slot in isolated {
+        if used.of(slot).iter().all(|u| !u) {
             used.of_mut(slot).fill(true);
+            let node = graph.node(slot).expect("an isolated slot is alive");
             let contig = Contig::new(node.k1mer().to_dna_string());
             if deliver(contig, emit).is_break() {
                 return;
@@ -151,8 +153,13 @@ struct UsedPaths {
 }
 
 impl UsedPaths {
-    fn new(graph: &PakGraph) -> UsedPaths {
+    /// One read of the slot vector for everything about a node that the walk
+    /// cannot change: the flag layout, and the start candidates of passes 1 and
+    /// 3, each ascending — the slots with no incoming interior flow, and the
+    /// slots none of whose paths leads on.
+    fn scan(graph: &PakGraph) -> (UsedPaths, Vec<usize>, Vec<usize>) {
         let mut offsets = Vec::with_capacity(graph.slot_count() + 1);
+        let (mut sources, mut isolated) = (Vec::new(), Vec::new());
         let mut total = 0u32;
         offsets.push(0);
         for slot in 0..graph.slot_count() {
@@ -160,13 +167,19 @@ impl UsedPaths {
             if graph.is_alive(slot) {
                 let node = graph.node(slot).expect("alive bit implies a node");
                 total += node.paths().len() as u32;
+                if node.paths().iter().all(|p| p.suffix.is_none()) {
+                    isolated.push(slot);
+                } else if node.incoming_count() == 0 {
+                    sources.push(slot);
+                }
             }
             offsets.push(total);
         }
-        UsedPaths {
+        let used = UsedPaths {
             flags: vec![false; total as usize],
             offsets,
-        }
+        };
+        (used, sources, isolated)
     }
 
     fn of(&self, slot: usize) -> &[bool] {
@@ -178,16 +191,38 @@ impl UsedPaths {
     }
 }
 
+/// The unused path of `node` with the highest count among those whose incoming
+/// extension `accept`s — the last of equals, as `Iterator::max_by_key` picks.
+fn best_unused(
+    node: &MacroNode,
+    used: &[bool],
+    accept: impl Fn(&DnaString) -> bool,
+) -> Option<usize> {
+    let mut best: Option<(usize, u32)> = None;
+    for (i, path) in node.paths().iter().enumerate() {
+        if !used[i]
+            && best.is_none_or(|(_, count)| path.count >= count)
+            && path.prefix.as_ref().is_some_and(&accept)
+        {
+            best = Some((i, path.count));
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
 /// Walks forward from `(slot, path_idx)`, collecting the suffix extension of every
-/// wired step, until the chain ends or every continuation has already been used.
+/// wired step in `suffixes` (cleared first; the caller's, so one allocation
+/// serves every walk), until the chain ends or every continuation has already
+/// been used.
 /// Each path is flagged in `used` as the walk steps onto it, so a walk that
 /// re-enters a node (a repeat longer than k) cannot take its own path twice.
 /// The contig is then spelled in one pass: a single allocation pre-sized to the
 /// walk's span, then the start (k-1)-mer and each suffix spliced in packed form
 /// via [`DnaString::extend_from`].
-fn walk_from(
-    graph: &PakGraph,
+fn walk_from<'g>(
+    graph: &'g PakGraph,
     used: &mut UsedPaths,
+    suffixes: &mut Vec<&'g DnaString>,
     start_slot: usize,
     start_path: usize,
 ) -> Contig {
@@ -196,7 +231,7 @@ fn walk_from(
 
     let mut slot = start_slot;
     let mut path_idx = start_path;
-    let mut suffixes: Vec<&DnaString> = Vec::new();
+    suffixes.clear();
     // Bound the walk defensively; each step consumes a path so this cannot loop
     // forever, but the explicit cap keeps malformed graphs from degenerating.
     let max_steps = graph.slot_count().saturating_mul(4) + 16;
@@ -217,29 +252,23 @@ fn walk_from(
         suffixes.push(suffix);
 
         // Move to the successor through this suffix. The incoming extension the
-        // successor knows us by is the spelled edge minus its own (k-1)-mer.
+        // successor knows us by is the spelled edge minus its own (k-1)-mer —
+        // compared in place; only the fallback spells it out.
         let successor_k1mer = node.successor_k1mer(suffix);
         let Some(next_slot) = graph.index_of(&successor_k1mer) else {
             break;
         };
-        let incoming = node.successor_prefix(suffix);
-
         let next_node = graph.node(next_slot).expect("successor is alive");
         let next_used = used.of(next_slot);
-        let best_unused = |accept: &dyn Fn(&DnaString) -> bool| {
-            next_node
-                .paths()
-                .iter()
-                .enumerate()
-                .filter(|(i, p)| !next_used[*i] && p.prefix.as_ref().is_some_and(accept))
-                .max_by_key(|(_, p)| p.count)
-                .map(|(i, _)| i)
-        };
+        let exact = |prefix: &DnaString| node.successor_prefix_is(suffix, prefix);
         // Compaction can leave the two sides of an edge at different extension lengths
         // (partial transfers); accept a consistent prefix — one string being a suffix
         // of the other — when no exact match remains.
-        let next_path = best_unused(&|prefix| *prefix == incoming).or_else(|| {
-            best_unused(&|prefix| incoming.ends_with(prefix) || prefix.ends_with(&incoming))
+        let next_path = best_unused(next_node, next_used, exact).or_else(|| {
+            let incoming = node.successor_prefix(suffix);
+            let consistent =
+                |prefix: &DnaString| incoming.ends_with(prefix) || prefix.ends_with(&incoming);
+            best_unused(next_node, next_used, consistent)
         });
 
         match next_path {
@@ -256,7 +285,7 @@ fn walk_from(
     let span = start_k1mer.k() + suffixes.iter().map(|s| s.len()).sum::<usize>();
     let mut sequence = DnaString::with_capacity(span);
     sequence.extend_from(&start_k1mer.to_dna_string());
-    for suffix in suffixes {
+    for suffix in suffixes.iter() {
         sequence.extend_from(suffix);
     }
     debug_assert_eq!(sequence.len(), span);
@@ -377,7 +406,7 @@ mod tests {
         // it stops there instead of circling until the step cap.
         let read = "GGTCAACGTTCACGTTCACGTTCCCATG";
         let graph = graph_from_reads(&[read], 5);
-        let mut used = UsedPaths::new(&graph);
+        let (mut used, _, _) = UsedPaths::scan(&graph);
         let repeat_node = graph
             .index_of(&Kmer::from_dna(&"CGTT".parse().unwrap(), 0, 4).unwrap())
             .unwrap();
@@ -386,7 +415,7 @@ mod tests {
         let start = graph
             .index_of(&Kmer::from_dna(&read.parse().unwrap(), 0, 4).unwrap())
             .unwrap();
-        let contig = walk_from(&graph, &mut used, start, 0);
+        let contig = walk_from(&graph, &mut used, &mut Vec::new(), start, 0);
         assert_eq!(contig.sequence.to_string(), "GGTCAACGTTCACGTT");
         assert!(used.of(repeat_node)[0]);
     }
@@ -410,15 +439,69 @@ mod tests {
 
     #[test]
     fn incoming_extension_matches_the_spelled_edge_slice() {
+        // Suffixes shorter than, as long as and longer than the (k-1)-mer, up to
+        // ones whose incoming extension lives on the heap (> 64 bases).
         let k1mer = Kmer::from_dna(&"ACGTA".parse().unwrap(), 0, 5).unwrap();
-        for suffix_text in ["T", "TG", "TGCA", "TGCAT", "TGCATGCAT"] {
-            let suffix: DnaString = suffix_text.parse().unwrap();
-            let via_spell = crate::macronode::spell_suffix(&k1mer, &suffix).slice(0, suffix.len());
-            assert_eq!(
-                crate::macronode::MacroNode::new(k1mer).successor_prefix(&suffix),
-                via_spell,
-                "suffix {suffix_text}"
+        let node = MacroNode::new(k1mer);
+        let unit = "TGCATGGATTACA";
+        for len in [1, 2, 4, 5, 9, 31, 32, 33, 37, 38, 64, 65, 69, 70, 100] {
+            let suffix: DnaString = unit.repeat(len / unit.len() + 1)[..len].parse().unwrap();
+            let via_spell = crate::macronode::spell_suffix(&k1mer, &suffix).slice(0, len);
+            assert_eq!(node.successor_prefix(&suffix), via_spell, "suffix of {len}");
+
+            // The in-place comparison accepts exactly that string: not one with
+            // any single base changed, not a shorter or a longer one.
+            assert!(
+                node.successor_prefix_is(&suffix, &via_spell),
+                "suffix of {len}"
             );
+            for at in 0..len {
+                let mut text = via_spell.to_ascii().into_bytes();
+                text[at] = if text[at] == b'A' { b'C' } else { b'A' };
+                let wrong: DnaString = String::from_utf8(text).unwrap().parse().unwrap();
+                assert!(
+                    !node.successor_prefix_is(&suffix, &wrong),
+                    "{len}: base {at}"
+                );
+            }
+            let shorter = via_spell.slice(0, len - 1);
+            assert!(
+                !node.successor_prefix_is(&suffix, &shorter),
+                "suffix of {len}"
+            );
+            let mut longer = via_spell.clone();
+            longer.extend_from(&"A".parse().unwrap());
+            assert!(
+                !node.successor_prefix_is(&suffix, &longer),
+                "suffix of {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_best_unused_path_is_the_last_of_the_highest_counts() {
+        let dna = |text: &str| text.parse::<DnaString>().unwrap();
+        let mut node = MacroNode::new(Kmer::from_ascii("ACGT").unwrap());
+        for (prefix, count) in [("A", 2), ("C", 5), ("A", 5), ("G", 9), ("A", 5), ("A", 1)] {
+            node.push_path(crate::macronode::ThroughPath::through(
+                dna(prefix),
+                dna("T"),
+                count,
+            ));
+        }
+        let is_a = |prefix: &DnaString| *prefix == dna("A");
+        let oracle = |used: &[bool]| {
+            let paths = node.paths().iter().enumerate();
+            let open = paths.filter(|(i, p)| !used[*i] && p.prefix.as_ref().is_some_and(is_a));
+            open.max_by_key(|(_, p)| p.count).map(|(i, _)| i)
+        };
+        let mut used = [false; 6];
+        for expected in [Some(4), Some(2), Some(0), Some(5), None] {
+            assert_eq!(best_unused(&node, &used, is_a), expected);
+            assert_eq!(oracle(&used), expected);
+            if let Some(i) = expected {
+                used[i] = true;
+            }
         }
     }
 

@@ -8,9 +8,9 @@
 use nmp_pak_genome::{ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead};
 use nmp_pak_pakman::{
     compact, compact_controlled, compact_sharded, compact_sharded_controlled, count_kmers,
-    AssemblyOutput, BatchAssembler, BatchSchedule, CancelToken, KmerCounterConfig, PakGraph,
-    PakmanAssembler, PakmanConfig, PakmanError, ProgressObserver, RunControl, ShardConfig,
-    ShardedGraph,
+    AssemblyOutput, BatchAssembler, BatchSchedule, CancelToken, CompactionTrace, KmerCounterConfig,
+    PakGraph, PakmanAssembler, PakmanConfig, PakmanError, ProgressObserver, RunControl,
+    ShardConfig, ShardedGraph, ShardingTelemetry,
 };
 use std::sync::Mutex;
 
@@ -356,4 +356,105 @@ fn one_shard_lockstep_ledger_agrees_with_the_outcome() {
         telemetry.total_flush_bytes(),
         telemetry.total_mailbox_bytes()
     );
+}
+
+/// FNV-1a over a stream of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Every ordered artifact of the trace: per iteration the transfer events
+/// (source, destination, size) in routing order and the update events
+/// (destination, size) in first-touch order, with the counts as separators.
+fn trace_digest(trace: &CompactionTrace) -> u64 {
+    let word = |n: usize| n as u64;
+    fnv(trace.iterations.iter().flat_map(|it| {
+        let counts = [it.checks.len(), it.transfers.len(), it.updates.len()];
+        let transfers = it.transfers.iter();
+        let transfers = transfers.flat_map(|t| [t.source_slot, t.dest_slot, t.size_bytes]);
+        let updates = it.updates.iter().flat_map(|u| [u.dest_slot, u.size_bytes]);
+        let words = counts.into_iter().chain(transfers).chain(updates);
+        words.map(word).collect::<Vec<u64>>()
+    }))
+}
+
+/// The whole lock-step ledger: every flush record in order, the route matrix,
+/// the per-shard check counts and the per-iteration mailbox entries.
+fn telemetry_digest(telemetry: &ShardingTelemetry) -> u64 {
+    let word = |n: usize| n as u64;
+    let flushes = telemetry.flushes.iter().flat_map(|f| {
+        let lane = [word(f.src), word(f.dst), word(f.src_iteration)];
+        lane.into_iter().chain([f.transfers, f.bytes])
+    });
+    let mailbox = telemetry.mailbox.iter().flat_map(|m| {
+        let counts = [m.iteration, m.transfers, m.cross_shard_transfers].map(word);
+        counts.into_iter().chain([m.bytes, m.cross_shard_bytes])
+    });
+    let route = telemetry.route_bytes.iter().copied();
+    let checked = telemetry.checked_per_shard.iter().copied();
+    fnv(flushes.chain(route).chain(checked).chain(mailbox))
+}
+
+#[test]
+fn traces_and_telemetry_repeat_the_pinned_values_across_threads_and_shards() {
+    // A 40 kbp read set: iteration 0 moves more than two grains of transfers, so
+    // from `threads = 2` the lock-step store posts them to its inboxes and
+    // applies by shard group; the later iterations, and every iteration at
+    // `threads = 1`, deliver in place. The values are the parent commit's (the
+    // materialised transfer stream) on this read set.
+    const TRACE: u64 = 0xee42_5a01_588f_2d1a;
+    const TELEMETRY: [(usize, u64); 3] = [
+        (1, 0x7a28_e9c7_e40f_aa7f),
+        (2, 0x74a5_d7d9_8b2a_240e),
+        (4, 0x4eaa_deb6_9c6e_6d49),
+    ];
+    const TRANSFERS: usize = 87_490;
+
+    let reads = simulated_reads(40_000, 30.0, 0x57E4);
+    let config = |threads| config(1, threads);
+    let (counted, _) = count_kmers(&reads, KmerCounterConfig::from(&config(1))).unwrap();
+    let single = PakGraph::from_counted_kmers(&counted, 21, 1);
+
+    let mut pinned_nodes = single.clone();
+    let reference = compact(&mut pinned_nodes, &config(1));
+    let moved = reference.stats.iterations.iter().map(|it| it.transfers);
+    assert!(
+        moved.clone().max().unwrap() > 2 * 8_192,
+        "iteration 0 forks"
+    );
+    assert!(
+        moved.clone().any(|n| (1..8_192).contains(&n)),
+        "late ones do not"
+    );
+    assert_eq!(reference.stats.total_transfers, TRANSFERS);
+    assert_eq!(trace_digest(reference.trace.as_ref().unwrap()), TRACE);
+
+    for threads in [1usize, 2, 4] {
+        let what = format!("single graph, threads = {threads}");
+        let mut graph = single.clone();
+        let outcome = compact(&mut graph, &config(threads));
+        assert_eq!(outcome.stats, reference.stats, "{what}");
+        assert_eq!(outcome.trace, reference.trace, "{what}");
+        assert_same_graph(&graph, &pinned_nodes, &what);
+
+        for (shards, pinned) in TELEMETRY {
+            let what = format!("shards = {shards}, threads = {threads}");
+            let mut sharded = match shards {
+                1 => ShardedGraph::from_single(single.clone()),
+                _ => ShardedGraph::from_counted_kmers(&counted, 21, shards, threads),
+            };
+            let (outcome, telemetry) = compact_sharded(&mut sharded, &config(threads));
+            assert_eq!(outcome.stats, reference.stats, "{what}");
+            assert_eq!(outcome.trace, reference.trace, "{what}");
+            assert_eq!(telemetry.total_transfers(), TRANSFERS, "{what}");
+            assert_eq!(telemetry_digest(&telemetry), pinned, "{what}");
+            assert_same_graph(&sharded.into_global_graph(), &pinned_nodes, &what);
+        }
+    }
 }

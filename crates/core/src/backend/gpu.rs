@@ -45,11 +45,6 @@ impl GpuBackend {
             gpu,
         }
     }
-
-    /// The device configuration this backend simulates with.
-    pub fn gpu_config(&self) -> &GpuConfig {
-        &self.gpu
-    }
 }
 
 impl CompactionBackend for GpuBackend {

@@ -33,8 +33,7 @@ use nmp_pak_pakman::CompactionTrace;
 ///
 /// Ids name a *configuration*, not an implementation: the paper's seven
 /// configurations have the constants below, and custom backends mint their own
-/// with [`BackendId::new`]. Lookup by id (or by figure label) goes through
-/// [`BackendRegistry`].
+/// with [`BackendId::new`]. Lookup by id goes through [`BackendRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BackendId(&'static str);
 
@@ -176,7 +175,8 @@ pub trait CompactionBackend: std::fmt::Debug + Send + Sync {
         CapacityVerdict::Fits
     }
 
-    /// Simulates Iterative Compaction by replaying `trace` over `layout`.
+    /// Simulates Iterative Compaction in one pass over `trace`'s events, placed
+    /// by `layout`.
     fn simulate(
         &self,
         trace: &CompactionTrace,
@@ -315,6 +315,138 @@ pub(crate) mod tests {
         assert_eq!(BackendId::NMP_PAK.as_str(), "nmp-pak");
         assert_eq!(BackendId::new("nmp-pak"), BackendId::NMP_PAK);
         assert_eq!(format!("{}", BackendId::CPU_PAK), "cpu-pak");
+    }
+
+    /// FNV-1a over every simulated field of a result, f64s by their bits, each
+    /// optional block behind a presence word.
+    fn result_digest(r: &BackendResult) -> u64 {
+        let (t, m) = (r.traffic, r.memory);
+        let mut words = vec![t.reads, t.writes, t.read_bytes, t.write_bytes];
+        words.extend([m.read_lines, m.write_lines, m.read_bytes, m.write_bytes]);
+        words.extend([m.elapsed_ns, m.peak_bandwidth_gbps].map(f64::to_bits));
+        words.push(u64::from(r.capacity_exceeded));
+        words.push(u64::from(r.stall.is_some()));
+        if let Some(s) = r.stall {
+            let fractions = [
+                s.base,
+                s.branch,
+                s.mem_l3,
+                s.mem_dram,
+                s.sync_futex,
+                s.other,
+            ];
+            words.extend(fractions.map(f64::to_bits));
+        }
+        words.push(u64::from(r.comm.is_some()));
+        if let Some(c) = r.comm {
+            words.extend([c.same_pe, c.cross_pe_same_dimm, c.cross_dimm]);
+        }
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// `(runtime_ns bits, digest of everything else)` per result of the
+    /// extended registry, in its order, against the pinned table; a failure
+    /// prints the table it got.
+    fn assert_pinned(results: &[BackendResult], pinned: &[(u64, u64)]) {
+        let ids: Vec<BackendId> = results.iter().map(|r| r.backend).collect();
+        assert_eq!(
+            ids,
+            BackendRegistry::extended(&SystemConfig::default()).ids()
+        );
+        let got: Vec<(u64, u64)> = results
+            .iter()
+            .map(|r| (r.runtime_ns.to_bits(), result_digest(r)))
+            .collect();
+        let table: String = got
+            .iter()
+            .zip(&ids)
+            .map(|((bits, digest), id)| format!("({bits:#018x}, {digest:#018x}), // {id}\n"))
+            .collect();
+        assert_eq!(got, pinned, "results moved; got:\n{table}");
+    }
+
+    #[test]
+    fn pinned_results_on_the_synthetic_trace() {
+        const PINNED: [(u64, u64); 8] = [
+            (0x41541f3a79168723, 0x879b8e43e460d074), // cpu-baseline-unoptimized
+            (0x412175c6978d4fe0, 0x0b22b6d706e9817e), // cpu-baseline
+            (0x41071d09e0b862c8, 0x548a0261ab1bd760), // gpu-baseline
+            (0x4115a5ab38a94d24, 0x6381373f891a1fa3), // cpu-pak
+            (0x40f7215b80000000, 0x179bfb85e86b3600), // nmp-pak
+            (0x40f7215b80000000, 0x179bfb85e86b3600), // nmp-ideal-pe
+            (0x40f2482d00000000, 0x199fcb441fe0404f), // nmp-ideal-forwarding
+            (0x40daa1a800000000, 0x5a6b8f251304fbb6), // panda-bitwise
+        ];
+        const PINNED_SHARDED: [(u64, u64); 8] = [
+            (0x41541f3a79168723, 0x879b8e43e460d074), // cpu-baseline-unoptimized
+            (0x412175c6978d4fe0, 0x0b22b6d706e9817e), // cpu-baseline
+            (0x41071d09e0b862c8, 0x548a0261ab1bd760), // gpu-baseline
+            (0x4115a5ab38a94d24, 0x6381373f891a1fa3), // cpu-pak
+            (0x4102502000000000, 0xc48312b9acef9e1e), // nmp-pak
+            (0x4102502000000000, 0xc48312b9acef9e1e), // nmp-ideal-pe
+            (0x40fc9725e0000000, 0x6e2c5e7838a75b00), // nmp-ideal-forwarding
+            (0x40eca96649249248, 0x06d32d65a10884df), // panda-bitwise
+        ];
+        let (trace, layout) = synthetic();
+        let registry = BackendRegistry::extended(&SystemConfig::default());
+        let results = registry.simulate_all(&trace, &layout, &SimulationContext::new(1 << 30));
+        assert_pinned(&results, &PINNED);
+
+        // Measured sharding: 12 shards folded onto 8 channels, shard 0 doing
+        // 3× the work, a third of the mailbox bytes channel-local.
+        let shards = 12usize;
+        let mut route_bytes = vec![0u64; shards * shards];
+        route_bytes[8] = 1_000; // shard 0 → shard 8: both on channel 0
+        route_bytes[1] = 2_000; // shard 0 → shard 1: cross-channel
+        let mut checked_per_shard = vec![1_000u64; shards];
+        checked_per_shard[0] = 3_000;
+        let telemetry = nmp_pak_pakman::ShardingTelemetry {
+            shard_count: shards,
+            initial_alive_per_shard: vec![100; shards],
+            final_alive_per_shard: vec![50; shards],
+            checked_per_shard,
+            mailbox: Vec::new(),
+            route_bytes,
+            flushes: Vec::new(),
+            round_nanos: Vec::new(),
+        };
+        let ctx = SimulationContext::new(1 << 30).with_sharding(telemetry);
+        assert_pinned(
+            &registry.simulate_all(&trace, &layout, &ctx),
+            &PINNED_SHARDED,
+        );
+    }
+
+    #[test]
+    fn pinned_results_on_a_traced_assembly() {
+        const PINNED: [(u64, u64); 8] = [
+            (0x418a62c7fa2221f2, 0x3fcc42e6153ea79d), // cpu-baseline-unoptimized
+            (0x4155083e760418a5, 0xf1e06b153a1ca17e), // cpu-baseline
+            (0x4120a9f7900d2ba0, 0xc8502e9829e8f4cc), // gpu-baseline
+            (0x4147fe221e098ebf, 0x6fa627e7da17528f), // cpu-pak
+            (0x411874d570000000, 0xe7c4e6e13633b66e), // nmp-pak
+            (0x411874d570000000, 0xe7c4e6e13633b66e), // nmp-ideal-pe
+            (0x4115237458000000, 0x828805cab8b3bf3f), // nmp-ideal-forwarding
+            (0x411861c980000000, 0x24890dfb18944a2f), // panda-bitwise
+        ];
+        let assembler = crate::NmpPakAssembler::default();
+        let workload = crate::Workload::tiny(3).unwrap();
+        let assembly = nmp_pak_pakman::PakmanAssembler::new(assembler.pakman)
+            .assemble(&workload.reads)
+            .unwrap();
+        let trace = assembly
+            .trace
+            .as_ref()
+            .expect("the assembler records a trace");
+        let layout = NodeLayout::new(&trace.initial_sizes, &assembler.system.dram);
+        let ctx = crate::NmpPakAssembler::context_for(&assembly);
+        let results =
+            BackendRegistry::extended(&assembler.system).simulate_all(trace, &layout, &ctx);
+        assert_pinned(&results, &PINNED);
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl CompactionBackend for NmpBackend {
             .sharding
             .as_ref()
             .map(|telemetry| system.channel_load_from_sharding(telemetry));
-        let r = system.simulate_with_channel_load(trace, layout, channel_load.as_ref());
+        let r = system.simulate(trace, layout, channel_load.as_ref());
         BackendResult {
             backend: self.id,
             label: self.label,

@@ -109,11 +109,6 @@ impl PandaBackend {
         }
     }
 
-    /// The microarchitectural parameters this backend simulates with.
-    pub fn panda_config(&self) -> &PandaConfig {
-        &self.config
-    }
-
     /// The `(rank, bank)` within its DIMM holding `slot`'s first row, decoded
     /// through memsim's canonical [`AddressMapping`] so PANDA's inter-bank
     /// pricing uses the same striping as every other consumer of the layout.
@@ -231,10 +226,6 @@ impl CompactionBackend for PandaBackend {
             write_lines: internal_row_writes,
             read_bytes: internal_bytes_read,
             write_bytes: internal_bytes_written,
-            // Every in-situ op opens its rows; there is no row-buffer reuse to
-            // speak of in the bulk-bitwise regime.
-            row_hits: 0,
-            row_misses: internal_row_reads + internal_row_writes,
             elapsed_ns: runtime_ns,
             peak_bandwidth_gbps: cfg.internal_peak_bandwidth_gbps(&self.dram),
         };

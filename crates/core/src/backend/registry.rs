@@ -16,7 +16,7 @@ use nmp_pak_pakman::CompactionTrace;
 /// An ordered collection of execution backends.
 ///
 /// Iteration order is registration order (the Fig. 12 plot order for
-/// [`BackendRegistry::standard`]); lookup is by [`BackendId`] or figure label.
+/// [`BackendRegistry::standard`]); lookup is by [`BackendId`].
 #[derive(Debug, Default)]
 pub struct BackendRegistry {
     backends: Vec<Box<dyn CompactionBackend>>,
@@ -70,14 +70,6 @@ impl BackendRegistry {
     /// Looks a backend up by id.
     pub fn get(&self, id: BackendId) -> Option<&dyn CompactionBackend> {
         self.backends.iter().find(|b| b.id() == id).map(Box::as_ref)
-    }
-
-    /// Looks a backend up by its figure label (e.g. `"NMP-PaK"`).
-    pub fn by_label(&self, label: &str) -> Option<&dyn CompactionBackend> {
-        self.backends
-            .iter()
-            .find(|b| b.label() == label)
-            .map(Box::as_ref)
     }
 
     /// Iterates the backends in registration order.
@@ -170,21 +162,18 @@ mod tests {
             BackendRegistry::standard(&SystemConfig::default()).ids()
         );
         assert_eq!(*registry.ids().last().unwrap(), BackendId::PANDA);
-        assert_eq!(registry.by_label("PANDA").unwrap().id(), BackendId::PANDA);
+        assert_eq!(registry.get(BackendId::PANDA).unwrap().label(), "PANDA");
     }
 
     #[test]
     fn lookup_by_id_and_label_agree() {
         let registry = BackendRegistry::standard(&SystemConfig::default());
         for backend in &registry {
-            assert_eq!(registry.get(backend.id()).unwrap().id(), backend.id());
-            assert_eq!(
-                registry.by_label(backend.label()).unwrap().id(),
-                backend.id()
-            );
+            let found = registry.get(backend.id()).unwrap();
+            assert_eq!(found.id(), backend.id());
+            assert_eq!(found.label(), backend.label());
         }
         assert!(registry.get(BackendId::new("no-such-backend")).is_none());
-        assert!(registry.by_label("no such label").is_none());
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl AddressMapping {
         }
     }
 
-    /// The DRAM configuration this mapping is based on.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
     /// Bytes per DIMM.
     pub fn dimm_capacity(&self) -> u64 {
         self.dimm_capacity
@@ -73,12 +68,6 @@ impl AddressMapping {
             row,
             column,
         }
-    }
-
-    /// Flat bank identifier in `0..config.total_banks()`.
-    pub fn flat_bank(&self, loc: DramLocation) -> usize {
-        (loc.channel * self.config.ranks_per_channel + loc.rank) * self.config.banks_per_rank
-            + loc.bank
     }
 }
 
@@ -118,28 +107,6 @@ mod tests {
         assert_eq!(a.row, b.row);
         assert_eq!(a.bank, b.bank);
         assert_eq!(b.column, a.column + 1);
-    }
-
-    #[test]
-    fn flat_bank_is_unique_per_coordinate() {
-        let m = mapping();
-        let cfg = DramConfig::default();
-        let mut seen = std::collections::HashSet::new();
-        // Probe one address per (page) for a few thousand pages across channels.
-        for dimm in 0..cfg.channels as u64 {
-            for page in 0..64u64 {
-                let addr = dimm * (1 << 30) + page * 8192;
-                let loc = m.locate(addr);
-                let flat = m.flat_bank(loc);
-                assert!(flat < cfg.total_banks());
-                seen.insert((loc.channel, loc.rank, loc.bank, flat));
-            }
-        }
-        // Every flat id maps back to exactly one (channel, rank, bank).
-        let flats: std::collections::HashSet<usize> = seen.iter().map(|&(_, _, _, f)| f).collect();
-        let coords: std::collections::HashSet<(usize, usize, usize)> =
-            seen.iter().map(|&(c, r, b, _)| (c, r, b)).collect();
-        assert_eq!(flats.len(), coords.len());
     }
 
     #[test]

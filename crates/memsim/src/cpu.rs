@@ -15,7 +15,7 @@
 use crate::config::DramConfig;
 use crate::layout::NodeLayout;
 use crate::stats::MemoryStats;
-use crate::traffic::{build_iteration_requests, ProcessFlow, TrafficSummary};
+use crate::traffic::{ProcessFlow, TrafficSummary};
 use nmp_pak_pakman::CompactionTrace;
 
 /// CPU machine parameters.
@@ -130,7 +130,7 @@ pub fn simulate_cpu_compaction(
     let mut traffic = TrafficSummary::default();
 
     for iteration in &trace.iterations {
-        traffic.add_requests(&build_iteration_requests(iteration, layout, flow));
+        traffic.add_iteration(iteration, layout, flow);
 
         // Per-node visit cost.
         let node_cost = |size_bytes: usize| -> (f64, f64, f64, f64) {
@@ -214,7 +214,6 @@ pub fn simulate_cpu_compaction(
         write_bytes: traffic.write_bytes,
         elapsed_ns: runtime_ns,
         peak_bandwidth_gbps: dram.total_peak_bandwidth_gbps(),
-        ..MemoryStats::default()
     };
 
     CpuRunResult {

@@ -1,7 +1,8 @@
 //! Analytic GPU baseline (an NVIDIA A100-like device, §5.3 and §6.6).
 //!
 //! The paper models its GPU baseline with "parameters similar to those of the A100"
-//! and replays a subset of traces whose footprint fits in device memory. The GPU's
+//! and replays a subset of traces whose footprint fits in device memory; here
+//! each iteration's counted traffic is charged at the usable bandwidth. The GPU's
 //! massive parallelism makes Iterative Compaction bandwidth-bound there, but the
 //! fine-grained, irregular MacroNode accesses waste most of each HBM transaction, so
 //! only a fraction of the nominal bandwidth is useful. The device's limited capacity
@@ -11,7 +12,7 @@
 use crate::config::DramConfig;
 use crate::layout::NodeLayout;
 use crate::stats::MemoryStats;
-use crate::traffic::{build_iteration_requests, ProcessFlow, TrafficSummary};
+use crate::traffic::{ProcessFlow, TrafficSummary};
 use nmp_pak_pakman::CompactionTrace;
 
 /// GPU device parameters (defaults: A100 40 GB).
@@ -99,12 +100,9 @@ pub fn simulate_gpu_compaction(
     for iteration in &trace.iterations {
         // The GPU runs the optimized (pipelined) software flow: massive parallelism
         // makes the per-iteration time bandwidth-bound.
-        let requests = build_iteration_requests(iteration, layout, ProcessFlow::Optimized);
-        let mut iteration_traffic = TrafficSummary::default();
-        iteration_traffic.add_requests(&requests);
-        traffic.add_requests(&requests);
-
-        let bytes = iteration_traffic.total_bytes() as f64;
+        let before = traffic.total_bytes();
+        traffic.add_iteration(iteration, layout, ProcessFlow::Optimized);
+        let bytes = (traffic.total_bytes() - before) as f64;
         runtime_ns += bytes / effective_bw + gpu.per_iteration_overhead_ns;
     }
 
@@ -115,7 +113,6 @@ pub fn simulate_gpu_compaction(
         write_bytes: traffic.write_bytes,
         elapsed_ns: runtime_ns,
         peak_bandwidth_gbps: gpu.peak_bandwidth_gbps,
-        ..MemoryStats::default()
     };
 
     GpuRunResult {

@@ -3,11 +3,11 @@
 //! MacroNodes are stored in ascending (k-1)-mer order and partitioned across DIMMs:
 //! DIMM 0 holds the lowest (k-1)-mers (§4.2). Slot indices from the compaction trace
 //! are therefore mapped to contiguous byte ranges inside per-DIMM regions. The same
-//! layout drives the hardware model's static mapping table and its intra-/inter-DIMM
-//! communication statistics (§6.3).
+//! rule is the hardware model's static slot → DIMM mapping table (Fig. 11: one
+//! boundary per DIMM, an equal number of consecutive slots each) and decides its
+//! intra-/inter-DIMM communication statistics (§6.3).
 
 use crate::config::DramConfig;
-use crate::request::MemRequest;
 
 /// The physical layout of every MacroNode slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,8 +16,8 @@ pub struct NodeLayout {
     addresses: Vec<u64>,
     /// Allocated byte size of each slot (initial size rounded up to lines).
     sizes: Vec<usize>,
-    /// DIMM (= channel) index of each slot.
-    dimms: Vec<usize>,
+    /// Consecutive slots per DIMM (the last DIMM may hold fewer).
+    slots_per_dimm: usize,
     /// Bytes reserved per DIMM region.
     dimm_capacity: u64,
     /// Number of DIMMs.
@@ -33,19 +33,17 @@ impl NodeLayout {
         let dimm_count = config.channels.max(1);
         let line = config.line_bytes.max(1);
         let n = initial_sizes.len();
-        let per_dimm = n.div_ceil(dimm_count).max(1);
+        let slots_per_dimm = n.div_ceil(dimm_count).max(1);
+        let dimm_of = |slot: usize| (slot / slots_per_dimm).min(dimm_count - 1);
 
         // First pass: allocation size per slot and per-DIMM usage.
         let mut sizes = Vec::with_capacity(n);
         let mut dimm_usage = vec![0u64; dimm_count];
-        let mut dimms = Vec::with_capacity(n);
         for (slot, &size) in initial_sizes.iter().enumerate() {
             // Reserve head-room for growth during compaction (extensions lengthen).
             let alloc = (size.max(1) * 2).div_ceil(line) * line;
-            let dimm = (slot / per_dimm).min(dimm_count - 1);
             sizes.push(alloc);
-            dimms.push(dimm);
-            dimm_usage[dimm] += alloc as u64;
+            dimm_usage[dimm_of(slot)] += alloc as u64;
         }
         let dimm_capacity = dimm_usage
             .iter()
@@ -58,16 +56,16 @@ impl NodeLayout {
         // Second pass: addresses within each DIMM region.
         let mut cursor = vec![0u64; dimm_count];
         let mut addresses = Vec::with_capacity(n);
-        for slot in 0..n {
-            let dimm = dimms[slot];
+        for (slot, &size) in sizes.iter().enumerate() {
+            let dimm = dimm_of(slot);
             addresses.push(dimm as u64 * dimm_capacity + cursor[dimm]);
-            cursor[dimm] += sizes[slot] as u64;
+            cursor[dimm] += size as u64;
         }
 
         NodeLayout {
             addresses,
             sizes,
-            dimms,
+            slots_per_dimm,
             dimm_capacity,
             dimm_count,
             line_bytes: line,
@@ -91,7 +89,7 @@ impl NodeLayout {
 
     /// DIMM (= channel) holding a slot.
     pub fn dimm_of(&self, slot: usize) -> usize {
-        self.dimms[slot]
+        (slot / self.slots_per_dimm).min(self.dimm_count - 1)
     }
 
     /// Number of DIMMs used by the layout.
@@ -110,27 +108,10 @@ impl NodeLayout {
         slot % pes_per_dimm.max(1)
     }
 
-    /// Builds the read requests for accessing `bytes` of the node in `slot`.
-    pub fn node_read(&self, slot: usize, bytes: usize) -> MemRequest {
-        MemRequest::read(
-            self.addresses[slot],
-            clamp_bytes(bytes, self.line_bytes),
-            slot,
-        )
+    /// Bytes one access of `bytes` moves: whole lines, at least one.
+    pub(crate) fn access_bytes(&self, bytes: usize) -> u64 {
+        (bytes.max(1).div_ceil(self.line_bytes) * self.line_bytes) as u64
     }
-
-    /// Builds the write request for writing `bytes` of the node in `slot`.
-    pub fn node_write(&self, slot: usize, bytes: usize) -> MemRequest {
-        MemRequest::write(
-            self.addresses[slot],
-            clamp_bytes(bytes, self.line_bytes),
-            slot,
-        )
-    }
-}
-
-fn clamp_bytes(bytes: usize, line: usize) -> u32 {
-    (bytes.max(1).div_ceil(line) * line) as u32
 }
 
 #[cfg(test)]
@@ -198,12 +179,22 @@ mod tests {
     #[test]
     fn requests_round_up_to_lines() {
         let layout = layout_of(&[100, 100]);
-        let read = layout.node_read(1, 100);
-        assert_eq!(read.size_bytes, 128);
-        assert_eq!(read.addr, layout.address_of(1));
-        let write = layout.node_write(0, 1);
-        assert!(write.is_write());
-        assert_eq!(write.size_bytes, 64);
+        assert_eq!(layout.access_bytes(100), 128);
+        assert_eq!(layout.access_bytes(128), 128);
+        assert_eq!(layout.access_bytes(1), 64);
+        assert_eq!(
+            layout.access_bytes(0),
+            64,
+            "an empty access still moves a line"
+        );
+        let wide = NodeLayout::new(
+            &[100],
+            &DramConfig {
+                line_bytes: 128,
+                ..DramConfig::default()
+            },
+        );
+        assert_eq!(wide.access_bytes(64), 128);
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Memory-system substrate for the NMP-PaK reproduction.
+//! Memory-system models for the NMP-PaK reproduction.
 //!
 //! The paper evaluates its design with a trace-driven methodology: memory traces of
 //! MacroNode reads and writes captured from the real assembly execution are replayed
 //! against a cycle-level DDR4 model (Ramulator) for the NMP system, and against
-//! CPU/GPU machine models for the baselines (§5). This crate is the equivalent
-//! substrate:
+//! CPU/GPU machine models for the baselines (§5). This crate does not replay: its
+//! models are analytic folds over the trace events of a
+//! [`nmp_pak_pakman::CompactionTrace`], one pass each, counting traffic per access
+//! and charging time per node, iteration and barrier. Row-buffer locality is not
+//! modelled.
 //!
-//! * [`config`] — DDR4-3200 timing and organization parameters (Table 2),
-//! * [`request`] / [`address`] — memory requests and address decomposition,
-//! * [`dram`] — an event-driven channel/rank/bank model with row-buffer state and a
-//!   configurable outstanding-request window,
+//! * [`config`] — DDR4-3200 organization parameters (Table 2),
+//! * [`address`] — address decomposition into channel / rank / bank / row / column,
 //! * [`layout`] — MacroNode-slot → physical-address layout (ascending (k-1)-mer order
 //!   across DIMMs, §4.2),
-//! * [`traffic`] — converts a [`nmp_pak_pakman::CompactionTrace`] into per-iteration
-//!   request streams under either the baseline (sequential-stage) or the optimized
-//!   (pipelined, data-reusing) process flow (§4.5),
+//! * [`traffic`] — the per-iteration read/write traffic of a trace under either the
+//!   baseline (sequential-stage) or the optimized (pipelined, data-reusing) process
+//!   flow (§4.5),
 //! * [`cpu`] — an analytic multicore model producing runtime and the stall-time
 //!   breakdown of Fig. 6,
 //! * [`gpu`] — an A100-like analytic model (capacity-constrained, §6.6),
@@ -26,19 +27,15 @@
 pub mod address;
 pub mod config;
 pub mod cpu;
-pub mod dram;
 pub mod gpu;
 pub mod layout;
-pub mod request;
 pub mod stats;
 pub mod traffic;
 
 pub use address::AddressMapping;
-pub use config::{DramConfig, DramTimings};
+pub use config::DramConfig;
 pub use cpu::{CpuConfig, CpuRunResult, StallBreakdown};
-pub use dram::DramSystem;
 pub use gpu::{GpuConfig, GpuRunResult};
 pub use layout::NodeLayout;
-pub use request::{AccessKind, MemRequest};
 pub use stats::MemoryStats;
-pub use traffic::{build_iteration_requests, ProcessFlow, TrafficSummary};
+pub use traffic::{ProcessFlow, TrafficSummary};

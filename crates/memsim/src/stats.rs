@@ -11,10 +11,6 @@ pub struct MemoryStats {
     pub read_bytes: u64,
     /// Bytes written.
     pub write_bytes: u64,
-    /// Row-buffer hits observed.
-    pub row_hits: u64,
-    /// Row-buffer misses (closed rows and conflicts).
-    pub row_misses: u64,
     /// Simulated elapsed time in nanoseconds.
     pub elapsed_ns: f64,
     /// Peak bandwidth of the simulated memory system in GB/s.
@@ -25,11 +21,6 @@ impl MemoryStats {
     /// Total bytes transferred.
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
-    }
-
-    /// Total line-granularity requests.
-    pub fn total_lines(&self) -> u64 {
-        self.read_lines + self.write_lines
     }
 
     /// Achieved bandwidth in GB/s (0 if no time elapsed).
@@ -47,30 +38,6 @@ impl MemoryStats {
         }
         (self.achieved_bandwidth_gbps() / self.peak_bandwidth_gbps).min(1.0)
     }
-
-    /// Row-buffer hit rate in `[0, 1]`.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.row_hits as f64 / total as f64
-    }
-
-    /// Accumulates another statistics block (summing traffic, taking the max of
-    /// elapsed time is *not* done — times add, as regions run back to back).
-    pub fn accumulate(&mut self, other: &MemoryStats) {
-        self.read_lines += other.read_lines;
-        self.write_lines += other.write_lines;
-        self.read_bytes += other.read_bytes;
-        self.write_bytes += other.write_bytes;
-        self.row_hits += other.row_hits;
-        self.row_misses += other.row_misses;
-        self.elapsed_ns += other.elapsed_ns;
-        if self.peak_bandwidth_gbps == 0.0 {
-            self.peak_bandwidth_gbps = other.peak_bandwidth_gbps;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,6 +54,7 @@ mod tests {
             ..MemoryStats::default()
         };
         // 200 000 bytes in 1000 ns = 200 GB/s.
+        assert_eq!(stats.total_bytes(), 200_000);
         assert!((stats.achieved_bandwidth_gbps() - 200.0).abs() < 1e-9);
         assert!((stats.bandwidth_utilization() - 200.0 / 204.8).abs() < 1e-9);
     }
@@ -96,7 +64,6 @@ mod tests {
         let stats = MemoryStats::default();
         assert_eq!(stats.achieved_bandwidth_gbps(), 0.0);
         assert_eq!(stats.bandwidth_utilization(), 0.0);
-        assert_eq!(stats.row_hit_rate(), 0.0);
     }
 
     #[test]
@@ -108,32 +75,5 @@ mod tests {
             ..MemoryStats::default()
         };
         assert_eq!(stats.bandwidth_utilization(), 1.0);
-    }
-
-    #[test]
-    fn accumulate_sums_traffic_and_time() {
-        let mut a = MemoryStats {
-            read_lines: 10,
-            read_bytes: 640,
-            elapsed_ns: 100.0,
-            row_hits: 5,
-            row_misses: 5,
-            peak_bandwidth_gbps: 25.6,
-            ..MemoryStats::default()
-        };
-        let b = MemoryStats {
-            write_lines: 4,
-            write_bytes: 256,
-            elapsed_ns: 50.0,
-            row_hits: 2,
-            row_misses: 2,
-            peak_bandwidth_gbps: 25.6,
-            ..MemoryStats::default()
-        };
-        a.accumulate(&b);
-        assert_eq!(a.total_lines(), 14);
-        assert_eq!(a.total_bytes(), 896);
-        assert_eq!(a.elapsed_ns, 150.0);
-        assert!((a.row_hit_rate() - 0.5).abs() < 1e-12);
     }
 }

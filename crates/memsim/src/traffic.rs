@@ -1,4 +1,4 @@
-//! Conversion of compaction traces into memory-request streams.
+//! Memory traffic of compaction traces under each process flow.
 //!
 //! The paper contrasts two process flows for Iterative Compaction (§4.5, "Optimize
 //! Process Flow for Less Memory Operations"):
@@ -13,12 +13,18 @@
 //! An additional **ideal forwarding** variant (§5.3) also reuses the P1 data in P3,
 //! eliminating the destination re-read. These three policies are what produce the
 //! read/write traffic ratios of Fig. 14.
+//!
+//! Traffic is counted, not replayed: every access is one request of whole lines
+//! ([`NodeLayout`]'s line size, at least one line), summed per iteration.
 
 use crate::layout::NodeLayout;
-use crate::request::MemRequest;
 use nmp_pak_pakman::trace::IterationTrace;
 
-/// Which process flow to model when expanding a trace into memory requests.
+/// Bytes of the small per-node metadata accesses (the invalidation mark, the
+/// `MN data2` wiring info), before rounding to lines.
+const METADATA_BYTES: usize = 64;
+
+/// Which process flow to model when counting a trace's memory traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessFlow {
     /// Original PaKman flow: one full pass over all MacroNodes per stage
@@ -46,94 +52,68 @@ pub struct TrafficSummary {
 }
 
 impl TrafficSummary {
-    /// Accumulates the traffic of one request list.
-    pub fn add_requests(&mut self, requests: &[MemRequest]) {
-        for r in requests {
-            if r.is_write() {
-                self.writes += 1;
-                self.write_bytes += r.size_bytes as u64;
-            } else {
-                self.reads += 1;
-                self.read_bytes += r.size_bytes as u64;
+    /// Adds the requests of one compaction iteration under `flow`.
+    ///
+    /// Every flow reads each alive node in stage P1 and writes each updated
+    /// destination back in P3. The baseline also writes every node's
+    /// invalidation mark during P1, re-reads every node in its separate P2
+    /// scan, moves (writes) each invalidated node instead of deleting it
+    /// lazily, and reads each destination before updating it. The optimized
+    /// flow fetches only the invalidated nodes' wiring metadata in P2 and
+    /// reads each destination; ideal forwarding drops that destination read.
+    pub fn add_iteration(
+        &mut self,
+        iteration: &IterationTrace,
+        layout: &NodeLayout,
+        flow: ProcessFlow,
+    ) {
+        let metadata_bytes = layout.access_bytes(METADATA_BYTES);
+        let (mut check_bytes, mut invalidated, mut invalidated_bytes) = (0u64, 0u64, 0u64);
+        for check in &iteration.checks {
+            let bytes = layout.access_bytes(check.size_bytes);
+            check_bytes += bytes;
+            if check.invalidated {
+                invalidated += 1;
+                invalidated_bytes += bytes;
             }
         }
+        let updates = iteration.updates.iter();
+        let update_bytes: u64 = updates.map(|u| layout.access_bytes(u.size_bytes)).sum();
+        let checks = iteration.checks.len() as u64;
+        let updates = iteration.updates.len() as u64;
+
+        self.read(checks, check_bytes);
+        self.write(updates, update_bytes);
+        match flow {
+            ProcessFlow::Baseline => {
+                self.write(checks, checks * metadata_bytes);
+                self.read(checks, check_bytes);
+                self.write(invalidated, invalidated_bytes);
+                self.read(updates, update_bytes);
+            }
+            ProcessFlow::Optimized => {
+                self.read(invalidated, invalidated * metadata_bytes);
+                self.read(updates, update_bytes);
+            }
+            ProcessFlow::IdealForwarding => {
+                self.read(invalidated, invalidated * metadata_bytes);
+            }
+        }
+    }
+
+    fn read(&mut self, requests: u64, bytes: u64) {
+        self.reads += requests;
+        self.read_bytes += bytes;
+    }
+
+    fn write(&mut self, requests: u64, bytes: u64) {
+        self.writes += requests;
+        self.write_bytes += bytes;
     }
 
     /// Total bytes moved.
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
-    }
-}
-
-/// Expands one compaction iteration into a memory-request stream under `flow`.
-///
-/// Requests are emitted in stage order (P1 checks, then P2 re-reads for the baseline,
-/// then P3 destination traffic), with node-granular sizes; the DRAM model splits them
-/// into line-granular bursts.
-pub fn build_iteration_requests(
-    iteration: &IterationTrace,
-    layout: &NodeLayout,
-    flow: ProcessFlow,
-) -> Vec<MemRequest> {
-    let mut requests = Vec::new();
-
-    // Stage P1: read every alive node's data1 (the (k-1)-mer plus extensions).
-    for check in &iteration.checks {
-        requests.push(layout.node_read(check.slot, check.size_bytes));
-    }
-
-    match flow {
-        ProcessFlow::Baseline => {
-            // Separate stage passes: stage P2 re-reads every node (it is a fresh scan
-            // over the MacroNode set to find the marked ones and pull their wiring),
-            // and the per-node invalidation mark is written back during P1.
-            for check in &iteration.checks {
-                requests.push(layout.node_write(check.slot, layout.config_line()));
-            }
-            for check in &iteration.checks {
-                requests.push(layout.node_read(check.slot, check.size_bytes));
-            }
-            // Stage P3: destination read-modify-write, plus the baseline's node
-            // movement (invalidated nodes are copied/erased rather than lazily
-            // deleted), modelled as a write of each invalidated node.
-            for check in iteration.checks.iter().filter(|c| c.invalidated) {
-                requests.push(layout.node_write(check.slot, check.size_bytes));
-            }
-            for update in &iteration.updates {
-                requests.push(layout.node_read(update.dest_slot, update.size_bytes));
-                requests.push(layout.node_write(update.dest_slot, update.size_bytes));
-            }
-        }
-        ProcessFlow::Optimized => {
-            // Stage P2 reuses the P1 data (only the small `MN data2` wiring info is
-            // additionally fetched for invalidated nodes).
-            for check in iteration.checks.iter().filter(|c| c.invalidated) {
-                requests.push(layout.node_read(check.slot, layout.config_line()));
-            }
-            for update in &iteration.updates {
-                requests.push(layout.node_read(update.dest_slot, update.size_bytes));
-                requests.push(layout.node_write(update.dest_slot, update.size_bytes));
-            }
-        }
-        ProcessFlow::IdealForwarding => {
-            for check in iteration.checks.iter().filter(|c| c.invalidated) {
-                requests.push(layout.node_read(check.slot, layout.config_line()));
-            }
-            // P1→P3 forwarding: the destination's current contents are already in the
-            // pipeline, so only the write-back remains.
-            for update in &iteration.updates {
-                requests.push(layout.node_write(update.dest_slot, update.size_bytes));
-            }
-        }
-    }
-
-    requests
-}
-
-impl NodeLayout {
-    /// Line size shortcut used for small metadata accesses.
-    fn config_line(&self) -> usize {
-        64
     }
 }
 
@@ -143,6 +123,8 @@ mod tests {
     use crate::config::DramConfig;
     use nmp_pak_pakman::trace::{NodeCheck, UpdateEvent};
 
+    /// Three alive nodes — one a line multiple, one invalidated, one empty —
+    /// and two destination updates whose sizes are not line multiples.
     fn sample_iteration() -> IterationTrace {
         IterationTrace {
             checks: vec![
@@ -158,7 +140,7 @@ mod tests {
                 },
                 NodeCheck {
                     slot: 2,
-                    size_bytes: 128,
+                    size_bytes: 0,
                     invalidated: false,
                 },
             ],
@@ -180,27 +162,35 @@ mod tests {
         NodeLayout::new(&[256, 512, 128], &DramConfig::default())
     }
 
+    fn counted(flow: ProcessFlow) -> TrafficSummary {
+        let mut summary = TrafficSummary::default();
+        summary.add_iteration(&sample_iteration(), &layout(), flow);
+        summary
+    }
+
+    /// `(reads, writes, read bytes, write bytes)`.
+    fn tuple(t: TrafficSummary) -> (u64, u64, u64, u64) {
+        (t.reads, t.writes, t.read_bytes, t.write_bytes)
+    }
+
+    // Line-rounded sizes: checks 256 + 512 + 64 (the empty node still moves a
+    // line) = 832 B, of which 512 B invalidated; updates 320 + 192 = 512 B.
+
     #[test]
     fn optimized_flow_reads_each_alive_node_once() {
-        let reqs = build_iteration_requests(&sample_iteration(), &layout(), ProcessFlow::Optimized);
-        let reads_of_slot0 = reqs
-            .iter()
-            .filter(|r| !r.is_write() && r.mn_slot == 0)
-            .count();
-        // One P1 read + one destination read.
-        assert_eq!(reads_of_slot0, 2);
-        let writes: Vec<_> = reqs.iter().filter(|r| r.is_write()).collect();
-        assert_eq!(writes.len(), 2); // only the two destination write-backs
+        // Reads: 3 checks (832 B), 1 metadata fetch (64 B), 2 destinations
+        // (512 B). Writes: the 2 destination write-backs (512 B).
+        assert_eq!(tuple(counted(ProcessFlow::Optimized)), (6, 2, 1_408, 512));
     }
 
     #[test]
     fn baseline_flow_has_more_reads_and_writes_than_optimized() {
-        let it = sample_iteration();
-        let l = layout();
-        let mut base = TrafficSummary::default();
-        base.add_requests(&build_iteration_requests(&it, &l, ProcessFlow::Baseline));
-        let mut opt = TrafficSummary::default();
-        opt.add_requests(&build_iteration_requests(&it, &l, ProcessFlow::Optimized));
+        // Reads: P1 and P2 each read 3 nodes (2 × 832 B), 2 destinations
+        // (512 B). Writes: 3 invalidation marks (3 × 64 B), 1 moved node
+        // (512 B), 2 destination write-backs (512 B).
+        let base = counted(ProcessFlow::Baseline);
+        assert_eq!(tuple(base), (8, 6, 2_176, 1_216));
+        let opt = counted(ProcessFlow::Optimized);
         assert!(base.read_bytes > opt.read_bytes);
         assert!(base.write_bytes > opt.write_bytes);
         assert!(base.reads > opt.reads);
@@ -209,26 +199,40 @@ mod tests {
 
     #[test]
     fn ideal_forwarding_removes_destination_reads() {
-        let it = sample_iteration();
-        let l = layout();
-        let mut opt = TrafficSummary::default();
-        opt.add_requests(&build_iteration_requests(&it, &l, ProcessFlow::Optimized));
-        let mut fwd = TrafficSummary::default();
-        fwd.add_requests(&build_iteration_requests(
-            &it,
-            &l,
-            ProcessFlow::IdealForwarding,
-        ));
-        assert!(fwd.read_bytes < opt.read_bytes);
+        let fwd = counted(ProcessFlow::IdealForwarding);
+        assert_eq!(tuple(fwd), (4, 2, 896, 512));
+        let opt = counted(ProcessFlow::Optimized);
+        assert_eq!(
+            opt.read_bytes - fwd.read_bytes,
+            512,
+            "the destination reads"
+        );
         assert_eq!(fwd.write_bytes, opt.write_bytes);
     }
 
     #[test]
     fn traffic_summary_totals() {
         let mut summary = TrafficSummary::default();
-        summary.add_requests(&[MemRequest::read(0, 128, 0), MemRequest::write(64, 64, 1)]);
-        assert_eq!(summary.reads, 1);
-        assert_eq!(summary.writes, 1);
-        assert_eq!(summary.total_bytes(), 192);
+        let (iteration, layout) = (sample_iteration(), layout());
+        summary.add_iteration(&iteration, &layout, ProcessFlow::Optimized);
+        assert_eq!(summary.total_bytes(), 1_920);
+        summary.add_iteration(&iteration, &layout, ProcessFlow::Optimized);
+        assert_eq!(tuple(summary), (12, 4, 2_816, 1_024));
+        assert_eq!(summary.total_bytes(), 3_840);
+    }
+
+    #[test]
+    fn metadata_accesses_round_to_the_layout_line() {
+        let wide = NodeLayout::new(
+            &[256, 512, 128],
+            &DramConfig {
+                line_bytes: 128,
+                ..DramConfig::default()
+            },
+        );
+        let mut summary = TrafficSummary::default();
+        summary.add_iteration(&sample_iteration(), &wide, ProcessFlow::IdealForwarding);
+        // Checks 256 + 512 + 128, one 128 B metadata fetch; updates 384 + 256.
+        assert_eq!(tuple(summary), (4, 2, 1_024, 640));
     }
 }

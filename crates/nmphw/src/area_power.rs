@@ -93,16 +93,6 @@ impl AreaPowerModel {
         self.pe_power_mw() * pes as f64
     }
 
-    /// Area overhead relative to a standard buffer chip, as a fraction.
-    pub fn area_overhead_fraction(&self, pes: usize) -> f64 {
-        self.chip_area_mm2(pes) / BUFFER_CHIP_AREA_MM2
-    }
-
-    /// Power overhead relative to a DIMM, as a fraction.
-    pub fn power_overhead_fraction(&self, pes: usize) -> f64 {
-        self.chip_power_mw(pes) / 1_000.0 / DIMM_POWER_W
-    }
-
     /// Total NMP area (mm²) and power (W) for a whole system configuration.
     pub fn system_totals(&self, config: &NmpConfig, channels: usize) -> (f64, f64) {
         let pes = config.pes_per_channel;
@@ -196,8 +186,8 @@ mod tests {
     fn overheads_are_negligible() {
         let model = AreaPowerModel::default();
         // §6.5: 1.8 % area and 3.8 % power for 16 PEs.
-        let area = model.area_overhead_fraction(16);
-        let power = model.power_overhead_fraction(16);
+        let area = model.chip_area_mm2(16) / BUFFER_CHIP_AREA_MM2;
+        let power = model.chip_power_mw(16) / 1_000.0 / DIMM_POWER_W;
         assert!(area > 0.015 && area < 0.02, "area fraction {area}");
         assert!(power > 0.03 && power < 0.045, "power fraction {power}");
     }

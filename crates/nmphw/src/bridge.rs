@@ -1,9 +1,9 @@
 //! The inter-DIMM network bridge (DIMM-Link-style, §4.1 / [58]).
 //!
 //! TransferNodes whose destination MacroNode lives in a different DIMM leave the
-//! buffer chip through the bridge. The bridge supports point-to-point transfers and a
-//! broadcast mechanism; its 25 GB/s links are shared by all cross-DIMM traffic of a
-//! compaction iteration.
+//! buffer chip through the bridge. The paper's bridge also broadcasts; compaction's
+//! TransferNodes are point-to-point, so only that is modelled. Its 25 GB/s links are
+//! shared by all cross-DIMM traffic of a compaction iteration.
 
 /// Network-bridge model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,11 +36,6 @@ impl NetworkBridge {
         }
         self.message_latency_ns + max_link as f64 / self.link_bandwidth_gbps
     }
-
-    /// Time to broadcast `bytes` from one DIMM to all others.
-    pub fn broadcast_ns(&self, bytes: usize) -> f64 {
-        self.message_latency_ns + bytes as f64 / self.link_bandwidth_gbps
-    }
 }
 
 #[cfg(test)]
@@ -62,11 +57,5 @@ mod tests {
         assert!(skewed > balanced);
         // 1 MB at 25 GB/s = 40 µs (plus latency).
         assert!((balanced - (40.0 + 40_000.0)).abs() < 1.0);
-    }
-
-    #[test]
-    fn broadcast_scales_with_payload() {
-        let bridge = NetworkBridge::new(8, 25.0);
-        assert!(bridge.broadcast_ns(1 << 20) > bridge.broadcast_ns(64));
     }
 }

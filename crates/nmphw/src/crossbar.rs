@@ -26,16 +26,6 @@ impl CrossbarSwitch {
         }
     }
 
-    /// Total ports including the network-bridge port (17 for 16 PEs).
-    pub fn total_ports(&self) -> usize {
-        self.pe_ports + 1
-    }
-
-    /// Time for one transfer of `bytes` to traverse the crossbar, in nanoseconds.
-    pub fn transfer_ns(&self, bytes: usize) -> f64 {
-        self.hop_latency_ns + bytes as f64 / self.port_bandwidth_gbps
-    }
-
     /// Time to deliver a set of transfers, accounting for serialization at the most
     /// contended output port. `per_port_bytes[i]` is the total payload destined to
     /// output port `i`.
@@ -50,16 +40,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sixteen_pes_make_a_17x17_crossbar() {
-        let xbar = CrossbarSwitch::new(16);
-        assert_eq!(xbar.total_ports(), 17);
-    }
-
-    #[test]
     fn transfer_time_scales_with_payload() {
         let xbar = CrossbarSwitch::new(16);
-        assert!(xbar.transfer_ns(1024) > xbar.transfer_ns(64));
-        assert!(xbar.transfer_ns(0) >= xbar.hop_latency_ns);
+        assert!(xbar.route_ns(&[1024]) > xbar.route_ns(&[64]));
+        assert_eq!(xbar.route_ns(&[0]), xbar.hop_latency_ns);
     }
 
     #[test]

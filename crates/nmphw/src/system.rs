@@ -1,7 +1,7 @@
 //! Full-system NMP-PaK simulation.
 //!
-//! [`NmpSystem::simulate`] replays a compaction trace against the hardware model:
-//! every iteration, the MacroNodes resident in each DIMM are streamed through that
+//! [`NmpSystem::simulate`] folds a compaction trace through the hardware model in
+//! one pass over its events: every iteration, the MacroNodes resident in each DIMM are streamed through that
 //! DIMM's PE array (stage P1/P2), TransferNodes are routed through the crossbar or the
 //! network bridge, destination nodes are updated in their home DIMM (stage P3), and
 //! oversized nodes are processed by the host CPU in parallel (hybrid processing,
@@ -12,8 +12,7 @@
 use crate::bridge::NetworkBridge;
 use crate::config::NmpConfig;
 use crate::crossbar::CrossbarSwitch;
-use crate::hybrid::HybridScheduler;
-use crate::mapping::{DimmMappingTable, ShardChannelMap};
+use crate::mapping::ShardChannelMap;
 use crate::pe::PeCycleModel;
 use nmp_pak_memsim::{CpuConfig, DramConfig, MemoryStats, NodeLayout, ProcessFlow, TrafficSummary};
 use nmp_pak_pakman::{CompactionTrace, ShardingTelemetry};
@@ -145,42 +144,12 @@ pub struct NmpSystem {
     nmp: NmpConfig,
     dram: DramConfig,
     cpu: CpuConfig,
-    /// Measured channel load folded in by [`NmpSystem::with_sharding`];
-    /// when present, [`NmpSystem::simulate`] uses it by default.
-    sharding: Option<ChannelLoadStats>,
 }
 
 impl NmpSystem {
     /// Creates a system with the given NMP, DRAM and host-CPU configurations.
     pub fn new(nmp: NmpConfig, dram: DramConfig, cpu: CpuConfig) -> Self {
-        NmpSystem {
-            nmp,
-            dram,
-            cpu,
-            sharding: None,
-        }
-    }
-
-    /// Folds measured sharded-execution telemetry into this system: every
-    /// subsequent [`NmpSystem::simulate`] call redistributes work by the
-    /// measured owner-computes channel load instead of the uniform
-    /// slot-interleaved assumption. Pass telemetry from the run being
-    /// simulated; callers no longer need to opt in via
-    /// [`NmpSystem::simulate_with_channel_load`].
-    pub fn with_sharding(mut self, telemetry: &ShardingTelemetry) -> Self {
-        self.sharding = Some(self.channel_load_from_sharding(telemetry));
-        self
-    }
-
-    /// The measured channel load this system folds into [`NmpSystem::simulate`],
-    /// if any was attached via [`NmpSystem::with_sharding`].
-    pub fn sharding_load(&self) -> Option<&ChannelLoadStats> {
-        self.sharding.as_ref()
-    }
-
-    /// The NMP configuration.
-    pub fn nmp_config(&self) -> &NmpConfig {
-        &self.nmp
+        NmpSystem { nmp, dram, cpu }
     }
 
     /// Folds measured sharded-execution telemetry onto this system's channels:
@@ -222,33 +191,8 @@ impl NmpSystem {
         }
     }
 
-    /// Projects the simulated one-host run onto a `nodes`-node cluster: the
-    /// trace is simulated with the measured channel load folded in, then the
-    /// telemetry's mailbox traffic is mapped onto nodes and charged to
-    /// `network` (see [`NetworkModel::project_multinode`]).
-    pub fn project_multinode(
-        &self,
-        trace: &CompactionTrace,
-        layout: &NodeLayout,
-        telemetry: &ShardingTelemetry,
-        network: &crate::network::NetworkModel,
-        nodes: usize,
-    ) -> crate::network::MultinodeProjection {
-        let base = self
-            .clone()
-            .with_sharding(telemetry)
-            .simulate(trace, layout);
-        network.project_multinode(telemetry, nodes, base.runtime_ns)
-    }
-
-    /// Simulates the compaction trace, returning runtime and statistics. When
-    /// measured sharding telemetry was attached ([`NmpSystem::with_sharding`]),
-    /// the measured channel load is folded in automatically.
-    pub fn simulate(&self, trace: &CompactionTrace, layout: &NodeLayout) -> NmpRunResult {
-        self.simulate_with_channel_load(trace, layout, self.sharding.as_ref())
-    }
-
-    /// [`NmpSystem::simulate`] with **measured** per-channel load folded in.
+    /// Simulates the compaction trace in one pass over its events, returning
+    /// runtime and statistics.
     ///
     /// Without `load` this is the uniform-placement model: every byte and PE
     /// cycle is attributed to the channel the slot-interleaved [`NodeLayout`]
@@ -268,7 +212,11 @@ impl NmpSystem {
     /// way, only their placement changes. DRAM [`TrafficSummary`] accounting
     /// and the [`CommStats`] routing *counts* stay layout-based — they
     /// describe the trace, not the placement.
-    pub fn simulate_with_channel_load(
+    ///
+    /// Hybrid processing (§4.3): a node larger than
+    /// [`NmpConfig::cpu_offload_threshold_bytes`] is processed by the host CPU
+    /// instead of a PE, overlapped with the NMP side of its iteration.
+    pub fn simulate(
         &self,
         trace: &CompactionTrace,
         layout: &NodeLayout,
@@ -293,8 +241,6 @@ impl NmpSystem {
         });
         let measured_cross_fraction = load.map(ChannelLoadStats::cross_channel_fraction);
         let pe_model = PeCycleModel::from_config(&self.nmp);
-        let scheduler = HybridScheduler::from_config(&self.nmp);
-        let mapping = DimmMappingTable::new(layout.slot_count(), channels);
         let crossbar = CrossbarSwitch::new(self.nmp.pes_per_channel);
         let bridge = NetworkBridge::new(channels, self.nmp.bridge_bandwidth_gbps);
         let flow = if self.nmp.ideal_forwarding {
@@ -314,22 +260,22 @@ impl NmpSystem {
         let mut cpu_bound_iterations = 0usize;
 
         for iteration in &trace.iterations {
-            traffic.add_requests(&nmp_pak_memsim::build_iteration_requests(
-                iteration, layout, flow,
-            ));
-
-            let schedule = scheduler.split(iteration);
-            offloaded_nodes += schedule.cpu_slots.len() as u64;
+            traffic.add_iteration(iteration, layout, flow);
             total_nodes += iteration.checks.len() as u64;
 
             // --- NMP side: per-channel byte and PE-compute accounting -------------
+            // Oversized nodes go to the CPU slice instead; their host time is
+            // summed in check order.
             let mut channel_bytes = vec![0u64; channels];
             let pes = self.nmp.pes_per_channel.max(1);
             let mut pe_cycles = vec![vec![0u64; pes]; channels];
+            let mut cpu_ns = 0.0f64;
 
             for check in &iteration.checks {
                 if check.size_bytes > self.nmp.cpu_offload_threshold_bytes {
-                    continue; // handled by the CPU slice
+                    offloaded_nodes += 1;
+                    cpu_ns += self.cpu_offload_ns(check.size_bytes);
+                    continue;
                 }
                 let dimm = layout.dimm_of(check.slot);
                 let pe = layout.pe_of(check.slot, pes);
@@ -357,8 +303,8 @@ impl NmpSystem {
             let mut crossbar_port_bytes = vec![0u64; pes];
             let mut bridge_out_bytes = vec![0u64; channels];
             for transfer in &iteration.transfers {
-                let src_dimm = mapping.dimm_of(transfer.source_slot);
-                let dst_dimm = mapping.dimm_of(transfer.dest_slot);
+                let src_dimm = layout.dimm_of(transfer.source_slot);
+                let dst_dimm = layout.dimm_of(transfer.dest_slot);
                 let src_pe = layout.pe_of(transfer.source_slot, pes);
                 let dst_pe = layout.pe_of(transfer.dest_slot, pes);
                 if src_dimm == dst_dimm {
@@ -422,7 +368,7 @@ impl NmpSystem {
             let nmp_time_ns = nmp_time_ns.max(interconnect_ns);
 
             // --- CPU-offload slice (overlapped with the NMP side) -----------------
-            let cpu_time_ns = self.cpu_offload_time_ns(&schedule.cpu_slots, iteration);
+            let cpu_time_ns = cpu_ns / self.cpu.threads.max(1) as f64;
             if cpu_time_ns > nmp_time_ns {
                 cpu_bound_iterations += 1;
             }
@@ -437,7 +383,6 @@ impl NmpSystem {
             write_bytes: traffic.write_bytes,
             elapsed_ns: runtime_ns,
             peak_bandwidth_gbps: self.dram.total_peak_bandwidth_gbps(),
-            ..MemoryStats::default()
         };
 
         NmpRunResult {
@@ -458,26 +403,13 @@ impl NmpSystem {
         }
     }
 
-    /// Time for the host CPU to process the iteration's oversized MacroNodes.
-    fn cpu_offload_time_ns(
-        &self,
-        cpu_slots: &[usize],
-        iteration: &nmp_pak_pakman::trace::IterationTrace,
-    ) -> f64 {
-        if cpu_slots.is_empty() {
-            return 0.0;
-        }
-        let slots: std::collections::HashSet<usize> = cpu_slots.iter().copied().collect();
-        let threads = self.cpu.threads.max(1) as f64;
-        let mut total_ns = 0.0f64;
-        for check in iteration.checks.iter().filter(|c| slots.contains(&c.slot)) {
-            let lines = (check.size_bytes as f64 / self.dram.line_bytes as f64).ceil();
-            let mem = self.cpu.dependent_accesses_per_node * self.cpu.dram_latency_ns
-                + lines * self.cpu.dram_latency_ns / self.cpu.streaming_mlp;
-            let compute = check.size_bytes as f64 * self.cpu.compute_ns_per_byte;
-            total_ns += mem + compute;
-        }
-        total_ns / threads
+    /// Single-thread host time to process one offloaded MacroNode.
+    fn cpu_offload_ns(&self, size_bytes: usize) -> f64 {
+        let lines = (size_bytes as f64 / self.dram.line_bytes as f64).ceil();
+        let mem = self.cpu.dependent_accesses_per_node * self.cpu.dram_latency_ns
+            + lines * self.cpu.dram_latency_ns / self.cpu.streaming_mlp;
+        let compute = size_bytes as f64 * self.cpu.compute_ns_per_byte;
+        mem + compute
     }
 }
 
@@ -552,7 +484,7 @@ mod tests {
     #[test]
     fn nmp_is_much_faster_than_the_cpu_model() {
         let (trace, layout) = synthetic_trace(4_000, 6);
-        let nmp = system(NmpConfig::default()).simulate(&trace, &layout);
+        let nmp = system(NmpConfig::default()).simulate(&trace, &layout, None);
         let cpu = nmp_pak_memsim::cpu::simulate_cpu_compaction(
             &trace,
             &layout,
@@ -567,7 +499,7 @@ mod tests {
     #[test]
     fn bandwidth_utilization_is_much_higher_than_cpu() {
         let (trace, layout) = synthetic_trace(4_000, 6);
-        let nmp = system(NmpConfig::default()).simulate(&trace, &layout);
+        let nmp = system(NmpConfig::default()).simulate(&trace, &layout, None);
         let cpu = nmp_pak_memsim::cpu::simulate_cpu_compaction(
             &trace,
             &layout,
@@ -586,7 +518,7 @@ mod tests {
     #[test]
     fn inter_dimm_communication_dominates_with_random_destinations() {
         let (trace, layout) = synthetic_trace(4_000, 4);
-        let result = system(NmpConfig::sixteen_pes()).simulate(&trace, &layout);
+        let result = system(NmpConfig::sixteen_pes()).simulate(&trace, &layout, None);
         // With 8 DIMMs and uniform destinations ~7/8 of transfers cross DIMMs (§6.3
         // reports 87.5 %).
         assert!(result.comm.inter_dimm_fraction() > 0.7);
@@ -605,7 +537,7 @@ mod tests {
                 pes_per_channel: pes,
                 ..NmpConfig::default()
             };
-            let r = system(cfg).simulate(&trace, &layout);
+            let r = system(cfg).simulate(&trace, &layout, None);
             assert!(
                 r.runtime_ns <= last * 1.001,
                 "{pes} PEs slower than previous"
@@ -622,9 +554,9 @@ mod tests {
     #[test]
     fn ideal_pe_changes_little_ideal_forwarding_helps_some() {
         let (trace, layout) = synthetic_trace(4_000, 5);
-        let base = system(NmpConfig::default()).simulate(&trace, &layout);
-        let ideal_pe = system(NmpConfig::ideal_pe()).simulate(&trace, &layout);
-        let ideal_fwd = system(NmpConfig::ideal_forwarding()).simulate(&trace, &layout);
+        let base = system(NmpConfig::default()).simulate(&trace, &layout, None);
+        let ideal_pe = system(NmpConfig::ideal_pe()).simulate(&trace, &layout, None);
+        let ideal_fwd = system(NmpConfig::ideal_forwarding()).simulate(&trace, &layout, None);
         // Ideal PEs: at most a small improvement (PEs are not the bottleneck).
         assert!(ideal_pe.runtime_ns <= base.runtime_ns);
         assert!(
@@ -639,13 +571,40 @@ mod tests {
     #[test]
     fn hybrid_offload_fraction_is_small_and_overlapped() {
         let (trace, layout) = synthetic_trace(4_000, 4);
-        let result = system(NmpConfig::default()).simulate(&trace, &layout);
+        let result = system(NmpConfig::default()).simulate(&trace, &layout, None);
         assert!(
             result.cpu_offload_fraction < 0.05,
             "{}",
             result.cpu_offload_fraction
         );
         assert!(result.cpu_bound_iteration_fraction < 0.5);
+    }
+
+    #[test]
+    fn offload_threshold_is_strict() {
+        // A node of exactly the threshold stays on the PEs; one a byte larger
+        // goes to the host CPU.
+        let threshold = NmpConfig::default().cpu_offload_threshold_bytes;
+        let fraction = |sizes: &[usize]| {
+            let mut trace = CompactionTrace::new(sizes.len(), sizes.to_vec());
+            trace.iterations.push(IterationTrace {
+                checks: (0..sizes.len())
+                    .map(|slot| NodeCheck {
+                        slot,
+                        size_bytes: sizes[slot],
+                        invalidated: false,
+                    })
+                    .collect(),
+                transfers: vec![],
+                updates: vec![],
+            });
+            let layout = NodeLayout::new(sizes, &DramConfig::default());
+            let result = system(NmpConfig::default()).simulate(&trace, &layout, None);
+            result.cpu_offload_fraction
+        };
+        assert_eq!(fraction(&[threshold]), 0.0);
+        assert_eq!(fraction(&[threshold + 1]), 1.0);
+        assert_eq!(fraction(&[256, threshold, threshold + 1, 40_000]), 0.5);
     }
 
     #[test]
@@ -679,7 +638,7 @@ mod tests {
             round_nanos: Vec::new(),
         };
         let stats = system(NmpConfig::default()).channel_load_from_sharding(&telemetry);
-        assert_eq!(stats.map.channel_count(), 8);
+        assert_eq!(stats.map, ShardChannelMap::new(12, 8));
         // Channel 0 hosts shards 0 and 8: 200 + 100 work units.
         assert_eq!(stats.work_per_channel[0], 300);
         assert_eq!(stats.work_per_channel[5], 100);
@@ -733,13 +692,13 @@ mod tests {
     fn measured_skew_slows_the_lock_step_and_balance_matches_uniform() {
         let (trace, layout) = synthetic_trace(4_000, 5);
         let sys = system(NmpConfig::default());
-        let uniform = sys.simulate(&trace, &layout);
+        let uniform = sys.simulate(&trace, &layout, None);
 
         // Strongly skewed measured load: one channel hosts ~8× its fair share,
         // so the lock-step iterations stretch.
         let skew_load = sys.channel_load_from_sharding(&skewed_telemetry(8, 64));
         assert!(skew_load.imbalance() > 4.0);
-        let skewed = sys.simulate_with_channel_load(&trace, &layout, Some(&skew_load));
+        let skewed = sys.simulate(&trace, &layout, Some(&skew_load));
         assert!(
             skewed.runtime_ns > uniform.runtime_ns,
             "skewed {} vs uniform {}",
@@ -753,7 +712,7 @@ mod tests {
         // the skewed placement.
         let flat_load = sys.channel_load_from_sharding(&skewed_telemetry(8, 1));
         assert!((flat_load.imbalance() - 1.0).abs() < 1e-12);
-        let flat = sys.simulate_with_channel_load(&trace, &layout, Some(&flat_load));
+        let flat = sys.simulate(&trace, &layout, Some(&flat_load));
         assert!(flat.runtime_ns <= uniform.runtime_ns * 1.001);
         assert!(flat.runtime_ns < skewed.runtime_ns);
 
@@ -764,27 +723,10 @@ mod tests {
     }
 
     #[test]
-    fn with_sharding_folds_measured_load_into_default_simulate() {
-        let (trace, layout) = synthetic_trace(4_000, 5);
-        let sys = system(NmpConfig::default());
-        let uniform = sys.simulate(&trace, &layout);
-        // Attaching skewed telemetry changes the *default* simulate path…
-        let folded = sys.clone().with_sharding(&skewed_telemetry(8, 64));
-        let skewed = folded.simulate(&trace, &layout);
-        assert!(
-            skewed.runtime_ns > uniform.runtime_ns,
-            "attached telemetry should stretch the lock-step"
-        );
-        // …and matches the explicit opt-in exactly.
-        let explicit = sys.simulate_with_channel_load(&trace, &layout, folded.sharding_load());
-        assert_eq!(skewed.runtime_ns, explicit.runtime_ns);
-    }
-
-    #[test]
     fn empty_trace_is_safe() {
         let trace = CompactionTrace::new(0, vec![]);
         let layout = NodeLayout::new(&[], &DramConfig::default());
-        let result = system(NmpConfig::default()).simulate(&trace, &layout);
+        let result = system(NmpConfig::default()).simulate(&trace, &layout, None);
         assert_eq!(result.runtime_ns, 0.0);
         assert_eq!(result.comm.total(), 0);
     }

@@ -502,6 +502,9 @@ impl CompactionScratch {
     /// verdict, so replays are identical across scan modes; only traced runs pay
     /// this O(alive) assembly.
     fn assemble_trace_checks(&mut self) {
+        // Empty here (the trace took the last iteration's list): this sizes the
+        // list exactly, one entry per alive slot.
+        self.checks.reserve_exact(self.alive_list.len());
         let mut ri = 0usize;
         for &slot32 in &self.alive_list {
             let slot = slot32 as usize;

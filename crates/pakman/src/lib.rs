@@ -15,7 +15,7 @@
 //! batch processing of §4.4). The near-memory hardware model that accelerates
 //! Iterative Compaction lives in the `nmp-pak-nmphw` crate and consumes the
 //! [`trace::CompactionTrace`] recorded here, mirroring the paper's trace-driven
-//! Ramulator methodology (§5.2).
+//! methodology (§5.2) with analytic models in place of Ramulator.
 //!
 //! # Quick start
 //!

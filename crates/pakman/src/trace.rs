@@ -7,8 +7,8 @@
 //! [`CompactionTrace`] is this repository's equivalent: a per-iteration log of which
 //! MacroNode slots were read for the invalidation check, which were invalidated, which
 //! TransferNodes were routed where, and which destination nodes were updated
-//! (read-modify-write). The `memsim` and `nmphw` crates replay it against their DRAM,
-//! CPU, GPU and NMP models.
+//! (read-modify-write). The `memsim` and `nmphw` crates fold it, one pass each,
+//! through their analytic CPU, GPU and NMP models (no cycle-level DRAM replay).
 
 /// One invalidation-check access (pipeline stage P1) for a MacroNode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

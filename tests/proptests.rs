@@ -3,10 +3,10 @@
 //! Not compiled offline (`proptest` is unavailable; see the root `Cargo.toml`).
 //! Properties are ported one by one to the seeded xorshift harness: k-mer
 //! window extraction and count conservation now live in
-//! `crates/pakman/tests/count_props.rs`.
+//! `crates/pakman/tests/count_props.rs`, and `address_mapping_is_in_bounds` and
+//! `node_layout_is_disjoint` in `crates/memsim/tests/layout_props.rs`.
 
 use nmp_pak::genome::{DnaString, Kmer, SequencingRead};
-use nmp_pak::memsim::{AddressMapping, DramConfig, NodeLayout};
 use nmp_pak::pakman::contig::n50;
 use nmp_pak::pakman::graph::PakGraph;
 use nmp_pak::pakman::kmer_count::{count_kmers, KmerCounterConfig};
@@ -116,45 +116,6 @@ proptest! {
         let total: usize = lengths.iter().sum();
         let covered: usize = lengths.iter().filter(|&&l| l >= value).sum();
         prop_assert!(covered * 2 >= total);
-    }
-
-    /// Address decomposition stays within the configured geometry and is stable.
-    #[test]
-    fn address_mapping_is_in_bounds(addr in 0u64..(1 << 40)) {
-        let config = DramConfig::default();
-        let mapping = AddressMapping::new(config, 1 << 32);
-        let loc = mapping.locate(addr);
-        prop_assert!(loc.channel < config.channels);
-        prop_assert!(loc.rank < config.ranks_per_channel);
-        prop_assert!(loc.bank < config.banks_per_rank);
-        prop_assert!((loc.column as usize) < config.row_buffer_bytes / config.line_bytes);
-        prop_assert_eq!(mapping.flat_bank(loc), mapping.flat_bank(mapping.locate(addr)));
-    }
-
-    /// The MacroNode layout never overlaps allocations within a DIMM and assigns
-    /// every slot to a valid DIMM.
-    #[test]
-    fn node_layout_is_disjoint(sizes in proptest::collection::vec(1usize..4096, 1..120)) {
-        let config = DramConfig::default();
-        let layout = NodeLayout::new(&sizes, &config);
-        for slot in 0..sizes.len() {
-            prop_assert!(layout.dimm_of(slot) < config.channels);
-            prop_assert!(layout.allocated_size(slot) >= sizes[slot]);
-        }
-        let mut per_dimm: std::collections::HashMap<usize, Vec<(u64, u64)>> = std::collections::HashMap::new();
-        for slot in 0..sizes.len() {
-            let start = layout.address_of(slot);
-            per_dimm
-                .entry(layout.dimm_of(slot))
-                .or_default()
-                .push((start, start + layout.allocated_size(slot) as u64));
-        }
-        for ranges in per_dimm.values_mut() {
-            ranges.sort();
-            for pair in ranges.windows(2) {
-                prop_assert!(pair[0].1 <= pair[1].0, "overlapping allocations");
-            }
-        }
     }
 }
 

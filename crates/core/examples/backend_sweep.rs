@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.reads.len()
     );
 
-    // Streamed batch assembly off a chunked source: the fronts (A–C) of up to
-    // three later batches overlap each batch's compaction, with the in-flight
+    // Streamed batch assembly off a chunked source: the counting (A–B) of up
+    // to three later batches overlaps each batch's compaction, with the in-flight
     // reads capped at 2 MB. The output is bit-identical to the sequential
     // schedule.
     let batched = BatchAssembler::with_schedule(

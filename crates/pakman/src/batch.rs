@@ -50,7 +50,7 @@ use crate::memory::{MemoryBudget, MemoryFootprint};
 use crate::pipeline::PhaseTimings;
 use crate::shard::ShardingTelemetry;
 use crate::spill::SpillTelemetry;
-use crate::stage::{AssemblyPipeline, CountedArtifact};
+use crate::stage::{AssemblyPipeline, CountedBatch};
 use crate::trace::CompactionTrace;
 use crate::walk::generate_contigs;
 use nmp_pak_genome::shard::mix_packed;
@@ -275,16 +275,12 @@ impl Folded {
     fn finish_batch(
         &mut self,
         pipeline: &AssemblyPipeline,
-        counted: CountedArtifact,
+        counted: CountedBatch,
         control: &RunControl<'_>,
     ) -> Result<(), PakmanError> {
-        let front = pipeline.construct_part(counted, control)?;
-        let batch = pipeline.compact_part(front, control)?;
-        let compacted = batch.compacted;
-        self.nodes = fold_nodes(
-            std::mem::take(&mut self.nodes),
-            compacted.graph.into_nodes(),
-        );
+        let built = pipeline.construct(counted, control)?;
+        let batch = pipeline.compact(built, control)?;
+        self.nodes = fold_nodes(std::mem::take(&mut self.nodes), batch.graph.into_nodes());
         let total_kmers = batch.kmer_stats.total_kmers;
         let footprint = MemoryFootprint::from_workload(
             batch.total_read_bases,
@@ -297,16 +293,10 @@ impl Folded {
         self.total_read_bases += batch.total_read_bases;
         self.total_kmers += total_kmers;
         self.total_macronode_bytes += batch.macronode_bytes;
-        self.timings.push(PhaseTimings {
-            access_reads: batch.access_reads,
-            kmer_counting: batch.kmer_counting,
-            macronode_construction: batch.macronode_construction,
-            compaction: batch.compaction,
-            walk: std::time::Duration::ZERO,
-        });
-        self.compaction.push(compacted.stats);
-        self.traces.extend(compacted.trace);
-        self.sharding.extend(compacted.sharding);
+        self.timings.push(batch.timings);
+        self.compaction.push(batch.stats);
+        self.traces.extend(batch.trace);
+        self.sharding.extend(batch.sharding);
         self.spill.extend(batch.spill);
         Ok(())
     }
@@ -476,8 +466,8 @@ fn count_chunk(
     pipeline: &AssemblyPipeline,
     chunk: ReadChunk<'_>,
     control: &RunControl<'_>,
-) -> Result<Option<CountedArtifact>, PakmanError> {
-    match pipeline.count_part(chunk.reads(), control) {
+) -> Result<Option<CountedBatch>, PakmanError> {
+    match pipeline.count(chunk.reads(), control) {
         Ok(counted) => Ok(Some(counted)),
         Err(PakmanError::EmptyInput { .. }) => Ok(None),
         Err(other) => Err(other),
@@ -580,7 +570,7 @@ fn run_pipelined<'r, S: ReadSource<'r>>(
 /// admission accounting of the reads it holds.
 struct Inflight<'scope> {
     bytes: u64,
-    handle: std::thread::ScopedJoinHandle<'scope, Result<Option<CountedArtifact>, PakmanError>>,
+    handle: std::thread::ScopedJoinHandle<'scope, Result<Option<CountedBatch>, PakmanError>>,
 }
 
 /// The pipelined scheduler's in-flight window state: the batches whose reads

@@ -9,9 +9,11 @@
 //! global [`MemoryBudget`] ledger that per-run budgets are chained into.
 //!
 //! The controlled entry points ([`crate::compact_controlled`],
-//! [`crate::compact_sharded_controlled`], the `*_controlled` pipeline methods)
-//! are bit-identical to their uncontrolled twins when the token never fires:
+//! [`crate::compact_sharded_controlled`], the stages' `run_controlled`) are
+//! bit-identical to their uncontrolled twins when the token never fires:
 //! control is observation plus early exit, never a change to the computation.
+//! [`crate::AssemblyPipeline`] has no twins: every one of its methods takes
+//! the control, and [`RunControl::default`] is the unobserved run.
 //! The two compaction entry points run one barriered iteration driver (the
 //! lock-step schedule), so they share one contract: the token is polled, then
 //! the observer called, at the top of every iteration, and only the checkpoint

@@ -140,33 +140,13 @@ pub fn count_kmers_spilled(
     spill: &SpillConfig,
     partitions: usize,
 ) -> Result<(Vec<CountedKmer>, KmerCountStats, SpillTelemetry), PakmanError> {
-    count_kmers_spilled_controlled(reads, config, spill, partitions, &RunControl::default())
-}
-
-/// [`count_kmers_spilled`] under a [`RunControl`]: the spill budget is chained
-/// into the control's global ledger (so host-wide pressure from other tenants
-/// triggers eviction exactly like local pressure — the counted stream stays
-/// bit-identical either way, only `SpillTelemetry` varies) and the cancellation
-/// token is polled once per ingest wave.
-///
-/// # Errors
-///
-/// Everything [`count_kmers_spilled`] returns, plus [`PakmanError::Cancelled`]
-/// when the token fires between waves.
-pub fn count_kmers_spilled_controlled(
-    reads: &[SequencingRead],
-    config: KmerCounterConfig,
-    spill: &SpillConfig,
-    partitions: usize,
-    control: &RunControl<'_>,
-) -> Result<(Vec<CountedKmer>, KmerCountStats, SpillTelemetry), PakmanError> {
     if !spill.is_bounded() {
         return Err(PakmanError::InvalidConfig {
             message: "spilled counting requires a bounded resident-byte budget".to_string(),
         });
     }
     let (counted, stats, telemetry) =
-        count_kmers_controlled(reads, config, spill, partitions, control)?;
+        count_kmers_controlled(reads, config, spill, partitions, &RunControl::default())?;
     let telemetry = telemetry.expect("a bounded run reports its telemetry");
     Ok((counted, stats, telemetry))
 }
@@ -174,8 +154,11 @@ pub fn count_kmers_spilled_controlled(
 /// The counter behind every entry point and [`crate::stage::CountStage`]:
 /// validates, opens the run's ledger, runs the wave loop, and reports
 /// [`SpillTelemetry`] when `spill` is bounded. A bounded ledger is chained into
-/// the control's; an unbounded run holds nothing anyone could evict, so its
-/// ledger stays its own.
+/// the control's, so host-wide pressure from other tenants triggers eviction
+/// exactly like local pressure (the counted stream stays bit-identical, only
+/// the telemetry varies); an unbounded run holds nothing anyone could evict,
+/// so its ledger stays its own. The cancellation token is polled once per
+/// ingest wave.
 pub(crate) fn count_kmers_controlled(
     reads: &[SequencingRead],
     config: KmerCounterConfig,
@@ -1090,27 +1073,27 @@ mod tests {
         // A run that spills: evictions and the last flush release as they go.
         let tight = SpillConfig::bounded(4 << 10);
         let (_, _, telemetry) =
-            count_kmers_spilled_controlled(&reads, config, &tight, 2, &control).unwrap();
+            count_kmers_controlled(&reads, config, &tight, 2, &control).unwrap();
+        let telemetry = telemetry.unwrap();
         assert!(telemetry.bytes_spilled > 0);
         assert_eq!(global.used(), 0);
         assert_eq!(global.peak_bytes(), telemetry.peak_resident_bytes);
         // A run that never overflows finishes with every bucket still charged.
         let roomy = SpillConfig::bounded(1 << 20);
         let (_, _, telemetry) =
-            count_kmers_spilled_controlled(&reads, config, &roomy, 2, &control).unwrap();
-        assert_eq!(telemetry.bytes_spilled, 0);
+            count_kmers_controlled(&reads, config, &roomy, 2, &control).unwrap();
+        assert_eq!(telemetry.unwrap().bytes_spilled, 0);
         assert_eq!(global.peak_bytes(), 200 * 70 * 8);
         assert_eq!(global.used(), 0);
         // A failure: no read is long enough to hold a k-mer.
         let short = reads_from(&["ACG", "TT"]);
-        let err = count_kmers_spilled_controlled(&short, config, &roomy, 2, &control).unwrap_err();
+        let err = count_kmers_controlled(&short, config, &roomy, 2, &control).unwrap_err();
         assert!(matches!(err, PakmanError::EmptyInput { .. }), "{err}");
         assert_eq!(global.used(), 0);
         // A token cancelled before the first wave.
         let cancelled = RunControl::default().with_ledger(&global);
         cancelled.cancel.cancel();
-        let err =
-            count_kmers_spilled_controlled(&reads, config, &tight, 2, &cancelled).unwrap_err();
+        let err = count_kmers_controlled(&reads, config, &tight, 2, &cancelled).unwrap_err();
         assert!(matches!(err, PakmanError::Cancelled { .. }), "{err}");
         assert_eq!(global.used(), 0);
     }

@@ -76,10 +76,7 @@ pub use contig::{AssemblyStats, Contig};
 pub use control::{CancelToken, NullObserver, ProgressObserver, RunControl};
 pub use error::PakmanError;
 pub use graph::PakGraph;
-pub use kmer_count::{
-    count_kmers, count_kmers_spilled, count_kmers_spilled_controlled, CountedKmer,
-    KmerCounterConfig,
-};
+pub use kmer_count::{count_kmers, count_kmers_spilled, CountedKmer, KmerCounterConfig};
 pub use macronode::{MacroNode, ThroughPath};
 pub use memory::{MemoryBudget, MemoryFootprint};
 pub use pipeline::{AssemblyOutput, PakmanAssembler, PhaseTimings};
@@ -88,7 +85,7 @@ pub use shard::{
     ShardedGraph, ShardingTelemetry,
 };
 pub use spill::SpillTelemetry;
-pub use stage::{AssemblyPipeline, CompactArtifact, DrainedReads, FrontArtifact, Stage};
+pub use stage::{AssemblyPipeline, Stage};
 pub use trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 pub use transfer::{PostedTransfer, ShardMailbox, TransferNode};
 pub use walk::{generate_contigs, longest_contig, write_contigs_fasta};

@@ -9,6 +9,7 @@
 use crate::compaction::{CompactionProfile, CompactionStats};
 use crate::config::PakmanConfig;
 use crate::contig::{AssemblyStats, Contig};
+use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use crate::kmer_count::KmerCountStats;
@@ -141,7 +142,7 @@ impl PakmanAssembler {
     /// Returns [`PakmanError::InvalidConfig`] for invalid configurations and
     /// [`PakmanError::EmptyInput`] when the reads contain no usable k-mers.
     pub fn assemble(&self, reads: &[SequencingRead]) -> Result<AssemblyOutput, PakmanError> {
-        AssemblyPipeline::new(self.config)?.run(reads)
+        AssemblyPipeline::new(self.config)?.run(reads, &RunControl::default())
     }
 
     /// Runs the full pipeline over a streaming [`ReadSource`] (a FASTA/FASTQ
@@ -158,7 +159,7 @@ impl PakmanAssembler {
         &self,
         source: impl ReadSource<'s>,
     ) -> Result<AssemblyOutput, PakmanError> {
-        AssemblyPipeline::new(self.config)?.run_source(source)
+        AssemblyPipeline::new(self.config)?.run_source(source, &RunControl::default())
     }
 }
 

@@ -1,37 +1,36 @@
 //! The staged assembly pipeline: Fig. 2's steps A–E as explicit [`Stage`] objects
 //! with typed inter-stage artifacts.
 //!
-//! The monolithic `PakmanAssembler::assemble` of earlier revisions is decomposed
-//! into five stages — [`AccessStage`] (A), [`CountStage`] (B), [`ConstructStage`]
-//! (C), [`CompactStage`] (D) and [`WalkStage`] (E) — composed by
+//! Five stages — [`AccessStage`] (A), [`CountStage`] (B), [`ConstructStage`]
+//! (C), [`CompactStage`] (D) and [`WalkStage`] (E) — are composed by
 //! [`AssemblyPipeline`]. Each stage consumes the previous stage's artifact by
 //! value, so the hand-offs are zero-copy and the compiler enforces the A→E order.
+//! The artifact is the whole hand-off: from [`CountedBatch`] on, each one also
+//! carries the run's census (k-mer statistics, read bases, MacroNode bytes,
+//! spill telemetry) and its [`PhaseTimings`] so far.
 //!
-//! The pipeline is split into two halves at the C/D boundary:
+//! [`AssemblyPipeline`] has one method per boundary — `count` (A–B),
+//! `construct` (C), `compact` (D), `walk` (E) — and `run` / `run_source`
+//! composing them, each under the caller's [`RunControl`]. The job server
+//! schedules the boundaries as separate work units. The streaming batch
+//! scheduler ([`crate::batch`]) runs `count` of later batches on their own
+//! scoped threads while batch *i* goes through `construct` and `compact` on
+//! the calling thread: the paper's pipelined process flow (§4.4–4.5, Fig. 2)
+//! with one graph resident. Every stage is deterministic, so overlapping them
+//! cannot change any output bit.
 //!
-//! * [`AssemblyPipeline::front`] runs A–C and returns a [`FrontArtifact`];
-//! * [`AssemblyPipeline::finish`] runs D–E on a `FrontArtifact`.
-//!
-//! The job server schedules the halves as separate work units. The streaming
-//! batch scheduler ([`crate::batch`]) splits one stage earlier, at B|C (a
-//! crate-private split of the front half), to execute the paper's pipelined
-//! process flow (§4.4–4.5, Fig. 2) with one graph resident: ingest and counting
-//! (A–B) of later batches run on their own scoped threads while batch *i* is
-//! built and compacted (C–D) on the calling thread. Every part is
-//! deterministic, so overlapping them cannot change any output bit.
-//!
-//! Ingestion is pluggable: [`AccessStage`] consumes borrowed slices, borrowed
-//! [`ReadChunk`]s pulled from a [`ReadSource`], or (via [`AccessStage::drain`] /
-//! [`AssemblyPipeline::run_source`]) an entire streaming source.
+//! Ingestion is pluggable: [`AccessStage`] consumes a borrowed slice, and
+//! [`AccessStage::drain`] materialises any [`ReadSource`] into one.
 
 use crate::compaction::{compact_controlled, CompactionProfile, CompactionStats};
 use crate::config::{PakmanConfig, ShardConfig, SpillConfig};
-use crate::contig::Contig;
+use crate::contig::{AssemblyStats, Contig};
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use crate::kmer_count::{count_kmers_controlled, CountedKmer, KmerCountStats, KmerCounterConfig};
-use crate::pipeline::PhaseTimings;
+use crate::memory::{MemoryBudget, MemoryFootprint};
+use crate::pipeline::{AssemblyOutput, PhaseTimings};
 use crate::shard::{compact_sharded_controlled, ShardedGraph, ShardingTelemetry};
 use crate::spill::SpillTelemetry;
 use crate::trace::CompactionTrace;
@@ -82,6 +81,9 @@ pub struct CountedBatch {
     /// The counter's telemetry when it ran under a byte budget
     /// ([`SpillConfig`] bounded), `None` when it had no bound.
     pub spill: Option<SpillTelemetry>,
+    /// Stage timings so far: A and B once [`AssemblyPipeline::count`] wrote
+    /// them, zero when [`CountStage`] ran alone.
+    pub timings: PhaseTimings,
 }
 
 /// The wired, uncompacted PaK-graph in whichever execution shape stage C built
@@ -119,6 +121,9 @@ pub struct ConstructedGraph {
     pub total_read_bases: u64,
     /// External-memory counting telemetry, carried through.
     pub spill: Option<SpillTelemetry>,
+    /// Stage timings, carried through (stage C's written by
+    /// [`AssemblyPipeline::construct`]).
+    pub timings: PhaseTimings,
 }
 
 /// Artifact of step D: the compacted graph plus compaction telemetry.
@@ -136,17 +141,17 @@ pub struct CompactedGraph {
     pub profile: CompactionProfile,
     /// Measured per-shard load and mailbox traffic (sharded execution only).
     pub sharding: Option<ShardingTelemetry>,
-}
-
-/// Reads materialized from a streaming source by [`AccessStage::drain`]: step
-/// A's artifact when the input is an [`impl ReadSource`](ReadSource) rather
-/// than a borrowed slice.
-#[derive(Debug, Clone)]
-pub struct DrainedReads {
-    /// The materialized reads.
-    pub reads: Vec<SequencingRead>,
-    /// Total number of bases across the reads.
-    pub total_bases: u64,
+    /// Counting statistics, carried through.
+    pub kmer_stats: KmerCountStats,
+    /// Read census, carried through.
+    pub total_read_bases: u64,
+    /// MacroNode bytes at construction time, carried through.
+    pub macronode_bytes: u64,
+    /// External-memory counting telemetry, carried through.
+    pub spill: Option<SpillTelemetry>,
+    /// Stage timings, carried through (stage D's written by
+    /// [`AssemblyPipeline::compact`]).
+    pub timings: PhaseTimings,
 }
 
 /// Step A: access and distribute reads. In the single-node library this is the
@@ -156,30 +161,32 @@ pub struct DrainedReads {
 pub struct AccessStage;
 
 impl AccessStage {
-    /// Runs step A over a streaming source: pulls every chunk, materializes the
-    /// reads, and performs the length census. This is the convenience path for
-    /// running the *unbatched* pipeline off a file — counting needs the whole
-    /// batch resident, so the source is drained; bounded-memory consumers use
-    /// the batch scheduler ([`crate::batch::BatchAssembler::assemble_source`]),
-    /// which keeps at most its in-flight window of chunks alive.
+    /// Pulls every chunk of a streaming source into one read set, polling
+    /// `control` before each pull. This is how the *unbatched* pipeline reads
+    /// a file — counting needs the whole batch resident; bounded-memory
+    /// consumers use the batch scheduler
+    /// ([`crate::batch::BatchAssembler::assemble_source`]), which keeps at most
+    /// its in-flight window of chunks alive. An empty source drains to an empty
+    /// set, which [`Stage::run`] then rejects.
     ///
     /// # Errors
     ///
-    /// Returns [`PakmanError::EmptyInput`] if the source yields no bases and
-    /// propagates source I/O and parse errors.
-    pub fn drain<'s, S: ReadSource<'s>>(&self, mut source: S) -> Result<DrainedReads, PakmanError> {
+    /// Propagates source I/O and parse errors, and returns
+    /// [`PakmanError::Cancelled`] when the token fires between chunks.
+    pub fn drain<'s>(
+        &self,
+        mut source: impl ReadSource<'s>,
+        control: &RunControl<'_>,
+    ) -> Result<Vec<SequencingRead>, PakmanError> {
         let mut reads = Vec::with_capacity(source.reads_hint().0);
-        while let Some(chunk) = source.next_chunk()? {
-            // Move owned chunks; only borrowed ones are copied.
-            reads.append(&mut chunk.into_reads());
+        loop {
+            control.check("ingest (read source)")?;
+            match source.next_chunk()? {
+                // Move owned chunks; only borrowed ones are copied.
+                Some(chunk) => reads.append(&mut chunk.into_reads()),
+                None => return Ok(reads),
+            }
         }
-        let total_bases: u64 = reads.iter().map(|r| r.len() as u64).sum();
-        if total_bases == 0 {
-            return Err(PakmanError::EmptyInput {
-                message: "the read source produced no bases".to_string(),
-            });
-        }
-        Ok(DrainedReads { reads, total_bases })
     }
 }
 
@@ -198,18 +205,6 @@ impl<'r> Stage<&'r [SequencingRead]> for AccessStage {
             });
         }
         Ok(ReadAccess { reads, total_bases })
-    }
-}
-
-impl<'r, 'c> Stage<&'c ReadChunk<'r>> for AccessStage {
-    type Output = ReadAccess<'c>;
-
-    fn name(&self) -> &'static str {
-        "A. access & distribute reads"
-    }
-
-    fn run(&self, chunk: &'c ReadChunk<'r>) -> Result<ReadAccess<'c>, PakmanError> {
-        Stage::<&'c [SequencingRead]>::run(self, chunk.reads())
     }
 }
 
@@ -266,6 +261,7 @@ impl CountStage {
             stats,
             total_read_bases: access.total_bases,
             spill,
+            timings: PhaseTimings::default(),
         })
     }
 }
@@ -332,6 +328,7 @@ impl Stage<CountedBatch> for ConstructStage {
             kmer_stats: counted.stats,
             total_read_bases: counted.total_read_bases,
             spill: counted.spill,
+            timings: counted.timings,
         })
     }
 }
@@ -360,29 +357,29 @@ impl CompactStage {
         built: ConstructedGraph,
         control: &RunControl<'_>,
     ) -> Result<CompactedGraph, PakmanError> {
-        match built.graph {
+        let (graph, outcome, sharding) = match built.graph {
             BuiltGraph::Single(mut graph) => {
                 let outcome = compact_controlled(&mut graph, &self.config, control)?;
-                Ok(CompactedGraph {
-                    graph,
-                    stats: outcome.stats,
-                    trace: outcome.trace,
-                    profile: outcome.profile,
-                    sharding: None,
-                })
+                (graph, outcome, None)
             }
             BuiltGraph::Sharded(mut sharded) => {
                 let (outcome, telemetry) =
                     compact_sharded_controlled(&mut sharded, &self.config, control)?;
-                Ok(CompactedGraph {
-                    graph: sharded.into_global_graph(),
-                    stats: outcome.stats,
-                    trace: outcome.trace,
-                    profile: outcome.profile,
-                    sharding: Some(telemetry),
-                })
+                (sharded.into_global_graph(), outcome, Some(telemetry))
             }
-        }
+        };
+        Ok(CompactedGraph {
+            graph,
+            stats: outcome.stats,
+            trace: outcome.trace,
+            profile: outcome.profile,
+            sharding,
+            kmer_stats: built.kmer_stats,
+            total_read_bases: built.total_read_bases,
+            macronode_bytes: built.macronode_bytes,
+            spill: built.spill,
+            timings: built.timings,
+        })
     }
 }
 
@@ -426,78 +423,39 @@ impl Stage<&CompactedGraph> for WalkStage {
     }
 }
 
-/// Everything the front half (stages A–C) of the pipeline produces for one batch.
-///
-/// This is the artifact the job server hands from its Front phase to its
-/// Compact phase: it owns the constructed graph and carries the statistics and
-/// partial timings the back half needs to complete an
-/// [`crate::pipeline::AssemblyOutput`].
-#[derive(Debug)]
-pub struct FrontArtifact {
-    /// The constructed (uncompacted) graph plus carried statistics.
-    pub built: ConstructedGraph,
-    /// Wall-clock of stage A.
-    pub access_reads: Duration,
-    /// Wall-clock of stage B.
-    pub kmer_counting: Duration,
-    /// Wall-clock of stage C.
-    pub macronode_construction: Duration,
-}
-
-/// What stages A–B hand to stage C: the counted stream plus the timings so far
-/// (the B|C boundary the batch scheduler splits [`FrontArtifact`]'s half at).
-#[derive(Debug)]
-pub(crate) struct CountedArtifact {
-    counted: CountedBatch,
-    access_reads: Duration,
-    kmer_counting: Duration,
-}
-
-/// Everything stages A–D of the pipeline have produced for one run: the
-/// compacted graph plus the carried statistics and timings stage E needs to
-/// assemble the final [`crate::pipeline::AssemblyOutput`].
-///
-/// This is the second hand-off point (after [`FrontArtifact`] at the C/D
-/// boundary): the job server schedules [`AssemblyPipeline::compact_part`] and
-/// [`AssemblyPipeline::walk_part`] as separate work units, so stage work from
-/// different jobs can interleave on one shared pool, and the batch scheduler
-/// ([`crate::batch`]) stops every batch here — it folds the compacted graph's
-/// alive nodes into its running merge and walks once.
-#[derive(Debug)]
-pub struct CompactArtifact {
-    /// The compacted graph plus compaction telemetry.
-    pub compacted: CompactedGraph,
-    /// Counting statistics, carried through.
-    pub kmer_stats: KmerCountStats,
-    /// Read census, carried through.
-    pub total_read_bases: u64,
-    /// MacroNode bytes at construction time, carried through.
-    pub macronode_bytes: u64,
-    /// External-memory counting telemetry, carried through.
-    pub spill: Option<SpillTelemetry>,
-    /// Wall-clock of stage A.
-    pub access_reads: Duration,
-    /// Wall-clock of stage B.
-    pub kmer_counting: Duration,
-    /// Wall-clock of stage C.
-    pub macronode_construction: Duration,
-    /// Wall-clock of stage D.
-    pub compaction: Duration,
-}
-
 /// The staged A–E assembly pipeline.
 ///
-/// Validates its configuration once at construction, then exposes the whole run
-/// ([`AssemblyPipeline::run`]) and the two halves the streaming batch scheduler
-/// overlaps ([`AssemblyPipeline::front`], [`AssemblyPipeline::finish`]).
+/// Validates its configuration once at construction, then runs one stage
+/// boundary per method, each under the caller's [`RunControl`]: cancellation
+/// is polled at every stage entry (and between spill waves in B and
+/// compaction iterations in D), the observer sees `stage_started` per stage,
+/// and budgets chain into the control's ledger. Under
+/// [`RunControl::default`] nothing observes or cancels; the output is the same
+/// bit for bit under any control that does not cancel.
 #[derive(Debug, Clone, Copy)]
 pub struct AssemblyPipeline {
-    config: PakmanConfig,
     access: AccessStage,
     count: CountStage,
     construct: ConstructStage,
     compact: CompactStage,
     walk: WalkStage,
+}
+
+/// One stage boundary: polls the checkpoint `at`, announces the stage `name`,
+/// runs it, and writes its wall-clock into `slot` of the run's [`PhaseTimings`].
+fn step<T>(
+    control: &RunControl<'_>,
+    at: &str,
+    name: &'static str,
+    slot: &mut Duration,
+    stage: impl FnOnce() -> Result<T, PakmanError>,
+) -> Result<T, PakmanError> {
+    control.check(at)?;
+    control.stage_started(name);
+    let t0 = Instant::now();
+    let artifact = stage();
+    *slot = t0.elapsed();
+    artifact
 }
 
 impl AssemblyPipeline {
@@ -509,7 +467,6 @@ impl AssemblyPipeline {
     pub fn new(config: PakmanConfig) -> Result<AssemblyPipeline, PakmanError> {
         config.validate()?;
         Ok(AssemblyPipeline {
-            config,
             access: AccessStage,
             count: CountStage::new(&config),
             construct: ConstructStage::new(&config),
@@ -518,222 +475,120 @@ impl AssemblyPipeline {
         })
     }
 
-    /// The pipeline configuration.
-    pub fn config(&self) -> &PakmanConfig {
-        &self.config
-    }
-
-    /// Stage names in execution order (A–E).
-    pub fn stage_names(&self) -> [&'static str; 5] {
-        [
-            Stage::<&[SequencingRead]>::name(&self.access),
-            Stage::<ReadAccess<'_>>::name(&self.count),
-            Stage::<CountedBatch>::name(&self.construct),
-            Stage::<ConstructedGraph>::name(&self.compact),
-            Stage::<&CompactedGraph>::name(&self.walk),
-        ]
-    }
-
-    /// Runs stages A–C.
+    /// Stages A–B: the half that needs the reads, and the one whose footprint
+    /// the spill budget bounds. The batch scheduler runs it for later batches
+    /// on worker threads and drops the reads when it returns.
     ///
     /// # Errors
     ///
-    /// Returns [`PakmanError::EmptyInput`] when the reads contain no usable
-    /// k-mers.
-    pub fn front(&self, reads: &[SequencingRead]) -> Result<FrontArtifact, PakmanError> {
-        self.front_controlled(reads, &RunControl::default())
-    }
-
-    /// [`AssemblyPipeline::front`] under a [`RunControl`]: cancellation is
-    /// polled at each stage boundary (and between spill waves inside B), the
-    /// observer sees `stage_started` per stage, and the spill budget chains
-    /// into the control's ledger. Bit-identical to `front` under the default
-    /// control.
-    ///
-    /// # Errors
-    ///
-    /// Everything `front` returns, plus [`PakmanError::Cancelled`].
-    pub fn front_controlled(
+    /// Returns [`PakmanError::EmptyInput`] when the reads hold no bases or
+    /// every k-mer is pruned, and [`PakmanError::Cancelled`].
+    pub fn count(
         &self,
         reads: &[SequencingRead],
         control: &RunControl<'_>,
-    ) -> Result<FrontArtifact, PakmanError> {
-        self.construct_part(self.count_part(reads, control)?, control)
+    ) -> Result<CountedBatch, PakmanError> {
+        let mut timings = PhaseTimings::default();
+        let access = step(
+            control,
+            "stage A (access reads)",
+            self.access.name(),
+            &mut timings.access_reads,
+            || self.access.run(reads),
+        )?;
+        let counted = step(
+            control,
+            "stage B (k-mer counting)",
+            self.count.name(),
+            &mut timings.kmer_counting,
+            || self.count.run_controlled(access, control),
+        )?;
+        Ok(CountedBatch { timings, ..counted })
     }
 
-    /// Stages A–B of [`AssemblyPipeline::front_controlled`]: the half that
-    /// needs the reads, and the one whose footprint the spill budget bounds.
-    /// The batch scheduler runs it for later batches on worker threads and
-    /// drops the reads when it returns.
-    pub(crate) fn count_part(
-        &self,
-        reads: &[SequencingRead],
-        control: &RunControl<'_>,
-    ) -> Result<CountedArtifact, PakmanError> {
-        control.check("stage A (access reads)")?;
-        control.stage_started(Stage::<&[SequencingRead]>::name(&self.access));
-        let t0 = Instant::now();
-        let access = self.access.run(reads)?;
-        let access_reads = t0.elapsed();
-
-        control.check("stage B (k-mer counting)")?;
-        control.stage_started(Stage::<ReadAccess<'_>>::name(&self.count));
-        let t1 = Instant::now();
-        let counted = self.count.run_controlled(access, control)?;
-        let kmer_counting = t1.elapsed();
-
-        Ok(CountedArtifact {
-            counted,
-            access_reads,
-            kmer_counting,
-        })
-    }
-
-    /// Stage C of [`AssemblyPipeline::front_controlled`], on the thread that
-    /// will compact the graph it builds.
-    pub(crate) fn construct_part(
-        &self,
-        counted: CountedArtifact,
-        control: &RunControl<'_>,
-    ) -> Result<FrontArtifact, PakmanError> {
-        control.check("stage C (MacroNode construction)")?;
-        control.stage_started(Stage::<CountedBatch>::name(&self.construct));
-        let t2 = Instant::now();
-        let built = self.construct.run(counted.counted)?;
-        let macronode_construction = t2.elapsed();
-
-        Ok(FrontArtifact {
-            built,
-            access_reads: counted.access_reads,
-            kmer_counting: counted.kmer_counting,
-            macronode_construction,
-        })
-    }
-
-    /// Runs stage D on a front-half artifact under a [`RunControl`]. Together
-    /// with [`AssemblyPipeline::walk_part`] this is the scheduler-granular
-    /// decomposition of [`AssemblyPipeline::finish`].
+    /// Stage C, on the thread that will compact the graph it builds.
     ///
     /// # Errors
     ///
-    /// Returns [`PakmanError::Cancelled`] when the token fires at the stage
-    /// boundary or between compaction iterations.
-    pub fn compact_part(
+    /// Returns [`PakmanError::Cancelled`] when the token fires at the boundary.
+    pub fn construct(
         &self,
-        front: FrontArtifact,
+        counted: CountedBatch,
         control: &RunControl<'_>,
-    ) -> Result<CompactArtifact, PakmanError> {
-        let FrontArtifact {
-            built,
-            access_reads,
-            kmer_counting,
-            macronode_construction,
-        } = front;
-        let kmer_stats = built.kmer_stats;
-        let total_read_bases = built.total_read_bases;
-        let macronode_bytes = built.macronode_bytes;
-        let spill = built.spill;
-
-        control.check("stage D (iterative compaction)")?;
-        control.stage_started(Stage::<ConstructedGraph>::name(&self.compact));
-        let t3 = Instant::now();
-        let compacted = self.compact.run_controlled(built, control)?;
-        let compaction = t3.elapsed();
-
-        Ok(CompactArtifact {
-            compacted,
-            kmer_stats,
-            total_read_bases,
-            macronode_bytes,
-            spill,
-            access_reads,
-            kmer_counting,
-            macronode_construction,
-            compaction,
-        })
+    ) -> Result<ConstructedGraph, PakmanError> {
+        let mut timings = counted.timings;
+        let built = step(
+            control,
+            "stage C (MacroNode construction)",
+            self.construct.name(),
+            &mut timings.macronode_construction,
+            || self.construct.run(counted),
+        )?;
+        Ok(ConstructedGraph { timings, ..built })
     }
 
-    /// Runs stage E on a compacted artifact under a [`RunControl`] and
-    /// assembles the final output.
+    /// Stage D. A batch stops here: the batch scheduler folds the compacted
+    /// graph's alive nodes into its running merge and walks once.
     ///
     /// # Errors
     ///
-    /// Returns [`PakmanError::Cancelled`] when the token fires at the stage
-    /// boundary.
-    pub fn walk_part(
+    /// Returns [`PakmanError::Cancelled`] when the token fires at the boundary
+    /// or between compaction iterations.
+    pub fn compact(
         &self,
-        mid: CompactArtifact,
+        built: ConstructedGraph,
         control: &RunControl<'_>,
-    ) -> Result<crate::pipeline::AssemblyOutput, PakmanError> {
-        let CompactArtifact {
-            compacted,
-            kmer_stats,
-            total_read_bases,
-            macronode_bytes,
-            spill,
-            access_reads,
-            kmer_counting,
-            macronode_construction,
-            compaction,
-        } = mid;
+    ) -> Result<CompactedGraph, PakmanError> {
+        let mut timings = built.timings;
+        let compacted = step(
+            control,
+            "stage D (iterative compaction)",
+            self.compact.name(),
+            &mut timings.compaction,
+            || self.compact.run_controlled(built, control),
+        )?;
+        Ok(CompactedGraph {
+            timings,
+            ..compacted
+        })
+    }
 
-        control.check("stage E (graph walk)")?;
-        control.stage_started(Stage::<&CompactedGraph>::name(&self.walk));
-        let t4 = Instant::now();
-        let contigs = self.walk.run(&compacted)?;
-        let walk = t4.elapsed();
-
-        let stats = crate::contig::AssemblyStats::from_contigs(&contigs);
-        let footprint = crate::memory::MemoryFootprint::from_workload(
-            total_read_bases,
-            kmer_stats.total_kmers,
-            macronode_bytes,
-        );
-
-        Ok(crate::pipeline::AssemblyOutput {
+    /// Stage E, then the final [`AssemblyOutput`] from the census the
+    /// compacted graph carries.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PakmanError::Cancelled`] when the token fires at the boundary.
+    pub fn walk(
+        &self,
+        compacted: CompactedGraph,
+        control: &RunControl<'_>,
+    ) -> Result<AssemblyOutput, PakmanError> {
+        let mut timings = compacted.timings;
+        let contigs = step(
+            control,
+            "stage E (graph walk)",
+            self.walk.name(),
+            &mut timings.walk,
+            || self.walk.run(&compacted),
+        )?;
+        Ok(AssemblyOutput {
+            stats: AssemblyStats::from_contigs(&contigs),
             contigs,
-            stats,
-            timings: PhaseTimings {
-                access_reads,
-                kmer_counting,
-                macronode_construction,
-                compaction,
-                walk,
-            },
-            kmer_stats,
+            timings,
+            kmer_stats: compacted.kmer_stats,
             compaction: compacted.stats,
             compaction_profile: compacted.profile,
             trace: compacted.trace,
             sharding: compacted.sharding,
-            spill,
-            footprint,
+            spill: compacted.spill,
+            footprint: MemoryFootprint::from_workload(
+                compacted.total_read_bases,
+                compacted.kmer_stats.total_kmers,
+                compacted.macronode_bytes,
+            ),
             graph: compacted.graph,
         })
-    }
-
-    /// Runs stages D–E on a front-half artifact and assembles the final output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stage errors (none occur for a well-formed artifact).
-    pub fn finish(
-        &self,
-        front: FrontArtifact,
-    ) -> Result<crate::pipeline::AssemblyOutput, PakmanError> {
-        self.finish_controlled(front, &RunControl::default())
-    }
-
-    /// [`AssemblyPipeline::finish`] under an explicit [`RunControl`].
-    ///
-    /// # Errors
-    ///
-    /// Everything `finish` returns, plus [`PakmanError::Cancelled`].
-    pub fn finish_controlled(
-        &self,
-        front: FrontArtifact,
-        control: &RunControl<'_>,
-    ) -> Result<crate::pipeline::AssemblyOutput, PakmanError> {
-        self.walk_part(self.compact_part(front, control)?, control)
     }
 
     /// Runs the full pipeline (A–E).
@@ -741,73 +596,42 @@ impl AssemblyPipeline {
     /// # Errors
     ///
     /// Returns [`PakmanError::EmptyInput`] when the reads contain no usable
-    /// k-mers.
+    /// k-mers, and [`PakmanError::Cancelled`].
     pub fn run(
         &self,
         reads: &[SequencingRead],
-    ) -> Result<crate::pipeline::AssemblyOutput, PakmanError> {
-        self.finish(self.front(reads)?)
-    }
-
-    /// Runs the full pipeline (A–E) under a [`RunControl`]: cancellation at
-    /// every stage boundary and between compaction iterations / spill waves,
-    /// `stage_started` + `compaction_iteration` progress callbacks, budgets
-    /// chained into the control's ledger. Bit-identical to
-    /// [`AssemblyPipeline::run`] under the default control.
-    ///
-    /// # Errors
-    ///
-    /// Everything `run` returns, plus [`PakmanError::Cancelled`].
-    pub fn run_controlled(
-        &self,
-        reads: &[SequencingRead],
         control: &RunControl<'_>,
-    ) -> Result<crate::pipeline::AssemblyOutput, PakmanError> {
-        let front = self.front_controlled(reads, control)?;
-        self.walk_part(self.compact_part(front, control)?, control)
+    ) -> Result<AssemblyOutput, PakmanError> {
+        let built = self.construct(self.count(reads, control)?, control)?;
+        self.walk(self.compact(built, control)?, control)
     }
 
-    /// Runs the full pipeline (A–E) over a streaming source, draining it via
-    /// [`AccessStage::drain`]. Ingestion time is charged to stage A's timing.
+    /// Runs the full pipeline (A–E) over a streaming source, drained by
+    /// [`AccessStage::drain`]; the drain's time is charged to stage A. For the
+    /// whole run the drained reads' [`ReadChunk::approx_read_bytes`] — the unit
+    /// the batch window and the job server's reservations use — are charged to
+    /// the control's ledger.
     ///
     /// # Errors
     ///
     /// Propagates source I/O and parse errors, and returns
-    /// [`PakmanError::EmptyInput`] when the source contains no usable k-mers.
+    /// [`PakmanError::EmptyInput`] when the source contains no usable k-mers,
+    /// and [`PakmanError::Cancelled`].
     pub fn run_source<'s>(
         &self,
         source: impl ReadSource<'s>,
-    ) -> Result<crate::pipeline::AssemblyOutput, PakmanError> {
-        self.run_source_controlled(source, &RunControl::default())
-    }
-
-    /// [`AssemblyPipeline::run_source`] under an explicit [`RunControl`]: the
-    /// drained read bytes are charged against the control's ledger for the
-    /// duration of the run, and cancellation/progress behave as in
-    /// [`AssemblyPipeline::run_controlled`].
-    ///
-    /// # Errors
-    ///
-    /// Everything `run_source` returns, plus [`PakmanError::Cancelled`].
-    pub fn run_source_controlled<'s>(
-        &self,
-        source: impl ReadSource<'s>,
         control: &RunControl<'_>,
-    ) -> Result<crate::pipeline::AssemblyOutput, PakmanError> {
+    ) -> Result<AssemblyOutput, PakmanError> {
         let t0 = Instant::now();
-        let drained = self.access.drain(source)?;
+        let reads = self.access.drain(source, control)?;
         let ingest = t0.elapsed();
-        // Account the resident read set against the shared ledger while the
-        // front half runs; stages B–E keep their own charges.
-        let resident = control.adopt(crate::memory::MemoryBudget::unbounded());
-        resident.charge(drained.total_bases);
-        let result = self
-            .front_controlled(&drained.reads, control)
-            .map(|mut front| {
-                front.access_reads += ingest;
-                front
-            })
-            .and_then(|front| self.finish_controlled(front, control));
+        let resident = control.adopt(MemoryBudget::unbounded());
+        resident.charge(ReadChunk::Borrowed(&reads).approx_read_bytes());
+        let result = self.count(&reads, control).and_then(|mut counted| {
+            counted.timings.access_reads += ingest;
+            let built = self.construct(counted, control)?;
+            self.walk(self.compact(built, control)?, control)
+        });
         resident.release(resident.used());
         result
     }
@@ -816,8 +640,11 @@ impl AssemblyPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::ProgressObserver;
     use crate::test_util::reads_for;
-    use nmp_pak_genome::InMemorySource;
+    use nmp_pak_genome::{GenomeError, InMemorySource};
+    use std::cell::Cell;
+    use std::sync::{Arc, Mutex};
 
     fn cfg(k: usize) -> PakmanConfig {
         PakmanConfig {
@@ -841,44 +668,77 @@ mod tests {
 
     #[test]
     fn stage_names_follow_the_paper_order() {
-        let pipeline = AssemblyPipeline::new(cfg(17)).unwrap();
-        let names = pipeline.stage_names();
-        assert!(names[0].starts_with("A."));
-        assert!(names[1].starts_with("B."));
-        assert!(names[2].starts_with("C."));
-        assert!(names[3].starts_with("D."));
-        assert!(names[4].starts_with("E."));
+        #[derive(Default)]
+        struct Recording(Mutex<Vec<&'static str>>);
+        impl ProgressObserver for Recording {
+            fn stage_started(&self, stage: &'static str) {
+                self.0.lock().unwrap().push(stage);
+            }
+        }
+        let recording = Recording::default();
+        let control = RunControl::default().observed_by(&recording);
+        let reads = reads_for(2_000, 10.0, 7);
+        AssemblyPipeline::new(cfg(15))
+            .unwrap()
+            .run(&reads, &control)
+            .unwrap();
+        let started = recording.0.into_inner().unwrap();
+        let letters: Vec<&str> = started.iter().map(|name| &name[..2]).collect();
+        assert_eq!(letters, ["A.", "B.", "C.", "D.", "E."], "{started:?}");
     }
 
     #[test]
-    fn front_plus_finish_equals_run() {
+    fn count_construct_compact_walk_equals_run() {
         let reads = reads_for(4_000, 15.0, 101);
         let pipeline = AssemblyPipeline::new(cfg(17)).unwrap();
-        let split = pipeline.finish(pipeline.front(&reads).unwrap()).unwrap();
-        let whole = pipeline.run(&reads).unwrap();
+        let none = RunControl::default();
+        let counted = pipeline.count(&reads, &none).unwrap();
+        let built = pipeline.construct(counted, &none).unwrap();
+        let compacted = pipeline.compact(built, &none).unwrap();
+        let split = pipeline.walk(compacted, &none).unwrap();
+        let whole = pipeline.run(&reads, &none).unwrap();
         assert_eq!(split.contigs, whole.contigs);
         assert_eq!(split.stats, whole.stats);
         assert_eq!(split.kmer_stats, whole.kmer_stats);
         assert_eq!(split.compaction, whole.compaction);
         assert_eq!(split.trace, whole.trace);
+        for t in [split.timings, whole.timings] {
+            let stages = [
+                t.access_reads,
+                t.kmer_counting,
+                t.macronode_construction,
+                t.compaction,
+                t.walk,
+            ];
+            assert!(stages.iter().all(|d| *d > Duration::ZERO), "{t:?}");
+        }
     }
 
     #[test]
     fn artifacts_carry_the_census_through() {
         let reads = reads_for(2_000, 10.0, 7);
         let pipeline = AssemblyPipeline::new(cfg(15)).unwrap();
-        let front = pipeline.front(&reads).unwrap();
+        let none = RunControl::default();
+        let built = pipeline
+            .construct(pipeline.count(&reads, &none).unwrap(), &none)
+            .unwrap();
         let expected: u64 = reads.iter().map(|r| r.len() as u64).sum();
-        assert_eq!(front.built.total_read_bases, expected);
-        assert!(front.built.macronode_bytes > 0);
-        assert!(front.built.kmer_stats.total_kmers > 0);
+        assert_eq!(built.total_read_bases, expected);
+        assert!(built.macronode_bytes > 0);
+        assert!(built.kmer_stats.total_kmers > 0);
+        let (kmer_stats, macronode_bytes) = (built.kmer_stats, built.macronode_bytes);
+        let compacted = pipeline.compact(built, &none).unwrap();
+        assert_eq!(compacted.total_read_bases, expected);
+        assert_eq!(compacted.macronode_bytes, macronode_bytes);
+        assert_eq!(compacted.kmer_stats, kmer_stats);
+        assert!(compacted.spill.is_none());
     }
 
     #[test]
     fn empty_reads_fail_in_stage_a() {
         let pipeline = AssemblyPipeline::new(cfg(15)).unwrap();
         assert!(matches!(
-            pipeline.front(&[]),
+            pipeline.count(&[], &RunControl::default()),
             Err(PakmanError::EmptyInput { .. })
         ));
     }
@@ -886,7 +746,11 @@ mod tests {
     #[test]
     fn sharded_pipeline_matches_single_graph_bit_for_bit() {
         let reads = reads_for(4_000, 15.0, 101);
-        let single = AssemblyPipeline::new(cfg(17)).unwrap().run(&reads).unwrap();
+        let none = RunControl::default();
+        let single = AssemblyPipeline::new(cfg(17))
+            .unwrap()
+            .run(&reads, &none)
+            .unwrap();
         assert!(single.sharding.is_none());
         let sharded_cfg = PakmanConfig {
             shards: ShardConfig::per_channel(8),
@@ -894,7 +758,7 @@ mod tests {
         };
         let sharded = AssemblyPipeline::new(sharded_cfg)
             .unwrap()
-            .run(&reads)
+            .run(&reads, &none)
             .unwrap();
         assert_eq!(sharded.contigs, single.contigs);
         assert_eq!(sharded.stats, single.stats);
@@ -915,9 +779,10 @@ mod tests {
     fn run_source_matches_run_on_the_same_reads() {
         let reads = reads_for(4_000, 15.0, 101);
         let pipeline = AssemblyPipeline::new(cfg(17)).unwrap();
-        let from_slice = pipeline.run(&reads).unwrap();
+        let none = RunControl::default();
+        let from_slice = pipeline.run(&reads, &none).unwrap();
         let from_source = pipeline
-            .run_source(InMemorySource::chunked(&reads, 100))
+            .run_source(InMemorySource::chunked(&reads, 100), &none)
             .unwrap();
         assert_eq!(from_source.contigs, from_slice.contigs);
         assert_eq!(from_source.stats, from_slice.stats);
@@ -926,22 +791,68 @@ mod tests {
     }
 
     #[test]
-    fn access_stage_drains_sources_and_accepts_chunks() {
-        let reads = reads_for(1_000, 5.0, 9);
-        let drained = AccessStage
-            .drain(InMemorySource::chunked(&reads, 7))
+    fn run_source_charges_the_drained_read_bytes_for_the_run() {
+        // No spill bound and one graph: the drained reads are the only charge
+        // the run puts on the ledger.
+        let reads = reads_for(4_000, 15.0, 101);
+        let ledger = Arc::new(MemoryBudget::unbounded());
+        let control = RunControl::default().with_ledger(&ledger);
+        AssemblyPipeline::new(cfg(17))
+            .unwrap()
+            .run_source(InMemorySource::chunked(&reads, 100), &control)
             .unwrap();
-        assert_eq!(drained.reads, reads);
-        let expected: u64 = reads.iter().map(|r| r.len() as u64).sum();
-        assert_eq!(drained.total_bases, expected);
+        assert_eq!(
+            ledger.peak_bytes(),
+            ReadChunk::Borrowed(&reads).approx_read_bytes()
+        );
+        assert_eq!(ledger.used(), 0);
+    }
 
-        let chunk = nmp_pak_genome::ReadChunk::Borrowed(&reads[..]);
-        let access = Stage::<&nmp_pak_genome::ReadChunk<'_>>::run(&AccessStage, &chunk).unwrap();
-        assert_eq!(access.total_bases, expected);
+    #[test]
+    fn access_stage_drains_sources_and_rejects_empty_reads() {
+        let reads = reads_for(1_000, 5.0, 9);
+        let none = RunControl::default();
+        let drained = AccessStage
+            .drain(InMemorySource::chunked(&reads, 7), &none)
+            .unwrap();
+        assert_eq!(drained, reads);
 
+        let nothing = AccessStage.drain(InMemorySource::new(&[]), &none).unwrap();
         assert!(matches!(
-            AccessStage.drain(InMemorySource::new(&[])),
+            AccessStage.run(&nothing[..]),
             Err(PakmanError::EmptyInput { .. })
         ));
+    }
+
+    #[test]
+    fn a_cancelled_drain_pulls_no_chunk() {
+        struct Counting<'c, S>(S, &'c Cell<usize>);
+        impl<'s, S: ReadSource<'s>> ReadSource<'s> for Counting<'_, S> {
+            fn next_chunk(&mut self) -> Result<Option<ReadChunk<'s>>, GenomeError> {
+                self.1.set(self.1.get() + 1);
+                self.0.next_chunk()
+            }
+        }
+        let reads = reads_for(1_000, 5.0, 9);
+        let pulls = Cell::new(0);
+        let control = RunControl::default();
+        control.cancel.cancel();
+        assert!(matches!(
+            AccessStage.drain(
+                Counting(InMemorySource::chunked(&reads, 7), &pulls),
+                &control
+            ),
+            Err(PakmanError::Cancelled { .. })
+        ));
+        assert_eq!(pulls.get(), 0);
+        // Uncancelled, the same wrapper sees every chunk and the final `None`.
+        let drained = AccessStage
+            .drain(
+                Counting(InMemorySource::chunked(&reads, 7), &pulls),
+                &RunControl::default(),
+            )
+            .unwrap();
+        assert_eq!(drained, reads);
+        assert_eq!(pulls.get(), reads.len().div_ceil(7) + 1);
     }
 }

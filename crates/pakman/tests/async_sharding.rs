@@ -304,7 +304,7 @@ fn cancel_mid_async_flush_drains_the_ledger() {
         .with_ledger(&ledger);
 
     let err = pipeline
-        .run_controlled(&reads, &control)
+        .run(&reads, &control)
         .expect_err("cancelled mid-compaction must not complete");
     match err {
         PakmanError::Cancelled { at } => {

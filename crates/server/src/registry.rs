@@ -1,14 +1,15 @@
 //! The job registry: per-job state owned by the scheduler.
 //!
 //! A job advances through [`JobPhase`] one stage-step at a time. The phase
-//! *owns* the inter-stage artifact (drained reads, front artifact, compacted
+//! *owns* the inter-stage artifact (drained reads, constructed graph, compacted
 //! graph), so a worker executing a step takes the phase out of the record,
 //! computes the next artifact, and writes the next phase back — no artifact is
 //! ever shared between threads, and a job's memory is dropped the moment it
 //! terminates.
 
 use nmp_pak_genome::SequencingRead;
-use nmp_pak_pakman::{CancelToken, CompactArtifact, FrontArtifact, PakmanConfig};
+use nmp_pak_pakman::stage::{CompactedGraph, ConstructedGraph};
+use nmp_pak_pakman::{CancelToken, PakmanConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,15 +38,15 @@ pub(crate) enum JobPhase {
         /// Ingestion wall-clock, charged to stage A's timing.
         ingest: Duration,
     },
-    /// Front half done; the next step runs stage D.
+    /// Graph built; the next step runs stage D.
     Compact {
-        /// Stages A–C artifact (boxed: artifacts dwarf the other variants).
-        front: Box<FrontArtifact>,
+        /// Stage C artifact (boxed: artifacts dwarf the other variants).
+        built: Box<ConstructedGraph>,
     },
     /// Compaction done; the next step runs stage E and finishes.
     Walk {
         /// Stage D artifact (boxed, as above).
-        mid: Box<CompactArtifact>,
+        compacted: Box<CompactedGraph>,
     },
     /// A worker currently holds this job's artifact and is executing a step.
     Running,

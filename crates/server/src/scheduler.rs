@@ -14,8 +14,9 @@
 //! ledger therefore *queues* jobs; it never drops them.
 
 use nmp_pak_genome::{
-    FastaFastqSource, PrefetchSource, ReadSource, ReferenceGenome, SequencingRead, SyntheticSource,
+    FastaFastqSource, PrefetchSource, ReferenceGenome, SequencingRead, SyntheticSource,
 };
+use nmp_pak_pakman::stage::AccessStage;
 use nmp_pak_pakman::{
     AssemblyOutput, AssemblyPipeline, CancelToken, MemoryBudget, PakmanConfig, PakmanError,
     RunControl,
@@ -259,61 +260,68 @@ pub(crate) fn submit(
 }
 
 /// Executes exactly one stage of one job. Every arm polls cancellation on
-/// entry (inside the controlled pipeline methods) and the compaction arm also
+/// entry (inside the pipeline's boundary methods) and the compaction arm also
 /// polls between iterations, so a cancelled job unwinds at the next checkpoint
 /// without finishing its current stage batch of work.
 fn execute_step(phase: JobPhase, ctx: &StepCtx, ledger: &Arc<MemoryBudget>) -> StepOutcome {
     let control = RunControl::with_cancel(ctx.cancel.clone())
         .observed_by(ctx.sink.as_ref())
         .with_ledger(ledger);
+    let advance = |next: Result<JobPhase, PakmanError>| match next {
+        Ok(next) => StepOutcome::Next(next),
+        Err(err) => StepOutcome::Finished(Box::new(Err(err))),
+    };
     let pipeline = match AssemblyPipeline::new(ctx.config) {
         Ok(pipeline) => pipeline,
-        Err(err) => return StepOutcome::Finished(Box::new(Err(err))),
+        Err(err) => return advance(Err(err)),
     };
     match phase {
         JobPhase::Ingest { input } => {
             control.stage_started("ingest");
             let t0 = Instant::now();
-            match ingest(input, &control) {
-                Ok(reads) => StepOutcome::Next(JobPhase::Front {
-                    reads,
-                    ingest: t0.elapsed(),
-                }),
-                Err(err) => StepOutcome::Finished(Box::new(Err(err))),
-            }
+            advance(ingest(input, &control).map(|reads| JobPhase::Front {
+                reads,
+                ingest: t0.elapsed(),
+            }))
         }
-        JobPhase::Front { reads, ingest } => match pipeline.front_controlled(&reads, &control) {
-            Ok(mut front) => {
-                front.access_reads += ingest;
-                StepOutcome::Next(JobPhase::Compact {
-                    front: Box::new(front),
+        JobPhase::Front { reads, ingest } => advance(
+            pipeline
+                .count(&reads, &control)
+                .and_then(|mut counted| {
+                    counted.timings.access_reads += ingest;
+                    pipeline.construct(counted, &control)
                 })
-            }
-            Err(err) => StepOutcome::Finished(Box::new(Err(err))),
-        },
-        JobPhase::Compact { front } => match pipeline.compact_part(*front, &control) {
-            Ok(mid) => StepOutcome::Next(JobPhase::Walk { mid: Box::new(mid) }),
-            Err(err) => StepOutcome::Finished(Box::new(Err(err))),
-        },
-        JobPhase::Walk { mid } => match pipeline.walk_part(*mid, &control) {
-            Ok(output) => {
+                .map(|built| JobPhase::Compact {
+                    built: Box::new(built),
+                }),
+        ),
+        JobPhase::Compact { built } => advance(pipeline.compact(*built, &control).map(
+            |compacted| JobPhase::Walk {
+                compacted: Box::new(compacted),
+            },
+        )),
+        JobPhase::Walk { compacted } => {
+            let output = pipeline.walk(*compacted, &control);
+            if let Ok(output) = &output {
                 for (index, contig) in output.contigs.iter().enumerate() {
                     ctx.sink.emit(JobEvent::ContigWritten {
                         index,
                         length: contig.len(),
                     });
                 }
-                StepOutcome::Finished(Box::new(Ok(output)))
             }
-            Err(err) => StepOutcome::Finished(Box::new(Err(err))),
-        },
+            StepOutcome::Finished(Box::new(output))
+        }
         JobPhase::Queued { .. } | JobPhase::Running => {
             unreachable!("unrunnable phase reached a worker")
         }
     }
 }
 
-/// Materializes a job's input, polling cancellation between chunks.
+/// Materializes a job's input. File and synthetic inputs go through the
+/// pipeline's one drain, which polls cancellation between chunks; dropping a
+/// [`PrefetchSource`] (a cancelled drain) joins its worker, and a drained one
+/// has already surfaced any error the worker hit.
 fn ingest(input: JobInput, control: &RunControl<'_>) -> Result<Vec<SequencingRead>, PakmanError> {
     match input {
         JobInput::Reads(reads) => {
@@ -321,8 +329,8 @@ fn ingest(input: JobInput, control: &RunControl<'_>) -> Result<Vec<SequencingRea
             Ok(reads)
         }
         JobInput::File { path } => {
-            let source = FastaFastqSource::open(&path).map_err(PakmanError::from)?;
-            drain_prefetched(PrefetchSource::new(source), control)
+            let source = FastaFastqSource::open(&path)?;
+            AccessStage.drain(PrefetchSource::new(source), control)
         }
         JobInput::Synthetic {
             genome_length,
@@ -332,38 +340,8 @@ fn ingest(input: JobInput, control: &RunControl<'_>) -> Result<Vec<SequencingRea
             let genome = ReferenceGenome::builder()
                 .length(genome_length)
                 .seed(genome_seed)
-                .build()
-                .map_err(PakmanError::from)?;
-            let mut source = SyntheticSource::new(genome, sequencer).map_err(PakmanError::from)?;
-            let mut reads = Vec::with_capacity(source.reads_hint().0);
-            while let Some(chunk) = source.next_chunk().map_err(PakmanError::from)? {
-                control.check("ingest (synthetic reads)")?;
-                reads.append(&mut chunk.into_reads());
-            }
-            Ok(reads)
+                .build()?;
+            AccessStage.drain(SyntheticSource::new(genome, sequencer)?, control)
         }
     }
-}
-
-/// Drains a prefetched file source. On cancellation the source is closed
-/// explicitly — joining the ingestion worker so a cancelled job cannot leak
-/// its prefetch thread; on normal completion `close` surfaces any I/O error
-/// the worker hit after the last delivered chunk.
-fn drain_prefetched(
-    mut source: PrefetchSource,
-    control: &RunControl<'_>,
-) -> Result<Vec<SequencingRead>, PakmanError> {
-    let mut reads = Vec::with_capacity(source.reads_hint().0);
-    loop {
-        if let Err(cancelled) = control.check("ingest (file streaming)") {
-            let _ = source.close();
-            return Err(cancelled);
-        }
-        match source.next_chunk().map_err(PakmanError::from)? {
-            Some(chunk) => reads.append(&mut chunk.into_reads()),
-            None => break,
-        }
-    }
-    source.close().map_err(PakmanError::from)?;
-    Ok(reads)
 }

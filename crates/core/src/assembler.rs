@@ -130,7 +130,7 @@ impl NmpPakAssembler {
     /// software ran sharded — the full *measured* sharding telemetry, so
     /// spatial backends stop assuming perfectly uniform work: scalar-only
     /// models read the derived load-imbalance factor, while the NMP channel
-    /// model folds per-shard work and the mailbox byte matrix onto its
+    /// model folds per-shard work and the mailbox flush ledger onto its
     /// channels directly.
     pub fn context_for(assembly: &AssemblyOutput) -> SimulationContext {
         let ctx = SimulationContext::new(assembly.footprint.peak_bytes());

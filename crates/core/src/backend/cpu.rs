@@ -97,7 +97,8 @@ impl CpuBackend {
     }
 
     /// The core/memory model this backend simulates with.
-    pub fn cpu_config(&self) -> &CpuConfig {
+    #[cfg(test)]
+    pub(crate) fn cpu_config(&self) -> &CpuConfig {
         &self.cpu
     }
 }

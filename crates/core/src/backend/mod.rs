@@ -399,9 +399,13 @@ pub(crate) mod tests {
         // Measured sharding: 12 shards folded onto 8 channels, shard 0 doing
         // 3× the work, a third of the mailbox bytes channel-local.
         let shards = 12usize;
-        let mut route_bytes = vec![0u64; shards * shards];
-        route_bytes[8] = 1_000; // shard 0 → shard 8: both on channel 0
-        route_bytes[1] = 2_000; // shard 0 → shard 1: cross-channel
+        let flush = |dst, bytes| nmp_pak_pakman::MailboxFlushStats {
+            src: 0,
+            dst,
+            src_iteration: 0,
+            transfers: 1,
+            bytes,
+        };
         let mut checked_per_shard = vec![1_000u64; shards];
         checked_per_shard[0] = 3_000;
         let telemetry = nmp_pak_pakman::ShardingTelemetry {
@@ -409,9 +413,8 @@ pub(crate) mod tests {
             initial_alive_per_shard: vec![100; shards],
             final_alive_per_shard: vec![50; shards],
             checked_per_shard,
-            mailbox: Vec::new(),
-            route_bytes,
-            flushes: Vec::new(),
+            // Shard 0 → shard 8 (both on channel 0), shard 0 → shard 1 (cross).
+            flushes: vec![flush(8, 1_000), flush(1, 2_000)],
             round_nanos: Vec::new(),
         };
         let ctx = SimulationContext::new(1 << 30).with_sharding(telemetry);

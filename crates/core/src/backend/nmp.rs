@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn measured_sharding_telemetry_reaches_the_channel_model() {
-        use nmp_pak_pakman::{MailboxIterationStats, ShardingTelemetry};
+        use nmp_pak_pakman::ShardingTelemetry;
         let (trace, layout) = synthetic();
         let system = SystemConfig::default();
         let backend = NmpBackend::pak(&system);
@@ -170,14 +170,6 @@ mod tests {
             initial_alive_per_shard: vec![100; shards],
             final_alive_per_shard: vec![50; shards],
             checked_per_shard: checked,
-            mailbox: vec![MailboxIterationStats {
-                iteration: 0,
-                transfers: 10,
-                cross_shard_transfers: 10,
-                bytes: 10_000,
-                cross_shard_bytes: 10_000,
-            }],
-            route_bytes: vec![0; shards * shards],
             flushes: Vec::new(),
             round_nanos: Vec::new(),
         };

@@ -49,22 +49,6 @@ pub struct Experiments {
 }
 
 impl Experiments {
-    /// Prepares the experiment context from a streaming read source (e.g. a
-    /// FASTQ file): the source is materialized into a [`Workload`] once — every
-    /// backend replays the same trace — and [`Experiments::prepare`] runs on it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates source I/O/parse errors and software-pipeline errors.
-    pub fn prepare_streamed<'s>(
-        name: impl Into<String>,
-        source: impl nmp_pak_genome::ReadSource<'s>,
-        assembler: NmpPakAssembler,
-    ) -> Result<Self, PakmanError> {
-        let workload = Workload::from_read_source(name, source).map_err(PakmanError::from)?;
-        Experiments::prepare(workload, assembler)
-    }
-
     /// Runs the software pipeline on `workload` and simulates every backend.
     ///
     /// # Errors
@@ -311,14 +295,6 @@ impl Experiments {
         }
     }
 
-    /// The k-mer counter's telemetry, recorded when the assembly ran under a
-    /// [`nmp_pak_pakman::SpillConfig`] resident-byte budget (`None` when
-    /// counting had no bound). The `experiments sweep spill` recipe reports the
-    /// same quantities per budget.
-    pub fn spill_telemetry(&self) -> Option<nmp_pak_pakman::SpillTelemetry> {
-        self.assembly.spill
-    }
-
     /// Folds the run's sharding telemetry (if the software ran sharded) onto
     /// the NMP channel model: per-channel measured work/residency and the
     /// intra- vs cross-channel split of the mailbox traffic.
@@ -409,27 +385,16 @@ mod tests {
     }
 
     #[test]
-    fn prepare_streamed_matches_prepare() {
-        let workload = Workload::tiny(17).unwrap();
-        let streamed =
-            Experiments::prepare_streamed("tiny", workload.source(), NmpPakAssembler::default())
-                .unwrap();
-        let direct = Experiments::prepare(workload, NmpPakAssembler::default()).unwrap();
-        assert_eq!(streamed.assembly.contigs, direct.assembly.contigs);
-        assert_eq!(streamed.backends.len(), direct.backends.len());
-        assert!(streamed.workload.genome.is_none());
-    }
-
-    #[test]
     fn spill_telemetry_is_surfaced_for_budget_capped_runs() {
         let in_memory = prepared();
-        assert!(in_memory.spill_telemetry().is_none());
+        assert!(in_memory.assembly.spill.is_none());
 
         let mut assembler = NmpPakAssembler::default();
         assembler.pakman.spill = nmp_pak_pakman::SpillConfig::bounded(4 * 1024);
         let spilled = Experiments::prepare(Workload::tiny(17).unwrap(), assembler).unwrap();
         let telemetry = spilled
-            .spill_telemetry()
+            .assembly
+            .spill
             .expect("budget-capped run records spill telemetry");
         assert_eq!(telemetry.budget_bytes, 4 * 1024);
         // Counting under the budget must not change the assembly.

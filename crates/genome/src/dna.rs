@@ -425,14 +425,9 @@ impl DnaString {
         gc as f64 / self.len as f64
     }
 
-    /// Number of packed bytes used by the representation (4 bases per byte),
-    /// whether they live inline or on the heap.
-    pub fn packed_size_bytes(&self) -> usize {
-        self.len.div_ceil(4)
-    }
-
     /// `true` while the sequence fits in the inline buffer (no heap allocation).
-    pub fn is_inline(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline(_))
     }
 
@@ -621,12 +616,6 @@ mod tests {
         let s: DnaString = "ACGT".parse().unwrap();
         assert!((s.gc_content() - 0.5).abs() < 1e-12);
         assert_eq!(DnaString::new().gc_content(), 0.0);
-    }
-
-    #[test]
-    fn packing_uses_quarter_byte_per_base() {
-        let s: DnaString = "ACGTACGTACGTACGT".parse().unwrap();
-        assert_eq!(s.packed_size_bytes(), 4);
     }
 
     #[test]

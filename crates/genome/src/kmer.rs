@@ -217,7 +217,8 @@ impl Kmer {
     /// # Panics
     ///
     /// Panics if the result would exceed [`MAX_K`] bases.
-    pub fn prepend(&self, base: Base) -> Kmer {
+    #[cfg(test)]
+    pub(crate) fn prepend(&self, base: Base) -> Kmer {
         assert!(self.k() < MAX_K, "cannot extend a {MAX_K}-mer");
         Kmer {
             packed: ((base.code() as u64) << (2 * self.k())) | self.packed,

@@ -66,14 +66,6 @@ impl ReferenceGenome {
         ReferenceGenomeBuilder::default()
     }
 
-    /// Wraps an existing sequence as a reference genome.
-    pub fn from_sequence(name: impl Into<String>, sequence: DnaString) -> Self {
-        ReferenceGenome {
-            sequence,
-            name: name.into(),
-        }
-    }
-
     /// The genome sequence.
     pub fn sequence(&self) -> &DnaString {
         &self.sequence
@@ -322,13 +314,5 @@ mod tests {
             .repeats(vec![RepeatSpec::new(0, 1)])
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn from_sequence_preserves_name_and_content() {
-        let seq: DnaString = "ACGTACGT".parse().unwrap();
-        let g = ReferenceGenome::from_sequence("chrTest", seq.clone());
-        assert_eq!(g.name(), "chrTest");
-        assert_eq!(g.sequence(), &seq);
     }
 }

@@ -187,28 +187,28 @@ pub(crate) fn sample_read(
     )
 }
 
-/// Convenience helper: counts how many sampled read bases differ from the reference
-/// window they were drawn from. Used by tests to validate the error model.
-pub fn count_substitutions(genome: &ReferenceGenome, read: &SequencingRead) -> Option<usize> {
-    let origin = read.origin()?;
-    let window = genome.sequence().slice(origin, read.len());
-    let expected = if read.is_reverse_strand() {
-        window.reverse_complement()
-    } else {
-        window
-    };
-    Some(
-        expected
-            .iter()
-            .zip(read.sequence().iter())
-            .filter(|(a, b)| a != b)
-            .count(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Counts how many sampled read bases differ from the reference window they
+    /// were drawn from: the error model's observable.
+    fn count_substitutions(genome: &ReferenceGenome, read: &SequencingRead) -> Option<usize> {
+        let origin = read.origin()?;
+        let window = genome.sequence().slice(origin, read.len());
+        let expected = if read.is_reverse_strand() {
+            window.reverse_complement()
+        } else {
+            window
+        };
+        Some(
+            expected
+                .iter()
+                .zip(read.sequence().iter())
+                .filter(|(a, b)| a != b)
+                .count(),
+        )
+    }
 
     fn small_genome() -> ReferenceGenome {
         ReferenceGenome::builder()

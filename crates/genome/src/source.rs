@@ -275,7 +275,7 @@ enum RecordStream<R: BufRead> {
 /// Buffered streaming [`ReadSource`] over FASTA or FASTQ text.
 ///
 /// Records are parsed incrementally — the file is never materialized — and
-/// grouped into owned chunks of [`FastaFastqSource::chunk_reads`] reads, so the
+/// grouped into owned chunks of `chunk_reads` reads, so the
 /// peak ingestion memory is one chunk regardless of file size. FASTA records
 /// become reads named after their header; FASTQ qualities are kept.
 #[derive(Debug)]

@@ -1,4 +1,4 @@
-//! The inter-DIMM network bridge (DIMM-Link-style, §4.1 / [58]).
+//! The inter-DIMM network bridge (DIMM-Link-style, §4.1 / \[58\]).
 //!
 //! TransferNodes whose destination MacroNode lives in a different DIMM leave the
 //! buffer chip through the bridge. The paper's bridge also broadcasts; compaction's

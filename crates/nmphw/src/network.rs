@@ -1,8 +1,9 @@
 //! Inter-node network cost model: projecting multi-node PakMan from one-host
 //! measurements (§6.3).
 //!
-//! The sharded engine measures the full shard→shard byte matrix and — under
-//! async scheduling — the per-flush mailbox ledger. Mapping shards onto
+//! The sharded engine records its exchange as a per-flush mailbox ledger: one
+//! record per (iteration, source shard, destination shard) lane that carried
+//! a transfer, under either schedule. Mapping shards onto
 //! simulated cluster nodes ([`ShardChannelMap`], the same round-robin fold as
 //! rank-over-node placement in distributed PaKman) splits that traffic into
 //! intra-node bytes (already paid for by the bridge) and cross-node bytes that
@@ -103,10 +104,10 @@ impl NetworkModel {
     /// measured fraction of P1 work (`checked_per_shard`) times the one-host
     /// runtime — the async engine's no-barrier schedule means a node is paced
     /// by its own work, not the global stragglers. Each node also pays to send
-    /// its cross-node flushes: the per-flush mailbox ledger when present
-    /// (async runs, and lock-step runs that decomposed their exchanges),
-    /// otherwise one flush per non-empty lane of the byte matrix. The
-    /// projected runtime is the slowest node's compute + send time.
+    /// its cross-node flushes, read from the per-flush mailbox ledger: a run
+    /// that moved anything has one record per lane that carried a transfer in
+    /// an iteration (a run that moved nothing sends nothing). The projected
+    /// runtime is the slowest node's compute + send time.
     pub fn project_multinode(
         &self,
         telemetry: &ShardingTelemetry,
@@ -125,30 +126,12 @@ impl NetworkModel {
             }
         }
 
-        // (src shard, dst shard, bytes) per flush; the matrix fallback treats
-        // each non-empty lane as one flush (an upper bound on batching, hence
-        // a lower bound on latency charges).
-        let flushes: Vec<(usize, usize, u64)> = if telemetry.flushes.is_empty() {
-            let shards = telemetry.shard_count;
-            (0..shards)
-                .flat_map(|src| (0..shards).map(move |dst| (src, dst)))
-                .map(|(src, dst)| (src, dst, telemetry.routed_bytes(src, dst)))
-                .filter(|&(_, _, bytes)| bytes > 0)
-                .collect()
-        } else {
-            telemetry
-                .flushes
-                .iter()
-                .map(|f| (f.src, f.dst, f.bytes))
-                .collect()
-        };
-
         let mut network_ns = vec![0.0f64; nodes];
         let mut cross_node_bytes = 0u64;
         let mut intra_node_bytes = 0u64;
         let mut cross_node_flushes = 0u64;
-        for (src, dst, bytes) in flushes {
-            let (src_node, dst_node) = (node_of(src), node_of(dst));
+        for flush in &telemetry.flushes {
+            let (src_node, dst_node, bytes) = (node_of(flush.src), node_of(flush.dst), flush.bytes);
             if src_node == dst_node {
                 intra_node_bytes += bytes;
             } else {
@@ -220,12 +203,10 @@ mod tests {
     use nmp_pak_pakman::MailboxFlushStats;
 
     fn telemetry(shards: usize, per_lane_bytes: u64) -> ShardingTelemetry {
-        let mut route_bytes = vec![0u64; shards * shards];
         let mut flushes = Vec::new();
         for src in 0..shards {
             for dst in 0..shards {
                 if src != dst {
-                    route_bytes[src * shards + dst] = per_lane_bytes;
                     flushes.push(MailboxFlushStats {
                         src,
                         dst,
@@ -241,8 +222,6 @@ mod tests {
             initial_alive_per_shard: vec![100; shards],
             final_alive_per_shard: vec![50; shards],
             checked_per_shard: vec![1_000; shards],
-            mailbox: Vec::new(),
-            route_bytes,
             flushes,
             round_nanos: Vec::new(),
         }
@@ -276,8 +255,10 @@ mod tests {
         let t = telemetry(8, 1_000);
         let model = NetworkModel::default();
         let p = model.project_multinode(&t, 4, 1_000_000.0);
-        let total: u64 = t.route_bytes.iter().sum();
-        assert_eq!(p.cross_node_bytes + p.intra_node_bytes, total);
+        assert_eq!(
+            p.cross_node_bytes + p.intra_node_bytes,
+            t.total_mailbox_bytes()
+        );
         // 8 shards on 4 nodes: 2 shards per node → of each shard's 7 lanes, 1
         // stays on-node (8 intra lanes of 56 total).
         assert_eq!(p.intra_node_bytes, 8_000);
@@ -314,16 +295,6 @@ mod tests {
         assert_eq!(p.max_node_network_ns, 0.0);
         assert!((p.projected_runtime_ns - 5_000.0).abs() < 1e-6);
         assert!((p.speedup() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matrix_fallback_matches_per_flush_ledger_with_one_flush_per_lane() {
-        let mut t = telemetry(8, 1_000);
-        let model = NetworkModel::default();
-        let with_ledger = model.project_multinode(&t, 4, 1_000_000.0);
-        t.flushes.clear();
-        let from_matrix = model.project_multinode(&t, 4, 1_000_000.0);
-        assert_eq!(with_ledger, from_matrix);
     }
 
     #[test]

@@ -91,8 +91,8 @@ impl NmpRunResult {
 /// telemetry, replacing the uniform-work assumption: each owner-computes shard
 /// folds onto one channel ([`ShardChannelMap`]), per-channel work is the summed
 /// P1 evaluations of the shards it hosts, and cross-channel bytes come from the
-/// mailbox's shard→shard byte matrix — only bytes whose source and destination
-/// shards land on *different channels* count as bridge traffic.
+/// mailbox's flush ledger — only bytes whose source and destination shards land
+/// on *different channels* count as bridge traffic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelLoadStats {
     /// The shard → channel mapping used.
@@ -154,8 +154,8 @@ impl NmpSystem {
 
     /// Folds measured sharded-execution telemetry onto this system's channels:
     /// per-channel work and residency from the per-shard ledgers, and the
-    /// mailbox's shard→shard byte matrix split into intra- versus cross-channel
-    /// traffic. This is the hardware-facing view of the owner-computes
+    /// mailbox's flush ledger split, in one pass, into intra- versus
+    /// cross-channel traffic. This is the hardware-facing view of the owner-computes
     /// decomposition — load imbalance and cross-channel bytes are *measured*,
     /// not assumed uniform.
     pub fn channel_load_from_sharding(&self, telemetry: &ShardingTelemetry) -> ChannelLoadStats {
@@ -169,17 +169,13 @@ impl NmpSystem {
         for (shard, &alive) in telemetry.final_alive_per_shard.iter().enumerate() {
             resident_per_channel[map.channel_of(shard)] += alive as u64;
         }
-        let shards = telemetry.shard_count;
         let mut cross_channel_bytes = 0u64;
         let mut intra_channel_bytes = 0u64;
-        for src in 0..shards {
-            for dst in 0..shards {
-                let bytes = telemetry.routed_bytes(src, dst);
-                if map.channel_of(src) == map.channel_of(dst) {
-                    intra_channel_bytes += bytes;
-                } else {
-                    cross_channel_bytes += bytes;
-                }
+        for flush in &telemetry.flushes {
+            if map.channel_of(flush.src) == map.channel_of(flush.dst) {
+                intra_channel_bytes += flush.bytes;
+            } else {
+                cross_channel_bytes += flush.bytes;
             }
         }
         ChannelLoadStats {
@@ -609,14 +605,11 @@ mod tests {
 
     #[test]
     fn channel_load_folds_measured_shard_telemetry() {
-        use nmp_pak_pakman::{MailboxIterationStats, ShardingTelemetry};
+        use nmp_pak_pakman::ShardingTelemetry;
         // 12 shards on the default 8 channels: shards 8..12 fold onto channels
         // 0..4. Shard 0 did twice everyone's work; shard 0 → shard 8 traffic is
         // *intra*-channel (both on channel 0), shard 0 → shard 1 is cross.
         let shards = 12usize;
-        let mut route_bytes = vec![0u64; shards * shards];
-        route_bytes[/* 0 -> 8 */ 8] = 1_000;
-        route_bytes[/* 0 -> 1 */ 1] = 3_000;
         let telemetry = ShardingTelemetry {
             shard_count: shards,
             initial_alive_per_shard: vec![100; shards],
@@ -626,15 +619,7 @@ mod tests {
                 work[0] = 200;
                 work
             },
-            mailbox: vec![MailboxIterationStats {
-                iteration: 0,
-                transfers: 2,
-                cross_shard_transfers: 2,
-                bytes: 4_000,
-                cross_shard_bytes: 4_000,
-            }],
-            route_bytes,
-            flushes: Vec::new(),
+            flushes: vec![flush(0, 8, 1_000), flush(0, 1, 3_000)],
             round_nanos: Vec::new(),
         };
         let stats = system(NmpConfig::default()).channel_load_from_sharding(&telemetry);
@@ -662,28 +647,29 @@ mod tests {
         );
     }
 
+    /// One iteration-0 flush of `bytes` from shard `src` to shard `dst`.
+    fn flush(src: usize, dst: usize, bytes: u64) -> nmp_pak_pakman::MailboxFlushStats {
+        nmp_pak_pakman::MailboxFlushStats {
+            src,
+            dst,
+            src_iteration: 0,
+            transfers: 1,
+            bytes,
+        }
+    }
+
     /// Telemetry where one shard did `skew`× the others' work and all mailbox
     /// bytes crossed shards that land on different channels.
     fn skewed_telemetry(shards: usize, skew: u64) -> nmp_pak_pakman::ShardingTelemetry {
-        use nmp_pak_pakman::{MailboxIterationStats, ShardingTelemetry};
         let mut checked = vec![1_000u64; shards];
         checked[0] *= skew;
-        let mut route_bytes = vec![0u64; shards * shards];
-        route_bytes[1] = 10_000; // shard 0 → shard 1: cross-channel
-        ShardingTelemetry {
+        nmp_pak_pakman::ShardingTelemetry {
             shard_count: shards,
             initial_alive_per_shard: vec![100; shards],
             final_alive_per_shard: vec![50; shards],
             checked_per_shard: checked,
-            mailbox: vec![MailboxIterationStats {
-                iteration: 0,
-                transfers: 10,
-                cross_shard_transfers: 10,
-                bytes: 10_000,
-                cross_shard_bytes: 10_000,
-            }],
-            route_bytes,
-            flushes: Vec::new(),
+            // Shard 0 → shard 1: cross-channel.
+            flushes: vec![flush(0, 1, 10_000)],
             round_nanos: Vec::new(),
         }
     }

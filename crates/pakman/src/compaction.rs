@@ -6,14 +6,14 @@
 //!
 //! 1. **P1 — invalidation check**: compute the (k-1)-mers of every neighbour and mark
 //!    the node for invalidation if its own (k-1)-mer is strictly the lexicographically
-//!    largest (and the node is fully interior, so no contig endpoint is lost). Under
-//!    [`CompactionMode::Frontier`] (the default) only *dirty* nodes — destinations of
-//!    the previous iteration's TransferNodes — are re-evaluated after iteration 0;
-//!    every other alive node's cached verdict still stands (see DESIGN.md for the
-//!    invariant proof). Cut into at most [`PakmanConfig::threads`] chunks by
-//!    [`crate::par`] (§4.5) — chunk 0 on the calling thread, a helper per further
-//!    chunk, and a helper only for a grain of work, so a late iteration's (or a
-//!    small graph's) checks run inline.
+//!    largest (and the node is fully interior, so no contig endpoint is lost).
+//!    Iteration 0 scans every alive node; after it only the *frontier* — the
+//!    destinations of the previous iteration's TransferNodes — is re-evaluated,
+//!    because every other alive node's cached verdict still stands (see DESIGN.md
+//!    for the invariant proof). Cut into at most [`PakmanConfig::threads`] chunks
+//!    — chunk 0 on the calling thread, a helper per further chunk, and a helper
+//!    only for a grain of work (§4.5), so a late iteration's (or a small graph's)
+//!    checks run inline.
 //! 2. **P2 — TransferNode extraction**: for each through-path of an invalidated node,
 //!    build the TransferNodes destined for its predecessor and successor.
 //! 3. **P3 — routing and update**: every destination is a neighbour P1 already
@@ -37,11 +37,11 @@
 //! live in the driver's scratch, so the untraced hot loop performs no
 //! per-iteration reallocation. Iterations repeat until the alive node count drops
 //! below the configured threshold, no node can be invalidated, or the iteration cap
-//! is hit. Both scan modes, every thread count, every shard count and the serial
-//! fallback produce bit-identical statistics, traces, and contigs — the
-//! determinism contract of DESIGN.md.
+//! is hit. Every thread count, every shard count and a chain of one-iteration
+//! runs (each of whose iteration 0 is a full scan) produce bit-identical
+//! statistics, traces, and contigs — the determinism contract of DESIGN.md.
 
-use crate::config::{CompactionMode, PakmanConfig};
+use crate::config::PakmanConfig;
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
@@ -79,10 +79,11 @@ impl SizeHistogram {
 
     /// Removes one previously [`SizeHistogram::record`]ed node of `size` bytes —
     /// the incremental-census counterpart used when a node's size changes or the
-    /// node is invalidated.
+    /// node is invalidated. Panics, in release builds too, on an empty bucket:
+    /// the census has drifted from the nodes it counts.
     pub(crate) fn unrecord(&mut self, size: usize) {
         let idx = Self::bucket_of(size);
-        debug_assert!(self.counts[idx] > 0, "unrecord of an empty bucket");
+        assert!(self.counts[idx] > 0, "unrecord of an empty bucket");
         self.counts[idx] -= 1;
     }
 
@@ -195,8 +196,8 @@ pub struct IterationProfile {
     /// transfers applies them here, the outcomes are folded, and a traced run
     /// records its update events.
     pub p3: Duration,
-    /// Invalidation predicates actually evaluated this iteration (the frontier
-    /// re-check set; equals `alive_nodes` under [`CompactionMode::FullScan`]).
+    /// Invalidation predicates actually evaluated this iteration: every alive
+    /// node on iteration 0, the frontier after it.
     pub checked_nodes: usize,
     /// Alive nodes at the start of the iteration — what a full scan evaluates.
     pub alive_nodes: usize,
@@ -214,12 +215,6 @@ impl CompactionProfile {
     /// Total invalidation predicates evaluated across the run.
     pub fn total_checked(&self) -> usize {
         self.iterations.iter().map(|i| i.checked_nodes).sum()
-    }
-
-    /// Total predicates a full scan would have evaluated (Σ alive at each
-    /// iteration start).
-    pub fn total_full_scan_checks(&self) -> usize {
-        self.iterations.iter().map(|i| i.alive_nodes).sum()
     }
 }
 
@@ -499,8 +494,8 @@ impl CompactionScratch {
 
     /// Assembles the traced per-alive-node check list: re-checked slots report
     /// their fresh result, clean slots their cached `(size, not-invalidated)`
-    /// verdict, so replays are identical across scan modes; only traced runs pay
-    /// this O(alive) assembly.
+    /// verdict — the list a full scan would produce; only traced runs pay this
+    /// O(alive) assembly.
     fn assemble_trace_checks(&mut self) {
         // Empty here (the trace took the last iteration's list): this sizes the
         // list exactly, one entry per alive slot.
@@ -533,7 +528,8 @@ impl CompactionScratch {
     /// node is taken out of its slot and its TransferNodes go, in path order,
     /// predecessor before successor, straight to the store; what reached an
     /// alive destination is recorded as it lands — the trace event (into
-    /// `events`, when tracing), the next frontier, and through
+    /// `events`, when tracing), the next frontier (every destination a transfer
+    /// lands on), and through
     /// [`CompactionScratch::settle`] the outcome. `chunks` is the store's to use
     /// ([`NodeStore::open`]). Returns the number of transfers delivered.
     ///
@@ -546,7 +542,6 @@ impl CompactionScratch {
         store: &mut S,
         iteration: usize,
         chunks: usize,
-        frontier: bool,
         mut events: Option<&mut Vec<TransferEvent>>,
     ) -> usize {
         let expected = transfer_count(self.invalidated.iter().map(|&slot| store.node(slot)));
@@ -594,9 +589,7 @@ impl CompactionScratch {
                     self.unmatched += 1;
                     continue;
                 };
-                if frontier {
-                    self.dirty.mark(dest_slot);
-                }
+                self.dirty.mark(dest_slot);
                 if let Some(matched) = settled {
                     self.settle(dest_slot, matched);
                 }
@@ -629,12 +622,14 @@ impl CompactionScratch {
 
 /// Runs Iterative Compaction on `graph` in place.
 ///
-/// P1 forks over at most `config.threads` chunks (§4.5), evaluating the
-/// (frontier-restricted) check set in parallel; the streamed pass then takes
-/// P1's resolved destinations and sends each invalidated node's TransferNodes
-/// straight into them. Output is bit-identical across thread counts and
-/// [`CompactionMode`]s. Panics on a graph of more than `u32::MAX` slots (the
-/// typed error of [`compact_controlled`]).
+/// P1 forks over at most `config.threads` chunks (§4.5), evaluating every alive
+/// node on iteration 0 and only the frontier after it; the streamed pass then
+/// takes P1's resolved destinations and sends each invalidated node's
+/// TransferNodes straight into them. Output is bit-identical across thread
+/// counts, and to a chain of calls with `max_compaction_iterations: 1` — each
+/// call's iteration 0 is a full scan, so the chain is the full-scan reference.
+/// Panics on a graph of more than `u32::MAX` slots (the typed error of
+/// [`compact_controlled`]).
 pub fn compact(graph: &mut PakGraph, config: &PakmanConfig) -> CompactionOutcome {
     compact_controlled(graph, config, &RunControl::default())
         .expect("the null control never cancels and a graph's slots fit the 32-bit census")
@@ -688,7 +683,6 @@ pub(crate) fn run_barriered<S: NodeStore>(
         ..CompactionStats::default()
     };
     let mut profile = CompactionProfile::default();
-    let frontier = config.compaction_mode == CompactionMode::Frontier;
 
     for iteration in 0..config.max_compaction_iterations {
         control.check(S::CHECKPOINT)?;
@@ -702,7 +696,7 @@ pub(crate) fn run_barriered<S: NodeStore>(
         // ---- Stage P1: invalidation check (parallel, read-only) ----
         let p1_start = Instant::now();
         scratch.recheck.clear();
-        if !frontier || iteration == 0 {
+        if iteration == 0 {
             let alive_slots = scratch.alive_list.iter().map(|&slot| slot as usize);
             scratch.recheck.extend(alive_slots);
         } else {
@@ -730,7 +724,6 @@ pub(crate) fn run_barriered<S: NodeStore>(
             store,
             iteration,
             plan(scratch.resolved.len(), config.threads, GRAIN),
-            frontier,
             trace.is_some().then_some(&mut transfer_events),
         );
         let p2 = p2_start.elapsed();
@@ -776,9 +769,14 @@ pub(crate) fn run_barriered<S: NodeStore>(
         }
     }
 
+    // The incremental census is all that counts the alive nodes; cross-check
+    // it against the store once per run, in release builds too.
     stats.final_nodes = scratch.alive_list.len();
-    let alive_in_store = || (0..slot_count).filter(|&slot| store.is_alive(slot)).count();
-    debug_assert_eq!(stats.final_nodes, alive_in_store());
+    let alive_in_store = (0..slot_count).filter(|&slot| store.is_alive(slot)).count();
+    assert_eq!(
+        stats.final_nodes, alive_in_store,
+        "the alive census drifted from the store"
+    );
     if stats.final_nodes <= config.compaction_node_threshold {
         stats.converged = true;
     }
@@ -790,12 +788,13 @@ pub(crate) fn run_barriered<S: NodeStore>(
 }
 
 /// Removes the sorted slot set `removed` from the sorted `alive` list in place
-/// (one forward pass; both inputs ascending).
+/// (one forward pass; both inputs ascending). Panics, in release builds too, if
+/// a removed slot was not in the list.
 pub(crate) fn remove_sorted(alive: &mut Vec<u32>, removed: &[usize]) {
     debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
     let mut rest = removed.iter().peekable();
     alive.retain(|&slot| rest.next_if(|&&gone| gone == slot as usize).is_none());
-    debug_assert!(rest.next().is_none(), "every removed slot was alive");
+    assert!(rest.next().is_none(), "every removed slot was alive");
 }
 
 /// The exact length of the transfer stream the invalidated `nodes` (all fully
@@ -1222,7 +1221,7 @@ mod tests {
             deliveries: Vec::new(),
         };
         let mut events = Vec::new();
-        let delivered = scratch.stream(&mut store, 0, 1, true, Some(&mut events));
+        let delivered = scratch.stream(&mut store, 0, 1, Some(&mut events));
         assert_eq!(delivered, expected.len());
         assert_eq!(store.deliveries, expected);
         // The nodes the pass parked (its first two grains' worth) went with it.
@@ -1273,7 +1272,7 @@ mod tests {
         assert!(scratch.invalidated.len() > 100);
         scratch.resolved.pop();
         let mut victim = graph.clone();
-        let pass = std::panic::AssertUnwindSafe(|| scratch.stream(&mut victim, 0, 1, true, None));
+        let pass = std::panic::AssertUnwindSafe(|| scratch.stream(&mut victim, 0, 1, None));
         let panic = std::panic::catch_unwind(pass).expect_err("a short hand-off must not run");
         let message = panic.downcast_ref::<String>().expect("an assert message");
         assert!(
@@ -1356,9 +1355,24 @@ mod tests {
         );
     }
 
-    fn outcomes_identical(a: &CompactionOutcome, b: &CompactionOutcome, what: &str) {
-        assert_eq!(a.stats, b.stats, "stats diverged: {what}");
-        assert_eq!(a.trace, b.trace, "trace diverged: {what}");
+    /// Asserts that `run`, one whole compaction, took the steps of `chain`, the
+    /// outcomes of one-iteration `compact` calls on the same graph: iteration by
+    /// iteration the same census, verdicts, transfers and trace.
+    fn assert_run_is_the_chain(run: &CompactionOutcome, chain: &[CompactionOutcome], what: &str) {
+        assert_eq!(run.stats.iterations.len(), chain.len(), "{what}");
+        let trace = run.trace.as_ref().expect("trace recorded");
+        for (i, step) in chain.iter().enumerate() {
+            let what = format!("{what}, iteration {i}");
+            let it = &run.stats.iterations[i];
+            assert_eq!(it.iteration, i, "{what}");
+            let it = IterationStats {
+                iteration: 0,
+                ..it.clone()
+            };
+            assert_eq!(it, step.stats.iterations[0], "{what}");
+            let step_trace = step.trace.as_ref().expect("trace recorded");
+            assert_eq!(trace.iterations[i], step_trace.iterations[0], "{what}");
+        }
     }
 
     #[test]
@@ -1367,38 +1381,33 @@ mod tests {
             "ACGTACCTGATCAGTTGCAACGGTTACCAGTACGATC",
             "GGGCCCAAATTTACGTAG",
         ];
+        let mut chain_graph = graph_from_reads(&reads, 6);
+        let original = chain_graph.clone();
+        let chain = at_every_iteration(&mut chain_graph, |_| {});
+        assert!(chain.len() > 1);
         for threads in [1, 2, 4, 8] {
-            let mut full_graph = graph_from_reads(&reads, 6);
-            let mut frontier_graph = full_graph.clone();
-            let full_cfg = PakmanConfig {
-                compaction_mode: CompactionMode::FullScan,
+            let mut graph = original.clone();
+            let config = PakmanConfig {
                 threads,
                 ..compact_config(0)
             };
-            let frontier_cfg = PakmanConfig {
-                compaction_mode: CompactionMode::Frontier,
-                ..full_cfg
-            };
-            let full = compact(&mut full_graph, &full_cfg);
-            let frontier = compact(&mut frontier_graph, &frontier_cfg);
-            outcomes_identical(&full, &frontier, &format!("threads = {threads}"));
+            let frontier = compact(&mut graph, &config);
+            assert_run_is_the_chain(&frontier, &chain, &format!("threads = {threads}"));
             // The compacted graphs agree node for node.
-            assert_eq!(full_graph.slot_count(), frontier_graph.slot_count());
-            for slot in 0..full_graph.slot_count() {
-                assert_eq!(full_graph.node(slot), frontier_graph.node(slot));
+            for slot in 0..graph.slot_count() {
+                assert_eq!(graph.node(slot), chain_graph.node(slot));
             }
-            // The frontier never evaluates more predicates than the full scan,
-            // and both record the same per-iteration alive census.
-            for (full_it, frontier_it) in full
-                .profile
-                .iterations
-                .iter()
-                .zip(&frontier.profile.iterations)
-            {
-                assert_eq!(full_it.alive_nodes, frontier_it.alive_nodes);
-                assert_eq!(full_it.checked_nodes, full_it.alive_nodes);
-                assert!(frontier_it.checked_nodes <= frontier_it.alive_nodes);
+            // Iteration 0 is the full scan; the frontier never evaluates more
+            // predicates than one.
+            let checks = frontier.profile.iterations.iter();
+            for (it, step) in checks.zip(&chain) {
+                assert_eq!(it.alive_nodes, step.profile.iterations[0].checked_nodes);
+                assert!(it.checked_nodes <= it.alive_nodes);
             }
+            assert_eq!(
+                frontier.profile.iterations[0].checked_nodes,
+                chain[0].profile.total_checked()
+            );
         }
     }
 
@@ -1429,27 +1438,32 @@ mod tests {
     }
 
     /// Runs `inspect` on the graph before every compaction iteration and after
-    /// the last one, stepping one iteration per `compact` call (each call's
-    /// iteration 0 is a full scan, so the steps compose to the ordinary run).
-    /// Returns the number of iterations that invalidated something.
-    fn at_every_iteration(graph: &mut PakGraph, mut inspect: impl FnMut(&PakGraph)) -> usize {
+    /// the last one, stepping one iteration per `compact` call. Each call's
+    /// iteration 0 is a full scan, so the steps are the full-scan reference of
+    /// the ordinary run. Returns every step's (traced) outcome; only the last
+    /// invalidated nothing.
+    fn at_every_iteration(
+        graph: &mut PakGraph,
+        mut inspect: impl FnMut(&PakGraph),
+    ) -> Vec<CompactionOutcome> {
         let one_step = PakmanConfig {
             max_compaction_iterations: 1,
             ..compact_config(0)
         };
-        for step in 0.. {
+        let mut steps = Vec::new();
+        loop {
             inspect(graph);
             let outcome = compact(graph, &one_step);
-            if outcome
+            let converged = outcome
                 .stats
                 .iterations
                 .iter()
-                .all(|it| it.invalidated == 0)
-            {
-                return step;
+                .all(|it| it.invalidated == 0);
+            steps.push(outcome);
+            if converged {
+                return steps;
             }
         }
-        unreachable!("compaction converges")
     }
 
     #[test]
@@ -1467,7 +1481,9 @@ mod tests {
                     }
                 }
             }
-        });
+        })
+        .len()
+            - 1;
         // The run went deep enough for extensions to outgrow the (k-1)-mer, so
         // both branches of every primitive ran (heap-length extensions do not
         // arise at this scale; transfer.rs covers them by hand).
@@ -1549,7 +1565,28 @@ mod tests {
         let first = &outcome.profile.iterations[0];
         assert_eq!(first.checked_nodes, first.alive_nodes);
         assert_eq!(first.alive_nodes, outcome.stats.initial_nodes);
-        assert!(outcome.profile.total_checked() <= outcome.profile.total_full_scan_checks());
+        let alive: usize = outcome
+            .profile
+            .iterations
+            .iter()
+            .map(|it| it.alive_nodes)
+            .sum();
+        assert!(outcome.profile.total_checked() <= alive);
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecord of an empty bucket")]
+    fn unrecording_from_an_empty_bucket_panics() {
+        let mut histogram = SizeHistogram::new();
+        histogram.record(300);
+        histogram.unrecord(100);
+    }
+
+    #[test]
+    #[should_panic(expected = "every removed slot was alive")]
+    fn removing_a_slot_that_is_not_alive_panics() {
+        let mut alive = vec![1u32, 4, 9];
+        remove_sorted(&mut alive, &[4, 7]);
     }
 
     #[test]

@@ -3,26 +3,6 @@
 use crate::error::PakmanError;
 use nmp_pak_genome::kmer::MAX_K;
 
-/// Which P1 scan strategy Iterative Compaction uses.
-///
-/// Both modes are **bit-identical** — statistics, trace, and contigs — at every
-/// thread count; they differ only in how much work stage P1 performs. See the
-/// "frontier invariant" section of DESIGN.md for why skipping clean nodes cannot
-/// change any output bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CompactionMode {
-    /// Re-evaluate the invalidation predicate for every alive node every
-    /// iteration — the pre-frontier behaviour, kept as a benchmark baseline and
-    /// an equivalence cross-check.
-    FullScan,
-    /// After iteration 0's full scan, re-evaluate only nodes whose neighbourhood
-    /// could have changed: the destinations of the previous iteration's
-    /// TransferNodes (every other alive node's through-paths are untouched, so
-    /// its cached "not a target" verdict still stands).
-    #[default]
-    Frontier,
-}
-
 /// How the sharded compaction engine schedules shard iterations.
 ///
 /// [`ShardSchedule::Lockstep`] keeps the original barrier semantics: every
@@ -214,9 +194,6 @@ pub struct PakmanConfig {
     /// alone whatever this says, and `1` spawns nothing. Output never depends
     /// on it.
     pub threads: usize,
-    /// Stage-P1 scan strategy for Iterative Compaction (frontier-driven by
-    /// default; output is bit-identical either way).
-    pub compaction_mode: CompactionMode,
     /// Owner-computes sharding of the PaK-graph (see [`ShardConfig`]). The
     /// default is single-graph execution; any shard count produces bit-identical
     /// output.
@@ -244,7 +221,6 @@ impl Default for PakmanConfig {
             compaction_node_threshold: 100,
             max_compaction_iterations: 10_000,
             threads: 4,
-            compaction_mode: CompactionMode::default(),
             shards: ShardConfig::default(),
             shard_schedule: ShardSchedule::default(),
             spill: SpillConfig::default(),
@@ -296,7 +272,6 @@ mod tests {
     fn default_follows_paper_parameters() {
         let cfg = PakmanConfig::default();
         assert_eq!(cfg.k, 32);
-        assert_eq!(cfg.compaction_mode, CompactionMode::Frontier);
         assert!(cfg.validate().is_ok());
     }
 

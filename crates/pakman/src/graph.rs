@@ -153,7 +153,7 @@ impl AliveBits {
 /// traces and the hardware model can use as addresses.
 ///
 /// Because the layout is sorted, the slot of a (k-1)-mer is its *rank*: lookups are
-/// a bucketed binary search over packed `u64` keys ([`RankIndex`]) — no hashing and
+/// a bucketed binary search over packed `u64` keys (`RankIndex`) — no hashing and
 /// no per-entry heap allocation on the compaction routing path. See `DESIGN.md`.
 ///
 /// Nodes live inline in the slot vector, and a node's first through-path lives
@@ -368,7 +368,8 @@ impl PakGraph {
     }
 
     /// The alive node with the given (k-1)-mer.
-    pub fn node_by_k1mer(&self, k1mer: &Kmer) -> Option<&MacroNode> {
+    #[cfg(test)]
+    pub(crate) fn node_by_k1mer(&self, k1mer: &Kmer) -> Option<&MacroNode> {
         self.node(self.index_of(k1mer)?)
     }
 
@@ -440,7 +441,8 @@ impl PakGraph {
     }
 
     /// Total number of graph edges (distinct suffix extensions over alive nodes).
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.iter_alive()
             .map(|(_, n)| n.suffix_extensions().len())
             .sum()

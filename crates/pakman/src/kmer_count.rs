@@ -26,13 +26,13 @@
 //! evicted — the last wave's per-chunk runs are still unmerged then, so they
 //! are counted inside their final two-way merge instead of being merged first
 //! and scanned again — and through a k-way merge of the run files otherwise.
-//! Every finisher feeds one [`Emitter`], the only place a multiplicity meets
+//! Every finisher feeds one `Emitter`, the only place a multiplicity meets
 //! `min_count`, so the counted stream is **bit-identical** at any bound, thread
 //! count or partition count.
 //!
-//! Chunks are planned and run by [`crate::par`]: the calling thread works chunk 0,
+//! Chunks are planned and run by `crate::par`: the calling thread works chunk 0,
 //! a helper is spawned for each further chunk, and there are only as many chunks
-//! as a wave holds grains ([`COUNT_GRAIN`] k-mer windows) — a small read
+//! as a wave holds grains (`COUNT_GRAIN` k-mer windows) — a small read
 //! set, and every read set at `threads = 1`, is counted without a spawn.
 //!
 //! The whole phase is *bucket-major*: the top bits of the packed k-mer statically

@@ -71,7 +71,7 @@ pub use compaction::{
     compact, compact_controlled, CompactionOutcome, CompactionProfile, CompactionStats,
     IterationProfile, IterationStats, SizeHistogram,
 };
-pub use config::{CompactionMode, PakmanConfig, ShardConfig, ShardSchedule, SpillConfig};
+pub use config::{PakmanConfig, ShardConfig, ShardSchedule, SpillConfig};
 pub use contig::{AssemblyStats, Contig};
 pub use control::{CancelToken, NullObserver, ProgressObserver, RunControl};
 pub use error::PakmanError;
@@ -81,11 +81,10 @@ pub use macronode::{MacroNode, ThroughPath};
 pub use memory::{MemoryBudget, MemoryFootprint};
 pub use pipeline::{AssemblyOutput, PakmanAssembler, PhaseTimings};
 pub use shard::{
-    compact_sharded, compact_sharded_controlled, MailboxFlushStats, MailboxIterationStats,
-    ShardedGraph, ShardingTelemetry,
+    compact_sharded, compact_sharded_controlled, MailboxFlushStats, ShardedGraph, ShardingTelemetry,
 };
 pub use spill::SpillTelemetry;
 pub use stage::{AssemblyPipeline, Stage};
 pub use trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
-pub use transfer::{PostedTransfer, ShardMailbox, TransferNode};
-pub use walk::{generate_contigs, longest_contig, write_contigs_fasta};
+pub use transfer::TransferNode;
+pub use walk::{generate_contigs, write_contigs_fasta};

@@ -299,7 +299,8 @@ impl MacroNode {
     /// The owner-computes shard this node lives on when the graph is split into
     /// `shard_count` shards (a stable hash of the packed (k-1)-mer; see
     /// [`nmp_pak_genome::shard_of_packed`]).
-    pub fn owner_shard(&self, shard_count: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn owner_shard(&self, shard_count: usize) -> usize {
         nmp_pak_genome::shard_of_packed(self.k1mer.packed(), shard_count)
     }
 
@@ -350,7 +351,8 @@ impl MacroNode {
     }
 
     /// Total outgoing (suffix-side) flow, excluding terminal ends.
-    pub fn outgoing_count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn outgoing_count(&self) -> u32 {
         self.paths
             .iter()
             .filter(|p| p.suffix.is_some())
@@ -359,7 +361,8 @@ impl MacroNode {
     }
 
     /// Flow that starts at this node (read-start terminals).
-    pub fn terminal_start_count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn terminal_start_count(&self) -> u32 {
         self.paths
             .iter()
             .filter(|p| p.prefix.is_none())
@@ -368,7 +371,8 @@ impl MacroNode {
     }
 
     /// Flow that ends at this node (read-end terminals).
-    pub fn terminal_end_count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn terminal_end_count(&self) -> u32 {
         self.paths
             .iter()
             .filter(|p| p.suffix.is_none())

@@ -192,7 +192,8 @@ impl MemoryFootprint {
 
     /// Expansion of the peak footprint relative to the packed input reads
     /// (the paper reports 13–25× relative to the on-disk input).
-    pub fn expansion_factor(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn expansion_factor(&self) -> f64 {
         if self.reads_bytes == 0 {
             return 0.0;
         }

@@ -12,7 +12,7 @@
 //!
 //! # On-disk format
 //!
-//! A [`SpillStore`] owns one temporary directory holding one file per **disk
+//! A `SpillStore` owns one temporary directory holding one file per **disk
 //! partition**. A k-mer belongs to the partition of its *owner* (k-1)-mer under
 //! the frozen [`nmp_pak_genome::shard_of_packed`] hash — the same hash that
 //! assigns MacroNodes to shards — so spill partitions align with shard

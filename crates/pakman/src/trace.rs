@@ -48,7 +48,7 @@ pub struct IterationTrace {
     /// Stage P1 accesses: one per alive node, in ascending slot order. This
     /// holds under the frontier scan too — nodes outside the dirty set report
     /// their cached (size, not-invalidated) verdict — so the trace a memory
-    /// simulator replays is identical across [`crate::CompactionMode`]s.
+    /// simulator replays is the one a full scan of every iteration records.
     pub checks: Vec<NodeCheck>,
     /// Stage P2/P3 TransferNode routing events.
     pub transfers: Vec<TransferEvent>,
@@ -113,7 +113,8 @@ impl CompactionTrace {
     }
 
     /// Total nodes invalidated across the whole run.
-    pub fn total_invalidated(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_invalidated(&self) -> usize {
         self.iterations
             .iter()
             .map(IterationTrace::invalidated_count)

@@ -167,18 +167,18 @@ impl TransferNode {
 
 /// One TransferNode resting in its destination shard's inbox.
 #[derive(Debug, Clone)]
-pub struct PostedTransfer {
+pub(crate) struct PostedTransfer {
     /// Position among the iteration's posted transfers (the canonical order).
     seq: usize,
     /// Global slot of the destination node.
     dest_slot: usize,
     /// The destination's local slot on the receiving shard.
-    pub local_slot: usize,
+    pub(crate) local_slot: usize,
     /// The transfer itself, moved here once.
-    pub transfer: TransferNode,
+    pub(crate) transfer: TransferNode,
     /// Whether applying it found the extension to replace; the receiving shard
     /// fills this in.
-    pub matched: bool,
+    pub(crate) matched: bool,
 }
 
 /// The batched inter-shard TransferNode exchange of one compaction iteration —
@@ -198,7 +198,7 @@ pub struct PostedTransfer {
 /// delivery order) — and [`ShardMailbox::settle`] hands the outcomes back in
 /// posting order.
 #[derive(Debug, Clone, Default)]
-pub struct ShardMailbox {
+pub(crate) struct ShardMailbox {
     /// Per destination shard: the posted transfers, in posting (therefore
     /// per-destination slot) order.
     inboxes: Vec<Vec<PostedTransfer>>,
@@ -213,7 +213,7 @@ pub struct ShardMailbox {
 
 impl ShardMailbox {
     /// An empty mailbox for `shard_count` shards.
-    pub fn new(shard_count: usize) -> ShardMailbox {
+    pub(crate) fn new(shard_count: usize) -> ShardMailbox {
         let shards = shard_count.max(1);
         ShardMailbox {
             inboxes: vec![Vec::new(); shards],
@@ -225,7 +225,7 @@ impl ShardMailbox {
     /// Clears the inboxes and the lanes (capacity is kept — the exchange
     /// buffers are reused across iterations, §4.5's pre-allocation discipline
     /// applied to the mailbox).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for inbox in &mut self.inboxes {
             inbox.clear();
         }
@@ -235,7 +235,7 @@ impl ShardMailbox {
 
     /// Books `transfer`, sent by shard `src`, on the lane to its destination's
     /// owner, and returns that owner.
-    pub fn enter(&mut self, src: usize, transfer: &TransferNode) -> usize {
+    pub(crate) fn enter(&mut self, src: usize, transfer: &TransferNode) -> usize {
         let shards = self.inboxes.len();
         debug_assert!(src < shards);
         let dst = nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards);
@@ -247,7 +247,7 @@ impl ShardMailbox {
 
     /// The lanes with traffic this iteration: `(src, dst, transfers, payload
     /// bytes)`, in (src, dst) order.
-    pub fn lanes(&self) -> impl Iterator<Item = (usize, usize, u64, u64)> + '_ {
+    pub(crate) fn lanes(&self) -> impl Iterator<Item = (usize, usize, u64, u64)> + '_ {
         let shards = self.inboxes.len();
         let busy = self.lanes.iter().enumerate().filter(|(_, lane)| lane.0 > 0);
         busy.map(move |(i, &(transfers, bytes))| (i / shards, i % shards, transfers, bytes))
@@ -255,7 +255,7 @@ impl ShardMailbox {
 
     /// Moves an entered `transfer` into the inbox of shard `dst`, which owns its
     /// destination: global slot `dest_slot`, the shard's `local_slot`.
-    pub fn post(
+    pub(crate) fn post(
         &mut self,
         dst: usize,
         dest_slot: usize,
@@ -274,13 +274,13 @@ impl ShardMailbox {
 
     /// All inboxes, indexed by destination shard, for the receiving shards to
     /// apply (each in inbox order) and mark.
-    pub fn inboxes_mut(&mut self) -> &mut [Vec<PostedTransfer>] {
+    pub(crate) fn inboxes_mut(&mut self) -> &mut [Vec<PostedTransfer>] {
         &mut self.inboxes
     }
 
     /// Empties the inboxes and reports every posted transfer's `(destination
     /// slot, matched)` in posting order — the canonical stream order again.
-    pub fn settle(&mut self, mut report: impl FnMut(usize, bool)) {
+    pub(crate) fn settle(&mut self, mut report: impl FnMut(usize, bool)) {
         self.outcomes.clear();
         self.outcomes.resize(self.posted, (0, false));
         for inbox in &mut self.inboxes {

@@ -292,14 +292,6 @@ fn walk_from<'g>(
     Contig::new(sequence)
 }
 
-/// Convenience: returns the longest contig spelled by the graph, if any.
-pub fn longest_contig(graph: &PakGraph) -> Option<DnaString> {
-    generate_contigs(graph, 0)
-        .into_iter()
-        .map(|c| c.sequence)
-        .max_by_key(DnaString::len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,6 +299,14 @@ mod tests {
     use crate::config::PakmanConfig;
     use crate::kmer_count::{count_kmers, KmerCounterConfig};
     use nmp_pak_genome::{Kmer, SequencingRead};
+
+    /// The longest contig spelled by the graph, if any.
+    fn longest_contig(graph: &PakGraph) -> Option<DnaString> {
+        generate_contigs(graph, 0)
+            .into_iter()
+            .map(|c| c.sequence)
+            .max_by_key(DnaString::len)
+    }
 
     fn graph_from_reads(reads: &[&str], k: usize) -> PakGraph {
         let reads: Vec<SequencingRead> = reads

@@ -9,8 +9,8 @@
 
 use nmp_pak_genome::{ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead};
 use nmp_pak_pakman::{
-    AssemblyOutput, BatchAssembler, BatchAssemblyOutput, BatchSchedule, CompactionMode,
-    PakmanAssembler, PakmanConfig, ShardConfig, SpillConfig,
+    compact, count_kmers, AssemblyOutput, BatchAssembler, BatchAssemblyOutput, BatchSchedule,
+    KmerCounterConfig, PakGraph, PakmanAssembler, PakmanConfig, ShardConfig, SpillConfig,
 };
 
 fn simulated_reads(length: usize, coverage: f64, seed: u64) -> Vec<SequencingRead> {
@@ -328,39 +328,66 @@ fn streamed_fastq_assembly_is_bounded_and_matches_in_memory() {
 
 #[test]
 fn frontier_compaction_is_bit_identical_to_full_scan() {
-    // The frontier-driven P1 re-evaluates only nodes whose neighbourhood changed;
-    // a full scan re-evaluates everything. Both must produce the same
-    // CompactionStats, the same CompactionTrace, and the same contigs — at every
-    // thread count — or the frontier invariant (DESIGN.md) is broken.
+    // The frontier-driven P1 re-evaluates only nodes whose neighbourhood
+    // changed; a chain of one-iteration `compact` calls re-evaluates every alive
+    // node (each call's iteration 0 is a full scan). Both must take the same
+    // steps — census, verdicts, transfers, trace — and leave the same graph, at
+    // every thread count, or the frontier invariant (DESIGN.md) is broken.
     let reads = simulated_reads(10_000, 30.0, 0xF207);
-    let assemble_mode = |threads: usize, mode: CompactionMode| {
-        PakmanAssembler::new(PakmanConfig {
-            k: 21,
-            min_kmer_count: 2,
-            compaction_node_threshold: 10,
-            threads,
-            record_trace: true,
-            compaction_mode: mode,
-            ..PakmanConfig::default()
-        })
-        .assemble(&reads)
-        .unwrap()
+    let config = PakmanConfig {
+        k: 21,
+        min_kmer_count: 2,
+        compaction_node_threshold: 10,
+        threads: 1,
+        record_trace: true,
+        ..PakmanConfig::default()
     };
-    let reference = assemble_mode(1, CompactionMode::FullScan);
-    assert!(!reference.contigs.is_empty());
-    assert!(reference.compaction.iteration_count() > 1);
+    let (counted, _) = count_kmers(&reads, KmerCounterConfig::from(&config)).unwrap();
+    let graph = PakGraph::from_counted_kmers(&counted, config.k, 1);
+
+    let one_step = PakmanConfig {
+        max_compaction_iterations: 1,
+        ..config
+    };
+    let mut chained = graph.clone();
+    let mut chain = Vec::new();
+    loop {
+        let step = compact(&mut chained, &one_step);
+        // No iteration: the census reached the threshold.
+        let Some(it) = step.stats.iterations.first() else {
+            break;
+        };
+        let converged = it.invalidated == 0;
+        chain.push(step);
+        if converged {
+            break;
+        }
+    }
+    assert!(chain.len() > 1);
 
     for threads in [1, 2, 4, 8] {
-        for mode in [CompactionMode::FullScan, CompactionMode::Frontier] {
-            let run = assemble_mode(threads, mode);
-            let what = format!("{mode:?} at threads = {threads}");
-            assert_eq!(run.contigs, reference.contigs, "contigs diverged: {what}");
-            assert_eq!(run.stats, reference.stats, "stats diverged: {what}");
-            assert_eq!(
-                run.compaction, reference.compaction,
-                "compaction stats diverged: {what}"
-            );
-            assert_eq!(run.trace, reference.trace, "trace diverged: {what}");
+        let what = format!("threads = {threads}");
+        let mut compacted = graph.clone();
+        let run = compact(&mut compacted, &PakmanConfig { threads, ..config });
+        assert_eq!(run.stats.iterations.len(), chain.len(), "{what}");
+        let trace = run.trace.as_ref().expect("trace requested");
+        for (i, step) in chain.iter().enumerate() {
+            let what = format!("{what}, iteration {i}");
+            let (it, full) = (&run.stats.iterations[i], &step.stats.iterations[0]);
+            assert_eq!(it.alive_before, full.alive_before, "{what}");
+            assert_eq!(it.invalidated, full.invalidated, "{what}");
+            assert_eq!(it.transfers, full.transfers, "{what}");
+            assert_eq!(it.unmatched_transfers, full.unmatched_transfers, "{what}");
+            assert_eq!(it.histogram, full.histogram, "{what}");
+            let full = &step.trace.as_ref().expect("trace requested").iterations[0];
+            let it = &trace.iterations[i];
+            assert_eq!(it.checks, full.checks, "{what}");
+            assert_eq!(it.transfers, full.transfers, "{what}");
+            assert_eq!(it.updates, full.updates, "{what}");
+        }
+        for slot in 0..graph.slot_count() {
+            let what = format!("{what}, slot {slot}");
+            assert_eq!(compacted.node(slot), chained.node(slot), "{what}");
         }
     }
 }
@@ -376,7 +403,6 @@ fn frontier_checks_strictly_fewer_nodes_than_full_scan() {
         min_kmer_count: 2,
         compaction_node_threshold: 10,
         threads: 4,
-        compaction_mode: CompactionMode::Frontier,
         ..PakmanConfig::default()
     })
     .assemble(&reads)
@@ -401,25 +427,18 @@ fn frontier_checks_strictly_fewer_nodes_than_full_scan() {
 #[test]
 fn frontier_batched_pipelined_schedule_matches_full_scan_sequential() {
     // The frontier compactor composed with the k-deep batch scheduler: the
-    // stacked fast paths must still reproduce the fully conservative
-    // configuration (sequential schedule, full-scan P1) bit for bit.
+    // stacked fast paths must still reproduce the conservative configuration
+    // (sequential schedule, one thread) bit for bit.
     let reads = simulated_reads(10_000, 30.0, 0xBA7C);
-    let config_for = |threads: usize, mode: CompactionMode| PakmanConfig {
-        compaction_mode: mode,
-        ..batched_config(threads)
-    };
-    let reference = BatchAssembler::with_schedule(
-        config_for(1, CompactionMode::FullScan),
-        0.25,
-        BatchSchedule::Sequential,
-    )
-    .assemble(&reads)
-    .unwrap();
+    let reference =
+        BatchAssembler::with_schedule(batched_config(1), 0.25, BatchSchedule::Sequential)
+            .assemble(&reads)
+            .unwrap();
     assert!(reference.batch_compaction.len() >= 2);
 
     for threads in [1, 2, 4, 8] {
         let pipelined = BatchAssembler::with_schedule(
-            config_for(threads, CompactionMode::Frontier),
+            batched_config(threads),
             0.25,
             BatchSchedule::Pipelined {
                 depth: 3,

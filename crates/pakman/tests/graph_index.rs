@@ -18,8 +18,7 @@ use nmp_pak_pakman::compaction::{compact, is_invalidation_target};
 use nmp_pak_pakman::kmer_count::{count_kmers, CountedKmer, KmerCounterConfig};
 use nmp_pak_pakman::shard::{compact_sharded, ShardedGraph};
 use nmp_pak_pakman::{
-    CompactionMode, MacroNode, PakGraph, PakmanConfig, ShardConfig, ShardSchedule, ThroughPath,
-    TransferNode,
+    MacroNode, PakGraph, PakmanConfig, ShardConfig, ShardSchedule, ThroughPath, TransferNode,
 };
 
 const K: usize = 21;
@@ -235,31 +234,23 @@ fn rank_index_finds_exactly_the_present_keys_at_every_table_size() {
 }
 
 /// The single-graph hand-off oracle. Runs the whole compaction of `graph` at
-/// `threads` in both scan modes (which must agree bit for bit), then replays it
-/// on a shadow graph one iteration at a time: before each step the shadow
-/// predicts the invalidated set and extracts its transfers through the public
-/// API; after the step a fresh `index_of(&transfer.destination)` per transfer
+/// `threads`, then replays it on a shadow graph one iteration at a time (a
+/// chain of one-iteration `compact` calls, each a full scan): before each step
+/// the shadow predicts the invalidated set and extracts its transfers through
+/// the public API; after the step a fresh `index_of(&transfer.destination)` per transfer
 /// is what the run's recorded transfer events — built from the ranks P1 handed
 /// to P3 — must equal, dropped transfers included. Returns how many transfers
 /// found their destination gone.
 fn assert_handoff_matches_index_of(graph: &PakGraph, threads: usize, what: &str) -> usize {
-    let config = |mode| PakmanConfig {
+    let config = PakmanConfig {
         k: graph.k(),
         compaction_node_threshold: 0,
         threads,
         record_trace: true,
-        compaction_mode: mode,
         ..PakmanConfig::default()
     };
     let mut frontier_graph = graph.clone();
-    let frontier = compact(&mut frontier_graph, &config(CompactionMode::Frontier));
-    let mut full_graph = graph.clone();
-    let full = compact(&mut full_graph, &config(CompactionMode::FullScan));
-    assert_eq!(frontier.stats, full.stats, "{what}: FullScan ≢ Frontier");
-    assert_eq!(frontier.trace, full.trace, "{what}: FullScan ≢ Frontier");
-    for slot in 0..graph.slot_count() {
-        assert_eq!(frontier_graph.node(slot), full_graph.node(slot), "{what}");
-    }
+    let frontier = compact(&mut frontier_graph, &config);
 
     let trace = frontier.trace.expect("trace requested");
     let mut shadow = graph.clone();

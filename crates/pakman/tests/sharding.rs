@@ -352,10 +352,6 @@ fn one_shard_lockstep_ledger_agrees_with_the_outcome() {
     let recorded: Vec<(usize, u64)> = recorded.map(|f| (f.src_iteration, f.transfers)).collect();
     assert_eq!(recorded, expected);
     assert!(telemetry.flushes.iter().all(|f| (f.src, f.dst) == (0, 0)));
-    assert_eq!(
-        telemetry.total_flush_bytes(),
-        telemetry.total_mailbox_bytes()
-    );
 }
 
 /// FNV-1a over a stream of words.
@@ -384,21 +380,35 @@ fn trace_digest(trace: &CompactionTrace) -> u64 {
     }))
 }
 
-/// The whole lock-step ledger: every flush record in order, the route matrix,
-/// the per-shard check counts and the per-iteration mailbox entries.
+/// The whole lock-step ledger: every flush record in order, then two sums over
+/// them — the shard → shard byte matrix and, per iteration that moved
+/// anything, `[iteration, transfers, cross-shard transfers, bytes, cross-shard
+/// bytes]` — with the per-shard check counts between the two.
 fn telemetry_digest(telemetry: &ShardingTelemetry) -> u64 {
     let word = |n: usize| n as u64;
     let flushes = telemetry.flushes.iter().flat_map(|f| {
         let lane = [word(f.src), word(f.dst), word(f.src_iteration)];
         lane.into_iter().chain([f.transfers, f.bytes])
     });
-    let mailbox = telemetry.mailbox.iter().flat_map(|m| {
-        let counts = [m.iteration, m.transfers, m.cross_shard_transfers].map(word);
-        counts.into_iter().chain([m.bytes, m.cross_shard_bytes])
-    });
-    let route = telemetry.route_bytes.iter().copied();
+    let shards = telemetry.shard_count;
+    let mut route = vec![0u64; shards * shards];
+    let mut iterations: Vec<[u64; 5]> = Vec::new();
+    for f in &telemetry.flushes {
+        route[f.src * shards + f.dst] += f.bytes;
+        let iteration = word(f.src_iteration);
+        if iterations.last().map(|it| it[0]) != Some(iteration) {
+            iterations.push([iteration, 0, 0, 0, 0]);
+        }
+        let it = iterations.last_mut().expect("just pushed");
+        let cross = u64::from(f.src != f.dst);
+        it[1] += f.transfers;
+        it[2] += cross * f.transfers;
+        it[3] += f.bytes;
+        it[4] += cross * f.bytes;
+    }
     let checked = telemetry.checked_per_shard.iter().copied();
-    fnv(flushes.chain(route).chain(checked).chain(mailbox))
+    let iterations = iterations.into_iter().flatten();
+    fnv(flushes.chain(route).chain(checked).chain(iterations))
 }
 
 #[test]

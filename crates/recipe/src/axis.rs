@@ -8,8 +8,7 @@ use nmp_pak_core::backend::BackendId;
 use nmp_pak_pakman::ShardSchedule;
 
 /// Identity of one scenario knob. Grid composition rejects a cell that binds
-/// the same key twice (except [`crate::Grid::plug`], where the left side
-/// wins), so every key appears at most once per cell.
+/// the same key twice, so every key appears at most once per cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AxisKey {
     /// Reference genome length.

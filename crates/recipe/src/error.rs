@@ -7,17 +7,10 @@ use nmp_pak_pakman::PakmanError;
 /// Everything that can go wrong building or running a recipe.
 #[derive(Debug)]
 pub enum RecipeError {
-    /// `cross`/`zip` would bind the same knob twice in one cell.
+    /// `cross` would bind the same knob twice in one cell.
     DuplicateAxis {
         /// The knob bound twice.
         key: AxisKey,
-    },
-    /// `zip` sides enumerate different cell counts.
-    ZipLengthMismatch {
-        /// Cells on the left side.
-        left: usize,
-        /// Cells on the right side.
-        right: usize,
     },
     /// Two cells materialize to the identical scenario.
     DuplicateCell {
@@ -47,9 +40,6 @@ impl std::fmt::Display for RecipeError {
         match self {
             RecipeError::DuplicateAxis { key } => {
                 write!(f, "axis `{key}` is bound twice in one cell")
-            }
-            RecipeError::ZipLengthMismatch { left, right } => {
-                write!(f, "zip sides enumerate {left} vs {right} cells")
             }
             RecipeError::DuplicateCell { label } => {
                 write!(f, "grid enumerates duplicate cell `{label}`")

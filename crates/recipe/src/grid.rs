@@ -1,16 +1,13 @@
-//! Grid composition: `cross`/`zip`/`plug`/`filter` over axes, with
-//! deterministic enumeration into [`ScenarioSpec`] cells.
+//! Grid composition: `cross`/`filter` over axes, with deterministic
+//! enumeration into [`ScenarioSpec`] cells.
 //!
 //! Composition laws (all enumeration is left-to-right, right side fastest):
 //!
 //! * `a.cross(b)` — cartesian product. Rejects overlapping keys.
-//! * `a.zip(b)` — positional pairing; cell *i* of `a` with cell *i* of `b`.
-//!   Rejects overlapping keys and mismatched lengths.
-//! * `a.plug(b)` — product where `a`'s bindings win on overlap: `b` fills in
-//!   knobs `a` left unbound. Cells made identical by the override collapse,
-//!   keeping the first occurrence.
 //! * `g.filter(f)` — keeps the cells whose materialized scenario satisfies
 //!   the predicate, preserving order.
+//!
+//! A knob no axis binds keeps the base scenario's value.
 //!
 //! Enumerating the same grid twice yields the same cells in the same order,
 //! and [`Grid::scenarios`] rejects grids that enumerate duplicate cells.
@@ -76,10 +73,6 @@ pub enum Grid {
     Axis(Axis),
     /// Cartesian product of two grids (disjoint keys).
     Cross(Box<Grid>, Box<Grid>),
-    /// Positional pairing of two equal-length grids (disjoint keys).
-    Zip(Box<Grid>, Box<Grid>),
-    /// Product where the left grid's bindings win on key overlap.
-    Plug(Box<Grid>, Box<Grid>),
     /// A grid restricted to cells satisfying a predicate.
     Filter(Box<Grid>, Filter),
 }
@@ -94,19 +87,6 @@ impl Grid {
     #[must_use]
     pub fn cross(self, other: Grid) -> Grid {
         Grid::Cross(Box::new(self), Box::new(other))
-    }
-
-    /// Positional pairing with `other` (must enumerate the same cell count).
-    #[must_use]
-    pub fn zip(self, other: Grid) -> Grid {
-        Grid::Zip(Box::new(self), Box::new(other))
-    }
-
-    /// Product where `self`'s bindings win on overlap; `other` fills in the
-    /// knobs `self` left unbound.
-    #[must_use]
-    pub fn plug(self, other: Grid) -> Grid {
-        Grid::Plug(Box::new(self), Box::new(other))
     }
 
     /// Restricts the grid to cells whose scenario satisfies `filter`.
@@ -137,35 +117,6 @@ impl Grid {
                 }
                 Ok(out)
             }
-            Grid::Zip(a, b) => {
-                let (left, right) = (a.cells(base)?, b.cells(base)?);
-                if left.len() != right.len() {
-                    return Err(RecipeError::ZipLengthMismatch {
-                        left: left.len(),
-                        right: right.len(),
-                    });
-                }
-                left.iter()
-                    .zip(right.iter())
-                    .map(|(l, r)| merge_disjoint(l, r))
-                    .collect()
-            }
-            Grid::Plug(a, b) => {
-                let (left, right) = (a.cells(base)?, b.cells(base)?);
-                let mut out: Vec<Cell> = Vec::with_capacity(left.len() * right.len());
-                for l in &left {
-                    for r in &right {
-                        let mut cell = l.clone();
-                        for (key, value) in r {
-                            cell.entry(*key).or_insert(*value);
-                        }
-                        if !out.contains(&cell) {
-                            out.push(cell);
-                        }
-                    }
-                }
-                Ok(out)
-            }
             Grid::Filter(grid, filter) => {
                 let cells = grid.cells(base)?;
                 Ok(cells
@@ -181,8 +132,7 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// [`RecipeError::DuplicateAxis`] when `cross`/`zip` would bind a knob
-    /// twice, [`RecipeError::ZipLengthMismatch`] for unequal zip sides, and
+    /// [`RecipeError::DuplicateAxis`] when `cross` would bind a knob twice, and
     /// [`RecipeError::DuplicateCell`] when two cells materialize identically.
     pub fn scenarios(&self, base: &ScenarioSpec) -> Result<Vec<ScenarioSpec>, RecipeError> {
         let cells = self.cells(base)?;
@@ -230,6 +180,8 @@ mod tests {
         let specs = grid.scenarios(&base()).unwrap();
         let pairs: Vec<(usize, usize)> = specs.iter().map(|s| (s.threads, s.k)).collect();
         assert_eq!(pairs, vec![(1, 17), (1, 21), (4, 17), (4, 21)]);
+        // A knob no axis binds keeps the base scenario's value.
+        assert!(specs.iter().all(|s| s.shards == base().shards));
     }
 
     #[test]
@@ -239,39 +191,6 @@ mod tests {
             grid.scenarios(&base()),
             Err(RecipeError::DuplicateAxis { key: AxisKey::K })
         ));
-    }
-
-    #[test]
-    fn zip_pairs_positionally_and_rejects_mismatches() {
-        let grid = Grid::axis(Axis::threads(&[1, 4])).zip(Grid::axis(Axis::k(&[17, 21])));
-        let specs = grid.scenarios(&base()).unwrap();
-        let pairs: Vec<(usize, usize)> = specs.iter().map(|s| (s.threads, s.k)).collect();
-        assert_eq!(pairs, vec![(1, 17), (4, 21)]);
-
-        let bad = Grid::axis(Axis::threads(&[1, 4])).zip(Grid::axis(Axis::k(&[17])));
-        assert!(matches!(
-            bad.scenarios(&base()),
-            Err(RecipeError::ZipLengthMismatch { left: 2, right: 1 })
-        ));
-    }
-
-    #[test]
-    fn plug_fills_unbound_knobs_and_left_wins_on_overlap() {
-        // New key: behaves like cross.
-        let filled = Grid::axis(Axis::threads(&[1, 4]))
-            .plug(Grid::axis(Axis::k(&[17])))
-            .scenarios(&base())
-            .unwrap();
-        assert_eq!(filled.len(), 2);
-        assert!(filled.iter().all(|s| s.k == 17));
-
-        // Already-bound key: the left binding wins and duplicates collapse.
-        let overridden = Grid::axis(Axis::k(&[17, 19]))
-            .plug(Grid::axis(Axis::k(&[21, 23])))
-            .scenarios(&base())
-            .unwrap();
-        let ks: Vec<usize> = overridden.iter().map(|s| s.k).collect();
-        assert_eq!(ks, vec![17, 19]);
     }
 
     #[test]

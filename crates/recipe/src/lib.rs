@@ -6,10 +6,10 @@
 //!
 //! * [`Axis`] — a named list of values for one knob (`threads`, `shards`,
 //!   `backend`, …).
-//! * [`Grid`] — composition: [`Grid::cross`] (cartesian product),
-//!   [`Grid::zip`] (positional pairing), [`Grid::plug`] (fill unbound knobs),
-//!   [`Grid::filter`] (drop cells by predicate). Enumeration is deterministic
-//!   and duplicate-free.
+//! * [`Grid`] — composition: [`Grid::cross`] (cartesian product) and
+//!   [`Grid::filter`] (drop cells by predicate); a knob no axis binds keeps
+//!   the base scenario's value. Enumeration is deterministic and
+//!   duplicate-free.
 //! * [`ScenarioSpec`] — one fully-bound cell; its defaults mirror the
 //!   hand-rolled quick-scale figure drivers, so recipes are bit-identical to
 //!   the subcommands they replace.
@@ -63,7 +63,7 @@ impl Recipe {
     /// # Errors
     ///
     /// Grid-composition errors ([`RecipeError::DuplicateAxis`],
-    /// [`RecipeError::ZipLengthMismatch`], [`RecipeError::DuplicateCell`]).
+    /// [`RecipeError::DuplicateCell`]).
     pub fn scenarios(&self) -> Result<Vec<ScenarioSpec>, RecipeError> {
         self.grid.scenarios(&self.base)
     }

@@ -53,11 +53,12 @@ fn random_grid(rng: &mut Rng) -> (Grid, usize) {
     let t = Grid::axis(Axis::threads(&threads));
     let k = Grid::axis(Axis::k(&ks.iter().map(|&v| v + 2).collect::<Vec<_>>()));
     let s = Grid::axis(Axis::shards(&shards));
+    let all = Filter::new("all", |_| true);
     match rng.below(4) {
         0 => (t.cross(k), t_len * k_len),
         1 => (t.cross(k).cross(s), t_len * k_len * s_len),
-        2 if t_len == k_len => (t.zip(k), t_len),
-        _ => (t.plug(k).cross(s), t_len * k_len * s_len),
+        2 => (s.cross(t.cross(k)), s_len * t_len * k_len),
+        _ => (t.filter(all).cross(s), t_len * s_len),
     }
 }
 
@@ -118,14 +119,16 @@ fn filter_is_sound_and_order_preserving() {
 }
 
 #[test]
-fn zip_requires_equal_lengths() {
+fn cross_rejects_a_knob_bound_on_both_sides() {
     let base = ScenarioSpec::default();
-    let ok = Grid::axis(Axis::threads(&[1, 2, 4])).zip(Grid::axis(Axis::k(&[17, 21, 25])));
-    assert_eq!(ok.scenarios(&base).unwrap().len(), 3);
-    let bad = Grid::axis(Axis::threads(&[1, 2, 4])).zip(Grid::axis(Axis::k(&[17])));
+    let threads = || Grid::axis(Axis::threads(&[1, 2, 4]));
+    let ok = threads().cross(Grid::axis(Axis::k(&[17, 21, 25])));
+    assert_eq!(ok.scenarios(&base).unwrap().len(), 9);
+    // However deep the right side nests the second binding.
+    let nested = Grid::axis(Axis::k(&[17])).cross(Grid::axis(Axis::threads(&[8])));
     assert!(matches!(
-        bad.scenarios(&base),
-        Err(RecipeError::ZipLengthMismatch { left: 3, right: 1 })
+        threads().cross(nested).scenarios(&base),
+        Err(RecipeError::DuplicateAxis { .. })
     ));
 }
 
@@ -134,7 +137,7 @@ fn empty_grids_enumerate_zero_cells_everywhere() {
     let base = ScenarioSpec::default();
     let empty = Grid::axis(Axis::threads(&[]));
     assert!(empty.clone().scenarios(&base).unwrap().is_empty());
-    // Crossing with empty annihilates; zipping empty with empty is fine.
+    // Crossing with empty annihilates, from either side.
     assert!(Grid::axis(Axis::k(&[17, 21]))
         .cross(empty.clone())
         .scenarios(&base)
@@ -142,7 +145,7 @@ fn empty_grids_enumerate_zero_cells_everywhere() {
         .is_empty());
     assert!(empty
         .clone()
-        .zip(Grid::axis(Axis::k(&[])))
+        .cross(Grid::axis(Axis::k(&[17, 21])))
         .scenarios(&base)
         .unwrap()
         .is_empty());

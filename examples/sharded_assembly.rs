@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  P1 load imbalance {:.3}, mailbox {} B/iter avg, {:.1}% cross-shard",
             telemetry.load_imbalance(),
-            telemetry.total_mailbox_bytes() / telemetry.mailbox.len().max(1) as u64,
+            telemetry.total_mailbox_bytes() / sharded.compaction.iteration_count().max(1) as u64,
             telemetry.cross_shard_fraction() * 100.0,
         );
 

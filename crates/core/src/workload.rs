@@ -7,15 +7,15 @@
 //! difference does not change who wins.
 
 use nmp_pak_genome::{
-    source::collect_reads, GenomeError, InMemorySource, ReadSimulator, ReadSource, ReferenceGenome,
-    RepeatSpec, SequencerConfig, SequencingRead,
+    GenomeError, InMemorySource, ReadSimulator, ReferenceGenome, RepeatSpec, SequencerConfig,
+    SequencingRead,
 };
 
 /// A named workload: a read set plus, for synthesized workloads, the reference
 /// genome and sequencing configuration the reads were sampled with.
 ///
-/// Workloads built from a streamed [`ReadSource`] (e.g. a FASTQ file via
-/// [`Workload::from_read_source`]) carry only the reads.
+/// A workload built by hand from reads of unknown origin (a FASTQ file, say)
+/// leaves `genome` and `sequencer` at `None`.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Human-readable name.
@@ -60,27 +60,6 @@ impl Workload {
             genome: Some(genome),
             reads,
             sequencer: Some(sequencer),
-        })
-    }
-
-    /// Materializes a workload from any streaming [`ReadSource`] — a FASTA or
-    /// FASTQ file, a synthetic generator, chunked in-memory reads. The
-    /// experiment drivers replay the same reads across every backend, so the
-    /// source is drained once here; use the assembler's `*_source` entry points
-    /// directly when bounded-memory streaming matters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's I/O and parse errors.
-    pub fn from_read_source<'s>(
-        name: impl Into<String>,
-        source: impl ReadSource<'s>,
-    ) -> Result<Workload, GenomeError> {
-        Ok(Workload {
-            name: name.into(),
-            genome: None,
-            reads: collect_reads(source)?,
-            sequencer: None,
         })
     }
 
@@ -150,20 +129,6 @@ mod tests {
             .sequencer
             .expect("synthesized workloads record the sequencer");
         assert!((sequencer.substitution_error_rate - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn from_read_source_materializes_the_stream() {
-        let synthesized = Workload::tiny(8).unwrap();
-        let streamed = Workload::from_read_source(
-            "streamed",
-            nmp_pak_genome::InMemorySource::chunked(&synthesized.reads, 100),
-        )
-        .unwrap();
-        assert_eq!(streamed.reads, synthesized.reads);
-        assert_eq!(streamed.genome_length(), None);
-        assert!(streamed.sequencer.is_none());
-        assert_eq!(streamed.total_read_bases(), synthesized.total_read_bases());
     }
 
     #[test]

@@ -15,9 +15,10 @@ use nmp_pak_genome::{Base, Kmer};
 /// search to one bucket — the "static MacroNode→DIMM mapping table" of §4.2 in
 /// miniature. The table is sized to about one key per bucket (up to
 /// [`RankIndex::MAX_PREFIX_BITS`]), so a lookup is one table read and a search
-/// over a bucket of one or two keys. The structure is immutable after
-/// construction (invalidation clears slots, never moves them), so lookups are
-/// lock-free and `Sync` for the parallel compaction stages.
+/// over a bucket of one or two keys. The structure is immutable through
+/// compaction (invalidation clears slots, never moves them), so lookups are
+/// lock-free and `Sync` for the parallel compaction stages; only
+/// [`PakGraph::purge_dead`] rewrites it, once stage D is done.
 #[derive(Debug, Clone, Default)]
 struct RankIndex {
     /// Packed (k-1)-mer of every slot, ascending; the position *is* the slot index.
@@ -46,18 +47,25 @@ impl RankIndex {
         // `MAX_PREFIX_BITS` and at the key width itself.
         let log2_len = usize::BITS - keys.len().leading_zeros();
         let bits = key_bits.min(Self::MAX_PREFIX_BITS).min(log2_len);
-        let mut starts = vec![0u32; (1usize << bits) + 1];
-        for &key in &keys {
-            starts[(key >> (key_bits - bits)) as usize + 1] += 1;
-        }
-        for p in 1..starts.len() {
-            starts[p] += starts[p - 1];
-        }
-        RankIndex {
+        let mut index = RankIndex {
             keys,
-            starts,
+            starts: vec![0u32; (1usize << bits) + 1],
             bits,
             key_bits,
+        };
+        index.count_starts();
+        index
+    }
+
+    /// Recounts the prefix table over the current keys, in its own buffer and
+    /// at its current size.
+    fn count_starts(&mut self) {
+        self.starts.fill(0);
+        for &key in &self.keys {
+            self.starts[(key >> (self.key_bits - self.bits)) as usize + 1] += 1;
+        }
+        for p in 1..self.starts.len() {
+            self.starts[p] += self.starts[p - 1];
         }
     }
 
@@ -94,12 +102,25 @@ struct AliveBits {
 impl AliveBits {
     /// `len` slots, all alive.
     fn all(len: usize) -> AliveBits {
-        let mut words = vec![u64::MAX; len.div_ceil(64)];
+        let mut bits = AliveBits {
+            words: vec![0; len.div_ceil(64)],
+            count: 0,
+        };
+        bits.set_first(len);
+        bits
+    }
+
+    /// Makes the first `len` slots alive and drops the words past them, in
+    /// place: `len` must not exceed the slots the bitmap already covers.
+    fn set_first(&mut self, len: usize) {
+        debug_assert!(len.div_ceil(64) <= self.words.len());
+        self.words.truncate(len.div_ceil(64));
+        self.words.fill(u64::MAX);
         let tail = len % 64;
         if tail > 0 {
-            *words.last_mut().expect("len > 0 has a last word") = (1u64 << tail) - 1;
+            *self.words.last_mut().expect("len > 0 has a last word") = (1u64 << tail) - 1;
         }
-        AliveBits { words, count: len }
+        self.count = len;
     }
 
     /// Mirrors `slots[i].is_some()` (the one construction-time read of every slot
@@ -150,7 +171,9 @@ impl AliveBits {
 /// stored in ascending (k-1)-mer order across DIMMs", §4.2). Invalidation during
 /// compaction clears a slot but never reuses it (the paper postpones deletion until
 /// compaction completes, §4.5), so slot indices are stable identifiers that the memory
-/// traces and the hardware model can use as addresses.
+/// traces and the hardware model can use as addresses. They are stable through
+/// stage D only: once compaction is done, stage E deletes the dead slots
+/// (`purge_dead`), and each survivor's slot becomes its rank among the survivors.
 ///
 /// Because the layout is sorted, the slot of a (k-1)-mer is its *rank*: lookups are
 /// a bucketed binary search over packed `u64` keys (`RankIndex`) — no hashing and
@@ -321,7 +344,8 @@ impl PakGraph {
         self.k
     }
 
-    /// Total number of slots ever allocated (alive + invalidated).
+    /// Number of slots in the layout: alive plus invalidated (none are left
+    /// invalidated once stage E has deleted the dead slots).
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
@@ -345,8 +369,9 @@ impl PakGraph {
         self.alive.get(idx).then_some(idx)
     }
 
-    /// `true` if `slot` holds an alive node. A slot's rank never changes, so a
-    /// rank resolved earlier stays valid and only its aliveness needs re-testing.
+    /// `true` if `slot` holds an alive node. Through compaction a slot's rank
+    /// never changes, so a rank resolved earlier stays valid and only its
+    /// aliveness needs re-testing.
     #[inline]
     pub fn is_alive(&self, slot: usize) -> bool {
         self.alive.get(slot)
@@ -396,6 +421,31 @@ impl PakGraph {
         self.slots[slot]
             .take()
             .expect("a retired slot holds its node")
+    }
+
+    /// Physically deletes the dead slots, the deletion §4.5 defers until
+    /// compaction completes: the alive nodes move down to slots `0..alive`,
+    /// in their ascending order, and their keys with them; the prefix table is
+    /// recounted and the bitmap set all-ones. Everything happens in the
+    /// existing buffers, whose capacities do not change (a fresh or shrunk
+    /// copy of the slot vector would move glibc's mmap threshold; DESIGN.md,
+    /// "allocator-bistable"). A slot index taken before the purge does not
+    /// name the same node after it, so only stage E calls this.
+    pub(crate) fn purge_dead(&mut self) {
+        if self.alive.count == self.slots.len() {
+            return;
+        }
+        let mut kept = 0;
+        for slot in self.alive.iter() {
+            // `slots[kept]` is dead or already moved down: it holds `None`.
+            self.slots.swap(kept, slot);
+            self.index.keys[kept] = self.index.keys[slot];
+            kept += 1;
+        }
+        self.slots.truncate(kept);
+        self.index.keys.truncate(kept);
+        self.index.count_starts();
+        self.alive.set_first(kept);
     }
 
     /// Iterates over `(slot, node)` for every alive node, ascending (dead slots
@@ -818,6 +868,69 @@ mod tests {
         for (slot, &key) in keys.iter().enumerate() {
             let found = rebuilt.index_of(&Kmer::from_packed(key, 4));
             assert_eq!(found, (slot % 2 == 1).then_some(slot));
+        }
+    }
+
+    #[test]
+    fn purge_dead_moves_the_survivors_down_in_place() {
+        let reads = crate::test_util::reads_for(300, 5.0, 3);
+        let config = KmerCounterConfig {
+            k: 15,
+            min_count: 1,
+            threads: 1,
+        };
+        let (counted, _) = count_kmers(&reads, config).unwrap();
+        let full = PakGraph::from_counted_kmers(&counted, 15, 1);
+        let last = full.slot_count() - 1;
+        assert!(last > 64, "{} slots", full.slot_count());
+        let keys = full.slot_keys().to_vec();
+        let capacities = |g: &PakGraph| {
+            (
+                g.slots.capacity(),
+                g.index.keys.capacity(),
+                g.index.starts.capacity(),
+                g.alive.words.capacity(),
+            )
+        };
+        let word_edges = vec![0, 63, 64, last];
+        for dead in [
+            word_edges,
+            (0..=last).step_by(3).collect(),
+            (0..=last).collect(),
+        ] {
+            let what = format!("{} dead", dead.len());
+            let mut graph = full.clone();
+            for &slot in &dead {
+                assert!(graph.invalidate(slot).is_some(), "{what}");
+            }
+            let survivors: Vec<MacroNode> = graph.iter_alive().map(|(_, n)| n.clone()).collect();
+            let before = capacities(&graph);
+            graph.purge_dead();
+            assert_eq!(capacities(&graph), before, "{what}");
+
+            let n = survivors.len();
+            assert_eq!((graph.slot_count(), graph.alive_count()), (n, n), "{what}");
+            assert_eq!(graph.alive.words.len(), n.div_ceil(64), "{what}");
+            assert_eq!(graph.alive_slots(), (0..n).collect::<Vec<_>>(), "{what}");
+            assert!(!graph.is_alive(n), "{what}");
+            for (rank, node) in survivors.iter().enumerate() {
+                assert_eq!(graph.node(rank), Some(node), "{what}: rank {rank}");
+                assert_eq!(graph.index_of(&node.k1mer()), Some(rank), "{what}");
+                assert_eq!(graph.slot_keys()[rank], node.k1mer().packed(), "{what}");
+            }
+            for &slot in &dead {
+                let key = Kmer::from_packed(keys[slot], 14);
+                assert_eq!(graph.index_of(&key), None, "{what}: slot {slot}");
+            }
+
+            // A second purge is a no-op.
+            let purged = graph.clone();
+            graph.purge_dead();
+            assert_eq!(capacities(&graph), before, "{what}");
+            assert_eq!(graph.slots, purged.slots, "{what}");
+            assert_eq!(graph.index.keys, purged.index.keys, "{what}");
+            assert_eq!(graph.index.starts, purged.index.starts, "{what}");
+            assert_eq!(graph.alive.words, purged.alive.words, "{what}");
         }
     }
 

@@ -90,7 +90,11 @@ pub struct AssemblyOutput {
     pub spill: Option<crate::spill::SpillTelemetry>,
     /// Memory-footprint model for this workload.
     pub footprint: MemoryFootprint,
-    /// The compacted PaK-graph (useful for merging batches or re-walking).
+    /// The compacted PaK-graph, survivors only (useful for merging batches or
+    /// re-walking: a walk of it gives `contigs` again). Stage E deleted its
+    /// dead slots, so a slot here is a node's rank among the survivors, not
+    /// the stage-D slot the `trace` addresses; the stage-D layout is
+    /// [`CompactedGraph::graph`](crate::stage::CompactedGraph::graph).
     pub graph: PakGraph,
 }
 

@@ -131,7 +131,9 @@ pub struct ConstructedGraph {
 pub struct CompactedGraph {
     /// The compacted graph, always reassembled into the global slot layout
     /// (sharded runs stitch their shards back together, dead slots included,
-    /// so downstream consumers see the identical structure).
+    /// so downstream consumers see the identical structure). The slots are
+    /// the ones the trace addresses; [`AssemblyPipeline::walk`] deletes the
+    /// dead ones.
     pub graph: PakGraph,
     /// Whole-run compaction statistics.
     pub stats: CompactionStats,
@@ -396,7 +398,9 @@ impl Stage<ConstructedGraph> for CompactStage {
 }
 
 /// Step E: graph walk and contig generation (the serial streaming walk of
-/// `pakman::walk`; ~1 % of runtime in the paper's Fig. 5).
+/// `pakman::walk`; ~1 % of runtime in the paper's Fig. 5). [`Stage::run`]
+/// walks the graph it is given, dead slots and all; the pipeline's
+/// [`AssemblyPipeline::walk`] deletes them first.
 #[derive(Debug, Clone, Copy)]
 pub struct WalkStage {
     min_contig_length: usize,
@@ -554,14 +558,16 @@ impl AssemblyPipeline {
     }
 
     /// Stage E, then the final [`AssemblyOutput`] from the census the
-    /// compacted graph carries.
+    /// compacted graph carries. Compaction is done, so stage E first deletes
+    /// the graph's dead slots (the deletion §4.5 defers to this point) and
+    /// walks the survivors only; [`AssemblyOutput::graph`] is that graph.
     ///
     /// # Errors
     ///
     /// Returns [`PakmanError::Cancelled`] when the token fires at the boundary.
     pub fn walk(
         &self,
-        compacted: CompactedGraph,
+        mut compacted: CompactedGraph,
         control: &RunControl<'_>,
     ) -> Result<AssemblyOutput, PakmanError> {
         let mut timings = compacted.timings;
@@ -570,7 +576,10 @@ impl AssemblyPipeline {
             "stage E (graph walk)",
             self.walk.name(),
             &mut timings.walk,
-            || self.walk.run(&compacted),
+            || {
+                compacted.graph.purge_dead();
+                self.walk.run(&compacted)
+            },
         )?;
         Ok(AssemblyOutput {
             stats: AssemblyStats::from_contigs(&contigs),
@@ -747,19 +756,29 @@ mod tests {
     fn sharded_pipeline_matches_single_graph_bit_for_bit() {
         let reads = reads_for(4_000, 15.0, 101);
         let none = RunControl::default();
-        let single = AssemblyPipeline::new(cfg(17))
-            .unwrap()
-            .run(&reads, &none)
-            .unwrap();
-        assert!(single.sharding.is_none());
-        let sharded_cfg = PakmanConfig {
+        let compact = |pipeline: &AssemblyPipeline| {
+            let counted = pipeline.count(&reads, &none).unwrap();
+            let built = pipeline.construct(counted, &none).unwrap();
+            pipeline.compact(built, &none).unwrap()
+        };
+        let single_pipeline = AssemblyPipeline::new(cfg(17)).unwrap();
+        let sharded_pipeline = AssemblyPipeline::new(PakmanConfig {
             shards: ShardConfig::per_channel(8),
             ..cfg(17)
-        };
-        let sharded = AssemblyPipeline::new(sharded_cfg)
-            .unwrap()
-            .run(&reads, &none)
-            .unwrap();
+        })
+        .unwrap();
+        let (single, sharded) = (compact(&single_pipeline), compact(&sharded_pipeline));
+        // The reassembled graph preserves the global slot layout, dead slots
+        // included (stage E has not deleted them yet).
+        assert!(single.graph.alive_count() < single.graph.slot_count());
+        assert_eq!(sharded.graph.slot_count(), single.graph.slot_count());
+        for slot in 0..single.graph.slot_count() {
+            assert_eq!(sharded.graph.node(slot), single.graph.node(slot));
+        }
+
+        let single = single_pipeline.walk(single, &none).unwrap();
+        let sharded = sharded_pipeline.walk(sharded, &none).unwrap();
+        assert!(single.sharding.is_none());
         assert_eq!(sharded.contigs, single.contigs);
         assert_eq!(sharded.stats, single.stats);
         assert_eq!(sharded.kmer_stats, single.kmer_stats);
@@ -768,11 +787,6 @@ mod tests {
         let telemetry = sharded.sharding.expect("sharded run records telemetry");
         assert_eq!(telemetry.shard_count, 8);
         assert!(telemetry.total_mailbox_bytes() > 0);
-        // The reassembled graph preserves the global slot layout.
-        assert_eq!(sharded.graph.slot_count(), single.graph.slot_count());
-        for slot in 0..single.graph.slot_count() {
-            assert_eq!(sharded.graph.node(slot), single.graph.node(slot));
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::graph::PakGraph;
 use crate::macronode::MacroNode;
 use nmp_pak_genome::{fasta, DnaString};
 use std::io::Write;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 /// Generates contigs from a (typically compacted) PaK-graph.
 ///
@@ -114,18 +114,22 @@ fn walk_contigs(
 
     // Pass 2: cover leftovers (cycles or wiring breaks) by starting at any unused
     // interior path whose successor still exists. Residual paths that point at nodes
-    // removed by compaction are stale wiring noise, not assembly content.
-    for (slot, node) in graph.iter_alive() {
-        for path_idx in 0..node.paths().len() {
-            let path = &node.paths()[path_idx];
-            if path.prefix.is_some() && !used.of(slot)[path_idx] {
-                if let Some(suffix) = path.suffix.as_ref() {
-                    if graph.contains(&node.successor_k1mer(suffix)) {
-                        let contig = walk_from(graph, &mut used, &mut suffixes, slot, path_idx);
-                        if deliver(contig, emit).is_break() {
-                            return;
-                        }
-                    }
+    // removed by compaction are stale wiring noise, not assembly content. The
+    // flags and the successor table answer first, so a node is read only for a
+    // path that could start a walk.
+    for slot in 0..graph.slot_count() {
+        let paths = used.range(slot);
+        for at in paths.clone() {
+            let path_idx = at - paths.start;
+            if !used.flags[at]
+                && used.next[at] != NO_SUCCESSOR
+                && graph.node(slot).expect("a path's slot is alive").paths()[path_idx]
+                    .prefix
+                    .is_some()
+            {
+                let contig = walk_from(graph, &mut used, &mut suffixes, slot, path_idx);
+                if deliver(contig, emit).is_break() {
+                    return;
                 }
             }
         }
@@ -144,50 +148,74 @@ fn walk_contigs(
     }
 }
 
-/// The walk's used-path flags: one flat vector with one flag per path of every
+/// [`UsedPaths::next`] of a path that leads to no alive node.
+const NO_SUCCESSOR: u32 = u32::MAX;
+
+/// The walk's per-path state: one flat vector with one entry per path of every
 /// alive node, addressed through per-slot offsets (`offsets[slot] ..
 /// offsets[slot + 1]`; a dead slot's range is empty).
 struct UsedPaths {
+    /// Whether a walk has taken the path.
     flags: Vec<bool>,
+    /// The alive slot the path's suffix leads to, or [`NO_SUCCESSOR`]: the
+    /// graph does not change during the walk, so each successor is looked up
+    /// once, here, and the stepping loop does no rank lookup.
+    next: Vec<u32>,
     offsets: Vec<u32>,
 }
 
 impl UsedPaths {
     /// One read of the slot vector for everything about a node that the walk
-    /// cannot change: the flag layout, and the start candidates of passes 1 and
-    /// 3, each ascending — the slots with no incoming interior flow, and the
-    /// slots none of whose paths leads on.
+    /// cannot change: the flag layout, each path's successor slot, and the
+    /// start candidates of passes 1 and 3, each ascending — the slots with no
+    /// incoming interior flow, and the slots none of whose paths leads on.
     fn scan(graph: &PakGraph) -> (UsedPaths, Vec<usize>, Vec<usize>) {
+        // Every slot fits a `u32` below `NO_SUCCESSOR` (stage D refuses a
+        // graph that large), so the casts below keep every slot.
+        assert!(graph.slot_count() < NO_SUCCESSOR as usize);
         let mut offsets = Vec::with_capacity(graph.slot_count() + 1);
+        // Most nodes have one path: the alive count is the usual size.
+        let mut next = Vec::with_capacity(graph.alive_count());
         let (mut sources, mut isolated) = (Vec::new(), Vec::new());
-        let mut total = 0u32;
         offsets.push(0);
         for slot in 0..graph.slot_count() {
             // Off the alive bitmap: a dead slot is never read.
             if graph.is_alive(slot) {
                 let node = graph.node(slot).expect("alive bit implies a node");
-                total += node.paths().len() as u32;
+                next.extend(node.paths().iter().map(|path| {
+                    let successor = path.suffix.as_ref().map(|s| node.successor_k1mer(s));
+                    successor
+                        .and_then(|k1mer| graph.index_of(&k1mer))
+                        .map_or(NO_SUCCESSOR, |to| to as u32)
+                }));
                 if node.paths().iter().all(|p| p.suffix.is_none()) {
                     isolated.push(slot);
                 } else if node.incoming_count() == 0 {
                     sources.push(slot);
                 }
             }
-            offsets.push(total);
+            offsets.push(u32::try_from(next.len()).expect("fewer than 2^32 paths"));
         }
         let used = UsedPaths {
-            flags: vec![false; total as usize],
+            flags: vec![false; next.len()],
+            next,
             offsets,
         };
         (used, sources, isolated)
     }
 
+    /// The positions of `slot`'s paths in `flags` and `next`.
+    fn range(&self, slot: usize) -> Range<usize> {
+        self.offsets[slot] as usize..self.offsets[slot + 1] as usize
+    }
+
     fn of(&self, slot: usize) -> &[bool] {
-        &self.flags[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+        &self.flags[self.range(slot)]
     }
 
     fn of_mut(&mut self, slot: usize) -> &mut [bool] {
-        &mut self.flags[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+        let range = self.range(slot);
+        &mut self.flags[range]
     }
 }
 
@@ -215,7 +243,9 @@ fn best_unused(
 /// serves every walk), until the chain ends or every continuation has already
 /// been used.
 /// Each path is flagged in `used` as the walk steps onto it, so a walk that
-/// re-enters a node (a repeat longer than k) cannot take its own path twice.
+/// re-enters a node (a repeat longer than k) cannot take its own path twice,
+/// and a walk takes at most as many steps as the graph has paths — a bound of
+/// the graph's content, not of its slot layout.
 /// The contig is then spelled in one pass: a single allocation pre-sized to the
 /// walk's span, then the start (k-1)-mer and each suffix spliced in packed form
 /// via [`DnaString::extend_from`].
@@ -232,16 +262,11 @@ fn walk_from<'g>(
     let mut slot = start_slot;
     let mut path_idx = start_path;
     suffixes.clear();
-    // Bound the walk defensively; each step consumes a path so this cannot loop
-    // forever, but the explicit cap keeps malformed graphs from degenerating.
-    let max_steps = graph.slot_count().saturating_mul(4) + 16;
 
-    for _ in 0..max_steps {
-        let node = match graph.node(slot) {
-            Some(n) => n,
-            None => break,
-        };
-        if std::mem::replace(&mut used.of_mut(slot)[path_idx], true) {
+    for _ in 0..used.flags.len() {
+        let node = graph.node(slot).expect("a walk steps onto alive slots");
+        let at = used.range(slot).start + path_idx;
+        if std::mem::replace(&mut used.flags[at], true) {
             break;
         }
 
@@ -254,10 +279,11 @@ fn walk_from<'g>(
         // Move to the successor through this suffix. The incoming extension the
         // successor knows us by is the spelled edge minus its own (k-1)-mer —
         // compared in place; only the fallback spells it out.
-        let successor_k1mer = node.successor_k1mer(suffix);
-        let Some(next_slot) = graph.index_of(&successor_k1mer) else {
+        let next_slot = used.next[at];
+        if next_slot == NO_SUCCESSOR {
             break;
-        };
+        }
+        let next_slot = next_slot as usize;
         let next_node = graph.node(next_slot).expect("successor is alive");
         let next_used = used.of(next_slot);
         let exact = |prefix: &DnaString| node.successor_prefix_is(suffix, prefix);
@@ -418,6 +444,85 @@ mod tests {
         let contig = walk_from(&graph, &mut used, &mut Vec::new(), start, 0);
         assert_eq!(contig.sequence.to_string(), "GGTCAACGTTCACGTT");
         assert!(used.of(repeat_node)[0]);
+    }
+
+    #[test]
+    fn the_successor_table_is_index_of_every_paths_successor() {
+        let reads = crate::test_util::reads_for(3_000, 10.0, 17);
+        let config = KmerCounterConfig {
+            k: 15,
+            min_count: 1,
+            threads: 1,
+        };
+        let (counted, _) = count_kmers(&reads, config).unwrap();
+        let mut graph = PakGraph::from_counted_kmers(&counted, 15, 1);
+        compact(
+            &mut graph,
+            &PakmanConfig {
+                k: 15,
+                compaction_node_threshold: 0,
+                threads: 1,
+                ..PakmanConfig::default()
+            },
+        );
+        // The compacted layout has dead slots; the purged one has none.
+        assert!(graph.alive_count() < graph.slot_count());
+        let mut purged = graph.clone();
+        purged.purge_dead();
+        for graph in [&graph, &purged] {
+            let (used, _, _) = UsedPaths::scan(graph);
+            let mut paths = 0;
+            for (slot, node) in graph.iter_alive() {
+                assert_eq!(used.range(slot).len(), node.paths().len());
+                for (at, path) in used.range(slot).zip(node.paths()) {
+                    let expected = path
+                        .suffix
+                        .as_ref()
+                        .and_then(|suffix| graph.index_of(&node.successor_k1mer(suffix)));
+                    let found = (used.next[at] != NO_SUCCESSOR).then_some(used.next[at] as usize);
+                    assert_eq!(found, expected, "slot {slot}");
+                    paths += 1;
+                }
+            }
+            assert_eq!((used.next.len(), used.flags.len()), (paths, paths));
+            assert!(used.next.contains(&NO_SUCCESSOR));
+        }
+    }
+
+    #[test]
+    fn the_step_cap_does_not_depend_on_the_slot_layout() {
+        // A two-node cycle ACAC ⇄ CACA with 20 parallel paths per node: one
+        // walk takes all 40 paths. A cap derived from the slot count (it was
+        // 4 × slots + 16) cut it short on the two-slot layout, and padding the
+        // same two nodes with dead slots then walked different contigs.
+        let dna = |text: &str| text.parse::<DnaString>().unwrap();
+        let cycle = |k1mer: &str, prefix: &str, suffix: &str| {
+            let mut node = MacroNode::new(Kmer::from_ascii(k1mer).unwrap());
+            for count in 1..=20 {
+                node.push_path(crate::macronode::ThroughPath::through(
+                    dna(prefix),
+                    dna(suffix),
+                    count,
+                ));
+            }
+            node
+        };
+        let nodes = [cycle("ACAC", "C", "A"), cycle("CACA", "A", "C")];
+        let dense = PakGraph::from_nodes(nodes.to_vec(), 5);
+        assert_eq!(dense.slot_count(), 2);
+        let last_key = nodes.iter().map(|n| n.k1mer().packed()).max().unwrap();
+        let keys: Vec<u64> = (0..=last_key).collect();
+        let slots = keys
+            .iter()
+            .map(|&key| nodes.iter().find(|n| n.k1mer().packed() == key).cloned())
+            .collect();
+        let padded = PakGraph::from_parts(keys, slots, 5);
+        assert!(padded.slot_count() > 20);
+
+        let contigs = generate_contigs(&dense, 0);
+        assert_eq!(contigs, generate_contigs(&padded, 0));
+        assert_eq!(contigs.len(), 1, "{contigs:?}");
+        assert_eq!(contigs[0].sequence.to_string(), "AC".repeat(22));
     }
 
     #[test]

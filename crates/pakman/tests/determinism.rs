@@ -9,8 +9,9 @@
 
 use nmp_pak_genome::{ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead};
 use nmp_pak_pakman::{
-    compact, count_kmers, AssemblyOutput, BatchAssembler, BatchAssemblyOutput, BatchSchedule,
-    KmerCounterConfig, PakGraph, PakmanAssembler, PakmanConfig, ShardConfig, SpillConfig,
+    compact, count_kmers, generate_contigs, AssemblyOutput, AssemblyPipeline, BatchAssembler,
+    BatchAssemblyOutput, BatchSchedule, KmerCounterConfig, PakGraph, PakmanAssembler, PakmanConfig,
+    RunControl, ShardConfig, SpillConfig,
 };
 
 fn simulated_reads(length: usize, coverage: f64, seed: u64) -> Vec<SequencingRead> {
@@ -481,6 +482,46 @@ fn recorded_traces_are_identical_across_thread_counts() {
             reference,
             "trace diverged at threads = {threads}"
         );
+    }
+}
+
+#[test]
+fn walking_the_purged_graph_gives_the_compacted_graphs_contigs() {
+    // Stage E deletes the compacted graph's dead slots before it walks. The
+    // walk must not see the difference, and the output graph it leaves must
+    // re-walk to the output's contigs — on the stitched sharded layout too.
+    let reads = simulated_reads(10_000, 30.0, 0xD5EED);
+    let none = RunControl::default();
+    for shards in [1, 4] {
+        let config = PakmanConfig {
+            k: 21,
+            min_kmer_count: 2,
+            compaction_node_threshold: 10,
+            threads: 1,
+            min_contig_length: 30,
+            shards: ShardConfig {
+                shard_count: shards,
+            },
+            ..PakmanConfig::default()
+        };
+        let pipeline = AssemblyPipeline::new(config).unwrap();
+        let built = pipeline
+            .construct(pipeline.count(&reads, &none).unwrap(), &none)
+            .unwrap();
+        let compacted = pipeline.compact(built, &none).unwrap();
+        let graph = &compacted.graph;
+        assert!(
+            graph.alive_count() < graph.slot_count(),
+            "shards = {shards}"
+        );
+        let from_layout = generate_contigs(graph, config.min_contig_length);
+        let output = pipeline.walk(compacted, &none).unwrap();
+        let graph = &output.graph;
+        assert_eq!(graph.slot_count(), graph.alive_count(), "shards = {shards}");
+        assert!(!output.contigs.is_empty());
+        assert_eq!(output.contigs, from_layout, "shards = {shards}");
+        let rewalked = generate_contigs(graph, config.min_contig_length);
+        assert_eq!(rewalked, output.contigs, "shards = {shards}");
     }
 }
 

@@ -7,44 +7,52 @@
 //! debug and release alike:
 //!
 //! * the bitmap mirrors `slots[i].is_some()` — after every constructor, after
-//!   every compaction iteration of all three engines, and after the sharded
-//!   graph is stitched back together;
+//!   every compaction iteration of all three engines, after the sharded
+//!   graph is stitched back together, and in the pipeline's output graph,
+//!   whose dead slots stage E deleted;
 //! * the rank index finds exactly the present keys, whatever its table size;
 //! * the destination P3 takes from P1's hand-off is the one a fresh
 //!   `index_of(&transfer.destination)` returns, for every transfer.
 
-use nmp_pak_genome::{DnaString, Kmer, ReadSimulator, ReferenceGenome, SequencerConfig};
+use nmp_pak_genome::{
+    DnaString, Kmer, ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead,
+};
 use nmp_pak_pakman::compaction::{compact, is_invalidation_target};
 use nmp_pak_pakman::kmer_count::{count_kmers, CountedKmer, KmerCounterConfig};
 use nmp_pak_pakman::shard::{compact_sharded, ShardedGraph};
 use nmp_pak_pakman::{
-    MacroNode, PakGraph, PakmanConfig, ShardConfig, ShardSchedule, ThroughPath, TransferNode,
+    MacroNode, PakGraph, PakmanAssembler, PakmanConfig, ShardConfig, ShardSchedule, ThroughPath,
+    TransferNode,
 };
 
 const K: usize = 21;
 
-/// The counted k-mers of a 20 kbp, 30× error-bearing read set (the shape of
-/// the determinism suites' inputs).
+/// The counted k-mers of [`reads`].
 fn counted_kmers() -> Vec<CountedKmer> {
+    let config = KmerCounterConfig {
+        k: K,
+        min_count: 2,
+        threads: 1,
+    };
+    count_kmers(&reads(), config).unwrap().0
+}
+
+/// A 20 kbp, 30× error-bearing read set (the shape of the determinism
+/// suites' inputs).
+fn reads() -> Vec<SequencingRead> {
     let genome = ReferenceGenome::builder()
         .length(20_000)
         .seed(0x1DE5)
         .build()
         .unwrap();
-    let reads = ReadSimulator::new(SequencerConfig {
+    ReadSimulator::new(SequencerConfig {
         coverage: 30.0,
         substitution_error_rate: 0.001,
         seed: 0x1DE6,
         ..SequencerConfig::default()
     })
     .simulate(&genome)
-    .unwrap();
-    let config = KmerCounterConfig {
-        k: K,
-        min_count: 2,
-        threads: 1,
-    };
-    count_kmers(&reads, config).unwrap().0
+    .unwrap()
 }
 
 /// The (k-1)-mer of every slot of a graph whose slots are all alive.
@@ -175,6 +183,23 @@ fn bitmap_mirrors_the_slots_after_every_iteration_of_every_engine() {
             assert_eq!(global.node(slot), single.node(slot), "{schedule:?}: {slot}");
         }
     }
+
+    // The pipeline's output graph: stage E deleted the dead slots, so the
+    // same survivors sit in slots 0..alive, in the same order.
+    let output = PakmanAssembler::new(PakmanConfig {
+        k: K,
+        min_kmer_count: 2,
+        compaction_node_threshold: 0,
+        threads: 2,
+        ..PakmanConfig::default()
+    })
+    .assemble(&reads())
+    .unwrap();
+    let output_k1mers = slot_k1mers(&output.graph);
+    assert_bitmap_matches_slots(&output.graph, &output_k1mers, "pipeline output");
+    let survivors: Vec<&MacroNode> = single.iter_alive().map(|(_, node)| node).collect();
+    let output_nodes: Vec<&MacroNode> = output.graph.iter_alive().map(|(_, node)| node).collect();
+    assert_eq!(output_nodes, survivors);
 }
 
 /// A graph of empty nodes over the given packed (k-1)-mers.

@@ -17,10 +17,6 @@ use nmp_pak_recipe::{metric, CellOutput, MetricProbe, Recipe, RecipeError, Scena
 use nmp_pak_recipe::{Executor, SweepReport};
 use std::time::{Duration, Instant};
 
-/// Spill partition count used by the probe's standalone overhead timing (the
-/// paper's 8-channel owner map).
-const SWEEP_SPILL_PARTITIONS: usize = 8;
-
 /// [`MetricProbe`] over the vendored pre-refactor baselines.
 #[derive(Debug, Clone, Copy)]
 pub struct BaselineProbe {
@@ -166,7 +162,6 @@ impl MetricProbe for BaselineProbe {
                             &workload.reads,
                             KmerCounterConfig::from(&config),
                             &spill_config,
-                            SWEEP_SPILL_PARTITIONS,
                         );
                     })
                 });

@@ -58,7 +58,7 @@ pub use kmer::{Kmer, KmerIter};
 pub use reads::SequencingRead;
 pub use reference::{ReferenceGenome, ReferenceGenomeBuilder, RepeatSpec};
 pub use sequencer::{ReadSimulator, SequencerConfig};
-pub use shard::{shard_of_k1mer, shard_of_packed};
+pub use shard::shard_of_packed;
 pub use source::{
     FastaFastqSource, InMemorySource, PrefetchSource, ReadChunk, ReadSource, SequenceFileFormat,
     SyntheticSource,

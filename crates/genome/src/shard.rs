@@ -14,11 +14,9 @@
 //! frozen forever (changing it would silently re-partition every recorded
 //! workload).
 
-use crate::kmer::Kmer;
-
 /// Mixes a packed 2-bit code into a uniformly distributed 64-bit value
-/// (SplitMix64 finalizer). Exposed so layout tooling can reproduce the shard
-/// assignment without a [`Kmer`] in hand.
+/// (SplitMix64 finalizer): the mix behind [`shard_of_packed`], public for
+/// hashers over packed codes.
 #[inline]
 pub fn mix_packed(packed: u64) -> u64 {
     let mut x = packed.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -38,13 +36,6 @@ pub fn shard_of_packed(packed: u64, shard_count: usize) -> usize {
         return 0;
     }
     (mix_packed(packed) % shard_count as u64) as usize
-}
-
-/// The shard that owns `k1mer` (its MacroNode's home), out of `shard_count`
-/// shards. See [`shard_of_packed`].
-#[inline]
-pub fn shard_of_k1mer(k1mer: &Kmer, shard_count: usize) -> usize {
-    shard_of_packed(k1mer.packed(), shard_count)
 }
 
 #[cfg(test)]
@@ -89,11 +80,5 @@ mod tests {
                 "shard {s} holds {c} of {n} keys (expected ≈{expect})"
             );
         }
-    }
-
-    #[test]
-    fn kmer_and_packed_agree() {
-        let kmer = Kmer::from_ascii("ACGTACGTAC").unwrap();
-        assert_eq!(shard_of_k1mer(&kmer, 7), shard_of_packed(kmer.packed(), 7));
     }
 }

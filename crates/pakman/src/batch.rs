@@ -15,8 +15,8 @@
 //! [`ReadChunk`] per batch off any [`ReadSource`] (an in-memory slice, a
 //! FASTA/FASTQ file, a synthetic generator), so the full read set never has to
 //! be materialized. The slice-based [`BatchAssembler::assemble`] is a thin
-//! wrapper that maps a [`BatchPlan`] onto a zero-copy
-//! [`nmp_pak_genome::InMemorySource`].
+//! wrapper that cuts the slice into `batch_fraction`-sized read ranges and
+//! streams them through a zero-copy [`nmp_pak_genome::InMemorySource`].
 //!
 //! Batches flow through the staged pipeline ([`crate::stage::AssemblyPipeline`])
 //! under a [`BatchSchedule`]:
@@ -58,9 +58,9 @@ use nmp_pak_genome::{InMemorySource, ReadChunk, ReadSource, SequencingRead};
 use std::collections::{HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A plan dividing a read set into batches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchPlan {
+/// A plan dividing an in-memory read set into batches.
+#[derive(Debug)]
+pub(crate) struct BatchPlan {
     /// Read-index ranges, one per batch.
     ranges: Vec<std::ops::Range<usize>>,
 }
@@ -77,7 +77,10 @@ impl BatchPlan {
     ///
     /// Returns [`PakmanError::InvalidConfig`] if the fraction is not positive or the
     /// read count is zero.
-    pub fn by_fraction(read_count: usize, batch_fraction: f64) -> Result<BatchPlan, PakmanError> {
+    pub(crate) fn by_fraction(
+        read_count: usize,
+        batch_fraction: f64,
+    ) -> Result<BatchPlan, PakmanError> {
         if read_count == 0 {
             return Err(PakmanError::InvalidConfig {
                 message: "cannot plan batches over zero reads".to_string(),
@@ -105,64 +108,6 @@ impl BatchPlan {
         }
         debug_assert_eq!(start, read_count, "plan must cover every read exactly once");
         Ok(BatchPlan { ranges })
-    }
-
-    /// Splits `reads` into batches of roughly `target_bytes` of resident read
-    /// data each, using the same per-read accounting as
-    /// [`ReadChunk::approx_read_bytes`] (packed sequence + qualities + id +
-    /// fixed overhead). This plans batch boundaries by *memory*, not read count,
-    /// so N50-vs-batch-size studies stay comparable across read-length
-    /// distributions (see ROADMAP).
-    ///
-    /// A batch is closed as soon as admitting the next read would exceed the
-    /// budget, but every batch holds at least one read: a single read larger
-    /// than the whole budget becomes its own batch, and a budget smaller than
-    /// any read degrades to one read per batch. The ranges cover `0..reads.len()`
-    /// exactly once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PakmanError::InvalidConfig`] if `reads` is empty or the budget
-    /// is zero.
-    pub fn by_target_bytes(
-        reads: &[SequencingRead],
-        target_bytes: u64,
-    ) -> Result<BatchPlan, PakmanError> {
-        if reads.is_empty() {
-            return Err(PakmanError::InvalidConfig {
-                message: "cannot plan batches over zero reads".to_string(),
-            });
-        }
-        if target_bytes == 0 {
-            return Err(PakmanError::InvalidConfig {
-                message: "batch byte budget must be positive".to_string(),
-            });
-        }
-        let mut ranges = Vec::new();
-        let mut start = 0usize;
-        let mut resident = 0u64;
-        for (i, read) in reads.iter().enumerate() {
-            let bytes = ReadChunk::Borrowed(std::slice::from_ref(read)).approx_read_bytes();
-            if i > start && resident + bytes > target_bytes {
-                ranges.push(start..i);
-                start = i;
-                resident = 0;
-            }
-            resident += bytes;
-        }
-        ranges.push(start..reads.len());
-        debug_assert!(ranges.iter().all(|r| !r.is_empty()));
-        Ok(BatchPlan { ranges })
-    }
-
-    /// Number of batches.
-    pub fn batch_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// The read-index ranges, one per batch.
-    pub fn ranges(&self) -> &[std::ops::Range<usize>] {
-        &self.ranges
     }
 }
 
@@ -342,33 +287,16 @@ impl BatchAssembler {
         self.schedule
     }
 
-    /// Runs the batched assembly over an in-memory read set: plans batches with
-    /// [`BatchPlan::by_fraction`] and streams them zero-copy through
-    /// [`BatchAssembler::assemble_source`].
+    /// Runs the batched assembly over an in-memory read set: cuts it into
+    /// batches of `batch_fraction` of the reads each and streams them zero-copy
+    /// through [`BatchAssembler::assemble_source`].
     ///
     /// # Errors
     ///
     /// Propagates configuration and empty-input errors from the per-batch pipeline.
     pub fn assemble(&self, reads: &[SequencingRead]) -> Result<BatchAssemblyOutput, PakmanError> {
         let plan = BatchPlan::by_fraction(reads.len(), self.batch_fraction)?;
-        self.assemble_with_plan(reads, &plan)
-    }
-
-    /// Runs the batched assembly over an in-memory read set with an explicit
-    /// [`BatchPlan`] (e.g. [`BatchPlan::by_target_bytes`]), streamed zero-copy
-    /// through [`BatchAssembler::assemble_source`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PakmanError::InvalidConfig`] if the plan's ranges do not fit
-    /// `reads`, and propagates per-batch pipeline errors.
-    pub fn assemble_with_plan(
-        &self,
-        reads: &[SequencingRead],
-        plan: &BatchPlan,
-    ) -> Result<BatchAssemblyOutput, PakmanError> {
-        let source = InMemorySource::with_ranges(reads, plan.ranges().to_vec())?;
-        self.assemble_source(source)
+        self.assemble_source(InMemorySource::with_ranges(reads, plan.ranges)?)
     }
 
     /// Runs the batched assembly over a streaming source, one batch per
@@ -752,10 +680,10 @@ mod tests {
     #[test]
     fn plan_covers_all_reads_without_overlap() {
         let plan = BatchPlan::by_fraction(1003, 0.1).unwrap();
-        assert_eq!(plan.batch_count(), 10);
+        assert_eq!(plan.ranges.len(), 10);
         let mut covered = 0usize;
         let mut last_end = 0usize;
-        for range in plan.ranges() {
+        for range in &plan.ranges {
             assert_eq!(range.start, last_end);
             covered += range.len();
             last_end = range.end;
@@ -766,9 +694,9 @@ mod tests {
     #[test]
     fn full_fraction_is_one_batch() {
         let plan = BatchPlan::by_fraction(100, 1.0).unwrap();
-        assert_eq!(plan.batch_count(), 1);
+        assert_eq!(plan.ranges.len(), 1);
         let plan = BatchPlan::by_fraction(100, 5.0).unwrap();
-        assert_eq!(plan.batch_count(), 1);
+        assert_eq!(plan.ranges.len(), 1);
     }
 
     #[test]
@@ -776,28 +704,28 @@ mod tests {
         // 10 reads at 1/3: the rounded batch count (3) does not divide the read
         // count, so the remainder must be spread without producing an empty batch.
         let plan = BatchPlan::by_fraction(10, 1.0 / 3.0).unwrap();
-        assert_eq!(plan.batch_count(), 3);
+        assert_eq!(plan.ranges.len(), 3);
         let mut covered = 0usize;
-        for range in plan.ranges() {
-            assert!(!range.is_empty(), "empty batch in {:?}", plan.ranges());
+        for range in &plan.ranges {
+            assert!(!range.is_empty(), "empty batch in {:?}", plan.ranges);
             covered += range.len();
         }
         assert_eq!(covered, 10);
         // 4 batches over 6 reads: base is 1 with remainder 2 — the naive split
         // would leave trailing zero-read batches.
         let plan = BatchPlan::by_fraction(6, 0.25).unwrap();
-        assert_eq!(plan.batch_count(), 4);
-        assert!(plan.ranges().iter().all(|r| !r.is_empty()));
-        assert_eq!(plan.ranges().iter().map(|r| r.len()).sum::<usize>(), 6);
+        assert_eq!(plan.ranges.len(), 4);
+        assert!(plan.ranges.iter().all(|r| !r.is_empty()));
+        assert_eq!(plan.ranges.iter().map(|r| r.len()).sum::<usize>(), 6);
     }
 
     #[test]
     fn more_batches_than_reads_clamps_to_one_read_per_batch() {
         let plan = BatchPlan::by_fraction(3, 0.1).unwrap();
-        assert_eq!(plan.batch_count(), 3);
-        assert!(plan.ranges().iter().all(|r| r.len() == 1));
+        assert_eq!(plan.ranges.len(), 3);
+        assert!(plan.ranges.iter().all(|r| r.len() == 1));
         let mut last_end = 0usize;
-        for range in plan.ranges() {
+        for range in &plan.ranges {
             assert_eq!(range.start, last_end);
             last_end = range.end;
         }
@@ -806,8 +734,8 @@ mod tests {
         // Pathologically small fractions must clamp instead of allocating a
         // billion-range plan (float→usize casts saturate, then the clamp applies).
         let plan = BatchPlan::by_fraction(5, 1e-12).unwrap();
-        assert_eq!(plan.batch_count(), 5);
-        assert!(plan.ranges().iter().all(|r| r.len() == 1));
+        assert_eq!(plan.ranges.len(), 5);
+        assert!(plan.ranges.iter().all(|r| r.len() == 1));
     }
 
     #[test]
@@ -816,102 +744,6 @@ mod tests {
         assert!(BatchPlan::by_fraction(10, 0.0).is_err());
         assert!(BatchPlan::by_fraction(10, -0.5).is_err());
         assert!(BatchPlan::by_fraction(10, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn byte_budget_plan_packs_reads_up_to_the_target() {
-        let reads = reads_for(2_000, 10.0, 31);
-        let per_read = ReadChunk::Borrowed(&reads[..1]).approx_read_bytes();
-        // Budget for ~10 reads (same-length synthetic reads): every non-final
-        // batch packs as many reads as fit without exceeding the target.
-        let target = per_read * 10;
-        let plan = BatchPlan::by_target_bytes(&reads, target).unwrap();
-        assert!(plan.batch_count() >= 2);
-        let mut covered = 0usize;
-        let mut last_end = 0usize;
-        for range in plan.ranges() {
-            assert_eq!(range.start, last_end, "ranges must tile the read set");
-            assert!(!range.is_empty());
-            let bytes = ReadChunk::Borrowed(&reads[range.clone()]).approx_read_bytes();
-            assert!(bytes <= target, "batch {range:?} exceeds the byte budget");
-            covered += range.len();
-            last_end = range.end;
-        }
-        assert_eq!(covered, reads.len());
-        // All but the last batch are full: one more read would burst the budget.
-        for range in &plan.ranges()[..plan.batch_count() - 1] {
-            let with_next =
-                ReadChunk::Borrowed(&reads[range.start..range.end + 1]).approx_read_bytes();
-            assert!(with_next > target);
-        }
-    }
-
-    #[test]
-    fn byte_budget_smaller_than_any_read_degrades_to_one_read_per_batch() {
-        let reads = reads_for(200, 5.0, 17);
-        let plan = BatchPlan::by_target_bytes(&reads, 1).unwrap();
-        assert_eq!(plan.batch_count(), reads.len());
-        assert!(plan.ranges().iter().all(|r| r.len() == 1));
-    }
-
-    #[test]
-    fn byte_budget_larger_than_everything_is_one_batch() {
-        let reads = reads_for(200, 5.0, 17);
-        let whole = ReadChunk::Borrowed(&reads[..]).approx_read_bytes();
-        let plan = BatchPlan::by_target_bytes(&reads, whole).unwrap();
-        assert_eq!(plan.batch_count(), 1);
-        assert_eq!(plan.ranges()[0], 0..reads.len());
-    }
-
-    #[test]
-    fn one_huge_read_gets_its_own_batch() {
-        use nmp_pak_genome::DnaString;
-        let mut reads = reads_for(1_000, 3.0, 9);
-        let huge: DnaString = "ACGT".repeat(5_000).parse().unwrap();
-        reads.insert(25, SequencingRead::new("huge".to_string(), huge));
-        let per_small = ReadChunk::Borrowed(&reads[..1]).approx_read_bytes();
-        let plan = BatchPlan::by_target_bytes(&reads, per_small * 4).unwrap();
-        // The huge read bursts any batch: it must sit alone in its own range.
-        let huge_range = plan
-            .ranges()
-            .iter()
-            .find(|r| r.contains(&25))
-            .expect("the huge read is covered");
-        assert_eq!(huge_range.clone(), 25..26);
-        assert_eq!(
-            plan.ranges().iter().map(|r| r.len()).sum::<usize>(),
-            reads.len()
-        );
-    }
-
-    #[test]
-    fn invalid_byte_budget_plans_are_rejected() {
-        assert!(BatchPlan::by_target_bytes(&[], 1024).is_err());
-        let reads = reads_for(1_000, 3.0, 9);
-        assert!(BatchPlan::by_target_bytes(&reads, 0).is_err());
-    }
-
-    #[test]
-    fn byte_budget_plan_assembles_identically_to_the_same_count_plan() {
-        // A byte plan over uniformly sized reads lands on equal-count
-        // boundaries, so the assembly must agree bit for bit with the
-        // fraction-based path. Ids are padded to a fixed width so every read
-        // charges identical bytes (ids count toward the resident-byte census).
-        let reads: Vec<SequencingRead> = reads_for(6_000, 20.0, 63)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| SequencingRead::new(format!("r{i:06}"), r.sequence().clone()))
-            .collect();
-        assert_eq!(reads.len() % 4, 0);
-        let quarter_bytes = ReadChunk::Borrowed(&reads[..reads.len() / 4]).approx_read_bytes();
-        let byte_plan = BatchPlan::by_target_bytes(&reads, quarter_bytes).unwrap();
-        let count_plan = BatchPlan::by_fraction(reads.len(), 0.25).unwrap();
-        assert_eq!(byte_plan, count_plan);
-        let assembler = BatchAssembler::new(cfg(17), 0.25);
-        let planned = assembler.assemble_with_plan(&reads, &byte_plan).unwrap();
-        let fraction = assembler.assemble(&reads).unwrap();
-        assert_eq!(planned.contigs, fraction.contigs);
-        assert_eq!(planned.batch_compaction, fraction.batch_compaction);
     }
 
     #[test]

@@ -35,9 +35,9 @@ pub enum ShardSchedule {
 /// PaK-graph is partitioned into.
 ///
 /// Every (k-1)-mer has one *owner* shard (a stable hash of its packed code,
-/// [`nmp_pak_genome::shard_of_packed`]); construction and compaction run
-/// per-shard with boundary traffic exchanged through the inter-shard mailbox
-/// once per iteration. Output is **bit-identical** to single-graph execution at
+/// [`nmp_pak_genome::shard_of_packed`]); the graph is built once and split
+/// across the owners, and compaction runs per-shard with boundary traffic
+/// exchanged through the inter-shard mailbox once per iteration. Output is **bit-identical** to single-graph execution at
 /// every shard count — sharding changes where work happens, never what it
 /// computes. A shard maps onto one NMP channel in the hardware model, so the
 /// natural production value is the channel count ([`ShardConfig::per_channel`];
@@ -110,10 +110,8 @@ impl ShardConfig {
 /// overdrawn and fuses the count into the last merge. `None` is that counter
 /// with a single wave and nothing to evict; `Some(bytes)` sizes the waves to
 /// half the bound and turns eviction on. A bounded run that never overdraws
-/// creates no file. Run files are partitioned by the frozen
-/// [`nmp_pak_genome::shard_of_packed`] owner hash — the same hash that assigns
-/// MacroNodes to shards — so on-disk partitions align with shard ownership for
-/// free. Counting with any budget is **bit-identical** to counting with none:
+/// creates no file; one that does appends every evicted run to one temporary
+/// run file. Counting with any budget is **bit-identical** to counting with none:
 /// every finish feeds the same run-length count + prune, so the bound changes
 /// where the bytes live, never what is counted. The budget is accounted
 /// through the same [`crate::memory::MemoryBudget`] machinery as the batch

@@ -295,9 +295,9 @@ impl PakGraph {
     }
 
     /// Builds a graph directly from its sorted parts: `keys[i]` is the packed
-    /// (k-1)-mer of `slots[i]`, ascending. Crate-internal — the sharded builder
-    /// assembles per-shard graphs from pre-partitioned streams, and the sharded
-    /// compactor reconstitutes the global graph (dead slots included) without
+    /// (k-1)-mer of `slots[i]`, ascending. Crate-internal — the sharded layer
+    /// splits a built graph into per-shard graphs and stitches the compacted
+    /// shards back into the global graph (dead slots included) without
     /// re-sorting.
     pub(crate) fn from_parts(keys: Vec<u64>, slots: Vec<Option<MacroNode>>, k: usize) -> PakGraph {
         debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
@@ -312,8 +312,8 @@ impl PakGraph {
     }
 
     /// The packed (k-1)-mer key of every slot, ascending (the slot order).
-    /// Crate-internal: the sharded layer derives its global rank mapping from
-    /// the per-shard key vectors.
+    /// Crate-internal: the sharded layer splits the graph by these keys and
+    /// keeps them as its global rank mapping.
     pub(crate) fn slot_keys(&self) -> &[u64] {
         &self.index.keys
     }
@@ -484,8 +484,8 @@ impl PakGraph {
     }
 
     /// Consumes the graph into its raw slot vector (dead slots included).
-    /// Crate-internal: the sharded layer stitches per-shard slot vectors back
-    /// into the exact global layout.
+    /// Crate-internal: the sharded layer moves the slots to their owner shards
+    /// and stitches the per-shard slot vectors back into the global layout.
     pub(crate) fn into_slots(self) -> Vec<Option<MacroNode>> {
         self.slots
     }
@@ -545,13 +545,13 @@ fn node_split_points(
 }
 
 /// One contiguous run of the slot layout as [`build_segment`] produces it.
-pub(crate) struct Segment {
+struct Segment {
     /// Packed (k-1)-mer of every slot, ascending.
-    pub keys: Vec<u64>,
+    keys: Vec<u64>,
     /// The nodes, all alive, aligned with `keys`.
-    pub slots: Vec<Option<MacroNode>>,
+    slots: Vec<Option<MacroNode>>,
     /// Sum of [`MacroNode::size_bytes`] over `slots`.
-    pub size_bytes: usize,
+    size_bytes: usize,
 }
 
 /// Builds the MacroNodes of one node-key segment: a linear merge-scan over the
@@ -561,13 +561,7 @@ pub(crate) struct Segment {
 /// exactly, so each is allocated and written once: neither stream's length
 /// bounds the node count (a lone read of L bases has L − k + 1 k-mers and
 /// L − k + 2 (k-1)-mers), and a vector that outgrows its reservation doubles.
-/// Crate-internal: the sharded builder runs one segment per shard over the
-/// owner-partitioned streams.
-pub(crate) fn build_segment(
-    prefix_records: &[(u64, u64)],
-    counted: &[CountedKmer],
-    k1_len: usize,
-) -> Segment {
+fn build_segment(prefix_records: &[(u64, u64)], counted: &[CountedKmer], k1_len: usize) -> Segment {
     let suffix_key = |ck: &CountedKmer| ck.kmer.packed() >> 2;
     // The next node key: the smaller head of the two streams.
     let head = |i: usize, j: usize| match (prefix_records.get(i), counted.get(j)) {
@@ -970,6 +964,102 @@ mod tests {
                 assert_eq!(index.rank_of(key), Some(key as usize / 2));
             } else {
                 assert_eq!(index.rank_of(key), None);
+            }
+        }
+    }
+
+    #[test]
+    fn pakgraph_conserves_kmer_flow_and_splits_across_owner_shards() {
+        use crate::shard::ShardedGraph;
+        use std::collections::BTreeSet;
+
+        // xorshift64*, the generator of `tests/count_props.rs`.
+        let mut state = 0x0F10_3A7E_u64;
+        let mut below = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            ((state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize) % bound
+        };
+        for case in 0..64 {
+            // 1–12 reads of 0–150 bases (about one in four repeats an earlier
+            // read), counted at k in 3..=21 with nothing pruned.
+            let k = 3 + below(19);
+            let mut texts: Vec<String> = Vec::new();
+            for _ in 0..1 + below(12) {
+                if !texts.is_empty() && below(4) == 0 {
+                    texts.push(texts[below(texts.len())].clone());
+                    continue;
+                }
+                texts.push(
+                    (0..below(151))
+                        .map(|_| "ACGT".as_bytes()[below(4)] as char)
+                        .collect(),
+                );
+            }
+            let reads: Vec<SequencingRead> = texts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| SequencingRead::new(format!("r{i}"), t.parse::<DnaString>().unwrap()))
+                .collect();
+            let config = KmerCounterConfig {
+                k,
+                min_count: 1,
+                threads: 1,
+            };
+            let Ok((counted, _)) = count_kmers(&reads, config) else {
+                continue; // no read holds a k-mer
+            };
+            let what = format!("case {case}: {} reads, k = {k}", reads.len());
+            let total: u64 = counted.iter().map(|c| u64::from(c.count)).sum();
+            let graph = PakGraph::from_counted_kmers(&counted, k, 1);
+
+            // Every k-mer puts its count on the prefix side of its suffix node
+            // and on the suffix side of its prefix node; wiring only folds
+            // read-boundary imbalance into through flow, so neither side loses
+            // any, and a node with flow on both sides is balanced.
+            let flow = |side: fn(&MacroNode) -> u32| -> u64 {
+                graph.iter_alive().map(|(_, n)| u64::from(side(n))).sum()
+            };
+            assert!(flow(MacroNode::incoming_count) >= total, "{what}");
+            assert!(flow(MacroNode::outgoing_count) >= total, "{what}");
+            for (_, node) in graph.iter_alive() {
+                if node.incoming_count() > 0 && node.outgoing_count() > 0 {
+                    assert_eq!(node.incoming_count(), node.outgoing_count(), "{what}");
+                }
+            }
+            // The nodes are exactly the k-mers' prefix and suffix (k-1)-mers.
+            let k1mers: BTreeSet<Kmer> = counted
+                .iter()
+                .flat_map(|ck| [ck.kmer.prefix_k1(), ck.kmer.suffix_k1()])
+                .collect();
+            let nodes: BTreeSet<Kmer> = graph.iter_alive().map(|(_, n)| n.k1mer()).collect();
+            assert_eq!(nodes, k1mers, "{what}");
+
+            // The owner split moves every node, once, to its owner and keeps
+            // the single build's slot layout.
+            for shards in [1usize, 3, 8] {
+                let sharded = ShardedGraph::from_counted_kmers(&counted, k, shards, 2);
+                let per_shard = sharded.per_shard_alive();
+                assert_eq!(
+                    per_shard.iter().sum::<usize>(),
+                    graph.alive_count(),
+                    "{what}"
+                );
+                for shard in 0..shards {
+                    for (_, node) in sharded.shard(shard).iter_alive() {
+                        assert_eq!(node.owner_shard(shards), shard, "{what}, {shards} shards");
+                    }
+                }
+                let global = sharded.into_global_graph();
+                assert_eq!(global.slot_keys(), graph.slot_keys(), "{what}");
+                for slot in 0..graph.slot_count() {
+                    assert_eq!(
+                        global.node(slot),
+                        graph.node(slot),
+                        "{what}, {shards} shards"
+                    );
+                }
             }
         }
     }

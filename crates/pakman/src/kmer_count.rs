@@ -11,7 +11,7 @@
 //!   replacing the serial global sort of the original PaKman implementation —
 //!
 //! and §4.4's small-footprint processing as the same loop under a
-//! [`SpillConfig`] bound (external-memory counting; the run files are
+//! [`SpillConfig`] bound (external-memory counting; the run file is
 //! [`crate::spill`]'s). In-memory counting is the instance that never evicts.
 //!
 //! **Wave → fold → evict → finish.** Reads are consumed in *waves*: half the
@@ -25,10 +25,10 @@
 //! merge of each value: straight from memory, bucket-parallel, when nothing was
 //! evicted — the last wave's per-chunk runs are still unmerged then, so they
 //! are counted inside their final two-way merge instead of being merged first
-//! and scanned again — and through a k-way merge of the run files otherwise.
+//! and scanned again — and through a k-way merge of the spilled runs otherwise.
 //! Every finisher feeds one `Emitter`, the only place a multiplicity meets
-//! `min_count`, so the counted stream is **bit-identical** at any bound, thread
-//! count or partition count.
+//! `min_count`, so the counted stream is **bit-identical** at any bound or
+//! thread count.
 //!
 //! Chunks are planned and run by `crate::par`: the calling thread works chunk 0,
 //! a helper is spawned for each further chunk, and there are only as many chunks
@@ -111,7 +111,7 @@ pub fn count_kmers(
 ) -> Result<(Vec<CountedKmer>, KmerCountStats), PakmanError> {
     let unbounded = SpillConfig::in_memory();
     let (counted, stats, _) =
-        count_kmers_controlled(reads, config, &unbounded, 1, &RunControl::default())?;
+        count_kmers_controlled(reads, config, &unbounded, &RunControl::default())?;
     Ok((counted, stats))
 }
 
@@ -120,13 +120,10 @@ pub fn count_kmers(
 /// overflow it (external-memory counting; see `pakman/spill.rs`).
 ///
 /// The same counter as [`count_kmers`] (module docs: wave → fold → evict →
-/// finish), so the counted stream is **bit-identical** to it at any budget,
-/// thread count or partition count; only the [`SpillTelemetry`] varies. A
-/// budget the workload never overflows creates no spill directory and
-/// finishes from memory like the unbounded run.
-///
-/// `partitions` is the owner-hash disk-partition count, normally the shard
-/// count, so spill files align with shard ownership.
+/// finish), so the counted stream is **bit-identical** to it at any budget or
+/// thread count; only the [`SpillTelemetry`] varies. Every evicted run goes to
+/// one temporary run file. A budget the workload never overflows creates no
+/// spill directory and finishes from memory like the unbounded run.
 ///
 /// # Errors
 ///
@@ -138,7 +135,6 @@ pub fn count_kmers_spilled(
     reads: &[SequencingRead],
     config: KmerCounterConfig,
     spill: &SpillConfig,
-    partitions: usize,
 ) -> Result<(Vec<CountedKmer>, KmerCountStats, SpillTelemetry), PakmanError> {
     if !spill.is_bounded() {
         return Err(PakmanError::InvalidConfig {
@@ -146,7 +142,7 @@ pub fn count_kmers_spilled(
         });
     }
     let (counted, stats, telemetry) =
-        count_kmers_controlled(reads, config, spill, partitions, &RunControl::default())?;
+        count_kmers_controlled(reads, config, spill, &RunControl::default())?;
     let telemetry = telemetry.expect("a bounded run reports its telemetry");
     Ok((counted, stats, telemetry))
 }
@@ -163,17 +159,15 @@ pub(crate) fn count_kmers_controlled(
     reads: &[SequencingRead],
     config: KmerCounterConfig,
     spill: &SpillConfig,
-    partitions: usize,
     control: &RunControl<'_>,
 ) -> Result<(Vec<CountedKmer>, KmerCountStats, Option<SpillTelemetry>), PakmanError> {
     validate_counter_config(&config)?;
     spill.validate()?;
-    let partitions = partitions.max(1);
     let budget = match spill.max_resident_bytes {
         Some(bytes) => control.adopt(MemoryBudget::bounded(bytes)),
         None => MemoryBudget::unbounded(),
     };
-    let result = run_waves(reads, config, partitions, &budget, control, COUNT_GRAIN);
+    let result = run_waves(reads, config, &budget, control, COUNT_GRAIN);
     // Whatever is still charged (a finish from memory keeps its buckets
     // resident; error and cancellation paths abandon them) must not linger in a
     // chained global ledger after the local buffers are dropped.
@@ -185,7 +179,6 @@ pub(crate) fn count_kmers_controlled(
         runs_written: io.runs_written,
         merge_passes: io.merge_passes,
         peak_resident_bytes: budget.peak_bytes(),
-        partitions,
     });
     Ok((counted, stats, telemetry))
 }
@@ -210,7 +203,6 @@ fn validate_counter_config(config: &KmerCounterConfig) -> Result<(), PakmanError
 fn run_waves(
     reads: &[SequencingRead],
     config: KmerCounterConfig,
-    partitions: usize,
     budget: &MemoryBudget,
     control: &RunControl<'_>,
     grain: usize,
@@ -269,7 +261,7 @@ fn run_waves(
             group.iter_mut().for_each(|runs| merge_runs(runs, 1));
         });
         if budget.is_over() {
-            evict_largest(&mut resident, budget, half, &mut store, partitions)?;
+            evict_largest(&mut resident, budget, half, &mut store)?;
         }
     }
     if stats.total_kmers == 0 {
@@ -439,7 +431,6 @@ fn evict_largest(
     budget: &MemoryBudget,
     target: u64,
     store: &mut Option<SpillStore>,
-    partitions: usize,
 ) -> Result<(), PakmanError> {
     let len = |b: usize| resident[b].first().map_or(0, Vec::len);
     let mut order: Vec<usize> = (0..resident.len()).filter(|&b| len(b) > 0).collect();
@@ -460,7 +451,7 @@ fn evict_largest(
     selected.sort_unstable();
     let store = match store {
         Some(store) => store,
-        None => store.insert(SpillStore::create(partitions)?),
+        None => store.insert(SpillStore::create()?),
     };
     let runs: Vec<&Vec<u64>> = selected.iter().map(|&b| &resident[b][0]).collect();
     store.flush_buckets(&runs)?;
@@ -569,7 +560,7 @@ fn count_merged(a: &[u64], b: &[u64], out: &mut Emitter) {
 
 /// Finish once anything was evicted: what is still resident — one run per
 /// bucket, ascending — is flushed too, so the last merge has a single source of
-/// truth, and the k-way merge of the run files streams every value, in
+/// truth, and the k-way merge of the spilled runs streams every value, in
 /// ascending order, into the run-length count.
 fn finish_spilled(
     resident: Vec<Vec<Vec<u64>>>,
@@ -587,49 +578,21 @@ fn finish_spilled(
     let (mut cursors, io, _store) = store.into_cursors(MERGE_FAN_IN)?;
     let mut emitter = Emitter::new(config);
     let mut current: Option<(u64, u32)> = None;
-    kway_merge(&mut cursors, |value| match &mut current {
-        Some((v, count)) if *v == value => *count += 1,
-        _ => {
-            if let Some((v, count)) = current.replace((value, 1)) {
-                emitter.emit(v, count);
+    kway_merge(&mut cursors, |value| {
+        match &mut current {
+            Some((v, count)) if *v == value => *count += 1,
+            _ => {
+                if let Some((v, count)) = current.replace((value, 1)) {
+                    emitter.emit(v, count);
+                }
             }
         }
+        Ok(())
     })?;
     if let Some((v, count)) = current {
         emitter.emit(v, count);
     }
     Ok((emitter, io))
-}
-
-/// Partitions the sorted counted stream by owner shard for owner-computes
-/// sharded construction: record `i` of the result's shard `s` is the `i`-th
-/// counted k-mer (in global ascending order) whose *prefix* (k-1)-mer —
-/// `packed >> 2`, the MacroNode that receives the k-mer's suffix extension — is
-/// owned by shard `s` under [`nmp_pak_genome::shard_of_packed`].
-///
-/// The partition is stable, so each per-shard stream is itself ascending and
-/// concatenating the streams in shard-merge order reproduces the global stream.
-/// Prefix-extension records (owned by the *suffix* (k-1)-mer's shard) are
-/// exchanged separately during construction — the construction-time equivalent
-/// of the compaction mailbox.
-pub fn partition_counted_by_owner(
-    counted: &[CountedKmer],
-    shard_count: usize,
-) -> Vec<Vec<CountedKmer>> {
-    let shards = shard_count.max(1);
-    let mut out: Vec<Vec<CountedKmer>> = Vec::with_capacity(shards);
-    // Size each stream in one counting pass so the scatter never reallocates.
-    let mut sizes = vec![0usize; shards];
-    for ck in counted {
-        sizes[nmp_pak_genome::shard_of_packed(ck.kmer.packed() >> 2, shards)] += 1;
-    }
-    for &size in &sizes {
-        out.push(Vec::with_capacity(size));
-    }
-    for ck in counted {
-        out[nmp_pak_genome::shard_of_packed(ck.kmer.packed() >> 2, shards)].push(*ck);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -743,7 +706,7 @@ mod tests {
             let budget = bound.map_or_else(MemoryBudget::unbounded, MemoryBudget::bounded);
             let control = RunControl::default();
             let (counted, stats, io) =
-                run_waves(&reads, config(threads), 3, &budget, &control, 1).unwrap();
+                run_waves(&reads, config(threads), &budget, &control, 1).unwrap();
             assert_eq!(io.runs_written > 0, bound.is_some(), "{bound:?}");
             (counted, stats)
         };
@@ -824,41 +787,6 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn owner_partition_is_a_stable_cover() {
-        let reads = reads_from(&["ACGTACGTACGTTTTACG", "GGGCCCAAATTTACGTAG"]);
-        let (counted, _) = count_kmers(
-            &reads,
-            KmerCounterConfig {
-                k: 7,
-                min_count: 1,
-                threads: 2,
-            },
-        )
-        .unwrap();
-        for shards in [1usize, 3, 8, 64] {
-            let parts = partition_counted_by_owner(&counted, shards);
-            assert_eq!(parts.len(), shards);
-            // Every stream is ascending and owned by its shard.
-            for (s, part) in parts.iter().enumerate() {
-                for pair in part.windows(2) {
-                    assert!(pair[0].kmer < pair[1].kmer);
-                }
-                for ck in part {
-                    assert_eq!(
-                        nmp_pak_genome::shard_of_packed(ck.kmer.packed() >> 2, shards),
-                        s
-                    );
-                }
-            }
-            // The streams cover the input exactly once.
-            let total: usize = parts.iter().map(Vec::len).sum();
-            assert_eq!(total, counted.len());
-        }
-        // One shard reproduces the input verbatim.
-        assert_eq!(partition_counted_by_owner(&counted, 1)[0], counted);
-    }
-
     /// Deterministic pseudo-random reads big enough to overflow tiny budgets.
     fn synthetic_reads(count: usize, len: usize, seed: u64) -> Vec<SequencingRead> {
         let bases = ['A', 'C', 'G', 'T'];
@@ -887,11 +815,10 @@ mod tests {
         };
         let (expected, expected_stats) = count_kmers(&reads, config).unwrap();
         let spill = SpillConfig::bounded(4 * 1024);
-        let (counted, stats, telemetry) = count_kmers_spilled(&reads, config, &spill, 8).unwrap();
+        let (counted, stats, telemetry) = count_kmers_spilled(&reads, config, &spill).unwrap();
         assert!(telemetry.bytes_spilled > 0, "{telemetry:?}");
         assert!(telemetry.merge_passes >= 1, "{telemetry:?}");
         assert!(telemetry.peak_resident_bytes > 0);
-        assert_eq!(telemetry.partitions, 8);
         assert_eq!(counted, expected);
         assert_eq!(stats, expected_stats);
     }
@@ -910,7 +837,7 @@ mod tests {
         assert_eq!(plan((1 << 18) - 90, config.threads, COUNT_GRAIN), 3);
         let (expected, expected_stats) = count_kmers(&reads, config).unwrap();
         let spill = SpillConfig::bounded(4 << 20);
-        let (counted, stats, telemetry) = count_kmers_spilled(&reads, config, &spill, 2).unwrap();
+        let (counted, stats, telemetry) = count_kmers_spilled(&reads, config, &spill).unwrap();
         assert!(telemetry.bytes_spilled > 0, "{telemetry:?}");
         assert_eq!(counted, expected);
         assert_eq!(stats, expected_stats);
@@ -926,7 +853,7 @@ mod tests {
         };
         let (expected, expected_stats) = count_kmers(&reads, config).unwrap();
         let (counted, stats, telemetry) =
-            count_kmers_spilled(&reads, config, &SpillConfig::bounded(1 << 20), 4).unwrap();
+            count_kmers_spilled(&reads, config, &SpillConfig::bounded(1 << 20)).unwrap();
         assert_eq!(telemetry.bytes_spilled, 0);
         assert_eq!(telemetry.merge_passes, 0);
         assert_eq!(counted, expected);
@@ -941,7 +868,7 @@ mod tests {
             min_count: 1,
             threads: 1,
         };
-        let err = count_kmers_spilled(&reads, config, &SpillConfig::in_memory(), 1).unwrap_err();
+        let err = count_kmers_spilled(&reads, config, &SpillConfig::in_memory()).unwrap_err();
         assert!(matches!(err, PakmanError::InvalidConfig { .. }), "{err}");
     }
 
@@ -958,12 +885,12 @@ mod tests {
         let created_before = STORES_CREATED.get();
         let unbounded = SpillConfig::in_memory();
         let (expected, expected_stats, telemetry) =
-            count_kmers_controlled(&reads, config, &unbounded, 4, &control).unwrap();
+            count_kmers_controlled(&reads, config, &unbounded, &control).unwrap();
         assert_eq!(telemetry, None);
         // 200 × 70 windows × 8 B = 112 000 B arrive in two waves of at most
         // 64 KiB and never overdraw 128 KiB.
         let roomy = SpillConfig::bounded(128 << 10);
-        let (counted, stats, telemetry) = count_kmers_spilled(&reads, config, &roomy, 4).unwrap();
+        let (counted, stats, telemetry) = count_kmers_spilled(&reads, config, &roomy).unwrap();
         assert_eq!(STORES_CREATED.get(), created_before);
         assert_eq!((counted, stats), (expected, expected_stats));
         assert_eq!(
@@ -974,12 +901,11 @@ mod tests {
                 runs_written: 0,
                 merge_passes: 0,
                 peak_resident_bytes: 112_000,
-                partitions: 4,
             }
         );
         // A budget the same reads overflow creates exactly one.
         let tight = SpillConfig::bounded(4 << 10);
-        let (_, _, telemetry) = count_kmers_spilled(&reads, config, &tight, 4).unwrap();
+        let (_, _, telemetry) = count_kmers_spilled(&reads, config, &tight).unwrap();
         assert!(telemetry.runs_written > 0, "{telemetry:?}");
         assert_eq!(STORES_CREATED.get(), created_before + 1);
     }
@@ -1050,11 +976,11 @@ mod tests {
         assert_eq!(stream, vec![(1, 156), (7, 160), (8, 160), (14, 160)]);
         assert_eq!(counted[1].kmer, Kmer::from_ascii("CG").unwrap());
         assert_eq!((stats.distinct_kmers, stats.pruned_kmers), (4, 0));
-        // The run files give the same stream: there the last run is closed by
+        // The spilled runs give the same stream: there the last run is closed by
         // the end of the merge, not by a bucket.
         let tight = SpillConfig::bounded(256);
         let (spilled, spilled_stats, telemetry) =
-            count_kmers_spilled(&reads, config, &tight, 2).unwrap();
+            count_kmers_spilled(&reads, config, &tight).unwrap();
         assert!(telemetry.runs_written > 0);
         assert_eq!((spilled, spilled_stats), (counted, stats));
     }
@@ -1072,28 +998,26 @@ mod tests {
         };
         // A run that spills: evictions and the last flush release as they go.
         let tight = SpillConfig::bounded(4 << 10);
-        let (_, _, telemetry) =
-            count_kmers_controlled(&reads, config, &tight, 2, &control).unwrap();
+        let (_, _, telemetry) = count_kmers_controlled(&reads, config, &tight, &control).unwrap();
         let telemetry = telemetry.unwrap();
         assert!(telemetry.bytes_spilled > 0);
         assert_eq!(global.used(), 0);
         assert_eq!(global.peak_bytes(), telemetry.peak_resident_bytes);
         // A run that never overflows finishes with every bucket still charged.
         let roomy = SpillConfig::bounded(1 << 20);
-        let (_, _, telemetry) =
-            count_kmers_controlled(&reads, config, &roomy, 2, &control).unwrap();
+        let (_, _, telemetry) = count_kmers_controlled(&reads, config, &roomy, &control).unwrap();
         assert_eq!(telemetry.unwrap().bytes_spilled, 0);
         assert_eq!(global.peak_bytes(), 200 * 70 * 8);
         assert_eq!(global.used(), 0);
         // A failure: no read is long enough to hold a k-mer.
         let short = reads_from(&["ACG", "TT"]);
-        let err = count_kmers_controlled(&short, config, &roomy, 2, &control).unwrap_err();
+        let err = count_kmers_controlled(&short, config, &roomy, &control).unwrap_err();
         assert!(matches!(err, PakmanError::EmptyInput { .. }), "{err}");
         assert_eq!(global.used(), 0);
         // A token cancelled before the first wave.
         let cancelled = RunControl::default().with_ledger(&global);
         cancelled.cancel.cancel();
-        let err = count_kmers_controlled(&reads, config, &tight, 2, &cancelled).unwrap_err();
+        let err = count_kmers_controlled(&reads, config, &tight, &cancelled).unwrap_err();
         assert!(matches!(err, PakmanError::Cancelled { .. }), "{err}");
         assert_eq!(global.used(), 0);
     }

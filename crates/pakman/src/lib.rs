@@ -66,7 +66,7 @@ pub mod trace;
 pub mod transfer;
 pub mod walk;
 
-pub use batch::{BatchAssembler, BatchAssemblyOutput, BatchPlan, BatchSchedule};
+pub use batch::{BatchAssembler, BatchAssemblyOutput, BatchSchedule};
 pub use compaction::{
     compact, compact_controlled, CompactionOutcome, CompactionProfile, CompactionStats,
     IterationProfile, IterationStats, SizeHistogram,

@@ -258,7 +258,7 @@ mod tests {
             };
             let (counted, _) = count_kmers(&reads, counter).unwrap();
             let spill = SpillConfig::bounded(1 << 20);
-            let (spilled, _, _) = count_kmers_spilled(&reads, counter, &spill, 2).unwrap();
+            let (spilled, _, _) = count_kmers_spilled(&reads, counter, &spill).unwrap();
             assert_eq!(spilled, counted);
             let config = PakmanConfig {
                 k: 17,

@@ -13,9 +13,9 @@
 //!   stable ownership hash [`nmp_pak_genome::shard_of_packed`]) plus the global
 //!   rank mapping that ties local slots back to the single-graph slot space, so
 //!   traces and statistics stay expressed in global slots;
-//! * [`ShardedGraph::from_counted_kmers`] — shard-parallel construction from
-//!   the owner-partitioned counted streams, with prefix-extension records
-//!   exchanged to their owner at build time (the construction-time mailbox);
+//! * [`ShardedGraph::from_counted_kmers`] — the single-graph build, then a
+//!   split that moves every node to its owner shard: the only place the owner
+//!   hash splits anything before compaction starts;
 //! * [`compact_sharded`] — Iterative Compaction with P1/P2/P3 running
 //!   per-shard and a batched, slot-ordered mailbox exchanged **once
 //!   per iteration** for cross-shard TransferNodes. The lock-step schedule has
@@ -30,10 +30,10 @@
 //! changes *where* work executes, never what it computes: contigs, statistics,
 //! and the recorded trace are bit-identical to the single-graph path at every
 //! shard count and thread count. The load-bearing facts are (1) ownership is a
-//! pure function of the (k-1)-mer, (2) each node is fully assembled on its
-//! owner (all of a key's extension contributions are routed there), (3) the
-//! mailbox is a stable partition of the canonical transfer stream, so
-//! per-destination delivery order equals the serial order, and (4) every
+//! pure function of the (k-1)-mer, (2) each node is the single build's node,
+//! moved whole to its owner, (3) the mailbox is a stable partition of the
+//! canonical transfer stream, so per-destination delivery order equals the
+//! serial order, and (4) every
 //! reduction (histogram, counts) is order-free and every ordered artifact
 //! (trace events, dirty set) is re-serialized from the canonical global-slot
 //! order.
@@ -67,11 +67,11 @@ use crate::compaction::{
 use crate::config::{PakmanConfig, ShardSchedule};
 use crate::control::RunControl;
 use crate::error::PakmanError;
-use crate::graph::{build_segment, PakGraph, Segment};
-use crate::kmer_count::{partition_counted_by_owner, CountedKmer};
+use crate::graph::PakGraph;
+use crate::kmer_count::CountedKmer;
 use crate::macronode::MacroNode;
 use crate::memory::MemoryBudget;
-use crate::par::{fork_join, plan, radix_sort_pairs, GRAIN};
+use crate::par::fork_join;
 use crate::transfer::{PostedTransfer, ShardMailbox, TransferNode};
 use nmp_pak_genome::{shard_of_packed, Kmer};
 use std::collections::VecDeque;
@@ -99,15 +99,13 @@ pub struct ShardedGraph {
 }
 
 impl ShardedGraph {
-    /// Builds the sharded graph from the sorted counted k-mer stream:
-    /// owner-partitioned per-shard streams, a construction-time exchange of
-    /// prefix-extension records to their owner shard, and one merge-scan build
-    /// per shard (contiguous groups of shards over up to `threads` chunks).
+    /// Builds the sharded graph from the sorted counted k-mer stream: the
+    /// single-graph build ([`PakGraph::from_counted_kmers`], on up to `threads`
+    /// chunks), then a split that moves every node to its owner shard.
     ///
-    /// Every node comes out bit-identical to [`PakGraph::from_counted_kmers`]'s
-    /// — all of a (k-1)-mer's extension contributions are routed to its owner —
-    /// and the global slot layout (ascending keys over the union) is identical
-    /// too. A shard count of 1 delegates to the single-graph builder outright.
+    /// Every node is therefore bit-identical to the single build's, and the
+    /// global slot layout is the single build's own. A shard count of 1 wraps
+    /// the single graph as is ([`ShardedGraph::from_single`]).
     ///
     /// More shards than MacroNodes is not an error: the surplus shards own zero
     /// nodes and the corresponding channels idle (zeros in
@@ -129,63 +127,8 @@ impl ShardedGraph {
         shard_count: usize,
         threads: usize,
     ) -> (ShardedGraph, usize) {
-        let shard_count = shard_count.max(1);
-        if shard_count == 1 {
-            let (graph, size_bytes) = PakGraph::from_counted_kmers_sized(counted, k, threads);
-            return (ShardedGraph::from_single(graph), size_bytes);
-        }
-        debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
-        let k1_len = k - 1;
-        let k1_shift = (2 * k1_len) as u32;
-        let k1_mask = (1u64 << k1_shift) - 1;
-
-        // Owner-partitioned suffix streams: counted k-mers grouped by the owner
-        // of their prefix (k-1)-mer (the node receiving the suffix extension).
-        let suffix_streams = partition_counted_by_owner(counted, shard_count);
-
-        // The construction-time exchange: prefix-extension records belong to
-        // the *suffix* (k-1)-mer's owner, which is in general a different shard
-        // than the k-mer's own — the same all-to-all pattern the compaction
-        // mailbox batches per iteration.
-        let mut sizes = vec![0usize; shard_count];
-        for ck in counted {
-            sizes[shard_of_packed(ck.kmer.packed() & k1_mask, shard_count)] += 1;
-        }
-        let mut jobs: Vec<Vec<(u64, u64)>> =
-            sizes.iter().map(|&size| Vec::with_capacity(size)).collect();
-        for ck in counted {
-            let packed = ck.kmer.packed();
-            let key = packed & k1_mask;
-            let record = (key << 2) | (packed >> k1_shift);
-            jobs[shard_of_packed(key, shard_count)].push((record, ck.count as u64));
-        }
-
-        // Shard-parallel build over contiguous groups of shards (the first group
-        // on the calling thread): each shard radix-sorts its received records
-        // and runs the single-graph merge-scan over its two streams.
-        let chunks = plan(counted.len(), threads, GRAIN);
-        let per_chunk = shard_count.div_ceil(chunks);
-        let parts = fork_join(
-            jobs.chunks_mut(per_chunk)
-                .zip(suffix_streams.chunks(per_chunk)),
-            |(records, suffixes)| -> Vec<Segment> {
-                let shards = records.iter_mut().zip(suffixes);
-                shards
-                    .map(|(records, suffixes)| {
-                        radix_sort_pairs(records, k1_shift + 2);
-                        build_segment(records, suffixes, k1_len)
-                    })
-                    .collect()
-            },
-        );
-
-        let mut shards = Vec::with_capacity(shard_count);
-        let mut size_bytes = 0usize;
-        for part in parts.into_iter().flatten() {
-            size_bytes += part.size_bytes;
-            shards.push(PakGraph::from_parts(part.keys, part.slots, k));
-        }
-        (ShardedGraph::from_shards(shards, k), size_bytes)
+        let (graph, size_bytes) = PakGraph::from_counted_kmers_sized(counted, k, threads);
+        (ShardedGraph::split(graph, shard_count), size_bytes)
     }
 
     /// Wraps an already-built single graph as a one-shard sharded graph (the
@@ -204,36 +147,48 @@ impl ShardedGraph {
         }
     }
 
-    /// Assembles the global rank mapping over per-shard graphs (ascending
-    /// merge of the per-shard key sequences).
-    fn from_shards(shards: Vec<PakGraph>, k: usize) -> ShardedGraph {
-        let total: usize = shards.iter().map(PakGraph::slot_count).sum();
-        debug_assert!(total <= u32::MAX as usize);
-        // Merge the per-shard key sequences into the global ascending order by
-        // radix-sorting (key, shard/local) pairs — keys are globally unique, so
-        // this is a total order and runs in O(total) passes.
-        let key_bits = (2 * (k - 1)) as u32;
-        let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(total);
-        for (shard, graph) in shards.iter().enumerate() {
-            for (local, &key) in graph.slot_keys().iter().enumerate() {
-                pairs.push((key, ((shard as u64) << 32) | local as u64));
-            }
+    /// Splits a built graph into `shard_count` owner shards: each slot moves
+    /// to [`shard_of_packed`] of its key, in slot order, so every shard's local
+    /// slots ascend and the global mapping is the graph's own slot layout.
+    fn split(graph: PakGraph, shard_count: usize) -> ShardedGraph {
+        let shard_count = shard_count.max(1);
+        if shard_count == 1 {
+            return ShardedGraph::from_single(graph);
         }
-        radix_sort_pairs(&mut pairs, key_bits);
-        let mut global_keys = Vec::with_capacity(total);
-        let mut route = Vec::with_capacity(total);
-        let mut global_slots: Vec<Vec<u32>> = shards
+        let k = graph.k();
+        let global_keys = graph.slot_keys().to_vec();
+        debug_assert!(global_keys.len() <= u32::MAX as usize);
+        let mut sizes = vec![0u32; shard_count];
+        let route: Vec<(u32, u32)> = global_keys
             .iter()
-            .map(|g| Vec::with_capacity(g.slot_count()))
+            .map(|&key| {
+                let shard = shard_of_packed(key, shard_count);
+                sizes[shard] += 1;
+                (shard as u32, sizes[shard] - 1)
+            })
             .collect();
-        for &(key, packed_route) in &pairs {
-            let shard = (packed_route >> 32) as usize;
-            let local = packed_route as u32;
-            global_slots[shard].push(global_keys.len() as u32);
-            route.push((shard as u32, local));
-            global_keys.push(key);
+        // Sized by the routing pass above, so no per-shard vector reallocates.
+        fn per_shard<T>(sizes: &[u32]) -> Vec<Vec<T>> {
+            sizes
+                .iter()
+                .map(|&n| Vec::with_capacity(n as usize))
+                .collect()
         }
-        debug_assert!(global_keys.windows(2).all(|w| w[0] < w[1]));
+        let mut keys: Vec<Vec<u64>> = per_shard(&sizes);
+        let mut slots: Vec<Vec<Option<MacroNode>>> = per_shard(&sizes);
+        let mut global_slots: Vec<Vec<u32>> = per_shard(&sizes);
+        let moves = graph.into_slots().into_iter().zip(&global_keys).zip(&route);
+        for (global, ((node, &key), &(shard, _))) in moves.enumerate() {
+            let shard = shard as usize;
+            keys[shard].push(key);
+            slots[shard].push(node);
+            global_slots[shard].push(global as u32);
+        }
+        let shards = keys
+            .into_iter()
+            .zip(slots)
+            .map(|(keys, slots)| PakGraph::from_parts(keys, slots, k))
+            .collect();
         ShardedGraph {
             shards,
             global_keys,
@@ -617,7 +572,8 @@ impl NodeStore for Lockstep<'_> {
         transfer: TransferNode,
     ) -> Option<bool> {
         let src = self.sharded.shard_of_global(source);
-        let dst = self.mailbox.enter(src, &transfer);
+        let dst = shard_of_packed(transfer.destination.packed(), self.sharded.shard_count());
+        self.mailbox.enter(src, dst, &transfer);
         let global = dest?;
         let (shard, local) = self.sharded.locate(global);
         debug_assert_eq!(shard, dst);
@@ -1410,6 +1366,7 @@ mod tests {
     use super::*;
     use crate::compaction::{compact, CompactionScratch};
     use crate::kmer_count::{count_kmers, KmerCounterConfig};
+    use crate::par::{plan, GRAIN};
     use crate::test_util::reads_for;
     use crate::walk::generate_contigs;
 
@@ -1463,8 +1420,8 @@ mod tests {
     #[test]
     fn construction_and_lockstep_phases_agree_across_chunk_counts() {
         // 20 kbp at `min_count = 1` is two construction grains, so `threads = 4`
-        // builds the shards in two groups; the lock-step phases take the chunk
-        // count as an argument.
+        // builds the graph on two chunks before the split; the lock-step phases
+        // take the chunk count as an argument.
         let reads = reads_for(20_000, 15.0, 0x5A4E);
         let config = KmerCounterConfig {
             k: 17,
@@ -1544,14 +1501,8 @@ mod tests {
     fn a_destination_retired_beside_its_source_is_dropped_under_every_store() {
         use crate::trace::{TransferEvent, UpdateEvent};
         let nodes = asymmetric_nodes();
-        let sharded_over = |shards: usize| {
-            let mut parts: Vec<Vec<MacroNode>> = vec![Vec::new(); shards];
-            for node in &nodes {
-                parts[node.owner_shard(shards)].push(node.clone());
-            }
-            let graphs = parts.into_iter().map(|part| PakGraph::from_nodes(part, 5));
-            ShardedGraph::from_shards(graphs.collect(), 5)
-        };
+        let sharded_over =
+            |shards: usize| ShardedGraph::split(PakGraph::from_nodes(nodes.clone(), 5), shards);
         for record_trace in [true, false] {
             let config = PakmanConfig {
                 k: 5,

@@ -1,4 +1,4 @@
-//! The run files of the bucket-major k-mer counter (its external memory).
+//! The run file of the bucket-major k-mer counter (its external memory).
 //!
 //! When [`crate::kmer_count`]'s wave loop overdraws a
 //! [`crate::config::SpillConfig`] byte budget, it evicts its largest resident
@@ -12,21 +12,17 @@
 //!
 //! # On-disk format
 //!
-//! A `SpillStore` owns one temporary directory holding one file per **disk
-//! partition**. A k-mer belongs to the partition of its *owner* (k-1)-mer under
-//! the frozen [`nmp_pak_genome::shard_of_packed`] hash — the same hash that
-//! assigns MacroNodes to shards — so spill partitions align with shard
-//! ownership for free (partition `p` holds exactly the k-mers shard `p` will
-//! consume during construction). Each partition file is a sequence of
-//! self-framing runs:
+//! A `SpillStore` owns one temporary directory holding one run file. Every
+//! eviction and every intermediate merge appends one self-framing run to it:
 //!
 //! ```text
 //! run := count: u64 LE | count × (packed k-mer: u64 LE, ascending)
 //! ```
 //!
-//! Framing is validated on read-back: a header that overruns the file, a short
-//! read, or an out-of-order value yields [`PakmanError::Spill`] instead of a
-//! silently wrong assembly.
+//! The store keeps each run's offset and length; framing is validated against
+//! them on read-back: a header that disagrees with its run or overruns the
+//! file, a short read, or an out-of-order value yields [`PakmanError::Spill`]
+//! instead of a silently wrong assembly.
 
 use crate::error::PakmanError;
 use std::collections::BinaryHeap;
@@ -42,10 +38,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct SpillTelemetry {
     /// The configured resident-byte budget.
     pub budget_bytes: u64,
-    /// Total bytes written to spill files, including intermediate merge-pass
+    /// Total bytes written to the spill file, including intermediate merge-pass
     /// output (0 when the workload fit the budget).
     pub bytes_spilled: u64,
-    /// Number of sorted runs written across all partitions.
+    /// Number of sorted runs written, merged runs included.
     pub runs_written: u64,
     /// k-way merge passes over spilled runs: intermediate fan-in reductions
     /// plus the final fused count+prune pass (0 when nothing spilled).
@@ -53,15 +49,11 @@ pub struct SpillTelemetry {
     /// High-water mark of resident extracted k-mer bytes, as accounted by the
     /// counter's [`crate::memory::MemoryBudget`].
     pub peak_resident_bytes: u64,
-    /// Number of owner-hash disk partitions (the shard count).
-    pub partitions: usize,
 }
 
-/// One sorted run inside a partition file.
+/// One sorted run inside the run file.
 #[derive(Debug, Clone)]
 pub(crate) struct Run {
-    partition: usize,
-    path: PathBuf,
     /// Byte offset of the run header within the file.
     offset: u64,
     /// Number of packed k-mers in the run.
@@ -76,7 +68,7 @@ pub(crate) struct SpillIoStats {
     pub(crate) merge_passes: u32,
 }
 
-/// Sorted runs fused per k-way merge pass during read-back; a partition holding
+/// Sorted runs fused per k-way merge pass during read-back; a store holding
 /// more is reduced by intermediate passes first. Wide enough that a toy
 /// workload merges in one pass, narrow enough that cursor buffers stay
 /// cache-friendly.
@@ -99,28 +91,20 @@ fn io_err(context: &str, path: &Path, err: std::io::Error) -> PakmanError {
     }
 }
 
-/// The owner-hash disk partition of a packed k-mer: the shard of its prefix
-/// (k-1)-mer, exactly as [`crate::kmer_count::partition_counted_by_owner`]
-/// assigns counted k-mers to shards.
-#[inline]
-fn partition_of(packed: u64, partitions: usize) -> usize {
-    nmp_pak_genome::shard_of_packed(packed >> 2, partitions)
-}
-
-/// A temporary on-disk store of sorted spill runs, one file per owner-hash
-/// partition. The backing directory is removed when the store is dropped.
+/// A temporary on-disk store of sorted spill runs, all in one file. The
+/// backing directory is removed when the store is dropped.
 #[derive(Debug)]
 pub(crate) struct SpillStore {
     dir: PathBuf,
-    partitions: usize,
+    /// The run file every run is appended to.
+    path: PathBuf,
     runs: Vec<Run>,
     io: SpillIoStats,
 }
 
 impl SpillStore {
     /// Creates the store's temporary directory under [`std::env::temp_dir`].
-    pub(crate) fn create(partitions: usize) -> Result<SpillStore, PakmanError> {
-        let partitions = partitions.max(1);
+    pub(crate) fn create() -> Result<SpillStore, PakmanError> {
         let dir = std::env::temp_dir().join(format!(
             "nmp-pak-spill-{}-{}",
             std::process::id(),
@@ -130,21 +114,16 @@ impl SpillStore {
         #[cfg(test)]
         STORES_CREATED.with(|created| created.set(created.get() + 1));
         Ok(SpillStore {
+            path: dir.join("runs"),
             dir,
-            partitions,
             runs: Vec::new(),
             io: SpillIoStats::default(),
         })
     }
 
-    fn partition_path(&self, partition: usize) -> PathBuf {
-        self.dir.join(format!("part-{partition}.runs"))
-    }
-
     /// Flushes one spill event: the selected resident buckets, which the caller
     /// passes **in ascending bucket order** so their concatenation is one
-    /// globally sorted stream. The stream is split by owner hash and appended
-    /// to each partition file as one new sorted run.
+    /// globally sorted stream, appended to the run file as one new run.
     pub(crate) fn flush_buckets(&mut self, buckets: &[&Vec<u64>]) -> Result<(), PakmanError> {
         debug_assert!(
             buckets
@@ -152,136 +131,71 @@ impl SpillStore {
                 .all(|w| w[0].last().zip(w[1].first()).is_none_or(|(a, b)| a <= b)),
             "flushed buckets must arrive in ascending value order"
         );
-        let mut sizes = vec![0u64; self.partitions];
-        for bucket in buckets {
-            for &value in bucket.iter() {
-                sizes[partition_of(value, self.partitions)] += 1;
-            }
-        }
-        for (partition, &size) in sizes.iter().enumerate() {
-            if size == 0 {
-                continue;
-            }
-            let path = self.partition_path(partition);
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| io_err("opening spill partition", &path, e))?;
-            let offset = file
-                .metadata()
-                .map_err(|e| io_err("inspecting spill partition", &path, e))?
-                .len();
-            let mut writer = BufWriter::new(file);
+        let len = buckets.iter().map(|bucket| bucket.len() as u64).sum();
+        self.append_run(len, |put| {
+            buckets
+                .iter()
+                .flat_map(|bucket| bucket.iter())
+                .try_for_each(|&value| put(value))
+        })
+    }
+
+    /// Appends one run of `len` values to the run file: its header, then the
+    /// values `fill` feeds to `put`, in ascending order.
+    fn append_run(
+        &mut self,
+        len: u64,
+        fill: impl FnOnce(&mut dyn FnMut(u64) -> Result<(), PakmanError>) -> Result<(), PakmanError>,
+    ) -> Result<(), PakmanError> {
+        let path = &self.path;
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| io_err("opening spill file", path, e))?;
+        let offset = file
+            .metadata()
+            .map_err(|e| io_err("inspecting spill file", path, e))?
+            .len();
+        let mut writer = BufWriter::new(file);
+        let mut put = |value: u64| {
             writer
-                .write_all(&size.to_le_bytes())
-                .map_err(|e| io_err("writing run header to", &path, e))?;
-            for bucket in buckets {
-                for &value in bucket.iter() {
-                    if partition_of(value, self.partitions) == partition {
-                        writer
-                            .write_all(&value.to_le_bytes())
-                            .map_err(|e| io_err("writing run to", &path, e))?;
-                    }
-                }
-            }
-            writer
-                .flush()
-                .map_err(|e| io_err("flushing run to", &path, e))?;
-            self.runs.push(Run {
-                partition,
-                path,
-                offset,
-                len: size,
-            });
-            self.io.runs_written += 1;
-            self.io.bytes_spilled += 8 + size * 8;
-        }
+                .write_all(&value.to_le_bytes())
+                .map_err(|e| io_err("writing spill run to", path, e))
+        };
+        put(len)?;
+        fill(&mut put)?;
+        writer
+            .flush()
+            .map_err(|e| io_err("flushing spill run to", path, e))?;
+        self.runs.push(Run { offset, len });
+        self.io.runs_written += 1;
+        self.io.bytes_spilled += 8 + len * 8;
         Ok(())
     }
 
-    /// Reduces every partition to at most `fan_in` runs by k-way merging its
-    /// oldest runs into new (still sorted, still partition-local) runs appended
-    /// to the same file. Intermediate merges never count or prune — only the
-    /// final fused pass does — so duplicates survive until then and the counted
-    /// output cannot depend on how many passes ran.
+    /// Reduces the store to at most `fan_in` runs by k-way merging its oldest
+    /// runs into new (still sorted) runs appended to the same file.
+    /// Intermediate merges never count or prune — only the final fused pass
+    /// does — so duplicates survive until then and the counted output cannot
+    /// depend on how many passes ran.
     fn reduce_runs(&mut self, fan_in: usize) -> Result<(), PakmanError> {
         let fan_in = fan_in.max(2);
-        for partition in 0..self.partitions {
-            loop {
-                let indices: Vec<usize> = self
-                    .runs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, run)| run.partition == partition)
-                    .map(|(i, _)| i)
-                    .take(fan_in)
-                    .collect();
-                if indices.len() < fan_in
-                    || self
-                        .runs
-                        .iter()
-                        .filter(|r| r.partition == partition)
-                        .count()
-                        <= fan_in
-                {
-                    break;
-                }
-                let merged_len: u64 = indices.iter().map(|&i| self.runs[i].len).sum();
-                let mut cursors = indices
-                    .iter()
-                    .map(|&i| RunCursor::open(&self.runs[i]))
-                    .collect::<Result<Vec<_>, _>>()?;
-
-                let path = self.partition_path(partition);
-                let file = OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .map_err(|e| io_err("opening spill partition", &path, e))?;
-                let offset = file
-                    .metadata()
-                    .map_err(|e| io_err("inspecting spill partition", &path, e))?
-                    .len();
-                let mut writer = BufWriter::new(file);
-                writer
-                    .write_all(&merged_len.to_le_bytes())
-                    .map_err(|e| io_err("writing run header to", &path, e))?;
-                let mut write_failure = None;
-                kway_merge(&mut cursors, |value| {
-                    if write_failure.is_none() {
-                        if let Err(e) = writer.write_all(&value.to_le_bytes()) {
-                            write_failure = Some(io_err("writing merged run to", &path, e));
-                        }
-                    }
-                })?;
-                if let Some(err) = write_failure {
-                    return Err(err);
-                }
-                writer
-                    .flush()
-                    .map_err(|e| io_err("flushing merged run to", &path, e))?;
-
-                // Retire the inputs (descending index so removals stay valid)
-                // and register the merged run at the back of the queue.
-                for &i in indices.iter().rev() {
-                    self.runs.remove(i);
-                }
-                self.runs.push(Run {
-                    partition,
-                    path,
-                    offset,
-                    len: merged_len,
-                });
-                self.io.runs_written += 1;
-                self.io.bytes_spilled += 8 + merged_len * 8;
-                self.io.merge_passes += 1;
-            }
+        while self.runs.len() > fan_in {
+            let oldest: Vec<Run> = self.runs.drain(..fan_in).collect();
+            let mut cursors = oldest
+                .iter()
+                .map(|run| RunCursor::open(&self.path, run))
+                .collect::<Result<Vec<_>, _>>()?;
+            let merged_len = oldest.iter().map(|run| run.len).sum();
+            self.append_run(merged_len, |put| kway_merge(&mut cursors, put))?;
+            self.io.merge_passes += 1;
         }
         Ok(())
     }
 
-    /// Opens cursors over every remaining run, reducing each partition to at
-    /// most `fan_in` runs first. The caller drives the final fused merge; the
+    /// Opens cursors over every remaining run, reducing the store to at most
+    /// `fan_in` runs first. The caller drives the final fused merge; the
     /// final pass is counted here so the telemetry always reports ≥ 1 pass when
     /// anything spilled.
     pub(crate) fn into_cursors(
@@ -293,7 +207,7 @@ impl SpillStore {
         let cursors = self
             .runs
             .iter()
-            .map(RunCursor::open)
+            .map(|run| RunCursor::open(&self.path, run))
             .collect::<Result<Vec<_>, _>>()?;
         let io = self.io;
         // Hand the store back so its directory outlives the cursors.
@@ -318,28 +232,29 @@ pub(crate) struct RunCursor {
 }
 
 impl RunCursor {
-    /// Opens the run, validating its header against the descriptor and the
-    /// file's actual size.
-    pub(crate) fn open(run: &Run) -> Result<RunCursor, PakmanError> {
-        let file = File::open(&run.path).map_err(|e| io_err("opening spill run", &run.path, e))?;
+    /// Opens `run` in the run file at `path`, validating its header against
+    /// the descriptor and the file's actual size.
+    pub(crate) fn open(path: &Path, run: &Run) -> Result<RunCursor, PakmanError> {
+        let file = File::open(path).map_err(|e| io_err("opening spill run", path, e))?;
         let file_len = file
             .metadata()
-            .map_err(|e| io_err("inspecting spill run", &run.path, e))?
+            .map_err(|e| io_err("inspecting spill run", path, e))?
             .len();
         let mut reader = BufReader::with_capacity(16 * 1024, file);
         reader
             .seek(SeekFrom::Start(run.offset))
-            .map_err(|e| io_err("seeking spill run in", &run.path, e))?;
+            .map_err(|e| io_err("seeking spill run in", path, e))?;
         let mut header = [0u8; 8];
         reader
             .read_exact(&mut header)
-            .map_err(|e| io_err("reading run header from", &run.path, e))?;
+            .map_err(|e| io_err("reading run header from", path, e))?;
         let count = u64::from_le_bytes(header);
         if count != run.len {
             return Err(PakmanError::Spill {
                 message: format!(
-                    "corrupt run header in {}: expected {} k-mers, found {count}",
-                    run.path.display(),
+                    "corrupt run header in {} at byte {}: expected {} k-mers, found {count}",
+                    path.display(),
+                    run.offset,
                     run.len
                 ),
             });
@@ -349,13 +264,13 @@ impl RunCursor {
             return Err(PakmanError::Spill {
                 message: format!(
                     "truncated spill run in {}: needs {end} bytes, file has {file_len}",
-                    run.path.display()
+                    path.display()
                 ),
             });
         }
         Ok(RunCursor {
             reader,
-            path: run.path.clone(),
+            path: path.to_path_buf(),
             remaining: count,
             last: None,
         })
@@ -388,11 +303,12 @@ impl RunCursor {
 }
 
 /// K-way merges the sorted cursors, feeding the globally ascending value
-/// stream to `emit`. Ties are broken by cursor index, which only affects the
-/// order duplicates are emitted in — invisible after run-length counting.
+/// stream to `emit` and stopping at the first error either side returns.
+/// Ties are broken by cursor index, which only affects the order duplicates
+/// are emitted in — invisible after run-length counting.
 pub(crate) fn kway_merge(
     cursors: &mut [RunCursor],
-    mut emit: impl FnMut(u64),
+    mut emit: impl FnMut(u64) -> Result<(), PakmanError>,
 ) -> Result<(), PakmanError> {
     let mut heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
         BinaryHeap::with_capacity(cursors.len());
@@ -402,7 +318,7 @@ pub(crate) fn kway_merge(
         }
     }
     while let Some(std::cmp::Reverse((value, i))) = heap.pop() {
-        emit(value);
+        emit(value)?;
         if let Some(next) = cursors[i].next()? {
             heap.push(std::cmp::Reverse((next, i)));
         }
@@ -422,19 +338,29 @@ mod tests {
 
     fn drain(cursors: &mut [RunCursor]) -> Result<Vec<u64>, PakmanError> {
         let mut out = Vec::new();
-        kway_merge(cursors, |v| out.push(v))?;
+        kway_merge(cursors, |v| {
+            out.push(v);
+            Ok(())
+        })?;
         Ok(out)
+    }
+
+    /// Overwrites the header of `run` in the store's run file with `count`.
+    fn write_header(store: &SpillStore, run: &Run, count: u64) {
+        let mut file = OpenOptions::new().write(true).open(&store.path).unwrap();
+        file.seek(SeekFrom::Start(run.offset)).unwrap();
+        file.write_all(&count.to_le_bytes()).unwrap();
     }
 
     #[test]
     fn round_trips_one_flush_through_the_merge() {
-        let mut store = SpillStore::create(4).unwrap();
+        let mut store = SpillStore::create().unwrap();
         let bucket = sorted_bucket(&[9, 1, 5, 5, 3, 7, 1]);
         store.flush_buckets(&[&bucket]).unwrap();
-        assert!(!store.runs.is_empty());
+        assert_eq!(store.runs.len(), 1);
         let (mut cursors, io, _store) = store.into_cursors(16).unwrap();
         assert_eq!(io.merge_passes, 1);
-        assert!(io.bytes_spilled > 0);
+        assert_eq!(io.bytes_spilled, 8 + 7 * 8);
         assert_eq!(
             drain(&mut cursors).unwrap(),
             sorted_bucket(&[9, 1, 5, 5, 3, 7, 1])
@@ -442,12 +368,16 @@ mod tests {
     }
 
     #[test]
-    fn multiple_flushes_merge_back_sorted_across_partitions() {
-        let mut store = SpillStore::create(3).unwrap();
+    fn multiple_flushes_share_one_file_and_merge_back_sorted() {
+        let mut store = SpillStore::create().unwrap();
         for chunk in [[4u64, 40, 400], [2, 20, 200], [6, 60, 600]] {
             let bucket = sorted_bucket(&chunk);
             store.flush_buckets(&[&bucket]).unwrap();
         }
+        // Three runs back to back in the one file, each 8 header + 24 bytes.
+        let offsets: Vec<u64> = store.runs.iter().map(|run| run.offset).collect();
+        assert_eq!(offsets, [0, 32, 64]);
+        assert_eq!(std::fs::metadata(&store.path).unwrap().len(), 96);
         let (mut cursors, _, _store) = store.into_cursors(16).unwrap();
         let merged = drain(&mut cursors).unwrap();
         assert_eq!(merged, sorted_bucket(&[4, 40, 400, 2, 20, 200, 6, 60, 600]));
@@ -455,7 +385,7 @@ mod tests {
 
     #[test]
     fn narrow_fan_in_forces_intermediate_passes_without_changing_the_stream() {
-        let mut store = SpillStore::create(2).unwrap();
+        let mut store = SpillStore::create().unwrap();
         let mut expected = Vec::new();
         for i in 0..10u64 {
             let bucket = sorted_bucket(&[i, i + 100, i + 100, i + 200]);
@@ -473,56 +403,59 @@ mod tests {
     }
 
     #[test]
-    fn partitions_follow_the_owner_hash() {
-        let mut store = SpillStore::create(8).unwrap();
-        let bucket = sorted_bucket(&(0..500u64).map(|i| i * 97).collect::<Vec<_>>());
-        store.flush_buckets(&[&bucket]).unwrap();
-        for run in &store.runs {
-            let mut cursor = RunCursor::open(run).unwrap();
-            while let Some(value) = cursor.next().unwrap() {
-                assert_eq!(partition_of(value, 8), run.partition);
-            }
-        }
-    }
-
-    #[test]
     fn truncated_run_file_is_detected() {
-        let mut store = SpillStore::create(1).unwrap();
+        let mut store = SpillStore::create().unwrap();
         let bucket = sorted_bucket(&(0..64u64).collect::<Vec<_>>());
         store.flush_buckets(&[&bucket]).unwrap();
-        let run = store.runs[0].clone();
         // Chop the tail off the payload.
-        let file = OpenOptions::new().write(true).open(&run.path).unwrap();
+        let file = OpenOptions::new().write(true).open(&store.path).unwrap();
         file.set_len(8 + 16).unwrap();
-        let err = RunCursor::open(&run).unwrap_err();
+        let err = RunCursor::open(&store.path, &store.runs[0]).unwrap_err();
         assert!(matches!(err, PakmanError::Spill { .. }), "{err}");
         assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
     fn corrupt_header_is_detected() {
-        let mut store = SpillStore::create(1).unwrap();
+        let mut store = SpillStore::create().unwrap();
         let bucket = sorted_bucket(&[1, 2, 3]);
         store.flush_buckets(&[&bucket]).unwrap();
-        let run = store.runs[0].clone();
-        let mut file = OpenOptions::new().write(true).open(&run.path).unwrap();
-        file.seek(SeekFrom::Start(run.offset)).unwrap();
-        file.write_all(&u64::MAX.to_le_bytes()).unwrap();
-        let err = RunCursor::open(&run).unwrap_err();
+        write_header(&store, &store.runs[0], u64::MAX);
+        let err = RunCursor::open(&store.path, &store.runs[0]).unwrap_err();
         assert!(err.to_string().contains("corrupt run header"), "{err}");
     }
 
     #[test]
+    fn corrupt_header_of_an_inner_run_fails_the_read_back() {
+        // Three runs share the file; the middle header claims one k-mer more,
+        // which would read the last run's header as a value if the offsets
+        // and lengths the store keeps were not checked against it.
+        let mut store = SpillStore::create().unwrap();
+        for chunk in [[1u64, 2, 3], [4, 5, 6], [7, 8, 9]] {
+            store.flush_buckets(&[&chunk.to_vec()]).unwrap();
+        }
+        let middle = store.runs[1].clone();
+        write_header(&store, &middle, middle.len + 1);
+        let err = store.into_cursors(16).unwrap_err();
+        assert!(matches!(err, PakmanError::Spill { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains(&format!("at byte {}", middle.offset)),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn out_of_order_payload_is_detected() {
-        let mut store = SpillStore::create(1).unwrap();
+        let mut store = SpillStore::create().unwrap();
         let bucket = sorted_bucket(&[10, 20, 30]);
         store.flush_buckets(&[&bucket]).unwrap();
         let run = store.runs[0].clone();
         // Overwrite the middle value with something smaller than its predecessor.
-        let mut file = OpenOptions::new().write(true).open(&run.path).unwrap();
+        let mut file = OpenOptions::new().write(true).open(&store.path).unwrap();
         file.seek(SeekFrom::Start(run.offset + 8 + 8)).unwrap();
         file.write_all(&1u64.to_le_bytes()).unwrap();
-        let mut cursor = RunCursor::open(&run).unwrap();
+        let mut cursor = RunCursor::open(&store.path, &run).unwrap();
         assert_eq!(cursor.next().unwrap(), Some(10));
         let err = cursor.next().unwrap_err();
         assert!(err.to_string().contains("out of order"), "{err}");
@@ -530,7 +463,7 @@ mod tests {
 
     #[test]
     fn store_drop_removes_the_spill_directory() {
-        let store = SpillStore::create(2).unwrap();
+        let store = SpillStore::create().unwrap();
         let dir = store.dir.clone();
         assert!(dir.exists());
         drop(store);

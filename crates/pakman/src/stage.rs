@@ -216,9 +216,6 @@ impl<'r> Stage<&'r [SequencingRead]> for AccessStage {
 pub struct CountStage {
     config: KmerCounterConfig,
     spill: SpillConfig,
-    /// Owner-hash disk partitions for spill files: the shard count, so spilled
-    /// runs align with shard ownership.
-    partitions: usize,
 }
 
 impl CountStage {
@@ -227,7 +224,6 @@ impl CountStage {
         CountStage {
             config: KmerCounterConfig::from(config),
             spill: config.spill,
-            partitions: config.shards.shard_count.max(1),
         }
     }
 
@@ -243,13 +239,8 @@ impl CountStage {
         access: ReadAccess<'_>,
         control: &RunControl<'_>,
     ) -> Result<CountedBatch, PakmanError> {
-        let (counted, stats, spill) = count_kmers_controlled(
-            access.reads,
-            self.config,
-            &self.spill,
-            self.partitions,
-            control,
-        )?;
+        let (counted, stats, spill) =
+            count_kmers_controlled(access.reads, self.config, &self.spill, control)?;
         if counted.is_empty() {
             return Err(PakmanError::EmptyInput {
                 message: format!(
@@ -281,8 +272,8 @@ impl<'r> Stage<ReadAccess<'r>> for CountStage {
 }
 
 /// Step C: MacroNode construction and wiring (parallel single-pass build over the
-/// sorted counted stream; shard-parallel per-owner builds under sharded
-/// execution).
+/// sorted counted stream; under sharded execution the built graph is then
+/// split across its owner shards).
 #[derive(Debug, Clone, Copy)]
 pub struct ConstructStage {
     k: usize,

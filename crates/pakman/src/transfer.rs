@@ -233,16 +233,14 @@ impl ShardMailbox {
         self.lanes.fill((0, 0));
     }
 
-    /// Books `transfer`, sent by shard `src`, on the lane to its destination's
-    /// owner, and returns that owner.
-    pub(crate) fn enter(&mut self, src: usize, transfer: &TransferNode) -> usize {
+    /// Books `transfer`, sent by shard `src`, on the lane to shard `dst`, the
+    /// owner of its destination.
+    pub(crate) fn enter(&mut self, src: usize, dst: usize, transfer: &TransferNode) {
         let shards = self.inboxes.len();
-        debug_assert!(src < shards);
-        let dst = nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards);
+        debug_assert!(src < shards && dst < shards);
         let lane = &mut self.lanes[src * shards + dst];
         lane.0 += 1;
         lane.1 += transfer.size_bytes() as u64;
-        dst
     }
 
     /// The lanes with traffic this iteration: `(src, dst, transfers, payload
@@ -435,9 +433,8 @@ mod tests {
         let mut mailbox = ShardMailbox::new(shards);
         let post_all = |mailbox: &mut ShardMailbox| {
             for (i, (slot, transfer)) in stream.iter().enumerate() {
-                let dst = mailbox.enter(slot % shards, transfer);
-                let dest = &transfer.destination;
-                assert_eq!(nmp_pak_genome::shard_of_packed(dest.packed(), shards), dst);
+                let dst = nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards);
+                mailbox.enter(slot % shards, dst, transfer);
                 mailbox.post(dst, 100 + i, i, transfer.clone());
             }
         };

@@ -2,7 +2,7 @@
 //! `genome/tests/word_props.rs` (`proptest` is unavailable offline). Random
 //! read sets — lengths 0..=150, so some reads are shorter than k, with
 //! duplicated reads — are counted at every k in 2..=32 and `min_count` in
-//! 1..=3, across threads × memory bound × disk partitions, and every run must
+//! 1..=3, across threads × memory bound, and every run must
 //! equal a naive `BTreeMap` count built from direct per-position k-mer
 //! construction: the same stream, the same statistics, and (at `min_count = 1`)
 //! every extracted window accounted for.
@@ -127,22 +127,19 @@ fn every_bound_thread_count_and_partitioning_equals_the_naive_count() {
             // One read a wave; a few reads a wave; overflowing once or twice;
             // never overflowing.
             for bound in [64, 1024, input_bytes / 2 + 8, input_bytes + 64] {
-                for partitions in [1, 3, 8] {
-                    let spill = SpillConfig::bounded(bound);
-                    let got = count_kmers_spilled(&reads, config, &spill, partitions);
-                    if let Ok((_, _, telemetry)) = &got {
-                        assert_eq!(telemetry.partitions, partitions);
-                        assert_eq!(
-                            telemetry.bytes_spilled > 0,
-                            input_bytes > bound,
-                            "{what}: a run spills exactly when its input overflows {bound} B"
-                        );
-                    }
-                    check(
-                        got.map(|(counted, stats, _)| (counted, stats)),
-                        &format!("t{threads} {bound} B p{partitions}"),
+                let spill = SpillConfig::bounded(bound);
+                let got = count_kmers_spilled(&reads, config, &spill);
+                if let Ok((_, _, telemetry)) = &got {
+                    assert_eq!(
+                        telemetry.bytes_spilled > 0,
+                        input_bytes > bound,
+                        "{what}: a run spills exactly when its input overflows {bound} B"
                     );
                 }
+                check(
+                    got.map(|(counted, stats, _)| (counted, stats)),
+                    &format!("t{threads} {bound} B"),
+                );
             }
         }
     }

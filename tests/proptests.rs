@@ -3,13 +3,13 @@
 //! Not compiled offline (`proptest` is unavailable; see the root `Cargo.toml`).
 //! Properties are ported one by one to the seeded xorshift harness: k-mer
 //! window extraction and count conservation now live in
-//! `crates/pakman/tests/count_props.rs`, and `address_mapping_is_in_bounds` and
-//! `node_layout_is_disjoint` in `crates/memsim/tests/layout_props.rs`.
+//! `crates/pakman/tests/count_props.rs`, `address_mapping_is_in_bounds` and
+//! `node_layout_is_disjoint` in `crates/memsim/tests/layout_props.rs`, and
+//! `pakgraph_conserves_kmer_flow` in `crates/pakman/src/graph.rs`'s unit tests
+//! (`pakgraph_conserves_kmer_flow_and_splits_across_owner_shards`).
 
-use nmp_pak::genome::{DnaString, Kmer, SequencingRead};
+use nmp_pak::genome::{DnaString, Kmer};
 use nmp_pak::pakman::contig::n50;
-use nmp_pak::pakman::graph::PakGraph;
-use nmp_pak::pakman::kmer_count::{count_kmers, KmerCounterConfig};
 use nmp_pak::pakman::transfer::{TransferNode, TransferSide};
 use proptest::prelude::*;
 
@@ -47,34 +47,6 @@ proptest! {
             let kb = Kmer::from_ascii(&b).unwrap();
             let by_string = a.chars().map(code).collect::<Vec<_>>().cmp(&b.chars().map(code).collect::<Vec<_>>());
             prop_assert_eq!(ka.cmp(&kb), by_string);
-        }
-    }
-
-    /// MacroNode construction preserves k-mer flow: every counted k-mer contributes at
-    /// least its multiplicity to both sides of the graph, each node with flow on both
-    /// sides is internally balanced, and every (k-1)-mer of the read appears as a node.
-    #[test]
-    fn pakgraph_conserves_kmer_flow(text in dna_string_strategy(150)) {
-        prop_assume!(text.len() >= 8);
-        let reads = vec![SequencingRead::new("r", text.parse().unwrap())];
-        let k = 6;
-        let (counted, _) = count_kmers(&reads, KmerCounterConfig { k, min_count: 1, threads: 1 }).unwrap();
-        let total: u64 = counted.iter().map(|c| c.count as u64).sum();
-        let graph = PakGraph::from_counted_kmers(&counted, k, 1);
-        let prefix_flow: u64 = graph.iter_alive().map(|(_, n)| n.incoming_count() as u64).sum();
-        let suffix_flow: u64 = graph.iter_alive().map(|(_, n)| n.outgoing_count() as u64).sum();
-        // Read-boundary imbalance is wired through, so per-side flow can only grow.
-        prop_assert!(prefix_flow >= total.saturating_sub(counted.len() as u64));
-        prop_assert!(suffix_flow >= total.saturating_sub(counted.len() as u64));
-        for (_, node) in graph.iter_alive() {
-            if node.incoming_count() > 0 && node.outgoing_count() > 0 {
-                prop_assert_eq!(node.incoming_count(), node.outgoing_count());
-            }
-        }
-        // Every k-mer's prefix and suffix (k-1)-mers exist as nodes.
-        for ck in &counted {
-            prop_assert!(graph.contains(&ck.kmer.prefix_k1()));
-            prop_assert!(graph.contains(&ck.kmer.suffix_k1()));
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property tests for the word-parallel `DnaString` / `Kmer` primitives,
-//! hand-rolled over a seeded xorshift generator (the harness of
-//! `recipe/tests/grid_props.rs`; `proptest` is unavailable offline). Every
+//! hand-rolled over a seeded xorshift generator (`proptest` is unavailable
+//! offline). Every
 //! primitive is compared with a per-base reference for all lengths 0..=130 and
 //! all start offsets — across the inline/heap boundary at 64 bases and the
 //! 32-base word boundary, with unaligned sources and destinations — and every
@@ -75,6 +75,14 @@ fn slice_equals_the_per_base_window_at_every_offset_and_length() {
     for total in 0..=MAX_LEN {
         let bases = rng.bases(total);
         let dna = pushed(&bases);
+        // The whole string round-trips through ASCII, and its reverse
+        // complement is the per-base one and an involution.
+        let ascii: String = bases.iter().map(|b| b.to_char()).collect();
+        assert_eq!(dna.to_ascii(), ascii);
+        assert_eq!(DnaString::from_ascii(&ascii).unwrap(), dna);
+        let rc: Vec<Base> = bases.iter().rev().map(|b| b.complement()).collect();
+        assert_canonical(&dna.reverse_complement(), &rc, &format!("rc of {total}"));
+        assert_eq!(dna.reverse_complement().reverse_complement(), dna);
         for start in 0..=total {
             for len in 0..=total - start {
                 assert_canonical(
@@ -208,6 +216,13 @@ fn kmer_conversions_equal_their_per_base_references() {
                 let kmer = Kmer::from_dna(&dna, start, k).unwrap();
                 assert_eq!(kmer, Kmer::from_bases(window.iter().copied()).unwrap());
                 assert_eq!((0..k).map(|i| kmer.base(i)).collect::<Vec<_>>(), window);
+                assert_eq!(Kmer::from_ascii(&kmer.to_string()).unwrap(), kmer);
+                // The packed order is the per-base order (A < C < T < G, the
+                // shorter first on a tie), here against a random 1..=32-mer.
+                let other_k = 1 + (rng.next() % 32) as usize;
+                let other = rng.bases(other_k);
+                let other_kmer = Kmer::from_bases(other.iter().copied()).unwrap();
+                assert_eq!(kmer.cmp(&other_kmer), window.cmp(&other[..]));
                 assert_canonical(
                     &kmer.to_dna_string(),
                     window,

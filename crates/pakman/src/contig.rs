@@ -108,6 +108,27 @@ mod tests {
         let mut b = a;
         b.reverse();
         assert_eq!(n50(&a), n50(&b));
+
+        // 64 random sets of 1..=49 lengths in 1..10 000: N50 is one of the
+        // lengths, survives reversal, and the contigs at least that long hold
+        // half the bases. xorshift64*, the generator of `tests/count_props.rs`.
+        let mut state = 0x0005_0E50_u64;
+        let mut below = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            ((state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize) % bound
+        };
+        for _ in 0..64 {
+            let mut lengths: Vec<usize> = (0..1 + below(49)).map(|_| 1 + below(9_999)).collect();
+            let value = n50(&lengths);
+            assert!(lengths.contains(&value));
+            lengths.reverse();
+            assert_eq!(n50(&lengths), value);
+            let total: usize = lengths.iter().sum();
+            let covered: usize = lengths.iter().filter(|&&l| l >= value).sum();
+            assert!(covered * 2 >= total, "{lengths:?}");
+        }
     }
 
     #[test]

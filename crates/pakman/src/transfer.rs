@@ -399,6 +399,32 @@ mod tests {
                 );
             }
         }
+
+        // Random (k-1)-mers of 2..=31 bases with random 1..=70-base
+        // extensions. xorshift64*, the generator of `tests/count_props.rs`.
+        let mut state = 0x72AF_3E55_u64;
+        let mut below = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            ((state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize) % bound
+        };
+        for _ in 0..256 {
+            let [k1, p, s] = [2 + below(30), 1 + below(70), 1 + below(70)].map(|len| {
+                (0..len)
+                    .map(|_| "ACGT".as_bytes()[below(4)] as char)
+                    .collect::<String>()
+            });
+            let mut node = MacroNode::new(k(&k1));
+            node.push_path(ThroughPath::through(d(&p), d(&s), 3));
+            let path = &node.paths()[0];
+            let pair = TransferNode::extract_pair(&node, path);
+            assert_eq!(pair, TransferNode::extract_pair_spelled(&node, path));
+            let (pred, succ) = pair.unwrap();
+            let spelled = format!("{p}{k1}{s}");
+            assert_eq!(format!("{}{}", pred.destination, pred.new_ext), spelled);
+            assert_eq!(format!("{}{}", succ.new_ext, succ.destination), spelled);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The shipped recipes: the Fig. 12 backend sweep, the sharding scaling
-//! curve, the spill-budget curve, and the CI smoke grid.
+//! curve, the spill-budget curve, the multi-node projection, and the CI smoke
+//! sweep.
 //!
 //! The timing gates here are the repository's only CI floors: each threshold
 //! is a constant of its recipe (one set of thresholds, one code path — pinned
@@ -8,10 +9,8 @@
 //! run, append an ad-hoc gate (`experiments sweep smoke
 //! 'speedup.compaction>=1.5'`).
 
-use crate::axis::Axis;
 use crate::exec::metric;
 use crate::gate::{CellSelector, Gate};
-use crate::grid::{Filter, Grid};
 use crate::spec::{ScenarioSpec, ScheduleSpec};
 use crate::Recipe;
 use nmp_pak_core::backend::BackendId;
@@ -43,8 +42,7 @@ pub fn fig12() -> Recipe {
         description: "Backend sweep on one shared trace, normalized to the CPU baseline \
                       (paper Fig. 12)"
             .to_string(),
-        base: ScenarioSpec::default(),
-        grid: Grid::axis(Axis::backend(&[
+        cells: [
             BackendId::CPU_BASELINE_UNOPTIMIZED,
             BackendId::CPU_BASELINE,
             BackendId::GPU_BASELINE,
@@ -52,7 +50,12 @@ pub fn fig12() -> Recipe {
             BackendId::NMP_PAK,
             BackendId::NMP_IDEAL_PE,
             BackendId::NMP_IDEAL_FORWARDING,
-        ])),
+        ]
+        .map(|id| ScenarioSpec {
+            backend: Some(id),
+            ..ScenarioSpec::default()
+        })
+        .into(),
         gates: vec![
             // The baseline normalizes to exactly 1.0 against itself; anything
             // else indicates the shared-trace contract broke.
@@ -68,18 +71,21 @@ pub fn fig12() -> Recipe {
     }
 }
 
-/// The sharding scaling curve: shard counts up to the channel count (a filter
-/// drops the out-of-range point), gated on the measured mailbox telemetry and
-/// — via the bench probe — the sharding tax at one shard.
+/// The sharding scaling curve: shard counts up to the channel count, gated on
+/// the measured mailbox telemetry and — via the bench probe — the sharding tax
+/// at one shard.
 pub fn sharding() -> Recipe {
     Recipe {
         name: "sharding".to_string(),
         description: "Owner-computes sharded execution across shard counts, gated on \
                       mailbox telemetry and the one-shard overhead"
             .to_string(),
-        base: ScenarioSpec::default(),
-        grid: Grid::axis(Axis::shards(&[1, 2, 4, 8, 16]))
-            .filter(Filter::shards_at_most(ShardConfig::DEFAULT_CHANNELS)),
+        cells: [1, 2, 4, ShardConfig::DEFAULT_CHANNELS]
+            .map(|shards| ScenarioSpec {
+                shards,
+                ..ScenarioSpec::default()
+            })
+            .into(),
         gates: vec![
             Gate::at_least(metric::CROSS_SHARD_BYTES, 1.0).on(CellSelector::sharded()),
             // §6.3: at 8 shards the cross-shard fraction approaches 7/8.
@@ -108,12 +114,12 @@ pub fn spill() -> Recipe {
         description: "External-memory counting across resident-byte budgets, gated on \
                       spill telemetry and bounded-counting overhead"
             .to_string(),
-        base: ScenarioSpec::default(),
-        grid: Grid::axis(Axis::spill_budget(&[
-            None,
-            Some(CAPPED_FROM),
-            Some(64 * 1024),
-        ])),
+        cells: [None, Some(CAPPED_FROM), Some(64 * 1024)]
+            .map(|spill_budget| ScenarioSpec {
+                spill_budget,
+                ..ScenarioSpec::default()
+            })
+            .into(),
         gates: vec![
             Gate::at_least(metric::BYTES_SPILLED, 1.0).on(CellSelector::spilled()),
             Gate::at_least(metric::MERGE_PASSES, 1.0).on(CellSelector::spilled()),
@@ -135,14 +141,13 @@ pub fn multinode() -> Recipe {
         description: "Async vs lock-step shard scheduling at 8 shards, projected onto \
                       2/4/8-node clusters by the mailbox network model"
             .to_string(),
-        base: ScenarioSpec {
-            shards: 8,
-            ..ScenarioSpec::default()
-        },
-        grid: Grid::axis(Axis::shard_schedule(&[
-            ShardSchedule::Lockstep,
-            ShardSchedule::Async,
-        ])),
+        cells: [ShardSchedule::Lockstep, ShardSchedule::Async]
+            .map(|shard_schedule| ScenarioSpec {
+                shards: 8,
+                shard_schedule,
+                ..ScenarioSpec::default()
+            })
+            .into(),
         gates: vec![
             // The schedules are verified-equivalent, so assembly quality must
             // be identical cell to cell; N50 ≥ 1 keeps both producing contigs.
@@ -163,15 +168,20 @@ pub fn multinode() -> Recipe {
     }
 }
 
-/// The CI smoke grid: a tiny cross of threads × schedule exercising `cross`
-/// and `filter`, carrying the speedup floors against the vendored
-/// pre-refactor baselines as recipe gates (the bench probe computes the
-/// speedups).
+/// The CI smoke sweep: threads × schedule on a tiny genome, carrying the
+/// speedup floors against the vendored pre-refactor baselines as recipe gates
+/// (the bench probe computes the speedups).
 pub fn smoke() -> Recipe {
-    let base = ScenarioSpec {
+    let cell = |threads, schedule| ScenarioSpec {
         genome_length: 12_000,
         coverage: 15.0,
+        threads,
+        schedule,
         ..ScenarioSpec::default()
+    };
+    let pipelined = ScheduleSpec::Pipelined {
+        batch_fraction: 0.5,
+        depth: 2,
     };
     let full_run = CellSelector::custom("threads=4 single-batch", |s| {
         s.threads == 4 && !s.schedule.is_batched()
@@ -181,19 +191,13 @@ pub fn smoke() -> Recipe {
         description: "Tiny threads x schedule grid carrying the CI speedup floors as \
                       declarative gates"
             .to_string(),
-        base,
-        grid: Grid::axis(Axis::threads(&[1, 4]))
-            .cross(Grid::axis(Axis::batch_schedule(&[
-                ScheduleSpec::SingleBatch,
-                ScheduleSpec::Pipelined {
-                    batch_fraction: 0.5,
-                    depth: 2,
-                },
-            ])))
-            // Single-thread hosts gain nothing from pipelining; skip the cell.
-            .filter(Filter::new("skip single-thread pipelined", |s| {
-                s.threads > 1 || !s.schedule.is_batched()
-            })),
+        // No single-thread pipelined cell: pipelining overlaps batch fronts
+        // with backs on other threads, so at one thread it gains nothing.
+        cells: vec![
+            cell(1, ScheduleSpec::SingleBatch),
+            cell(4, ScheduleSpec::SingleBatch),
+            cell(4, pipelined),
+        ],
         gates: vec![
             Gate::at_least(metric::N50, 1.0),
             Gate::at_least(metric::SPEEDUP_COUNTING_PLUS_CONSTRUCTION, 1.3).on(full_run.clone()),
@@ -266,21 +270,74 @@ mod tests {
         assert!(!cap.matches(&with_budget(None)));
     }
 
+    /// The cells every recipe runs, in order, as `BENCH_sweep.json` labels
+    /// them: a change to any recipe's cell list shows here.
     #[test]
     fn every_named_recipe_resolves_and_enumerates() {
-        for name in names() {
+        let expected: [(&str, &[&str]); 5] = [
+            (
+                "smoke",
+                &[
+                    "g12000_x15_e0_sbe9c_k21_t1_sh1_single_mem_sw",
+                    "g12000_x15_e0_sbe9c_k21_t4_sh1_single_mem_sw",
+                    "g12000_x15_e0_sbe9c_k21_t4_sh1_pip0.5d2_mem_sw",
+                ],
+            ),
+            (
+                "fig12",
+                &[
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_cpu-baseline-unoptimized",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_cpu-baseline",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_gpu-baseline",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_cpu-pak",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_nmp-pak",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_nmp-ideal-pe",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_nmp-ideal-forwarding",
+                ],
+            ),
+            (
+                "sharding",
+                &[
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_sw",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh2_single_mem_sw",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh4_single_mem_sw",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh8_single_mem_sw",
+                ],
+            ),
+            (
+                "spill",
+                &[
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_mem_sw",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_b524288_sw",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh1_single_b65536_sw",
+                ],
+            ),
+            (
+                "multinode",
+                &[
+                    "g20000_x20_e0_sbe9c_k21_t4_sh8_single_mem_sw",
+                    "g20000_x20_e0_sbe9c_k21_t4_sh8async_single_mem_sw",
+                ],
+            ),
+        ];
+        assert_eq!(names().len(), expected.len());
+        for (name, (expected_name, labels)) in names().iter().zip(expected) {
+            assert_eq!(*name, expected_name);
             let recipe = by_name(name).unwrap();
             assert_eq!(&recipe.name, name);
-            let specs = recipe.scenarios().unwrap();
-            assert!(!specs.is_empty(), "recipe `{name}` enumerates no cells");
+            let got: Vec<String> = recipe.cells.iter().map(ScenarioSpec::label).collect();
+            assert_eq!(got, labels, "recipe `{name}`");
         }
         assert!(by_name("fig99").is_none());
     }
 
     #[test]
     fn fig12_enumerates_the_seven_standard_backends_in_order() {
-        let specs = fig12().scenarios().unwrap();
-        let ids: Vec<&str> = specs.iter().map(|s| s.backend.unwrap().as_str()).collect();
+        let ids: Vec<&str> = fig12()
+            .cells
+            .iter()
+            .map(|s| s.backend.unwrap().as_str())
+            .collect();
         assert_eq!(
             ids,
             vec![
@@ -296,15 +353,14 @@ mod tests {
     }
 
     #[test]
-    fn sharding_filter_drops_the_out_of_range_point() {
-        let specs = sharding().scenarios().unwrap();
-        let shards: Vec<usize> = specs.iter().map(|s| s.shards).collect();
-        assert_eq!(shards, vec![1, 2, 4, 8]);
+    fn sharding_runs_every_shard_count_up_to_the_channel_count() {
+        let shards: Vec<usize> = sharding().cells.iter().map(|s| s.shards).collect();
+        assert_eq!(shards, vec![1, 2, 4, ShardConfig::DEFAULT_CHANNELS]);
     }
 
     #[test]
     fn multinode_enumerates_both_schedules_at_eight_shards() {
-        let specs = multinode().scenarios().unwrap();
+        let specs = multinode().cells;
         let schedules: Vec<ShardSchedule> = specs.iter().map(|s| s.shard_schedule).collect();
         assert_eq!(
             schedules,
@@ -316,8 +372,8 @@ mod tests {
     }
 
     #[test]
-    fn smoke_filter_drops_single_thread_pipelined() {
-        let specs = smoke().scenarios().unwrap();
+    fn smoke_has_no_single_thread_pipelined_cell() {
+        let specs = smoke().cells;
         assert_eq!(specs.len(), 3);
         assert!(!specs
             .iter()

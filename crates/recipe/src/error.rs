@@ -1,18 +1,12 @@
-//! Errors surfaced by recipe composition and execution.
+//! Errors surfaced by recipe execution.
 
-use crate::axis::AxisKey;
 use nmp_pak_genome::GenomeError;
 use nmp_pak_pakman::PakmanError;
 
-/// Everything that can go wrong building or running a recipe.
+/// Everything that can go wrong running a recipe.
 #[derive(Debug)]
 pub enum RecipeError {
-    /// `cross` would bind the same knob twice in one cell.
-    DuplicateAxis {
-        /// The knob bound twice.
-        key: AxisKey,
-    },
-    /// Two cells materialize to the identical scenario.
+    /// The recipe lists the same cell twice.
     DuplicateCell {
         /// The colliding cell label.
         label: String,
@@ -38,11 +32,8 @@ pub enum RecipeError {
 impl std::fmt::Display for RecipeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecipeError::DuplicateAxis { key } => {
-                write!(f, "axis `{key}` is bound twice in one cell")
-            }
             RecipeError::DuplicateCell { label } => {
-                write!(f, "grid enumerates duplicate cell `{label}`")
+                write!(f, "recipe lists cell `{label}` twice")
             }
             RecipeError::UnknownBackend { id } => {
                 write!(f, "backend `{id}` is not in the standard registry")

@@ -170,8 +170,8 @@ pub trait MetricProbe {
     ) -> Vec<(String, f64)>;
 }
 
-/// Runs recipes: enumerates cells, executes them, computes metrics, and
-/// evaluates gates into a [`SweepReport`].
+/// Runs recipes: checks the cell list, executes every cell, computes metrics,
+/// and evaluates gates into a [`SweepReport`].
 pub struct Executor {
     probes: Vec<Box<dyn MetricProbe>>,
 }
@@ -193,12 +193,19 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Grid-composition errors, unsupported knob combinations (a backend on a
-    /// batched schedule), and workload/pipeline failures. Gate violations are
+    /// Before any cell runs: [`RecipeError::DuplicateCell`] when two cells
+    /// share a label, and [`RecipeError::UnsupportedCell`] for a backend on a
+    /// batched schedule. Then workload/pipeline failures. Gate violations are
     /// not errors — they are reported in the returned [`SweepReport`].
     pub fn run(&self, recipe: &Recipe) -> Result<SweepReport, RecipeError> {
-        let specs = recipe.scenarios()?;
-        for spec in &specs {
+        let specs = &recipe.cells;
+        let mut labels = std::collections::HashSet::with_capacity(specs.len());
+        for spec in specs {
+            if !labels.insert(spec.label()) {
+                return Err(RecipeError::DuplicateCell {
+                    label: spec.label(),
+                });
+            }
             if spec.backend.is_some() && spec.schedule.is_batched() {
                 return Err(RecipeError::UnsupportedCell {
                     label: spec.label(),
@@ -226,7 +233,7 @@ impl Executor {
         let mut baselines: Vec<(RunKey, BackendResult)> = Vec::new();
 
         let mut cells = Vec::with_capacity(specs.len());
-        for spec in &specs {
+        for spec in specs {
             let workload_index = workload_index(&mut workloads, spec)?;
             let run_key = RunKey::of(spec);
             let run_index = match runs.iter().position(|(k, _)| *k == run_key) {

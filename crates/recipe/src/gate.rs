@@ -6,7 +6,7 @@
 //! one run, append an ad-hoc gate on the `experiments sweep` command line.
 //!
 //! Gates fail loudly rather than silently vacuously: a selector matching zero
-//! cells fails, and a matched cell missing the metric fails.
+//! cells fails, and a matched cell missing the metric, or reading NaN, fails.
 
 use crate::exec::CellResult;
 use crate::spec::ScenarioSpec;
@@ -152,27 +152,31 @@ impl Gate {
 
     /// Evaluates the gate over the sweep's cells.
     pub fn evaluate(&self, cells: &[CellResult]) -> GateOutcome {
-        let threshold = self.threshold;
+        let outcome = |observed, cells_checked, passed, detail| GateOutcome {
+            description: self.describe(),
+            metric: self.metric.clone(),
+            threshold: self.threshold,
+            observed,
+            cells_checked,
+            passed,
+            detail,
+        };
         let matched: Vec<&CellResult> = cells
             .iter()
             .filter(|c| self.selector.matches(&c.spec))
             .collect();
         if matched.is_empty() {
-            return GateOutcome {
-                description: self.describe(),
-                metric: self.metric.clone(),
-                threshold,
-                observed: None,
-                cells_checked: 0,
-                passed: false,
-                detail: format!("no cells matched selector `{}`", self.selector.label()),
-            };
+            let detail = format!("no cells matched selector `{}`", self.selector.label());
+            return outcome(None, 0, false, detail);
         }
 
         let mut worst: Option<(f64, String)> = None;
-        let mut missing = Vec::new();
+        let (mut missing, mut nan) = (Vec::new(), Vec::new());
         for cell in &matched {
             match cell.metric(&self.metric) {
+                // A NaN compares false both ways, so it could neither become
+                // nor displace the worst value: it fails the gate outright.
+                Some(value) if value.is_nan() => nan.push(cell.label.clone()),
                 Some(value) => {
                     let is_worse = match (&worst, self.op) {
                         (None, _) => true,
@@ -186,37 +190,25 @@ impl Gate {
                 None => missing.push(cell.label.clone()),
             }
         }
-        if !missing.is_empty() {
-            return GateOutcome {
-                description: self.describe(),
-                metric: self.metric.clone(),
-                threshold,
-                observed: None,
-                cells_checked: matched.len(),
-                passed: false,
-                detail: format!(
-                    "metric `{}` missing on {} cell(s): {}",
+        for (labels, what) in [(missing, "missing"), (nan, "NaN")] {
+            if !labels.is_empty() {
+                let detail = format!(
+                    "metric `{}` {what} on {} cell(s): {}",
                     self.metric,
-                    missing.len(),
-                    missing.join(", ")
-                ),
-            };
+                    labels.len(),
+                    labels.join(", ")
+                );
+                return outcome(None, matched.len(), false, detail);
+            }
         }
 
         let (value, label) = worst.expect("matched cells is non-empty");
         let passed = match self.op {
-            GateOp::AtLeast => value >= threshold,
-            GateOp::AtMost => value <= threshold,
+            GateOp::AtLeast => value >= self.threshold,
+            GateOp::AtMost => value <= self.threshold,
         };
-        GateOutcome {
-            description: self.describe(),
-            metric: self.metric.clone(),
-            threshold,
-            observed: Some(value),
-            cells_checked: matched.len(),
-            passed,
-            detail: format!("worst cell `{label}`: {value}"),
-        }
+        let detail = format!("worst cell `{label}`: {value}");
+        outcome(Some(value), matched.len(), passed, detail)
     }
 }
 
@@ -229,7 +221,8 @@ pub struct GateOutcome {
     pub metric: String,
     /// The gate's threshold.
     pub threshold: f64,
-    /// The worst observed value across selected cells, when all were present.
+    /// The worst observed value across selected cells, when every one read a
+    /// number.
     pub observed: Option<f64>,
     /// Number of cells the selector matched.
     pub cells_checked: usize,

@@ -1,70 +1,49 @@
-//! Composable scenario-sweep recipes for the NMP-PaK reproduction.
+//! Scenario-sweep recipes for the NMP-PaK reproduction.
 //!
-//! The paper's evaluation is a cross-product of knobs — genome scale, k,
-//! shard count, backend, batch schedule — and this crate turns that product
-//! into data instead of hand-rolled loops:
+//! The paper's evaluation runs short, fixed lists of configurations — Fig.
+//! 12's backends, Fig. 15's PE counts, Table 1's batch sizes — and this crate
+//! turns such a list into data instead of a hand-rolled loop:
 //!
-//! * [`Axis`] — a named list of values for one knob (`threads`, `shards`,
-//!   `backend`, …).
-//! * [`Grid`] — composition: [`Grid::cross`] (cartesian product) and
-//!   [`Grid::filter`] (drop cells by predicate); a knob no axis binds keeps
-//!   the base scenario's value. Enumeration is deterministic and
-//!   duplicate-free.
 //! * [`ScenarioSpec`] — one fully-bound cell; its defaults mirror the
 //!   hand-rolled quick-scale figure drivers, so recipes are bit-identical to
 //!   the subcommands they replace.
+//! * [`Recipe`] — a named list of cells plus the gates they must satisfy.
+//!   Cells are built with ordinary Rust (`map`, `flat_map`, `filter` over
+//!   struct literals); the list order is the run and report order.
 //! * [`Gate`] — a declarative assertion (`speedup >= 1.3`) over selected
 //!   cells; the built-in recipes' timing gates are the repository's CI floors.
 //! * [`Executor`] — runs every cell through `PakmanAssembler`/`BatchAssembler`,
 //!   simulates requested backends on the recorded trace, and emits one
-//!   [`SweepReport`] (`BENCH_sweep.json`).
+//!   [`SweepReport`] (`BENCH_sweep.json`). It rejects a recipe that lists the
+//!   same cell twice before running anything.
 //!
 //! Shipped recipes live in [`builtin`]: `fig12`, `sharding`, `spill`,
-//! `multinode`, and the CI `smoke` grid.
+//! `multinode`, and the CI `smoke` sweep.
 
 #![warn(missing_docs)]
 
-pub mod axis;
 pub mod builtin;
-pub mod error;
-pub mod exec;
-pub mod gate;
-pub mod grid;
-pub mod report;
-pub mod spec;
+mod error;
+mod exec;
+mod gate;
+mod report;
+mod spec;
 
-pub use axis::{Axis, AxisKey, Setting};
 pub use error::RecipeError;
 pub use exec::{metric, CellOutput, CellResult, Executor, MetricProbe};
 pub use gate::{CellSelector, Gate, GateOp, GateOutcome};
-pub use grid::{Filter, Grid};
 pub use report::SweepReport;
 pub use spec::{ScenarioSpec, ScheduleSpec, WorkloadKey};
 
-/// A named sweep: a base scenario, a grid of cells over it, and the gates the
-/// sweep must satisfy.
+/// A named sweep: the cells to run, in order, and the gates they must satisfy.
 #[derive(Debug, Clone)]
 pub struct Recipe {
     /// Recipe name (the `experiments sweep <name>` argument).
     pub name: String,
     /// One-line description for reports.
     pub description: String,
-    /// The scenario every cell starts from; unbound knobs keep these values.
-    pub base: ScenarioSpec,
-    /// The grid of cells.
-    pub grid: Grid,
+    /// The cells, in run and report order. Each label may appear once.
+    pub cells: Vec<ScenarioSpec>,
     /// The declarative assertions evaluated over the executed cells.
     pub gates: Vec<Gate>,
-}
-
-impl Recipe {
-    /// Deterministically enumerates the recipe's cells.
-    ///
-    /// # Errors
-    ///
-    /// Grid-composition errors ([`RecipeError::DuplicateAxis`],
-    /// [`RecipeError::DuplicateCell`]).
-    pub fn scenarios(&self) -> Result<Vec<ScenarioSpec>, RecipeError> {
-        self.grid.scenarios(&self.base)
-    }
 }

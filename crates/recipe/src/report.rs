@@ -10,7 +10,7 @@ pub struct SweepReport {
     pub recipe: String,
     /// Recipe description.
     pub description: String,
-    /// Executed cells, in enumeration order.
+    /// Executed cells, in recipe order.
     pub cells: Vec<CellResult>,
     /// Gate verdicts, in recipe order.
     pub gates: Vec<GateOutcome>,

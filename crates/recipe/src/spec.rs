@@ -1,4 +1,4 @@
-//! Typed scenario cells: the fully-bound configuration a grid enumerates into.
+//! Typed scenario cells: the fully-bound configuration one sweep cell runs.
 
 use nmp_pak_core::backend::BackendId;
 use nmp_pak_core::Workload;
@@ -11,17 +11,12 @@ use nmp_pak_pakman::{BatchSchedule, PakmanConfig, ShardConfig, ShardSchedule, Sp
 pub type WorkloadKey = (usize, u64, u64, u64);
 
 /// How a cell's reads move through the pipeline: one shot, or batched under
-/// one of the [`BatchSchedule`] strategies. The batch fraction travels with
-/// the schedule because it only means something for batched runs.
+/// the pipelined [`BatchSchedule`]. The batch fraction travels with the
+/// schedule because it only means something for batched runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScheduleSpec {
     /// The whole read set in one pass (`PakmanAssembler::assemble`).
     SingleBatch,
-    /// Batches run strictly one after another.
-    Sequential {
-        /// Fraction of the reads per batch (0 < f ≤ 1).
-        batch_fraction: f64,
-    },
     /// Depth-`depth` software pipelining across batches: the fronts of batches
     /// i+1 … i+depth overlap the back of batch i.
     Pipelined {
@@ -38,11 +33,10 @@ impl ScheduleSpec {
         !matches!(self, ScheduleSpec::SingleBatch)
     }
 
-    /// Compact label used in cell ids (`single`, `seq0.25`, `pip0.5d3`, …).
+    /// Compact label used in cell ids (`single`, `pip0.5d3`, …).
     pub fn label(&self) -> String {
         match self {
             ScheduleSpec::SingleBatch => "single".to_string(),
-            ScheduleSpec::Sequential { batch_fraction } => format!("seq{batch_fraction}"),
             ScheduleSpec::Pipelined {
                 batch_fraction,
                 depth,
@@ -55,9 +49,6 @@ impl ScheduleSpec {
     pub fn to_batch(&self) -> Option<(f64, BatchSchedule)> {
         match *self {
             ScheduleSpec::SingleBatch => None,
-            ScheduleSpec::Sequential { batch_fraction } => {
-                Some((batch_fraction, BatchSchedule::Sequential))
-            }
             ScheduleSpec::Pipelined {
                 batch_fraction,
                 depth,

@@ -2,22 +2,51 @@
 //! `PakmanAssembler` runs and degenerate recipes behave predictably.
 
 use nmp_pak_core::backend::BackendId;
+use nmp_pak_core::Workload;
 use nmp_pak_pakman::PakmanAssembler;
 use nmp_pak_recipe::{
-    metric, Axis, Executor, Gate, Grid, Recipe, RecipeError, ScenarioSpec, ScheduleSpec,
+    metric, CellOutput, Executor, Gate, MetricProbe, Recipe, RecipeError, ScenarioSpec,
+    ScheduleSpec,
 };
+use std::cell::Cell;
+use std::rc::Rc;
 
 fn two_by_two() -> Recipe {
+    let cells = [1, 4]
+        .into_iter()
+        .flat_map(|threads| {
+            [17, 21].map(|k| ScenarioSpec {
+                genome_length: 10_000,
+                coverage: 15.0,
+                threads,
+                k,
+                ..ScenarioSpec::default()
+            })
+        })
+        .collect();
     Recipe {
         name: "2x2".to_string(),
         description: "threads x k".to_string(),
-        base: ScenarioSpec {
-            genome_length: 10_000,
-            coverage: 15.0,
-            ..ScenarioSpec::default()
-        },
-        grid: Grid::axis(Axis::threads(&[1, 4])).cross(Grid::axis(Axis::k(&[17, 21]))),
+        cells,
         gates: vec![Gate::at_least(metric::N50, 1.0)],
+    }
+}
+
+/// Reads `probe` = NaN on the `threads = 4` cells and 2 on the others, and
+/// counts the cells it was asked about.
+struct NanOnFourThreads(Rc<Cell<usize>>);
+
+impl MetricProbe for NanOnFourThreads {
+    fn cell_metrics(
+        &self,
+        _wants: &[String],
+        spec: &ScenarioSpec,
+        _workload: &Workload,
+        _output: &CellOutput,
+    ) -> Vec<(String, f64)> {
+        self.0.set(self.0.get() + 1);
+        let value = if spec.threads == 4 { f64::NAN } else { 2.0 };
+        vec![("probe".to_string(), value)]
     }
 }
 
@@ -80,12 +109,53 @@ fn gate_matching_no_cells_fails_loudly() {
 }
 
 #[test]
-fn empty_grid_reports_zero_cells_and_all_cell_gates_fail() {
+fn a_nan_metric_fails_its_gate_wherever_the_cell_sits() {
+    for reversed in [false, true] {
+        let mut recipe = two_by_two();
+        if reversed {
+            recipe.cells.reverse();
+        }
+        recipe.gates = vec![Gate::at_least("probe", 1.0)];
+        let executor = Executor::local().with_probe(NanOnFourThreads(Rc::default()));
+        let report = executor.run(&recipe).unwrap();
+        let gate = &report.gates[0];
+        assert!(!gate.passed, "reversed = {reversed}: {}", gate.detail);
+        assert_eq!(gate.observed, None);
+        assert!(
+            gate.detail.contains("NaN on 2 cell(s)")
+                && gate.detail.contains("_k21_t4_")
+                && gate.detail.contains("_k17_t4_"),
+            "{}",
+            gate.detail
+        );
+    }
+}
+
+#[test]
+fn a_label_listed_twice_is_rejected() {
+    let mut recipe = two_by_two();
+    recipe.cells.push(recipe.cells[0].clone());
+    let calls = Rc::new(Cell::new(0));
+    let executor = Executor::local().with_probe(NanOnFourThreads(Rc::clone(&calls)));
+    match executor.run(&recipe) {
+        Err(RecipeError::DuplicateCell { label }) => {
+            assert_eq!(label, recipe.cells[0].label());
+        }
+        other => panic!("expected DuplicateCell, got {other:?}"),
+    }
+    assert_eq!(
+        calls.get(),
+        0,
+        "a cell ran before the duplicate was rejected"
+    );
+}
+
+#[test]
+fn empty_recipe_reports_zero_cells_and_all_cell_gates_fail() {
     let recipe = Recipe {
         name: "empty".to_string(),
         description: "no cells".to_string(),
-        base: ScenarioSpec::default(),
-        grid: Grid::axis(Axis::threads(&[])),
+        cells: Vec::new(),
         gates: vec![Gate::at_least(metric::N50, 1.0)],
     };
     let report = Executor::local().run(&recipe).unwrap();
@@ -98,15 +168,14 @@ fn backend_on_a_batched_schedule_is_rejected() {
     let recipe = Recipe {
         name: "bad".to_string(),
         description: "backend x pipelined".to_string(),
-        base: ScenarioSpec {
+        cells: vec![ScenarioSpec {
             backend: Some(BackendId::NMP_PAK),
             schedule: ScheduleSpec::Pipelined {
                 batch_fraction: 0.5,
                 depth: 2,
             },
             ..ScenarioSpec::default()
-        },
-        grid: Grid::axis(Axis::threads(&[4])),
+        }],
         gates: Vec::new(),
     };
     assert!(matches!(

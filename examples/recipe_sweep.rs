@@ -1,7 +1,7 @@
-//! Compose and run a custom scenario-sweep recipe with the combinator DSL:
-//! cross a shard axis with a thread axis, filter out the oversubscribed
-//! corner, gate the result on assembly quality and the measured cross-shard
-//! mailbox traffic, and print the per-cell matrix.
+//! Build and run a custom scenario-sweep recipe: list the shards × threads
+//! cells with plain iterators, leave out the oversubscribed corner, gate the
+//! result on assembly quality and the measured cross-shard mailbox traffic,
+//! and print the per-cell matrix.
 //!
 //! Exits non-zero if any gate is violated — the same contract as
 //! `experiments sweep <recipe>`.
@@ -10,38 +10,39 @@
 //! cargo run --release --example recipe_sweep
 //! ```
 
-use nmp_pak::recipe::{
-    metric, Axis, CellSelector, Executor, Filter, Gate, Grid, Recipe, ScenarioSpec,
-};
+use nmp_pak::recipe::{metric, CellSelector, Executor, Gate, Recipe, ScenarioSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A 3x2 grid over one 10 kbp workload: shards x threads, minus the
-    //    cell where shards would exceed threads x 4 (a demonstrative guard).
+    // 1. Shards x threads over one 10 kbp workload, minus the cell where
+    //    shards would exceed threads x 4 (a demonstrative guard).
+    let cells: Vec<ScenarioSpec> = [1, 4, 8]
+        .into_iter()
+        .flat_map(|shards| {
+            [1, 4].map(|threads| ScenarioSpec {
+                genome_length: 10_000,
+                coverage: 15.0,
+                shards,
+                threads,
+                ..ScenarioSpec::default()
+            })
+        })
+        .filter(|s| s.shards <= s.threads * 4)
+        .collect();
+    println!("recipe lists {} cells:", cells.len());
+    for spec in &cells {
+        println!("  {}", spec.label());
+    }
     let recipe = Recipe {
         name: "custom-shard-sweep".to_string(),
         description: "shards x threads over one tiny workload".to_string(),
-        base: ScenarioSpec {
-            genome_length: 10_000,
-            coverage: 15.0,
-            ..ScenarioSpec::default()
-        },
-        grid: Grid::axis(Axis::shards(&[1, 4, 8]))
-            .cross(Grid::axis(Axis::threads(&[1, 4])))
-            .filter(Filter::new("skip shards > threads*4", |s| {
-                s.shards <= s.threads * 4
-            })),
+        cells,
         gates: vec![
             Gate::at_least(metric::N50, 1.0),
             Gate::at_least(metric::CROSS_SHARD_BYTES, 1.0).on(CellSelector::sharded()),
         ],
     };
 
-    // 2. Enumerate deterministically, then execute every cell in-process.
-    let cells = recipe.scenarios()?;
-    println!("recipe enumerates {} cells:", cells.len());
-    for spec in &cells {
-        println!("  {}", spec.label());
-    }
+    // 2. Execute every cell in-process, in list order.
 
     let report = Executor::local().run(&recipe)?;
 

@@ -20,9 +20,9 @@
 //! * [`server`] — assembly-as-a-service: a multi-tenant job server scheduling many
 //!   concurrent assemblies onto one shared worker pool under a global memory ledger,
 //!   with priorities, cooperative cancellation and per-job progress-event streams.
-//! * [`recipe`] — composable scenario-sweep recipes: axis/grid combinators with
-//!   deterministic enumeration, declarative CI gates, and an executor that runs every
-//!   cell through the pipeline (or the job server) into one structured report.
+//! * [`recipe`] — scenario-sweep recipes: a recipe is a list of typed cells plus
+//!   declarative CI gates, and an executor runs every cell through the pipeline into
+//!   one structured report.
 
 pub use nmp_pak_core as core;
 pub use nmp_pak_genome as genome;

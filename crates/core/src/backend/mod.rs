@@ -449,6 +449,9 @@ pub(crate) mod tests {
         let ctx = crate::NmpPakAssembler::context_for(&assembly);
         let results =
             BackendRegistry::extended(&assembler.system).simulate_all(trace, &layout, &ctx);
+        // In-DRAM bitwise execution beats the CPU baseline on a real trace too.
+        let by = |id| results.iter().find(|r| r.backend == id).unwrap();
+        assert!(by(BackendId::PANDA).speedup_over(by(BackendId::CPU_BASELINE)) > 1.0);
         assert_pinned(&results, &PINNED);
     }
 

@@ -154,7 +154,8 @@ mod tests {
 
     #[test]
     fn measured_sharding_telemetry_reaches_the_channel_model() {
-        use nmp_pak_pakman::ShardingTelemetry;
+        use nmp_pak_nmphw::NetworkModel;
+        use nmp_pak_pakman::{PakmanAssembler, PakmanConfig, ShardConfig, ShardingTelemetry};
         let (trace, layout) = synthetic();
         let system = SystemConfig::default();
         let backend = NmpBackend::pak(&system);
@@ -184,5 +185,27 @@ mod tests {
         );
         // Traffic accounting describes the trace, not the placement.
         assert_eq!(skewed.traffic, uniform.traffic);
+
+        // Real 2- and 8-shard runs: the measured mailbox traffic crosses
+        // channels, and the 8-shard ledger crosses nodes on 2, 4 and 8 nodes.
+        let reads = crate::Workload::tiny(3).unwrap().reads;
+        let nmp = NmpSystem::new(system.nmp, system.dram, system.cpu);
+        for shards in [2, ShardConfig::DEFAULT_CHANNELS] {
+            let config = PakmanConfig {
+                shards: ShardConfig::per_channel(shards),
+                ..PakmanConfig::default()
+            };
+            let run = PakmanAssembler::new(config).assemble(&reads).unwrap();
+            let telemetry = run.sharding.expect("sharded runs record telemetry");
+            let load = nmp.channel_load_from_sharding(&telemetry);
+            assert!(load.cross_channel_bytes > 0, "{shards} shards");
+            if shards == ShardConfig::DEFAULT_CHANNELS {
+                for nodes in [2, 4, 8] {
+                    let projection =
+                        NetworkModel::default().project_multinode(&telemetry, nodes, 1e6);
+                    assert!(projection.cross_node_bytes > 0, "{nodes} nodes");
+                }
+            }
+        }
     }
 }

@@ -294,19 +294,6 @@ impl Experiments {
             gpu_area_ratio: comparison.area_ratio(),
         }
     }
-
-    /// Folds the run's sharding telemetry (if the software ran sharded) onto
-    /// the NMP channel model: per-channel measured work/residency and the
-    /// intra- vs cross-channel split of the mailbox traffic.
-    pub fn channel_load(&self) -> Option<nmp_pak_nmphw::ChannelLoadStats> {
-        let telemetry = self.assembly.sharding.as_ref()?;
-        let system = nmp_pak_nmphw::NmpSystem::new(
-            self.assembler.system.nmp,
-            self.assembler.system.dram,
-            self.assembler.system.cpu,
-        );
-        Some(system.channel_load_from_sharding(telemetry))
-    }
 }
 
 /// §6.4's throughput comparison under equal resource constraints.

@@ -75,20 +75,20 @@ impl BatchPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`PakmanError::InvalidConfig`] if the fraction is not positive or the
-    /// read count is zero.
+    /// Returns [`PakmanError::InvalidConfig`] if the fraction is not positive and
+    /// [`PakmanError::EmptyInput`] if the read count is zero.
     pub(crate) fn by_fraction(
         read_count: usize,
         batch_fraction: f64,
     ) -> Result<BatchPlan, PakmanError> {
-        if read_count == 0 {
-            return Err(PakmanError::InvalidConfig {
-                message: "cannot plan batches over zero reads".to_string(),
-            });
-        }
         if batch_fraction.is_nan() || batch_fraction <= 0.0 {
             return Err(PakmanError::InvalidConfig {
                 message: format!("batch fraction {batch_fraction} must be positive"),
+            });
+        }
+        if read_count == 0 {
+            return Err(PakmanError::EmptyInput {
+                message: "cannot plan batches over zero reads".to_string(),
             });
         }
         let fraction = batch_fraction.min(1.0);
@@ -293,8 +293,12 @@ impl BatchAssembler {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and empty-input errors from the per-batch pipeline.
+    /// Returns [`PakmanError::InvalidConfig`] for a bad configuration or batch
+    /// fraction, then [`PakmanError::EmptyInput`] for an empty read set, as
+    /// [`crate::PakmanAssembler::assemble`] does; propagates the per-batch
+    /// pipeline's errors.
     pub fn assemble(&self, reads: &[SequencingRead]) -> Result<BatchAssemblyOutput, PakmanError> {
+        self.config.validate()?;
         let plan = BatchPlan::by_fraction(reads.len(), self.batch_fraction)?;
         self.assemble_source(InMemorySource::with_ranges(reads, plan.ranges)?)
     }

@@ -279,6 +279,10 @@ mod tests {
             assembler.assemble(&[]),
             Err(PakmanError::EmptyInput { .. })
         ));
+        assert!(matches!(
+            crate::BatchAssembler::new(test_config(15), 0.25).assemble(&[]),
+            Err(PakmanError::EmptyInput { .. })
+        ));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use nmp_pak_pakman::{
     ShardSchedule,
 };
 
-const SHARD_SWEEP: [usize; 4] = [1, 2, 7, 32];
+const SHARD_SWEEP: [usize; 5] = [1, 2, 7, 8, 32];
 const THREAD_SWEEP: [usize; 3] = [1, 4, 8];
 
 fn simulated_reads(length: usize, coverage: f64, seed: u64) -> Vec<SequencingRead> {
@@ -113,7 +113,7 @@ fn async_flush_ledger_matches_the_lockstep_byte_matrix() {
     // ledger — so the schedule must not change the ledger. Waves are global
     // iterations, so the two ledgers are identical record for record.
     let reads = simulated_reads(8_000, 25.0, 0x54A2D);
-    for shards in [2usize, 7, 32] {
+    for shards in [2usize, 7, 8, 32] {
         let lockstep = assemble(&reads, config(shards, 4, ShardSchedule::Lockstep))
             .sharding
             .unwrap();

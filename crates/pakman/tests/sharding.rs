@@ -14,7 +14,7 @@ use nmp_pak_pakman::{
 };
 use std::sync::Mutex;
 
-const SHARD_SWEEP: [usize; 4] = [1, 2, 7, 32];
+const SHARD_SWEEP: [usize; 5] = [1, 2, 7, 8, 32];
 const THREAD_SWEEP: [usize; 3] = [1, 4, 8];
 
 fn simulated_reads(length: usize, coverage: f64, seed: u64) -> Vec<SequencingRead> {

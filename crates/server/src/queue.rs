@@ -1,6 +1,6 @@
-//! Priority queues for admission and for runnable stage-steps.
+//! The priority queue for admission and for runnable stage-steps.
 //!
-//! Both queues order by `(priority, submission order)`: the highest priority
+//! It orders by `(priority, submission order)`: the highest priority
 //! class first, FIFO within a class. The ready queue holds *steps* (one stage
 //! of one job), which is what lets the shared worker pool interleave stages of
 //! different jobs instead of running each job to completion.
@@ -31,46 +31,26 @@ impl PartialOrd for StepKey {
     }
 }
 
-/// Runnable stage-steps, popped best-first by the worker pool.
+/// A best-first job queue. The scheduler keeps two: runnable stage-steps,
+/// popped by the worker pool, and jobs waiting for admission, which admission
+/// examines strictly best-first (it peeks at the head and never lets a smaller
+/// low-priority job jump a blocked high-priority one, so a saturated ledger
+/// cannot starve the head of the queue).
 #[derive(Debug, Default)]
-pub(crate) struct ReadyQueue {
+pub(crate) struct JobQueue {
     heap: BinaryHeap<StepKey>,
 }
 
-impl ReadyQueue {
+impl JobQueue {
     pub(crate) fn push(&mut self, job: JobId, priority: JobPriority, seq: u64) {
         self.heap.push(StepKey { priority, seq, job });
     }
 
-    pub(crate) fn pop(&mut self) -> Option<JobId> {
-        self.heap.pop().map(|key| key.job)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// Jobs waiting for admission, examined strictly best-first: admission never
-/// lets a smaller low-priority job jump a blocked high-priority one (no
-/// bypass, so a saturated ledger cannot starve the head of the queue).
-#[derive(Debug, Default)]
-pub(crate) struct PendingQueue {
-    heap: BinaryHeap<StepKey>,
-}
-
-impl PendingQueue {
-    pub(crate) fn push(&mut self, job: JobId, priority: JobPriority, seq: u64) {
-        self.heap.push(StepKey { priority, seq, job });
-    }
-
-    /// The next job admission would consider, without removing it.
+    /// The job [`JobQueue::pop`] would return, without removing it.
     pub(crate) fn peek(&self) -> Option<JobId> {
         self.heap.peek().map(|key| key.job)
     }
 
-    /// Removes the job admission just committed to (the current best).
     pub(crate) fn pop(&mut self) -> Option<JobId> {
         self.heap.pop().map(|key| key.job)
     }
@@ -87,7 +67,7 @@ mod tests {
 
     #[test]
     fn ready_queue_orders_by_priority_then_fifo() {
-        let mut queue = ReadyQueue::default();
+        let mut queue = JobQueue::default();
         queue.push(JobId(0), JobPriority::Normal, 0);
         queue.push(JobId(1), JobPriority::High, 1);
         queue.push(JobId(2), JobPriority::Normal, 2);
@@ -103,7 +83,7 @@ mod tests {
 
     #[test]
     fn pending_queue_peek_matches_pop() {
-        let mut queue = PendingQueue::default();
+        let mut queue = JobQueue::default();
         queue.push(JobId(7), JobPriority::Low, 0);
         queue.push(JobId(8), JobPriority::High, 1);
         assert_eq!(queue.peek(), Some(JobId(8)));

@@ -26,15 +26,15 @@ use std::time::Instant;
 
 use crate::event::{EventSink, JobEvent, JobSummary};
 use crate::job::{JobId, JobInput, JobPriority, JobShared};
-use crate::queue::{PendingQueue, ReadyQueue};
+use crate::queue::JobQueue;
 use crate::registry::{JobPhase, JobRecord, Registry};
 
 /// Scheduler state behind the one server mutex.
 #[derive(Debug, Default)]
 pub(crate) struct State {
     pub(crate) registry: Registry,
-    pub(crate) pending: PendingQueue,
-    pub(crate) ready: ReadyQueue,
+    pub(crate) pending: JobQueue,
+    pub(crate) ready: JobQueue,
     /// Jobs admitted (ledger charged) and not yet terminal.
     pub(crate) admitted: usize,
     /// Stage-steps executing on workers right now.

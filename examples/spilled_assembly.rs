@@ -10,10 +10,6 @@
 //!
 //! ```text
 //! cargo run --release --example spilled_assembly
-//! NMP_PAK_SPILL_GENOME_LENGTH=100000000 \
-//!     cargo run --release --example spilled_assembly   # the 100 Mbp+ workload
-//! NMP_PAK_SPILL_BUDGET_BYTES=65536 \
-//!     cargo run --release --example spilled_assembly   # tiny cap, heavy spilling
 //! ```
 
 use nmp_pak::genome::fasta::write_fastq;
@@ -24,24 +20,17 @@ use nmp_pak::pakman::{write_contigs_fasta, PakmanAssembler, PakmanConfig, SpillC
 use std::fs::File;
 use std::io::BufWriter;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{name} must be a number"))
-        })
-        .unwrap_or(default)
-}
+/// The synthetic genome's length: large enough to spill many runs, small
+/// enough for a smoke run.
+const GENOME_LENGTH: usize = 200_000;
+/// The counter's resident-byte cap: 64 KiB forces heavy spilling and
+/// multi-run merges.
+const BUDGET_BYTES: u64 = 64 * 1024;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Sequence a synthetic genome at 25x and persist it as FASTQ. The
-    //    default 200 kbp keeps the smoke run fast; NMP_PAK_SPILL_GENOME_LENGTH
-    //    scales the same flow to the paper's 100 Mbp+ regime.
-    let genome_length = env_u64("NMP_PAK_SPILL_GENOME_LENGTH", 200_000) as usize;
-    let budget_bytes = env_u64("NMP_PAK_SPILL_BUDGET_BYTES", 512 * 1024);
+    // 1. Sequence a synthetic genome at 25x and persist it as FASTQ.
     let genome = ReferenceGenome::builder()
-        .length(genome_length)
+        .length(GENOME_LENGTH)
         .seed(83)
         .build()?;
     let reads = ReadSimulator::new(SequencerConfig {
@@ -57,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "wrote {} reads ({} KB FASTQ) for a {} kbp genome to {}",
         reads.len(),
         std::fs::metadata(&fastq_path)?.len() / 1024,
-        genome_length / 1000,
+        GENOME_LENGTH / 1000,
         fastq_path.display()
     );
 
@@ -70,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         min_kmer_count: 2,
         compaction_node_threshold: 100,
         threads: 4,
-        spill: SpillConfig::bounded(budget_bytes),
+        spill: SpillConfig::bounded(BUDGET_BYTES),
         ..PakmanConfig::default()
     };
     let file_source = FastaFastqSource::open(&fastq_path)?.with_chunk_reads(4_096);
@@ -103,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(!spilled.contigs.is_empty(), "assembly produced no contigs");
     assert!(
         telemetry.bytes_spilled > 0,
-        "the {budget_bytes}-byte budget moved no data to disk"
+        "the {BUDGET_BYTES}-byte budget moved no data to disk"
     );
     assert!(
         telemetry.merge_passes >= 1,

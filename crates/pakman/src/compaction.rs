@@ -46,7 +46,7 @@ use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use crate::macronode::{MacroNode, ThroughPath};
-use crate::par::{fork_join_into, plan, GRAIN};
+use crate::par::{fork_join_into, plan, CHECK_LOOKAHEAD, DEST_LOOKAHEAD, GRAIN, SOURCE_LOOKAHEAD};
 use crate::trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 use crate::transfer::{TransferNode, TransferSide};
 use nmp_pak_genome::Kmer;
@@ -256,6 +256,9 @@ pub(crate) trait NodeStore: Sync {
     fn take_retired(&mut self, slot: usize) -> MacroNode;
     /// P1 evaluated the predicate on `slots` this iteration (a load ledger's hook).
     fn checked(&mut self, _slots: &[usize]) {}
+    /// `slot` will be read soon: a store may start fetching it. A hint only —
+    /// it must change nothing.
+    fn prefetch(&self, _slot: usize) {}
     /// Opens `iteration`'s stream; `chunks` is the plan of its apply over the
     /// whole stream ([`plan`] over [`GRAIN`]).
     fn open(&mut self, _iteration: usize, _chunks: usize) {}
@@ -296,6 +299,9 @@ impl NodeStore for PakGraph {
     }
     fn take_retired(&mut self, slot: usize) -> MacroNode {
         PakGraph::take_retired(self, slot)
+    }
+    fn prefetch(&self, slot: usize) {
+        PakGraph::prefetch(self, slot);
     }
     /// In place, on the spot.
     fn deliver(&mut self, _: usize, dest: Option<usize>, transfer: TransferNode) -> Option<bool> {
@@ -428,6 +434,7 @@ impl CompactionScratch {
     /// contiguous chunks ([`plan`] over [`GRAIN`]): `check_results` is position-aligned with the
     /// input, chunk 0 writes `resolved` itself and the helpers' rank buffers are
     /// appended in chunk order, so the chunk count cannot change either output.
+    /// Each chunk hints the store at the slot [`CHECK_LOOKAHEAD`] checks on.
     pub(crate) fn check<S: NodeStore>(&mut self, store: &S, chunks: usize) {
         self.check_results.clear();
         self.check_results.resize(
@@ -447,7 +454,10 @@ impl CompactionScratch {
             &mut self.resolved,
             &mut self.rank_buffers,
             |(out_chunk, slot_chunk), ranks| {
-                for (out, &slot) in out_chunk.iter_mut().zip(slot_chunk) {
+                for (j, (out, &slot)) in out_chunk.iter_mut().zip(slot_chunk).enumerate() {
+                    if let Some(&ahead) = slot_chunk.get(j + CHECK_LOOKAHEAD) {
+                        store.prefetch(ahead);
+                    }
                     let node = store.node(slot).expect("slot is alive");
                     // The ranks are kept only when the verdict is `true` (a
                     // rejected node emits no transfers).
@@ -531,7 +541,10 @@ impl CompactionScratch {
     /// `events`, when tracing), the next frontier (every destination a transfer
     /// lands on), and through
     /// [`CompactionScratch::settle`] the outcome. `chunks` is the store's to use
-    /// ([`NodeStore::open`]). Returns the number of transfers delivered.
+    /// ([`NodeStore::open`]). Returns the number of transfers delivered. Every
+    /// slot the pass reads is named in advance, so it hints the store at the
+    /// source [`SOURCE_LOOKAHEAD`] visits on and the destination
+    /// [`DEST_LOOKAHEAD`] transfers on ([`NodeStore::prefetch`]).
     ///
     /// The hand-off is checked ahead of the first change to any node, in release
     /// builds too: P1 must have handed over one rank per transfer the
@@ -570,10 +583,16 @@ impl CompactionScratch {
         let mut delivered = 0usize;
         for i in 0..self.invalidated.len() {
             let source = self.invalidated[i];
+            if let Some(&ahead) = self.invalidated.get(i + SOURCE_LOOKAHEAD) {
+                store.prefetch(ahead);
+            }
             let node = store.take_retired(source);
             let pairs = node.paths().iter();
             let pairs = pairs.filter_map(|path| TransferNode::extract_pair(&node, path));
             for transfer in pairs.flat_map(|(pred, succ)| [pred, succ]) {
+                if let Some(&Some(ahead)) = self.resolved.get(delivered + DEST_LOOKAHEAD) {
+                    store.prefetch(ahead);
+                }
                 let dest = self.resolved[delivered].filter(|&rank| store.is_alive(rank));
                 debug_assert_eq!(dest, store.index_of(&transfer.destination));
                 delivered += 1;
@@ -1145,6 +1164,9 @@ mod tests {
         fn take_retired(&mut self, slot: usize) -> MacroNode {
             NodeStore::take_retired(&mut self.graph, slot)
         }
+        fn prefetch(&self, slot: usize) {
+            self.graph.prefetch(slot);
+        }
         fn deliver(
             &mut self,
             source: usize,
@@ -1184,84 +1206,96 @@ mod tests {
     fn the_streamed_pass_equals_the_materialised_stream() {
         // One iteration by hand — P1 on four chunks, then the streamed pass —
         // against the flow it replaced: extract every transfer, invalidate every
-        // target, resolve each destination afresh, apply in stream order.
-        let graph = graph_with_a_doomed_destination();
-        let mut scratch = checks_on(&graph, &graph.alive_slots(), 4);
-        scratch.fold_census();
-        let invalidated = scratch.invalidated.clone();
+        // target, resolve each destination afresh, apply in stream order. On a
+        // pass longer than the destination look-ahead (its hints run ahead, then
+        // stop at its tail) and on one shorter (one chain node: no hint at all).
+        let chain = graph_from_reads(&["ACGTTAC"], 5);
+        for (graph, long) in [(graph_with_a_doomed_destination(), true), (chain, false)] {
+            let mut scratch = checks_on(&graph, &graph.alive_slots(), 4);
+            scratch.fold_census();
+            let invalidated = scratch.invalidated.clone();
+            let hand_off = scratch.resolved.len();
+            assert_eq!(hand_off > DEST_LOOKAHEAD, long, "{hand_off} transfers");
 
-        let mut oracle = graph.clone();
-        let mut stream: Vec<(usize, TransferNode)> = Vec::new();
-        for &slot in &invalidated {
-            let node = oracle.node(slot).expect("a target is alive");
-            stream.extend(
-                TransferNode::extract_all(node)
-                    .into_iter()
-                    .map(|t| (slot, t)),
-            );
-        }
-        for &slot in &invalidated {
-            oracle.invalidate(slot);
-        }
-        let expected: Vec<_> = stream
-            .into_iter()
-            .map(|(source, transfer)| {
-                let dest = oracle.index_of(&transfer.destination);
-                let matched = dest
-                    .is_some_and(|slot| apply_transfer(oracle.node_mut(slot).unwrap(), &transfer));
-                (source, dest, transfer, matched)
-            })
-            .collect();
-        assert!(expected.len() > 1_000);
-        let dropped = expected.iter().filter(|entry| entry.1.is_none()).count();
-        assert_eq!(dropped, 1, "GGGG's transfer to TTTT finds it retired");
-
-        let mut store = Recording {
-            graph: graph.clone(),
-            deliveries: Vec::new(),
-        };
-        let mut events = Vec::new();
-        let delivered = scratch.stream(&mut store, 0, 1, Some(&mut events));
-        assert_eq!(delivered, expected.len());
-        assert_eq!(store.deliveries, expected);
-        // The nodes the pass parked (its first two grains' worth) went with it.
-        assert!(scratch.retired.is_empty());
-        assert!(scratch.retired.capacity() >= invalidated.len().min(2 * GRAIN));
-        for slot in 0..graph.slot_count() {
-            assert_eq!(store.graph.node(slot), oracle.node(slot), "slot {slot}");
-            assert_eq!(store.graph.is_alive(slot), oracle.is_alive(slot));
-        }
-
-        // What the pass recorded as each transfer landed is the fold of that
-        // stream: events for the live destinations, the unmatched count, the
-        // first-touch order, and the next frontier.
-        let landed = expected.iter().filter_map(|(source, dest, transfer, _)| {
-            Some(TransferEvent {
-                source_slot: *source,
-                dest_slot: (*dest)?,
-                size_bytes: transfer.size_bytes(),
-            })
-        });
-        assert_eq!(events, landed.collect::<Vec<_>>());
-        let unmatched = expected.iter().filter(|entry| !entry.3).count();
-        assert_eq!(scratch.unmatched, unmatched);
-        assert!(
-            unmatched > dropped,
-            "some live destination lacks the extension"
-        );
-        let mut first_touch: Vec<usize> = Vec::new();
-        for (_, dest, _, matched) in &expected {
-            if *matched && !first_touch.contains(&dest.unwrap()) {
-                first_touch.push(dest.unwrap());
+            let mut oracle = graph.clone();
+            let mut stream: Vec<(usize, TransferNode)> = Vec::new();
+            for &slot in &invalidated {
+                let node = oracle.node(slot).expect("a target is alive");
+                stream.extend(
+                    TransferNode::extract_all(node)
+                        .into_iter()
+                        .map(|t| (slot, t)),
+                );
             }
+            for &slot in &invalidated {
+                oracle.invalidate(slot);
+            }
+            let expected: Vec<_> = stream
+                .into_iter()
+                .map(|(source, transfer)| {
+                    let dest = oracle.index_of(&transfer.destination);
+                    let matched = dest.is_some_and(|slot| {
+                        apply_transfer(oracle.node_mut(slot).unwrap(), &transfer)
+                    });
+                    (source, dest, transfer, matched)
+                })
+                .collect();
+            let dropped = expected.iter().filter(|entry| entry.1.is_none()).count();
+            let unmatched = expected.iter().filter(|entry| !entry.3).count();
+            if long {
+                assert!(expected.len() > 1_000);
+                assert_eq!(dropped, 1, "GGGG's transfer to TTTT finds it retired");
+                assert!(
+                    unmatched > dropped,
+                    "some live destination lacks the extension"
+                );
+            } else {
+                // GTTA alone: its one path's pair lands on CGTT and TTAC.
+                assert_eq!((invalidated.len(), expected.len(), unmatched), (1, 2, 0));
+            }
+
+            let mut store = Recording {
+                graph: graph.clone(),
+                deliveries: Vec::new(),
+            };
+            let mut events = Vec::new();
+            let delivered = scratch.stream(&mut store, 0, 1, Some(&mut events));
+            assert_eq!(delivered, expected.len());
+            assert_eq!(store.deliveries, expected);
+            // The nodes the pass parked (its first two grains' worth) went with it.
+            assert!(scratch.retired.is_empty());
+            assert!(scratch.retired.capacity() >= invalidated.len().min(2 * GRAIN));
+            for slot in 0..graph.slot_count() {
+                assert_eq!(store.graph.node(slot), oracle.node(slot), "slot {slot}");
+                assert_eq!(store.graph.is_alive(slot), oracle.is_alive(slot));
+            }
+
+            // What the pass recorded as each transfer landed is the fold of that
+            // stream: events for the live destinations, the unmatched count, the
+            // first-touch order, and the next frontier.
+            let landed = expected.iter().filter_map(|(source, dest, transfer, _)| {
+                Some(TransferEvent {
+                    source_slot: *source,
+                    dest_slot: (*dest)?,
+                    size_bytes: transfer.size_bytes(),
+                })
+            });
+            assert_eq!(events, landed.collect::<Vec<_>>());
+            assert_eq!(scratch.unmatched, unmatched);
+            let mut first_touch: Vec<usize> = Vec::new();
+            for (_, dest, _, matched) in &expected {
+                if *matched && !first_touch.contains(&dest.unwrap()) {
+                    first_touch.push(dest.unwrap());
+                }
+            }
+            assert_eq!(scratch.touched_order, first_touch);
+            let mut reached: Vec<usize> = events.iter().map(|event| event.dest_slot).collect();
+            reached.sort_unstable();
+            reached.dedup();
+            let mut frontier = Vec::new();
+            scratch.dirty.drain_into(&mut frontier);
+            assert_eq!(frontier, reached);
         }
-        assert_eq!(scratch.touched_order, first_touch);
-        let mut reached: Vec<usize> = events.iter().map(|event| event.dest_slot).collect();
-        reached.sort_unstable();
-        reached.dedup();
-        let mut frontier = Vec::new();
-        scratch.dirty.drain_into(&mut frontier);
-        assert_eq!(frontier, reached);
     }
 
     #[test]

@@ -416,11 +416,21 @@ impl PakGraph {
     }
 
     /// The second half: moves the node [`PakGraph::retire`]d at `slot` out.
+    /// Panics, in release builds too, on a slot that is still alive: emptying
+    /// it would leave an alive bit over no node.
     pub(crate) fn take_retired(&mut self, slot: usize) -> MacroNode {
-        debug_assert!(!self.alive.get(slot), "slot {slot} was not retired");
+        assert!(!self.alive.get(slot), "slot {slot} was not retired");
         self.slots[slot]
             .take()
             .expect("a retired slot holds its node")
+    }
+
+    /// Hints the cache to fetch `slot`, which compaction will read soon; an
+    /// index past the end is ignored. Changes nothing the program can observe.
+    pub(crate) fn prefetch(&self, slot: usize) {
+        if let Some(entry) = self.slots.get(slot) {
+            prefetch_lines(entry);
+        }
     }
 
     /// Physically deletes the dead slots, the deletion §4.5 defers until
@@ -497,6 +507,30 @@ impl PakGraph {
             .map(|(_, n)| n.suffix_extensions().len())
             .sum()
     }
+}
+
+/// Hints the cache to fetch every 64-byte line `value` spans, from its first
+/// byte to its last: an 88-byte slot spans two or three, depending on where it
+/// starts. Loads nothing the program sees; a no-op off x86-64.
+#[allow(unsafe_code)]
+fn prefetch_lines<T>(value: &T) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse"))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let first = std::ptr::from_ref(value).cast::<i8>();
+        let skip = first.addr() % 64;
+        for offset in (0..skip + std::mem::size_of::<T>()).step_by(64) {
+            let line = first.wrapping_sub(skip).wrapping_add(offset);
+            // SAFETY: the `cfg` above compiles this only where SSE, the one
+            // target feature `_mm_prefetch` requires, is enabled. A prefetch
+            // is a hint: for any address, mapped or not, it never faults,
+            // reads no value into the program and changes no architectural
+            // state, so the pointer need not be dereferenceable.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line) };
+        }
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse")))]
+    let _ = value;
 }
 
 /// Splits the node-build merge-scan over `prefix_records` (keyed by `.0 >> 2`)
@@ -824,6 +858,14 @@ mod tests {
         assert!(!graph.contains(&removed.k1mer()));
         // Double invalidation returns None.
         assert!(graph.invalidate(victim).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "was not retired")]
+    fn taking_an_alive_slot_panics() {
+        let mut graph = graph_from_reads(&["ACGTACCTG"], 5);
+        let alive = graph.alive_slots()[2];
+        graph.take_retired(alive);
     }
 
     #[test]

@@ -22,6 +22,21 @@ pub(crate) const GRAIN: usize = 8_192;
 /// The same share in stage B's much smaller item, the k-mer window (13–37 ns).
 pub(crate) const COUNT_GRAIN: usize = 8 * GRAIN;
 
+/// How far ahead stage D hints the cache at a slot it already knows it will
+/// read, in items of the list that names it: the streamed pass's destinations
+/// (the hand-off), its sources (`invalidated`) and P1's frontier (`recheck`).
+/// Each item is one miss into the slot vector that the hint overlaps with the
+/// work of the items before it. Sized by a sweep on `asm_1t` (400 kbp,
+/// `threads = 1`, 2-core host): P1 + P2 0.649 s without hints, 0.546 s with
+/// the destinations', 0.483 s adding the sources', 0.459 s adding the
+/// frontier's (DESIGN.md, "Memory-level parallelism").
+pub(crate) const DEST_LOOKAHEAD: usize = 32;
+/// See [`DEST_LOOKAHEAD`]: a source's visit (extraction and its deliveries)
+/// is long, so fewer of them cover a miss.
+pub(crate) const SOURCE_LOOKAHEAD: usize = 8;
+/// See [`DEST_LOOKAHEAD`]: one P1 check, per chunk.
+pub(crate) const CHECK_LOOKAHEAD: usize = 24;
+
 /// How many chunks a phase over `len` items is cut into: at most `threads`, and
 /// only as many as leave every chunk at least `grain` items — so a spawned
 /// helper always gets well over the cost of its spawn in work, and a phase

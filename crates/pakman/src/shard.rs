@@ -556,6 +556,10 @@ impl NodeStore for Lockstep<'_> {
             self.telemetry.checked_per_shard[self.sharded.shard_of_global(slot)] += 1;
         }
     }
+    fn prefetch(&self, slot: usize) {
+        let (shard, local) = self.sharded.locate(slot);
+        self.sharded.shards[shard].prefetch(local);
+    }
     fn open(&mut self, iteration: usize, chunks: usize) {
         self.mailbox.clear();
         (self.iteration, self.chunks) = (iteration, chunks.min(self.sharded.shard_count()));

@@ -3,7 +3,7 @@
 
 use crate::kmer_count::CountedKmer;
 use crate::macronode::MacroNode;
-use crate::par::{fork_join, parallel_merge_round, plan, radix_sort_pairs, GRAIN};
+use crate::par::{fork_join, plan, GRAIN};
 
 use nmp_pak_genome::{Base, Kmer};
 
@@ -41,7 +41,7 @@ impl RankIndex {
     /// Builds the index over `keys`, which must be ascending packed (k-1)-mers of
     /// `k1_len` bases each.
     fn build(keys: Vec<u64>, k1_len: usize) -> RankIndex {
-        debug_assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
         let key_bits = (2 * k1_len) as u32;
         // Size the prefix table to roughly one entry per key, capped at
         // `MAX_PREFIX_BITS` and at the key width itself.
@@ -209,12 +209,19 @@ impl PakGraph {
     ///
     /// exactly as in Fig. 3(b).
     ///
-    /// The build is a linear single pass over the sorted counted k-mers: the
-    /// suffix-extension stream is consumed in place (its node key `packed >> 2`
-    /// inherits the input order), the prefix-extension stream is materialized into
-    /// per-chunk vectors, sorted, and merged, and one merge-scan over both streams
-    /// emits the MacroNodes in ascending (k-1)-mer order. The output is bit-identical
+    /// The build is one merge-scan over the sorted counted k-mers, read as five
+    /// streams in place: the suffix-extension stream is `counted` itself (its
+    /// node key `packed >> 2` inherits the input order), and the
+    /// prefix-extension stream is `counted`'s four first-base ranges, each
+    /// already ascending by its node key, the suffix (k-1)-mer. The scan emits
+    /// the MacroNodes in ascending (k-1)-mer order. The output is bit-identical
     /// at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// In release builds too, if `counted` is not strictly ascending or holds a
+    /// k-mer whose length is not `k`: the build relies on both, and would
+    /// otherwise build a wrong graph without a word.
     pub fn from_counted_kmers(counted: &[CountedKmer], k: usize, threads: usize) -> PakGraph {
         PakGraph::from_counted_kmers_sized(counted, k, threads).0
     }
@@ -237,32 +244,21 @@ impl PakGraph {
     /// plan's; unit tests force it).
     fn build_chunked(counted: &[CountedKmer], k: usize, chunks: usize) -> (PakGraph, usize) {
         debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
+        // One pass (`None` orders below every key): ≈ 1 ms at 780 k k-mers.
+        let mut previous = None;
+        let well_formed = counted.iter().all(|ck| {
+            let packed = Some(ck.kmer.packed());
+            let ascending = previous < packed;
+            previous = packed;
+            ascending && ck.kmer.k() == k
+        });
+        assert!(
+            well_formed,
+            "counted k-mers must be strictly ascending {k}-mers"
+        );
         let k1_len = k - 1;
 
-        // The prefix-extension stream: one record per k-mer, its suffix (k-1)-mer
-        // key and first base packed into a single machine word (`key << 2 | base`,
-        // unique per record) with the count as payload. Built per chunk into
-        // pre-allocated vectors (§4.5 (a)+(b)), radix-sorted, then merged pairwise
-        // in parallel.
-        let k1_shift = 2 * k1_len;
-        let k1_mask = (1u64 << k1_shift) - 1;
-        let chunk_size = counted.len().div_ceil(chunks).max(1);
-        let mut runs = fork_join(counted.chunks(chunk_size), |chunk| {
-            let mut local: Vec<(u64, u64)> = Vec::with_capacity(chunk.len());
-            for ck in chunk {
-                let packed = ck.kmer.packed();
-                let first_base = packed >> k1_shift;
-                local.push((((packed & k1_mask) << 2) | first_base, ck.count as u64));
-            }
-            radix_sort_pairs(&mut local, k1_shift as u32 + 2);
-            local
-        });
-        while runs.len() > 1 {
-            runs = parallel_merge_round(runs);
-        }
-        let prefix_records = runs.pop().unwrap_or_default();
-
-        // Merge-scan both streams into nodes, split across the chunks at node-key
+        // Merge-scan the streams into nodes, split across the chunks at node-key
         // boundaries so each segment builds a disjoint, contiguous slot range.
         // Segment 0 is built on this thread and its vectors *become* the
         // graph's: with one segment (always, at `threads = 1`) the slot vector
@@ -270,10 +266,17 @@ impl PakGraph {
         // appended. (A spawned builder would put the nodes' heap parts in its own
         // allocator arena, which the caller's frees do not trim: the benchmark's
         // `asm_mt` peaked 16 MB, 18 %, higher that way.)
-        let cuts = node_split_points(&prefix_records, counted, chunks);
+        let k1_mask = (1u64 << (2 * k1_len)) - 1;
+        let cuts = node_split_points(counted, k1_len, chunks);
         let mut segments = fork_join(cuts.windows(2), |w| {
-            let pr = &prefix_records[w[0].0..w[1].0];
-            build_segment(pr, &counted[w[0].1..w[1].1], k1_len)
+            let merge = ExtensionMerge {
+                prefixes: std::array::from_fn(|b| {
+                    RangeCursor::new(&counted[w[0][b]..w[1][b]], k1_mask)
+                }),
+                suffixes: &counted[w[0][4]..w[1][4]],
+                k1_mask,
+            };
+            build_segment(merge, k1_len)
         })
         .into_iter();
         let mut segment = segments.next().expect("cuts bound at least one segment");
@@ -533,48 +536,44 @@ fn prefetch_lines<T>(value: &T) {
     let _ = value;
 }
 
-/// Splits the node-build merge-scan over `prefix_records` (keyed by `.0 >> 2`)
-/// and the suffix stream `counted` (keyed by `kmer.packed() >> 2`) into up to
-/// `parts` segments cut at node-key boundaries, so no (k-1)-mer's records straddle
-/// two segments and concatenating the per-segment outputs in order reproduces the
+/// Splits the node-build merge-scan over `counted` into up to `parts` segments
+/// cut at node-key boundaries, so no (k-1)-mer's extensions straddle two
+/// segments and concatenating the per-segment outputs in order reproduces the
 /// serial scan exactly, whatever the thread count.
-fn node_split_points(
-    prefix_records: &[(u64, u64)],
-    counted: &[CountedKmer],
-    parts: usize,
-) -> Vec<(usize, usize)> {
+///
+/// The scan reads five streams of `counted` in place. The suffix-extension
+/// stream is `counted` itself, keyed by `packed >> 2`. The prefix-extension
+/// stream needs no copy and no sort: a k-mer's first base is the top two bits
+/// of its packed value, so the k-mers of first base `b` are one contiguous
+/// range, ascending by their low bits, `packed & k1_mask` — the suffix
+/// (k-1)-mer, their node key. A cut holds one position per stream: the four
+/// ranges', then the suffix stream's; the splitter keys are suffix-stream keys
+/// at even spacing.
+fn node_split_points(counted: &[CountedKmer], k1_len: usize, parts: usize) -> Vec<[usize; 5]> {
+    let k1_mask = (1u64 << (2 * k1_len)) - 1;
+    let range_start = |b: u64| counted.partition_point(|ck| ck.kmer.packed() >> (2 * k1_len) < b);
+    let ranges = [
+        0,
+        range_start(1),
+        range_start(2),
+        range_start(3),
+        counted.len(),
+    ];
     let suffix_key = |ck: &CountedKmer| ck.kmer.packed() >> 2;
-    let mut cuts = vec![(0usize, 0usize)];
-    if parts > 1 {
-        let splitters: Vec<u64> = if prefix_records.len() >= counted.len() {
-            (1..parts)
-                .map(|s| s * prefix_records.len() / parts)
-                .filter(|&i| i > 0 && i < prefix_records.len())
-                .map(|i| prefix_records[i].0 >> 2)
-                .collect()
-        } else {
-            (1..parts)
-                .map(|s| s * counted.len() / parts)
-                .filter(|&i| i > 0 && i < counted.len())
-                .map(|i| suffix_key(&counted[i]))
-                .collect()
-        };
-        let mut last = None;
-        for key in splitters {
-            if last == Some(key) {
-                continue;
-            }
-            last = Some(key);
-            let cut = (
-                prefix_records.partition_point(|r| r.0 >> 2 < key),
-                counted.partition_point(|ck| suffix_key(ck) < key),
-            );
-            if cut != *cuts.last().expect("cuts is non-empty") {
-                cuts.push(cut);
-            }
+    let mut cuts = vec![[ranges[0], ranges[1], ranges[2], ranges[3], 0]];
+    let splitters = (1..parts).filter_map(|s| counted.get(s * counted.len() / parts));
+    for key in splitters.map(suffix_key) {
+        let mut cut = [0; 5];
+        for b in 0..4 {
+            let range = &counted[ranges[b]..ranges[b + 1]];
+            cut[b] = ranges[b] + range.partition_point(|ck| ck.kmer.packed() & k1_mask < key);
+        }
+        cut[4] = counted.partition_point(|ck| suffix_key(ck) < key);
+        if cut != *cuts.last().expect("cuts is non-empty") {
+            cuts.push(cut);
         }
     }
-    cuts.push((prefix_records.len(), counted.len()));
+    cuts.push([ranges[1], ranges[2], ranges[3], ranges[4], counted.len()]);
     cuts
 }
 
@@ -588,58 +587,96 @@ struct Segment {
     size_bytes: usize,
 }
 
-/// Builds the MacroNodes of one node-key segment: a linear merge-scan over the
-/// sorted prefix-extension records and the suffix-extension stream, accumulating
-/// per-base counts in fixed `[u32; 4]` arrays (no map, no per-entry allocation).
-/// A counting pre-pass over the same two streams sizes the key and slot vectors
-/// exactly, so each is allocated and written once: neither stream's length
-/// bounds the node count (a lone read of L bases has L − k + 1 k-mers and
-/// L − k + 2 (k-1)-mers), and a vector that outgrows its reservation doubles.
-fn build_segment(prefix_records: &[(u64, u64)], counted: &[CountedKmer], k1_len: usize) -> Segment {
-    let suffix_key = |ck: &CountedKmer| ck.kmer.packed() >> 2;
-    // The next node key: the smaller head of the two streams.
-    let head = |i: usize, j: usize| match (prefix_records.get(i), counted.get(j)) {
-        (Some(&(rec, _)), Some(ck)) => Some((rec >> 2).min(suffix_key(ck))),
-        (Some(&(rec, _)), None) => Some(rec >> 2),
-        (None, Some(ck)) => Some(suffix_key(ck)),
-        (None, None) => None,
-    };
+/// One first-base range of the counted stream, as the prefix-extension stream
+/// of [`ExtensionMerge`]: the k-mers of first base `b`, ascending by suffix
+/// (k-1)-mer, each key at most once (the counted k-mers are distinct). A k-mer
+/// gives the node of that key its prefix extension `b`.
+#[derive(Clone, Copy)]
+struct RangeCursor<'a> {
+    /// The range from its head on.
+    rest: &'a [CountedKmer],
+    /// The head's node key, or `u64::MAX` once the range is drained: a
+    /// (k-1)-mer has at most 31 bases, so every key is below 2^62.
+    key: u64,
+    /// The head's count (0 once drained).
+    count: u32,
+}
 
-    let (mut i, mut j, mut nodes) = (0usize, 0usize, 0usize);
-    while let Some(key) = head(i, j) {
-        i += prefix_records[i..]
-            .iter()
-            .take_while(|rec| rec.0 >> 2 == key)
-            .count();
-        j += counted[j..]
-            .iter()
-            .take_while(|ck| suffix_key(ck) == key)
-            .count();
-        nodes += 1;
+impl<'a> RangeCursor<'a> {
+    fn new(rest: &'a [CountedKmer], k1_mask: u64) -> Self {
+        let (key, count) = rest
+            .first()
+            .map_or((u64::MAX, 0), |ck| (ck.kmer.packed() & k1_mask, ck.count));
+        RangeCursor { rest, key, count }
     }
+
+    /// The head's count if its key is `key` (then the cursor moves past it),
+    /// else 0. Branch-free on the match: which of the four ranges holds a node's
+    /// key is data, so a branch on it mispredicts about once a node.
+    fn take(&mut self, key: u64, k1_mask: u64) -> u32 {
+        let hit = self.key == key;
+        let count = if hit { self.count } else { 0 };
+        *self = RangeCursor::new(&self.rest[usize::from(hit)..], k1_mask);
+        count
+    }
+}
+
+/// The merge of one segment's five sorted extension streams by node key: yields
+/// every node key once, ascending, with the per-base counts of its prefix and
+/// suffix extensions in fixed `[u32; 4]` arrays (no map, no per-entry
+/// allocation).
+#[derive(Clone)]
+struct ExtensionMerge<'a> {
+    /// The prefix-extension stream: one cursor per first base.
+    prefixes: [RangeCursor<'a>; 4],
+    /// The suffix-extension stream, ascending by prefix (k-1)-mer, `packed >> 2`.
+    suffixes: &'a [CountedKmer],
+    k1_mask: u64,
+}
+
+impl Iterator for ExtensionMerge<'_> {
+    /// A node key and the counts of its prefix and suffix extensions, by base code.
+    type Item = (u64, [u32; 4], [u32; 4]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let suffix_head = self
+            .suffixes
+            .first()
+            .map_or(u64::MAX, |ck| ck.kmer.packed() >> 2);
+        let key = self
+            .prefixes
+            .iter()
+            .map(|c| c.key)
+            .fold(suffix_head, u64::min);
+        if key == u64::MAX {
+            return None;
+        }
+        let k1_mask = self.k1_mask;
+        let prefixes = self.prefixes.each_mut().map(|c| c.take(key, k1_mask));
+        let mut suffixes = [0u32; 4];
+        while let Some((ck, rest)) = self.suffixes.split_first() {
+            if ck.kmer.packed() >> 2 != key {
+                break;
+            }
+            suffixes[(ck.kmer.packed() & 0b11) as usize] = ck.count;
+            self.suffixes = rest;
+        }
+        Some((key, prefixes, suffixes))
+    }
+}
+
+/// Builds the MacroNodes of one node-key segment from its [`ExtensionMerge`].
+/// A counting pre-pass over the same merge sizes the key and slot vectors
+/// exactly, so each is allocated and written once: no stream's length bounds
+/// the node count (a lone read of L bases has L − k + 1 k-mers and L − k + 2
+/// (k-1)-mers), and a vector that outgrows its reservation doubles.
+fn build_segment(merge: ExtensionMerge<'_>, k1_len: usize) -> Segment {
+    let nodes = merge.clone().count();
     let mut keys = Vec::with_capacity(nodes);
     let mut slots: Vec<Option<MacroNode>> = Vec::with_capacity(nodes);
     let mut size_bytes = 0usize;
 
-    let (mut i, mut j) = (0usize, 0usize);
-    while let Some(key) = head(i, j) {
-        let mut prefixes = [0u32; 4];
-        while let Some(&(rec, count)) = prefix_records.get(i) {
-            if rec >> 2 != key {
-                break;
-            }
-            prefixes[(rec & 0b11) as usize] += count as u32;
-            i += 1;
-        }
-        let mut suffixes = [0u32; 4];
-        while let Some(ck) = counted.get(j) {
-            if suffix_key(ck) != key {
-                break;
-            }
-            suffixes[(ck.kmer.packed() & 0b11) as usize] += ck.count;
-            j += 1;
-        }
-
+    for (key, prefixes, suffixes) in merge {
         let nonzero = |counts: &[u32; 4]| counts.iter().filter(|&&c| c > 0).count();
         let node = if nonzero(&prefixes) == 1 && nonzero(&suffixes) == 1 {
             // 1-in / 1-out chain node: skip the general wiring machinery.
@@ -776,8 +813,8 @@ mod tests {
         )
         .unwrap();
         // The plan would build this little stream in one chunk at any thread
-        // count; forcing the chunk count runs the merge rounds, the node-key
-        // split points and the segment concatenation.
+        // count; forcing the chunk count runs the node-key split points over
+        // the five streams and the segment concatenation.
         let (reference, reference_bytes) = PakGraph::build_chunked(&counted, 7, 1);
         for chunks in [2, 3, 4, 8] {
             let (parallel, bytes) = PakGraph::build_chunked(&counted, 7, chunks);
@@ -791,6 +828,165 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Strictly ascending, distinct `k`-mers with counts in 1..=5: `n` random
+    /// suffix (k-1)-mers, each behind every first base in `first_bases`.
+    fn random_counted(k: usize, first_bases: &[u64], n: usize, seed: u64) -> Vec<CountedKmer> {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let k1_mask = (1u64 << (2 * (k - 1))) - 1;
+        let suffixes: Vec<u64> = (0..n).map(|_| next() & k1_mask).collect();
+        let mut packed: Vec<u64> = first_bases
+            .iter()
+            .flat_map(|&b| {
+                suffixes
+                    .iter()
+                    .map(move |&suffix| b << (2 * (k - 1)) | suffix)
+            })
+            .collect();
+        packed.sort_unstable();
+        packed.dedup();
+        packed
+            .into_iter()
+            .map(|p| CountedKmer {
+                kmer: Kmer::from_packed(p, k),
+                count: 1 + (next() % 5) as u32,
+            })
+            .collect()
+    }
+
+    /// Checks the build at 1, 2, 3 and 8 chunks against an independent oracle:
+    /// a map from each (k-1)-mer to the per-base counts of its prefix and
+    /// suffix extensions, tallied one k-mer at a time, wired by
+    /// [`MacroNode::from_extensions`].
+    fn assert_matches_naive_tally(counted: &[CountedKmer], k: usize, what: &str) {
+        use std::collections::BTreeMap;
+
+        let mut tally: BTreeMap<u64, ([u32; 4], [u32; 4])> = BTreeMap::new();
+        for ck in counted {
+            let (first, last) = (ck.kmer.first_base().code(), ck.kmer.last_base().code());
+            tally.entry(ck.kmer.suffix_k1().packed()).or_default().0[first as usize] += ck.count;
+            tally.entry(ck.kmer.prefix_k1().packed()).or_default().1[last as usize] += ck.count;
+        }
+        let expected: Vec<MacroNode> = tally
+            .iter()
+            .map(|(&key, &(prefixes, suffixes))| {
+                MacroNode::from_extensions(
+                    Kmer::from_packed(key, k - 1),
+                    extension_list(prefixes),
+                    extension_list(suffixes),
+                )
+            })
+            .collect();
+        let keys: Vec<u64> = tally.into_keys().collect();
+        let bytes: usize = expected.iter().map(MacroNode::size_bytes).sum();
+        for chunks in [1, 2, 3, 8] {
+            let (graph, graph_bytes) = PakGraph::build_chunked(counted, k, chunks);
+            assert_eq!(graph.slot_keys(), keys, "{what}, chunks = {chunks}");
+            for (slot, node) in expected.iter().enumerate() {
+                assert_eq!(graph.node(slot), Some(node), "{what}, chunks = {chunks}");
+            }
+            assert_eq!(graph_bytes, bytes, "{what}, chunks = {chunks}");
+        }
+    }
+
+    #[test]
+    fn first_base_ranges_build_what_a_naive_tally_builds() {
+        let first_base = |ck: &CountedKmer| ck.kmer.first_base().code();
+
+        // Reads over {A, C, T}: the range of first base G is empty.
+        let mut state = 0x5EED_u64;
+        let texts: Vec<String> = (0..6)
+            .map(|_| {
+                (0..80)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1);
+                        "ACT".as_bytes()[(state >> 33) as usize % 3] as char
+                    })
+                    .collect()
+            })
+            .collect();
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let config = KmerCounterConfig {
+            k: 11,
+            min_count: 1,
+            threads: 1,
+        };
+        let (counted, _) = count_kmers(&crate::test_util::reads_from(&texts), config).unwrap();
+        assert!(counted.iter().all(|ck| ck.kmer.first_base() != Base::G));
+        assert_matches_naive_tally(&counted, 11, "reads over ACT");
+
+        // Every k-mer of one first base: three empty ranges.
+        let counted = random_counted(9, &[Base::C.code().into()], 300, 0xC0FFEE);
+        assert_matches_naive_tally(&counted, 9, "one first base");
+
+        // Four equal ranges over the same suffixes: every key is in each range,
+        // and the splitters of 2 and 8 chunks fall on the range boundaries.
+        let counted = random_counted(9, &[0, 1, 2, 3], 64, 0xB0DA);
+        assert_eq!(counted.len(), 256);
+        for boundary in [64, 128, 192] {
+            assert_ne!(
+                first_base(&counted[boundary - 1]),
+                first_base(&counted[boundary])
+            );
+        }
+        assert_matches_naive_tally(&counted, 9, "splitters on range boundaries");
+
+        // k = 2: (k-1)-mers of one base.
+        let counted = random_counted(2, &[0, 1, 2, 3], 3, 0x2);
+        assert_matches_naive_tally(&counted, 2, "k = 2");
+
+        // k = 32: the first base is bits 62–63, and the all-G run puts the
+        // largest key, 2^62 - 1, in every stream.
+        let mut texts = vec!["G".repeat(40)];
+        texts.extend((0..4).map(|i| {
+            (0..70)
+                .map(|j| "ACGT".as_bytes()[(i * 7 + j * j * 3 + j / 5) % 4] as char)
+                .collect::<String>()
+        }));
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let config = KmerCounterConfig { k: 32, ..config };
+        let (counted, _) = count_kmers(&crate::test_util::reads_from(&texts), config).unwrap();
+        assert_eq!(
+            counted.last().map(|ck| ck.kmer.suffix_k1().packed()),
+            Some((1 << 62) - 1)
+        );
+        assert_matches_naive_tally(&counted, 32, "k = 32");
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_counted_kmers_panic() {
+        let reads = crate::test_util::reads_from(&["ACGTACCTGATCAGTTGCAAC"]);
+        let config = KmerCounterConfig {
+            k: 7,
+            min_count: 1,
+            threads: 1,
+        };
+        let (mut counted, _) = count_kmers(&reads, config).unwrap();
+        counted.swap(3, 4);
+        PakGraph::from_counted_kmers(&counted, 7, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn counted_kmers_of_another_length_panic() {
+        let reads = crate::test_util::reads_from(&["ACGTACCTGATCAGTTGCAAC"]);
+        let config = KmerCounterConfig {
+            k: 7,
+            min_count: 1,
+            threads: 1,
+        };
+        let (counted, _) = count_kmers(&reads, config).unwrap();
+        PakGraph::from_counted_kmers(&counted, 8, 1);
     }
 
     #[test]

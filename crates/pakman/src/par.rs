@@ -9,11 +9,9 @@
 //!   spawn runs inline on the caller (DESIGN.md, "Fork-join and grain").
 //!   [`fork_join_into`] is the same for chunks that emit runs of one stream
 //!   (P1's rank hand-off): chunk 0 writes the stream itself.
-//! * [`parallel_merge_round`] merges sorted runs pairwise, one chunk per pair;
-//! * [`merge_two`] is the sequential two-run merge used inside a round (and by
-//!   the k-mer counter's per-bucket pairwise merges, whose *final* merge is fused
-//!   with the run-length count);
-//! * [`radix_sort_pairs`] orders the construction records by their packed key.
+//! * [`merge_two`] is the sequential two-run merge of the k-mer counter's
+//!   per-bucket pairwise merges (whose *final* merge is fused with the
+//!   run-length count).
 
 /// The grain: the fewest items a spawned helper is handed, for every site whose
 /// item is node-sized work (a counted k-mer of stage C, a P1 check, a lock-step
@@ -113,44 +111,8 @@ pub(crate) fn fork_join_into<T: Send, E: Send>(
     }
 }
 
-/// Digit width of the LSD radix sorts (2048 buckets ≈ 16 KiB of counters — small
-/// enough to live in cache, wide enough that a 42-bit packed 21-mer sorts in 4
-/// passes).
-const RADIX_DIGIT_BITS: u32 = 11;
-const RADIX_BUCKETS: usize = 1 << RADIX_DIGIT_BITS;
-
-/// Radix-sorts `(key, payload)` pairs by the low `significant_bits` bits of the
-/// key. Keys must be unique (the construction records are — one per k-mer side),
-/// so the result is a total order independent of the input permutation.
-pub(crate) fn radix_sort_pairs(data: &mut Vec<(u64, u64)>, significant_bits: u32) {
-    if data.len() < 2 * RADIX_BUCKETS {
-        data.sort_unstable();
-        return;
-    }
-    let passes = significant_bits.div_ceil(RADIX_DIGIT_BITS).max(1);
-    let mut buf: Vec<(u64, u64)> = vec![(0, 0); data.len()];
-    for pass in 0..passes {
-        let shift = pass * RADIX_DIGIT_BITS;
-        let mut pos = [0usize; RADIX_BUCKETS];
-        for &(key, _) in data.iter() {
-            pos[(key >> shift) as usize & (RADIX_BUCKETS - 1)] += 1;
-        }
-        let mut sum = 0usize;
-        for p in pos.iter_mut() {
-            let count = *p;
-            *p = sum;
-            sum += count;
-        }
-        for &pair in data.iter() {
-            let d = (pair.0 >> shift) as usize & (RADIX_BUCKETS - 1);
-            buf[pos[d]] = pair;
-            pos[d] += 1;
-        }
-        std::mem::swap(data, &mut buf);
-    }
-}
-
-/// Merges two sorted runs into one sorted vector (stable: ties take from `a` first).
+/// Merges two sorted runs into one sorted vector (stable: ties take from `a`
+/// first). Its one user is the k-mer counter's per-bucket merges.
 pub(crate) fn merge_two<T: Ord + Copy>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
     if a.is_empty() {
         return b;
@@ -172,22 +134,6 @@ pub(crate) fn merge_two<T: Ord + Copy>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// One parallel merge round: adjacent runs are merged pairwise, one
-/// [`fork_join`] chunk per pair (the first pair on the calling thread); an odd
-/// run is carried over unmerged.
-pub(crate) fn parallel_merge_round<T: Ord + Copy + Send>(mut runs: Vec<Vec<T>>) -> Vec<Vec<T>> {
-    let carried = if runs.len() % 2 == 1 {
-        runs.pop()
-    } else {
-        None
-    };
-    let mut runs = runs.into_iter();
-    let pairs = std::iter::from_fn(|| Some((runs.next()?, runs.next()?)));
-    let mut next = fork_join(pairs, |(a, b)| merge_two(a, b));
-    next.extend(carried);
-    next
 }
 
 #[cfg(test)]
@@ -295,61 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn radix_sort_pairs_matches_comparison_sort() {
-        // Pseudo-random 42-bit keys, enough of them to clear the fallback gate.
-        let mut state = 0x0123_4567_89AB_CDEFu64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state & ((1 << 42) - 1)
-        };
-        let mut pairs: Vec<(u64, u64)> = (0..10_000u64).map(|i| (next(), i)).collect();
-        let mut expected = pairs.clone();
-        expected.sort_unstable();
-        radix_sort_pairs(&mut pairs, 42);
-        // Keys may collide in this synthetic stream; compare keys only, which is
-        // what the sort guarantees (real construction records have unique keys).
-        assert_eq!(
-            pairs.iter().map(|p| p.0).collect::<Vec<_>>(),
-            expected.iter().map(|p| p.0).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn radix_sort_pairs_small_input_falls_back() {
-        let mut data = vec![(5u64, 0u64), (3, 1), (4, 2), (1, 3), (2, 4)];
-        radix_sort_pairs(&mut data, 42);
-        assert_eq!(
-            data.iter().map(|p| p.0).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5]
-        );
-    }
-
-    #[test]
     fn merge_two_is_a_stable_union() {
         let merged = merge_two(vec![1u64, 3, 5, 5], vec![2, 3, 4]);
         assert_eq!(merged, vec![1, 2, 3, 3, 4, 5, 5]);
         assert_eq!(merge_two(Vec::<u64>::new(), vec![7]), vec![7]);
         assert_eq!(merge_two(vec![7u64], Vec::new()), vec![7]);
-    }
-
-    #[test]
-    fn parallel_round_halves_run_count() {
-        let runs: Vec<Vec<u64>> = (0..7)
-            .map(|i| (0..20).map(|x| x * 7 + i).collect())
-            .collect();
-        let mut runs = runs;
-        while runs.len() > 1 {
-            runs = parallel_merge_round(runs);
-        }
-        let expected: Vec<u64> = {
-            let mut v: Vec<u64> = (0..7)
-                .flat_map(|i| (0..20).map(move |x| x * 7 + i))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(runs.pop().unwrap(), expected);
     }
 }

@@ -8,7 +8,8 @@
 //! * **(b) pre-allocated per-chunk vectors** — every chunk extracts packed k-mers into
 //!   its own vector sized up front, avoiding repeated reallocation of one shared vector;
 //! * **(c) parallel sorting** — per-chunk vectors are sorted independently and merged,
-//!   replacing the serial global sort of the original PaKman implementation —
+//!   replacing the serial global sort of the original PaKman implementation (here
+//!   only a bounded run's folds sort; the finish sorts distinct values only) —
 //!
 //! and §4.4's small-footprint processing as the same loop under a
 //! [`SpillConfig`] bound (external-memory counting; the run file is
@@ -16,19 +17,18 @@
 //!
 //! **Wave → fold → evict → finish.** Reads are consumed in *waves*: half the
 //! bound each, or one wave holding everything when there is no bound. Every
-//! wave is extracted and sorted the same way (below) and charged to a
-//! [`MemoryBudget`] ledger. A wave that is not the last — or that overdraws
-//! the ledger — is *folded* into the one exact-sized sorted run each bucket
-//! keeps; an overdrawn ledger then *evicts* the largest buckets to disk as
-//! sorted runs until residency is back at half the bound. The *finish* fuses
-//! the duplicate run-length count and the error-threshold prune into the last
-//! merge of each value: straight from memory, bucket-parallel, when nothing was
-//! evicted — the last wave's per-chunk runs are still unmerged then, so they
-//! are counted inside their final two-way merge instead of being merged first
-//! and scanned again — and through a k-way merge of the spilled runs otherwise.
-//! Every finisher feeds one `Emitter`, the only place a multiplicity meets
-//! `min_count`, so the counted stream is **bit-identical** at any bound or
-//! thread count.
+//! wave is extracted the same way (below) and charged to a [`MemoryBudget`]
+//! ledger. A wave that is not the last — or that overdraws the ledger — is
+//! *folded*: each bucket's runs are sorted and merged into the one exact-sized
+//! sorted run the bucket keeps; an overdrawn ledger then *evicts* the largest
+//! buckets to disk as sorted runs until residency is back at half the bound.
+//! The *finish* counts: straight from memory, bucket-parallel, when nothing was
+//! evicted — every run of a bucket, sorted or not, goes into one
+//! open-addressing `CountTable`, and only the bucket's distinct values are
+//! sorted — and through a k-way merge and run-length count of the spilled runs
+//! otherwise. Every finisher feeds one `Emitter`, the only place a multiplicity
+//! meets `min_count`, so the counted stream is **bit-identical** at any bound
+//! or thread count.
 //!
 //! Chunks are planned and run by `crate::par`: the calling thread works chunk 0,
 //! a helper is spawned for each further chunk, and there are only as many chunks
@@ -39,8 +39,8 @@
 //! partition the value space (the same ascending-order discipline the paper uses to
 //! lay MacroNodes out across DIMMs, §4.2), every chunk scatters into its own copy
 //! of those buckets while extracting, and each bucket is then finished
-//! independently — per-chunk runs sorted while cache-resident, merged pairwise,
-//! and [`CountedKmer`]s emitted directly from the packed `u64` stream via
+//! independently in a table small enough to stay cache-resident, with
+//! [`CountedKmer`]s emitted directly from the packed `u64` values via
 //! [`Kmer::from_packed`]. Concatenating the buckets in order *is* the globally
 //! sorted output: no phase of step B unpacks a base, materializes a monolithic
 //! merged vector, or re-scans the full stream.
@@ -52,6 +52,7 @@ use crate::memory::MemoryBudget;
 use crate::par::{fork_join, merge_two, plan, COUNT_GRAIN};
 use crate::spill::{kway_merge, SpillIoStats, SpillStore, SpillTelemetry, MERGE_FAN_IN};
 use nmp_pak_genome::{Kmer, SequencingRead};
+use std::hash::BuildHasher;
 
 /// Configuration subset used by the k-mer counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,15 +209,14 @@ fn run_waves(
     grain: usize,
 ) -> Result<(Vec<CountedKmer>, KmerCountStats, SpillIoStats), PakmanError> {
     let KmerCounterConfig { k, threads, .. } = config;
-    let windows = kmer_windows(reads, k);
-    let bucket_bits = bucket_bits_for(windows, k, plan(windows, threads, grain));
+    let bucket_bits = bucket_bits_for(kmer_windows(reads, k), k);
     // Half the bound is a wave's size and the residency an eviction restores,
     // so the next wave always has headroom; no bound, no limit on either.
     let half = budget.capacity().map_or(u64::MAX, |bound| bound / 2);
     let wave_target = half.max(8);
 
-    // Every bucket's sorted runs, in ascending bucket (= value-range) order. A
-    // fold leaves a bucket one exact-sized run.
+    // Every bucket's runs, in ascending bucket (= value-range) order. A fold
+    // leaves a bucket one exact-sized sorted run; a wave's new runs are unsorted.
     let mut resident: Vec<Vec<Vec<u64>>> = vec![Vec::new(); 1 << bucket_bits];
     let mut store: Option<SpillStore> = None;
     let mut stats = KmerCountStats::default();
@@ -240,8 +240,8 @@ fn run_waves(
         let wave = &reads[start..end];
         start = end;
 
-        // §4.5 (a)+(b)+(c) on the wave, on a plan of the wave's own size; the
-        // new bytes go on the ledger.
+        // §4.5 (a)+(b) on the wave, on a plan of the wave's own size; the new
+        // bytes go on the ledger.
         chunks = plan(wave_windows, threads, grain);
         let (wave_kmers, skipped) =
             extract_bucket_runs(wave, chunks, k, bucket_bits, &mut resident);
@@ -249,16 +249,16 @@ fn run_waves(
         stats.skipped_reads += skipped;
         budget.charge(wave_kmers * 8);
 
-        // A last wave that fits beside everything before it stays unmerged: the
-        // finish counts its runs inside their last merge.
+        // Nothing evicted and the ledger not overdrawn: the finish counts what is
+        // resident straight from memory.
         if start == reads.len() && store.is_none() && !budget.is_over() {
             break;
         }
-        // Fold: every bucket back to one run, buckets distributed over the
-        // chunks in contiguous ranges.
+        // Fold: every bucket back to one sorted run, buckets distributed over
+        // the chunks in contiguous ranges.
         let per_group = resident.len().div_ceil(chunks);
         fork_join(resident.chunks_mut(per_group), |group| {
-            group.iter_mut().for_each(|runs| merge_runs(runs, 1));
+            group.iter_mut().for_each(fold);
         });
         if budget.is_over() {
             evict_largest(&mut resident, budget, half, &mut store)?;
@@ -277,7 +277,8 @@ fn run_waves(
         ),
         Some(store) => finish_spilled(resident, store, budget, config)?,
     };
-    debug_assert!(emitter.counted.windows(2).all(|w| w[0].kmer < w[1].kmer));
+    let ascending = emitter.counted.windows(2).all(|w| w[0].kmer < w[1].kmer);
+    assert!(ascending, "stage B emitted k-mers out of order");
     stats.distinct_kmers = emitter.distinct;
     stats.pruned_kmers = emitter.pruned;
     Ok((emitter.counted, stats, io))
@@ -289,21 +290,23 @@ fn kmer_windows(reads: &[SequencingRead], k: usize) -> usize {
     reads.iter().map(|r| r.len().saturating_sub(k - 1)).sum()
 }
 
-/// Bucket count: aim for per-(chunk, bucket) runs of a few hundred elements so
-/// every sort of an extraction stays cache-resident. Shared by all chunks and
-/// all waves — bucket boundaries are a pure function of the k-mer value, never
-/// of the chunking.
-fn bucket_bits_for(windows: usize, k: usize, chunks: usize) -> u32 {
-    (usize::BITS - (windows / (512 * chunks)).leading_zeros())
-        .min(2 * k as u32 - 1)
-        .min(12)
+/// The occurrences a bucket aims for (between half and all of this): its count
+/// table then starts at a quarter as many slots of 12 B, at most 96 KB, so the
+/// finish's probes stay in L2.
+const BUCKET_OCCURRENCES: usize = 32 << 10;
+
+/// Bucket count for `windows` k-mer occurrences: [`BUCKET_OCCURRENCES`] each,
+/// and at least two. Shared by all chunks and all waves — bucket boundaries are
+/// a pure function of the k-mer value, never of the chunking.
+fn bucket_bits_for(windows: usize, k: usize) -> u32 {
+    let bits = usize::BITS - (windows / BUCKET_OCCURRENCES).leading_zeros();
+    bits.clamp(1, (2 * k as u32 - 1).min(12))
 }
 
 /// Extraction of one wave, cut into `chunks` contiguous chunks (chunk 0 on the
-/// calling thread): every chunk extracts and sorts its own copy of the buckets,
-/// and each non-empty sorted run joins its bucket's list in `bucket_runs`
-/// (vector handles move, data does not). Returns the k-mers extracted and the
-/// reads skipped.
+/// calling thread): every chunk extracts into its own copy of the buckets, and
+/// each non-empty run joins its bucket's list in `bucket_runs` (vector handles
+/// move, data does not). Returns the k-mers extracted and the reads skipped.
 fn extract_bucket_runs(
     reads: &[SequencingRead],
     chunks: usize,
@@ -313,7 +316,7 @@ fn extract_bucket_runs(
 ) -> (u64, usize) {
     let chunk_size = reads.len().div_ceil(chunks).max(1);
     let per_chunk = fork_join(reads.chunks(chunk_size), |chunk| {
-        extract_sorted_buckets(chunk, k, bucket_bits)
+        extract_buckets(chunk, k, bucket_bits)
     });
     let (mut total_kmers, mut skipped_total) = (0u64, 0usize);
     for (chunk_buckets, skipped) in per_chunk {
@@ -328,20 +331,15 @@ fn extract_bucket_runs(
     (total_kmers, skipped_total)
 }
 
-/// Extracts the packed k-mers of one read chunk into `2^bucket_bits` sorted
+/// Extracts the packed k-mers of one read chunk into `2^bucket_bits` unsorted
 /// buckets (bucket = top bits of the packed k-mer, so buckets partition the value
 /// space in ascending order).
 ///
 /// The sliding window works on the raw 2-bit codes of the packed read bytes
 /// ([`nmp_pak_genome::DnaString::codes`]) — no per-base enum round-trips — and
-/// scatters while extracting; each bucket is then sorted independently, small
-/// enough to stay cache-resident, unlike one monolithic sort of the whole chunk.
-/// Returns the buckets and the number of reads shorter than `k`.
-fn extract_sorted_buckets(
-    chunk: &[SequencingRead],
-    k: usize,
-    bucket_bits: u32,
-) -> (Vec<Vec<u64>>, usize) {
+/// scatters while extracting. Returns the buckets and the number of reads
+/// shorter than `k`.
+fn extract_buckets(chunk: &[SequencingRead], k: usize, bucket_bits: u32) -> (Vec<Vec<u64>>, usize) {
     let capacity: usize = chunk.iter().map(|r| r.len().saturating_sub(k - 1)).sum();
     let mut skipped = 0usize;
     let kmer_bits = 2 * k as u32;
@@ -350,14 +348,6 @@ fn extract_sorted_buckets(
     } else {
         (1u64 << kmer_bits) - 1
     };
-
-    if bucket_bits == 0 {
-        let mut local = Vec::with_capacity(capacity);
-        extract_into(chunk, k, mask, &mut skipped, |packed| local.push(packed));
-        local.sort_unstable();
-        return (vec![local], skipped);
-    }
-
     let shift = kmer_bits - bucket_bits;
     let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); 1 << bucket_bits];
     let reserve = capacity / buckets.len() + 8;
@@ -367,10 +357,6 @@ fn extract_sorted_buckets(
     extract_into(chunk, k, mask, &mut skipped, |packed| {
         buckets[(packed >> shift) as usize].push(packed)
     });
-
-    for bucket in &mut buckets {
-        bucket.sort_unstable();
-    }
     (buckets, skipped)
 }
 
@@ -400,12 +386,15 @@ fn extract_into(
     }
 }
 
-/// Pairwise-merges a bucket's sorted runs, round by round and in place, until
-/// at most `keep` remain: 1 for a fold, 2 for a finish, which fuses the count
-/// into the last merge. No counting or pruning happens here — duplicates
-/// survive until the [`Emitter`] sees them.
-fn merge_runs(runs: &mut Vec<Vec<u64>>, keep: usize) {
-    while runs.len() > keep {
+/// Folds a bucket's runs into one sorted run: sorts each run — the run an
+/// earlier fold left is sorted already, which the sort finds in one pass — then
+/// merges them pairwise, round by round and in place. No counting or pruning
+/// happens here — duplicates survive until a finisher counts them.
+fn fold(runs: &mut Vec<Vec<u64>>) {
+    for run in runs.iter_mut() {
+        run.sort_unstable();
+    }
+    while runs.len() > 1 {
         let len = runs.len();
         for pair in 0..len / 2 {
             let (a, b) = (
@@ -505,8 +494,8 @@ impl Emitter {
     }
 }
 
-/// Finish when nothing was evicted: per bucket, the runs are merged pairwise
-/// until two remain and the count is fused into that last merge. Buckets are
+/// Finish when nothing was evicted: every bucket is counted by
+/// [`count_bucket`] in its chunk's one reused [`CountTable`]. Buckets are
 /// distributed over the chunks in contiguous ranges, so joining the chunks'
 /// emitters in order yields the ascending counted stream whatever the chunk
 /// count; each bucket's runs are freed as soon as it is counted.
@@ -518,14 +507,9 @@ fn finish_resident(
     let per_group = resident.len().div_ceil(chunks);
     let emitters = fork_join(resident.chunks_mut(per_group), |group| {
         let mut emitter = Emitter::new(config);
+        let mut table = CountTable::default();
         for runs in group {
-            let mut runs = std::mem::take(runs);
-            merge_runs(&mut runs, 2);
-            match runs.as_slice() {
-                [a, b] => count_merged(a, b, &mut emitter),
-                [a] => count_merged(a, &[], &mut emitter),
-                _ => {}
-            }
+            count_bucket(&std::mem::take(runs), &mut table, &mut emitter);
         }
         emitter
     });
@@ -533,28 +517,85 @@ fn finish_resident(
     joined.expect("there is at least one bucket")
 }
 
-/// The last merge of a bucket, fused with the count: walks two sorted runs value
-/// by value — every occurrence of the smaller head value is consumed from both
-/// before the next is looked at — emitting each value once with its
-/// multiplicity. An empty `b` (a bucket with a single run: always the case on
-/// one chunk) makes it a plain run-length scan.
-fn count_merged(a: &[u64], b: &[u64], out: &mut Emitter) {
-    let (mut i, mut j) = (0usize, 0usize);
-    loop {
-        let value = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (Some(&x), None) => x,
-            (None, Some(&y)) => y,
-            (None, None) => return,
-        };
-        let (i0, j0) = (i, j);
-        while a.get(i) == Some(&value) {
-            i += 1;
+/// Counts one bucket: every occurrence of its runs, sorted or not, goes into
+/// `table`, and the bucket's distinct values are then sorted and emitted
+/// once each, ascending, with their multiplicities.
+fn count_bucket(runs: &[Vec<u64>], table: &mut CountTable, out: &mut Emitter) {
+    table.reset(runs.iter().map(Vec::len).sum());
+    runs.iter().flatten().for_each(|&value| table.add(value));
+    let mut distinct: Vec<(u64, u32)> = table.entries().collect();
+    distinct.sort_unstable_by_key(|&(value, _)| value);
+    for (value, count) in distinct {
+        out.emit(value, count);
+    }
+}
+
+/// An open-addressing count table of packed k-mer values: multiplicative hash,
+/// linear probing, doubled at half load. A slot is empty when its count is 0,
+/// never by its key: at k = 32 every `u64` is a k-mer, `u64::MAX` included.
+#[derive(Default)]
+struct CountTable {
+    keys: Vec<u64>,
+    counts: Vec<u32>,
+    len: usize,
+    /// Odd and random per bucket: multiply-shift is then universal, whatever the reads hold.
+    multiplier: u64,
+}
+
+impl CountTable {
+    /// Empties the table and sizes it for `occurrences` insertions: a quarter
+    /// as many slots (at least 64), a power of two.
+    fn reset(&mut self, occurrences: usize) {
+        let slots = (occurrences / 4).max(64).next_power_of_two();
+        self.keys.resize(slots, 0);
+        self.counts.clear();
+        self.counts.resize(slots, 0);
+        self.len = 0;
+        self.multiplier = std::collections::hash_map::RandomState::new().hash_one(0u64) | 1;
+    }
+
+    /// The slot holding `value`, or the empty slot its probe ends at; the probe
+    /// starts at the top bits of the value's multiplicative hash.
+    fn slot_of(&self, value: u64) -> usize {
+        let mask = self.keys.len() - 1;
+        let hash = value.wrapping_mul(self.multiplier);
+        let mut slot = (hash >> (64 - self.keys.len().trailing_zeros())) as usize;
+        while self.counts[slot] != 0 && self.keys[slot] != value {
+            slot = (slot + 1) & mask;
         }
-        while b.get(j) == Some(&value) {
-            j += 1;
+        slot
+    }
+
+    /// Counts one occurrence of `value`.
+    fn add(&mut self, value: u64) {
+        let slot = self.slot_of(value);
+        if self.counts[slot] == 0 {
+            self.keys[slot] = value;
+            self.len += 1;
         }
-        out.emit(value, (i - i0 + j - j0) as u32);
+        self.counts[slot] += 1;
+        if 2 * self.len > self.keys.len() {
+            self.grow();
+        }
+    }
+
+    /// Doubles the slots and re-inserts every entry. Cold, so that it stays out
+    /// of the insert loop `add` is inlined into (78 → 58 ms of inserts on `asm_1t`).
+    #[cold]
+    fn grow(&mut self) {
+        let slots = 2 * self.keys.len();
+        let keys = std::mem::replace(&mut self.keys, vec![0; slots]);
+        let counts = std::mem::replace(&mut self.counts, vec![0; slots]);
+        for (value, count) in keys.into_iter().zip(counts).filter(|&(_, c)| c > 0) {
+            let slot = self.slot_of(value);
+            (self.keys[slot], self.counts[slot]) = (value, count);
+        }
+    }
+
+    /// Every `(value, count)` held, in slot order.
+    fn entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let slots = self.keys.iter().copied().zip(self.counts.iter().copied());
+        slots.filter(|&(_, count)| count > 0)
     }
 }
 
@@ -700,7 +741,7 @@ mod tests {
         };
         // The plan counts these reads in one chunk at any thread count; a grain
         // of one window makes it `threads` chunks per wave, which runs the
-        // per-chunk buckets, the fold and the fused last merge on each.
+        // per-chunk buckets, the fold and the table finish on each.
         assert_eq!(plan(kmer_windows(&reads, 7), 8, COUNT_GRAIN), 1);
         let on_chunks = |threads, bound: Option<u64>| {
             let budget = bound.map_or_else(MemoryBudget::unbounded, MemoryBudget::bounded);
@@ -910,50 +951,65 @@ mod tests {
         assert_eq!(STORES_CREATED.get(), created_before + 1);
     }
 
-    /// What `finish` emits for `(value, multiplicity)` pairs and its
-    /// `(distinct, pruned)` tallies.
-    fn emitted(
-        min_count: u32,
-        finish: impl FnOnce(&mut Emitter),
-    ) -> (Vec<(u64, u32)>, usize, usize) {
+    /// What [`count_bucket`] emits for a bucket of `runs`, as `(value,
+    /// multiplicity)` pairs, and its `(distinct, pruned)` tallies.
+    fn emitted(min_count: u32, runs: &[&[u64]]) -> (Vec<(u64, u32)>, usize, usize) {
         let mut emitter = Emitter::new(KmerCounterConfig {
             k: 4,
             min_count,
             threads: 1,
         });
-        finish(&mut emitter);
+        let runs: Vec<Vec<u64>> = runs.iter().map(|run| run.to_vec()).collect();
+        count_bucket(&runs, &mut CountTable::default(), &mut emitter);
         let stream = emitter.counted.iter().map(|c| (c.kmer.packed(), c.count));
         (stream.collect(), emitter.distinct, emitter.pruned)
     }
 
     #[test]
     fn the_emitter_at_its_edges() {
-        // One value, on either side of the merge.
-        assert_eq!(
-            emitted(1, |e| count_merged(&[5], &[], e)),
-            (vec![(5, 1)], 1, 0)
-        );
-        assert_eq!(
-            emitted(1, |e| count_merged(&[], &[5], e)),
-            (vec![(5, 1)], 1, 0)
-        );
-        assert_eq!(emitted(2, |e| count_merged(&[5], &[], e)), (vec![], 1, 1));
-        assert_eq!(emitted(1, |e| count_merged(&[], &[], e)), (vec![], 0, 0));
+        // One value, in either run.
+        assert_eq!(emitted(1, &[&[5], &[]]), (vec![(5, 1)], 1, 0));
+        assert_eq!(emitted(1, &[&[], &[5]]), (vec![(5, 1)], 1, 0));
+        assert_eq!(emitted(2, &[&[5]]), (vec![], 1, 1));
+        assert_eq!(emitted(1, &[&[], &[]]), (vec![], 0, 0));
+        assert_eq!(emitted(1, &[]), (vec![], 0, 0));
         // All-equal input is one k-mer, split between the runs or not.
-        assert_eq!(
-            emitted(1, |e| count_merged(&[7; 4], &[7; 3], e)),
-            (vec![(7, 7)], 1, 0)
-        );
-        assert_eq!(
-            emitted(1, |e| count_merged(&[7; 7], &[], e)),
-            (vec![(7, 7)], 1, 0)
-        );
+        assert_eq!(emitted(1, &[&[7; 4], &[7; 3]]), (vec![(7, 7)], 1, 0));
+        assert_eq!(emitted(1, &[&[7; 7]]), (vec![(7, 7)], 1, 0));
         // A multiplicity of exactly `min_count` survives, one less is pruned —
-        // wherever the occurrences sit, the last value of the merge included.
+        // wherever the occurrences sit, the largest value included, and in
+        // whatever order the runs hold them.
         assert_eq!(
-            emitted(3, |e| count_merged(&[1, 1, 2, 2, 9], &[1, 3, 3, 3, 9], e)),
+            emitted(3, &[&[9, 1, 2, 1, 2], &[3, 1, 9, 3, 3]]),
             (vec![(1, 3), (3, 3)], 4, 2)
         );
+    }
+
+    #[test]
+    fn the_count_table_grows_past_its_first_size_and_keeps_every_count() {
+        // 64 slots for 256 occurrences; 201 distinct values force three
+        // doublings, and 0 and `u64::MAX` are values like any other.
+        let values: Vec<u64> = (0..200u64)
+            .map(|v| v.wrapping_mul(0x0123_4567_89AB_CDEF))
+            .chain([0, u64::MAX, u64::MAX])
+            .collect();
+        let mut run = values.clone();
+        run.extend_from_slice(&values[..53]);
+        let mut table = CountTable::default();
+        table.reset(run.len());
+        assert_eq!(table.keys.len(), 64);
+        run.iter().for_each(|&value| table.add(value));
+        assert_eq!(table.keys.len(), 512);
+        let mut got: Vec<(u64, u32)> = table.entries().collect();
+        got.sort_unstable();
+        let mut want = std::collections::BTreeMap::new();
+        for &value in &run {
+            *want.entry(value).or_insert(0u32) += 1;
+        }
+        assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+        // A reset empties it and sizes it down for the next bucket.
+        table.reset(8);
+        assert_eq!((table.keys.len(), table.entries().count()), (64, 0));
     }
 
     #[test]
@@ -962,10 +1018,10 @@ mod tests {
         // only. At two buckets over the sixteen 2-mer values, bucket 0 ends on
         // the run of 7s and bucket 1 opens with the run of 8s: neighbouring
         // values the finish must keep apart, and close, at the boundary.
-        let reads = reads_from(&["CGTA".repeat(40).as_str(); 4]);
+        let reads = reads_from(&["CGTA".repeat(1000).as_str(); 9]);
         let windows = kmer_windows(&reads, 2);
-        assert_eq!(windows, 4 * 159);
-        assert_eq!(bucket_bits_for(windows, 2, 1), 1);
+        assert_eq!(windows, 9 * 3999);
+        assert_eq!(bucket_bits_for(windows, 2), 1);
         let config = KmerCounterConfig {
             k: 2,
             min_count: 1,
@@ -973,7 +1029,7 @@ mod tests {
         };
         let (counted, stats) = count_kmers(&reads, config).unwrap();
         let stream: Vec<(u64, u32)> = counted.iter().map(|c| (c.kmer.packed(), c.count)).collect();
-        assert_eq!(stream, vec![(1, 156), (7, 160), (8, 160), (14, 160)]);
+        assert_eq!(stream, vec![(1, 8991), (7, 9000), (8, 9000), (14, 9000)]);
         assert_eq!(counted[1].kmer, Kmer::from_ascii("CG").unwrap());
         assert_eq!((stats.distinct_kmers, stats.pruned_kmers), (4, 0));
         // The spilled runs give the same stream: there the last run is closed by

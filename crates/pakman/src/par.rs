@@ -10,8 +10,7 @@
 //!   [`fork_join_into`] is the same for chunks that emit runs of one stream
 //!   (P1's rank hand-off): chunk 0 writes the stream itself.
 //! * [`merge_two`] is the sequential two-run merge of the k-mer counter's
-//!   per-bucket pairwise merges (whose *final* merge is fused with the
-//!   run-length count).
+//!   folds, the per-bucket pairwise merges of a run with a memory bound.
 
 /// The grain: the fewest items a spawned helper is handed, for every site whose
 /// item is node-sized work (a counted k-mer of stage C, a P1 check, a lock-step
@@ -112,7 +111,7 @@ pub(crate) fn fork_join_into<T: Send, E: Send>(
 }
 
 /// Merges two sorted runs into one sorted vector (stable: ties take from `a`
-/// first). Its one user is the k-mer counter's per-bucket merges.
+/// first). Its one user is the k-mer counter's fold.
 pub(crate) fn merge_two<T: Ord + Copy>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
     if a.is_empty() {
         return b;

@@ -210,8 +210,8 @@ impl<'r> Stage<&'r [SequencingRead]> for AccessStage {
     }
 }
 
-/// Step B: parallel k-mer counting (bucket-major sort/merge fused with the
-/// count + prune, see DESIGN.md).
+/// Step B: parallel k-mer counting (bucket-major: each bucket counted in a
+/// table, or its spilled runs merged, then pruned; see DESIGN.md).
 #[derive(Debug, Clone, Copy)]
 pub struct CountStage {
     config: KmerCounterConfig,

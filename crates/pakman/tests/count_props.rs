@@ -144,3 +144,57 @@ fn every_bound_thread_count_and_partitioning_equals_the_naive_count() {
         }
     }
 }
+
+#[test]
+fn the_count_table_at_its_edges_equals_the_naive_count() {
+    // 1 200 random reads and 150 poly-A plus 150 poly-G reads of 150 bases:
+    // ≈ 200 k windows, so ≥ 4 value-range buckets, and two extraction chunks
+    // from `threads = 2` on. Poly-A and poly-G are the k-mer values 0 and
+    // 4^k − 1 (`u64::MAX` at k = 32), in the first and the last bucket, each
+    // with a multiplicity (≥ 17 850) above its bucket table's first size
+    // (16 Ki slots). At k ≥ 21 the random k-mers are almost all distinct, so
+    // every table grows.
+    let mut rng = Rng::new(0x7AB1E);
+    let mut reads = Vec::new();
+    for i in 0..1_500usize {
+        let mut dna = DnaString::new();
+        for _ in 0..150 {
+            let code = match i {
+                0..1_200 => (rng.next() >> 33) as u8 & 0b11,
+                1_200..1_350 => 0b00,
+                _ => 0b11,
+            };
+            dna.push_code(code);
+        }
+        reads.push(SequencingRead::new(format!("r{i}"), dna));
+    }
+    for k in [2, 21, 32] {
+        let (want, want_stats) = naive_count(&reads, k, 2);
+        let all_ones = u64::MAX >> (64 - 2 * k);
+        assert_eq!(want.first().map(|&(v, _)| v), Some(0), "k = {k}: poly-A");
+        assert_eq!(
+            want.last().map(|&(v, _)| v),
+            Some(all_ones),
+            "k = {k}: poly-G"
+        );
+        let input_bytes = want_stats.total_kmers * 8;
+        for threads in [1, 2, 8] {
+            let config = KmerCounterConfig {
+                k,
+                min_count: 2,
+                threads,
+            };
+            let what = format!("k = {k}, threads = {threads}");
+            let (counted, stats) = count_kmers(&reads, config).unwrap();
+            let stream: Vec<(u64, u32)> =
+                counted.iter().map(|c| (c.kmer.packed(), c.count)).collect();
+            assert_eq!(stream, want, "{what}: counted stream");
+            assert_eq!(stats, want_stats, "{what}: statistics");
+            let spill = SpillConfig::bounded(input_bytes / 4);
+            let (spilled, stats, telemetry) = count_kmers_spilled(&reads, config, &spill).unwrap();
+            assert!(telemetry.bytes_spilled > 0, "{what}: {telemetry:?}");
+            assert_eq!(spilled, counted, "{what}: spilled stream");
+            assert_eq!(stats, want_stats, "{what}: spilled statistics");
+        }
+    }
+}

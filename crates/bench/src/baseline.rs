@@ -234,9 +234,7 @@ pub fn compact_baseline(
         let mut transfers: Vec<(usize, TransferNode)> = Vec::new();
         for &slot in &invalidated_slots {
             let node = graph.node(slot).expect("invalidated slot was alive");
-            for t in TransferNode::extract_all(node) {
-                transfers.push((slot, t));
-            }
+            transfers.extend(TransferNode::extract_all(node).map(|t| (slot, t)));
             graph.invalidate(slot);
         }
 

@@ -415,7 +415,6 @@ pub(crate) mod tests {
             checked_per_shard,
             // Shard 0 → shard 8 (both on channel 0), shard 0 → shard 1 (cross).
             flushes: vec![flush(8, 1_000), flush(1, 2_000)],
-            round_nanos: Vec::new(),
         };
         let ctx = SimulationContext::new(1 << 30).with_sharding(telemetry);
         assert_pinned(

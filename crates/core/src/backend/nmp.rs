@@ -172,7 +172,6 @@ mod tests {
             final_alive_per_shard: vec![50; shards],
             checked_per_shard: checked,
             flushes: Vec::new(),
-            round_nanos: Vec::new(),
         };
         let ctx = SimulationContext::new(1 << 30).with_sharding(telemetry);
         assert!(ctx.load_imbalance > 4.0);

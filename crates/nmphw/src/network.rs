@@ -102,8 +102,10 @@ impl NetworkModel {
     ///
     /// Shards fold onto nodes round-robin. Each node's compute share is its
     /// measured fraction of P1 work (`checked_per_shard`) times the one-host
-    /// runtime — the async engine's no-barrier schedule means a node is paced
-    /// by its own work, not the global stragglers. Each node also pays to send
+    /// runtime. That is the model's assumption, not a schedule that runs: the
+    /// engine is barriered (lock-step), but the projection paces each node by
+    /// its own work alone, as a cluster without a per-iteration barrier would
+    /// be, not by the global stragglers. Each node also pays to send
     /// its cross-node flushes, read from the per-flush mailbox ledger: a run
     /// that moved anything has one record per lane that carried a transfer in
     /// an iteration (a run that moved nothing sends nothing). The projected
@@ -223,7 +225,6 @@ mod tests {
             final_alive_per_shard: vec![50; shards],
             checked_per_shard: vec![1_000; shards],
             flushes,
-            round_nanos: Vec::new(),
         }
     }
 

@@ -620,7 +620,6 @@ mod tests {
                 work
             },
             flushes: vec![flush(0, 8, 1_000), flush(0, 1, 3_000)],
-            round_nanos: Vec::new(),
         };
         let stats = system(NmpConfig::default()).channel_load_from_sharding(&telemetry);
         assert_eq!(stats.map, ShardChannelMap::new(12, 8));
@@ -670,7 +669,6 @@ mod tests {
             checked_per_shard: checked,
             // Shard 0 → shard 1: cross-channel.
             flushes: vec![flush(0, 1, 10_000)],
-            round_nanos: Vec::new(),
         }
     }
 

@@ -557,7 +557,7 @@ impl CompactionScratch {
         chunks: usize,
         mut events: Option<&mut Vec<TransferEvent>>,
     ) -> usize {
-        let expected = transfer_count(self.invalidated.iter().map(|&slot| store.node(slot)));
+        let expected = Self::transfer_count(self.invalidated.iter().map(|&slot| store.node(slot)));
         assert_eq!(
             self.resolved.len(),
             expected,
@@ -567,7 +567,7 @@ impl CompactionScratch {
             store.retire(slot);
             self.running_hist.unrecord(self.cached_size[slot]);
         }
-        remove_sorted(&mut self.alive_list, &self.invalidated);
+        Self::remove_sorted(&mut self.alive_list, &self.invalidated);
         for &slot in &self.touched_order {
             self.touched[slot] = false;
         }
@@ -587,9 +587,7 @@ impl CompactionScratch {
                 store.prefetch(ahead);
             }
             let node = store.take_retired(source);
-            let pairs = node.paths().iter();
-            let pairs = pairs.filter_map(|path| TransferNode::extract_pair(&node, path));
-            for transfer in pairs.flat_map(|(pred, succ)| [pred, succ]) {
+            for transfer in TransferNode::extract_all(&node) {
                 if let Some(&Some(ahead)) = self.resolved.get(delivered + DEST_LOOKAHEAD) {
                     store.prefetch(ahead);
                 }
@@ -636,6 +634,25 @@ impl CompactionScratch {
             self.touched[dest] = true;
             self.touched_order.push(dest);
         }
+    }
+
+    /// Removes the sorted slot set `removed` from the sorted `alive` list in
+    /// place (one forward pass; both inputs ascending). Panics, in release
+    /// builds too, if a removed slot was not in the list.
+    fn remove_sorted(alive: &mut Vec<u32>, removed: &[usize]) {
+        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
+        let mut rest = removed.iter().peekable();
+        alive.retain(|&slot| rest.next_if(|&&gone| gone == slot as usize).is_none());
+        assert!(rest.next().is_none(), "every removed slot was alive");
+    }
+
+    /// The exact length of the transfer stream the invalidated `nodes` (all
+    /// fully interior) will produce: two TransferNodes per path.
+    fn transfer_count<'a>(nodes: impl Iterator<Item = Option<&'a MacroNode>>) -> usize {
+        2 * nodes
+            .flatten()
+            .map(|node| node.paths().len())
+            .sum::<usize>()
     }
 }
 
@@ -806,26 +823,6 @@ pub(crate) fn run_barriered<S: NodeStore>(
     })
 }
 
-/// Removes the sorted slot set `removed` from the sorted `alive` list in place
-/// (one forward pass; both inputs ascending). Panics, in release builds too, if
-/// a removed slot was not in the list.
-pub(crate) fn remove_sorted(alive: &mut Vec<u32>, removed: &[usize]) {
-    debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
-    let mut rest = removed.iter().peekable();
-    alive.retain(|&slot| rest.next_if(|&&gone| gone == slot as usize).is_none());
-    assert!(rest.next().is_none(), "every removed slot was alive");
-}
-
-/// The exact length of the transfer stream the invalidated `nodes` (all fully
-/// interior) will produce: two TransferNodes per path. Shared with the async
-/// sharded engine's extraction.
-pub(crate) fn transfer_count<'a>(nodes: impl Iterator<Item = Option<&'a MacroNode>>) -> usize {
-    2 * nodes
-        .flatten()
-        .map(|node| node.paths().len())
-        .sum::<usize>()
-}
-
 /// Stage P1 decision: the node is invalidated if it is fully interior and its
 /// (k-1)-mer is strictly the lexicographically largest among its neighbours
 /// (Fig. 4 (b)). The strictness guarantees two adjacent nodes are never invalidated in
@@ -843,9 +840,9 @@ pub fn is_invalidation_target(graph: &PakGraph, node: &MacroNode) -> bool {
     is_invalidation_target_with(|k1mer| graph.index_of(k1mer), node, |_| {})
 }
 
-/// [`is_invalidation_target`] generalized over the neighbour lookup, so the
-/// sharded engines can route lookups through the owner shards while evaluating
-/// the very same predicate. `resolve` answers "alive, and where" for one
+/// [`is_invalidation_target`] generalized over the neighbour lookup, so every
+/// [`NodeStore`] can route lookups its own way while evaluating the very same
+/// predicate. `resolve` answers "alive, and where" for one
 /// neighbour (k-1)-mer (`None` = not alive); every answer is handed to `sink` in
 /// path order, predecessor before successor — the order
 /// [`TransferNode::extract_pair`] emits a path's two TransferNodes — so a caller
@@ -896,8 +893,8 @@ pub(crate) fn is_invalidation_target_with<R>(
 
 /// Applies one TransferNode to its destination node, splitting paths as necessary so
 /// that exactly `transfer.count` units of flow receive the new extension. Returns
-/// `false` if no matching extension was found. Shared with the sharded engine,
-/// whose per-shard P3 applies mailbox deliveries with this exact function.
+/// `false` if no matching extension was found. Shared with the sharded store,
+/// whose forked P3 applies each shard's inbox with this exact function.
 pub(crate) fn apply_transfer(dest: &mut MacroNode, transfer: &TransferNode) -> bool {
     let mut remaining = transfer.count;
     let mut new_paths = Vec::new();
@@ -1221,11 +1218,7 @@ mod tests {
             let mut stream: Vec<(usize, TransferNode)> = Vec::new();
             for &slot in &invalidated {
                 let node = oracle.node(slot).expect("a target is alive");
-                stream.extend(
-                    TransferNode::extract_all(node)
-                        .into_iter()
-                        .map(|t| (slot, t)),
-                );
+                stream.extend(TransferNode::extract_all(node).map(|t| (slot, t)));
             }
             for &slot in &invalidated {
                 oracle.invalidate(slot);
@@ -1620,7 +1613,7 @@ mod tests {
     #[should_panic(expected = "every removed slot was alive")]
     fn removing_a_slot_that_is_not_alive_panics() {
         let mut alive = vec![1u32, 4, 9];
-        remove_sorted(&mut alive, &[4, 7]);
+        CompactionScratch::remove_sorted(&mut alive, &[4, 7]);
     }
 
     #[test]

@@ -3,31 +3,20 @@
 use crate::error::PakmanError;
 use nmp_pak_genome::kmer::MAX_K;
 
-/// How the sharded compaction engine schedules shard iterations.
+/// A retired choice of shard schedule: both variants run the one lock-step
+/// schedule, in which every shard runs iteration *i* before any shard starts
+/// iteration *i + 1*, bit-identical to the single-graph engine (§4.2: the PEs
+/// exchange TransferNodes once per iteration).
 ///
-/// [`ShardSchedule::Lockstep`] keeps the original barrier semantics: every
-/// shard runs iteration *i* before any shard starts iteration *i + 1*, and the
-/// full outcome — statistics, trace, telemetry — is bit-identical to the
-/// single-graph engine. [`ShardSchedule::Async`] drops the thread barrier:
-/// shards run as queued tasks over a worker pool, each advancing its own wave
-/// counter and flushing mailbox lanes as soon as its P3 finishes, with wave
-/// completion counted through a shared ledger instead of joined — so quiescent
-/// shards cost O(1) per wave and a straggler no longer serializes the pool
-/// through per-phase joins. Async output follows the *verified-equivalent*
-/// contract (see DESIGN.md): final contigs, the compacted graph, statistics
-/// and the mailbox flush ledger are byte-identical to lock-step (transfers are
-/// applied at wave boundaries in canonical global-slot order), while
-/// scheduling telemetry (per-iteration stats, the profile, per-round timing)
-/// is allowed to differ. `compaction_node_threshold` and the iteration cap are
-/// applied against the global census at wave boundaries, exactly as under the
-/// barrier. Trace recording (`record_trace`) forces lock-step.
+/// The repository benchmark's shard probe still names both variants, so the
+/// type goes when that probe is rewritten (ROADMAP.md, item 4). It selects
+/// nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ShardSchedule {
-    /// Barriered iterations; bit-identical to the single-graph engine.
+    /// The lock-step schedule.
     #[default]
     Lockstep,
-    /// Per-shard iteration counters with eager mailbox flushes; final output
-    /// verified equivalent to lock-step, per-iteration telemetry may differ.
+    /// The lock-step schedule too: the name of a deleted engine.
     Async,
 }
 
@@ -196,10 +185,7 @@ pub struct PakmanConfig {
     /// default is single-graph execution; any shard count produces bit-identical
     /// output.
     pub shards: ShardConfig,
-    /// Iteration scheduling for the sharded compaction engine (see
-    /// [`ShardSchedule`]). Lock-step (the default) is bit-identical to the
-    /// single-graph engine; async drops the barrier and is verified equivalent
-    /// on final output. Ignored when `shards.shard_count == 1`.
+    /// Read by nothing: every sharded run is lock-step (see [`ShardSchedule`]).
     pub shard_schedule: ShardSchedule,
     /// The k-mer counter's memory bound (see [`SpillConfig`]). The default is
     /// none; any budget produces bit-identical output.
@@ -335,13 +321,13 @@ mod tests {
             PakmanConfig::default().shard_schedule,
             ShardSchedule::Lockstep
         );
-        let async_cfg = PakmanConfig {
+        // The retired name still validates: the benchmark's shard probe sets it.
+        let renamed = PakmanConfig {
             shard_schedule: ShardSchedule::Async,
             shards: ShardConfig::default_channels(),
             ..PakmanConfig::default()
         };
-        assert!(async_cfg.validate().is_ok());
-        assert_ne!(async_cfg, PakmanConfig::default());
+        assert!(renamed.validate().is_ok());
     }
 
     #[test]

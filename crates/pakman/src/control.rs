@@ -17,8 +17,7 @@
 //! The two compaction entry points run one barriered iteration driver (the
 //! lock-step schedule), so they share one contract: the token is polled, then
 //! the observer called, at the top of every iteration, and only the checkpoint
-//! label differs (`"compaction"` / `"sharded compaction"`). The async shard
-//! schedule polls once per shard round and between mailbox flushes instead.
+//! label differs (`"compaction"` / `"sharded compaction"`).
 
 use crate::error::PakmanError;
 use crate::memory::MemoryBudget;

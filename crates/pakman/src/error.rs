@@ -35,15 +35,6 @@ pub enum PakmanError {
         /// `"stage B (k-mer counting)"`).
         at: String,
     },
-    /// The async shard schedule broke one of its own invariants — a stalled run
-    /// queue, a mailbox flush that missed its wave, flushes left unapplied at the
-    /// end — which is a bug in the engine, not in the input. The run stops, every
-    /// worker is released and every in-flight flush is un-charged; the graph is
-    /// left mid-compaction and should be dropped.
-    ScheduleInvariant {
-        /// The violated invariant and the engine state that shows it.
-        message: String,
-    },
 }
 
 impl fmt::Display for PakmanError {
@@ -54,9 +45,6 @@ impl fmt::Display for PakmanError {
             PakmanError::Genome(err) => write!(f, "genome error: {err}"),
             PakmanError::Spill { message } => write!(f, "spill error: {message}"),
             PakmanError::Cancelled { at } => write!(f, "cancelled at {at}"),
-            PakmanError::ScheduleInvariant { message } => {
-                write!(f, "schedule invariant violated: {message}")
-            }
         }
     }
 }

@@ -26,58 +26,31 @@
 //!   flush ledger is the one record of the exchange, and every traffic total
 //!   is a sum over it.
 //!
-//! **Determinism contract.** Under the default lock-step schedule, sharding
-//! changes *where* work executes, never what it computes: contigs, statistics,
-//! and the recorded trace are bit-identical to the single-graph path at every
-//! shard count and thread count. The load-bearing facts are (1) ownership is a
-//! pure function of the (k-1)-mer, (2) each node is the single build's node,
-//! moved whole to its owner, (3) the mailbox is a stable partition of the
-//! canonical transfer stream, so per-destination delivery order equals the
-//! serial order, and (4) every
-//! reduction (histogram, counts) is order-free and every ordered artifact
-//! (trace events, dirty set) is re-serialized from the canonical global-slot
-//! order.
+//! **Determinism contract.** Sharding changes *where* work executes, never
+//! what it computes: contigs, statistics, and the recorded trace are
+//! bit-identical to the single-graph path at every shard count and thread
+//! count. The load-bearing facts are (1) ownership is a pure function of the
+//! (k-1)-mer, (2) each node is the single build's node, moved whole to its
+//! owner, (3) the mailbox is a stable partition of the canonical transfer
+//! stream, so per-destination delivery order equals the serial order, and (4)
+//! every reduction (histogram, counts) is order-free and every ordered
+//! artifact (trace events, dirty set) is re-serialized from the canonical
+//! global-slot order.
 //!
-//! **Async schedule.** [`crate::ShardSchedule::Async`] drops the per-iteration
-//! thread barrier: shards run as queued tasks over a persistent worker pool,
-//! each advancing its own wave counter and flushing mailbox lanes
-//! ([`MailboxFlushStats`]) to destination shards as soon as its P3 finishes,
-//! with a bounded number of unconsumed flushes per (src, dst) lane and
-//! slot-tagged transfers within each flush. Wave completion is counted
-//! through a shared ledger rather than joined: the last shard to finish a
-//! wave re-arms the others, detects the global fixed point (a wave with zero
-//! invalidations), applies the node threshold against the global census, and
-//! enforces the iteration cap — so an empty or quiescent shard costs O(1) per
-//! wave instead of three phase joins. Because `apply_transfer` is
-//! order-sensitive (partial-count takes and path splits do not commute), each
-//! destination buffers inbound flushes and applies a wave's worth in one
-//! stable pass ordered by global source slot — the canonical stream order the
-//! lock-step mailbox delivers — and deaths are published as *versioned* wave
-//! numbers so a concurrent predicate always reads its wave-start snapshot.
-//! The result is the *verified-equivalent* contract (DESIGN.md): final
-//! contigs, the compacted graph, statistics and the flush ledger are
-//! byte-identical to lock-step, while scheduling telemetry (iteration stats,
-//! the profile, per-round timing) may differ. The equivalence is enforced by
-//! a test sweep across shard counts and thread counts.
+//! **One schedule.** The paper's PEs exchange TransferNodes once per
+//! iteration (§4.2), and this module runs exactly that barriered schedule.
+//! [`crate::ShardSchedule`] selects nothing: both of its variants run it.
 
-use crate::compaction::{
-    apply_transfer, is_invalidation_target_with, remove_sorted, run_barriered, transfer_count,
-    CompactionOutcome, CompactionProfile, CompactionStats, NodeStore,
-};
-use crate::config::{PakmanConfig, ShardSchedule};
+use crate::compaction::{apply_transfer, run_barriered, CompactionOutcome, NodeStore};
+use crate::config::PakmanConfig;
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use crate::kmer_count::CountedKmer;
 use crate::macronode::MacroNode;
-use crate::memory::MemoryBudget;
 use crate::par::fork_join;
 use crate::transfer::{PostedTransfer, ShardMailbox, TransferNode};
 use nmp_pak_genome::{shard_of_packed, Kmer};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// The PaK-graph split into owner-computes shards, with the global rank mapping
 /// that keeps every externally visible artifact (traces, statistics, the
@@ -303,23 +276,21 @@ impl ShardedGraph {
     }
 }
 
-/// One mailbox flush: a batch of TransferNodes from one source shard's local
-/// iteration, delivered to one destination shard.
+/// One mailbox flush: the TransferNodes one source shard sent one destination
+/// shard in one iteration.
 ///
-/// Under the async schedule each record is an *actual* flush (published as
-/// soon as the source's P3 finished that local iteration); under lock-step the
-/// barriered exchange is decomposed into one record per (iteration, src, dst)
-/// lane with traffic. The two ledgers are identical record for record, and
-/// every traffic figure — [`ShardingTelemetry`]'s totals, the channel model's
-/// intra/cross-channel split, the network model's per-flush charges — is a sum
-/// over them.
+/// The barriered exchange is decomposed into one record per (iteration, src,
+/// dst) lane with traffic, and every traffic figure — [`ShardingTelemetry`]'s
+/// totals, the channel model's intra/cross-channel split, the network model's
+/// per-flush charges — is a sum over them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MailboxFlushStats {
     /// Source shard.
     pub src: usize,
     /// Destination shard (equal to `src` for shard-local deliveries).
     pub dst: usize,
-    /// The source shard's local iteration that produced this flush.
+    /// The global compaction iteration that produced this flush (every shard
+    /// runs every iteration, so there is no per-shard count).
     pub src_iteration: usize,
     /// TransferNodes carried.
     pub transfers: u64,
@@ -345,10 +316,6 @@ pub struct ShardingTelemetry {
     /// transfer, sorted by (src_iteration, src, dst). The only record of the
     /// traffic; the totals below are sums over it.
     pub flushes: Vec<MailboxFlushStats>,
-    /// Wall nanoseconds of each completed local round, per shard — recorded by
-    /// the async engine only (empty vectors under lock-step, whose telemetry
-    /// stays deterministic and comparable across thread counts).
-    pub round_nanos: Vec<Vec<u64>>,
 }
 
 impl ShardingTelemetry {
@@ -362,7 +329,6 @@ impl ShardingTelemetry {
             final_alive_per_shard: Vec::new(),
             checked_per_shard: vec![0; shard_count],
             flushes: Vec::new(),
-            round_nanos: Vec::new(),
         }
     }
 
@@ -420,35 +386,6 @@ impl ShardingTelemetry {
         }
         self.total_cross_shard_bytes() as f64 / total as f64
     }
-
-    /// The barriered critical path implied by the measured per-shard round
-    /// times: with a lock-step barrier every round costs as much as its
-    /// slowest shard (`Σ_r max_s t[s][r]`). Zero when round times were not
-    /// recorded (lock-step runs do not measure them).
-    pub fn lockstep_critical_path_nanos(&self) -> u64 {
-        let rounds = self.round_nanos.iter().map(Vec::len).max().unwrap_or(0);
-        (0..rounds)
-            .map(|round| {
-                self.round_nanos
-                    .iter()
-                    .filter_map(|shard| shard.get(round).copied())
-                    .max()
-                    .unwrap_or(0)
-            })
-            .sum()
-    }
-
-    /// The asynchronous critical path over the same measured rounds: without
-    /// the barrier no shard waits for a straggler, so the critical path is the
-    /// busiest shard's total work (`max_s Σ_r t[s][r]`). By construction this
-    /// never exceeds [`ShardingTelemetry::lockstep_critical_path_nanos`].
-    pub fn async_critical_path_nanos(&self) -> u64 {
-        self.round_nanos
-            .iter()
-            .map(|shard| shard.iter().sum())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Runs Iterative Compaction over the sharded graph: P1/P2/P3 execute
@@ -463,7 +400,7 @@ pub fn compact_sharded(
     config: &PakmanConfig,
 ) -> (CompactionOutcome, ShardingTelemetry) {
     compact_sharded_controlled(sharded, config, &RunControl::default())
-        .expect("an uncancelled run fails only on a broken schedule invariant")
+        .expect("the null control never cancels and a graph's slots fit the 32-bit census")
 }
 
 /// [`compact_sharded`] under a [`RunControl`]: the cancellation token is polled
@@ -475,24 +412,14 @@ pub fn compact_sharded(
 /// # Errors
 ///
 /// Returns [`PakmanError::Cancelled`] if the control's token fires between
-/// iterations, and — under [`ShardSchedule::Async`] only —
-/// [`PakmanError::ScheduleInvariant`] if the schedule broke one of its own
-/// invariants; either way the sharded graph is left mid-compaction and should
-/// be dropped.
+/// iterations; the sharded graph is left mid-compaction and should be dropped.
+/// Returns [`PakmanError::InvalidConfig`], with the graph untouched, if it has
+/// more than `u32::MAX` global slots.
 pub fn compact_sharded_controlled(
     sharded: &mut ShardedGraph,
     config: &PakmanConfig,
     control: &RunControl<'_>,
 ) -> Result<(CompactionOutcome, ShardingTelemetry), PakmanError> {
-    // The async engine takes over for multi-shard runs on the async schedule.
-    // Trace recording forces lock-step: the trace format is defined in global
-    // barrier iterations, which the async engine does not have.
-    if config.shard_schedule == ShardSchedule::Async
-        && sharded.shard_count() > 1
-        && !config.record_trace
-    {
-        return compact_sharded_async(sharded, config, control);
-    }
     let mut store = Lockstep::over(sharded);
     let outcome = run_barriered(&mut store, config, control)?;
     let mut telemetry = store.telemetry;
@@ -593,10 +520,9 @@ impl NodeStore for Lockstep<'_> {
     }
 
     /// Enters the iteration's exchange in the flush ledger — one record per
-    /// (src, dst) lane with traffic, so lock-step and async expose the same
-    /// ledger (already in (iteration, src, dst) order by construction) — then
-    /// has every destination shard apply its inbox ([`apply_inboxes`]) and
-    /// settles the outcomes in delivery order.
+    /// (src, dst) lane with traffic, already in (iteration, src, dst) order by
+    /// construction — then has every destination shard apply its inbox
+    /// ([`apply_inboxes`]) and settles the outcomes in delivery order.
     fn close(&mut self, settle: impl FnMut(usize, bool)) {
         let src_iteration = self.iteration;
         let flushes = self
@@ -639,736 +565,11 @@ fn apply_inboxes(shards: &mut [PakGraph], inboxes: &mut [Vec<PostedTransfer>], c
     });
 }
 
-// ---------------------------------------------------------------------------
-// The asynchronously scheduled engine ([`ShardSchedule::Async`]).
-// ---------------------------------------------------------------------------
-
-/// Maximum unconsumed flushes one (src, dst) lane may hold before the sender
-/// backs off — the bounded in-flight window that keeps a fast shard from
-/// flooding a straggler's inbox. Later flushes on a blocked lane wait behind
-/// it (per-lane FIFO), while flushes to other destinations proceed.
-const ASYNC_LANE_DEPTH: usize = 4;
-
-/// One eagerly delivered mailbox flush between two shards.
-struct AsyncFlush {
-    src: usize,
-    dst: usize,
-    /// The global wave the sender extracted this flush in; the receiver folds
-    /// it into the canonical apply stream at the start of wave
-    /// `src_iteration + 1`.
-    src_iteration: usize,
-    /// `(global source slot, transfer)`, ascending by source slot — the
-    /// sender extracts in ascending slot order, so a stable sort over all of a
-    /// wave's flushes reconstructs the canonical global stream exactly.
-    transfers: Vec<(u32, TransferNode)>,
-    bytes: u64,
-}
-
-/// Mutable per-shard compaction state. The run queue admits each shard at most
-/// once, so the mutex is held by at most one worker at a time.
-struct AsyncShardState<'g> {
-    graph: &'g mut PakGraph,
-    /// Local slot → global slot.
-    globals: &'g [u32],
-    /// The next wave this shard executes (== waves completed so far).
-    wave: usize,
-    /// This shard executed a wave whose completion it has not reported yet
-    /// (outbound flushes are still back-pressured on a full lane).
-    completion_pending: bool,
-    /// Invalidations of the yet-unreported wave, fed into the global
-    /// fixed-point check on completion.
-    unreported_deaths: usize,
-    /// Alive local slots, ascending.
-    alive_list: Vec<u32>,
-    dirty: Vec<bool>,
-    dirty_list: Vec<u32>,
-    /// Drained-but-unapplied inbound flushes, wave-tagged. Also carries this
-    /// shard's own self-lane flushes (never deposited, never charged).
-    inbuf: Vec<AsyncFlush>,
-    /// Outbound flushes not yet deposited (back-pressured lanes retry here;
-    /// FIFO order per lane is preserved).
-    pending_out: VecDeque<AsyncFlush>,
-    /// Wall nanoseconds of each executed wave (one entry per wave).
-    round_nanos: Vec<u64>,
-    checked: u64,
-    flushes: Vec<MailboxFlushStats>,
-}
-
-/// The shard run queue plus the wave ledger. A shard is `active` from enqueue
-/// until its round finishes, so duplicate enqueues collapse; the wave fields
-/// implement the decentralized completion count that replaced the thread
-/// barrier.
-struct AsyncQueue {
-    runnable: VecDeque<usize>,
-    active: Vec<bool>,
-    running: usize,
-    done: bool,
-    /// Shards that have not yet completed the current wave.
-    wave_remaining: usize,
-    /// Invalidations reported for the current wave so far.
-    wave_deaths: usize,
-    /// The current wave is the apply-only epilogue after a threshold or
-    /// iteration-cap stop (lock-step applies its last mailbox before exiting,
-    /// so the async engine must land those flushes too).
-    finishing: bool,
-    converged: bool,
-}
-
-/// Everything the async workers share.
-struct AsyncEngine<'g> {
-    states: Vec<Mutex<AsyncShardState<'g>>>,
-    inboxes: Vec<Mutex<Vec<AsyncFlush>>>,
-    /// Versioned global-slot aliveness — the concurrent analogue of
-    /// [`ShardedGraph::contains`]. The stored value is `death wave + 1`
-    /// (`usize::MAX` = never died, `0` = never alive), so a wave-`r` predicate
-    /// reads its wave-start snapshot as `value > r`: a death published by a
-    /// concurrent wave-`r` peer is still alive for wave-`r` checks, exactly as
-    /// under the barrier, and dead from wave `r + 1` on.
-    death_wave: Vec<AtomicUsize>,
-    /// Packed (k-1)-mer of every global slot, ascending.
-    global_keys: &'g [u64],
-    alive: AtomicUsize,
-    /// Mirror of the queue's current wave, readable without the queue lock.
-    global_wave: AtomicUsize,
-    /// Mirror of [`AsyncQueue::finishing`].
-    finishing: AtomicBool,
-    queue: Mutex<AsyncQueue>,
-    queue_cv: Condvar,
-    failure: Mutex<Option<PakmanError>>,
-    shard_count: usize,
-    threshold: usize,
-    max_iterations: usize,
-}
-
-impl AsyncEngine<'_> {
-    /// Records `err` as the run's failure unless one is recorded already, and
-    /// shuts the pool down: `done` is set and every parked worker is woken. The
-    /// post-run drain then releases every in-flight flush, so a violated
-    /// scheduling invariant leaves the ledger at zero exactly as a cancellation
-    /// does.
-    fn fail(&self, err: PakmanError) {
-        let mut failure = self.failure.lock().expect("failure slot poisoned");
-        failure.get_or_insert(err);
-        drop(failure);
-        self.queue.lock().expect("queue poisoned").done = true;
-        self.queue_cv.notify_all();
-    }
-}
-
-/// [`compact_sharded_controlled`] without the thread barrier: a worker pool of
-/// `min(threads, shards)` drains a run queue of shards, each pop running one
-/// *local* round (drain inbox → apply the previous wave's canonical stream →
-/// P1 over the local frontier → P2 extraction → publish deaths → P3 route,
-/// with remote lanes flushed eagerly and shard-local lanes folded back into
-/// the same canonical stream). Wave completion is counted, not joined: the
-/// last shard to finish a wave re-arms every shard for the next one, detects
-/// the global fixed point, applies the node threshold against the global
-/// census, and enforces the iteration cap — so the run is bit-identical to
-/// lock-step in everything but scheduling telemetry (per-shard `round_nanos`
-/// are recorded; per-iteration stats, the profile and the trace are not).
-fn compact_sharded_async(
-    sharded: &mut ShardedGraph,
-    config: &PakmanConfig,
-    control: &RunControl<'_>,
-) -> Result<(CompactionOutcome, ShardingTelemetry), PakmanError> {
-    let shard_count = sharded.shard_count();
-    let slot_count = sharded.global_slot_count();
-    let initial_nodes = sharded.alive_count();
-
-    let mut stats = CompactionStats {
-        initial_nodes,
-        final_nodes: initial_nodes,
-        ..CompactionStats::default()
-    };
-    let mut telemetry = ShardingTelemetry::at_start(sharded);
-    telemetry.round_nanos = vec![Vec::new(); shard_count];
-
-    control.check("async sharded compaction")?;
-    control.compaction_iteration(0, initial_nodes);
-    if initial_nodes <= config.compaction_node_threshold {
-        stats.converged = true;
-        telemetry.final_alive_per_shard = sharded.per_shard_alive();
-        return Ok((
-            CompactionOutcome {
-                stats,
-                trace: None,
-                profile: CompactionProfile::default(),
-            },
-            telemetry,
-        ));
-    }
-
-    // In-flight flush payloads are charged to this ledger on deposit and
-    // released when applied (or by the post-run drain), so a cancelled run
-    // always leaves the ledger at zero.
-    let ledger = control.adopt(MemoryBudget::unbounded());
-
-    let death_wave: Vec<AtomicUsize> = (0..slot_count)
-        .map(|slot| {
-            AtomicUsize::new(if sharded.is_alive_global(slot) {
-                usize::MAX
-            } else {
-                0
-            })
-        })
-        .collect();
-    let workers = config.threads.max(1).min(shard_count);
-
-    let ShardedGraph {
-        shards,
-        global_keys,
-        global_slots,
-        ..
-    } = sharded;
-    let global_keys: &[u64] = global_keys;
-
-    let states: Vec<Mutex<AsyncShardState<'_>>> = shards
-        .iter_mut()
-        .zip(global_slots.iter())
-        .map(|(graph, globals)| {
-            let alive_list: Vec<u32> = graph.alive_slot_iter().map(|slot| slot as u32).collect();
-            let slots = graph.slot_count();
-            Mutex::new(AsyncShardState {
-                graph,
-                globals,
-                wave: 0,
-                completion_pending: false,
-                unreported_deaths: 0,
-                alive_list,
-                dirty: vec![false; slots],
-                dirty_list: Vec::new(),
-                inbuf: Vec::new(),
-                pending_out: VecDeque::new(),
-                round_nanos: Vec::new(),
-                checked: 0,
-                flushes: Vec::new(),
-            })
-        })
-        .collect();
-
-    let engine = AsyncEngine {
-        states,
-        inboxes: (0..shard_count).map(|_| Mutex::new(Vec::new())).collect(),
-        death_wave,
-        global_keys,
-        alive: AtomicUsize::new(initial_nodes),
-        global_wave: AtomicUsize::new(0),
-        finishing: AtomicBool::new(false),
-        queue: Mutex::new(AsyncQueue {
-            runnable: (0..shard_count).collect(),
-            active: vec![true; shard_count],
-            running: 0,
-            done: false,
-            wave_remaining: shard_count,
-            wave_deaths: 0,
-            finishing: false,
-            converged: false,
-        }),
-        queue_cv: Condvar::new(),
-        failure: Mutex::new(None),
-        shard_count,
-        threshold: config.compaction_node_threshold,
-        max_iterations: config.max_compaction_iterations,
-    };
-
-    if workers <= 1 {
-        // Single-worker runs stay on the caller thread: the queue drains FIFO,
-        // so scheduling is fully deterministic.
-        async_worker(&engine, control, &ledger);
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let engine = &engine;
-                let ledger = &ledger;
-                scope.spawn(move || async_worker(engine, control, ledger));
-            }
-        });
-    }
-
-    // A run that ended on its own has applied every flush it buffered; one left
-    // over would be dropped below, so it fails the run (a cancelled run keeps
-    // its own failure).
-    let states = engine.states.iter();
-    let unapplied: usize = states
-        .map(|state| state.lock().expect("shard state poisoned").inbuf.len())
-        .sum();
-    if unapplied > 0 {
-        engine.fail(PakmanError::ScheduleInvariant {
-            message: format!("async run ended with {unapplied} buffered flush(es) unapplied"),
-        });
-    }
-
-    let AsyncEngine {
-        states,
-        inboxes,
-        queue,
-        failure,
-        ..
-    } = engine;
-
-    // Drain whatever is still parked: a flush is charged from deposit until it
-    // is applied, so release everything sitting in an inbox or a drained-but-
-    // unapplied buffer (a cancelled run must leave the ledger at zero; a
-    // converged run has applied everything and this is a no-op).
-    for inbox in &inboxes {
-        let mut inbox = inbox.lock().expect("inbox poisoned");
-        for flush in inbox.drain(..) {
-            ledger.release(flush.bytes);
-        }
-    }
-    if let Some(err) = failure.lock().expect("failure slot poisoned").take() {
-        for (shard, state) in states.iter().enumerate() {
-            let state = state.lock().expect("shard state poisoned");
-            for flush in &state.inbuf {
-                if flush.src != shard {
-                    ledger.release(flush.bytes);
-                }
-            }
-        }
-        return Err(err);
-    }
-
-    let mut final_nodes = 0usize;
-    for (src, state) in states.into_iter().enumerate() {
-        let state = state.into_inner().expect("shard state poisoned");
-        telemetry.checked_per_shard[src] = state.checked;
-        telemetry.flushes.extend(state.flushes);
-        telemetry.round_nanos[src] = state.round_nanos;
-        let alive = state.graph.alive_count();
-        final_nodes += alive;
-        telemetry.final_alive_per_shard.push(alive);
-    }
-    // Waves are global iterations, so this reproduces the lock-step flush
-    // ledger exactly — same tags, same lanes, same order.
-    telemetry
-        .flushes
-        .sort_by_key(|f| (f.src_iteration, f.src, f.dst));
-    stats.total_transfers = telemetry.total_transfers();
-    stats.final_nodes = final_nodes;
-    stats.converged = queue.into_inner().expect("queue poisoned").converged
-        || final_nodes <= config.compaction_node_threshold;
-    Ok((
-        CompactionOutcome {
-            stats,
-            trace: None,
-            profile: CompactionProfile::default(),
-        },
-        telemetry,
-    ))
-}
-
-/// Worker main loop: pop a runnable shard, run one round, decide whether the
-/// shard needs to run again. On error the first failure is recorded and the
-/// whole pool shuts down.
-fn async_worker(engine: &AsyncEngine<'_>, control: &RunControl<'_>, ledger: &MemoryBudget) {
-    while let Some(shard) = async_pop(engine) {
-        match async_round(engine, shard, control, ledger) {
-            Ok(progress) => {
-                async_finish(engine, shard);
-                if !progress {
-                    // Pure retry round (e.g. a back-pressured lane): let the
-                    // destination's worker run before spinning again.
-                    std::thread::yield_now();
-                }
-            }
-            Err(err) => {
-                engine.fail(err);
-                engine.queue.lock().expect("queue poisoned").running -= 1;
-                break;
-            }
-        }
-    }
-}
-
-/// Pops the next runnable shard, blocking while work may still appear.
-/// Returns `None` once the run is done. Every wave completion either refills
-/// the queue or sets `done`, and a blocked sender re-enqueues itself, so an
-/// idle pool over an empty queue that is not `done` is a broken invariant: the
-/// run fails with [`PakmanError::ScheduleInvariant`].
-fn async_pop(engine: &AsyncEngine<'_>) -> Option<usize> {
-    let mut queue = engine.queue.lock().expect("queue poisoned");
-    loop {
-        if queue.done {
-            return None;
-        }
-        if let Some(shard) = queue.runnable.pop_front() {
-            queue.running += 1;
-            return Some(shard);
-        }
-        if queue.running == 0 {
-            // Nothing queued, nothing running, not done: no completion is left
-            // to refill the queue. Fail the run rather than hand back a
-            // half-compacted graph as `Ok` (the guard goes first: `fail` takes it).
-            let message = format!(
-                "async run queue stalled in wave {}: {} of {} shards still owe it, \
-                 none is queued or running",
-                engine.global_wave.load(Ordering::Acquire),
-                queue.wave_remaining,
-                engine.shard_count
-            );
-            drop(queue);
-            engine.fail(PakmanError::ScheduleInvariant { message });
-            return None;
-        }
-        queue = engine.queue_cv.wait(queue).expect("queue poisoned");
-    }
-}
-
-/// Enqueues `shard` unless it is already queued or running.
-fn async_enqueue(engine: &AsyncEngine<'_>, shard: usize) {
-    let mut queue = engine.queue.lock().expect("queue poisoned");
-    if queue.done || queue.active[shard] {
-        return;
-    }
-    queue.active[shard] = true;
-    queue.runnable.push_back(shard);
-    drop(queue);
-    engine.queue_cv.notify_one();
-}
-
-/// Finishes a round: clears the shard's active marker *first*, then re-checks
-/// for pending work. A deposit or wave advance racing with the end of the
-/// round either saw the marker still set (and this re-check sees its work) or
-/// re-enqueues the shard itself — no lost wakeups either way.
-fn async_finish(engine: &AsyncEngine<'_>, shard: usize) {
-    engine.queue.lock().expect("queue poisoned").active[shard] = false;
-    if async_needs_rerun(engine, shard) {
-        async_enqueue(engine, shard);
-    }
-    // Stay counted in `running` until the re-enqueue decision is made: an
-    // idle peer seeing `running == 0` over an empty queue in that window
-    // would declare a stall. Then wake idle workers — possibly the last
-    // actor — so the pool can notice `done` (or a stall) in `async_pop`.
-    engine.queue.lock().expect("queue poisoned").running -= 1;
-    engine.queue_cv.notify_all();
-}
-
-/// Whether `shard` has pending work: it still owes the current wave, holds
-/// undeposited outbound flushes or an unreported completion, or has arrivals
-/// to drain.
-fn async_needs_rerun(engine: &AsyncEngine<'_>, shard: usize) -> bool {
-    {
-        let state = engine.states[shard].lock().expect("shard state poisoned");
-        if !state.pending_out.is_empty() || state.completion_pending {
-            return true;
-        }
-        if state.wave <= engine.global_wave.load(Ordering::Acquire) {
-            return true;
-        }
-    }
-    !engine.inboxes[shard]
-        .lock()
-        .expect("inbox poisoned")
-        .is_empty()
-}
-
-/// Reports one shard's completion of the current wave; the last reporter
-/// decides what comes next: a wave with zero invalidations is the global
-/// fixed point, a census at or below the node threshold stops exactly where
-/// lock-step's start-of-iteration gate would (after one apply-only finishing
-/// wave lands the outstanding flushes), the iteration cap stops unconverged
-/// (same finishing wave), and otherwise every shard is re-armed for the next
-/// wave.
-fn async_complete_wave(engine: &AsyncEngine<'_>, control: &RunControl<'_>, deaths: usize) {
-    let mut queue = engine.queue.lock().expect("queue poisoned");
-    queue.wave_deaths += deaths;
-    queue.wave_remaining -= 1;
-    if queue.wave_remaining > 0 {
-        return;
-    }
-    let next = engine.global_wave.load(Ordering::Acquire) + 1;
-    let alive = engine.alive.load(Ordering::Acquire);
-    let mut callback = false;
-    if queue.finishing || queue.wave_deaths == 0 {
-        // The epilogue finished, or the wave was the fixed point (in which
-        // case nothing is in flight and no epilogue is needed).
-        queue.converged |= !queue.finishing;
-        queue.done = true;
-    } else {
-        let cap = next >= engine.max_iterations;
-        let threshold = alive <= engine.threshold;
-        if cap || threshold {
-            // Lock-step applies the mailbox of its last iteration before
-            // leaving the loop; run one apply-only wave to match. The capped
-            // exit issues no further iteration callback (the loop bound was
-            // hit); the threshold exit issues one, then breaks at the gate.
-            queue.finishing = true;
-            queue.converged = threshold && !cap;
-            engine.finishing.store(true, Ordering::Release);
-            callback = threshold && !cap;
-        } else {
-            callback = true;
-        }
-        queue.wave_remaining = engine.shard_count;
-        queue.wave_deaths = 0;
-        engine.global_wave.store(next, Ordering::Release);
-        for shard in 0..engine.shard_count {
-            if !queue.active[shard] {
-                queue.active[shard] = true;
-                queue.runnable.push_back(shard);
-            }
-        }
-    }
-    drop(queue);
-    engine.queue_cv.notify_all();
-    if callback {
-        control.compaction_iteration(next, alive);
-    }
-}
-
-/// Applies one arrived TransferNode against the owner shard, marking the
-/// destination dirty for the next wave's frontier. A destination that died in
-/// an earlier wave is dropped — the same outcome as a lock-step unmatched
-/// transfer.
-fn apply_async_transfer(state: &mut AsyncShardState<'_>, transfer: &TransferNode) {
-    let Some(local) = state.graph.index_of(&transfer.destination) else {
-        return;
-    };
-    let node = state.graph.node_mut(local).expect("destination is alive");
-    apply_transfer(node, transfer);
-    if !state.dirty[local] {
-        state.dirty[local] = true;
-        state.dirty_list.push(local as u32);
-    }
-}
-
-/// One scheduled round of `shard`: drain the inbox, execute the current wave
-/// if this shard still owes it, deposit outbound flushes eagerly, and report
-/// wave completion once every outbound lane has drained. Returns whether the
-/// round made progress (executed a wave or deposited a flush).
-fn async_round(
-    engine: &AsyncEngine<'_>,
-    shard: usize,
-    control: &RunControl<'_>,
-    ledger: &MemoryBudget,
-) -> Result<bool, PakmanError> {
-    control.check("async sharded compaction")?;
-    let round_start = Instant::now();
-    let mut state = engine.states[shard].lock().expect("shard state poisoned");
-    let state = &mut *state;
-
-    // Read the wave *before* draining: every flush tagged below it was
-    // deposited before it was published, so the drain below cannot miss one.
-    let wave = engine.global_wave.load(Ordering::Acquire);
-
-    // ---- Drain: move arrivals out of the inbox immediately, freeing their
-    // lanes, even when they cannot be applied yet — application waits for the
-    // canonical wave boundary below. ----
-    {
-        let mut inbox = engine.inboxes[shard].lock().expect("inbox poisoned");
-        state.inbuf.append(&mut inbox);
-    }
-
-    let mut executed = false;
-    if state.wave <= wave && !state.completion_pending {
-        let r = state.wave;
-
-        // ---- Apply everything tagged wave `r - 1` — remote lanes and the
-        // self lane — in one stable pass ordered by global source slot: the
-        // exact order the lock-step mailbox applies its inbox in, so the
-        // order-sensitive partial-count takes and path splits inside
-        // [`apply_transfer`] land identically. ----
-        if r > 0 {
-            // A flush older than wave `r - 1` missed its wave's canonical pass;
-            // applying it now would land it out of order. Checked before the
-            // drain, so it stays in `inbuf` for the post-run release.
-            if let Some(late) = state.inbuf.iter().find(|f| f.src_iteration + 1 < r) {
-                let (from, tag) = (late.src, late.src_iteration);
-                return Err(PakmanError::ScheduleInvariant {
-                    message: format!(
-                        "shard {shard} starts wave {r} holding shard {from}'s flush of wave {tag}"
-                    ),
-                });
-            }
-            let mut due: Vec<AsyncFlush> = Vec::new();
-            let mut held: Vec<AsyncFlush> = Vec::new();
-            for flush in state.inbuf.drain(..) {
-                if flush.src_iteration < r {
-                    due.push(flush);
-                } else {
-                    held.push(flush);
-                }
-            }
-            state.inbuf = held;
-            let mut stream: Vec<&(u32, TransferNode)> =
-                due.iter().flat_map(|f| f.transfers.iter()).collect();
-            // Stable by source slot: one slot's transfers live in one flush,
-            // so their relative (path) order survives the sort.
-            stream.sort_by_key(|entry| entry.0);
-            for (_, transfer) in stream {
-                apply_async_transfer(state, transfer);
-            }
-            for flush in &due {
-                if flush.src != shard {
-                    ledger.release(flush.bytes);
-                }
-            }
-        }
-
-        if engine.finishing.load(Ordering::Acquire) {
-            // Apply-only epilogue: the stop decision is already made, this
-            // wave only lands the last iteration's flushes.
-            for &slot in &state.dirty_list {
-                state.dirty[slot as usize] = false;
-            }
-            state.dirty_list.clear();
-        } else {
-            // ---- P1 over the wave's frontier: wave 0 scans every alive
-            // slot, later waves recheck only slots whose neighbourhood changed
-            // in the previous wave. Neighbour aliveness reads the wave-`r`
-            // snapshot. ----
-            let mut recheck: Vec<u32> = Vec::new();
-            if r == 0 {
-                recheck.extend(state.alive_list.iter().copied());
-            } else {
-                state.dirty_list.sort_unstable();
-                recheck.extend(state.dirty_list.iter().copied());
-            }
-            for &slot in &state.dirty_list {
-                state.dirty[slot as usize] = false;
-            }
-            state.dirty_list.clear();
-            state.checked += recheck.len() as u64;
-
-            let mut invalidated: Vec<usize> = Vec::new();
-            for &local in &recheck {
-                let Some(node) = state.graph.node(local as usize) else {
-                    continue;
-                };
-                let lookup = |k1mer: &Kmer| {
-                    let slot = engine.global_keys.binary_search(&k1mer.packed()).ok()?;
-                    (engine.death_wave[slot].load(Ordering::Acquire) > r).then_some(())
-                };
-                if is_invalidation_target_with(lookup, node, |()| {}) {
-                    invalidated.push(local as usize);
-                }
-            }
-
-            // ---- P2: extract the canonical (ascending local slot, path
-            // order) stream, tagging each transfer with its global source
-            // slot, then publish the deaths as wave-`r` deaths: concurrent
-            // wave-`r` predicates still see the wave-start snapshot, wave
-            // `r + 1` sees them dead. ----
-            let mut outbound: Vec<(u32, TransferNode)> = Vec::with_capacity(transfer_count(
-                invalidated.iter().map(|&local| state.graph.node(local)),
-            ));
-            for &local in &invalidated {
-                let node = state.graph.node(local).expect("invalidated slot was alive");
-                let global = state.globals[local];
-                for path in node.paths() {
-                    if let Some((pred, succ)) = TransferNode::extract_pair(node, path) {
-                        outbound.push((global, pred));
-                        outbound.push((global, succ));
-                    }
-                }
-            }
-            for &local in &invalidated {
-                engine.death_wave[state.globals[local] as usize].store(r + 1, Ordering::Release);
-                state.graph.invalidate(local);
-            }
-            if !invalidated.is_empty() {
-                engine.alive.fetch_sub(invalidated.len(), Ordering::AcqRel);
-                remove_sorted(&mut state.alive_list, &invalidated);
-            }
-
-            // ---- P3: stable partition by destination owner. The self lane
-            // goes straight into this shard's wave-tagged buffer (applied at
-            // the next wave boundary with everything else); remote lanes
-            // queue for eager deposit below. ----
-            if !outbound.is_empty() {
-                let mut batches: Vec<Vec<(u32, TransferNode)>> =
-                    vec![Vec::new(); engine.shard_count];
-                for (slot, transfer) in outbound {
-                    let dst = shard_of_packed(transfer.destination.packed(), engine.shard_count);
-                    batches[dst].push((slot, transfer));
-                }
-                for (dst, batch) in batches.into_iter().enumerate() {
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    let bytes: u64 = batch.iter().map(|(_, t)| t.size_bytes() as u64).sum();
-                    state.flushes.push(MailboxFlushStats {
-                        src: shard,
-                        dst,
-                        src_iteration: r,
-                        transfers: batch.len() as u64,
-                        bytes,
-                    });
-                    let flush = AsyncFlush {
-                        src: shard,
-                        dst,
-                        src_iteration: r,
-                        transfers: batch,
-                        bytes,
-                    };
-                    if dst == shard {
-                        state.inbuf.push(flush);
-                    } else {
-                        state.pending_out.push_back(flush);
-                    }
-                }
-            }
-            state.unreported_deaths = invalidated.len();
-        }
-
-        state.wave = r + 1;
-        state.completion_pending = true;
-        executed = true;
-    }
-
-    // ---- Flush delivery: deposit pending lanes eagerly, with per-lane
-    // back-pressure ([`ASYNC_LANE_DEPTH`]) and a cancellation point between
-    // flushes. Blocked lanes keep FIFO order; other lanes proceed. ----
-    let mut blocked = vec![false; engine.shard_count];
-    let mut retained: VecDeque<AsyncFlush> = VecDeque::new();
-    let mut deposited: Vec<usize> = Vec::new();
-    while let Some(flush) = state.pending_out.pop_front() {
-        if blocked[flush.dst] {
-            retained.push_back(flush);
-            continue;
-        }
-        if let Err(err) = control.check("async mailbox flush") {
-            retained.push_back(flush);
-            retained.append(&mut state.pending_out);
-            state.pending_out = retained;
-            return Err(err);
-        }
-        let mut inbox = engine.inboxes[flush.dst].lock().expect("inbox poisoned");
-        let lane_depth = inbox.iter().filter(|f| f.src == shard).count();
-        if lane_depth >= ASYNC_LANE_DEPTH {
-            blocked[flush.dst] = true;
-            drop(inbox);
-            retained.push_back(flush);
-            continue;
-        }
-        ledger.charge(flush.bytes);
-        let dst = flush.dst;
-        inbox.push(flush);
-        drop(inbox);
-        deposited.push(dst);
-    }
-    state.pending_out = retained;
-    for dst in &deposited {
-        async_enqueue(engine, *dst);
-    }
-
-    if executed {
-        state
-            .round_nanos
-            .push(round_start.elapsed().as_nanos() as u64);
-    }
-    if state.completion_pending && state.pending_out.is_empty() {
-        state.completion_pending = false;
-        let deaths = std::mem::take(&mut state.unreported_deaths);
-        async_complete_wave(engine, control, deaths);
-    }
-    Ok(executed || !deposited.is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compaction::{compact, CompactionScratch};
+    use crate::config::ShardSchedule;
     use crate::kmer_count::{count_kmers, KmerCounterConfig};
     use crate::par::{plan, GRAIN};
     use crate::test_util::reads_for;
@@ -1611,6 +812,23 @@ mod tests {
         );
         assert!(telemetry.load_imbalance() >= 1.0);
 
+        // The retired schedule name runs the same lock-step schedule.
+        let untraced = |shard_schedule| PakmanConfig {
+            shard_schedule,
+            record_trace: false,
+            ..cfg(2)
+        };
+        let mut lockstep = ShardedGraph::from_counted_kmers(&counted, 17, 8, 2);
+        let lockstep_run = compact_sharded(&mut lockstep, &untraced(ShardSchedule::Lockstep));
+        let mut renamed = ShardedGraph::from_counted_kmers(&counted, 17, 8, 2);
+        let renamed_run = compact_sharded(&mut renamed, &untraced(ShardSchedule::Async));
+        assert_eq!(renamed_run.0.stats, lockstep_run.0.stats);
+        assert_eq!(renamed_run.1, lockstep_run.1);
+        assert_eq!(
+            renamed.into_global_graph().into_slots(),
+            lockstep.into_global_graph().into_slots()
+        );
+
         // One shard: everything stays local.
         let mut single = ShardedGraph::from_counted_kmers(&counted, 17, 1, 2);
         let (_, telemetry) = compact_sharded(&mut single, &cfg(2));
@@ -1633,7 +851,6 @@ mod tests {
             final_alive_per_shard: vec![4, 4, 4],
             checked_per_shard: vec![30, 20, 10],
             flushes: Vec::new(),
-            round_nanos: Vec::new(),
         };
         assert_eq!(telemetry.total_transfers(), 0);
         assert_eq!(telemetry.total_mailbox_bytes(), 0);
@@ -1690,60 +907,6 @@ mod tests {
         assert_eq!(outcome.stats, single_outcome.stats);
         assert_eq!(outcome.trace, single_outcome.trace);
         assert_eq!(telemetry.shard_count, 64);
-    }
-
-    #[test]
-    fn a_stalled_async_queue_fails_the_run_and_unparks_every_waiter() {
-        // A hand-built engine over no shards whose one wave is still owed while
-        // nothing is queued: the state no completion can get the run out of.
-        let engine = AsyncEngine {
-            states: Vec::new(),
-            inboxes: Vec::new(),
-            death_wave: Vec::new(),
-            global_keys: &[],
-            alive: AtomicUsize::new(0),
-            global_wave: AtomicUsize::new(3),
-            finishing: AtomicBool::new(false),
-            queue: Mutex::new(AsyncQueue {
-                runnable: VecDeque::new(),
-                active: Vec::new(),
-                // As if this thread were mid-round, so the waiter parks.
-                running: 1,
-                done: false,
-                wave_remaining: 2,
-                wave_deaths: 0,
-                finishing: false,
-                converged: false,
-            }),
-            queue_cv: Condvar::new(),
-            failure: Mutex::new(None),
-            shard_count: 2,
-            threshold: 0,
-            max_iterations: 10,
-        };
-        std::thread::scope(|scope| {
-            let (about_to_wait, waiting) = std::sync::mpsc::channel();
-            let engine = &engine;
-            let waiter = scope.spawn(move || {
-                about_to_wait.send(()).expect("the test thread listens");
-                async_pop(engine)
-            });
-            waiting.recv().expect("the waiter announces itself");
-            // The round ends without re-enqueueing anything. Whichever thread
-            // then finds the idle pool over the empty queue fails the run; the
-            // other is woken (or arrives) to `done`. Neither may hang.
-            engine.queue.lock().unwrap().running -= 1;
-            engine.queue_cv.notify_all();
-            assert_eq!(async_pop(engine), None);
-            assert_eq!(waiter.join().expect("the waiter does not panic"), None);
-        });
-        assert!(engine.queue.lock().unwrap().done);
-        let failure = engine.failure.lock().unwrap().take();
-        let Some(PakmanError::ScheduleInvariant { message }) = failure else {
-            panic!("expected a schedule-invariant failure, got {failure:?}");
-        };
-        assert!(message.contains("stalled in wave 3"), "{message}");
-        assert!(message.contains("2 of 2 shards"), "{message}");
     }
 
     #[test]

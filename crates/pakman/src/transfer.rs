@@ -51,25 +51,20 @@ impl TransferNode {
         24 + self.match_ext.len().div_ceil(4) + self.new_ext.len().div_ceil(4)
     }
 
-    /// Extracts the TransferNodes for every interior path of `node` (pipeline stage P2).
+    /// The TransferNodes of every interior path of `node` (pipeline stage P2),
+    /// in path order, predecessor before successor — the one extractor:
+    /// compaction's streamed pass hands them, one at a time, to its store.
     ///
     /// Paths with terminal flow produce no transfers; callers should only invalidate
     /// fully interior nodes (see [`MacroNode::is_fully_interior`]).
-    pub fn extract_all(node: &MacroNode) -> Vec<TransferNode> {
-        let mut out = Vec::with_capacity(node.paths().len() * 2);
-        for path in node.paths() {
-            if let Some((pred, succ)) = TransferNode::extract_pair(node, path) {
-                out.push(pred);
-                out.push(succ);
-            }
-        }
-        out
+    pub fn extract_all(node: &MacroNode) -> impl Iterator<Item = TransferNode> + '_ {
+        let pairs = node.paths().iter();
+        let pairs = pairs.filter_map(|path| TransferNode::extract_pair(node, path));
+        pairs.flat_map(|(pred, succ)| [pred, succ])
     }
 
-    /// Extracts the (predecessor, successor) pair for one interior path without
-    /// wrapping the result in a `Vec` — the form compaction's streamed pass
-    /// hands, one transfer at a time, to its store. Terminal paths yield
-    /// `None`.
+    /// Extracts the (predecessor, successor) pair for one interior path.
+    /// Terminal paths yield `None`.
     ///
     /// Everything is computed on the packed words: the destinations by
     /// [`MacroNode::predecessor_k1mer`] / [`MacroNode::successor_k1mer`], the
@@ -312,7 +307,7 @@ mod tests {
         // produces a TransferNode to predecessor AGTC with pred_ext 'A' and
         // new_ext 'AT'.
         let node = MacroNode::from_extensions(k("GTCA"), vec![(Base::A, 6)], vec![(Base::T, 6)]);
-        let transfers = TransferNode::extract_all(&node);
+        let transfers: Vec<_> = TransferNode::extract_all(&node).collect();
         assert_eq!(transfers.len(), 2);
 
         let pred = transfers
@@ -340,7 +335,7 @@ mod tests {
         // spelled path e + X.k1mer + f.
         let node = MacroNode::from_extensions(k("GTCA"), vec![(Base::C, 4)], vec![(Base::G, 4)]);
         let full_spell = "CGTCAG"; // e + k1mer + f
-        let transfers = TransferNode::extract_all(&node);
+        let transfers: Vec<_> = TransferNode::extract_all(&node).collect();
         let pred = transfers
             .iter()
             .find(|t| t.side == TransferSide::Predecessor)
@@ -359,7 +354,7 @@ mod tests {
     fn multi_base_extensions_are_supported() {
         let mut node = MacroNode::new(k("GTCA"));
         node.push_path(ThroughPath::through(d("CA"), d("TG"), 3));
-        let transfers = TransferNode::extract_all(&node);
+        let transfers: Vec<_> = TransferNode::extract_all(&node).collect();
         let pred = transfers
             .iter()
             .find(|t| t.side == TransferSide::Predecessor)
@@ -440,7 +435,7 @@ mod tests {
             suffix: None,
             count: 2,
         });
-        assert!(TransferNode::extract_all(&node).is_empty());
+        assert_eq!(TransferNode::extract_all(&node).next(), None);
     }
 
     #[test]
@@ -519,14 +514,14 @@ mod tests {
     #[test]
     fn size_bytes_scales_with_extension_length() {
         let node = MacroNode::from_extensions(k("GTCA"), vec![(Base::A, 1)], vec![(Base::T, 1)]);
-        let small = &TransferNode::extract_all(&node)[0];
+        let small = TransferNode::extract_all(&node).next().unwrap();
         let mut long_node = MacroNode::new(k("GTCA"));
         long_node.push_path(ThroughPath::through(
             d(&"A".repeat(100)),
             d(&"T".repeat(100)),
             1,
         ));
-        let large = &TransferNode::extract_all(&long_node)[0];
+        let large = TransferNode::extract_all(&long_node).next().unwrap();
         assert!(large.size_bytes() > small.size_bytes());
     }
 }

@@ -7,8 +7,8 @@
 //! debug and release alike:
 //!
 //! * the bitmap mirrors `slots[i].is_some()` — after every constructor, after
-//!   every compaction iteration of all three engines, after the sharded
-//!   graph is stitched back together, and in the pipeline's output graph,
+//!   every compaction iteration on the single graph and on the sharded
+//!   store, after the sharded graph is stitched back together, and in the pipeline's output graph,
 //!   whose dead slots stage E deleted;
 //! * the rank index finds exactly the present keys, whatever its table size;
 //! * the destination P3 takes from P1's hand-off is the one a fresh
@@ -21,8 +21,7 @@ use nmp_pak_pakman::compaction::{compact, is_invalidation_target};
 use nmp_pak_pakman::kmer_count::{count_kmers, CountedKmer, KmerCounterConfig};
 use nmp_pak_pakman::shard::{compact_sharded, ShardedGraph};
 use nmp_pak_pakman::{
-    MacroNode, PakGraph, PakmanAssembler, PakmanConfig, ShardConfig, ShardSchedule, ThroughPath,
-    TransferNode,
+    MacroNode, PakGraph, PakmanAssembler, PakmanConfig, ShardConfig, ThroughPath, TransferNode,
 };
 
 const K: usize = 21;
@@ -153,35 +152,32 @@ fn bitmap_mirrors_the_slots_after_every_iteration_of_every_engine() {
     }
     assert!(steps >= 5, "only {steps} compaction iterations");
 
-    // The sharded engines: every shard's graph after every step, then the
+    // The sharded engine: every shard's graph after every step, then the
     // stitched global graph (rebuilt from parts, dead slots included), which
     // must be the single graph's result node for node.
-    for schedule in [ShardSchedule::Lockstep, ShardSchedule::Async] {
-        let config = PakmanConfig {
-            shard_schedule: schedule,
-            shards: ShardConfig { shard_count: 4 },
-            ..one_step(2)
-        };
-        let mut sharded = ShardedGraph::from_counted_kmers(&counted, K, 4, 2);
-        let shard_k1mers: Vec<Vec<Kmer>> = (0..4)
-            .map(|shard| slot_k1mers(sharded.shard(shard)))
-            .collect();
-        for step in 0..=steps {
-            let alive_before = sharded.alive_count();
-            compact_sharded(&mut sharded, &config);
-            for (shard, k1mers) in shard_k1mers.iter().enumerate() {
-                let what = format!("{schedule:?}, step {step}, shard {shard}");
-                assert_bitmap_matches_slots(sharded.shard(shard), k1mers, &what);
-            }
-            let converged = sharded.alive_count() == alive_before;
-            assert_eq!(converged, step == steps, "{schedule:?}, step {step}");
+    let config = PakmanConfig {
+        shards: ShardConfig { shard_count: 4 },
+        ..one_step(2)
+    };
+    let mut sharded = ShardedGraph::from_counted_kmers(&counted, K, 4, 2);
+    let shard_k1mers: Vec<Vec<Kmer>> = (0..4)
+        .map(|shard| slot_k1mers(sharded.shard(shard)))
+        .collect();
+    for step in 0..=steps {
+        let alive_before = sharded.alive_count();
+        compact_sharded(&mut sharded, &config);
+        for (shard, k1mers) in shard_k1mers.iter().enumerate() {
+            let what = format!("sharded, step {step}, shard {shard}");
+            assert_bitmap_matches_slots(sharded.shard(shard), k1mers, &what);
         }
-        let global = sharded.into_global_graph();
-        assert_bitmap_matches_slots(&global, &k1mers, &format!("{schedule:?}, stitched"));
-        assert!(global.alive_count() < global.slot_count());
-        for slot in 0..global.slot_count() {
-            assert_eq!(global.node(slot), single.node(slot), "{schedule:?}: {slot}");
-        }
+        let converged = sharded.alive_count() == alive_before;
+        assert_eq!(converged, step == steps, "sharded, step {step}");
+    }
+    let global = sharded.into_global_graph();
+    assert_bitmap_matches_slots(&global, &k1mers, "sharded, stitched");
+    assert!(global.alive_count() < global.slot_count());
+    for slot in 0..global.slot_count() {
+        assert_eq!(global.node(slot), single.node(slot), "sharded: {slot}");
     }
 
     // The pipeline's output graph: stage E deleted the dead slots, so the

@@ -5,14 +5,16 @@
 //! single-graph reference exactly; only the telemetry (where work happened,
 //! what crossed shards) may differ.
 
-use nmp_pak_genome::{ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead};
+use nmp_pak_genome::{
+    InMemorySource, ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead,
+};
 use nmp_pak_pakman::{
     compact, compact_controlled, compact_sharded, compact_sharded_controlled, count_kmers,
-    AssemblyOutput, BatchAssembler, BatchSchedule, CancelToken, CompactionTrace, KmerCounterConfig,
-    PakGraph, PakmanAssembler, PakmanConfig, PakmanError, ProgressObserver, RunControl,
-    ShardConfig, ShardedGraph, ShardingTelemetry,
+    AssemblyOutput, AssemblyPipeline, BatchAssembler, BatchSchedule, CancelToken, CompactionTrace,
+    KmerCounterConfig, MemoryBudget, PakGraph, PakmanAssembler, PakmanConfig, PakmanError,
+    ProgressObserver, RunControl, ShardConfig, ShardedGraph, ShardingTelemetry,
 };
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const SHARD_SWEEP: [usize; 5] = [1, 2, 7, 8, 32];
 const THREAD_SWEEP: [usize; 3] = [1, 4, 8];
@@ -91,6 +93,7 @@ fn sharded_assembly_is_bit_identical_across_shard_and_thread_counts() {
                     reference.compaction.total_transfers,
                     "every transfer goes through the mailbox: {what}"
                 );
+                assert!(telemetry.total_cross_shard_bytes() > 0, "{what}");
             }
         }
     }
@@ -322,6 +325,32 @@ fn both_barriered_entry_points_keep_one_control_contract() {
             assert_same_graph(&graph.into_global_graph(), &stopped, &what);
         }
     }
+}
+
+#[test]
+fn cancel_mid_sharded_compaction_drains_the_ledger() {
+    // A 7-shard pipeline run cancelled from inside its own progress callback
+    // stops at the sharded store's checkpoint, and unwinding releases the
+    // drained reads it charged to the run's ledger.
+    let reads = simulated_reads(20_000, 15.0, 0xCA9CE1);
+    let config = PakmanConfig {
+        record_trace: false,
+        compaction_node_threshold: 0,
+        ..config(7, 4)
+    };
+    let pipeline = AssemblyPipeline::new(config).unwrap();
+    let observer = Recording::new(Some(2));
+    let ledger = Arc::new(MemoryBudget::unbounded());
+    let control = observer.control().with_ledger(&ledger);
+
+    let err = pipeline
+        .run_source(InMemorySource::new(&reads), &control)
+        .expect_err("cancelled mid-compaction must not complete");
+    let at = "sharded compaction".to_string();
+    assert_eq!(err, PakmanError::Cancelled { at });
+    assert_eq!(observer.seen().len(), 3, "cancelled after callback 2");
+    assert!(ledger.peak_bytes() > 0, "the run charged real memory");
+    assert_eq!(ledger.used(), 0, "every charge is released on unwind");
 }
 
 #[test]

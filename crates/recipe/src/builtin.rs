@@ -14,7 +14,7 @@ use crate::gate::{CellSelector, Gate};
 use crate::spec::{ScenarioSpec, ScheduleSpec};
 use crate::Recipe;
 use nmp_pak_core::backend::BackendId;
-use nmp_pak_pakman::{ShardConfig, ShardSchedule};
+use nmp_pak_pakman::ShardConfig;
 
 /// Names of the shipped recipes, in presentation order.
 pub fn names() -> &'static [&'static str] {
@@ -128,33 +128,22 @@ pub fn spill() -> Recipe {
     }
 }
 
-/// The multi-node projection sweep: lock-step against the async
-/// verified-equivalent schedule at 8 shards, each measured run projected onto
-/// 2/4/8-node clusters by the default network model charging the cell's own
-/// mailbox flush ledger.
+/// The multi-node projection sweep: one 8-shard run projected onto 2/4/8-node
+/// clusters by the default network model charging the run's own mailbox
+/// flush ledger.
 pub fn multinode() -> Recipe {
-    let async_cells = CellSelector::custom("async schedule", |s| {
-        s.shard_schedule == ShardSchedule::Async
-    });
     Recipe {
         name: "multinode".to_string(),
-        description: "Async vs lock-step shard scheduling at 8 shards, projected onto \
-                      2/4/8-node clusters by the mailbox network model"
+        description: "8-shard lock-step compaction projected onto 2/4/8-node clusters \
+                      by the mailbox network model"
             .to_string(),
-        cells: [ShardSchedule::Lockstep, ShardSchedule::Async]
-            .map(|shard_schedule| ScenarioSpec {
-                shards: 8,
-                shard_schedule,
-                ..ScenarioSpec::default()
-            })
-            .into(),
+        cells: vec![ScenarioSpec {
+            shards: 8,
+            ..ScenarioSpec::default()
+        }],
         gates: vec![
-            // The schedules are verified-equivalent, so assembly quality must
-            // be identical cell to cell; N50 ≥ 1 keeps both producing contigs.
+            // N50 ≥ 1 keeps the cell producing contigs.
             Gate::at_least(metric::N50, 1.0),
-            // Removing the barrier can only shorten the modeled critical path
-            // rebuilt from the async run's own measured round times.
-            Gate::at_least(metric::ASYNC_CRITICAL_PATH_SPEEDUP, 1.0).on(async_cells.clone()),
             // Every cell must emit all three cluster projections; the low
             // floor asserts emission and sanity, not merit — §6.3's point is
             // precisely that the network may eat the parallelism.
@@ -163,7 +152,7 @@ pub fn multinode() -> Recipe {
             Gate::at_least(metric::MULTINODE_8_SPEEDUP, 0.05),
             // With every shard on its own node, the §6.3 cross-node share of
             // mailbox traffic approaches 7/8.
-            Gate::at_least(metric::MULTINODE_8_CROSS_FRACTION, 0.5).on(async_cells),
+            Gate::at_least(metric::MULTINODE_8_CROSS_FRACTION, 0.5),
         ],
     }
 }
@@ -219,7 +208,7 @@ mod tests {
     /// DESIGN.md's "CI floors" table) in the same change.
     #[test]
     fn ci_floors_are_the_documented_constants() {
-        let floors: [(&str, &str, GateOp, f64); 7] = [
+        let floors: [(&str, &str, GateOp, f64); 6] = [
             (
                 "smoke",
                 metric::SPEEDUP_COUNTING_PLUS_CONSTRUCTION,
@@ -236,12 +225,6 @@ mod tests {
             ),
             ("sharding", metric::SHARDED_OVERHEAD_AT_ONE, AtMost, 1.15),
             ("spill", metric::SPILL_OVERHEAD, AtMost, 12.0),
-            (
-                "multinode",
-                metric::ASYNC_CRITICAL_PATH_SPEEDUP,
-                AtLeast,
-                1.0,
-            ),
         ];
         for (recipe, gated, op, threshold) in floors {
             let gates = by_name(recipe).unwrap().gates;
@@ -314,10 +297,7 @@ mod tests {
             ),
             (
                 "multinode",
-                &[
-                    "g20000_x20_e0_sbe9c_k21_t4_sh8_single_mem_sw",
-                    "g20000_x20_e0_sbe9c_k21_t4_sh8async_single_mem_sw",
-                ],
+                &["g20000_x20_e0_sbe9c_k21_t4_sh8_single_mem_sw"],
             ),
         ];
         assert_eq!(names().len(), expected.len());
@@ -356,19 +336,6 @@ mod tests {
     fn sharding_runs_every_shard_count_up_to_the_channel_count() {
         let shards: Vec<usize> = sharding().cells.iter().map(|s| s.shards).collect();
         assert_eq!(shards, vec![1, 2, 4, ShardConfig::DEFAULT_CHANNELS]);
-    }
-
-    #[test]
-    fn multinode_enumerates_both_schedules_at_eight_shards() {
-        let specs = multinode().cells;
-        let schedules: Vec<ShardSchedule> = specs.iter().map(|s| s.shard_schedule).collect();
-        assert_eq!(
-            schedules,
-            vec![ShardSchedule::Lockstep, ShardSchedule::Async]
-        );
-        assert!(specs.iter().all(|s| s.shards == 8));
-        let labels: Vec<String> = specs.iter().map(ScenarioSpec::label).collect();
-        assert_ne!(labels[0], labels[1], "the schedule must mark the cell id");
     }
 
     #[test]

@@ -75,10 +75,6 @@ pub mod metric {
     pub const BACKEND_RUNTIME_NS: &str = "backend_runtime_ns";
     /// Simulated bandwidth utilization (0..=1).
     pub const BANDWIDTH_UTILIZATION: &str = "bandwidth_utilization";
-    /// Modeled lock-step critical path over the async critical path, both
-    /// rebuilt from one run's measured per-shard round times (≥ 1 by
-    /// construction; only defined for sharded one-shot cells).
-    pub const ASYNC_CRITICAL_PATH_SPEEDUP: &str = "async.critical_path_speedup";
     /// Projected speedup on a 2-node cluster under the default network model.
     pub const MULTINODE_2_SPEEDUP: &str = "multinode.nodes2_speedup";
     /// Projected speedup on a 4-node cluster under the default network model.
@@ -357,13 +353,6 @@ fn standard_metrics(output: &CellOutput) -> Vec<(String, f64)> {
                     metric::CROSS_SHARD_FRACTION,
                     sharding.cross_shard_fraction(),
                 );
-                let async_cp = sharding.async_critical_path_nanos();
-                if async_cp > 0 {
-                    push(
-                        metric::ASYNC_CRITICAL_PATH_SPEEDUP,
-                        sharding.lockstep_critical_path_nanos() as f64 / async_cp as f64,
-                    );
-                }
                 // Project the measured one-host run onto small clusters: the
                 // network model charges the cell's own flush ledger, scaled
                 // over its measured compaction time.

@@ -3,7 +3,7 @@
 use nmp_pak_core::backend::BackendId;
 use nmp_pak_core::Workload;
 use nmp_pak_genome::GenomeError;
-use nmp_pak_pakman::{BatchSchedule, PakmanConfig, ShardConfig, ShardSchedule, SpillConfig};
+use nmp_pak_pakman::{BatchSchedule, PakmanConfig, ShardConfig, SpillConfig};
 
 /// Identity of one synthesized read set: genome length plus the bit patterns
 /// of coverage, error rate, and seed. Cells with equal keys assemble
@@ -94,9 +94,6 @@ pub struct ScenarioSpec {
     pub threads: usize,
     /// Shard count (1 = monolithic single-graph path).
     pub shards: usize,
-    /// How sharded compaction schedules its shards (lock-step barrier or the
-    /// asynchronously scheduled verified-equivalent engine).
-    pub shard_schedule: ShardSchedule,
     /// Batching strategy.
     pub schedule: ScheduleSpec,
     /// Hardware backend to simulate on the recorded trace, when any.
@@ -116,7 +113,6 @@ impl Default for ScenarioSpec {
             min_kmer_count: 2,
             threads: 4,
             shards: 1,
-            shard_schedule: ShardSchedule::Lockstep,
             schedule: ScheduleSpec::SingleBatch,
             backend: None,
             spill_budget: None,
@@ -137,14 +133,8 @@ impl ScenarioSpec {
             Some(id) => id.as_str().to_string(),
             None => "sw".to_string(),
         };
-        // Lock-step is the long-standing default; only the async schedule
-        // marks the label, so every pre-existing cell id stays byte-stable.
-        let shard_schedule = match self.shard_schedule {
-            ShardSchedule::Lockstep => "",
-            ShardSchedule::Async => "async",
-        };
         format!(
-            "g{}_x{}_e{}_s{:x}_k{}_t{}_sh{}{}_{}_{}_{}",
+            "g{}_x{}_e{}_s{:x}_k{}_t{}_sh{}_{}_{}_{}",
             self.genome_length,
             self.coverage,
             self.error_rate,
@@ -152,7 +142,6 @@ impl ScenarioSpec {
             self.k,
             self.threads,
             self.shards,
-            shard_schedule,
             self.schedule.label(),
             spill,
             backend,
@@ -171,7 +160,6 @@ impl ScenarioSpec {
             shards: ShardConfig {
                 shard_count: self.shards,
             },
-            shard_schedule: self.shard_schedule,
             spill: match self.spill_budget {
                 Some(bytes) => SpillConfig::bounded(bytes),
                 None => SpillConfig::in_memory(),
@@ -237,11 +225,6 @@ mod tests {
             },
             ScenarioSpec {
                 shards: 4,
-                ..base.clone()
-            },
-            ScenarioSpec {
-                shards: 4,
-                shard_schedule: ShardSchedule::Async,
                 ..base.clone()
             },
             ScenarioSpec {

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use nmp_pak_genome::{ReadSimulator, ReferenceGenome, SequencerConfig, SyntheticSource};
-use nmp_pak_pakman::{PakmanAssembler, PakmanConfig, PakmanError, ShardConfig, ShardSchedule};
+use nmp_pak_pakman::{PakmanAssembler, PakmanConfig, PakmanError, ShardConfig};
 use nmp_pak_server::{AssemblyServer, JobEvent, JobInput, JobPriority, JobSpec, ServerConfig};
 
 const EVENT_TIMEOUT: Duration = Duration::from_secs(60);
@@ -84,22 +84,22 @@ fn cancellation_mid_compaction_frees_the_reservation() {
 }
 
 #[test]
-fn cancelling_an_async_sharded_job_drains_the_flush_ledger() {
-    // The async schedule holds in-flight mailbox flushes as ledger charges;
-    // cancelling mid-compaction must release every one of them along with the
-    // job's reservation, leaving the shared budget empty.
+fn cancelling_a_sharded_job_drains_the_ledger() {
+    // A sharded job cancelled mid-compaction stops at the sharded store's
+    // checkpoint and releases its stage charges along with its reservation,
+    // leaving the shared budget empty.
     let server = AssemblyServer::start(ServerConfig {
         workers: 2,
         memory_cap_bytes: Some(1 << 30),
     });
-    let async_config = PakmanConfig {
+    let sharded_config = PakmanConfig {
         threads: 4,
-        shard_schedule: ShardSchedule::Async,
         shards: ShardConfig { shard_count: 7 },
         compaction_node_threshold: 0,
         ..config()
     };
-    let spec = JobSpec::new(synthetic_input(60_000, 5, 6), async_config).with_reservation(1 << 20);
+    let spec =
+        JobSpec::new(synthetic_input(60_000, 5, 6), sharded_config).with_reservation(1 << 20);
     let handle = server.submit(spec).expect("valid config");
 
     wait_for_event(&handle, |e| matches!(e, JobEvent::Admitted { .. }));
@@ -109,16 +109,10 @@ fn cancelling_an_async_sharded_job_drains_the_flush_ledger() {
     handle.cancel();
 
     let err = handle.join().expect_err("cancelled job must not complete");
-    match err {
-        PakmanError::Cancelled { ref at } => assert!(
-            at.starts_with("async"),
-            "cancellation mid-async-compaction must be observed at an async \
-             checkpoint, got {at:?}"
-        ),
-        ref other => panic!("unexpected outcome: {other:?}"),
-    }
-    // Every in-flight flush charge and stage budget unwound: the terminal
-    // transition leaves the shared ledger empty.
+    let at = "sharded compaction".to_string();
+    assert_eq!(err, PakmanError::Cancelled { at });
+    // Every stage budget unwound: the terminal transition leaves the shared
+    // ledger empty.
     assert_eq!(server.ledger().used(), 0);
     server.shutdown();
 }

@@ -124,8 +124,8 @@ impl MetricProbe for BaselineProbe {
                     // and the median of the per-pair ratios is reported (a host
                     // hiccup slows both sides of a pair, and one lucky run cannot
                     // move a median). Both sides run the one barriered driver,
-                    // so the ratio is what the lock-step store adds to it: the
-                    // routing pass and the telemetry ledgers.
+                    // on the same graph, so the ratio is what the sharded
+                    // store's owner ledger adds to it.
                     let mut ratios: Vec<f64> = (0..OVERHEAD_PAIRS.max(reps))
                         .map(|_| {
                             let mut graph = reference.clone();

@@ -22,7 +22,7 @@
 //! under a [`BatchSchedule`]:
 //!
 //! * [`BatchSchedule::Sequential`] runs each batch A→D before starting the next —
-//!   the original PaKman process flow.
+//!   the original PaKman process flow: the window below with no look-ahead.
 //! * [`BatchSchedule::Pipelined`] executes the paper's pipelined flow for real:
 //!   while batch *i* is built and compacted (stages C–D) and folded into the
 //!   merge on the calling thread, ingest and counting (stages A–B — the half
@@ -115,7 +115,9 @@ impl BatchPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchSchedule {
     /// Each batch runs A→D to completion before the next batch starts (the
-    /// original sequential-stage process flow).
+    /// original sequential-stage process flow): the window of
+    /// [`BatchSchedule::Pipelined`] with no look-ahead and no byte budget, its
+    /// one batch's read bytes charged like the window's.
     Sequential,
     /// The paper's pipelined flow as a *k*-deep software pipeline: while batch
     /// *i* runs stages C–D on the calling thread, ingest and counting (A–B) of
@@ -337,11 +339,11 @@ impl BatchAssembler {
     ) -> Result<BatchAssemblyOutput, PakmanError> {
         let pipeline = AssemblyPipeline::new(self.config)?;
         let (folded, peak_inflight) = match self.schedule {
-            BatchSchedule::Sequential => run_sequential(&pipeline, source, control)?,
+            BatchSchedule::Sequential => run_window(&pipeline, source, 0, None, control)?,
             BatchSchedule::Pipelined {
                 depth,
                 max_inflight_bytes,
-            } => run_pipelined(&pipeline, source, depth, max_inflight_bytes, control)?,
+            } => run_window(&pipeline, source, depth.max(1), max_inflight_bytes, control)?,
         };
         self.merge(folded, peak_inflight)
     }
@@ -406,48 +408,30 @@ fn count_chunk(
     }
 }
 
-/// The sequential schedule: batch *i* completes A→D before batch *i + 1* is
-/// even pulled from the source, so exactly one chunk is resident at a time.
-fn run_sequential<'r, S: ReadSource<'r>>(
-    pipeline: &AssemblyPipeline,
-    mut source: S,
-    control: &RunControl<'_>,
-) -> Result<(Folded, u64), PakmanError> {
-    let mut folded = Folded::default();
-    let mut peak_bytes = 0u64;
-    while let Some(chunk) = source.next_chunk()? {
-        control.check("sequential batch loop")?;
-        if chunk.is_empty() {
-            continue;
-        }
-        peak_bytes = peak_bytes.max(chunk.approx_read_bytes());
-        if let Some(counted) = count_chunk(pipeline, chunk, control)? {
-            folded.finish_batch(pipeline, counted, control)?;
-        }
-    }
-    Ok((folded, peak_bytes))
-}
-
-/// The streaming schedule: a `depth + 1`-deep software pipeline over the batches.
+/// The one batch driver: an in-flight window over the batches.
 ///
 /// While batch *i* runs C → D → fold on the calling thread, ingest and counting
-/// (A–B) of batches *i + 1 … i + depth* run on scoped worker threads. Chunks are
-/// pulled from the source only when admitted to the window, and admission stalls
-/// while the approximate in-flight read bytes exceed `max_inflight_bytes` (one
-/// pulled chunk may be staged while blocked; a chunk larger than the whole
-/// budget is admitted alone so the schedule cannot deadlock).
+/// (A–B) of batches *i + 1 … i + look_ahead* run on scoped worker threads.
+/// Chunks are pulled from the source only when admitted to the window, and
+/// admission stalls while the approximate in-flight read bytes exceed
+/// `max_inflight_bytes` (one pulled chunk may be staged while blocked; a chunk
+/// larger than the whole budget is admitted alone so the schedule cannot
+/// deadlock). With no look-ahead — the sequential schedule — the window holds
+/// one batch: it is admitted, its counting joined and the batch finished
+/// before the next is admitted, so exactly one chunk is resident at a time.
+/// Either way the admitted read bytes are charged to the control's ledger
+/// while they are resident.
 ///
 /// Counted batches are joined and finished strictly in batch-index order, so
-/// the output is bit-identical to [`run_sequential`] no matter how the threads
+/// the output is bit-identical at every look-ahead no matter how the threads
 /// interleave.
-fn run_pipelined<'r, S: ReadSource<'r>>(
+fn run_window<'r, S: ReadSource<'r>>(
     pipeline: &AssemblyPipeline,
     mut source: S,
-    depth: usize,
+    look_ahead: usize,
     max_inflight_bytes: Option<u64>,
     control: &RunControl<'_>,
 ) -> Result<(Folded, u64), PakmanError> {
-    let depth = depth.max(1);
     std::thread::scope(|scope| {
         let mut folded = Folded::default();
         let mut window: Window<'_, 'r> = Window {
@@ -460,13 +444,13 @@ fn run_pipelined<'r, S: ReadSource<'r>>(
                 None => MemoryBudget::unbounded(),
             }),
             exhausted: false,
-            depth,
+            depth: look_ahead.max(1),
         };
 
         // The loop's errors return from this closure, not from the function, so
         // the ledger-settling cleanup below runs on every exit path.
         let result: Result<(), PakmanError> = (|| loop {
-            control.check("pipelined batch loop")?;
+            control.check("batch loop")?;
             window.admit(scope, pipeline, &mut source, control)?;
             let Some(batch) = window.inflight.pop_front() else {
                 return Ok(());
@@ -477,8 +461,10 @@ fn run_pipelined<'r, S: ReadSource<'r>>(
             let counted = joined?;
             // Admit the replacement *before* finishing, so the next batches are
             // counted while this one is built and compacted — the paper's
-            // overlap of compaction with counting, now `depth` batches deep.
-            window.admit(scope, pipeline, &mut source, control)?;
+            // overlap of compaction with counting, `look_ahead` batches deep.
+            if look_ahead > 0 {
+                window.admit(scope, pipeline, &mut source, control)?;
+            }
             if let Some(counted) = counted {
                 folded.finish_batch(pipeline, counted, control)?;
             }

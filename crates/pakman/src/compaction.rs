@@ -30,14 +30,15 @@
 //! parallel apply never repaid its sort and scatter: DESIGN.md, "Fork-join and grain").
 //!
 //! One private driver, `run_barriered`, runs that iteration for both barriered
-//! entry points: it is generic over a `NodeStore` — where the nodes live and how
-//! a transfer reaches its destination — which [`compact`] instantiates with the
-//! [`PakGraph`] itself and [`crate::shard::compact_sharded`] with its owner-routed
-//! lock-step store, so a stage-D change is made once. All per-iteration buffers
-//! live in the driver's scratch, so the untraced hot loop performs no
-//! per-iteration reallocation. Iterations repeat until the alive node count drops
-//! below the configured threshold, no node can be invalidated, or the iteration cap
-//! is hit. Every thread count, every shard count and a chain of one-iteration
+//! entry points: it is generic over a `NodeStore` — the graph it compacts, and
+//! what is booked on the way — which [`compact`] instantiates with the
+//! [`PakGraph`] itself and [`crate::shard::compact_sharded`] with a store that
+//! forwards to the same graph and keeps the owner ledger, so a stage-D change is
+//! made in one place and every transfer is applied by one function. All
+//! per-iteration buffers live in the driver's scratch, so the untraced hot loop
+//! performs no per-iteration reallocation. Iterations repeat until the alive
+//! node count drops below the configured threshold, no node can be invalidated,
+//! or the iteration cap is hit. Every thread count, every shard count and a chain of one-iteration
 //! runs (each of whose iteration 0 is a full scan) produce bit-identical
 //! statistics, traces, and contigs — the determinism contract of DESIGN.md.
 
@@ -189,12 +190,12 @@ pub struct IterationProfile {
     /// Wall-clock of stage P1 (invalidation checks).
     pub p1: Duration,
     /// Wall-clock of the streamed pass: retiring the invalidated nodes, then P2
-    /// and P3 per node — extraction, routing and the update of every destination
-    /// a store applies on delivery.
+    /// and P3 per node — extraction, routing and the in-place update of every
+    /// destination.
     pub p2: Duration,
-    /// Wall-clock of the end-of-iteration flush: a store that posts its
-    /// transfers applies them here, the outcomes are folded, and a traced run
-    /// records its update events.
+    /// Wall-clock of the end-of-iteration flush: the sharded store enters the
+    /// iteration's lanes in its flush ledger, and a traced run records its
+    /// update events. Every transfer was applied in the streamed pass.
     pub p3: Duration,
     /// Invalidation predicates actually evaluated this iteration: every alive
     /// node on iteration 0, the frontier after it.
@@ -230,13 +231,13 @@ pub struct CompactionOutcome {
     pub profile: CompactionProfile,
 }
 
-/// Where a barriered compaction run's nodes live, in one slot space, and how a
-/// TransferNode reaches its destination — all the two barriered entry points
-/// differ in. [`run_barriered`] is monomorphised per store: a [`PakGraph`]
-/// answers from its own slots and applies on delivery, so a single-graph run
-/// executes no routing or telemetry code; the sharded lock-step store
-/// (`shard.rs`) routes every access to the owner shard and keeps the mailbox
-/// ledger.
+/// The graph a barriered compaction run works on, and what it books on the
+/// way — all the two barriered entry points differ in. [`run_barriered`] is
+/// monomorphised per store: a [`PakGraph`] answers from its own slots and
+/// applies on delivery, so a single-graph run executes no telemetry code; the
+/// sharded store (`shard.rs`) forwards every access to the same graph and keeps
+/// the owner ledger — P1 work per owner shard, each transfer on its
+/// (source owner, destination owner) lane.
 pub(crate) trait NodeStore: Sync {
     /// The checkpoint a cancellation is reported at.
     const CHECKPOINT: &'static str;
@@ -259,24 +260,15 @@ pub(crate) trait NodeStore: Sync {
     /// `slot` will be read soon: a store may start fetching it. A hint only —
     /// it must change nothing.
     fn prefetch(&self, _slot: usize) {}
-    /// Opens `iteration`'s stream; `chunks` is the plan of its apply over the
-    /// whole stream ([`plan`] over [`GRAIN`]).
-    fn open(&mut self, _iteration: usize, _chunks: usize) {}
+    /// Opens `iteration`'s stream.
+    fn open(&mut self, _iteration: usize) {}
     /// Stage P3 for one TransferNode of the canonical stream, sent by the
     /// retired node of slot `source`; `dest` is its destination's slot if that
-    /// is still alive. `Some(matched)` — whether it found its extension — if it
-    /// was applied on the spot; `None` if it was dropped (no `dest`) or posted
-    /// for [`NodeStore::close`].
-    fn deliver(
-        &mut self,
-        source: usize,
-        dest: Option<usize>,
-        transfer: TransferNode,
-    ) -> Option<bool>;
-    /// Ends the iteration: applies what [`NodeStore::deliver`] posted, every
-    /// destination receiving its transfers in delivery order, and reports each
-    /// posted transfer's `(dest, matched)` in delivery order.
-    fn close(&mut self, _settle: impl FnMut(usize, bool)) {}
+    /// is still alive. Applies it there, in place, and returns whether it found
+    /// its extension; `false` if it was dropped (no `dest`).
+    fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: &TransferNode) -> bool;
+    /// Ends the iteration's stream.
+    fn close(&mut self) {}
 }
 
 impl NodeStore for PakGraph {
@@ -303,10 +295,10 @@ impl NodeStore for PakGraph {
     fn prefetch(&self, slot: usize) {
         PakGraph::prefetch(self, slot);
     }
-    /// In place, on the spot.
-    fn deliver(&mut self, _: usize, dest: Option<usize>, transfer: TransferNode) -> Option<bool> {
-        let node = self.node_mut(dest?).expect("destination is alive");
-        Some(apply_transfer(node, &transfer))
+    fn deliver(&mut self, _: usize, dest: Option<usize>, transfer: &TransferNode) -> bool {
+        dest.is_some_and(|slot| {
+            apply_transfer(self.node_mut(slot).expect("destination is alive"), transfer)
+        })
     }
 }
 
@@ -337,13 +329,11 @@ impl Frontier {
 /// carried across its iterations — §4.5's "pre-allocated per-thread buffers"
 /// applied to compaction: the untraced hot loop performs no per-iteration heap
 /// allocation once the buffers have grown to their steady-state sizes. Slots
-/// are the store's (global slots under a sharded store), so the frontier
-/// bookkeeping is the same wherever the nodes live. The methods are the
-/// driver's steps, one call site each; the fields a step reads are the outputs
-/// of the steps before it (`pub(crate)` where `shard.rs`'s phase test runs the
-/// steps by hand over its store).
+/// are the graph's, under either store. The methods are the driver's steps, one
+/// call site each; the fields a step reads are the outputs of the steps before
+/// it.
 #[derive(Debug, Default)]
-pub(crate) struct CompactionScratch {
+struct CompactionScratch {
     /// Destinations the last streamed pass reached: the slots to re-evaluate.
     dirty: Frontier,
     /// Per-slot `size_bytes` as of the node's last evaluation. Valid for every
@@ -361,14 +351,14 @@ pub(crate) struct CompactionScratch {
     /// and `running_hist` for every alive node.
     census_primed: bool,
     /// Slots to re-evaluate this iteration, ascending.
-    pub(crate) recheck: Vec<usize>,
+    recheck: Vec<usize>,
     /// Evaluation results, aligned with `recheck`.
-    pub(crate) check_results: Vec<NodeCheck>,
+    check_results: Vec<NodeCheck>,
     /// The assembled per-alive-node check list (only populated when tracing; the
     /// trace takes ownership of it each iteration).
     checks: Vec<NodeCheck>,
     /// Slots invalidated this iteration, ascending.
-    pub(crate) invalidated: Vec<usize>,
+    invalidated: Vec<usize>,
     /// P1's resolved neighbour ranks of chunks 1.. (chunk 0 writes `resolved`
     /// itself), appended to `resolved` in chunk (= slot) order.
     rank_buffers: Vec<Vec<Option<usize>>>,
@@ -376,14 +366,14 @@ pub(crate) struct CompactionScratch {
     /// streamed pass produces the transfers. Written by P1 — the neighbour ranks
     /// of every node it invalidates, in (pred, succ) path order; the pass
     /// re-tests each one's aliveness as it consumes it.
-    pub(crate) resolved: Vec<Option<usize>>,
+    resolved: Vec<Option<usize>>,
     /// Transfers of the open iteration that did not land: destination gone, or
     /// no matching extension.
-    pub(crate) unmatched: usize,
+    unmatched: usize,
     /// Per-slot touched bitmap (reset via `touched_order`, not a full clear).
     touched: Vec<bool>,
     /// Destinations in first-touch order (the deterministic update-trace order).
-    pub(crate) touched_order: Vec<usize>,
+    touched_order: Vec<usize>,
     /// The first nodes a pass takes out of their slots — up to two grains of
     /// them — parked until it ends and dropped together; the capacity stays with
     /// the run. Like the reservations of [`CompactionScratch::new`] this is for
@@ -397,7 +387,7 @@ impl CompactionScratch {
     /// The scratch of a run over `store`: its alive census taken, its vectors
     /// reserved (why so: DESIGN.md, "Step D"). A store with more slots than the
     /// census's `u32`s can name is [`PakmanError::InvalidConfig`], unallocated.
-    pub(crate) fn new<S: NodeStore>(store: &S) -> Result<Self, PakmanError> {
+    fn new<S: NodeStore>(store: &S) -> Result<Self, PakmanError> {
         let slot_count = store.slot_count();
         if u32::try_from(slot_count).is_err() {
             let checkpoint = S::CHECKPOINT;
@@ -435,7 +425,7 @@ impl CompactionScratch {
     /// input, chunk 0 writes `resolved` itself and the helpers' rank buffers are
     /// appended in chunk order, so the chunk count cannot change either output.
     /// Each chunk hints the store at the slot [`CHECK_LOOKAHEAD`] checks on.
-    pub(crate) fn check<S: NodeStore>(&mut self, store: &S, chunks: usize) {
+    fn check<S: NodeStore>(&mut self, store: &S, chunks: usize) {
         self.check_results.clear();
         self.check_results.resize(
             self.recheck.len(),
@@ -487,7 +477,7 @@ impl CompactionScratch {
     /// changed (only a landed transfer changes a size, and that marks the slot
     /// dirty) — so the histogram equals a from-scratch one over all alive nodes
     /// in O(re-checked) instead of O(alive).
-    pub(crate) fn fold_census(&mut self) {
+    fn fold_census(&mut self) {
         self.invalidated.clear();
         for check in &self.check_results {
             if self.census_primed {
@@ -539,22 +529,20 @@ impl CompactionScratch {
     /// predecessor before successor, straight to the store; what reached an
     /// alive destination is recorded as it lands — the trace event (into
     /// `events`, when tracing), the next frontier (every destination a transfer
-    /// lands on), and through
-    /// [`CompactionScratch::settle`] the outcome. `chunks` is the store's to use
-    /// ([`NodeStore::open`]). Returns the number of transfers delivered. Every
-    /// slot the pass reads is named in advance, so it hints the store at the
-    /// source [`SOURCE_LOOKAHEAD`] visits on and the destination
-    /// [`DEST_LOOKAHEAD`] transfers on ([`NodeStore::prefetch`]).
+    /// lands on), the unmatched count and the first-touch update order. Returns
+    /// the number of transfers delivered. Every slot the pass reads is named in
+    /// advance, so it hints the store at the source [`SOURCE_LOOKAHEAD`] visits
+    /// on and the destination [`DEST_LOOKAHEAD`] transfers on
+    /// ([`NodeStore::prefetch`]).
     ///
     /// The hand-off is checked ahead of the first change to any node, in release
     /// builds too: P1 must have handed over one rank per transfer the
     /// invalidated nodes will yield (two a path — they are fully interior), or
     /// transfers would be paired with the wrong destinations.
-    pub(crate) fn stream<S: NodeStore>(
+    fn stream<S: NodeStore>(
         &mut self,
         store: &mut S,
         iteration: usize,
-        chunks: usize,
         mut events: Option<&mut Vec<TransferEvent>>,
     ) -> usize {
         let expected = Self::transfer_count(self.invalidated.iter().map(|&slot| store.node(slot)));
@@ -576,7 +564,7 @@ impl CompactionScratch {
         if let Some(events) = events.as_deref_mut() {
             events.reserve_exact(expected);
         }
-        store.open(iteration, chunks);
+        store.open(iteration);
         let parking = self.invalidated.len().min(2 * GRAIN);
         self.retired.reserve(parking);
 
@@ -601,14 +589,15 @@ impl CompactionScratch {
                         size_bytes: transfer.size_bytes(),
                     });
                 }
-                let settled = store.deliver(source, dest, transfer);
-                let Some(dest_slot) = dest else {
+                let matched = store.deliver(source, dest, &transfer);
+                if !matched {
                     self.unmatched += 1;
-                    continue;
-                };
+                }
+                let Some(dest_slot) = dest else { continue };
                 self.dirty.mark(dest_slot);
-                if let Some(matched) = settled {
-                    self.settle(dest_slot, matched);
+                if matched && !self.touched[dest_slot] {
+                    self.touched[dest_slot] = true;
+                    self.touched_order.push(dest_slot);
                 }
             }
             if self.retired.len() < parking {
@@ -621,19 +610,6 @@ impl CompactionScratch {
             "the streamed pass must consume every rank P1 handed over"
         );
         delivered
-    }
-
-    /// Records the outcome of one transfer delivered to alive slot `dest`: the
-    /// unmatched count, or the first-touch update order. Called in canonical
-    /// order — by the pass itself, or by [`NodeStore::close`] for a store that
-    /// posts.
-    pub(crate) fn settle(&mut self, dest: usize, matched: bool) {
-        if !matched {
-            self.unmatched += 1;
-        } else if !self.touched[dest] {
-            self.touched[dest] = true;
-            self.touched_order.push(dest);
-        }
     }
 
     /// Removes the sorted slot set `removed` from the sorted `alive` list in
@@ -694,8 +670,8 @@ pub fn compact_controlled(
 /// The barriered iteration loop — the one copy of it. Every iteration runs
 /// frontier build → P1 → census fold → the streamed pass (retire, then P2 + P3
 /// per invalidated node) → [`NodeStore::close`] over `store`'s slot space, with
-/// an all-chunks join after each forked phase; what differs between a single
-/// graph and lock-step shards is behind [`NodeStore`].
+/// an all-chunks join after the forked P1; what differs between a single graph
+/// and a sharded run is behind [`NodeStore`].
 pub(crate) fn run_barriered<S: NodeStore>(
     store: &mut S,
     config: &PakmanConfig,
@@ -759,14 +735,11 @@ pub(crate) fn run_barriered<S: NodeStore>(
         let transfers = scratch.stream(
             store,
             iteration,
-            plan(scratch.resolved.len(), config.threads, GRAIN),
             trace.is_some().then_some(&mut transfer_events),
         );
         let p2 = p2_start.elapsed();
         let p3_start = Instant::now();
-        if transfers > 0 {
-            store.close(|dest, matched| scratch.settle(dest, matched));
-        }
+        store.close();
         let mut updates: Vec<UpdateEvent> = Vec::new();
         if trace.is_some() {
             updates.extend(scratch.touched_order.iter().map(|&dest_slot| UpdateEvent {
@@ -893,9 +866,8 @@ pub(crate) fn is_invalidation_target_with<R>(
 
 /// Applies one TransferNode to its destination node, splitting paths as necessary so
 /// that exactly `transfer.count` units of flow receive the new extension. Returns
-/// `false` if no matching extension was found. Shared with the sharded store,
-/// whose forked P3 applies each shard's inbox with this exact function.
-pub(crate) fn apply_transfer(dest: &mut MacroNode, transfer: &TransferNode) -> bool {
+/// `false` if no matching extension was found.
+fn apply_transfer(dest: &mut MacroNode, transfer: &TransferNode) -> bool {
     let mut remaining = transfer.count;
     let mut new_paths = Vec::new();
     let paths = dest.paths_mut();
@@ -1164,15 +1136,10 @@ mod tests {
         fn prefetch(&self, slot: usize) {
             self.graph.prefetch(slot);
         }
-        fn deliver(
-            &mut self,
-            source: usize,
-            dest: Option<usize>,
-            transfer: TransferNode,
-        ) -> Option<bool> {
-            let matched = self.graph.deliver(source, dest, transfer.clone());
+        fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: &TransferNode) -> bool {
+            let matched = self.graph.deliver(source, dest, transfer);
             self.deliveries
-                .push((source, dest, transfer, matched == Some(true)));
+                .push((source, dest, transfer.clone(), matched));
             matched
         }
     }
@@ -1252,7 +1219,7 @@ mod tests {
                 deliveries: Vec::new(),
             };
             let mut events = Vec::new();
-            let delivered = scratch.stream(&mut store, 0, 1, Some(&mut events));
+            let delivered = scratch.stream(&mut store, 0, Some(&mut events));
             assert_eq!(delivered, expected.len());
             assert_eq!(store.deliveries, expected);
             // The nodes the pass parked (its first two grains' worth) went with it.
@@ -1299,7 +1266,7 @@ mod tests {
         assert!(scratch.invalidated.len() > 100);
         scratch.resolved.pop();
         let mut victim = graph.clone();
-        let pass = std::panic::AssertUnwindSafe(|| scratch.stream(&mut victim, 0, 1, None));
+        let pass = std::panic::AssertUnwindSafe(|| scratch.stream(&mut victim, 0, None));
         let panic = std::panic::catch_unwind(pass).expect_err("a short hand-off must not run");
         let message = panic.downcast_ref::<String>().expect("an assert message");
         assert!(
@@ -1367,7 +1334,7 @@ mod tests {
             fn take_retired(&mut self, _: usize) -> MacroNode {
                 unreachable!()
             }
-            fn deliver(&mut self, _: usize, _: Option<usize>, _: TransferNode) -> Option<bool> {
+            fn deliver(&mut self, _: usize, _: Option<usize>, _: &TransferNode) -> bool {
                 unreachable!()
             }
         }

@@ -24,18 +24,21 @@ pub enum ShardSchedule {
 /// PaK-graph is partitioned into.
 ///
 /// Every (k-1)-mer has one *owner* shard (a stable hash of its packed code,
-/// [`nmp_pak_genome::shard_of_packed`]); the graph is built once and split
-/// across the owners, and compaction runs per-shard with boundary traffic
-/// exchanged through the inter-shard mailbox once per iteration. Output is **bit-identical** to single-graph execution at
-/// every shard count — sharding changes where work happens, never what it
-/// computes. A shard maps onto one NMP channel in the hardware model, so the
-/// natural production value is the channel count ([`ShardConfig::per_channel`];
-/// the paper's system has 8 channels).
+/// [`nmp_pak_genome::shard_of_packed`]). The graph is built once and never
+/// split: compaction runs on it as on a single graph, and an owner ledger
+/// books each shard's P1 work and every TransferNode on its (source owner,
+/// destination owner) lane, flushed once per iteration
+/// ([`crate::shard::ShardingTelemetry`]). Output is **bit-identical** to
+/// single-graph execution at every shard count — sharding measures where work
+/// would happen, never changes what it computes. A shard maps onto one NMP
+/// channel in the hardware model, so the natural production value is the
+/// channel count ([`ShardConfig::per_channel`]; the paper's system has 8
+/// channels).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ShardConfig {
-    /// Number of owner-computes shards. `1` keeps the monolithic single-graph
-    /// execution path; values above 1 route construction and compaction through
-    /// the sharded engine.
+    /// Number of owner-computes shards. `1` keeps the plain single-graph
+    /// compaction; values above 1 run stage D through
+    /// [`crate::shard::compact_sharded`] and record its telemetry.
     pub shard_count: usize,
 }
 

@@ -125,6 +125,7 @@ impl AliveBits {
 
     /// Mirrors `slots[i].is_some()` (the one construction-time read of every slot
     /// a graph with dead slots needs).
+    #[cfg(test)]
     fn of_slots(slots: &[Option<MacroNode>]) -> AliveBits {
         let mut bits = AliveBits {
             words: vec![0; slots.len().div_ceil(64)],
@@ -298,10 +299,9 @@ impl PakGraph {
     }
 
     /// Builds a graph directly from its sorted parts: `keys[i]` is the packed
-    /// (k-1)-mer of `slots[i]`, ascending. Crate-internal — the sharded layer
-    /// splits a built graph into per-shard graphs and stitches the compacted
-    /// shards back into the global graph (dead slots included) without
-    /// re-sorting.
+    /// (k-1)-mer of `slots[i]`, ascending, and a `None` slot is dead. Tests use
+    /// it to lay the same nodes out over different slot spaces.
+    #[cfg(test)]
     pub(crate) fn from_parts(keys: Vec<u64>, slots: Vec<Option<MacroNode>>, k: usize) -> PakGraph {
         debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
         debug_assert_eq!(keys.len(), slots.len());
@@ -315,8 +315,7 @@ impl PakGraph {
     }
 
     /// The packed (k-1)-mer key of every slot, ascending (the slot order).
-    /// Crate-internal: the sharded layer splits the graph by these keys and
-    /// keeps them as its global rank mapping.
+    /// Crate-internal: the sharded layer hashes them to each slot's owner.
     pub(crate) fn slot_keys(&self) -> &[u64] {
         &self.index.keys
     }
@@ -494,13 +493,6 @@ impl PakGraph {
         let mut nodes = Vec::with_capacity(self.alive.count);
         nodes.extend(self.slots.into_iter().flatten());
         nodes
-    }
-
-    /// Consumes the graph into its raw slot vector (dead slots included).
-    /// Crate-internal: the sharded layer moves the slots to their owner shards
-    /// and stitches the per-shard slot vectors back into the global layout.
-    pub(crate) fn into_slots(self) -> Vec<Option<MacroNode>> {
-        self.slots
     }
 
     /// Total number of graph edges (distinct suffix extensions over alive nodes).
@@ -1089,7 +1081,9 @@ mod tests {
     fn from_parts_mirrors_dead_slots_in_the_bitmap() {
         let graph = graph_from_reads(&["ACGTACCTGATCAGTTGCAAC"], 5);
         let keys = graph.slot_keys().to_vec();
-        let mut slots = graph.into_slots();
+        let mut slots: Vec<Option<MacroNode>> = (0..graph.slot_count())
+            .map(|slot| graph.node(slot).cloned())
+            .collect();
         for slot in slots.iter_mut().step_by(2) {
             *slot = None;
         }
@@ -1274,8 +1268,8 @@ mod tests {
             let nodes: BTreeSet<Kmer> = graph.iter_alive().map(|(_, n)| n.k1mer()).collect();
             assert_eq!(nodes, k1mers, "{what}");
 
-            // The owner split moves every node, once, to its owner and keeps
-            // the single build's slot layout.
+            // Sharded, the build is the same graph, and its owners partition
+            // the alive nodes.
             for shards in [1usize, 3, 8] {
                 let sharded = ShardedGraph::from_counted_kmers(&counted, k, shards, 2);
                 let per_shard = sharded.per_shard_alive();
@@ -1284,10 +1278,9 @@ mod tests {
                     graph.alive_count(),
                     "{what}"
                 );
-                for shard in 0..shards {
-                    for (_, node) in sharded.shard(shard).iter_alive() {
-                        assert_eq!(node.owner_shard(shards), shard, "{what}, {shards} shards");
-                    }
+                for (slot, node) in sharded.graph().iter_alive() {
+                    let owner = sharded.shard_of_global(slot);
+                    assert_eq!(owner, node.owner_shard(shards), "{what}, {shards} shards");
                 }
                 let global = sharded.into_global_graph();
                 assert_eq!(global.slot_keys(), graph.slot_keys(), "{what}");

@@ -660,9 +660,8 @@ mod tests {
     fn slot_and_transfer_layouts_stay_within_their_cache_line_budget() {
         // A graph slot is the node, its (k-1)-mer and its first path in one
         // piece: two cache lines at most. A TransferNode with its source slot is
-        // what the streamed pass builds and hands over per transfer (and what a
-        // posting store keeps per inbox entry). A new field must not silently
-        // double either.
+        // what the streamed pass builds and hands over per transfer. A new field
+        // must not silently double either.
         use std::mem::size_of;
         assert!(size_of::<Option<MacroNode>>() <= 128);
         assert_eq!(size_of::<Option<MacroNode>>(), size_of::<MacroNode>());

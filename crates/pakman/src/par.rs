@@ -13,8 +13,8 @@
 //!   folds, the per-bucket pairwise merges of a run with a memory bound.
 
 /// The grain: the fewest items a spawned helper is handed, for every site whose
-/// item is node-sized work (a counted k-mer of stage C, a P1 check, a lock-step
-/// P3 transfer — 50–270 ns each, so ≥ 0.4 ms: several times a scope's 68 µs).
+/// item is node-sized work (a counted k-mer of stage C, a P1 check — 75–170 ns
+/// each, so ≥ 0.6 ms: several times a scope's 68 µs).
 pub(crate) const GRAIN: usize = 8_192;
 /// The same share in stage B's much smaller item, the k-mer window (13–37 ns).
 pub(crate) const COUNT_GRAIN: usize = 8 * GRAIN;

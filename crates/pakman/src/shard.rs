@@ -1,84 +1,63 @@
 //! Sharded subgraph execution: the owner-computes decomposition of the
-//! PaK-graph, mapped one shard per NMP channel.
+//! PaK-graph, mapped one shard per NMP channel, measured over the one graph.
 //!
 //! Distributed PaKman partitions MacroNodes across MPI ranks by hashing each
 //! (k-1)-mer and compacts the per-rank subgraphs mostly independently, with
 //! boundary traffic exchanged via `MPI_Alltoallv` once per iteration. NMP-PaK's
 //! scalability claim rests on the same decomposition mapped onto channels: each
 //! channel's local memory holds one subgraph, and only TransferNodes whose
-//! destination lives on another channel cross the inter-DIMM network. This
-//! module is that execution model in software:
+//! destination lives on another channel cross the inter-DIMM network. Where a
+//! node lives is a pure function of its (k-1)-mer
+//! ([`nmp_pak_genome::shard_of_packed`]), so this module measures that
+//! decomposition without moving a node:
 //!
-//! * [`ShardedGraph`] — one [`PakGraph`] per shard (nodes assigned by the
-//!   stable ownership hash [`nmp_pak_genome::shard_of_packed`]) plus the global
-//!   rank mapping that ties local slots back to the single-graph slot space, so
-//!   traces and statistics stay expressed in global slots;
-//! * [`ShardedGraph::from_counted_kmers`] — the single-graph build, then a
-//!   split that moves every node to its owner shard: the only place the owner
-//!   hash splits anything before compaction starts;
-//! * [`compact_sharded`] — Iterative Compaction with P1/P2/P3 running
-//!   per-shard and a batched, slot-ordered mailbox exchanged **once
-//!   per iteration** for cross-shard TransferNodes. The lock-step schedule has
-//!   no loop of its own: it is [`crate::compaction`]'s barriered driver over a
-//!   store that routes every access to the owner shard (`Lockstep`, below);
+//! * [`ShardedGraph`] — the one built [`PakGraph`] plus its shard count; the
+//!   owner of every slot is the hash of its key;
+//! * [`compact_sharded`] — Iterative Compaction by [`crate::compaction`]'s
+//!   barriered driver over a store that forwards every access to that graph
+//!   and keeps the owner ledger: P1 work per owner shard, and every
+//!   TransferNode on its (owner of source, owner of destination) lane, flushed
+//!   **once per iteration**;
 //! * [`ShardingTelemetry`] — the measured per-shard load and inter-shard
 //!   traffic the hardware models consume instead of assuming uniformity; its
 //!   flush ledger is the one record of the exchange, and every traffic total
 //!   is a sum over it.
 //!
-//! **Determinism contract.** Sharding changes *where* work executes, never
-//! what it computes: contigs, statistics, and the recorded trace are
+//! **Determinism contract.** Sharding changes *where* work would execute,
+//! never what it computes: the nodes, the driver and the transfer stream are
+//! the single graph's, so contigs, statistics and the recorded trace are
 //! bit-identical to the single-graph path at every shard count and thread
-//! count. The load-bearing facts are (1) ownership is a pure function of the
-//! (k-1)-mer, (2) each node is the single build's node, moved whole to its
-//! owner, (3) the mailbox is a stable partition of the canonical transfer
-//! stream, so per-destination delivery order equals the serial order, and (4)
-//! every reduction (histogram, counts) is order-free and every ordered
-//! artifact (trace events, dirty set) is re-serialized from the canonical
-//! global-slot order.
+//! count, and the ledger — a function of the keys and of the canonical
+//! transfer stream — is identical at every thread count.
 //!
 //! **One schedule.** The paper's PEs exchange TransferNodes once per
-//! iteration (§4.2), and this module runs exactly that barriered schedule.
+//! iteration (§4.2), and the ledger books exactly that barriered schedule.
 //! [`crate::ShardSchedule`] selects nothing: both of its variants run it.
 
-use crate::compaction::{apply_transfer, run_barriered, CompactionOutcome, NodeStore};
+use crate::compaction::{run_barriered, CompactionOutcome, NodeStore};
 use crate::config::PakmanConfig;
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use crate::kmer_count::CountedKmer;
 use crate::macronode::MacroNode;
-use crate::par::fork_join;
-use crate::transfer::{PostedTransfer, ShardMailbox, TransferNode};
+use crate::transfer::{ShardMailbox, TransferNode};
 use nmp_pak_genome::{shard_of_packed, Kmer};
 
-/// The PaK-graph split into owner-computes shards, with the global rank mapping
-/// that keeps every externally visible artifact (traces, statistics, the
-/// compacted output graph) in single-graph slot coordinates.
+/// The PaK-graph under owner-computes sharding: the one built graph, whose
+/// slot layout every artifact (traces, statistics, the compacted output
+/// graph) is expressed in, plus the shard count that assigns each slot an
+/// owner.
 #[derive(Debug, Clone)]
 pub struct ShardedGraph {
-    /// One subgraph per shard; local slots ascend in (k-1)-mer order.
-    shards: Vec<PakGraph>,
-    /// Packed (k-1)-mer of every global slot, ascending — identical to the
-    /// single-graph slot layout.
-    global_keys: Vec<u64>,
-    /// Global slot → (owner shard, local slot).
-    route: Vec<(u32, u32)>,
-    /// Per shard: local slot → global slot (ascending, since local key order is
-    /// a subsequence of the global key order).
-    global_slots: Vec<Vec<u32>>,
-    /// k-mer length the graph was built for.
-    k: usize,
+    graph: PakGraph,
+    shard_count: usize,
 }
 
 impl ShardedGraph {
     /// Builds the sharded graph from the sorted counted k-mer stream: the
     /// single-graph build ([`PakGraph::from_counted_kmers`], on up to `threads`
-    /// chunks), then a split that moves every node to its owner shard.
-    ///
-    /// Every node is therefore bit-identical to the single build's, and the
-    /// global slot layout is the single build's own. A shard count of 1 wraps
-    /// the single graph as is ([`ShardedGraph::from_single`]).
+    /// chunks), owned by `shard_count` shards.
     ///
     /// More shards than MacroNodes is not an error: the surplus shards own zero
     /// nodes and the corresponding channels idle (zeros in
@@ -89,190 +68,58 @@ impl ShardedGraph {
         shard_count: usize,
         threads: usize,
     ) -> ShardedGraph {
-        ShardedGraph::from_counted_kmers_sized(counted, k, shard_count, threads).0
+        let graph = PakGraph::from_counted_kmers(counted, k, threads);
+        ShardedGraph::new(graph, shard_count)
     }
 
-    /// [`ShardedGraph::from_counted_kmers`] plus the total MacroNode bytes of the
-    /// nodes it built (see [`PakGraph::from_counted_kmers_sized`]).
-    pub(crate) fn from_counted_kmers_sized(
-        counted: &[CountedKmer],
-        k: usize,
-        shard_count: usize,
-        threads: usize,
-    ) -> (ShardedGraph, usize) {
-        let (graph, size_bytes) = PakGraph::from_counted_kmers_sized(counted, k, threads);
-        (ShardedGraph::split(graph, shard_count), size_bytes)
-    }
-
-    /// Wraps an already-built single graph as a one-shard sharded graph (the
-    /// identity mapping). Used by the `shard_count == 1` fast path and the
-    /// overhead benchmark, which runs the full sharded engine over one shard.
+    /// Wraps an already-built single graph as a one-shard sharded graph. Used
+    /// by the overhead benchmark, which runs the sharded store over one shard.
     pub fn from_single(graph: PakGraph) -> ShardedGraph {
-        let n = graph.slot_count();
-        let k = graph.k();
-        debug_assert!(n <= u32::MAX as usize);
-        ShardedGraph {
-            global_keys: graph.slot_keys().to_vec(),
-            route: (0..n as u32).map(|local| (0, local)).collect(),
-            global_slots: vec![(0..n as u32).collect()],
-            shards: vec![graph],
-            k,
-        }
+        ShardedGraph::new(graph, 1)
     }
 
-    /// Splits a built graph into `shard_count` owner shards: each slot moves
-    /// to [`shard_of_packed`] of its key, in slot order, so every shard's local
-    /// slots ascend and the global mapping is the graph's own slot layout.
-    fn split(graph: PakGraph, shard_count: usize) -> ShardedGraph {
-        let shard_count = shard_count.max(1);
-        if shard_count == 1 {
-            return ShardedGraph::from_single(graph);
-        }
-        let k = graph.k();
-        let global_keys = graph.slot_keys().to_vec();
-        debug_assert!(global_keys.len() <= u32::MAX as usize);
-        let mut sizes = vec![0u32; shard_count];
-        let route: Vec<(u32, u32)> = global_keys
-            .iter()
-            .map(|&key| {
-                let shard = shard_of_packed(key, shard_count);
-                sizes[shard] += 1;
-                (shard as u32, sizes[shard] - 1)
-            })
-            .collect();
-        // Sized by the routing pass above, so no per-shard vector reallocates.
-        fn per_shard<T>(sizes: &[u32]) -> Vec<Vec<T>> {
-            sizes
-                .iter()
-                .map(|&n| Vec::with_capacity(n as usize))
-                .collect()
-        }
-        let mut keys: Vec<Vec<u64>> = per_shard(&sizes);
-        let mut slots: Vec<Vec<Option<MacroNode>>> = per_shard(&sizes);
-        let mut global_slots: Vec<Vec<u32>> = per_shard(&sizes);
-        let moves = graph.into_slots().into_iter().zip(&global_keys).zip(&route);
-        for (global, ((node, &key), &(shard, _))) in moves.enumerate() {
-            let shard = shard as usize;
-            keys[shard].push(key);
-            slots[shard].push(node);
-            global_slots[shard].push(global as u32);
-        }
-        let shards = keys
-            .into_iter()
-            .zip(slots)
-            .map(|(keys, slots)| PakGraph::from_parts(keys, slots, k))
-            .collect();
+    /// `graph` owned by `shard_count` shards (clamped to at least one).
+    pub(crate) fn new(graph: PakGraph, shard_count: usize) -> ShardedGraph {
         ShardedGraph {
-            shards,
-            global_keys,
-            route,
-            global_slots,
-            k,
+            graph,
+            shard_count: shard_count.max(1),
         }
-    }
-
-    /// The k-mer length this graph was built for.
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shard_count
     }
 
-    /// The subgraph of shard `shard`.
-    pub fn shard(&self, shard: usize) -> &PakGraph {
-        &self.shards[shard]
+    /// The graph itself, in its one slot layout.
+    pub fn graph(&self) -> &PakGraph {
+        &self.graph
     }
 
-    /// Total number of global slots (alive + invalidated).
-    pub fn global_slot_count(&self) -> usize {
-        self.route.len()
-    }
-
-    /// `(owner shard, local slot)` of global slot `slot`. One shard is the
-    /// identity mapping and skips the route table — with the matching branches
-    /// in [`ShardedGraph::index_of_global`] and [`ShardedGraph::contains`] this
-    /// keeps the sharded engine's single-shard overhead within the benchmark
-    /// gate, and every accessor below keeps one call site into the shard graph.
-    #[inline]
-    fn locate(&self, slot: usize) -> (usize, usize) {
-        if self.shards.len() == 1 {
-            return (0, slot);
-        }
-        let (shard, local) = self.route[slot];
-        (shard as usize, local as usize)
-    }
-
-    /// The owner shard of global slot `slot`.
-    #[inline]
+    /// The owner shard of slot `slot`, alive or not.
     pub fn shard_of_global(&self, slot: usize) -> usize {
-        self.locate(slot).0
+        shard_of_packed(self.graph.slot_keys()[slot], self.shard_count)
     }
 
-    /// Total alive MacroNodes across all shards.
+    /// Total alive MacroNodes.
     pub fn alive_count(&self) -> usize {
-        self.shards.iter().map(PakGraph::alive_count).sum()
+        self.graph.alive_count()
     }
 
-    /// Alive MacroNodes per shard — the per-channel residency the hardware
-    /// model reads as measured (not assumed) load.
+    /// Alive MacroNodes per owner shard — the per-channel residency the
+    /// hardware model reads as measured (not assumed) load.
     pub fn per_shard_alive(&self) -> Vec<usize> {
-        self.shards.iter().map(PakGraph::alive_count).collect()
-    }
-
-    /// The alive node at global slot `slot`, if any.
-    #[inline]
-    pub fn node_global(&self, slot: usize) -> Option<&MacroNode> {
-        let (shard, local) = self.locate(slot);
-        self.shards[shard].node(local)
-    }
-
-    /// `true` if global slot `slot` holds an alive node (its owner's alive bit).
-    #[inline]
-    pub(crate) fn is_alive_global(&self, slot: usize) -> bool {
-        let (shard, local) = self.locate(slot);
-        self.shards[shard].is_alive(local)
-    }
-
-    /// `true` if a node with this (k-1)-mer is alive — resolved on its owner
-    /// shard, exactly as a PE would consult its channel's mapping table.
-    #[inline]
-    pub fn contains(&self, k1mer: &Kmer) -> bool {
-        self.shards[shard_of_packed(k1mer.packed(), self.shards.len())].contains(k1mer)
-    }
-
-    /// The global slot of the alive node with this (k-1)-mer, if any.
-    #[inline]
-    pub fn index_of_global(&self, k1mer: &Kmer) -> Option<usize> {
-        let shard = shard_of_packed(k1mer.packed(), self.shards.len());
-        let local = self.shards[shard].index_of(k1mer)?;
-        Some(if self.shards.len() == 1 {
-            local
-        } else {
-            self.global_slots[shard][local] as usize
-        })
-    }
-
-    /// Reassembles the single global graph (dead slots included), preserving
-    /// the exact single-graph slot layout so downstream consumers — the walk,
-    /// batch merging, the memory-trace layout — see an identical structure.
-    pub fn into_global_graph(self) -> PakGraph {
-        let ShardedGraph {
-            shards,
-            global_keys,
-            route,
-            k,
-            ..
-        } = self;
-        let mut shard_slots: Vec<Vec<Option<MacroNode>>> =
-            shards.into_iter().map(PakGraph::into_slots).collect();
-        let mut slots = Vec::with_capacity(route.len());
-        for &(shard, local) in &route {
-            slots.push(shard_slots[shard as usize][local as usize].take());
+        let mut alive = vec![0; self.shard_count];
+        for slot in self.graph.alive_slots() {
+            alive[self.shard_of_global(slot)] += 1;
         }
-        PakGraph::from_parts(global_keys, slots, k)
+        alive
+    }
+
+    /// The graph, dead slots included, for the walk, batch merging and the
+    /// memory-trace layout.
+    pub fn into_global_graph(self) -> PakGraph {
+        self.graph
     }
 }
 
@@ -388,13 +235,12 @@ impl ShardingTelemetry {
     }
 }
 
-/// Runs Iterative Compaction over the sharded graph: P1/P2/P3 execute
-/// per-shard, cross-shard TransferNodes travel through a batched slot-ordered
-/// mailbox exchanged once per iteration, and the outcome — statistics,
-/// trace, compacted nodes — is **bit-identical** to [`crate::compaction::compact`]
-/// on the equivalent single graph, at every shard count and thread count. The
-/// telemetry's flush ledger records the exchange, one record per lane that
-/// carried a transfer in an iteration.
+/// Runs Iterative Compaction over the sharded graph and books where its work
+/// would run: the outcome — statistics, trace, compacted nodes — is
+/// **bit-identical** to [`crate::compaction::compact`] on the same graph, at
+/// every shard count and thread count, and the telemetry's flush ledger
+/// records the exchange, one record per lane that carried a transfer in an
+/// iteration.
 pub fn compact_sharded(
     sharded: &mut ShardedGraph,
     config: &PakmanConfig,
@@ -404,79 +250,66 @@ pub fn compact_sharded(
 }
 
 /// [`compact_sharded`] under a [`RunControl`]: the cancellation token is polled
-/// at the top of every iteration (before the mailbox exchange, so no shard ever
-/// sees a half-delivered iteration) and the observer gets one
-/// `compaction_iteration` callback per iteration. Bit-identical to
-/// [`compact_sharded`] under the default control.
+/// at the top of every iteration (so no iteration is ever half booked) and the
+/// observer gets one `compaction_iteration` callback per iteration.
+/// Bit-identical to [`compact_sharded`] under the default control.
 ///
 /// # Errors
 ///
 /// Returns [`PakmanError::Cancelled`] if the control's token fires between
 /// iterations; the sharded graph is left mid-compaction and should be dropped.
 /// Returns [`PakmanError::InvalidConfig`], with the graph untouched, if it has
-/// more than `u32::MAX` global slots.
+/// more than `u32::MAX` slots.
 pub fn compact_sharded_controlled(
     sharded: &mut ShardedGraph,
     config: &PakmanConfig,
     control: &RunControl<'_>,
 ) -> Result<(CompactionOutcome, ShardingTelemetry), PakmanError> {
-    let mut store = Lockstep::over(sharded);
+    let mut store = OwnerLedger {
+        mailbox: ShardMailbox::new(sharded.shard_count),
+        telemetry: ShardingTelemetry::at_start(sharded),
+        iteration: 0,
+        sharded,
+    };
     let outcome = run_barriered(&mut store, config, control)?;
     let mut telemetry = store.telemetry;
-    telemetry.final_alive_per_shard = sharded.per_shard_alive();
+    telemetry.final_alive_per_shard = store.sharded.per_shard_alive();
     Ok((outcome, telemetry))
 }
 
-/// The lock-step [`NodeStore`]: the barriered driver's slots are global slots,
-/// every access is routed to the owner shard — the identity mapping for one
-/// shard, chosen by `locate` and `shard_of_packed` from the shard count — and
-/// every delivery crosses the inter-shard mailbox, which books it; the
-/// iteration's bookings enter the flush ledger when it closes.
-struct Lockstep<'g> {
+/// The sharded [`NodeStore`]: every access goes to the one graph, as
+/// [`PakGraph`]'s own store does, and the ledger books what each owner shard
+/// would have done — its P1 checks, and each transfer on its (owner of
+/// source, owner of destination) lane; the iteration's lanes enter the flush
+/// ledger when it closes.
+struct OwnerLedger<'g> {
     sharded: &'g mut ShardedGraph,
     mailbox: ShardMailbox,
     telemetry: ShardingTelemetry,
     /// The open iteration.
     iteration: usize,
-    /// Chunks its apply runs on, at most one a shard ([`apply_inboxes`] works by
-    /// groups of shards): one applies on delivery, more post each transfer.
-    chunks: usize,
 }
 
-impl<'g> Lockstep<'g> {
-    fn over(sharded: &'g mut ShardedGraph) -> Lockstep<'g> {
-        Lockstep {
-            mailbox: ShardMailbox::new(sharded.shard_count()),
-            telemetry: ShardingTelemetry::at_start(sharded),
-            iteration: 0,
-            chunks: 1,
-            sharded,
-        }
-    }
-}
-
-impl NodeStore for Lockstep<'_> {
+impl NodeStore for OwnerLedger<'_> {
     const CHECKPOINT: &'static str = "sharded compaction";
 
     fn slot_count(&self) -> usize {
-        self.sharded.global_slot_count()
+        self.sharded.graph.slot_count()
     }
     fn is_alive(&self, slot: usize) -> bool {
-        self.sharded.is_alive_global(slot)
+        self.sharded.graph.is_alive(slot)
     }
     fn node(&self, slot: usize) -> Option<&MacroNode> {
-        self.sharded.node_global(slot)
+        self.sharded.graph.node(slot)
     }
     fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
-        self.sharded.index_of_global(k1mer)
+        self.sharded.graph.index_of(k1mer)
     }
     fn retire(&mut self, slot: usize) {
-        let (shard, local) = self.sharded.locate(slot);
-        self.sharded.shards[shard].retire(local);
+        self.sharded.graph.retire(slot);
     }
     fn take_retired(&mut self, slot: usize) -> MacroNode {
-        let (shard, local) = self.sharded.locate(slot);
-        self.sharded.shards[shard].take_retired(local)
+        self.sharded.graph.take_retired(slot)
     }
     fn checked(&mut self, slots: &[usize]) {
         for &slot in slots {
@@ -484,46 +317,27 @@ impl NodeStore for Lockstep<'_> {
         }
     }
     fn prefetch(&self, slot: usize) {
-        let (shard, local) = self.sharded.locate(slot);
-        self.sharded.shards[shard].prefetch(local);
+        self.sharded.graph.prefetch(slot);
     }
-    fn open(&mut self, iteration: usize, chunks: usize) {
+    fn open(&mut self, iteration: usize) {
         self.mailbox.clear();
-        (self.iteration, self.chunks) = (iteration, chunks.min(self.sharded.shard_count()));
+        self.iteration = iteration;
     }
 
-    /// Books the transfer on its (src, dst) lane, then applies it in place —
-    /// measured on 4 shards, 6–25 % the faster at one chunk — or moves it into
-    /// its destination shard's inbox: posting in stream order is a stable
-    /// partition of the canonical stream, so delivery stays slot-ordered.
-    fn deliver(
-        &mut self,
-        source: usize,
-        dest: Option<usize>,
-        transfer: TransferNode,
-    ) -> Option<bool> {
+    /// Books the transfer on its (src, dst) lane — a dropped one too: it
+    /// crossed the network before anyone could know — then applies it in
+    /// place, as the single graph does.
+    fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: &TransferNode) -> bool {
         let src = self.sharded.shard_of_global(source);
-        let dst = shard_of_packed(transfer.destination.packed(), self.sharded.shard_count());
-        self.mailbox.enter(src, dst, &transfer);
-        let global = dest?;
-        let (shard, local) = self.sharded.locate(global);
-        debug_assert_eq!(shard, dst);
-        if self.chunks > 1 {
-            self.mailbox.post(dst, global, local, transfer);
-            return None;
-        }
-        let node = self.sharded.shards[shard].node_mut(local);
-        Some(apply_transfer(
-            node.expect("destination is alive"),
-            &transfer,
-        ))
+        let dst = shard_of_packed(transfer.destination.packed(), self.sharded.shard_count);
+        self.mailbox.enter(src, dst, transfer);
+        self.sharded.graph.deliver(source, dest, transfer)
     }
 
-    /// Enters the iteration's exchange in the flush ledger — one record per
+    /// Enters the iteration's exchange in the flush ledger: one record per
     /// (src, dst) lane with traffic, already in (iteration, src, dst) order by
-    /// construction — then has every destination shard apply its inbox
-    /// ([`apply_inboxes`]) and settles the outcomes in delivery order.
-    fn close(&mut self, settle: impl FnMut(usize, bool)) {
+    /// construction.
+    fn close(&mut self) {
         let src_iteration = self.iteration;
         let flushes = self
             .mailbox
@@ -536,42 +350,15 @@ impl NodeStore for Lockstep<'_> {
                 bytes,
             });
         self.telemetry.flushes.extend(flushes);
-        if self.chunks > 1 {
-            let mailbox = &mut self.mailbox;
-            apply_inboxes(&mut self.sharded.shards, mailbox.inboxes_mut(), self.chunks);
-            mailbox.settle(settle);
-        }
     }
-}
-
-/// The forked stage P3: every destination shard applies its inbox, in inbox
-/// (= canonical per-destination) order, marking each transfer's outcome —
-/// contiguous groups of shards per chunk, the first group on the calling
-/// thread. Measured on 4 shards: 28 % faster than in place at two chunks on a
-/// 400 kbp graph (DESIGN.md).
-fn apply_inboxes(shards: &mut [PakGraph], inboxes: &mut [Vec<PostedTransfer>], chunks: usize) {
-    let per_chunk = shards.len().div_ceil(chunks);
-    let groups = shards
-        .chunks_mut(per_chunk)
-        .zip(inboxes.chunks_mut(per_chunk));
-    fork_join(groups, |(graphs, inboxes)| {
-        for (graph, inbox) in graphs.iter_mut().zip(inboxes) {
-            for posted in inbox {
-                let node = graph.node_mut(posted.local_slot);
-                posted.matched =
-                    apply_transfer(node.expect("destination is alive"), &posted.transfer);
-            }
-        }
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compaction::{compact, CompactionScratch};
+    use crate::compaction::compact;
     use crate::config::ShardSchedule;
     use crate::kmer_count::{count_kmers, KmerCounterConfig};
-    use crate::par::{plan, GRAIN};
     use crate::test_util::reads_for;
     use crate::walk::generate_contigs;
 
@@ -606,73 +393,22 @@ mod tests {
         let reference = PakGraph::from_counted_kmers(&counted, 17, 1);
         for shards in [1usize, 2, 7, 32] {
             let sharded = ShardedGraph::from_counted_kmers(&counted, 17, shards, 4);
-            assert_eq!(sharded.global_slot_count(), reference.slot_count());
             assert_eq!(sharded.alive_count(), reference.alive_count());
-            // Ownership is respected and the global mapping inverts correctly.
-            for shard in 0..sharded.shard_count() {
-                for (_, node) in sharded.shard(shard).iter_alive() {
-                    assert_eq!(node.owner_shard(shards), shard);
-                }
+            // Every alive slot's owner is its node's, and the owners' residency
+            // adds up to the graph's.
+            for (slot, node) in sharded.graph().iter_alive() {
+                assert_eq!(sharded.shard_of_global(slot), node.owner_shard(shards));
             }
-            // The stitched global graph equals the reference slot for slot.
+            let per_shard = sharded.per_shard_alive();
+            assert_eq!(per_shard.len(), shards);
+            assert_eq!(per_shard.iter().sum::<usize>(), reference.alive_count());
+            // The graph is the single build, slot for slot.
             let global = sharded.into_global_graph();
+            assert_eq!(global.slot_count(), reference.slot_count());
             for slot in 0..reference.slot_count() {
                 assert_eq!(global.node(slot), reference.node(slot), "shards = {shards}");
             }
         }
-    }
-
-    #[test]
-    fn construction_and_lockstep_phases_agree_across_chunk_counts() {
-        // 20 kbp at `min_count = 1` is two construction grains, so `threads = 4`
-        // builds the graph on two chunks before the split; the lock-step phases
-        // take the chunk count as an argument.
-        let reads = reads_for(20_000, 15.0, 0x5A4E);
-        let config = KmerCounterConfig {
-            k: 17,
-            min_count: 1,
-            threads: 1,
-        };
-        let counted = count_kmers(&reads, config).unwrap().0;
-        assert!(plan(counted.len(), 4, GRAIN) >= 2);
-        let nodes_of = |graph: PakGraph| graph.into_slots();
-        let sharded = ShardedGraph::from_counted_kmers(&counted, 17, 5, 1);
-        let grouped = ShardedGraph::from_counted_kmers(&counted, 17, 5, 4);
-        assert_eq!(sharded.global_keys, grouped.global_keys);
-        assert_eq!(sharded.route, grouped.route);
-        assert_eq!(
-            nodes_of(sharded.clone().into_global_graph()),
-            nodes_of(grouped.into_global_graph())
-        );
-
-        // One iteration by hand — P1, the streamed pass, the close — on one
-        // chunk (every transfer applied in place on delivery) and on three (every
-        // transfer posted, five inboxes applied in three groups).
-        let iteration_on = |chunks: usize| {
-            let mut routed = sharded.clone();
-            let mut store = Lockstep::over(&mut routed);
-            let mut scratch = CompactionScratch::new(&store).unwrap();
-            scratch.recheck.extend(0..store.slot_count());
-            scratch.check(&store, chunks);
-            scratch.fold_census();
-            let mut events = Vec::new();
-            let delivered = scratch.stream(&mut store, 0, chunks, Some(&mut events));
-            assert!(delivered > 1_000, "{delivered} transfers");
-            assert_eq!(scratch.resolved.len(), delivered);
-            // Posted transfers settle at the close, delivered ones on the spot.
-            assert_eq!(scratch.touched_order.is_empty(), chunks > 1);
-            store.close(|dest, matched| scratch.settle(dest, matched));
-            assert!(!scratch.touched_order.is_empty());
-            let ledger = store.telemetry;
-            let nodes = nodes_of(routed.into_global_graph());
-            let checks = (scratch.check_results, scratch.resolved, events);
-            let outcomes = (scratch.unmatched, scratch.touched_order);
-            (checks, outcomes, ledger, nodes)
-        };
-        let (serial, grouped) = (iteration_on(1), iteration_on(3));
-        assert_eq!(serial.2.total_transfers(), serial.0 .1.len());
-        assert!(serial.2.cross_shard_fraction() > 0.5);
-        assert_eq!(serial, grouped);
     }
 
     /// Five nodes wired asymmetrically so that a destination dies in the very
@@ -707,7 +443,7 @@ mod tests {
         use crate::trace::{TransferEvent, UpdateEvent};
         let nodes = asymmetric_nodes();
         let sharded_over =
-            |shards: usize| ShardedGraph::split(PakGraph::from_nodes(nodes.clone(), 5), shards);
+            |shards: usize| ShardedGraph::new(PakGraph::from_nodes(nodes.clone(), 5), shards);
         for record_trace in [true, false] {
             let config = PakmanConfig {
                 k: 5,
@@ -825,8 +561,8 @@ mod tests {
         assert_eq!(renamed_run.0.stats, lockstep_run.0.stats);
         assert_eq!(renamed_run.1, lockstep_run.1);
         assert_eq!(
-            renamed.into_global_graph().into_slots(),
-            lockstep.into_global_graph().into_slots()
+            renamed.into_global_graph().into_nodes(),
+            lockstep.into_global_graph().into_nodes()
         );
 
         // One shard: everything stays local.
@@ -913,10 +649,10 @@ mod tests {
     fn global_lookup_roundtrips() {
         let counted = counted_for(15);
         let sharded = ShardedGraph::from_counted_kmers(&counted, 15, 7, 2);
-        for slot in 0..sharded.global_slot_count() {
-            let node = sharded.node_global(slot).expect("freshly built: all alive");
-            assert_eq!(sharded.index_of_global(&node.k1mer()), Some(slot));
-            assert!(sharded.contains(&node.k1mer()));
+        let graph = sharded.graph();
+        for slot in 0..graph.slot_count() {
+            let node = graph.node(slot).expect("freshly built: all alive");
+            assert_eq!(graph.index_of(&node.k1mer()), Some(slot));
             assert_eq!(
                 sharded.shard_of_global(slot),
                 node.owner_shard(sharded.shard_count())

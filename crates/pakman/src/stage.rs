@@ -23,7 +23,7 @@
 //! [`AccessStage::drain`] materialises any [`ReadSource`] into one.
 
 use crate::compaction::{compact_controlled, CompactionProfile, CompactionStats};
-use crate::config::{PakmanConfig, ShardConfig, SpillConfig};
+use crate::config::{PakmanConfig, SpillConfig};
 use crate::contig::{AssemblyStats, Contig};
 use crate::control::RunControl;
 use crate::error::PakmanError;
@@ -86,33 +86,11 @@ pub struct CountedBatch {
     pub timings: PhaseTimings,
 }
 
-/// The wired, uncompacted PaK-graph in whichever execution shape stage C built
-/// it: the monolithic single graph, or the owner-computes sharded graph when
-/// [`ShardConfig`] engages sharded execution. Both shapes hold bit-identical
-/// node content; they differ only in where compaction's work will execute.
-#[derive(Debug)]
-pub enum BuiltGraph {
-    /// One monolithic graph (the classic path; also `shard_count == 1`).
-    Single(PakGraph),
-    /// One subgraph per owner-computes shard plus the global rank mapping.
-    Sharded(ShardedGraph),
-}
-
-impl BuiltGraph {
-    /// Number of alive MacroNodes.
-    pub fn alive_count(&self) -> usize {
-        match self {
-            BuiltGraph::Single(graph) => graph.alive_count(),
-            BuiltGraph::Sharded(sharded) => sharded.alive_count(),
-        }
-    }
-}
-
 /// Artifact of step C: the wired, uncompacted PaK-graph.
 #[derive(Debug)]
 pub struct ConstructedGraph {
-    /// The freshly built graph (single or sharded — see [`BuiltGraph`]).
-    pub graph: BuiltGraph,
+    /// The freshly built graph.
+    pub graph: PakGraph,
     /// Total MacroNode bytes at construction time (footprint model input).
     pub macronode_bytes: u64,
     /// Counting statistics, carried through.
@@ -129,11 +107,9 @@ pub struct ConstructedGraph {
 /// Artifact of step D: the compacted graph plus compaction telemetry.
 #[derive(Debug)]
 pub struct CompactedGraph {
-    /// The compacted graph, always reassembled into the global slot layout
-    /// (sharded runs stitch their shards back together, dead slots included,
-    /// so downstream consumers see the identical structure). The slots are
-    /// the ones the trace addresses; [`AssemblyPipeline::walk`] deletes the
-    /// dead ones.
+    /// The compacted graph, dead slots included, in stage C's slot layout
+    /// whether or not the run was sharded. The slots are the ones the trace
+    /// addresses; [`AssemblyPipeline::walk`] deletes the dead ones.
     pub graph: PakGraph,
     /// Whole-run compaction statistics.
     pub stats: CompactionStats,
@@ -272,13 +248,12 @@ impl<'r> Stage<ReadAccess<'r>> for CountStage {
 }
 
 /// Step C: MacroNode construction and wiring (parallel single-pass build over the
-/// sorted counted stream; under sharded execution the built graph is then
-/// split across its owner shards).
+/// sorted counted stream). A sharded run builds the same graph: its shards are
+/// owners of the built graph's slots, assigned in stage D.
 #[derive(Debug, Clone, Copy)]
 pub struct ConstructStage {
     k: usize,
     threads: usize,
-    shards: ShardConfig,
 }
 
 impl ConstructStage {
@@ -287,7 +262,6 @@ impl ConstructStage {
         ConstructStage {
             k: config.k,
             threads: config.threads,
-            shards: config.shards,
         }
     }
 }
@@ -302,19 +276,8 @@ impl Stage<CountedBatch> for ConstructStage {
     fn run(&self, counted: CountedBatch) -> Result<ConstructedGraph, PakmanError> {
         // The builders sum the node sizes as they write the nodes, so the
         // footprint input costs no second pass over the slot vector.
-        let (graph, macronode_bytes) = if self.shards.is_sharded() {
-            let (sharded, bytes) = ShardedGraph::from_counted_kmers_sized(
-                &counted.counted,
-                self.k,
-                self.shards.shard_count,
-                self.threads,
-            );
-            (BuiltGraph::Sharded(sharded), bytes)
-        } else {
-            let (graph, bytes) =
-                PakGraph::from_counted_kmers_sized(&counted.counted, self.k, self.threads);
-            (BuiltGraph::Single(graph), bytes)
-        };
+        let (graph, macronode_bytes) =
+            PakGraph::from_counted_kmers_sized(&counted.counted, self.k, self.threads);
         Ok(ConstructedGraph {
             graph,
             macronode_bytes: macronode_bytes as u64,
@@ -326,7 +289,9 @@ impl Stage<CountedBatch> for ConstructStage {
     }
 }
 
-/// Step D: Iterative Compaction.
+/// Step D: Iterative Compaction — [`crate::compaction::compact`], or
+/// [`crate::shard::compact_sharded`] with its owner ledger when
+/// [`PakmanConfig::shards`] engages sharded execution.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactStage {
     config: PakmanConfig,
@@ -350,16 +315,16 @@ impl CompactStage {
         built: ConstructedGraph,
         control: &RunControl<'_>,
     ) -> Result<CompactedGraph, PakmanError> {
-        let (graph, outcome, sharding) = match built.graph {
-            BuiltGraph::Single(mut graph) => {
-                let outcome = compact_controlled(&mut graph, &self.config, control)?;
-                (graph, outcome, None)
-            }
-            BuiltGraph::Sharded(mut sharded) => {
-                let (outcome, telemetry) =
-                    compact_sharded_controlled(&mut sharded, &self.config, control)?;
-                (sharded.into_global_graph(), outcome, Some(telemetry))
-            }
+        let shards = self.config.shards;
+        let (graph, outcome, sharding) = if shards.is_sharded() {
+            let mut sharded = ShardedGraph::new(built.graph, shards.shard_count);
+            let (outcome, telemetry) =
+                compact_sharded_controlled(&mut sharded, &self.config, control)?;
+            (sharded.into_global_graph(), outcome, Some(telemetry))
+        } else {
+            let mut graph = built.graph;
+            let outcome = compact_controlled(&mut graph, &self.config, control)?;
+            (graph, outcome, None)
         };
         Ok(CompactedGraph {
             graph,
@@ -591,7 +556,11 @@ impl AssemblyPipeline {
         })
     }
 
-    /// Runs the full pipeline (A–E).
+    /// Runs the full pipeline (A–E). For the whole run the reads'
+    /// [`ReadChunk::approx_read_bytes`] — the unit the batch window and the job
+    /// server's reservations use — are charged to the control's ledger and
+    /// released on every exit. Stages C–E charge nothing yet: the graph is not
+    /// on the ledger.
     ///
     /// # Errors
     ///
@@ -602,15 +571,20 @@ impl AssemblyPipeline {
         reads: &[SequencingRead],
         control: &RunControl<'_>,
     ) -> Result<AssemblyOutput, PakmanError> {
-        let built = self.construct(self.count(reads, control)?, control)?;
-        self.walk(self.compact(built, control)?, control)
+        let resident = control.adopt(MemoryBudget::unbounded());
+        resident.charge(ReadChunk::Borrowed(reads).approx_read_bytes());
+        let result = self.count(reads, control).and_then(|counted| {
+            let built = self.construct(counted, control)?;
+            self.walk(self.compact(built, control)?, control)
+        });
+        resident.release(resident.used());
+        result
     }
 
-    /// Runs the full pipeline (A–E) over a streaming source, drained by
-    /// [`AccessStage::drain`]; the drain's time is charged to stage A. For the
-    /// whole run the drained reads' [`ReadChunk::approx_read_bytes`] — the unit
-    /// the batch window and the job server's reservations use — are charged to
-    /// the control's ledger.
+    /// [`AssemblyPipeline::run`] over a streaming source, drained by
+    /// [`AccessStage::drain`]; the drain's time is added to stage A, and the
+    /// drained reads are what `run` charges to the control's ledger. Stages
+    /// C–E charge nothing yet.
     ///
     /// # Errors
     ///
@@ -625,21 +599,16 @@ impl AssemblyPipeline {
         let t0 = Instant::now();
         let reads = self.access.drain(source, control)?;
         let ingest = t0.elapsed();
-        let resident = control.adopt(MemoryBudget::unbounded());
-        resident.charge(ReadChunk::Borrowed(&reads).approx_read_bytes());
-        let result = self.count(&reads, control).and_then(|mut counted| {
-            counted.timings.access_reads += ingest;
-            let built = self.construct(counted, control)?;
-            self.walk(self.compact(built, control)?, control)
-        });
-        resident.release(resident.used());
-        result
+        let mut output = self.run(&reads, control)?;
+        output.timings.access_reads += ingest;
+        Ok(output)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ShardConfig;
     use crate::control::ProgressObserver;
     use crate::test_util::reads_for;
     use nmp_pak_genome::{GenomeError, InMemorySource};
@@ -810,6 +779,23 @@ mod tests {
             ledger.peak_bytes(),
             ReadChunk::Borrowed(&reads).approx_read_bytes()
         );
+        assert_eq!(ledger.used(), 0);
+    }
+
+    #[test]
+    fn run_charges_the_reads_for_the_run() {
+        let reads = reads_for(4_000, 15.0, 101);
+        let ledger = Arc::new(MemoryBudget::unbounded());
+        let control = RunControl::default().with_ledger(&ledger);
+        let pipeline = AssemblyPipeline::new(cfg(17)).unwrap();
+        pipeline.run(&reads, &control).unwrap();
+        let read_bytes = ReadChunk::Borrowed(&reads).approx_read_bytes();
+        assert_eq!(ledger.peak_bytes(), read_bytes);
+        assert_eq!(ledger.used(), 0);
+        // An error exit releases the charge too.
+        let short = crate::test_util::reads_from(&["ACGT"]);
+        let err = pipeline.run(&short, &control).unwrap_err();
+        assert!(matches!(err, PakmanError::EmptyInput { .. }), "{err:?}");
         assert_eq!(ledger.used(), 0);
     }
 

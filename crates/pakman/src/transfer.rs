@@ -160,47 +160,20 @@ impl TransferNode {
     }
 }
 
-/// One TransferNode resting in its destination shard's inbox.
-#[derive(Debug, Clone)]
-pub(crate) struct PostedTransfer {
-    /// Position among the iteration's posted transfers (the canonical order).
-    seq: usize,
-    /// Global slot of the destination node.
-    dest_slot: usize,
-    /// The destination's local slot on the receiving shard.
-    pub(crate) local_slot: usize,
-    /// The transfer itself, moved here once.
-    pub(crate) transfer: TransferNode,
-    /// Whether applying it found the extension to replace; the receiving shard
-    /// fills this in.
-    pub(crate) matched: bool,
-}
-
-/// The batched inter-shard TransferNode exchange of one compaction iteration —
-/// the shared-memory analogue of distributed PaKman's `MPI_Alltoallv` and the
-/// cross-channel hop of the NMP hardware.
+/// The per-iteration TransferNode ledger of a sharded run — the software
+/// image of distributed PaKman's `MPI_Alltoallv` and of the NMP hardware's
+/// cross-channel hop, kept as counts: no transfer is held or moved.
 ///
 /// The compaction driver streams the canonical (source-slot-major, path-order)
-/// transfers through it one at a time. [`ShardMailbox::enter`] books each on its
-/// (source shard, destination shard) lane — the traffic ledger the hardware
-/// model consumes as measured cross-channel traffic. A store that applies on
-/// delivery needs nothing more. One that applies shard-parallel
-/// [`ShardMailbox::post`]s each transfer into its destination owner's inbox:
-/// posting in stream order is a stable partition of the canonical stream, so
-/// every inbox is *slot-ordered* — transfers addressed to the same destination
-/// rest in exactly the order the serial compactor would have applied them,
-/// which is what keeps the sharded P3 bit-identical (path splits compose in
-/// delivery order) — and [`ShardMailbox::settle`] hands the outcomes back in
-/// posting order.
-#[derive(Debug, Clone, Default)]
+/// transfers one at a time, and [`ShardMailbox::enter`] books each on its
+/// (source shard, destination shard) lane: one transfer and its payload bytes.
+/// Those lanes are the traffic the hardware model consumes as measured
+/// cross-channel traffic; the transfer itself is applied in place by the
+/// store that booked it.
+#[derive(Debug, Clone)]
 pub(crate) struct ShardMailbox {
-    /// Per destination shard: the posted transfers, in posting (therefore
-    /// per-destination slot) order.
-    inboxes: Vec<Vec<PostedTransfer>>,
-    /// `(destination slot, matched)` by posting position, rebuilt by `settle`.
-    outcomes: Vec<(usize, bool)>,
-    /// Transfers posted this iteration.
-    posted: usize,
+    /// Number of shards, the side of the lane matrix.
+    shards: usize,
     /// `(transfers, payload bytes)` entered shard→shard this iteration,
     /// flattened `src * shards + dst`.
     lanes: Vec<(u64, u64)>,
@@ -211,29 +184,22 @@ impl ShardMailbox {
     pub(crate) fn new(shard_count: usize) -> ShardMailbox {
         let shards = shard_count.max(1);
         ShardMailbox {
-            inboxes: vec![Vec::new(); shards],
+            shards,
             lanes: vec![(0, 0); shards * shards],
-            ..ShardMailbox::default()
         }
     }
 
-    /// Clears the inboxes and the lanes (capacity is kept — the exchange
-    /// buffers are reused across iterations, §4.5's pre-allocation discipline
-    /// applied to the mailbox).
+    /// Zeroes every lane (the lane matrix is reused across iterations, §4.5's
+    /// pre-allocation discipline applied to the mailbox).
     pub(crate) fn clear(&mut self) {
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
-        self.posted = 0;
         self.lanes.fill((0, 0));
     }
 
     /// Books `transfer`, sent by shard `src`, on the lane to shard `dst`, the
     /// owner of its destination.
     pub(crate) fn enter(&mut self, src: usize, dst: usize, transfer: &TransferNode) {
-        let shards = self.inboxes.len();
-        debug_assert!(src < shards && dst < shards);
-        let lane = &mut self.lanes[src * shards + dst];
+        debug_assert!(src < self.shards && dst < self.shards);
+        let lane = &mut self.lanes[src * self.shards + dst];
         lane.0 += 1;
         lane.1 += transfer.size_bytes() as u64;
     }
@@ -241,50 +207,9 @@ impl ShardMailbox {
     /// The lanes with traffic this iteration: `(src, dst, transfers, payload
     /// bytes)`, in (src, dst) order.
     pub(crate) fn lanes(&self) -> impl Iterator<Item = (usize, usize, u64, u64)> + '_ {
-        let shards = self.inboxes.len();
+        let shards = self.shards;
         let busy = self.lanes.iter().enumerate().filter(|(_, lane)| lane.0 > 0);
         busy.map(move |(i, &(transfers, bytes))| (i / shards, i % shards, transfers, bytes))
-    }
-
-    /// Moves an entered `transfer` into the inbox of shard `dst`, which owns its
-    /// destination: global slot `dest_slot`, the shard's `local_slot`.
-    pub(crate) fn post(
-        &mut self,
-        dst: usize,
-        dest_slot: usize,
-        local_slot: usize,
-        transfer: TransferNode,
-    ) {
-        self.inboxes[dst].push(PostedTransfer {
-            seq: self.posted,
-            dest_slot,
-            local_slot,
-            transfer,
-            matched: false,
-        });
-        self.posted += 1;
-    }
-
-    /// All inboxes, indexed by destination shard, for the receiving shards to
-    /// apply (each in inbox order) and mark.
-    pub(crate) fn inboxes_mut(&mut self) -> &mut [Vec<PostedTransfer>] {
-        &mut self.inboxes
-    }
-
-    /// Empties the inboxes and reports every posted transfer's `(destination
-    /// slot, matched)` in posting order — the canonical stream order again.
-    pub(crate) fn settle(&mut self, mut report: impl FnMut(usize, bool)) {
-        self.outcomes.clear();
-        self.outcomes.resize(self.posted, (0, false));
-        for inbox in &mut self.inboxes {
-            for posted in inbox.drain(..) {
-                self.outcomes[posted.seq] = (posted.dest_slot, posted.matched);
-            }
-        }
-        self.posted = 0;
-        for &(dest_slot, matched) in &self.outcomes {
-            report(dest_slot, matched);
-        }
     }
 }
 
@@ -439,9 +364,9 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_routing_is_stable_and_fully_accounted() {
+    fn mailbox_lanes_account_for_every_transfer() {
         // A small canonical stream: transfers to several destinations, sources
-        // attributed round-robin across 3 shards, destination slots made up.
+        // attributed round-robin across 3 shards.
         let shards = 3usize;
         let node_a = MacroNode::from_extensions(k("GTCA"), vec![(Base::A, 2)], vec![(Base::T, 2)]);
         let node_b = MacroNode::from_extensions(k("CATG"), vec![(Base::C, 1)], vec![(Base::G, 1)]);
@@ -451,37 +376,22 @@ mod tests {
                 stream.push((slot, t));
             }
         }
+        let owner = |transfer: &TransferNode| {
+            nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards)
+        };
         let mut mailbox = ShardMailbox::new(shards);
-        let post_all = |mailbox: &mut ShardMailbox| {
-            for (i, (slot, transfer)) in stream.iter().enumerate() {
-                let dst = nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards);
-                mailbox.enter(slot % shards, dst, transfer);
-                mailbox.post(dst, 100 + i, i, transfer.clone());
+        let enter_all = |mailbox: &mut ShardMailbox| {
+            for (slot, transfer) in &stream {
+                mailbox.enter(slot % shards, owner(transfer), transfer);
             }
         };
-        post_all(&mut mailbox);
+        enter_all(&mut mailbox);
 
-        // Every transfer lands in exactly one inbox, at its owner.
-        let total: usize = mailbox.inboxes_mut().iter().map(Vec::len).sum();
-        assert_eq!(total, stream.len());
-        for (s, inbox) in mailbox.inboxes_mut().iter_mut().enumerate() {
-            for posted in inbox.iter_mut() {
-                // `local_slot` is the stream position here.
-                assert_eq!(posted.transfer, stream[posted.local_slot].1);
-                let dest = &posted.transfer.destination;
-                assert_eq!(nmp_pak_genome::shard_of_packed(dest.packed(), shards), s);
-                posted.matched = posted.local_slot % 2 == 0;
-            }
-            // Slot-ordered delivery: stream positions ascend within an inbox
-            // (a stable partition of the canonical stream).
-            assert!(inbox.windows(2).all(|w| w[0].local_slot < w[1].local_slot));
-        }
         // The lanes account for every transfer and byte, each on the lane of
         // its source's shard and its destination's owner.
         let mut traffic = vec![(0u64, 0u64); shards * shards];
         for (slot, transfer) in &stream {
-            let dst = nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards);
-            let lane = &mut traffic[slot % shards * shards + dst];
+            let lane = &mut traffic[slot % shards * shards + owner(transfer)];
             *lane = (lane.0 + 1, lane.1 + transfer.size_bytes() as u64);
         }
         let cells = (0..shards).flat_map(|s| (0..shards).map(move |d| (s, d)));
@@ -492,23 +402,11 @@ mod tests {
         assert!(expected_lanes.len() > 1 && expected_lanes.len() < shards * shards);
         assert_eq!(mailbox.lanes().collect::<Vec<_>>(), expected_lanes);
 
-        // Settling hands the outcomes back in posting order and empties the
-        // inboxes; posting again after a clear settles the same way.
-        let expected: Vec<(usize, bool)> =
-            (0..stream.len()).map(|i| (100 + i, i % 2 == 0)).collect();
-        let mut settled = Vec::new();
-        mailbox.settle(|dest, matched| settled.push((dest, matched)));
-        assert_eq!(settled, expected);
-        assert!(mailbox.inboxes_mut().iter().all(Vec::is_empty));
+        // A clear empties every lane; entering again books the same lanes.
         mailbox.clear();
         assert_eq!(mailbox.lanes().count(), 0);
-        post_all(&mut mailbox);
+        enter_all(&mut mailbox);
         assert_eq!(mailbox.lanes().collect::<Vec<_>>(), expected_lanes);
-        settled.clear();
-        mailbox.settle(|dest, matched| settled.push((dest, matched)));
-        let unmarked: Vec<(usize, bool)> =
-            expected.iter().map(|&(dest, _)| (dest, false)).collect();
-        assert_eq!(settled, unmarked);
     }
 
     #[test]

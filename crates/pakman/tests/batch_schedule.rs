@@ -1,12 +1,12 @@
 //! What runs where in the batch scheduler, and what it leaves behind when a run
 //! ends early: the contract behind "one batch graph resident at a time".
 //!
-//! Under [`BatchSchedule::Pipelined`] only ingest and counting (stages A–B) of
-//! later batches run on workers; every batch's graph is built (C) and
-//! compacted (D) on the calling thread, one after the other, so no two graphs
-//! coexist. And whichever way a run ends — a batch pruned to nothing, a cancel
-//! between two stages, a failing source — every byte it charged to a chained
-//! ledger is released.
+//! Under every schedule only ingest and counting (stages A–B) run on
+//! workers; every batch's graph is built (C) and compacted (D) on the calling
+//! thread, one after the other, so no two graphs coexist. Every schedule
+//! charges its resident reads to a chained ledger, and whichever way a run
+//! ends — a batch pruned to nothing, a cancel between two stages, a failing
+//! source — every byte it charged is released.
 
 use nmp_pak_genome::{
     GenomeError, InMemorySource, ReadChunk, ReadSimulator, ReadSource, ReferenceGenome,
@@ -173,6 +173,30 @@ fn a_cancel_between_construction_and_compaction_settles_the_ledger() {
             other => panic!("{schedule:?}: expected Cancelled, got {other:?}"),
         }
         assert!(ledger.peak_bytes() > 0, "{schedule:?} charged real memory");
+        assert_eq!(ledger.used(), 0, "{schedule:?} left bytes on the ledger");
+    }
+}
+
+#[test]
+fn every_schedule_charges_its_resident_reads_with_in_memory_counting() {
+    // No spill bound: stage B charges nothing, so what reaches the chained
+    // ledger is the window's admitted read bytes, under every schedule.
+    let reads = reads();
+    let config = PakmanConfig {
+        spill: SpillConfig::in_memory(),
+        ..config()
+    };
+    for schedule in [BatchSchedule::Sequential, pipelined(1), pipelined(3)] {
+        let ledger = Arc::new(MemoryBudget::unbounded());
+        let control = RunControl::default().with_ledger(&ledger);
+        let output = BatchAssembler::with_schedule(config, 1.0 / BATCHES as f64, schedule)
+            .assemble_source_controlled(
+                InMemorySource::chunked(&reads, reads.len().div_ceil(BATCHES)),
+                &control,
+            )
+            .unwrap();
+        assert_eq!(output.batch_compaction.len(), BATCHES, "{schedule:?}");
+        assert!(ledger.peak_bytes() > 0, "{schedule:?} charged nothing");
         assert_eq!(ledger.used(), 0, "{schedule:?} left bytes on the ledger");
     }
 }

@@ -85,8 +85,8 @@ fn full_pipeline_is_bit_identical_across_thread_counts() {
     // is spawned only for a grain of work), so most of the 10 kbp run above is
     // one chunk. 24 kbp holds two grains of every phase — 64 Ki k-mer windows
     // in stage B, 8 Ki counted k-mers in stage C, 8 Ki checks and 8 Ki
-    // transfers in iteration 0 — so `threads = 2` forks stages B, C and D's
-    // P1 / P2 in both engines and P3 in the sharded lock-step one.
+    // transfers in iteration 0 — so `threads = 2` forks stages B and C and
+    // D's P1 under both stores.
     let reads = simulated_reads(24_000, 30.0, 0xD5EED);
     let reference = assemble(&reads, 21, 1);
     let windows: usize = reads.iter().map(|read| read.len() - 20).sum();
@@ -489,7 +489,7 @@ fn recorded_traces_are_identical_across_thread_counts() {
 fn walking_the_purged_graph_gives_the_compacted_graphs_contigs() {
     // Stage E deletes the compacted graph's dead slots before it walks. The
     // walk must not see the difference, and the output graph it leaves must
-    // re-walk to the output's contigs — on the stitched sharded layout too.
+    // re-walk to the output's contigs — after a sharded compaction too.
     let reads = simulated_reads(10_000, 30.0, 0xD5EED);
     let none = RunControl::default();
     for shards in [1, 4] {

@@ -7,15 +7,16 @@
 //! debug and release alike:
 //!
 //! * the bitmap mirrors `slots[i].is_some()` — after every constructor, after
-//!   every compaction iteration on the single graph and on the sharded
-//!   store, after the sharded graph is stitched back together, and in the pipeline's output graph,
-//!   whose dead slots stage E deleted;
+//!   every compaction iteration on the single graph and under the sharded
+//!   store (whose owners partition the alive nodes), and in the pipeline's
+//!   output graph, whose dead slots stage E deleted;
 //! * the rank index finds exactly the present keys, whatever its table size;
 //! * the destination P3 takes from P1's hand-off is the one a fresh
 //!   `index_of(&transfer.destination)` returns, for every transfer.
 
 use nmp_pak_genome::{
-    DnaString, Kmer, ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead,
+    shard_of_packed, DnaString, Kmer, ReadSimulator, ReferenceGenome, SequencerConfig,
+    SequencingRead,
 };
 use nmp_pak_pakman::compaction::{compact, is_invalidation_target};
 use nmp_pak_pakman::kmer_count::{count_kmers, CountedKmer, KmerCounterConfig};
@@ -152,29 +153,36 @@ fn bitmap_mirrors_the_slots_after_every_iteration_of_every_engine() {
     }
     assert!(steps >= 5, "only {steps} compaction iterations");
 
-    // The sharded engine: every shard's graph after every step, then the
-    // stitched global graph (rebuilt from parts, dead slots included), which
-    // must be the single graph's result node for node.
+    // The sharded store: the one graph after every step, owned by four
+    // shards — every alive slot's owner is its node's, and the owners'
+    // residency adds up to the alive count — and at the end the single
+    // graph's result node for node.
     let config = PakmanConfig {
         shards: ShardConfig { shard_count: 4 },
         ..one_step(2)
     };
     let mut sharded = ShardedGraph::from_counted_kmers(&counted, K, 4, 2);
-    let shard_k1mers: Vec<Vec<Kmer>> = (0..4)
-        .map(|shard| slot_k1mers(sharded.shard(shard)))
-        .collect();
     for step in 0..=steps {
+        let what = format!("sharded, step {step}");
         let alive_before = sharded.alive_count();
         compact_sharded(&mut sharded, &config);
-        for (shard, k1mers) in shard_k1mers.iter().enumerate() {
-            let what = format!("sharded, step {step}, shard {shard}");
-            assert_bitmap_matches_slots(sharded.shard(shard), k1mers, &what);
+        assert_bitmap_matches_slots(sharded.graph(), &k1mers, &what);
+        for (slot, node) in sharded.graph().iter_alive() {
+            let owner = shard_of_packed(node.k1mer().packed(), 4);
+            assert_eq!(sharded.shard_of_global(slot), owner, "{what}: slot {slot}");
         }
+        let per_shard = sharded.per_shard_alive();
+        assert_eq!(per_shard.len(), 4, "{what}");
+        assert_eq!(
+            per_shard.iter().sum::<usize>(),
+            sharded.alive_count(),
+            "{what}"
+        );
         let converged = sharded.alive_count() == alive_before;
-        assert_eq!(converged, step == steps, "sharded, step {step}");
+        assert_eq!(converged, step == steps, "{what}");
     }
     let global = sharded.into_global_graph();
-    assert_bitmap_matches_slots(&global, &k1mers, "sharded, stitched");
+    assert_bitmap_matches_slots(&global, &k1mers, "sharded, at the end");
     assert!(global.alive_count() < global.slot_count());
     for slot in 0..global.slot_count() {
         assert_eq!(global.node(slot), single.node(slot), "sharded: {slot}");

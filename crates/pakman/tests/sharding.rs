@@ -442,11 +442,10 @@ fn telemetry_digest(telemetry: &ShardingTelemetry) -> u64 {
 
 #[test]
 fn traces_and_telemetry_repeat_the_pinned_values_across_threads_and_shards() {
-    // A 40 kbp read set: iteration 0 moves more than two grains of transfers, so
-    // from `threads = 2` the lock-step store posts them to its inboxes and
-    // applies by shard group; the later iterations, and every iteration at
-    // `threads = 1`, deliver in place. The values are the parent commit's (the
-    // materialised transfer stream) on this read set.
+    // A 40 kbp read set whose iteration 0 moves more than two grains of
+    // transfers and whose late iterations move fewer than one. The values were
+    // taken from the materialised transfer stream; every store since repeats
+    // them.
     const TRACE: u64 = 0xee42_5a01_588f_2d1a;
     const TELEMETRY: [(usize, u64); 3] = [
         (1, 0x7a28_e9c7_e40f_aa7f),

@@ -16,6 +16,8 @@
 pub mod cpu;
 pub mod gpu;
 pub mod nmp;
+#[cfg(test)]
+mod oracle;
 pub mod panda;
 pub mod registry;
 

@@ -23,7 +23,9 @@
 //! runtime bounded by bit-serial latency rather than the memory bus.
 
 use super::{BackendId, BackendResult, CompactionBackend, SimulationContext, SystemConfig};
-use nmp_pak_memsim::{AddressMapping, DramConfig, MemoryStats, NodeLayout, TrafficSummary};
+use nmp_pak_memsim::{
+    AddressMapping, DramConfig, MemoryStats, NodeLayout, SizeTable, SlotCursor, TrafficSummary,
+};
 use nmp_pak_pakman::CompactionTrace;
 
 /// Microarchitectural parameters of the in-DRAM bitwise model.
@@ -146,6 +148,9 @@ impl CompactionBackend for PandaBackend {
         let external_gbps = self.dram.total_peak_bandwidth_gbps().max(1e-9);
         let mapping = AddressMapping::new(self.dram, layout.dimm_capacity());
 
+        // Rows a node or TransferNode of each size spans, at least one.
+        let rows_of = SizeTable::new(|size: usize| (size as u64).div_ceil(row_bytes as u64).max(1));
+
         let mut runtime_ns = 0.0f64;
         let mut internal_row_reads = 0u64; // rows activated for compare/copy
         let mut internal_row_writes = 0u64; // rows written by merges/copies
@@ -156,7 +161,7 @@ impl CompactionBackend for PandaBackend {
 
             // P1: bit-serial lexicographic compare over every alive node's rows.
             for check in &iteration.checks {
-                let rows = (check.size_bytes as u64).div_ceil(row_bytes as u64).max(1);
+                let rows = rows_of.get(check.size_bytes);
                 row_ops += rows * cfg.compare_ops_per_row as u64;
                 internal_row_reads += rows;
             }
@@ -165,15 +170,14 @@ impl CompactionBackend for PandaBackend {
             // LISA-cheap when source and destination share a bank, several row
             // cycles more when the copy must hop banks through the buffer-chip
             // logic — while inter-DIMM hops cross the external bus (the only
-            // data traffic the host-visible channels carry).
+            // data traffic the host-visible channels carry). Sources come in
+            // check order, so a cursor tracks their DIMM.
             let mut inter_dimm_bytes = 0u64;
+            let mut sources = SlotCursor::new(layout, 1);
             for transfer in &iteration.transfers {
-                let same_dimm =
-                    layout.dimm_of(transfer.source_slot) == layout.dimm_of(transfer.dest_slot);
-                let rows = (transfer.size_bytes as u64)
-                    .div_ceil(row_bytes as u64)
-                    .max(1);
-                if same_dimm {
+                sources.locate(transfer.source_slot);
+                let rows = rows_of.get(transfer.size_bytes);
+                if sources.in_dimm(transfer.dest_slot) {
                     let same_bank = self.bank_of(&mapping, layout, transfer.source_slot)
                         == self.bank_of(&mapping, layout, transfer.dest_slot);
                     let ops_per_row = if same_bank {
@@ -196,7 +200,7 @@ impl CompactionBackend for PandaBackend {
 
             // P3: masked row merges into the destination nodes.
             for update in &iteration.updates {
-                let rows = (update.size_bytes as u64).div_ceil(row_bytes as u64).max(1);
+                let rows = rows_of.get(update.size_bytes);
                 row_ops += rows * cfg.merge_ops_per_row as u64;
                 internal_row_writes += rows;
             }

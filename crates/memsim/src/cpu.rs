@@ -15,7 +15,8 @@
 use crate::config::DramConfig;
 use crate::layout::NodeLayout;
 use crate::stats::MemoryStats;
-use crate::traffic::{ProcessFlow, TrafficSummary};
+use crate::table::SizeTable;
+use crate::traffic::{IterationTraffic, ProcessFlow, TrafficSummary};
 use nmp_pak_pakman::CompactionTrace;
 
 /// CPU machine parameters.
@@ -59,6 +60,50 @@ impl Default for CpuConfig {
             branch_fraction: 0.05,
             lock_overhead_ns: 6.0,
         }
+    }
+}
+
+impl CpuConfig {
+    /// One core's time to visit a node of `size_bytes` stored in lines of
+    /// `line_bytes`: a few dependent DRAM accesses, the node's lines streamed
+    /// at [`CpuConfig::streaming_mlp`], and per-byte compute.
+    pub fn node_cost(&self, size_bytes: usize, line_bytes: usize) -> NodeCost {
+        let lines = (size_bytes as f64 / line_bytes as f64).ceil().max(1.0);
+        let dependent = self.dependent_accesses_per_node * self.dram_latency_ns;
+        let streamed = lines
+            * (self.l3_hit_rate * self.l3_latency_ns
+                + (1.0 - self.l3_hit_rate) * self.dram_latency_ns)
+            / self.streaming_mlp;
+        let l3 = lines * self.l3_hit_rate * self.l3_latency_ns / self.streaming_mlp;
+        let dram = (dependent + streamed - l3).max(0.0);
+        let compute = size_bytes as f64 * self.compute_ns_per_byte;
+        let branch = compute * self.branch_fraction;
+        NodeCost {
+            compute,
+            branch,
+            l3,
+            dram,
+        }
+    }
+}
+
+/// One node visit's time in nanoseconds, by the stall category it is charged to.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NodeCost {
+    /// Core computation.
+    pub compute: f64,
+    /// Branch misprediction.
+    pub branch: f64,
+    /// Last-level-cache access.
+    pub l3: f64,
+    /// DRAM access.
+    pub dram: f64,
+}
+
+impl NodeCost {
+    /// The whole visit.
+    pub fn total(&self) -> f64 {
+        self.compute + self.branch + self.l3 + self.dram
     }
 }
 
@@ -128,56 +173,57 @@ pub fn simulate_cpu_compaction(
     let mut busy_dram = 0.0f64;
     let mut sync_ns = 0.0f64;
     let mut traffic = TrafficSummary::default();
+    // Per node size: the bytes its access moves and the cost of visiting it.
+    let sizes = SizeTable::new(|size| {
+        (
+            layout.access_bytes(size),
+            cpu.node_cost(size, dram.line_bytes),
+        )
+    });
+    let mut per_thread_busy = vec![0.0f64; threads];
 
     for iteration in &trace.iterations {
-        traffic.add_iteration(iteration, layout, flow);
-
-        // Per-node visit cost.
-        let node_cost = |size_bytes: usize| -> (f64, f64, f64, f64) {
-            let lines = (size_bytes as f64 / dram.line_bytes as f64).ceil().max(1.0);
-            let dependent = cpu.dependent_accesses_per_node * cpu.dram_latency_ns;
-            let streamed = lines
-                * (cpu.l3_hit_rate * cpu.l3_latency_ns
-                    + (1.0 - cpu.l3_hit_rate) * cpu.dram_latency_ns)
-                / cpu.streaming_mlp;
-            let l3_part = lines * cpu.l3_hit_rate * cpu.l3_latency_ns / cpu.streaming_mlp;
-            let dram_part = (dependent + streamed - l3_part).max(0.0);
-            let compute = size_bytes as f64 * cpu.compute_ns_per_byte;
-            let branch = compute * cpu.branch_fraction;
-            (compute, branch, l3_part, dram_part)
-        };
+        let mut counts = IterationTraffic::new(iteration);
 
         // The paper's runtime distributes equal node *counts* to threads; sizes are
         // skewed, so per-thread busy time differs and the iteration barrier exposes
         // the imbalance as sync-futex time.
-        let mut per_thread_busy = vec![0.0f64; threads];
+        per_thread_busy.fill(0.0);
         let chunk = iteration.checks.len().div_ceil(threads).max(1);
-        for (t, nodes) in iteration.checks.chunks(chunk).enumerate() {
+        for (busy, nodes) in per_thread_busy
+            .iter_mut()
+            .zip(iteration.checks.chunks(chunk))
+        {
             for check in nodes {
-                let (compute, branch, l3, dram_t) = node_cost(check.size_bytes);
-                let visit = (compute + branch + l3 + dram_t) * read_passes;
-                per_thread_busy[t] += visit;
-                busy_base += compute * read_passes;
-                busy_branch += branch * read_passes;
-                busy_l3 += l3 * read_passes;
-                busy_dram += dram_t * read_passes;
+                let (bytes, cost) = sizes.get(check.size_bytes);
+                counts.check(bytes, check.invalidated);
+                *busy += cost.total() * read_passes;
+                busy_base += cost.compute * read_passes;
+                busy_branch += cost.branch * read_passes;
+                busy_l3 += cost.l3 * read_passes;
+                busy_dram += cost.dram * read_passes;
             }
         }
 
         // Destination updates: a read-modify-write per destination plus the lock
         // hand-off that serializes concurrent writers.
         let chunk = iteration.updates.len().div_ceil(threads).max(1);
-        for (t, updates) in iteration.updates.chunks(chunk).enumerate() {
+        for (busy, updates) in per_thread_busy
+            .iter_mut()
+            .zip(iteration.updates.chunks(chunk))
+        {
             for update in updates {
-                let (compute, branch, l3, dram_t) = node_cost(update.size_bytes);
-                per_thread_busy[t % threads] += compute + branch + l3 + dram_t;
-                busy_base += compute;
-                busy_branch += branch;
-                busy_l3 += l3;
-                busy_dram += dram_t;
+                let (bytes, cost) = sizes.get(update.size_bytes);
+                counts.update(bytes);
+                *busy += cost.total();
+                busy_base += cost.compute;
+                busy_branch += cost.branch;
+                busy_l3 += cost.l3;
+                busy_dram += cost.dram;
             }
         }
         let serialized_locks = iteration.updates.len() as f64 * cpu.lock_overhead_ns;
+        traffic.add_iteration(counts, layout, flow);
 
         let max_busy = per_thread_busy.iter().copied().fold(0.0f64, f64::max);
         let iteration_time = max_busy + serialized_locks;

@@ -12,7 +12,8 @@
 use crate::config::DramConfig;
 use crate::layout::NodeLayout;
 use crate::stats::MemoryStats;
-use crate::traffic::{ProcessFlow, TrafficSummary};
+use crate::table::SizeTable;
+use crate::traffic::{IterationTraffic, ProcessFlow, TrafficSummary};
 use nmp_pak_pakman::CompactionTrace;
 
 /// GPU device parameters (defaults: A100 40 GB).
@@ -97,11 +98,15 @@ pub fn simulate_gpu_compaction(
     let mut runtime_ns = 0.0f64;
     let effective_bw = (gpu.peak_bandwidth_gbps * gpu.irregular_efficiency).max(1e-9);
 
+    let access_bytes = SizeTable::new(|size| layout.access_bytes(size));
+
     for iteration in &trace.iterations {
         // The GPU runs the optimized (pipelined) software flow: massive parallelism
-        // makes the per-iteration time bandwidth-bound.
+        // makes the per-iteration time bandwidth-bound, so its traffic is all
+        // the model reads of the events.
+        let counts = IterationTraffic::count(iteration, |size| access_bytes.get(size));
         let before = traffic.total_bytes();
-        traffic.add_iteration(iteration, layout, ProcessFlow::Optimized);
+        traffic.add_iteration(counts, layout, ProcessFlow::Optimized);
         let bytes = (traffic.total_bytes() - before) as f64;
         runtime_ns += bytes / effective_bw + gpu.per_iteration_overhead_ns;
     }

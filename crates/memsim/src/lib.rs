@@ -6,8 +6,8 @@
 //! CPU/GPU machine models for the baselines (§5). This crate does not replay: its
 //! models are analytic folds over the trace events of a
 //! [`nmp_pak_pakman::CompactionTrace`], one pass each, counting traffic per access
-//! and charging time per node, iteration and barrier. Row-buffer locality is not
-//! modelled.
+//! and charging time per node, iteration and barrier in the same loop. Row-buffer
+//! locality is not modelled.
 //!
 //! * [`config`] — DDR4-3200 organization parameters (Table 2),
 //! * [`address`] — address decomposition into channel / rank / bank / row / column,
@@ -19,7 +19,8 @@
 //! * [`cpu`] — an analytic multicore model producing runtime and the stall-time
 //!   breakdown of Fig. 6,
 //! * [`gpu`] — an A100-like analytic model (capacity-constrained, §6.6),
-//! * [`stats`] — traffic and bandwidth-utilization accounting.
+//! * [`stats`] — traffic and bandwidth-utilization accounting,
+//! * [`table`] — per-size lookup tables for the models' pure per-size costs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,12 +31,14 @@ pub mod cpu;
 pub mod gpu;
 pub mod layout;
 pub mod stats;
+pub mod table;
 pub mod traffic;
 
 pub use address::AddressMapping;
 pub use config::DramConfig;
-pub use cpu::{CpuConfig, CpuRunResult, StallBreakdown};
+pub use cpu::{CpuConfig, CpuRunResult, NodeCost, StallBreakdown};
 pub use gpu::{GpuConfig, GpuRunResult};
-pub use layout::NodeLayout;
+pub use layout::{NodeLayout, SlotCursor};
 pub use stats::MemoryStats;
-pub use traffic::{ProcessFlow, TrafficSummary};
+pub use table::{SizeTable, SIZE_TABLE_CAP};
+pub use traffic::{IterationTraffic, ProcessFlow, TrafficSummary};

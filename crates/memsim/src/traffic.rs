@@ -15,7 +15,8 @@
 //! read/write traffic ratios of Fig. 14.
 //!
 //! Traffic is counted, not replayed: every access is one request of whole lines
-//! ([`NodeLayout`]'s line size, at least one line), summed per iteration.
+//! ([`NodeLayout`]'s line size, at least one line), summed per iteration by the
+//! backend's own model loop into an [`IterationTraffic`].
 
 use crate::layout::NodeLayout;
 use nmp_pak_pakman::trace::IterationTrace;
@@ -38,6 +39,75 @@ pub enum ProcessFlow {
     IdealForwarding,
 }
 
+/// The traffic of one compaction iteration: the integer counts every
+/// [`ProcessFlow`] is a function of.
+///
+/// A backend counts these in its own model loops, as it visits each check and
+/// update for its timing, and then adds them with
+/// [`TrafficSummary::add_iteration`]; no second pass over the events is
+/// needed. Every byte count is of line-rounded accesses
+/// ([`NodeLayout::access_bytes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IterationTraffic {
+    /// Stage-P1 checks (one per alive node).
+    pub checks: u64,
+    /// Bytes the checks read.
+    pub check_bytes: u64,
+    /// Checks that invalidated their node.
+    pub invalidated: u64,
+    /// Bytes of the invalidated nodes.
+    pub invalidated_bytes: u64,
+    /// Destination updates.
+    pub updates: u64,
+    /// Bytes of the updated destinations.
+    pub update_bytes: u64,
+}
+
+impl IterationTraffic {
+    /// The request counts of `iteration` — one per check, one per update —
+    /// with no bytes yet: the model loop adds them with
+    /// [`IterationTraffic::check`] and [`IterationTraffic::update`].
+    pub fn new(iteration: &IterationTrace) -> IterationTraffic {
+        IterationTraffic {
+            checks: iteration.checks.len() as u64,
+            updates: iteration.updates.len() as u64,
+            ..IterationTraffic::default()
+        }
+    }
+
+    /// Counts `iteration` by itself, for a model that needs nothing else from
+    /// its events; `access_bytes` is the layout's line rounding.
+    pub fn count(
+        iteration: &IterationTrace,
+        access_bytes: impl Fn(usize) -> u64,
+    ) -> IterationTraffic {
+        let mut counts = IterationTraffic::new(iteration);
+        for check in &iteration.checks {
+            counts.check(access_bytes(check.size_bytes), check.invalidated);
+        }
+        for update in &iteration.updates {
+            counts.update(access_bytes(update.size_bytes));
+        }
+        counts
+    }
+
+    /// Adds the bytes of one check that moves `bytes`.
+    #[inline]
+    pub fn check(&mut self, bytes: u64, invalidated: bool) {
+        // Branch-free: the verdicts of a real trace do not follow a pattern.
+        let invalidated = u64::from(invalidated);
+        self.check_bytes += bytes;
+        self.invalidated += invalidated;
+        self.invalidated_bytes += bytes * invalidated;
+    }
+
+    /// Adds the bytes of one destination update that moves `bytes`.
+    #[inline]
+    pub fn update(&mut self, bytes: u64) {
+        self.update_bytes += bytes;
+    }
+}
+
 /// Aggregate read/write traffic over a whole trace, normalized later for Fig. 14.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSummary {
@@ -52,7 +122,8 @@ pub struct TrafficSummary {
 }
 
 impl TrafficSummary {
-    /// Adds the requests of one compaction iteration under `flow`.
+    /// Adds the requests of one compaction iteration, counted in `counts`,
+    /// under `flow`.
     ///
     /// Every flow reads each alive node in stage P1 and writes each updated
     /// destination back in P3. The baseline also writes every node's
@@ -61,26 +132,23 @@ impl TrafficSummary {
     /// lazily, and reads each destination before updating it. The optimized
     /// flow fetches only the invalidated nodes' wiring metadata in P2 and
     /// reads each destination; ideal forwarding drops that destination read.
+    /// The metadata accesses round to `layout`'s lines.
+    #[inline]
     pub fn add_iteration(
         &mut self,
-        iteration: &IterationTrace,
+        counts: IterationTraffic,
         layout: &NodeLayout,
         flow: ProcessFlow,
     ) {
         let metadata_bytes = layout.access_bytes(METADATA_BYTES);
-        let (mut check_bytes, mut invalidated, mut invalidated_bytes) = (0u64, 0u64, 0u64);
-        for check in &iteration.checks {
-            let bytes = layout.access_bytes(check.size_bytes);
-            check_bytes += bytes;
-            if check.invalidated {
-                invalidated += 1;
-                invalidated_bytes += bytes;
-            }
-        }
-        let updates = iteration.updates.iter();
-        let update_bytes: u64 = updates.map(|u| layout.access_bytes(u.size_bytes)).sum();
-        let checks = iteration.checks.len() as u64;
-        let updates = iteration.updates.len() as u64;
+        let IterationTraffic {
+            checks,
+            check_bytes,
+            invalidated,
+            invalidated_bytes,
+            updates,
+            update_bytes,
+        } = counts;
 
         self.read(checks, check_bytes);
         self.write(updates, update_bytes);
@@ -162,9 +230,13 @@ mod tests {
         NodeLayout::new(&[256, 512, 128], &DramConfig::default())
     }
 
+    fn counts(layout: &NodeLayout) -> IterationTraffic {
+        IterationTraffic::count(&sample_iteration(), |bytes| layout.access_bytes(bytes))
+    }
+
     fn counted(flow: ProcessFlow) -> TrafficSummary {
-        let mut summary = TrafficSummary::default();
-        summary.add_iteration(&sample_iteration(), &layout(), flow);
+        let (mut summary, layout) = (TrafficSummary::default(), layout());
+        summary.add_iteration(counts(&layout), &layout, flow);
         summary
     }
 
@@ -175,6 +247,21 @@ mod tests {
 
     // Line-rounded sizes: checks 256 + 512 + 64 (the empty node still moves a
     // line) = 832 B, of which 512 B invalidated; updates 320 + 192 = 512 B.
+
+    #[test]
+    fn iteration_counts_are_line_rounded_per_access() {
+        let expected = IterationTraffic {
+            checks: 3,
+            check_bytes: 832,
+            invalidated: 1,
+            invalidated_bytes: 512,
+            updates: 2,
+            update_bytes: 512,
+        };
+        assert_eq!(counts(&layout()), expected);
+        let empty = IterationTraffic::count(&IterationTrace::default(), |_| unreachable!());
+        assert_eq!(empty, IterationTraffic::default());
+    }
 
     #[test]
     fn optimized_flow_reads_each_alive_node_once() {
@@ -213,10 +300,10 @@ mod tests {
     #[test]
     fn traffic_summary_totals() {
         let mut summary = TrafficSummary::default();
-        let (iteration, layout) = (sample_iteration(), layout());
-        summary.add_iteration(&iteration, &layout, ProcessFlow::Optimized);
+        let layout = layout();
+        summary.add_iteration(counts(&layout), &layout, ProcessFlow::Optimized);
         assert_eq!(summary.total_bytes(), 1_920);
-        summary.add_iteration(&iteration, &layout, ProcessFlow::Optimized);
+        summary.add_iteration(counts(&layout), &layout, ProcessFlow::Optimized);
         assert_eq!(tuple(summary), (12, 4, 2_816, 1_024));
         assert_eq!(summary.total_bytes(), 3_840);
     }
@@ -231,7 +318,7 @@ mod tests {
             },
         );
         let mut summary = TrafficSummary::default();
-        summary.add_iteration(&sample_iteration(), &wide, ProcessFlow::IdealForwarding);
+        summary.add_iteration(counts(&wide), &wide, ProcessFlow::IdealForwarding);
         // Checks 256 + 512 + 128, one 128 B metadata fetch; updates 384 + 256.
         assert_eq!(tuple(summary), (4, 2, 1_024, 640));
     }

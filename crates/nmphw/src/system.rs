@@ -14,7 +14,10 @@ use crate::config::NmpConfig;
 use crate::crossbar::CrossbarSwitch;
 use crate::mapping::ShardChannelMap;
 use crate::pe::PeCycleModel;
-use nmp_pak_memsim::{CpuConfig, DramConfig, MemoryStats, NodeLayout, ProcessFlow, TrafficSummary};
+use nmp_pak_memsim::{
+    CpuConfig, DramConfig, IterationTraffic, MemoryStats, NodeLayout, ProcessFlow, SizeTable,
+    SlotCursor, TrafficSummary,
+};
 use nmp_pak_pakman::{CompactionTrace, ShardingTelemetry};
 
 /// Communication-locality statistics for TransferNode routing (§6.3).
@@ -138,6 +141,21 @@ impl ChannelLoadStats {
     }
 }
 
+/// What [`NmpSystem::simulate`] charges a node of one size, tabulated per size.
+#[derive(Debug, Clone, Copy)]
+struct NodeSizeCost {
+    /// Bytes a DRAM access to the node moves (whole lines).
+    access_bytes: u64,
+    /// PE cycles of a check that keeps the node.
+    kept_cycles: u64,
+    /// PE cycles of a check that invalidates the node.
+    invalidated_cycles: u64,
+    /// PE cycles of a P3 update of a destination of this size.
+    update_cycles: u64,
+    /// Host time of the node when it is offloaded to the CPU.
+    offload_ns: f64,
+}
+
 /// The NMP-PaK system simulator.
 #[derive(Debug, Clone)]
 pub struct NmpSystem {
@@ -188,7 +206,10 @@ impl NmpSystem {
     }
 
     /// Simulates the compaction trace in one pass over its events, returning
-    /// runtime and statistics.
+    /// runtime and statistics. The DRAM traffic is counted in the same loops
+    /// that charge the channels and PEs; every per-size cost comes from a
+    /// [`SizeTable`], and the checks' (ascending) slots find their DIMM and
+    /// PE with a [`SlotCursor`].
     ///
     /// Without `load` this is the uniform-placement model: every byte and PE
     /// cycle is attributed to the channel the slot-interleaved [`NodeLayout`]
@@ -247,6 +268,14 @@ impl NmpSystem {
         // Internal bandwidth available to the PEs of one buffer chip (one DIMM's
         // DDR4-3200 interface).
         let channel_bandwidth_gbps = self.dram.channel_peak_bandwidth_gbps();
+        let pes = self.nmp.pes_per_channel.max(1);
+        let sizes = SizeTable::new(|size| NodeSizeCost {
+            access_bytes: layout.access_bytes(size),
+            kept_cycles: pe_model.node_cycles(size, false).total(),
+            invalidated_cycles: pe_model.node_cycles(size, true).total(),
+            update_cycles: pe_model.p3_cycles(64, size),
+            offload_ns: self.cpu_offload_ns(size),
+        });
 
         let mut runtime_ns = 0.0f64;
         let mut traffic = TrafficSummary::default();
@@ -254,36 +283,49 @@ impl NmpSystem {
         let mut offloaded_nodes = 0u64;
         let mut total_nodes = 0u64;
         let mut cpu_bound_iterations = 0usize;
+        // Per-channel bytes and per-(channel, PE) cycles of one iteration,
+        // `pe_cycles[ch * pes + pe]`; cleared at the start of each iteration.
+        let mut channel_bytes = vec![0u64; channels];
+        let mut pe_cycles = vec![0u64; channels * pes];
+        let mut crossbar_port_bytes = vec![0u64; pes];
+        let mut bridge_out_bytes = vec![0u64; channels];
 
         for iteration in &trace.iterations {
-            traffic.add_iteration(iteration, layout, flow);
+            let mut counts = IterationTraffic::new(iteration);
             total_nodes += iteration.checks.len() as u64;
+            channel_bytes.fill(0);
+            pe_cycles.fill(0);
+            crossbar_port_bytes.fill(0);
+            bridge_out_bytes.fill(0);
 
             // --- NMP side: per-channel byte and PE-compute accounting -------------
             // Oversized nodes go to the CPU slice instead; their host time is
-            // summed in check order.
-            let mut channel_bytes = vec![0u64; channels];
-            let pes = self.nmp.pes_per_channel.max(1);
-            let mut pe_cycles = vec![vec![0u64; pes]; channels];
+            // summed in check order. The checks come in ascending slot order,
+            // so a cursor finds their DIMM and PE.
             let mut cpu_ns = 0.0f64;
-
+            let mut slots = SlotCursor::new(layout, pes);
             for check in &iteration.checks {
+                let cost = sizes.get(check.size_bytes);
+                counts.check(cost.access_bytes, check.invalidated);
                 if check.size_bytes > self.nmp.cpu_offload_threshold_bytes {
                     offloaded_nodes += 1;
-                    cpu_ns += self.cpu_offload_ns(check.size_bytes);
+                    cpu_ns += cost.offload_ns;
                     continue;
                 }
-                let dimm = layout.dimm_of(check.slot);
-                let pe = layout.pe_of(check.slot, pes);
+                let (dimm, pe) = slots.locate(check.slot);
                 channel_bytes[dimm] += check.size_bytes as u64;
-                pe_cycles[dimm][pe] += pe_model
-                    .node_cycles(check.size_bytes, check.invalidated)
-                    .total();
+                pe_cycles[dimm * pes + pe] += if check.invalidated {
+                    cost.invalidated_cycles
+                } else {
+                    cost.kept_cycles
+                };
             }
 
             // Destination updates: read-modify-write in the destination's DIMM, plus
             // P3 compute on the destination's PE.
             for update in &iteration.updates {
+                let cost = sizes.get(update.size_bytes);
+                counts.update(cost.access_bytes);
                 let dimm = layout.dimm_of(update.dest_slot);
                 let pe = layout.pe_of(update.dest_slot, pes);
                 let bytes = if self.nmp.ideal_forwarding {
@@ -292,18 +334,18 @@ impl NmpSystem {
                     2 * update.size_bytes as u64 // read + write
                 };
                 channel_bytes[dimm] += bytes;
-                pe_cycles[dimm][pe] += pe_model.p3_cycles(64, update.size_bytes);
+                pe_cycles[dimm * pes + pe] += cost.update_cycles;
             }
+            traffic.add_iteration(counts, layout, flow);
 
-            // TransferNode routing locality and interconnect payloads.
-            let mut crossbar_port_bytes = vec![0u64; pes];
-            let mut bridge_out_bytes = vec![0u64; channels];
+            // TransferNode routing locality and interconnect payloads. Sources
+            // come in check order too; a destination needs its own PE only
+            // when it shares the source's DIMM.
+            let mut sources = SlotCursor::new(layout, pes);
             for transfer in &iteration.transfers {
-                let src_dimm = layout.dimm_of(transfer.source_slot);
-                let dst_dimm = layout.dimm_of(transfer.dest_slot);
-                let src_pe = layout.pe_of(transfer.source_slot, pes);
-                let dst_pe = layout.pe_of(transfer.dest_slot, pes);
-                if src_dimm == dst_dimm {
+                let (src_dimm, src_pe) = sources.locate(transfer.source_slot);
+                if sources.in_dimm(transfer.dest_slot) {
+                    let dst_pe = layout.pe_of(transfer.dest_slot, pes);
                     if src_pe == dst_pe {
                         comm.same_pe += 1;
                     } else {
@@ -322,14 +364,14 @@ impl NmpSystem {
             // conserved; only where the work lands changes.
             if let Some(shares) = &measured_shares {
                 let total_bytes: u64 = channel_bytes.iter().sum();
-                let total_cycles: u64 = pe_cycles.iter().flatten().sum();
+                let total_cycles: u64 = pe_cycles.iter().sum();
                 for ch in 0..channels {
                     channel_bytes[ch] = (total_bytes as f64 * shares[ch]).round() as u64;
                     // The telemetry has no per-PE resolution: a channel's
                     // measured compute spreads evenly over its PE array, so the
                     // per-PE max the timing model takes is the even share.
                     let ch_cycles = (total_cycles as f64 * shares[ch]).round() as u64;
-                    pe_cycles[ch].fill(ch_cycles.div_ceil(pes as u64));
+                    pe_cycles[ch * pes..][..pes].fill(ch_cycles.div_ceil(pes as u64));
                 }
                 let payload: u64 =
                     crossbar_port_bytes.iter().sum::<u64>() + bridge_out_bytes.iter().sum::<u64>();
@@ -352,7 +394,7 @@ impl NmpSystem {
                     } else {
                         0.0
                     };
-                let compute_ns = pe_cycles[ch]
+                let compute_ns = pe_cycles[ch * pes..][..pes]
                     .iter()
                     .map(|&c| pe_model.cycles_to_ns(c))
                     .fold(0.0f64, f64::max);

@@ -8,7 +8,9 @@
 //! MacroNode slots were read for the invalidation check, which were invalidated, which
 //! TransferNodes were routed where, and which destination nodes were updated
 //! (read-modify-write). The `memsim` and `nmphw` crates fold it, one pass each,
-//! through their analytic CPU, GPU and NMP models (no cycle-level DRAM replay).
+//! through their analytic CPU, GPU and NMP models (no cycle-level DRAM replay):
+//! each model visits an iteration's events once, counting their memory traffic
+//! in the same loop that charges their time.
 
 /// One invalidation-check access (pipeline stage P1) for a MacroNode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -18,7 +18,7 @@ use nmp_pak_memsim::NodeLayout;
 use nmp_pak_nmphw::NetworkModel;
 use nmp_pak_pakman::{
     AssemblyOutput, AssemblyStats, BatchAssembler, BatchAssemblyOutput, PakmanAssembler,
-    PakmanConfig,
+    PakmanConfig, ShardingTelemetry,
 };
 
 /// Well-known metric names.
@@ -353,10 +353,10 @@ fn standard_metrics(output: &CellOutput) -> Vec<(String, f64)> {
                     metric::CROSS_SHARD_FRACTION,
                     sharding.cross_shard_fraction(),
                 );
-                // Project the measured one-host run onto small clusters: the
-                // network model charges the cell's own flush ledger, scaled
-                // over its measured compaction time.
-                let base_ns = t.compaction.as_nanos() as f64;
+                // Project the one-host run onto small clusters: the network
+                // model charges the cell's own flush ledger against the
+                // modelled compaction time of its census.
+                let base_ns = modeled_compaction_ns(o, sharding);
                 if sharding.shard_count > 1 && base_ns > 0.0 {
                     let network = NetworkModel::default();
                     for (nodes, name) in [
@@ -456,6 +456,22 @@ fn standard_metrics(output: &CellOutput) -> Vec<(String, f64)> {
     push(metric::TOTAL_LENGTH, stats.total_length as f64);
     push(metric::LARGEST_CONTIG, stats.largest_contig as f64);
     m
+}
+
+/// The one-host compaction time a multi-node projection splits, in
+/// nanoseconds: the run's P1 checks, each charged the host-CPU model's
+/// one-core visit of a node of the run's mean initial MacroNode size. It is a
+/// function of the run's census, not a timing, so two runs with the same
+/// ledger project the same speedups whatever the host's load.
+fn modeled_compaction_ns(output: &AssemblyOutput, sharding: &ShardingTelemetry) -> f64 {
+    let system = SystemConfig::default();
+    let checks: u64 = sharding.checked_per_shard.iter().sum();
+    let nodes = output.compaction.initial_nodes.max(1) as u64;
+    let mean_node_bytes = (output.footprint.macronode_bytes / nodes) as usize;
+    let visit = system
+        .cpu
+        .node_cost(mean_node_bytes, system.dram.line_bytes);
+    checks as f64 * visit.total()
 }
 
 fn simulate_backend(

@@ -197,3 +197,24 @@ fn report_json_is_structurally_sound() {
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert_eq!(json.matches('[').count(), json.matches(']').count());
 }
+
+#[test]
+fn multinode_projections_repeat_bit_for_bit_across_executions() {
+    let recipe = nmp_pak_recipe::builtin::multinode();
+    let run = || Executor::local().run(&recipe).unwrap();
+    let (first, second) = (run(), run());
+    assert!(first.passed() && second.passed());
+    for name in [
+        metric::MULTINODE_2_SPEEDUP,
+        metric::MULTINODE_4_SPEEDUP,
+        metric::MULTINODE_8_SPEEDUP,
+        metric::MULTINODE_8_CROSS_FRACTION,
+    ] {
+        let value = |report: &nmp_pak_recipe::SweepReport| report.cells[0].metric(name).unwrap();
+        assert_eq!(
+            value(&first).to_bits(),
+            value(&second).to_bits(),
+            "{name} moved between two executions of the same cell"
+        );
+    }
+}

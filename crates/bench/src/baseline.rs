@@ -7,9 +7,8 @@
 //! allocation and linear-probe extension bumping, and a full-scan Iterative
 //! Compaction whose P2/P3 stages run serially and whose neighbour iteration
 //! aggregates extensions with an O(n²) dedupe and a `to_string()`-per-comparison
-//! sort. The recipe probe ([`crate::sweep::BaselineProbe`]) times them against
-//! the current pipeline; the resulting `speedup.*` metrics are what the `smoke`
-//! recipe's CI floors gate.
+//! sort. The `smoke` sweep ([`crate::sweep::smoke`]) times them against the
+//! current pipeline; its `speedup.*` checks are CI floors.
 //!
 //! They are benchmark fixtures, not supported assembly entry points: all of them
 //! must keep producing output identical to the optimized pipeline (asserted by

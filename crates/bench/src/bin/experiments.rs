@@ -1,5 +1,5 @@
 //! Prints every table and figure of the NMP-PaK evaluation for the synthetic
-//! workload, and runs the recipe sweeps that carry the CI floors.
+//! workload, and runs the sweeps that carry the CI floors.
 //!
 //! Usage:
 //!
@@ -7,18 +7,16 @@
 //! experiments            # print every figure/table at the quick scale
 //!                        # (writes no file)
 //! experiments fig12 tab1 # print a subset
-//! experiments sweep fig12          # run a recipe sweep — writes ./BENCH_sweep.json
-//!                                  # and exits 1 when a recipe gate is violated
-//! experiments sweep fig12 'normalized_performance>=100'  # extra ad-hoc gate
-//!                                  # (applies to every cell; exit 1 on violation)
+//! experiments sweep fig12          # run a CI sweep — writes ./BENCH_sweep.json
+//!                                  # and exits 1 when a check fails
 //! NMP_PAK_SWEEP_OUT=/tmp/s.json experiments sweep smoke  # sweep report path
 //! NMP_PAK_BENCH_SCALE=standard experiments   # the 100 kbp workload (slower)
 //! ```
 
-use nmp_pak_bench::sweep::{print_report, run_sweep, write_report};
+use nmp_pak_bench::builtin;
+use nmp_pak_bench::report::{self, Check};
 use nmp_pak_bench::{pct, prepare_experiments, BenchScale};
 use nmp_pak_core::experiments::Experiments;
-use nmp_pak_recipe::{builtin, Gate};
 
 /// Every subcommand `main` dispatches on (plus `sweep`, handled separately).
 const KNOWN_SUBCOMMANDS: &[&str] = &[
@@ -41,10 +39,10 @@ const KNOWN_SUBCOMMANDS: &[&str] = &[
 
 fn usage() -> String {
     format!(
-        "usage: experiments [SUBCOMMAND]...\n       experiments sweep <recipe> \
-         [metric>=x | metric<=x]...\n\nsubcommands: {}\nrecipes:     {}",
+        "usage: experiments [SUBCOMMAND]...\n       experiments sweep <sweep>\n\n\
+         subcommands: {}\nsweeps:      {}",
         KNOWN_SUBCOMMANDS.join(" "),
-        builtin::names().join(" ")
+        builtin::NAMES.join(" ")
     )
 }
 
@@ -65,7 +63,13 @@ fn main() {
 
     let wanted = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
-    let scale = BenchScale::from_env();
+    let scale = match BenchScale::from_env() {
+        Ok(scale) => scale,
+        Err(err) => {
+            eprintln!("error: {err}");
+            std::process::exit(1);
+        }
+    };
     eprintln!("# preparing workload and backend simulations ({scale:?} scale)…");
     let exp = prepare_experiments(scale);
     eprintln!(
@@ -119,77 +123,38 @@ fn main() {
     }
 }
 
-/// `experiments sweep <recipe> [metric>=x | metric<=x]...`:
-/// resolves a shipped recipe, runs it with the vendored-baseline probe,
-/// prints the matrix, writes `BENCH_sweep.json` (path override:
-/// `NMP_PAK_SWEEP_OUT`), and exits 1 when any gate — built-in or ad-hoc —
-/// is violated.
+/// `experiments sweep <sweep>`: runs one CI sweep, prints its checks, writes
+/// them to `BENCH_sweep.json` (path override: `NMP_PAK_SWEEP_OUT`), and exits
+/// 1 when a check fails or a measurement returns an error.
 fn sweep_main(args: &[String]) {
-    let Some(name) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("error: `sweep` needs a recipe name\n\n{}", usage());
+    let [name] = args else {
+        eprintln!("error: `sweep` takes one sweep name\n\n{}", usage());
         std::process::exit(1);
     };
-    let Some(mut recipe) = builtin::by_name(name) else {
-        eprintln!(
-            "error: unknown recipe `{name}` (shipped recipes: {})\n\n{}",
-            builtin::names().join(" "),
-            usage()
-        );
+    let Some(result) = builtin::run(name) else {
+        eprintln!("error: unknown sweep `{name}`\n\n{}", usage());
         std::process::exit(1);
     };
-
-    for arg in &args[1..] {
-        let Some(gate) = parse_gate(arg) else {
-            eprintln!("error: unknown sweep argument `{arg}`\n\n{}", usage());
-            std::process::exit(1);
-        };
-        recipe.gates.push(gate);
-    }
-
-    let report = match run_sweep(&recipe) {
-        Ok(report) => report,
+    let checks = match result {
+        Ok(checks) => checks,
         Err(err) => {
             eprintln!("error: sweep `{name}` failed: {err}");
             std::process::exit(1);
         }
     };
-    print_report(&report);
+    report::print(name, &checks);
 
     let path =
         std::env::var("NMP_PAK_SWEEP_OUT").unwrap_or_else(|_| "BENCH_sweep.json".to_string());
-    match write_report(&report, &path) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(err) => {
-            eprintln!("error: could not write {path}: {err}");
-            std::process::exit(1);
-        }
-    }
-    if !report.passed() {
-        eprintln!("\nFAIL: one or more sweep gates violated");
+    if let Err(err) = std::fs::write(&path, report::to_json(name, &checks)) {
+        eprintln!("error: could not write {path}: {err}");
         std::process::exit(1);
     }
-}
-
-/// Parses an ad-hoc gate argument of the form `metric>=x` or `metric<=x`.
-/// Ad-hoc gates apply to every cell of the sweep.
-fn parse_gate(arg: &str) -> Option<Gate> {
-    let (metric, threshold, at_least) = if let Some((m, t)) = arg.split_once(">=") {
-        (m, t, true)
-    } else if let Some((m, t)) = arg.split_once("<=") {
-        (m, t, false)
-    } else {
-        return None;
-    };
-    let threshold: f64 = threshold.trim().parse().ok()?;
-    let metric = metric.trim();
-    if metric.is_empty() {
-        return None;
+    println!("\nwrote {path}");
+    if !checks.iter().all(Check::passed) {
+        eprintln!("\nFAIL: one or more sweep checks failed");
+        std::process::exit(1);
     }
-    Some(if at_least {
-        Gate::at_least(metric, threshold)
-    } else {
-        Gate::at_most(metric, threshold)
-    })
 }
 
 fn heading(title: &str) {

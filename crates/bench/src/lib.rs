@@ -6,6 +6,8 @@
 //! every table/figure is regenerated from identical inputs.
 
 pub mod baseline;
+pub mod builtin;
+pub mod report;
 pub mod sweep;
 
 use nmp_pak_core::assembler::NmpPakAssembler;
@@ -22,12 +24,34 @@ pub enum BenchScale {
 }
 
 impl BenchScale {
-    /// Reads the scale from the `NMP_PAK_BENCH_SCALE` environment variable
-    /// (`quick` / `standard`), defaulting to [`BenchScale::Quick`].
-    pub fn from_env() -> Self {
-        match std::env::var("NMP_PAK_BENCH_SCALE").as_deref() {
-            Ok("standard") | Ok("STANDARD") => BenchScale::Standard,
-            _ => BenchScale::Quick,
+    /// Reads the scale from the `NMP_PAK_BENCH_SCALE` environment variable,
+    /// defaulting to [`BenchScale::Quick`] when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// A value [`BenchScale::parse`] rejects, or one that is not Unicode.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("NMP_PAK_BENCH_SCALE") {
+            Ok(value) => BenchScale::parse(Some(&value)),
+            Err(std::env::VarError::NotPresent) => BenchScale::parse(None),
+            Err(err) => Err(format!("NMP_PAK_BENCH_SCALE: {err}")),
+        }
+    }
+
+    /// The scale a value of `NMP_PAK_BENCH_SCALE` names: `quick` or
+    /// `standard` in any case, and [`BenchScale::Quick`] when unset.
+    ///
+    /// # Errors
+    ///
+    /// Any other value, so that a typo cannot run the quick scale unnoticed.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None => Ok(BenchScale::Quick),
+            Some(v) if v.eq_ignore_ascii_case("quick") => Ok(BenchScale::Quick),
+            Some(v) if v.eq_ignore_ascii_case("standard") => Ok(BenchScale::Standard),
+            Some(v) => Err(format!(
+                "NMP_PAK_BENCH_SCALE is `{v}`; expected `quick` or `standard`"
+            )),
         }
     }
 
@@ -64,7 +88,21 @@ mod tests {
 
     #[test]
     fn scale_from_env_defaults_to_quick() {
-        assert_eq!(BenchScale::from_env(), BenchScale::Quick);
+        assert_eq!(BenchScale::parse(None), Ok(BenchScale::Quick));
+    }
+
+    #[test]
+    fn scale_parse_ignores_case_and_rejects_anything_else() {
+        for value in ["quick", "Quick", "QUICK"] {
+            assert_eq!(BenchScale::parse(Some(value)), Ok(BenchScale::Quick));
+        }
+        for value in ["standard", "Standard", "STANDARD"] {
+            assert_eq!(BenchScale::parse(Some(value)), Ok(BenchScale::Standard));
+        }
+        for value in ["standrad", "", " quick", "small"] {
+            let err = BenchScale::parse(Some(value)).unwrap_err();
+            assert!(err.contains(&format!("`{value}`")), "{err}");
+        }
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl ShardConfig {
         }
     }
 
-    /// One shard per channel of the paper's default 8-channel system.
-    pub fn default_channels() -> Self {
-        ShardConfig::per_channel(Self::DEFAULT_CHANNELS)
-    }
-
     /// `true` when the sharded execution engine is engaged.
     pub fn is_sharded(&self) -> bool {
         self.shard_count > 1
@@ -309,10 +304,10 @@ mod tests {
         assert!(!ShardConfig::single().is_sharded());
         assert_eq!(ShardConfig::per_channel(0).shard_count, 1);
         assert_eq!(
-            ShardConfig::default_channels().shard_count,
+            ShardConfig::per_channel(ShardConfig::DEFAULT_CHANNELS).shard_count,
             ShardConfig::DEFAULT_CHANNELS
         );
-        assert!(ShardConfig::default_channels().is_sharded());
+        assert!(ShardConfig::per_channel(ShardConfig::DEFAULT_CHANNELS).is_sharded());
         // The default configuration keeps the single-graph path.
         assert_eq!(PakmanConfig::default().shards, ShardConfig::single());
     }
@@ -327,7 +322,7 @@ mod tests {
         // The retired name still validates: the benchmark's shard probe sets it.
         let renamed = PakmanConfig {
             shard_schedule: ShardSchedule::Async,
-            shards: ShardConfig::default_channels(),
+            shards: ShardConfig::per_channel(ShardConfig::DEFAULT_CHANNELS),
             ..PakmanConfig::default()
         };
         assert!(renamed.validate().is_ok());

@@ -20,14 +20,10 @@
 //! * [`server`] — assembly-as-a-service: a multi-tenant job server scheduling many
 //!   concurrent assemblies onto one shared worker pool under a global memory ledger,
 //!   with priorities, cooperative cancellation and per-job progress-event streams.
-//! * [`recipe`] — scenario-sweep recipes: a recipe is a list of typed cells plus
-//!   declarative CI gates, and an executor runs every cell through the pipeline into
-//!   one structured report.
 
 pub use nmp_pak_core as core;
 pub use nmp_pak_genome as genome;
 pub use nmp_pak_memsim as memsim;
 pub use nmp_pak_nmphw as nmphw;
 pub use nmp_pak_pakman as pakman;
-pub use nmp_pak_recipe as recipe;
 pub use nmp_pak_server as server;

@@ -201,12 +201,12 @@ pub fn compact_baseline(
         let checks = run_invalidation_checks_baseline(graph, config.threads);
         let mut histogram = SizeHistogram::new();
         for check in &checks {
-            histogram.record(check.size_bytes);
+            histogram.record(check.size_bytes as usize);
         }
         let invalidated_slots: Vec<usize> = checks
             .iter()
             .filter(|c| c.invalidated)
-            .map(|c| c.slot)
+            .map(|c| c.slot as usize)
             .collect();
 
         if invalidated_slots.is_empty() {
@@ -245,11 +245,11 @@ pub fn compact_baseline(
         for (source_slot, transfer) in &transfers {
             match graph.index_of(&transfer.destination) {
                 Some(dest_slot) => {
-                    transfer_events.push(TransferEvent {
-                        source_slot: *source_slot,
+                    transfer_events.push(TransferEvent::new(
+                        *source_slot,
                         dest_slot,
-                        size_bytes: transfer.size_bytes(),
-                    });
+                        transfer.size_bytes(),
+                    ));
                     let dest = graph.node_mut(dest_slot).expect("destination is alive");
                     if apply_transfer_baseline(dest, transfer) {
                         if !touched[dest_slot] {
@@ -266,12 +266,9 @@ pub fn compact_baseline(
 
         let updates: Vec<UpdateEvent> = touched_order
             .iter()
-            .map(|&dest_slot| UpdateEvent {
-                dest_slot,
-                size_bytes: graph
-                    .node(dest_slot)
-                    .map(MacroNode::size_bytes)
-                    .unwrap_or(0),
+            .map(|&dest_slot| {
+                let size_bytes = graph.node(dest_slot).map(MacroNode::size_bytes);
+                UpdateEvent::new(dest_slot, size_bytes.unwrap_or(0))
             })
             .collect();
 
@@ -332,11 +329,11 @@ fn run_invalidation_checks_baseline(graph: &PakGraph, threads: usize) -> Vec<Nod
 
 fn check_one_baseline(graph: &PakGraph, slot: usize) -> NodeCheck {
     let node = graph.node(slot).expect("slot is alive");
-    NodeCheck {
+    NodeCheck::new(
         slot,
-        size_bytes: node.size_bytes(),
-        invalidated: is_invalidation_target_baseline(graph, node),
-    }
+        node.size_bytes(),
+        is_invalidation_target_baseline(graph, node),
+    )
 }
 
 /// The pre-refactor invalidation check: aggregate the distinct prefix/suffix

@@ -35,8 +35,11 @@ pub type Checks = Result<Vec<Check>, Box<dyn Error>>;
 /// The reference genome's seed in every cell (the quick-scale figures').
 const SEED: u64 = 0xBE9C;
 
-/// Timing repetitions behind each speedup and the spill overhead (best-of).
+/// Timing repetitions behind the spill overhead (best-of).
 const REPS: usize = 2;
+
+/// Back-to-back (baseline, current) pairs behind each of the two speedups.
+const SPEEDUP_PAIRS: usize = 11;
 
 /// Back-to-back (single-graph, one-shard sharded) pairs behind
 /// `sharded_overhead_at_one` (≈ 17 ms a pair on the 20 kbp cell).
@@ -249,72 +252,74 @@ fn seconds(f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
+/// The median of `pairs` ratios, each `pair()` timing two runs back to back
+/// and dividing them: a host hiccup slows both sides of a pair, and one lucky
+/// run cannot move a median.
+fn median_of_pairs(pairs: usize, mut pair: impl FnMut() -> f64) -> f64 {
+    let mut ratios: Vec<f64> = (0..pairs.max(1)).map(|_| pair()).collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 /// Counting plus construction, and compaction, each timed against its
-/// vendored pre-refactor engine on the same reads: `(baseline / current)`
-/// for both, best of [`REPS`] on each side.
+/// vendored pre-refactor engine on the same reads: `baseline / current` for
+/// both, the median over [`SPEEDUP_PAIRS`] back-to-back (baseline, current)
+/// pairs.
 fn speedups(reads: &[SequencingRead], config: &PakmanConfig) -> Result<(f64, f64), PakmanError> {
     let (counted, _) = count_kmers(reads, KmerCounterConfig::from(config))?;
-    let current = best_of(REPS, || {
-        seconds(|| {
+    let counting = median_of_pairs(SPEEDUP_PAIRS, || {
+        let baseline = seconds(|| {
+            let c = count_kmers_baseline(reads, config.k, config.min_kmer_count, config.threads);
+            let _ = build_graph_baseline(&c, config.k);
+        });
+        let current = seconds(|| {
             let (c, _) = count_kmers(reads, KmerCounterConfig::from(config))
                 .expect("counting succeeded above");
             let _ = PakGraph::from_counted_kmers(&c, config.k, config.threads);
-        })
+        });
+        baseline / current.max(1e-9)
     });
-    let baseline = best_of(REPS, || {
-        seconds(|| {
-            let c = count_kmers_baseline(reads, config.k, config.min_kmer_count, config.threads);
-            let _ = build_graph_baseline(&c, config.k);
-        })
-    });
-    let counting = baseline / current.max(1e-9);
 
     let reference = PakGraph::from_counted_kmers(&counted, config.k, config.threads);
-    let current = best_of(REPS, || {
+    let compaction = median_of_pairs(SPEEDUP_PAIRS, || {
         let mut graph = reference.clone();
-        seconds(|| {
-            let _ = compact(&mut graph, config);
-        })
-    });
-    let baseline = best_of(REPS, || {
-        let mut graph = reference.clone();
-        seconds(|| {
+        let baseline = seconds(|| {
             let _ = compact_baseline(&mut graph, config);
-        })
+        });
+        let mut graph = reference.clone();
+        let current = seconds(|| {
+            let _ = compact(&mut graph, config);
+        });
+        baseline / current.max(1e-9)
     });
-    Ok((counting, baseline / current.max(1e-9)))
+    Ok((counting, compaction))
 }
 
 /// The one-shard sharded compaction over the single-graph one, on the same
 /// graph.
 ///
-/// The engines' honest ratio sits a few percent under its cap, where the
-/// speedup floors have 2–4× of headroom, so this is read tighter: the two
-/// run back to back and the median of the per-pair ratios is reported (a
-/// host hiccup slows both sides of a pair, and one lucky run cannot move a
-/// median). Both sides run the one barriered driver on the same graph, so
-/// the ratio is what the sharded store's owner ledger adds to it.
+/// The engines' ratio is read as the speedups are — the median over
+/// [`OVERHEAD_PAIRS`] back-to-back (single, sharded) pairs — with more pairs,
+/// since it sits a few percent under its cap. Both sides run the one
+/// barriered driver on the same graph, so the ratio is what the sharded
+/// store's owner ledger adds to it.
 fn sharded_overhead_at_one(
     reads: &[SequencingRead],
     config: &PakmanConfig,
 ) -> Result<f64, PakmanError> {
     let (counted, _) = count_kmers(reads, KmerCounterConfig::from(config))?;
     let reference = PakGraph::from_counted_kmers(&counted, config.k, config.threads);
-    let mut ratios: Vec<f64> = (0..OVERHEAD_PAIRS)
-        .map(|_| {
-            let mut graph = reference.clone();
-            let single = seconds(|| {
-                let _ = compact(&mut graph, config);
-            });
-            let mut graph = ShardedGraph::from_single(reference.clone());
-            let sharded = seconds(|| {
-                let _ = compact_sharded(&mut graph, config);
-            });
-            sharded / single.max(1e-9)
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    Ok(ratios[ratios.len() / 2])
+    Ok(median_of_pairs(OVERHEAD_PAIRS, || {
+        let mut graph = reference.clone();
+        let single = seconds(|| {
+            let _ = compact(&mut graph, config);
+        });
+        let mut graph = ShardedGraph::from_single(reference.clone());
+        let sharded = seconds(|| {
+            let _ = compact_sharded(&mut graph, config);
+        });
+        sharded / single.max(1e-9)
+    }))
 }
 
 /// Counting under a `budget`-byte bound over counting in memory, best of

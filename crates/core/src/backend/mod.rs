@@ -260,36 +260,22 @@ pub(crate) mod tests {
         for it in 0..5 {
             let alive = nodes - it * 400;
             let checks: Vec<NodeCheck> = (0..alive)
-                .map(|slot| NodeCheck {
-                    slot,
-                    size_bytes: sizes[slot] + it * 24,
-                    invalidated: slot % 5 == 3,
-                })
+                .map(|slot| NodeCheck::new(slot, sizes[slot] + it * 24, slot % 5 == 3))
                 .collect();
             let transfers: Vec<TransferEvent> = checks
                 .iter()
                 .filter(|c| c.invalidated)
                 .flat_map(|c| {
+                    let slot = c.slot as usize;
                     [
-                        TransferEvent {
-                            source_slot: c.slot,
-                            dest_slot: (c.slot * 7919 + 3) % alive,
-                            size_bytes: 48,
-                        },
-                        TransferEvent {
-                            source_slot: c.slot,
-                            dest_slot: (c.slot * 104_729 + 11) % alive,
-                            size_bytes: 48,
-                        },
+                        TransferEvent::new(slot, (slot * 7919 + 3) % alive, 48),
+                        TransferEvent::new(slot, (slot * 104_729 + 11) % alive, 48),
                     ]
                 })
                 .collect();
             let updates: Vec<UpdateEvent> = transfers
                 .iter()
-                .map(|t| UpdateEvent {
-                    dest_slot: t.dest_slot,
-                    size_bytes: sizes[t.dest_slot] + 48,
-                })
+                .map(|t| UpdateEvent::new(t.dest_slot as usize, sizes[t.dest_slot as usize] + 48))
                 .collect();
             trace.iterations.push(IterationTrace {
                 checks,

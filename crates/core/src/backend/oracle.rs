@@ -41,7 +41,7 @@ fn count_traffic(
     let metadata_bytes = layout.access_bytes(64);
     let (mut check_bytes, mut invalidated, mut invalidated_bytes) = (0u64, 0u64, 0u64);
     for check in &iteration.checks {
-        let bytes = layout.access_bytes(check.size_bytes);
+        let bytes = layout.access_bytes(check.size_bytes as usize);
         check_bytes += bytes;
         if check.invalidated {
             invalidated += 1;
@@ -49,7 +49,9 @@ fn count_traffic(
         }
     }
     let updates = iteration.updates.iter();
-    let update_bytes: u64 = updates.map(|u| layout.access_bytes(u.size_bytes)).sum();
+    let update_bytes: u64 = updates
+        .map(|u| layout.access_bytes(u.size_bytes as usize))
+        .sum();
     let checks = iteration.checks.len() as u64;
     let updates = iteration.updates.len() as u64;
 
@@ -131,7 +133,7 @@ fn cpu(
         let chunk = iteration.checks.len().div_ceil(threads).max(1);
         for (t, nodes) in iteration.checks.chunks(chunk).enumerate() {
             for check in nodes {
-                let (c, b, l, d) = node_cost(check.size_bytes);
+                let (c, b, l, d) = node_cost(check.size_bytes as usize);
                 per_thread_busy[t] += (c + b + l + d) * read_passes;
                 base += c * read_passes;
                 branch += b * read_passes;
@@ -142,7 +144,7 @@ fn cpu(
         let chunk = iteration.updates.len().div_ceil(threads).max(1);
         for (t, updates) in iteration.updates.chunks(chunk).enumerate() {
             for update in updates {
-                let (c, b, l, d) = node_cost(update.size_bytes);
+                let (c, b, l, d) = node_cost(update.size_bytes as usize);
                 per_thread_busy[t % threads] += c + b + l + d;
                 base += c;
                 branch += b;
@@ -244,32 +246,33 @@ fn nmp(
         let mut pe_cycles = vec![vec![0u64; pes]; channels];
         let mut cpu_ns = 0.0f64;
         for check in &iteration.checks {
-            if check.size_bytes > nmp.cpu_offload_threshold_bytes {
+            if check.size_bytes as usize > nmp.cpu_offload_threshold_bytes {
                 offloaded_nodes += 1;
-                cpu_ns += offload_ns(check.size_bytes);
+                cpu_ns += offload_ns(check.size_bytes as usize);
                 continue;
             }
-            let dimm = layout.dimm_of(check.slot);
-            let pe = layout.pe_of(check.slot, pes);
+            let dimm = layout.dimm_of(check.slot as usize);
+            let pe = layout.pe_of(check.slot as usize, pes);
             channel_bytes[dimm] += check.size_bytes as u64;
             pe_cycles[dimm][pe] += pe_model
-                .node_cycles(check.size_bytes, check.invalidated)
+                .node_cycles(check.size_bytes as usize, check.invalidated)
                 .total();
         }
         for update in &iteration.updates {
-            let dimm = layout.dimm_of(update.dest_slot);
-            let pe = layout.pe_of(update.dest_slot, pes);
+            let dimm = layout.dimm_of(update.dest_slot as usize);
+            let pe = layout.pe_of(update.dest_slot as usize, pes);
             let copies = if nmp.ideal_forwarding { 1 } else { 2 };
             channel_bytes[dimm] += copies * update.size_bytes as u64;
-            pe_cycles[dimm][pe] += pe_model.p3_cycles(64, update.size_bytes);
+            pe_cycles[dimm][pe] += pe_model.p3_cycles(64, update.size_bytes as usize);
         }
         let mut crossbar_port_bytes = vec![0u64; pes];
         let mut bridge_out_bytes = vec![0u64; channels];
         for transfer in &iteration.transfers {
-            let src_dimm = layout.dimm_of(transfer.source_slot);
-            let dst_dimm = layout.dimm_of(transfer.dest_slot);
-            let src_pe = layout.pe_of(transfer.source_slot, pes);
-            let dst_pe = layout.pe_of(transfer.dest_slot, pes);
+            let (source, dest) = (transfer.source_slot as usize, transfer.dest_slot as usize);
+            let src_dimm = layout.dimm_of(source);
+            let dst_dimm = layout.dimm_of(dest);
+            let src_pe = layout.pe_of(source, pes);
+            let dst_pe = layout.pe_of(dest, pes);
             if src_dimm != dst_dimm {
                 comm.cross_dimm += 1;
                 bridge_out_bytes[src_dimm] += transfer.size_bytes as u64;
@@ -366,15 +369,16 @@ fn panda(
     for iteration in &trace.iterations {
         let mut row_ops = 0u64;
         for check in &iteration.checks {
-            let rows = rows_of(check.size_bytes);
+            let rows = rows_of(check.size_bytes as usize);
             row_ops += rows * cfg.compare_ops_per_row as u64;
             row_reads += rows;
         }
         let mut inter_dimm_bytes = 0u64;
         for transfer in &iteration.transfers {
-            let rows = rows_of(transfer.size_bytes);
-            if layout.dimm_of(transfer.source_slot) == layout.dimm_of(transfer.dest_slot) {
-                let ops = if bank_of(transfer.source_slot) == bank_of(transfer.dest_slot) {
+            let (source, dest) = (transfer.source_slot as usize, transfer.dest_slot as usize);
+            let rows = rows_of(transfer.size_bytes as usize);
+            if layout.dimm_of(source) == layout.dimm_of(dest) {
+                let ops = if bank_of(source) == bank_of(dest) {
                     cfg.copy_ops_per_row
                 } else {
                     cfg.inter_bank_copy_ops_per_row
@@ -392,7 +396,7 @@ fn panda(
             }
         }
         for update in &iteration.updates {
-            let rows = rows_of(update.size_bytes);
+            let rows = rows_of(update.size_bytes as usize);
             row_ops += rows * cfg.merge_ops_per_row as u64;
             row_writes += rows;
         }
@@ -693,36 +697,28 @@ fn edge_trace() -> CompactionTrace {
         let mut checks = Vec::new();
         let mut slot = next(3);
         while slot < slots {
-            checks.push(NodeCheck {
-                slot,
-                size_bytes: EDGE_SIZES[next(EDGE_SIZES.len())],
-                invalidated: next(4) == 0,
-            });
+            let size_bytes = EDGE_SIZES[next(EDGE_SIZES.len())];
+            checks.push(NodeCheck::new(slot, size_bytes, next(4) == 0));
             slot += [1, 1, 2, 5, 31, 32, 33, 70, 300][next(9)];
         }
         let mut transfers = Vec::new();
         for check in checks.iter().filter(|c| c.invalidated) {
+            let source_slot = check.slot as usize;
             for _ in 0..next(3) {
                 // Half the destinations near the source, so some share its
                 // DIMM and PE.
                 let dest_slot = if next(2) == 0 {
-                    (check.slot + next(64)).min(slots - 1)
+                    (source_slot + next(64)).min(slots - 1)
                 } else {
                     next(slots)
                 };
-                transfers.push(TransferEvent {
-                    source_slot: check.slot,
-                    dest_slot,
-                    size_bytes: EDGE_SIZES[next(EDGE_SIZES.len())],
-                });
+                let size_bytes = EDGE_SIZES[next(EDGE_SIZES.len())];
+                transfers.push(TransferEvent::new(source_slot, dest_slot, size_bytes));
             }
         }
         let mut updates: Vec<UpdateEvent> = transfers
             .iter()
-            .map(|t| UpdateEvent {
-                dest_slot: t.dest_slot,
-                size_bytes: EDGE_SIZES[next(EDGE_SIZES.len())],
-            })
+            .map(|t| UpdateEvent::new(t.dest_slot as usize, EDGE_SIZES[next(EDGE_SIZES.len())]))
             .collect();
         for i in (1..updates.len()).rev() {
             updates.swap(i, next(i + 1));

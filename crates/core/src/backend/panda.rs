@@ -161,7 +161,7 @@ impl CompactionBackend for PandaBackend {
 
             // P1: bit-serial lexicographic compare over every alive node's rows.
             for check in &iteration.checks {
-                let rows = rows_of.get(check.size_bytes);
+                let rows = rows_of.get(check.size_bytes as usize);
                 row_ops += rows * cfg.compare_ops_per_row as u64;
                 internal_row_reads += rows;
             }
@@ -175,11 +175,12 @@ impl CompactionBackend for PandaBackend {
             let mut inter_dimm_bytes = 0u64;
             let mut sources = SlotCursor::new(layout, 1);
             for transfer in &iteration.transfers {
-                sources.locate(transfer.source_slot);
-                let rows = rows_of.get(transfer.size_bytes);
-                if sources.in_dimm(transfer.dest_slot) {
-                    let same_bank = self.bank_of(&mapping, layout, transfer.source_slot)
-                        == self.bank_of(&mapping, layout, transfer.dest_slot);
+                let (source, dest) = (transfer.source_slot as usize, transfer.dest_slot as usize);
+                sources.locate(source);
+                let rows = rows_of.get(transfer.size_bytes as usize);
+                if sources.in_dimm(dest) {
+                    let same_bank = self.bank_of(&mapping, layout, source)
+                        == self.bank_of(&mapping, layout, dest);
                     let ops_per_row = if same_bank {
                         cfg.copy_ops_per_row
                     } else {
@@ -200,7 +201,7 @@ impl CompactionBackend for PandaBackend {
 
             // P3: masked row merges into the destination nodes.
             for update in &iteration.updates {
-                let rows = rows_of.get(update.size_bytes);
+                let rows = rows_of.get(update.size_bytes as usize);
                 row_ops += rows * cfg.merge_ops_per_row as u64;
                 internal_row_writes += rows;
             }

@@ -195,7 +195,7 @@ pub fn simulate_cpu_compaction(
             .zip(iteration.checks.chunks(chunk))
         {
             for check in nodes {
-                let (bytes, cost) = sizes.get(check.size_bytes);
+                let (bytes, cost) = sizes.get(check.size_bytes as usize);
                 counts.check(bytes, check.invalidated);
                 *busy += cost.total() * read_passes;
                 busy_base += cost.compute * read_passes;
@@ -213,7 +213,7 @@ pub fn simulate_cpu_compaction(
             .zip(iteration.updates.chunks(chunk))
         {
             for update in updates {
-                let (bytes, cost) = sizes.get(update.size_bytes);
+                let (bytes, cost) = sizes.get(update.size_bytes as usize);
                 counts.update(bytes);
                 *busy += cost.total();
                 busy_base += cost.compute;
@@ -281,18 +281,14 @@ mod tests {
         for it in 0..iterations {
             let alive = nodes - it * nodes / (iterations + 1);
             let checks: Vec<NodeCheck> = (0..alive)
-                .map(|slot| NodeCheck {
-                    slot,
-                    size_bytes: sizes[slot] + it * 16,
-                    invalidated: slot % 4 == 1,
-                })
+                .map(|slot| NodeCheck::new(slot, sizes[slot] + it * 16, slot % 4 == 1))
                 .collect();
             let updates: Vec<UpdateEvent> = checks
                 .iter()
                 .filter(|c| c.invalidated)
-                .map(|c| UpdateEvent {
-                    dest_slot: (c.slot + 1) % alive.max(1),
-                    size_bytes: c.size_bytes + 32,
+                .map(|c| {
+                    let dest_slot = (c.slot as usize + 1) % alive.max(1);
+                    UpdateEvent::new(dest_slot, c.size_bytes as usize + 32)
                 })
                 .collect();
             trace.iterations.push(IterationTrace {

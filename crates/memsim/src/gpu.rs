@@ -139,18 +139,11 @@ mod tests {
         for _ in 0..iterations {
             trace.iterations.push(IterationTrace {
                 checks: (0..nodes)
-                    .map(|slot| NodeCheck {
-                        slot,
-                        size_bytes: sizes[slot],
-                        invalidated: slot % 3 == 0,
-                    })
+                    .map(|slot| NodeCheck::new(slot, sizes[slot], slot % 3 == 0))
                     .collect(),
                 transfers: vec![],
                 updates: (0..nodes / 3)
-                    .map(|i| UpdateEvent {
-                        dest_slot: i * 3 + 1,
-                        size_bytes: 300,
-                    })
+                    .map(|i| UpdateEvent::new(i * 3 + 1, 300))
                     .collect(),
             });
         }

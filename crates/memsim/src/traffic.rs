@@ -83,10 +83,10 @@ impl IterationTraffic {
     ) -> IterationTraffic {
         let mut counts = IterationTraffic::new(iteration);
         for check in &iteration.checks {
-            counts.check(access_bytes(check.size_bytes), check.invalidated);
+            counts.check(access_bytes(check.size_bytes as usize), check.invalidated);
         }
         for update in &iteration.updates {
-            counts.update(access_bytes(update.size_bytes));
+            counts.update(access_bytes(update.size_bytes as usize));
         }
         counts
     }

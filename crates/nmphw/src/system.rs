@@ -305,14 +305,14 @@ impl NmpSystem {
             let mut cpu_ns = 0.0f64;
             let mut slots = SlotCursor::new(layout, pes);
             for check in &iteration.checks {
-                let cost = sizes.get(check.size_bytes);
+                let cost = sizes.get(check.size_bytes as usize);
                 counts.check(cost.access_bytes, check.invalidated);
-                if check.size_bytes > self.nmp.cpu_offload_threshold_bytes {
+                if check.size_bytes as usize > self.nmp.cpu_offload_threshold_bytes {
                     offloaded_nodes += 1;
                     cpu_ns += cost.offload_ns;
                     continue;
                 }
-                let (dimm, pe) = slots.locate(check.slot);
+                let (dimm, pe) = slots.locate(check.slot as usize);
                 channel_bytes[dimm] += check.size_bytes as u64;
                 pe_cycles[dimm * pes + pe] += if check.invalidated {
                     cost.invalidated_cycles
@@ -324,10 +324,10 @@ impl NmpSystem {
             // Destination updates: read-modify-write in the destination's DIMM, plus
             // P3 compute on the destination's PE.
             for update in &iteration.updates {
-                let cost = sizes.get(update.size_bytes);
+                let cost = sizes.get(update.size_bytes as usize);
                 counts.update(cost.access_bytes);
-                let dimm = layout.dimm_of(update.dest_slot);
-                let pe = layout.pe_of(update.dest_slot, pes);
+                let dimm = layout.dimm_of(update.dest_slot as usize);
+                let pe = layout.pe_of(update.dest_slot as usize, pes);
                 let bytes = if self.nmp.ideal_forwarding {
                     update.size_bytes as u64 // write-back only
                 } else {
@@ -343,9 +343,9 @@ impl NmpSystem {
             // when it shares the source's DIMM.
             let mut sources = SlotCursor::new(layout, pes);
             for transfer in &iteration.transfers {
-                let (src_dimm, src_pe) = sources.locate(transfer.source_slot);
-                if sources.in_dimm(transfer.dest_slot) {
-                    let dst_pe = layout.pe_of(transfer.dest_slot, pes);
+                let (src_dimm, src_pe) = sources.locate(transfer.source_slot as usize);
+                if sources.in_dimm(transfer.dest_slot as usize) {
+                    let dst_pe = layout.pe_of(transfer.dest_slot as usize, pes);
                     if src_pe == dst_pe {
                         comm.same_pe += 1;
                     } else {
@@ -472,38 +472,24 @@ mod tests {
         for it in 0..iterations {
             let alive = nodes - it * (nodes / (iterations + 1));
             let checks: Vec<NodeCheck> = (0..alive)
-                .map(|slot| NodeCheck {
-                    slot,
-                    size_bytes: sizes[slot],
-                    invalidated: slot % 5 == 2,
-                })
+                .map(|slot| NodeCheck::new(slot, sizes[slot], slot % 5 == 2))
                 .collect();
             let transfers: Vec<TransferEvent> = checks
                 .iter()
                 .filter(|c| c.invalidated)
                 .flat_map(|c| {
-                    let d1 = (c.slot.wrapping_mul(7919) + 3) % alive.max(1);
-                    let d2 = (c.slot.wrapping_mul(104_729) + 11) % alive.max(1);
+                    let slot = c.slot as usize;
+                    let d1 = (slot.wrapping_mul(7919) + 3) % alive.max(1);
+                    let d2 = (slot.wrapping_mul(104_729) + 11) % alive.max(1);
                     [
-                        TransferEvent {
-                            source_slot: c.slot,
-                            dest_slot: d1,
-                            size_bytes: 48,
-                        },
-                        TransferEvent {
-                            source_slot: c.slot,
-                            dest_slot: d2,
-                            size_bytes: 48,
-                        },
+                        TransferEvent::new(slot, d1, 48),
+                        TransferEvent::new(slot, d2, 48),
                     ]
                 })
                 .collect();
             let updates: Vec<UpdateEvent> = transfers
                 .iter()
-                .map(|t| UpdateEvent {
-                    dest_slot: t.dest_slot,
-                    size_bytes: sizes[t.dest_slot] + 32,
-                })
+                .map(|t| UpdateEvent::new(t.dest_slot as usize, sizes[t.dest_slot as usize] + 32))
                 .collect();
             trace.iterations.push(IterationTrace {
                 checks,
@@ -627,11 +613,7 @@ mod tests {
             let mut trace = CompactionTrace::new(sizes.len(), sizes.to_vec());
             trace.iterations.push(IterationTrace {
                 checks: (0..sizes.len())
-                    .map(|slot| NodeCheck {
-                        slot,
-                        size_bytes: sizes[slot],
-                        invalidated: false,
-                    })
+                    .map(|slot| NodeCheck::new(slot, sizes[slot], false))
                     .collect(),
                 transfers: vec![],
                 updates: vec![],

@@ -302,6 +302,18 @@ impl NodeStore for PakGraph {
     }
 }
 
+/// One P1 verdict, as stage D's census folds it: the node's slot, its size and
+/// whether it is invalidated. Kept at `usize` width (24 bytes) while the trace
+/// narrows its copy to 32-bit fields ([`NodeCheck`]): untraced runs allocate
+/// this scratch alone, and a narrower one moved glibc's steady state on
+/// `asm_1t` (DESIGN.md, "Step D").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Verdict {
+    slot: usize,
+    size_bytes: usize,
+    invalidated: bool,
+}
+
 /// The next iteration's frontier: one bit per slot, set for every destination a
 /// transfer reached. Marking is an OR; draining yields the marked slots in
 /// ascending order and leaves every word zero — no list to sort.
@@ -353,7 +365,7 @@ struct CompactionScratch {
     /// Slots to re-evaluate this iteration, ascending.
     recheck: Vec<usize>,
     /// Evaluation results, aligned with `recheck`.
-    check_results: Vec<NodeCheck>,
+    check_results: Vec<Verdict>,
     /// The assembled per-alive-node check list (only populated when tracing; the
     /// trace takes ownership of it each iteration).
     checks: Vec<NodeCheck>,
@@ -389,14 +401,15 @@ impl CompactionScratch {
     /// census's `u32`s can name is [`PakmanError::InvalidConfig`], unallocated.
     fn new<S: NodeStore>(store: &S) -> Result<Self, PakmanError> {
         let slot_count = store.slot_count();
-        if u32::try_from(slot_count).is_err() {
+        let Ok(slots) = u32::try_from(slot_count) else {
             let checkpoint = S::CHECKPOINT;
             let message =
                 format!("{checkpoint}: {slot_count} slots do not fit the 32-bit alive census");
             return Err(PakmanError::InvalidConfig { message });
-        }
-        let alive_slots = (0..slot_count).filter(|&slot| store.is_alive(slot));
-        let alive_list: Vec<u32> = alive_slots.map(|slot| slot as u32).collect();
+        };
+        let alive_list: Vec<u32> = (0..slots)
+            .filter(|&slot| store.is_alive(slot as usize))
+            .collect();
         // The vectors that grow start at iteration 0's bound — an entry a node,
         // two ranks a node — for a run of up to two grains, which forks nowhere
         // and then never regrows; a larger one doubles from there as before.
@@ -427,14 +440,8 @@ impl CompactionScratch {
     /// Each chunk hints the store at the slot [`CHECK_LOOKAHEAD`] checks on.
     fn check<S: NodeStore>(&mut self, store: &S, chunks: usize) {
         self.check_results.clear();
-        self.check_results.resize(
-            self.recheck.len(),
-            NodeCheck {
-                slot: 0,
-                size_bytes: 0,
-                invalidated: false,
-            },
-        );
+        self.check_results
+            .resize(self.recheck.len(), Verdict::default());
         self.resolved.clear();
         let chunk = self.recheck.len().div_ceil(chunks).max(1);
         fork_join_into(
@@ -460,7 +467,7 @@ impl CompactionScratch {
                     if !invalidated {
                         ranks.truncate(mark);
                     }
-                    *out = NodeCheck {
+                    *out = Verdict {
                         slot,
                         size_bytes: node.size_bytes(),
                         invalidated,
@@ -495,7 +502,7 @@ impl CompactionScratch {
     /// Assembles the traced per-alive-node check list: re-checked slots report
     /// their fresh result, clean slots their cached `(size, not-invalidated)`
     /// verdict — the list a full scan would produce; only traced runs pay this
-    /// O(alive) assembly.
+    /// O(alive) assembly, and only they hold its 32-bit records.
     fn assemble_trace_checks(&mut self) {
         // Empty here (the trace took the last iteration's list): this sizes the
         // list exactly, one entry per alive slot.
@@ -503,18 +510,15 @@ impl CompactionScratch {
         let mut ri = 0usize;
         for &slot32 in &self.alive_list {
             let slot = slot32 as usize;
-            let check = if self.recheck.get(ri) == Some(&slot) {
-                let check = self.check_results[ri];
-                ri += 1;
-                check
-            } else {
-                NodeCheck {
-                    slot,
-                    size_bytes: self.cached_size[slot],
-                    invalidated: false,
+            let (size_bytes, invalidated) = match self.check_results.get(ri) {
+                Some(fresh) if fresh.slot == slot => {
+                    ri += 1;
+                    (fresh.size_bytes, fresh.invalidated)
                 }
+                _ => (self.cached_size[slot], false),
             };
-            self.checks.push(check);
+            self.checks
+                .push(NodeCheck::new(slot, size_bytes, invalidated));
         }
         debug_assert_eq!(ri, self.recheck.len(), "every re-check slot is alive");
     }
@@ -583,11 +587,7 @@ impl CompactionScratch {
                 debug_assert_eq!(dest, store.index_of(&transfer.destination));
                 delivered += 1;
                 if let (Some(events), Some(dest_slot)) = (events.as_deref_mut(), dest) {
-                    events.push(TransferEvent {
-                        source_slot: source,
-                        dest_slot,
-                        size_bytes: transfer.size_bytes(),
-                    });
+                    events.push(TransferEvent::new(source, dest_slot, transfer.size_bytes()));
                 }
                 let matched = store.deliver(source, dest, &transfer);
                 if !matched {
@@ -610,6 +610,27 @@ impl CompactionScratch {
             "the streamed pass must consume every rank P1 handed over"
         );
         delivered
+    }
+
+    /// The traced update records of the pass just run: one per destination a
+    /// transfer landed on, in first-touch order, with the node's size after the
+    /// pass. Hints the store [`DEST_LOOKAHEAD`] destinations ahead, as the pass
+    /// does, so the reads overlap instead of paying one miss each. A touched
+    /// destination is alive by construction: a missing one panics, in release
+    /// builds too, naming its slot.
+    fn trace_updates<S: NodeStore>(&self, store: &S) -> Vec<UpdateEvent> {
+        let order = &self.touched_order;
+        let mut updates = Vec::with_capacity(order.len());
+        for (i, &dest_slot) in order.iter().enumerate() {
+            if let Some(&ahead) = order.get(i + DEST_LOOKAHEAD) {
+                store.prefetch(ahead);
+            }
+            let node = store.node(dest_slot).unwrap_or_else(|| {
+                panic!("touched destination {dest_slot} is not alive at the update record")
+            });
+            updates.push(UpdateEvent::new(dest_slot, node.size_bytes()));
+        }
+        updates
     }
 
     /// Removes the sorted slot set `removed` from the sorted `alive` list in
@@ -740,13 +761,11 @@ pub(crate) fn run_barriered<S: NodeStore>(
         let p2 = p2_start.elapsed();
         let p3_start = Instant::now();
         store.close();
-        let mut updates: Vec<UpdateEvent> = Vec::new();
-        if trace.is_some() {
-            updates.extend(scratch.touched_order.iter().map(|&dest_slot| UpdateEvent {
-                dest_slot,
-                size_bytes: store.node(dest_slot).map_or(0, MacroNode::size_bytes),
-            }));
-        }
+        let updates = if trace.is_some() {
+            scratch.trace_updates(store)
+        } else {
+            Vec::new()
+        };
         profile.iterations.push(IterationProfile {
             iteration,
             p1,
@@ -993,7 +1012,7 @@ mod tests {
         let outcome = compact(&mut graph, &cfg);
         let trace = outcome.trace.expect("trace recorded");
         for it in &trace.iterations {
-            let invalidated: std::collections::HashSet<usize> = it
+            let invalidated: std::collections::HashSet<u32> = it
                 .checks
                 .iter()
                 .filter(|c| c.invalidated)
@@ -1064,9 +1083,44 @@ mod tests {
         for it in &trace.iterations {
             for u in &it.updates {
                 assert!(u.size_bytes > 0);
-                assert!(u.dest_slot < trace.slot_count);
+                assert!((u.dest_slot as usize) < trace.slot_count);
             }
         }
+    }
+
+    #[test]
+    fn every_update_record_is_what_the_next_iteration_checks() {
+        // A destination a transfer landed on is alive, and unchanged, until the
+        // next P1 re-checks it (it is on the frontier): the write-back size the
+        // trace records is the size that check reads.
+        let mut graph = simulated_graph();
+        let trace = compact(&mut graph, &compact_config(0)).trace.unwrap();
+        assert!(trace.iteration_count() >= 5);
+        let mut recorded = 0usize;
+        for (i, pair) in trace.iterations.windows(2).enumerate() {
+            let next_checks = &pair[1].checks;
+            for update in &pair[0].updates {
+                let slot = update.dest_slot;
+                let found = next_checks.binary_search_by_key(&slot, |check| check.slot);
+                let at = found.unwrap_or_else(|_| panic!("iteration {i}: {slot} is not checked"));
+                assert_eq!(next_checks[at].size_bytes, update.size_bytes, "slot {slot}");
+            }
+            recorded += pair[0].updates.len();
+        }
+        // Enough of them that the record loop's hints ran ahead and then stopped.
+        assert!(recorded > 1_000, "{recorded} update records");
+    }
+
+    #[test]
+    fn a_vanished_destination_is_not_recorded_as_an_empty_write_back() {
+        let mut graph = graph_from_reads(&["ACGTTAC"], 5);
+        let mut scratch = CompactionScratch::new(&graph).unwrap();
+        scratch.touched_order.extend([0, 2]);
+        assert!(graph.invalidate(2).is_some());
+        let record = std::panic::AssertUnwindSafe(|| scratch.trace_updates(&graph));
+        let panic = std::panic::catch_unwind(record).expect_err("slot 2 is gone");
+        let message = panic.downcast_ref::<String>().expect("a panic message");
+        assert!(message.contains("touched destination 2"), "{message}");
     }
 
     #[test]
@@ -1234,11 +1288,7 @@ mod tests {
             // stream: events for the live destinations, the unmatched count, the
             // first-touch order, and the next frontier.
             let landed = expected.iter().filter_map(|(source, dest, transfer, _)| {
-                Some(TransferEvent {
-                    source_slot: *source,
-                    dest_slot: (*dest)?,
-                    size_bytes: transfer.size_bytes(),
-                })
+                Some(TransferEvent::new(*source, (*dest)?, transfer.size_bytes()))
             });
             assert_eq!(events, landed.collect::<Vec<_>>());
             assert_eq!(scratch.unmatched, unmatched);
@@ -1249,7 +1299,8 @@ mod tests {
                 }
             }
             assert_eq!(scratch.touched_order, first_touch);
-            let mut reached: Vec<usize> = events.iter().map(|event| event.dest_slot).collect();
+            let reached = events.iter().map(|event| event.dest_slot as usize);
+            let mut reached: Vec<usize> = reached.collect();
             reached.sort_unstable();
             reached.dedup();
             let mut frontier = Vec::new();

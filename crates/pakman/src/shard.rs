@@ -473,10 +473,7 @@ mod tests {
                 };
                 let landed = [event(3, 0), event(3, 1), event(4, 2)];
                 assert_eq!(trace.iterations[0].transfers, landed);
-                let update = UpdateEvent {
-                    dest_slot: 2,
-                    size_bytes: reference_graph.node(2).unwrap().size_bytes(),
-                };
+                let update = UpdateEvent::new(2, reference_graph.node(2).unwrap().size_bytes());
                 assert_eq!(trace.iterations[0].updates, [update]);
             }
 

@@ -13,13 +13,17 @@
 //! in the same loop that charges their time.
 
 /// One invalidation-check access (pipeline stage P1) for a MacroNode.
+///
+/// Every trace record is 32-bit: the alive census refuses a graph of more than
+/// `u32::MAX` slots, and the constructors check each size, so a `u32` field
+/// holds what a `usize` would and a consumer widens it back with `as usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeCheck {
     /// Stable slot index of the node (its rank in ascending (k-1)-mer order).
-    pub slot: usize,
+    pub slot: u32,
     /// Node size in bytes at the time of the check (drives how many cache lines /
     /// bursts the access spans and whether the node is offloaded to the CPU).
-    pub size_bytes: usize,
+    pub size_bytes: u32,
     /// Whether the check concluded the node must be invalidated.
     pub invalidated: bool,
 }
@@ -28,20 +32,62 @@ pub struct NodeCheck {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferEvent {
     /// Slot of the invalidated source node.
-    pub source_slot: usize,
+    pub source_slot: u32,
     /// Slot of the destination (neighbour) node.
-    pub dest_slot: usize,
+    pub dest_slot: u32,
     /// TransferNode payload size in bytes.
-    pub size_bytes: usize,
+    pub size_bytes: u32,
 }
 
 /// One destination-node update (stage P3 read-modify-write).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateEvent {
     /// Slot of the updated node.
-    pub dest_slot: usize,
+    pub dest_slot: u32,
     /// Node size in bytes after the update (the write-back size).
-    pub size_bytes: usize,
+    pub size_bytes: u32,
+}
+
+/// `value` as the 32-bit trace field `field`. Panics, in release builds too,
+/// naming the field and the value, if it does not fit.
+fn narrow(value: usize, field: &str) -> u32 {
+    u32::try_from(value)
+        .unwrap_or_else(|_| panic!("trace record: {field} {value} does not fit in 32 bits"))
+}
+
+impl NodeCheck {
+    /// The check of `slot`, a node of `size_bytes`; panics if either exceeds
+    /// `u32::MAX`.
+    pub fn new(slot: usize, size_bytes: usize, invalidated: bool) -> Self {
+        NodeCheck {
+            slot: narrow(slot, "slot"),
+            size_bytes: narrow(size_bytes, "node size"),
+            invalidated,
+        }
+    }
+}
+
+impl TransferEvent {
+    /// A TransferNode of `size_bytes` from `source_slot` to `dest_slot`; panics
+    /// if any exceeds `u32::MAX`.
+    pub fn new(source_slot: usize, dest_slot: usize, size_bytes: usize) -> Self {
+        TransferEvent {
+            source_slot: narrow(source_slot, "source slot"),
+            dest_slot: narrow(dest_slot, "destination slot"),
+            size_bytes: narrow(size_bytes, "TransferNode size"),
+        }
+    }
+}
+
+impl UpdateEvent {
+    /// The write-back of `dest_slot`, now `size_bytes`; panics if either
+    /// exceeds `u32::MAX`.
+    pub fn new(dest_slot: usize, size_bytes: usize) -> Self {
+        UpdateEvent {
+            dest_slot: narrow(dest_slot, "destination slot"),
+            size_bytes: narrow(size_bytes, "node size"),
+        }
+    }
 }
 
 /// Everything that happened during one compaction iteration.
@@ -180,6 +226,34 @@ mod tests {
             ],
         });
         trace
+    }
+
+    #[test]
+    fn trace_records_stay_within_their_32_bit_budget() {
+        // The simulated backends hold the whole trace while they fold it: one
+        // check per alive node per iteration. A wider field must not silently
+        // grow it back to `usize` records (24, 24 and 16 bytes).
+        use std::mem::size_of;
+        assert!(size_of::<NodeCheck>() <= 12);
+        assert!(size_of::<TransferEvent>() <= 12);
+        assert!(size_of::<UpdateEvent>() <= 8);
+    }
+
+    #[test]
+    fn constructors_narrow_exactly_and_refuse_what_does_not_fit() {
+        let max = u32::MAX as usize;
+        let check = NodeCheck::new(max, 7, true);
+        assert_eq!((check.slot, check.size_bytes), (u32::MAX, 7));
+        let transfer = TransferEvent::new(1, max, 2);
+        assert_eq!(transfer.dest_slot, u32::MAX);
+        assert_eq!(UpdateEvent::new(3, max).size_bytes, u32::MAX);
+        let too_large = std::panic::catch_unwind(|| UpdateEvent::new(3, max + 1));
+        let panic = too_large.expect_err("2^32 bytes do not fit a record");
+        let message = panic.downcast_ref::<String>().expect("a panic message");
+        assert_eq!(
+            message,
+            "trace record: node size 4294967296 does not fit in 32 bits"
+        );
     }
 
     #[test]

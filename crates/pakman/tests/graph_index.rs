@@ -303,7 +303,7 @@ fn assert_handoff_matches_index_of(graph: &PakGraph, threads: usize, what: &str)
             .checks
             .iter()
             .filter(|check| check.invalidated)
-            .map(|check| check.slot)
+            .map(|check| check.slot as usize)
             .collect();
         assert_eq!(invalidated, targets, "{what}");
         assert_eq!(
@@ -328,7 +328,10 @@ fn assert_handoff_matches_index_of(graph: &PakGraph, threads: usize, what: &str)
         let events: Vec<(usize, usize, usize)> = recorded
             .transfers
             .iter()
-            .map(|event| (event.source_slot, event.dest_slot, event.size_bytes))
+            .map(|event| {
+                let (source, dest) = (event.source_slot as usize, event.dest_slot as usize);
+                (source, dest, event.size_bytes as usize)
+            })
             .collect();
         assert_eq!(events, expected, "{what}");
     }

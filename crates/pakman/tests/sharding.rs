@@ -404,8 +404,9 @@ fn trace_digest(trace: &CompactionTrace) -> u64 {
         let transfers = it.transfers.iter();
         let transfers = transfers.flat_map(|t| [t.source_slot, t.dest_slot, t.size_bytes]);
         let updates = it.updates.iter().flat_map(|u| [u.dest_slot, u.size_bytes]);
-        let words = counts.into_iter().chain(transfers).chain(updates);
-        words.map(word).collect::<Vec<u64>>()
+        let fields = transfers.chain(updates).map(u64::from);
+        let words = counts.into_iter().map(word).chain(fields);
+        words.collect::<Vec<u64>>()
     }))
 }
 

@@ -505,11 +505,13 @@ mod tests {
         // What the frontier buys: after the iteration-0 full scan it evaluates
         // strictly fewer predicates than the alive census a full scan pays.
         let frontier = outcome.profile;
+        let alive = &outcome.stats.iterations;
         assert!(frontier.iterations.len() > 1);
         assert!(frontier.iterations[1..]
             .iter()
-            .all(|it| it.checked_nodes < it.alive_nodes));
-        let full_scan: usize = frontier.iterations.iter().map(|it| it.alive_nodes).sum();
+            .zip(&alive[1..])
+            .all(|(it, stats)| it.checked_nodes < stats.alive_before));
+        let full_scan: usize = alive.iter().map(|it| it.alive_before).sum();
         assert!(frontier.total_checked() < full_scan);
     }
 }

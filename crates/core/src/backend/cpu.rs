@@ -79,23 +79,6 @@ impl CpuBackend {
         }
     }
 
-    /// A fully custom CPU backend (ablations, alternative hosts).
-    pub fn custom(
-        id: BackendId,
-        label: &'static str,
-        flow: ProcessFlow,
-        dram: DramConfig,
-        cpu: CpuConfig,
-    ) -> CpuBackend {
-        CpuBackend {
-            id,
-            label,
-            flow,
-            dram,
-            cpu,
-        }
-    }
-
     /// The core/memory model this backend simulates with.
     #[cfg(test)]
     pub(crate) fn cpu_config(&self) -> &CpuConfig {

@@ -8,23 +8,22 @@
 //!
 //! Backends are ordinary trait objects: the seven paper configurations live in
 //! [`cpu`], [`gpu`] and [`nmp`] and are registered, in Fig. 12 plot order, by
-//! [`BackendRegistry::standard`]. New execution targets (a PIM-style bitwise
-//! backend, a different GPU, a hybrid) implement [`CompactionBackend`] and are
-//! [`BackendRegistry::register`]ed next to them — no enum to extend, no dispatch
-//! `match` to edit.
+//! [`BackendRegistry::standard`], which every sweep and the benchmark
+//! simulate. Another configuration (an 80 GB GPU, an NMP system with more PEs,
+//! as Fig. 15 sweeps) is a [`CompactionBackend`] its caller
+//! [`BackendRegistry::register`]s or simulates on its own
+//! ([`crate::NmpPakAssembler::run_with`]); no sweep picks it up.
 
 pub mod cpu;
 pub mod gpu;
 pub mod nmp;
 #[cfg(test)]
 mod oracle;
-pub mod panda;
 pub mod registry;
 
 pub use cpu::{CpuBackend, UnoptimizedCpuConfig};
 pub use gpu::GpuBackend;
 pub use nmp::NmpBackend;
-pub use panda::{PandaBackend, PandaConfig};
 pub use registry::BackendRegistry;
 
 use nmp_pak_memsim::{CpuConfig, DramConfig, GpuConfig, MemoryStats, NodeLayout, TrafficSummary};
@@ -57,9 +56,6 @@ impl BackendId {
     pub const NMP_IDEAL_PE: BackendId = BackendId("nmp-ideal-pe");
     /// NMP-PaK with ideal P1→P3 forwarding logic (§5.3).
     pub const NMP_IDEAL_FORWARDING: BackendId = BackendId("nmp-ideal-forwarding");
-    /// PANDA-style in-DRAM bitwise-logic execution (Angizi et al.) — a research
-    /// configuration registered by [`BackendRegistry::extended`].
-    pub const PANDA: BackendId = BackendId("panda-bitwise");
 
     /// Mints an id for a custom backend.
     pub const fn new(name: &'static str) -> BackendId {
@@ -106,18 +102,10 @@ impl CapacityVerdict {
 pub struct SimulationContext {
     /// The workload's peak memory footprint (used for capacity checks).
     pub footprint_bytes: u64,
-    /// Measured per-partition load imbalance (max work over mean work) from
-    /// sharded execution telemetry; `1.0` — the uniform-work assumption — when
-    /// the workload ran unsharded. Spatial-compute backends (NMP channels,
-    /// PANDA subarrays) operate in per-iteration lock-step, so the busiest
-    /// partition paces every iteration: these models stretch their
-    /// perfectly-parallel critical path by this factor.
-    pub load_imbalance: f64,
-    /// Full measured sharded-execution telemetry, when the software ran
-    /// sharded. Backends that model spatial placement directly (the NMP
-    /// channel model) fold this onto their channels — per-channel work shares
-    /// and the measured cross-channel byte fraction — instead of collapsing it
-    /// to the single [`SimulationContext::load_imbalance`] scalar.
+    /// Measured sharded-execution telemetry, when the software ran sharded.
+    /// The NMP channel model folds it onto its channels — per-channel work
+    /// shares and the measured cross-channel byte fraction — so the busiest
+    /// channel paces each lock-step iteration; `None` assumes uniform work.
     pub sharding: Option<nmp_pak_pakman::ShardingTelemetry>,
 }
 
@@ -127,29 +115,15 @@ impl SimulationContext {
     pub fn new(footprint_bytes: u64) -> SimulationContext {
         SimulationContext {
             footprint_bytes,
-            load_imbalance: 1.0,
             sharding: None,
         }
     }
 
-    /// Attaches a measured load-imbalance factor (clamped to ≥ 1.0).
-    pub fn with_load_imbalance(mut self, imbalance: f64) -> SimulationContext {
-        self.load_imbalance = if imbalance.is_finite() {
-            imbalance.max(1.0)
-        } else {
-            1.0
-        };
-        self
-    }
-
-    /// Attaches the full sharded-execution telemetry and derives
-    /// [`SimulationContext::load_imbalance`] from it, so scalar-only backends
-    /// stay consistent with backends that consume the full telemetry.
+    /// Attaches the measured sharded-execution telemetry.
     pub fn with_sharding(
         mut self,
         telemetry: nmp_pak_pakman::ShardingTelemetry,
     ) -> SimulationContext {
-        self = self.with_load_imbalance(telemetry.load_imbalance());
         self.sharding = Some(telemetry);
         self
     }
@@ -337,13 +311,13 @@ pub(crate) mod tests {
     }
 
     /// `(runtime_ns bits, digest of everything else)` per result of the
-    /// extended registry, in its order, against the pinned table; a failure
+    /// standard registry, in its order, against the pinned table; a failure
     /// prints the table it got.
     fn assert_pinned(results: &[BackendResult], pinned: &[(u64, u64)]) {
         let ids: Vec<BackendId> = results.iter().map(|r| r.backend).collect();
         assert_eq!(
             ids,
-            BackendRegistry::extended(&SystemConfig::default()).ids()
+            BackendRegistry::standard(&SystemConfig::default()).ids()
         );
         let got: Vec<(u64, u64)> = results
             .iter()
@@ -359,7 +333,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pinned_results_on_the_synthetic_trace() {
-        const PINNED: [(u64, u64); 8] = [
+        const PINNED: [(u64, u64); 7] = [
             (0x41541f3a79168723, 0x879b8e43e460d074), // cpu-baseline-unoptimized
             (0x412175c6978d4fe0, 0x0b22b6d706e9817e), // cpu-baseline
             (0x41071d09e0b862c8, 0x548a0261ab1bd760), // gpu-baseline
@@ -367,9 +341,8 @@ pub(crate) mod tests {
             (0x40f7215b80000000, 0x179bfb85e86b3600), // nmp-pak
             (0x40f7215b80000000, 0x179bfb85e86b3600), // nmp-ideal-pe
             (0x40f2482d00000000, 0x199fcb441fe0404f), // nmp-ideal-forwarding
-            (0x40daa1a800000000, 0x5a6b8f251304fbb6), // panda-bitwise
         ];
-        const PINNED_SHARDED: [(u64, u64); 8] = [
+        const PINNED_SHARDED: [(u64, u64); 7] = [
             (0x41541f3a79168723, 0x879b8e43e460d074), // cpu-baseline-unoptimized
             (0x412175c6978d4fe0, 0x0b22b6d706e9817e), // cpu-baseline
             (0x41071d09e0b862c8, 0x548a0261ab1bd760), // gpu-baseline
@@ -377,10 +350,9 @@ pub(crate) mod tests {
             (0x4102502000000000, 0xc48312b9acef9e1e), // nmp-pak
             (0x4102502000000000, 0xc48312b9acef9e1e), // nmp-ideal-pe
             (0x40fc9725e0000000, 0x6e2c5e7838a75b00), // nmp-ideal-forwarding
-            (0x40eca96649249248, 0x06d32d65a10884df), // panda-bitwise
         ];
         let (trace, layout) = synthetic();
-        let registry = BackendRegistry::extended(&SystemConfig::default());
+        let registry = BackendRegistry::standard(&SystemConfig::default());
         let results = registry.simulate_all(&trace, &layout, &SimulationContext::new(1 << 30));
         assert_pinned(&results, &PINNED);
 
@@ -413,7 +385,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pinned_results_on_a_traced_assembly() {
-        const PINNED: [(u64, u64); 8] = [
+        const PINNED: [(u64, u64); 7] = [
             (0x418a62c7fa2221f2, 0x3fcc42e6153ea79d), // cpu-baseline-unoptimized
             (0x4155083e760418a5, 0xf1e06b153a1ca17e), // cpu-baseline
             (0x4120a9f7900d2ba0, 0xc8502e9829e8f4cc), // gpu-baseline
@@ -421,7 +393,6 @@ pub(crate) mod tests {
             (0x411874d570000000, 0xe7c4e6e13633b66e), // nmp-pak
             (0x411874d570000000, 0xe7c4e6e13633b66e), // nmp-ideal-pe
             (0x4115237458000000, 0x828805cab8b3bf3f), // nmp-ideal-forwarding
-            (0x411861c980000000, 0x24890dfb18944a2f), // panda-bitwise
         ];
         let assembler = crate::NmpPakAssembler::default();
         let workload = crate::Workload::tiny(3).unwrap();
@@ -435,10 +406,7 @@ pub(crate) mod tests {
         let layout = NodeLayout::new(&trace.initial_sizes, &assembler.system.dram);
         let ctx = crate::NmpPakAssembler::context_for(&assembly);
         let results =
-            BackendRegistry::extended(&assembler.system).simulate_all(trace, &layout, &ctx);
-        // In-DRAM bitwise execution beats the CPU baseline on a real trace too.
-        let by = |id| results.iter().find(|r| r.backend == id).unwrap();
-        assert!(by(BackendId::PANDA).speedup_over(by(BackendId::CPU_BASELINE)) > 1.0);
+            BackendRegistry::standard(&assembler.system).simulate_all(trace, &layout, &ctx);
         assert_pinned(&results, &PINNED);
     }
 

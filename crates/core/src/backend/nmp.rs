@@ -173,8 +173,8 @@ mod tests {
             checked_per_shard: checked,
             flushes: Vec::new(),
         };
+        assert!(telemetry.load_imbalance() > 4.0);
         let ctx = SimulationContext::new(1 << 30).with_sharding(telemetry);
-        assert!(ctx.load_imbalance > 4.0);
         let skewed = backend.simulate(&trace, &layout, &ctx);
         assert!(
             skewed.runtime_ns > uniform.runtime_ns,

@@ -4,17 +4,17 @@
 //! (`count_traffic`, every size through `NodeLayout::access_bytes`) and again
 //! for its model, computing every per-size cost where it is used and every
 //! slot's DIMM and PE by division: no table, no cursor, no fused counting. The
-//! tests below hold every field of every `BackendRegistry::extended` result,
+//! tests below hold every field of every `BackendRegistry::standard` result,
 //! and of every `NmpSystem::simulate` result, to these bit for bit, on traces
 //! the pinned results do not cover.
 
 use super::{
-    BackendId, BackendRegistry, BackendResult, PandaConfig, SimulationContext, SystemConfig,
+    BackendId, BackendRegistry, BackendResult, SimulationContext, SystemConfig,
     UnoptimizedCpuConfig,
 };
 use nmp_pak_memsim::{
-    AddressMapping, CpuConfig, DramConfig, MemoryStats, NodeLayout, ProcessFlow, StallBreakdown,
-    TrafficSummary, SIZE_TABLE_CAP,
+    CpuConfig, DramConfig, MemoryStats, NodeLayout, ProcessFlow, StallBreakdown, TrafficSummary,
+    SIZE_TABLE_CAP,
 };
 use nmp_pak_nmphw::{
     ChannelLoadStats, CommStats, CrossbarSwitch, NetworkBridge, NmpConfig, NmpRunResult, NmpSystem,
@@ -343,87 +343,6 @@ fn nmp(
     }
 }
 
-fn panda(
-    trace: &CompactionTrace,
-    layout: &NodeLayout,
-    dram: &DramConfig,
-    ctx: &SimulationContext,
-) -> BackendResult {
-    let cfg = PandaConfig::default();
-    let row_bytes = dram.row_buffer_bytes.max(1) as u64;
-    let lanes = (dram.channels
-        * dram.ranks_per_channel
-        * dram.banks_per_rank
-        * cfg.compute_subarrays_per_bank)
-        .max(1) as u64;
-    let line = dram.line_bytes.max(1) as u64;
-    let external_gbps = dram.total_peak_bandwidth_gbps().max(1e-9);
-    let mapping = AddressMapping::new(*dram, layout.dimm_capacity());
-    let bank_of = |slot: usize| {
-        let loc = mapping.locate(layout.address_of(slot));
-        (loc.rank, loc.bank)
-    };
-    let rows_of = |bytes: usize| (bytes as u64).div_ceil(row_bytes).max(1);
-    let (mut runtime_ns, mut row_reads, mut row_writes) = (0.0f64, 0u64, 0u64);
-    let mut external = TrafficSummary::default();
-    for iteration in &trace.iterations {
-        let mut row_ops = 0u64;
-        for check in &iteration.checks {
-            let rows = rows_of(check.size_bytes as usize);
-            row_ops += rows * cfg.compare_ops_per_row as u64;
-            row_reads += rows;
-        }
-        let mut inter_dimm_bytes = 0u64;
-        for transfer in &iteration.transfers {
-            let (source, dest) = (transfer.source_slot as usize, transfer.dest_slot as usize);
-            let rows = rows_of(transfer.size_bytes as usize);
-            if layout.dimm_of(source) == layout.dimm_of(dest) {
-                let ops = if bank_of(source) == bank_of(dest) {
-                    cfg.copy_ops_per_row
-                } else {
-                    cfg.inter_bank_copy_ops_per_row
-                };
-                row_ops += rows * ops as u64;
-                row_reads += rows;
-                row_writes += rows;
-            } else {
-                let bytes = (transfer.size_bytes as u64).div_ceil(line) * line;
-                inter_dimm_bytes += 2 * bytes;
-                external.reads += 1;
-                external.writes += 1;
-                external.read_bytes += bytes;
-                external.write_bytes += bytes;
-            }
-        }
-        for update in &iteration.updates {
-            let rows = rows_of(update.size_bytes as usize);
-            row_ops += rows * cfg.merge_ops_per_row as u64;
-            row_writes += rows;
-        }
-        let control_lines = dram.channels as u64;
-        external.reads += control_lines;
-        external.writes += control_lines;
-        external.read_bytes += control_lines * line;
-        external.write_bytes += control_lines * line;
-        let row_phase_ns =
-            (row_ops.div_ceil(lanes)) as f64 * cfg.row_op_ns * ctx.load_imbalance.max(1.0);
-        runtime_ns +=
-            row_phase_ns + inter_dimm_bytes as f64 / external_gbps + cfg.iteration_sync_ns;
-    }
-    let peak = lanes as f64 * dram.row_buffer_bytes as f64 / cfg.row_op_ns;
-    BackendResult {
-        memory: MemoryStats {
-            read_lines: row_reads,
-            write_lines: row_writes,
-            read_bytes: row_reads * row_bytes,
-            write_bytes: row_writes * row_bytes,
-            elapsed_ns: runtime_ns,
-            peak_bandwidth_gbps: peak,
-        },
-        ..result(BackendId::PANDA, runtime_ns, external)
-    }
-}
-
 /// The three NMP configurations of `config`, in registry order.
 fn nmp_configs(config: &SystemConfig) -> [(BackendId, NmpConfig); 3] {
     [
@@ -445,8 +364,8 @@ fn nmp_configs(config: &SystemConfig) -> [(BackendId, NmpConfig); 3] {
     ]
 }
 
-/// Every result of `BackendRegistry::extended(config)`, replayed in two passes.
-fn extended(
+/// Every result of `BackendRegistry::standard(config)`, replayed in two passes.
+fn standard(
     trace: &CompactionTrace,
     layout: &NodeLayout,
     config: &SystemConfig,
@@ -498,7 +417,6 @@ fn extended(
             ..result(id, r.runtime_ns, r.traffic)
         });
     }
-    results.push(panda(trace, layout, dram, ctx));
     results
 }
 
@@ -546,7 +464,7 @@ fn nmp_fields(r: &NmpRunResult) -> Vec<u64> {
 
 /// A uniform context, and one measured on 12 shards with shard 0 doing 3×
 /// the work and a third of the mailbox bytes channel-local: the NMP models'
-/// measured-placement path and PANDA's imbalance stretch.
+/// measured-placement path.
 fn contexts() -> Vec<SimulationContext> {
     let flush = |dst, bytes| MailboxFlushStats {
         src: 0,
@@ -576,10 +494,10 @@ fn assert_matches_oracle(
     contexts: &[SimulationContext],
 ) {
     let layout = NodeLayout::new(&trace.initial_sizes, &config.dram);
-    let registry = BackendRegistry::extended(config);
+    let registry = BackendRegistry::standard(config);
     for (c, ctx) in contexts.iter().enumerate() {
         let got = registry.simulate_all(trace, &layout, ctx);
-        let want = extended(trace, &layout, config, ctx);
+        let want = standard(trace, &layout, config, ctx);
         assert_eq!(got.len(), want.len());
         for (got, want) in got.iter().zip(&want) {
             assert_eq!(got.backend, want.backend);

@@ -2,12 +2,13 @@
 //! [`CompactionBackend`] trait objects.
 //!
 //! [`BackendRegistry::standard`] registers the paper's seven configurations in
-//! Fig. 12 plot order, replacing the old `ExecutionBackend::ALL` array; custom
-//! backends are [`BackendRegistry::register`]ed next to them and participate in
-//! every sweep.
+//! Fig. 12 plot order, replacing the old `ExecutionBackend::ALL` array; every
+//! sweep and the benchmark simulate that registry. Another backend is
+//! [`BackendRegistry::register`]ed into a registry its caller builds and
+//! simulates; no sweep picks it up.
 
 use super::{
-    BackendId, BackendResult, CompactionBackend, CpuBackend, GpuBackend, NmpBackend, PandaBackend,
+    BackendId, BackendResult, CompactionBackend, CpuBackend, GpuBackend, NmpBackend,
     SimulationContext, SystemConfig, UnoptimizedCpuConfig,
 };
 use nmp_pak_memsim::NodeLayout;
@@ -44,16 +45,6 @@ impl BackendRegistry {
             .register(Box::new(NmpBackend::pak(config)))
             .register(Box::new(NmpBackend::ideal_pe(config)))
             .register(Box::new(NmpBackend::ideal_forwarding(config)));
-        registry
-    }
-
-    /// The standard registry plus the research configurations that are not part
-    /// of the paper's seven-way sweep — currently the PANDA-style in-DRAM
-    /// bitwise backend ([`PandaBackend`]), appended after the Fig. 12 order so
-    /// the figure drivers are unaffected.
-    pub fn extended(config: &SystemConfig) -> BackendRegistry {
-        let mut registry = BackendRegistry::standard(config);
-        registry.register(Box::new(PandaBackend::new(config)));
         registry
     }
 
@@ -151,18 +142,6 @@ mod tests {
                 BackendId::NMP_IDEAL_FORWARDING,
             ]
         );
-    }
-
-    #[test]
-    fn extended_registry_appends_panda_after_the_standard_seven() {
-        let registry = BackendRegistry::extended(&SystemConfig::default());
-        assert_eq!(registry.len(), 8);
-        assert_eq!(
-            registry.ids()[..7],
-            BackendRegistry::standard(&SystemConfig::default()).ids()
-        );
-        assert_eq!(*registry.ids().last().unwrap(), BackendId::PANDA);
-        assert_eq!(registry.get(BackendId::PANDA).unwrap().label(), "PANDA");
     }
 
     #[test]

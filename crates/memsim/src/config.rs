@@ -1,15 +1,11 @@
 //! DRAM organization parameters (Table 2 of the paper).
 
 /// DRAM organization: the paper's system is DDR4-3200, 8 channels, one DIMM per
-/// channel, 2 ranks per channel, 1 TB total (Table 2).
+/// channel, 1 TB total (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Number of memory channels (each hosting one DIMM in this model).
     pub channels: usize,
-    /// Ranks per channel.
-    pub ranks_per_channel: usize,
-    /// Banks per rank.
-    pub banks_per_rank: usize,
     /// Row-buffer (page) size in bytes. 8 KB in the paper.
     pub row_buffer_bytes: usize,
     /// Cache-line / transfer granularity in bytes.
@@ -24,8 +20,6 @@ impl Default for DramConfig {
     fn default() -> Self {
         DramConfig {
             channels: 8,
-            ranks_per_channel: 2,
-            banks_per_rank: 16,
             row_buffer_bytes: 8 * 1024,
             line_bytes: 64,
             clock_mhz: 1600,
@@ -55,7 +49,6 @@ mod tests {
     fn default_matches_paper_system() {
         let cfg = DramConfig::default();
         assert_eq!(cfg.channels, 8);
-        assert_eq!(cfg.ranks_per_channel, 2);
         assert_eq!(cfg.row_buffer_bytes, 8192);
         assert!((cfg.channel_peak_bandwidth_gbps() - 25.6).abs() < 1e-9);
         assert!((cfg.total_peak_bandwidth_gbps() - 204.8).abs() < 1e-9);

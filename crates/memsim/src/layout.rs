@@ -98,7 +98,7 @@ impl NodeLayout {
         self.dimm_count
     }
 
-    /// Bytes reserved per DIMM region (used to configure the address mapping).
+    /// Bytes reserved per DIMM region.
     pub fn dimm_capacity(&self) -> u64 {
         self.dimm_capacity
     }

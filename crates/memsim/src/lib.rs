@@ -10,7 +10,6 @@
 //! locality is not modelled.
 //!
 //! * [`config`] — DDR4-3200 organization parameters (Table 2),
-//! * [`address`] — address decomposition into channel / rank / bank / row / column,
 //! * [`layout`] — MacroNode-slot → physical-address layout (ascending (k-1)-mer order
 //!   across DIMMs, §4.2),
 //! * [`traffic`] — the per-iteration read/write traffic of a trace under either the
@@ -25,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod address;
 pub mod config;
 pub mod cpu;
 pub mod gpu;
@@ -34,7 +32,6 @@ pub mod stats;
 pub mod table;
 pub mod traffic;
 
-pub use address::AddressMapping;
 pub use config::DramConfig;
 pub use cpu::{CpuConfig, CpuRunResult, NodeCost, StallBreakdown};
 pub use gpu::{GpuConfig, GpuRunResult};

@@ -1,8 +1,8 @@
-//! Property tests for address decomposition and the MacroNode layout,
-//! hand-rolled over a seeded xorshift generator (the harness of
-//! `genome/tests/word_props.rs`; `proptest` is unavailable offline).
+//! Property tests for the MacroNode layout, hand-rolled over a seeded
+//! xorshift generator (the harness of `genome/tests/word_props.rs`;
+//! `proptest` is unavailable offline).
 
-use nmp_pak_memsim::{AddressMapping, DramConfig, NodeLayout};
+use nmp_pak_memsim::{DramConfig, NodeLayout};
 
 /// Deterministic xorshift64* generator.
 struct Rng(u64);
@@ -43,40 +43,6 @@ fn configs() -> [DramConfig; 3] {
             ..paper
         },
     ]
-}
-
-/// Address decomposition stays within the configured geometry, and the
-/// coordinates spell the address back: the channel is DIMM-major, and rank,
-/// bank, row and column recompose the offset inside the DIMM.
-#[test]
-fn address_mapping_is_in_bounds() {
-    let mut rng = Rng::new(0x0ADD_2E55);
-    for config in configs() {
-        let dimm_capacity = 1u64 << 32;
-        let mapping = AddressMapping::new(config, dimm_capacity);
-        let (row_bytes, line) = (config.row_buffer_bytes as u64, config.line_bytes as u64);
-        let (banks, ranks) = (
-            config.banks_per_rank as u64,
-            config.ranks_per_channel as u64,
-        );
-        for _ in 0..4_096 {
-            let addr = rng.range(0, 1 << 40);
-            let loc = mapping.locate(addr);
-            assert!(loc.channel < config.channels, "{addr:#x}: {loc:?}");
-            assert!(loc.rank < config.ranks_per_channel, "{addr:#x}: {loc:?}");
-            assert!(loc.bank < config.banks_per_rank, "{addr:#x}: {loc:?}");
-            assert!(loc.column < row_bytes / line, "{addr:#x}: {loc:?}");
-            assert_eq!(loc, mapping.locate(addr), "{addr:#x}: stable");
-
-            assert_eq!(
-                loc.channel as u64,
-                (addr / dimm_capacity) % config.channels as u64
-            );
-            let page = (loc.row * ranks + loc.rank as u64) * banks + loc.bank as u64;
-            let within_dimm = page * row_bytes + loc.column * line + addr % line;
-            assert_eq!(within_dimm, addr % dimm_capacity, "{addr:#x}: {loc:?}");
-        }
-    }
 }
 
 /// The MacroNode layout never overlaps allocations within a DIMM, keeps every

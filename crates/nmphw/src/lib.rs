@@ -37,6 +37,6 @@ pub use bridge::NetworkBridge;
 pub use config::{NmpConfig, PeVariant};
 pub use crossbar::CrossbarSwitch;
 pub use mapping::ShardChannelMap;
-pub use network::{MultinodeProjection, NetworkModel, Topology};
+pub use network::{MultinodeProjection, NetworkModel};
 pub use pe::{PeCycleModel, StageCycles};
 pub use system::{ChannelLoadStats, CommStats, NmpRunResult, NmpSystem};

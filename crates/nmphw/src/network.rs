@@ -8,37 +8,24 @@
 //! rank-over-node placement in distributed PaKman) splits that traffic into
 //! intra-node bytes (already paid for by the bridge) and cross-node bytes that
 //! must ride an inter-node link. [`NetworkModel`] charges each cross-node flush
-//! a topology-dependent hop latency plus byte serialization, and
-//! [`NetworkModel::project_multinode`] combines the per-node compute share with
-//! the per-node network time into a projected multi-node runtime — answering
-//! the paper's scalability question (§6.3 reports ~87.5 % of transfers crossing
-//! an 8-way partition, which is why multi-node scaling is communication-bound)
-//! without running more than one host.
+//! one link latency plus byte serialization (a full mesh: every node pair has
+//! a direct link), and [`NetworkModel::project_multinode`] combines the
+//! per-node compute share with the per-node network time into a projected
+//! multi-node runtime — answering the paper's scalability question (§6.3
+//! reports ~87.5 % of transfers crossing an 8-way partition, which is why
+//! multi-node scaling is communication-bound) without running more than one
+//! host.
 
 use crate::mapping::ShardChannelMap;
 use nmp_pak_pakman::ShardingTelemetry;
 
-/// Inter-node wiring of the simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Topology {
-    /// Every node pair has a direct link (one hop).
-    #[default]
-    FullMesh,
-    /// Nodes form a ring; a flush traverses the shorter arc.
-    Ring,
-    /// Node 0 is the hub; spoke-to-spoke flushes relay through it (two hops).
-    Star,
-}
-
-/// Cost model for one inter-node link.
+/// Cost model for the direct link between two nodes of a full mesh.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
-    /// One-hop wire + switch latency in nanoseconds.
+    /// Wire + switch latency of one link in nanoseconds.
     pub latency_ns: f64,
     /// Link bandwidth in GB/s (1 GB/s streams 1 byte per nanosecond).
     pub bandwidth_gbps: f64,
-    /// How the nodes are wired.
-    pub topology: Topology,
 }
 
 impl Default for NetworkModel {
@@ -49,7 +36,6 @@ impl Default for NetworkModel {
         NetworkModel {
             latency_ns: 1_500.0,
             bandwidth_gbps: 12.5,
-            topology: Topology::FullMesh,
         }
     }
 }
@@ -66,36 +52,10 @@ impl NetworkModel {
         Ok(())
     }
 
-    /// Link hops a flush from `src` to `dst` traverses in a `nodes`-node
-    /// cluster (0 when both land on the same node).
-    pub fn hops(&self, src: usize, dst: usize, nodes: usize) -> u64 {
-        if src == dst || nodes <= 1 {
-            return 0;
-        }
-        match self.topology {
-            Topology::FullMesh => 1,
-            Topology::Ring => {
-                let d = src.abs_diff(dst);
-                d.min(nodes - d) as u64
-            }
-            Topology::Star => {
-                if src == 0 || dst == 0 {
-                    1
-                } else {
-                    2
-                }
-            }
-        }
-    }
-
-    /// Time for one flush of `bytes` from node `src` to node `dst`: hop
-    /// latency plus byte serialization. Zero for node-local flushes.
-    pub fn flush_ns(&self, src: usize, dst: usize, bytes: u64, nodes: usize) -> f64 {
-        let hops = self.hops(src, dst, nodes);
-        if hops == 0 {
-            return 0.0;
-        }
-        hops as f64 * self.latency_ns + bytes as f64 / self.bandwidth_gbps
+    /// Time for one cross-node flush of `bytes`: link latency plus byte
+    /// serialization.
+    pub fn flush_ns(&self, bytes: u64) -> f64 {
+        self.latency_ns + bytes as f64 / self.bandwidth_gbps
     }
 
     /// Projects a measured one-host run onto a `nodes`-node cluster.
@@ -139,7 +99,7 @@ impl NetworkModel {
             } else {
                 cross_node_bytes += bytes;
                 cross_node_flushes += 1;
-                network_ns[src_node] += self.flush_ns(src_node, dst_node, bytes, nodes);
+                network_ns[src_node] += self.flush_ns(bytes);
             }
         }
 
@@ -173,7 +133,7 @@ pub struct MultinodeProjection {
     pub cross_node_bytes: u64,
     /// Mailbox bytes that stayed on one node (already paid by the bridge).
     pub intra_node_bytes: u64,
-    /// Number of cross-node flushes (each pays the hop latency).
+    /// Number of cross-node flushes (each pays the link latency).
     pub cross_node_flushes: u64,
     /// Largest per-node network send time.
     pub max_node_network_ns: f64,
@@ -229,29 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn hop_counts_match_each_topology() {
-        let mesh = NetworkModel::default();
-        assert_eq!(mesh.hops(0, 3, 8), 1);
-        assert_eq!(mesh.hops(3, 3, 8), 0);
-
-        let ring = NetworkModel {
-            topology: Topology::Ring,
-            ..NetworkModel::default()
-        };
-        assert_eq!(ring.hops(0, 1, 8), 1);
-        assert_eq!(ring.hops(0, 4, 8), 4);
-        assert_eq!(ring.hops(0, 7, 8), 1, "shorter arc wraps");
-
-        let star = NetworkModel {
-            topology: Topology::Star,
-            ..NetworkModel::default()
-        };
-        assert_eq!(star.hops(0, 5, 8), 1);
-        assert_eq!(star.hops(5, 0, 8), 1);
-        assert_eq!(star.hops(3, 5, 8), 2, "spoke to spoke relays via the hub");
-    }
-
-    #[test]
     fn projection_conserves_bytes_and_splits_by_node() {
         let t = telemetry(8, 1_000);
         let model = NetworkModel::default();
@@ -274,7 +211,6 @@ mod tests {
         let cheap = NetworkModel {
             latency_ns: 100.0,
             bandwidth_gbps: 100.0,
-            topology: Topology::FullMesh,
         };
         let p = cheap.project_multinode(&t, 8, base);
         assert!(p.speedup() > 4.0, "speedup = {}", p.speedup());
@@ -282,7 +218,6 @@ mod tests {
         let expensive = NetworkModel {
             latency_ns: 1_000_000.0,
             bandwidth_gbps: 0.001,
-            topology: Topology::FullMesh,
         };
         let p = expensive.project_multinode(&t, 8, base);
         assert!(p.speedup() < 1.0, "speedup = {}", p.speedup());

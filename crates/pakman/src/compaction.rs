@@ -198,10 +198,9 @@ pub struct IterationProfile {
     /// update events. Every transfer was applied in the streamed pass.
     pub p3: Duration,
     /// Invalidation predicates actually evaluated this iteration: every alive
-    /// node on iteration 0, the frontier after it.
+    /// node on iteration 0, the frontier after it (a full scan evaluates
+    /// [`IterationStats::alive_before`]).
     pub checked_nodes: usize,
-    /// Alive nodes at the start of the iteration — what a full scan evaluates.
-    pub alive_nodes: usize,
 }
 
 /// Per-iteration profile of a whole compaction run (read by the repository
@@ -772,7 +771,6 @@ pub(crate) fn run_barriered<S: NodeStore>(
             p2,
             p3: p3_start.elapsed(),
             checked_nodes: scratch.recheck.len(),
-            alive_nodes: alive_before,
         });
 
         stats.total_transfers += transfers;
@@ -1445,9 +1443,9 @@ mod tests {
             // Iteration 0 is the full scan; the frontier never evaluates more
             // predicates than one.
             let checks = frontier.profile.iterations.iter();
-            for (it, step) in checks.zip(&chain) {
-                assert_eq!(it.alive_nodes, step.profile.iterations[0].checked_nodes);
-                assert!(it.checked_nodes <= it.alive_nodes);
+            for ((it, stats), step) in checks.zip(&frontier.stats.iterations).zip(&chain) {
+                assert_eq!(stats.alive_before, step.profile.iterations[0].checked_nodes);
+                assert!(it.checked_nodes <= stats.alive_before);
             }
             assert_eq!(
                 frontier.profile.iterations[0].checked_nodes,
@@ -1607,14 +1605,17 @@ mod tests {
             outcome.stats.iteration_count()
         );
         // Iteration 0 is always a full scan.
-        let first = &outcome.profile.iterations[0];
-        assert_eq!(first.checked_nodes, first.alive_nodes);
-        assert_eq!(first.alive_nodes, outcome.stats.initial_nodes);
+        let first = &outcome.stats.iterations[0];
+        assert_eq!(
+            outcome.profile.iterations[0].checked_nodes,
+            first.alive_before
+        );
+        assert_eq!(first.alive_before, outcome.stats.initial_nodes);
         let alive: usize = outcome
-            .profile
+            .stats
             .iterations
             .iter()
-            .map(|it| it.alive_nodes)
+            .map(|it| it.alive_before)
             .sum();
         assert!(outcome.profile.total_checked() <= alive);
     }

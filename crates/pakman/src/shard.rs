@@ -146,8 +146,8 @@ pub struct MailboxFlushStats {
 }
 
 /// Measured per-shard load and inter-shard traffic of one sharded run — the
-/// telemetry the `nmphw` channel model and the PANDA cost model consume instead
-/// of assuming uniform work and uniform traffic.
+/// telemetry the `nmphw` channel model and its multi-node projection consume
+/// instead of assuming uniform work and uniform traffic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardingTelemetry {
     /// Number of shards the run executed with.

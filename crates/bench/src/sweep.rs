@@ -56,7 +56,8 @@ fn config() -> PakmanConfig {
 
 /// The CI speedup floors on a 12 kbp, 15× genome: every cell must assemble,
 /// the `threads = 4` one-shot run must keep its speedups over the vendored
-/// pre-refactor engines, and the depth-2 pipelined schedule's critical path
+/// pre-refactor engines (probed at `min(4, cores)` threads, the cell keeping
+/// its name), and the depth-2 pipelined schedule's critical path
 /// must not be longer than the sequential one. There is no single-thread
 /// pipelined cell: pipelining overlaps batch fronts with backs on other
 /// threads, so at one thread it gains nothing.
@@ -83,7 +84,13 @@ pub fn smoke() -> Checks {
     .assemble(reads)?;
     n50.push(("threads=4 pipelined".to_string(), batched.stats.n50));
 
-    let (counting, compaction) = speedups(reads, &config())?;
+    let (counting, compaction) = speedups(
+        reads,
+        &PakmanConfig {
+            threads: probe_threads(),
+            ..config()
+        },
+    )?;
     let sequential =
         BatchAssembler::with_schedule(config(), 0.5, BatchSchedule::Sequential).assemble(reads)?;
     let sequential_cp: f64 = sequential
@@ -261,10 +268,17 @@ fn median_of_pairs(pairs: usize, mut pair: impl FnMut() -> f64) -> f64 {
     ratios[ratios.len() / 2]
 }
 
+/// Threads of the speedup probe: the cell's 4, or the host's core count when
+/// it has fewer. More threads than cores leaves each side of a pair to the
+/// scheduler's noise on its own.
+fn probe_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |cores| cores.get().min(4))
+}
+
 /// Counting plus construction, and compaction, each timed against its
 /// vendored pre-refactor engine on the same reads: `baseline / current` for
 /// both, the median over [`SPEEDUP_PAIRS`] back-to-back (baseline, current)
-/// pairs.
+/// pairs, at [`probe_threads`] threads.
 fn speedups(reads: &[SequencingRead], config: &PakmanConfig) -> Result<(f64, f64), PakmanError> {
     let (counted, _) = count_kmers(reads, KmerCounterConfig::from(config))?;
     let counting = median_of_pairs(SPEEDUP_PAIRS, || {

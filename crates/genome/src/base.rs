@@ -4,6 +4,7 @@
 //! invalidation-check example (Fig. 4: "A=0, C=1, T=2, G=3"), so lexicographic
 //! comparisons of packed k-mers match the paper's MacroNode invalidation rule.
 
+use crate::dna::code_of_ascii;
 use crate::error::GenomeError;
 use std::fmt;
 
@@ -65,19 +66,17 @@ impl Base {
     ///
     /// # Errors
     ///
-    /// Returns [`GenomeError::InvalidBase`] for any character other than
-    /// `A`, `C`, `G`, `T` (in either case).
+    /// Returns [`GenomeError::InvalidBase`], naming `c` as written, for any
+    /// character other than `A`, `C`, `G`, `T` (in either case).
     pub fn from_char(c: char) -> Result<Base, GenomeError> {
-        match c.to_ascii_uppercase() {
-            'A' => Ok(Base::A),
-            'C' => Ok(Base::C),
-            'T' => Ok(Base::T),
-            'G' => Ok(Base::G),
-            other => Err(GenomeError::InvalidBase {
-                character: other,
+        u8::try_from(c)
+            .ok()
+            .and_then(code_of_ascii)
+            .map(Base::from_code)
+            .ok_or(GenomeError::InvalidBase {
+                character: c,
                 position: None,
-            }),
-        }
+            })
     }
 
     /// Returns the uppercase ASCII character for this base.
@@ -170,6 +169,20 @@ mod tests {
         assert!(Base::from_char('N').is_err());
         assert!(Base::from_char('x').is_err());
         assert!(Base::from_char('-').is_err());
+    }
+
+    #[test]
+    fn invalid_char_is_reported_as_written() {
+        for c in ['x', 'n', 'N', '-', 'é', 'Ā', '\u{1F9EC}'] {
+            assert_eq!(
+                Base::from_char(c),
+                Err(GenomeError::InvalidBase {
+                    character: c,
+                    position: None,
+                }),
+                "{c:?}"
+            );
+        }
     }
 
     #[test]

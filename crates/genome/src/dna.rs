@@ -1,4 +1,5 @@
-//! Growable, 2-bit-packed DNA sequences.
+//! Growable, 2-bit-packed DNA sequences, and the text codec between them and
+//! ASCII.
 
 use crate::base::Base;
 use crate::error::GenomeError;
@@ -35,6 +36,64 @@ enum Repr {
 
 /// Bases moved per step of the word-at-a-time primitives: one `u64`.
 const WORD_BASES: usize = 32;
+
+/// Marks a byte that spells no base in [`ASCII_TO_CODE`].
+const NOT_A_BASE: u8 = 0x80;
+
+/// The text codec's input half: ASCII byte → 2-bit code (`A`/`a` = 0, `C`/`c` =
+/// 1, `T`/`t` = 2, `G`/`g` = 3, the order of [`Base`]); every other byte maps
+/// to [`NOT_A_BASE`].
+static ASCII_TO_CODE: [u8; 256] = {
+    let mut table = [NOT_A_BASE; 256];
+    let mut code = 0;
+    while code < 4 {
+        let letter = CODE_TO_ASCII[code];
+        table[letter as usize] = code as u8;
+        table[letter.to_ascii_lowercase() as usize] = code as u8;
+        code += 1;
+    }
+    table
+};
+
+/// Uppercase letter of each 2-bit code.
+const CODE_TO_ASCII: [u8; 4] = *b"ACTG";
+
+/// The text codec's output half: packed byte → its four bases as uppercase
+/// ASCII, first base (bits 0–1) first.
+static PACKED_TO_ASCII: [[u8; 4]; 256] = {
+    let mut table = [[0; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut i = 0;
+        while i < 4 {
+            table[byte][i] = CODE_TO_ASCII[(byte >> (2 * i)) & 0b11];
+            i += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// The 2-bit code of the ASCII byte `byte` (either case), or `None` if it
+/// spells no base.
+#[inline]
+pub(crate) fn code_of_ascii(byte: u8) -> Option<u8> {
+    let code = ASCII_TO_CODE[byte as usize];
+    (code != NOT_A_BASE).then_some(code)
+}
+
+/// Packs 32 ASCII bases into a little-endian word (base `i` at bits `2i`),
+/// or returns `None` if a byte spells no base.
+#[inline]
+fn pack_ascii_word(bytes: &[u8; WORD_BASES]) -> Option<u64> {
+    let (mut word, mut flags) = (0u64, 0u8);
+    for (i, &byte) in bytes.iter().enumerate() {
+        let code = ASCII_TO_CODE[byte as usize];
+        flags |= code;
+        word |= u64::from(code & 0b11) << (2 * i);
+    }
+    (flags & NOT_A_BASE == 0).then_some(word)
+}
 
 /// Reverses the order of the 32 two-bit groups of `word`: byte order via
 /// `swap_bytes`, then the four groups inside every byte with two mask-shifts.
@@ -158,18 +217,49 @@ impl DnaString {
     ///
     /// # Errors
     ///
-    /// Returns [`GenomeError::InvalidBase`] with the offending position for any other
-    /// character.
+    /// Returns [`GenomeError::InvalidBase`] with the offending character, as
+    /// written, and its byte offset for any other character.
     pub fn from_ascii(text: &str) -> Result<Self, GenomeError> {
         let mut s = DnaString::with_capacity(text.len());
-        for (idx, c) in text.chars().enumerate() {
-            let base = Base::from_char(c).map_err(|_| GenomeError::InvalidBase {
-                character: c,
-                position: Some(idx),
-            })?;
-            s.push(base);
-        }
+        s.extend_from_ascii(text)?;
         Ok(s)
+    }
+
+    /// Appends the bases spelled by `text` (`ACGT`, either case), packing 32
+    /// bytes into a word per step.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GenomeError::InvalidBase`] with the offending character and
+    /// its byte offset in `text`; the bases before it may have been appended.
+    pub(crate) fn extend_from_ascii(&mut self, text: &str) -> Result<(), GenomeError> {
+        // The first byte at or after `from` that spells no base.
+        let invalid = |from: usize| {
+            let offset = text.as_bytes()[from..]
+                .iter()
+                .position(|&b| code_of_ascii(b).is_none());
+            let position = from + offset.expect("a byte was flagged");
+            GenomeError::InvalidBase {
+                character: text[position..].chars().next().expect("a byte was read"),
+                position: Some(position),
+            }
+        };
+        let mut words = text.as_bytes().chunks_exact(WORD_BASES);
+        for (i, word) in (&mut words).enumerate() {
+            let word = word.try_into().expect("a whole word");
+            let packed = pack_ascii_word(word).ok_or_else(|| invalid(i * WORD_BASES))?;
+            self.append_word(packed, WORD_BASES);
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // `A` packs to 0, so the padding keeps the bits above the tail zero.
+            let mut padded = [b'A'; WORD_BASES];
+            padded[..tail.len()].copy_from_slice(tail);
+            let packed =
+                pack_ascii_word(&padded).ok_or_else(|| invalid(text.len() - tail.len()))?;
+            self.append_word(packed, tail.len());
+        }
+        Ok(())
     }
 
     /// Number of bases in the sequence.
@@ -212,6 +302,26 @@ impl DnaString {
             }
         }
         self.len += 1;
+    }
+
+    /// Overwrites the base at `index` with the 2-bit `code` (only the low two
+    /// bits are used).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub(crate) fn set_code(&mut self, index: usize, code: u8) {
+        assert!(
+            index < self.len,
+            "base index {index} out of range (len {})",
+            self.len
+        );
+        let byte = match &mut self.repr {
+            Repr::Inline(buf) => &mut buf[index / 4],
+            Repr::Heap(v) => &mut v[index / 4],
+        };
+        let shift = (index % 4) * 2;
+        *byte = (*byte & !(0b11 << shift)) | ((code & 0b11) << shift);
     }
 
     /// Appends every base of `other`, at any alignment, 32 bases per step: a
@@ -405,10 +515,33 @@ impl DnaString {
     }
 
     /// Returns the reverse complement of the sequence.
+    #[inline]
     pub fn reverse_complement(&self) -> DnaString {
-        let mut out = DnaString::with_capacity(self.len);
-        for i in (0..self.len).rev() {
-            out.push(self.base(i).complement());
+        self.reverse_complement_of_slice(0, self.len)
+    }
+
+    /// The reverse complement of `self.slice(start, len)`, without the slice:
+    /// 32 bases per step, each word read from the end, reversed with
+    /// [`reverse_base_order`] and complemented with one XOR (`A=0 ↔ T=2`,
+    /// `C=1 ↔ G=3` differ in the high bit of the code only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range extends past the end of the sequence.
+    pub(crate) fn reverse_complement_of_slice(&self, start: usize, len: usize) -> DnaString {
+        assert!(
+            start + len <= self.len,
+            "slice [{start}, {}) out of range (len {})",
+            start + len,
+            self.len
+        );
+        let mut out = DnaString::with_capacity(len);
+        let mut end = start + len;
+        while end > start {
+            let n = (end - start).min(WORD_BASES);
+            end -= n;
+            let reversed = reverse_base_order(self.window(end, n)) >> (2 * (WORD_BASES - n));
+            out.append_word(reversed ^ (0xAAAA_AAAA_AAAA_AAAA & mask_for(n)), n);
         }
         out
     }
@@ -433,16 +566,31 @@ impl DnaString {
 
     /// Converts the sequence to an ASCII `String` of `ACGT` characters.
     pub fn to_ascii(&self) -> String {
-        self.iter().map(Base::to_char).collect()
+        let mut text = Vec::with_capacity(self.len);
+        self.write_ascii(&mut text);
+        String::from_utf8(text).expect("the codec writes ASCII")
+    }
+
+    /// Appends the sequence to `out` as uppercase ASCII, four bases per
+    /// packed byte.
+    pub(crate) fn write_ascii(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.len, 0);
+        let mut quads = out[start..].chunks_exact_mut(4);
+        let bytes = self.used_bytes();
+        for (quad, &byte) in (&mut quads).zip(bytes) {
+            quad.copy_from_slice(&PACKED_TO_ASCII[byte as usize]);
+        }
+        let tail = quads.into_remainder();
+        if let Some(&last) = bytes.get(self.len / 4) {
+            tail.copy_from_slice(&PACKED_TO_ASCII[last as usize][..tail.len()]);
+        }
     }
 }
 
 impl fmt::Display for DnaString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in self.iter() {
-            write!(f, "{}", b.to_char())?;
-        }
-        Ok(())
+        f.write_str(&self.to_ascii())
     }
 }
 
@@ -467,18 +615,24 @@ impl std::str::FromStr for DnaString {
 impl FromIterator<Base> for DnaString {
     fn from_iter<T: IntoIterator<Item = Base>>(iter: T) -> Self {
         let mut s = DnaString::new();
-        for b in iter {
-            s.push(b);
-        }
+        s.extend(iter);
         s
     }
 }
 
 impl Extend<Base> for DnaString {
+    /// Gathers 32 bases into a word per append.
     fn extend<T: IntoIterator<Item = Base>>(&mut self, iter: T) {
+        let (mut word, mut n) = (0u64, 0usize);
         for b in iter {
-            self.push(b);
+            word |= u64::from(b.code()) << (2 * n);
+            n += 1;
+            if n == WORD_BASES {
+                self.append_word(word, n);
+                (word, n) = (0, 0);
+            }
         }
+        self.append_word(word, n);
     }
 }
 
@@ -708,6 +862,43 @@ mod tests {
             expected.push_str("ACG");
         }
         assert_eq!(grown.to_string(), expected);
+    }
+
+    #[test]
+    fn reverse_complement_of_slice_equals_the_slice_reverse_complemented() {
+        let text: String = (0..150)
+            .map(|i| ['A', 'C', 'G', 'T', 'T', 'A', 'G'][i % 7])
+            .collect();
+        let s = DnaString::from_ascii(&text).unwrap();
+        for start in 0..=s.len() {
+            for len in 0..=s.len() - start {
+                assert_eq!(
+                    s.reverse_complement_of_slice(start, len),
+                    s.slice(start, len).reverse_complement(),
+                    "({start}, {len})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn set_code_overwrites_one_base_inline_and_on_the_heap() {
+        for len in [1, 5, 64, 65, 130] {
+            let original = DnaString::from_ascii(&"ACGT".repeat(40)[..len]).unwrap();
+            for index in 0..len {
+                let mut s = original.clone();
+                let code = original.base(index).complement().code();
+                s.set_code(index, code | 0b1100);
+                for i in 0..len {
+                    let want = if i == index {
+                        Base::from_code(code)
+                    } else {
+                        original.base(i)
+                    };
+                    assert_eq!(s.base(i), want, "len {len}, index {index}, base {i}");
+                }
+            }
+        }
     }
 
     #[test]

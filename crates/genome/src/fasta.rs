@@ -8,7 +8,10 @@
 //! [`read_fastq`] collect the same record streams for the examples and tests.
 //!
 //! Both readers accept CRLF line endings, blank lines between records, and
-//! (for FASTA) sequences wrapped across any number of lines.
+//! (for FASTA) sequences wrapped across any number of lines. Text moves
+//! through the packed codec of [`crate::dna`] (32 bytes to a word on the way
+//! in, four bases per packed byte on the way out): the readers read each line
+//! into one reused byte buffer, and the writers build their records in one.
 
 use crate::dna::DnaString;
 use crate::error::GenomeError;
@@ -38,14 +41,31 @@ pub fn write_fasta_record<W: Write>(
     sequence: &DnaString,
     width: usize,
 ) -> Result<(), GenomeError> {
-    let width = width.max(1);
-    writeln!(writer, ">{name}")?;
-    let text = sequence.to_ascii();
-    for chunk in text.as_bytes().chunks(width) {
-        writer.write_all(chunk)?;
-        writer.write_all(b"\n")?;
-    }
+    let mut record = Vec::new();
+    append_fasta_record(&mut record, name, sequence, width);
+    writer.write_all(&record)?;
     Ok(())
+}
+
+/// Appends one FASTA record to `out`: the header, then the sequence decoded
+/// in one pass and spread into `width`-character lines in place, last line
+/// first.
+fn append_fasta_record(out: &mut Vec<u8>, name: &str, sequence: &DnaString, width: usize) {
+    let width = width.max(1);
+    out.push(b'>');
+    out.extend_from_slice(name.as_bytes());
+    out.push(b'\n');
+    let text = out.len();
+    sequence.write_ascii(out);
+    let lines = sequence.len().div_ceil(width);
+    out.resize(out.len() + lines, b'\n');
+    for line in (0..lines).rev() {
+        let from = text + line * width;
+        let to = from + line;
+        let n = width.min(sequence.len() - line * width);
+        out.copy_within(from..from + n, to);
+        out[to + n] = b'\n';
+    }
 }
 
 /// Writes FASTA records to `writer`, wrapping sequence lines at `width` characters.
@@ -58,8 +78,11 @@ pub fn write_fasta<W: Write>(
     records: &[FastaRecord],
     width: usize,
 ) -> Result<(), GenomeError> {
-    for record in records {
-        write_fasta_record(&mut writer, &record.name, &record.sequence, width)?;
+    let mut record = Vec::new();
+    for r in records {
+        record.clear();
+        append_fasta_record(&mut record, &r.name, &r.sequence, width);
+        writer.write_all(&record)?;
     }
     Ok(())
 }
@@ -79,30 +102,41 @@ pub fn read_fasta<R: BufRead>(reader: R) -> Result<Vec<FastaRecord>, GenomeError
     Ok(records)
 }
 
+/// Highest Phred score FASTQ spells (`'~'` in Phred+33).
+const MAX_PHRED: u8 = 93;
+
+/// Bytes [`write_fastq`] gathers before handing them to the writer.
+const FASTQ_WRITE_BYTES: usize = 1 << 16;
+
 /// Writes reads in FASTQ format (4 lines per read; Phred+33 qualities).
 ///
 /// Reads without quality scores are written with a constant quality of 'I' (Q40).
+/// Records are built in one reused buffer, handed to `writer` 64 KiB at a
+/// time.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying writer.
 pub fn write_fastq<W: Write>(mut writer: W, reads: &[SequencingRead]) -> Result<(), GenomeError> {
+    let mut out = Vec::with_capacity(FASTQ_WRITE_BYTES);
     for read in reads {
-        writeln!(writer, "@{}", read.id())?;
-        writeln!(writer, "{}", read.sequence())?;
-        writeln!(writer, "+")?;
+        out.push(b'@');
+        out.extend_from_slice(read.id().as_bytes());
+        out.push(b'\n');
+        read.sequence().write_ascii(&mut out);
+        out.extend_from_slice(b"\n+\n");
         if read.qualities().is_empty() {
-            let quals: String = std::iter::repeat_n('I', read.len()).collect();
-            writeln!(writer, "{quals}")?;
+            out.resize(out.len() + read.len(), b'I');
         } else {
-            let quals: String = read
-                .qualities()
-                .iter()
-                .map(|q| (q.min(&93) + 33) as char)
-                .collect();
-            writeln!(writer, "{quals}")?;
+            out.extend(read.qualities().iter().map(|&q| q.min(MAX_PHRED) + 33));
+        }
+        out.push(b'\n');
+        if out.len() >= FASTQ_WRITE_BYTES {
+            writer.write_all(&out)?;
+            out.clear();
         }
     }
+    writer.write_all(&out)?;
     Ok(())
 }
 
@@ -120,20 +154,54 @@ pub fn read_fastq<R: BufRead>(reader: R) -> Result<Vec<SequencingRead>, GenomeEr
     Ok(reads)
 }
 
-/// Reads one line (without the trailing `\n` / `\r\n`), returning `None` at EOF.
-fn read_line<R: BufRead>(
-    reader: &mut R,
-    lineno: &mut usize,
-) -> Result<Option<String>, GenomeError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
+/// Lines of a [`BufRead`], each read into one reused byte buffer.
+#[derive(Debug)]
+struct LineReader<R: BufRead> {
+    reader: R,
+    /// 1-based number of the line in `buf`.
+    lineno: usize,
+    /// The last line read, with its line ending.
+    buf: Vec<u8>,
+    /// Bytes of `buf` before the line ending.
+    len: usize,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(reader: R) -> Self {
+        LineReader {
+            reader,
+            lineno: 0,
+            buf: Vec::new(),
+            len: 0,
+        }
     }
-    *lineno += 1;
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
+
+    /// Reads the next line and returns its number and text without the
+    /// trailing `\n` / `\r\n`, or `None` at EOF.
+    ///
+    /// # Errors
+    ///
+    /// A line that is not UTF-8 fails as [`BufRead::read_line`] fails on it,
+    /// with [`GenomeError::Io`] and its message.
+    fn next(&mut self) -> Result<Option<(usize, &str)>, GenomeError> {
+        self.buf.clear();
+        if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
+            return Ok(None);
+        }
+        let text = std::str::from_utf8(&self.buf).map_err(|_| GenomeError::Io {
+            message: "stream did not contain valid UTF-8".to_string(),
+        })?;
+        self.lineno += 1;
+        let line = text.trim_end_matches(['\n', '\r']);
+        self.len = line.len();
+        Ok(Some((self.lineno, line)))
     }
-    Ok(Some(line))
+
+    /// The line [`LineReader::next`] returned last, again.
+    fn current(&self) -> (usize, &str) {
+        let line = std::str::from_utf8(&self.buf[..self.len]).expect("checked when read");
+        (self.lineno, line)
+    }
 }
 
 /// Incremental FASTA parser: yields one [`FastaRecord`] per call without reading
@@ -143,36 +211,20 @@ fn read_line<R: BufRead>(
 /// endings are accepted anywhere.
 #[derive(Debug)]
 pub struct FastaReader<R: BufRead> {
-    reader: R,
-    lineno: usize,
-    /// One line of lookahead (with its 1-based line number): a record ends at
-    /// the next `>` header, which must not be consumed.
-    peeked: Option<(usize, String)>,
+    lines: LineReader<R>,
+    /// The current line is the next record's header, read by the call that
+    /// ended at it: a record ends at the next `>` header, which must not be
+    /// consumed.
+    at_header: bool,
 }
 
 impl<R: BufRead> FastaReader<R> {
     /// Wraps a buffered reader positioned at the start of FASTA text.
     pub fn new(reader: R) -> Self {
         FastaReader {
-            reader,
-            lineno: 0,
-            peeked: None,
+            lines: LineReader::new(reader),
+            at_header: false,
         }
-    }
-
-    fn take_line(&mut self) -> Result<Option<(usize, String)>, GenomeError> {
-        if let Some(peeked) = self.peeked.take() {
-            return Ok(Some(peeked));
-        }
-        Ok(read_line(&mut self.reader, &mut self.lineno)?.map(|line| (self.lineno, line)))
-    }
-
-    fn peek_line(&mut self) -> Result<Option<&(usize, String)>, GenomeError> {
-        if self.peeked.is_none() {
-            self.peeked =
-                read_line(&mut self.reader, &mut self.lineno)?.map(|line| (self.lineno, line));
-        }
-        Ok(self.peeked.as_ref())
     }
 
     /// Parses the next record, or `Ok(None)` at end of input.
@@ -186,8 +238,13 @@ impl<R: BufRead> FastaReader<R> {
     /// header or invalid bases, and propagates I/O errors.
     pub fn next_record(&mut self) -> Result<Option<FastaRecord>, GenomeError> {
         let name = loop {
-            let Some((lineno, line)) = self.take_line()? else {
-                return Ok(None);
+            let (lineno, line) = if std::mem::take(&mut self.at_header) {
+                self.lines.current()
+            } else {
+                match self.lines.next()? {
+                    Some(line) => line,
+                    None => return Ok(None),
+                }
             };
             let line = line.trim();
             if line.is_empty() {
@@ -205,22 +262,18 @@ impl<R: BufRead> FastaReader<R> {
         };
 
         let mut sequence = DnaString::new();
-        loop {
-            match self.peek_line()? {
-                None => break,
-                Some((_, line)) if line.trim_start().starts_with('>') => break,
-                Some(_) => {}
-            }
-            let (lineno, line) = self.take_line()?.expect("line was just peeked");
+        while let Some((lineno, line)) = self.lines.next()? {
             let line = line.trim();
-            if line.is_empty() {
-                continue;
+            if line.starts_with('>') {
+                self.at_header = true;
+                break;
             }
-            let parsed = DnaString::from_ascii(line).map_err(|e| GenomeError::ParseError {
-                line: lineno,
-                message: e.to_string(),
-            })?;
-            sequence.extend_from(&parsed);
+            sequence
+                .extend_from_ascii(line)
+                .map_err(|e| GenomeError::ParseError {
+                    line: lineno,
+                    message: e.to_string(),
+                })?;
         }
         Ok(Some(FastaRecord { name, sequence }))
     }
@@ -231,26 +284,24 @@ impl<R: BufRead> FastaReader<R> {
 ///
 /// Records are the standard four lines (`@id`, sequence, `+`, qualities); blank
 /// lines between records and CRLF endings are accepted. Quality scores are
-/// decoded from Phred+33 and kept on the read.
+/// decoded from Phred+33 (`'!'..='~'`, Q0–Q93) and kept on the read.
 #[derive(Debug)]
 pub struct FastqReader<R: BufRead> {
-    reader: R,
-    lineno: usize,
+    lines: LineReader<R>,
 }
 
 impl<R: BufRead> FastqReader<R> {
     /// Wraps a buffered reader positioned at the start of FASTQ text.
     pub fn new(reader: R) -> Self {
-        FastqReader { reader, lineno: 0 }
+        FastqReader {
+            lines: LineReader::new(reader),
+        }
     }
 
-    fn next_line(&mut self) -> Result<Option<String>, GenomeError> {
-        read_line(&mut self.reader, &mut self.lineno)
-    }
-
-    fn line_or_truncated(&mut self) -> Result<String, GenomeError> {
-        self.next_line()?.ok_or(GenomeError::ParseError {
-            line: self.lineno + 1,
+    fn line_or_truncated(&mut self) -> Result<(usize, &str), GenomeError> {
+        let line = self.lines.lineno + 1;
+        self.lines.next()?.ok_or_else(|| GenomeError::ParseError {
+            line,
             message: "truncated fastq record".to_string(),
         })
     }
@@ -260,51 +311,67 @@ impl<R: BufRead> FastqReader<R> {
     /// # Errors
     ///
     /// Returns [`GenomeError::ParseError`] for truncated records, missing
-    /// `@`/`+` markers, invalid bases, or quality strings whose length does not
-    /// match the sequence, and propagates I/O errors.
+    /// `@`/`+` markers, invalid bases, quality characters outside
+    /// `'!'..='~'`, or quality strings whose length does not match the
+    /// sequence, and propagates I/O errors.
     pub fn next_record(&mut self) -> Result<Option<SequencingRead>, GenomeError> {
-        let header = loop {
-            let Some(line) = self.next_line()? else {
+        let id = loop {
+            let Some((lineno, line)) = self.lines.next()? else {
                 return Ok(None);
             };
-            if !line.trim().is_empty() {
-                break line;
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            match line.strip_prefix('@') {
+                Some(id) => break id.trim().to_string(),
+                None => {
+                    return Err(GenomeError::ParseError {
+                        line: lineno,
+                        message: "expected '@' header".to_string(),
+                    })
+                }
             }
         };
-        let id = header
-            .trim()
-            .strip_prefix('@')
-            .ok_or(GenomeError::ParseError {
-                line: self.lineno,
-                message: "expected '@' header".to_string(),
-            })?
-            .trim()
-            .to_string();
 
-        let seq_line = self.line_or_truncated()?;
+        let (lineno, seq_line) = self.line_or_truncated()?;
         let sequence =
             DnaString::from_ascii(seq_line.trim()).map_err(|e| GenomeError::ParseError {
-                line: self.lineno,
+                line: lineno,
                 message: e.to_string(),
             })?;
 
-        let plus = self.line_or_truncated()?;
+        let (lineno, plus) = self.line_or_truncated()?;
         if !plus.trim_start().starts_with('+') {
             return Err(GenomeError::ParseError {
-                line: self.lineno,
+                line: lineno,
                 message: "expected '+' separator".to_string(),
             });
         }
 
-        let qual_line = self.line_or_truncated()?;
-        let qualities: Vec<u8> = qual_line
-            .trim()
-            .bytes()
-            .map(|b| b.saturating_sub(33))
-            .collect();
+        let (lineno, qual_line) = self.line_or_truncated()?;
+        let qual_line = qual_line.trim();
+        let mut qualities = qual_line.as_bytes().to_vec();
+        qualities.iter_mut().for_each(|q| *q = q.wrapping_sub(33));
+        // A byte below '!' wraps past Q93 too, so one maximum checks both ends.
+        if qualities.iter().fold(0, |max, &q| max.max(q)) > MAX_PHRED {
+            let position = qualities.iter().position(|&q| q > MAX_PHRED);
+            let position = position.expect("the maximum is in the line");
+            let character = qual_line[position..]
+                .chars()
+                .next()
+                .expect("a byte was read");
+            return Err(GenomeError::ParseError {
+                line: lineno,
+                message: format!(
+                    "invalid quality character {character:?} at position {position} \
+                     (Phred+33 spans '!'..='~')"
+                ),
+            });
+        }
         if qualities.len() != sequence.len() {
             return Err(GenomeError::ParseError {
-                line: self.lineno,
+                line: lineno,
                 message: format!(
                     "quality string length {} does not match sequence length {}",
                     qualities.len(),
@@ -462,6 +529,54 @@ mod tests {
         assert_eq!(parsed[1].id(), "r2");
         assert_eq!(parsed[1].sequence().to_string(), "TTGG");
         assert_eq!(parsed[1].qualities(), &[41; 4]);
+    }
+
+    #[test]
+    fn fastq_rejects_quality_characters_outside_phred33() {
+        for (quals, bad, position) in [
+            ("II I", ' ', 2),
+            ("I\u{7f}II", '\u{7f}', 1),
+            ("III\u{1}", '\u{1}', 3),
+            ("IIé", 'é', 2),
+        ] {
+            let text = format!("@r1\nACGT\n+\nIIII\n@r2\nACGT\n+\n{quals}\n");
+            let err = read_fastq(Cursor::new(text)).unwrap_err();
+            let GenomeError::ParseError { line, message } = err else {
+                panic!("{quals:?}: {err:?}");
+            };
+            assert_eq!(line, 8, "{quals:?}");
+            assert!(
+                message.contains(&format!("{bad:?} at position {position}")),
+                "{quals:?}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn fastq_accepts_the_whole_phred33_range() {
+        let parsed = read_fastq(Cursor::new("@r1\nACGT\n+\n!~5I\n")).unwrap();
+        assert_eq!(parsed[0].qualities(), &[0, 93, 20, 40]);
+        let mut written = Vec::new();
+        write_fastq(&mut written, &parsed).unwrap();
+        assert_eq!(written, b"@r1\nACGT\n+\n!~5I\n");
+    }
+
+    #[test]
+    fn invalid_utf8_fails_as_an_io_error_in_every_line() {
+        let not_utf8 = || GenomeError::Io {
+            message: "stream did not contain valid UTF-8".to_string(),
+        };
+        for text in [
+            &b"@r\xff1\nACGT\n+\nIIII\n"[..],
+            b"@r1\nAC\xffGT\n+\nIIII\n",
+            b"@r1\nACGT\n+\xff\nIIII\n",
+            b"@r1\nACGT\n+\nII\xffI\n",
+        ] {
+            assert_eq!(read_fastq(Cursor::new(text)), Err(not_utf8()), "{text:?}");
+        }
+        for text in [&b">x\xff\nACGT\n"[..], b">x\nAC\xffGT\n"] {
+            assert_eq!(read_fasta(Cursor::new(text)), Err(not_utf8()), "{text:?}");
+        }
     }
 
     #[test]

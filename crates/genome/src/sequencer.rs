@@ -6,7 +6,6 @@
 //! independently substituted with a configurable error probability (< 1 % for Illumina
 //! short reads, per §2.1).
 
-use crate::dna::DnaString;
 use crate::error::GenomeError;
 use crate::reads::SequencingRead;
 use crate::reference::ReferenceGenome;
@@ -148,6 +147,11 @@ impl ReadSimulator {
 /// [`crate::source::SyntheticSource`]. Both draw from the same RNG stream, so a
 /// chunked source concatenates to exactly the simulator's read set.
 ///
+/// The read's window is copied from the genome's packed words (reverse
+/// complemented a word at a time on the reverse strand); then one
+/// substitution draw per base, in read order, overwrites the rare erroneous
+/// base in place.
+///
 /// The configuration must be validated and the genome at least one read long.
 pub(crate) fn sample_read(
     config: &SequencerConfig,
@@ -156,28 +160,23 @@ pub(crate) fn sample_read(
     idx: usize,
 ) -> SequencingRead {
     let seq = genome.sequence();
-    let max_start = seq.len() - config.read_length;
-    let start = rng.gen_range(0..=max_start);
+    let len = config.read_length;
+    let start = rng.gen_range(0..=seq.len() - len);
     let reverse = rng.gen_bool(config.reverse_strand_probability);
-    let window = seq.slice(start, config.read_length);
-    let oriented = if reverse {
-        window.reverse_complement()
+    let mut sequence = if reverse {
+        seq.reverse_complement_of_slice(start, len)
     } else {
-        window
+        seq.slice(start, len)
     };
 
-    let mut bases = Vec::with_capacity(oriented.len());
-    let mut qualities = Vec::with_capacity(oriented.len());
-    for b in oriented.iter() {
+    let mut qualities = vec![38; len];
+    for (i, quality) in qualities.iter_mut().enumerate() {
         if rng.gen_bool(config.substitution_error_rate) {
-            bases.push(b.substitute(rng.gen_range(0..3u8)));
-            qualities.push(15);
-        } else {
-            bases.push(b);
-            qualities.push(38);
+            let base = sequence.base(i).substitute(rng.gen_range(0..3u8));
+            sequence.set_code(i, base.code());
+            *quality = 15;
         }
     }
-    let sequence: DnaString = bases.into_iter().collect();
     SequencingRead::with_provenance(
         format!("{}_{idx}", genome.name()),
         sequence,
@@ -217,6 +216,68 @@ mod tests {
             .seed(42)
             .build()
             .unwrap()
+    }
+
+    /// The per-base sampling step: the window sliced, reverse complemented
+    /// base by base, then one `Base` pushed per draw.
+    fn sample_read_per_base(
+        config: &SequencerConfig,
+        genome: &ReferenceGenome,
+        rng: &mut StdRng,
+        idx: usize,
+    ) -> SequencingRead {
+        let seq = genome.sequence();
+        let start = rng.gen_range(0..=seq.len() - config.read_length);
+        let reverse = rng.gen_bool(config.reverse_strand_probability);
+        let window = seq.slice(start, config.read_length);
+        let mut oriented: Vec<_> = window.iter().collect();
+        if reverse {
+            oriented.reverse();
+            oriented.iter_mut().for_each(|b| *b = b.complement());
+        }
+        let mut sequence = crate::DnaString::new();
+        let mut qualities = Vec::new();
+        for b in oriented {
+            if rng.gen_bool(config.substitution_error_rate) {
+                sequence.push(b.substitute(rng.gen_range(0..3u8)));
+                qualities.push(15);
+            } else {
+                sequence.push(b);
+                qualities.push(38);
+            }
+        }
+        let id = format!("{}_{idx}", genome.name());
+        SequencingRead::with_provenance(id, sequence, qualities, start, reverse)
+    }
+
+    #[test]
+    fn sample_read_makes_the_per_base_draws_in_their_order() {
+        let genome = small_genome();
+        for (read_length, substitution_error_rate, seed) in [
+            (100, 0.005, 1),
+            (31, 0.3, 2),
+            (64, 0.5, 3),
+            (65, 1.0, 4),
+            (257, 0.05, 5),
+        ] {
+            let config = SequencerConfig {
+                read_length,
+                substitution_error_rate,
+                seed,
+                ..SequencerConfig::default()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference = StdRng::seed_from_u64(seed);
+            for idx in 0..300 {
+                assert_eq!(
+                    sample_read(&config, &genome, &mut rng, idx),
+                    sample_read_per_base(&config, &genome, &mut reference, idx),
+                    "read {idx} of {config:?}"
+                );
+            }
+            // Both consumed the same draws.
+            assert_eq!(rng.gen_range(0..u64::MAX), reference.gen_range(0..u64::MAX));
+        }
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! all start offsets — across the inline/heap boundary at 64 bases and the
 //! 32-base word boundary, with unaligned sources and destinations — and every
 //! result must keep the zero-padding invariant that equality, hashing and the
-//! OR-in appends rely on.
+//! OR-in appends rely on. The text codec (ASCII in and out, the reverse
+//! complement, FASTA/FASTQ) is held to a per-base oracle the same way, for
+//! all lengths 0..=300.
 
-use nmp_pak_genome::{Base, DnaString, Kmer};
+use nmp_pak_genome::fasta::{read_fasta, read_fastq, write_fasta, write_fastq, FastaRecord};
+use nmp_pak_genome::{Base, DnaString, GenomeError, Kmer, SequencingRead};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::io::Cursor;
 
 const MAX_LEN: usize = 130;
 
@@ -229,6 +233,177 @@ fn kmer_conversions_equal_their_per_base_references() {
                     &format!("to_dna_string of the {k}-mer at {start} of {total}"),
                 );
             }
+        }
+    }
+}
+
+/// Longest sequence the codec properties run to: past the 64-base inline
+/// capacity and several 32-base words.
+const CODEC_MAX_LEN: usize = 300;
+
+/// The per-base oracle of the text codec: one `match` per character, as
+/// FASTA and FASTQ spell bases.
+fn oracle_base(c: char) -> Option<Base> {
+    match c {
+        'A' | 'a' => Some(Base::A),
+        'C' | 'c' => Some(Base::C),
+        'G' | 'g' => Some(Base::G),
+        'T' | 't' => Some(Base::T),
+        _ => None,
+    }
+}
+
+/// The per-base oracle's spelling: uppercase, one character per base.
+fn oracle_ascii(bases: &[Base]) -> String {
+    bases
+        .iter()
+        .map(|b| match b {
+            Base::A => 'A',
+            Base::C => 'C',
+            Base::G => 'G',
+            Base::T => 'T',
+        })
+        .collect()
+}
+
+/// `bases` spelled in random case.
+fn mixed_case(rng: &mut Rng, bases: &[Base]) -> String {
+    oracle_ascii(bases)
+        .chars()
+        .map(|c| {
+            if rng.next() & 1 == 0 {
+                c
+            } else {
+                c.to_ascii_lowercase()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn codec_equals_the_per_base_oracle_at_every_length_in_mixed_case() {
+    let mut rng = Rng::new(0xC0DEC);
+    for total in 0..=CODEC_MAX_LEN {
+        let bases = rng.bases(total);
+        let text = mixed_case(&mut rng, &bases);
+        let parsed: Vec<Base> = text.chars().map(|c| oracle_base(c).unwrap()).collect();
+        assert_eq!(parsed, bases);
+        let dna = DnaString::from_ascii(&text).unwrap();
+        assert_canonical(&dna, &bases, &format!("from_ascii of {total}"));
+        assert_canonical(
+            &bases.iter().copied().collect(),
+            &bases,
+            &format!("collect of {total}"),
+        );
+        assert_eq!(dna.to_ascii(), oracle_ascii(&bases), "to_ascii of {total}");
+        assert_eq!(dna.to_string(), oracle_ascii(&bases), "Display of {total}");
+        let rc: Vec<Base> = bases.iter().rev().map(|b| b.complement()).collect();
+        assert_canonical(&dna.reverse_complement(), &rc, &format!("rc of {total}"));
+        // The same sequence heap-backed below the inline capacity.
+        let mut heap_backed = DnaString::with_capacity(CODEC_MAX_LEN);
+        heap_backed.extend_from(&dna);
+        assert_canonical(
+            &heap_backed.reverse_complement(),
+            &rc,
+            &format!("rc of heap-backed {total}"),
+        );
+    }
+}
+
+#[test]
+fn an_invalid_byte_is_reported_as_written_at_its_byte_offset() {
+    let mut rng = Rng::new(0xBAD_BA5E);
+    let invalid = [
+        'N',
+        'n',
+        'x',
+        'U',
+        '-',
+        ' ',
+        '\n',
+        '\0',
+        '~',
+        'é',
+        '\u{1F9EC}',
+    ];
+    for total in 1..=CODEC_MAX_LEN {
+        let bases = rng.bases(total);
+        let text = mixed_case(&mut rng, &bases);
+        for position in 0..total {
+            let bad = invalid[(rng.next() % invalid.len() as u64) as usize];
+            // Bases after the bad one may be invalid too: the first is reported.
+            let tail = if rng.next() & 1 == 0 { "" } else { "N" };
+            let corrupted = format!("{}{bad}{}{tail}", &text[..position], &text[position + 1..]);
+            assert_eq!(
+                DnaString::from_ascii(&corrupted),
+                Err(GenomeError::InvalidBase {
+                    character: bad,
+                    position: Some(position),
+                }),
+                "{bad:?} at {position} of {total}"
+            );
+        }
+    }
+}
+
+/// Every line ending of `text` made CRLF, and a blank line before every line
+/// that starts a record.
+fn crlf_with_blank_lines(text: &[u8], starts_record: impl Fn(usize, &str) -> bool) -> String {
+    let text = String::from_utf8(text.to_vec()).unwrap();
+    let mut out = String::new();
+    for (i, line) in text.lines().enumerate() {
+        if starts_record(i, line) {
+            out.push_str("\r\n");
+        }
+        out.push_str(line);
+        out.push_str("\r\n");
+    }
+    out
+}
+
+#[test]
+fn fastq_round_trips_with_crlf_and_blank_lines() {
+    let mut rng = Rng::new(0x000F_A570);
+    let reads: Vec<SequencingRead> = (0..=CODEC_MAX_LEN)
+        .map(|len| {
+            let sequence = pushed(&rng.bases(len));
+            let qualities = (0..len).map(|_| (rng.next() % 94) as u8).collect();
+            SequencingRead::with_qualities(format!("read_{len}"), sequence, qualities)
+        })
+        .collect();
+    let mut text = Vec::new();
+    write_fastq(&mut text, &reads).unwrap();
+    for input in [
+        String::from_utf8(text.clone()).unwrap(),
+        crlf_with_blank_lines(&text, |i, _| i % 4 == 0),
+    ] {
+        let parsed = read_fastq(Cursor::new(input)).unwrap();
+        assert_eq!(parsed, reads);
+    }
+}
+
+#[test]
+fn fasta_round_trips_with_crlf_and_blank_lines_at_every_width() {
+    let mut rng = Rng::new(0x000F_A57A);
+    let records: Vec<FastaRecord> = (0..=CODEC_MAX_LEN)
+        .map(|len| FastaRecord {
+            name: format!("contig_{len} length={len}"),
+            sequence: pushed(&rng.bases(len)),
+        })
+        .collect();
+    for width in [1, 3, 4, 31, 32, 33, 64, 65, 80, CODEC_MAX_LEN + 1] {
+        let mut text = Vec::new();
+        write_fasta(&mut text, &records, width).unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&text).unwrap().lines().collect();
+        assert!(lines
+            .iter()
+            .all(|line| line.starts_with('>') || (1..=width).contains(&line.len())));
+        for input in [
+            String::from_utf8(text.clone()).unwrap(),
+            crlf_with_blank_lines(&text, |_, line| line.starts_with('>')),
+        ] {
+            let parsed = read_fasta(Cursor::new(input)).unwrap();
+            assert_eq!(parsed, records, "width {width}");
         }
     }
 }

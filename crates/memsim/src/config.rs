@@ -6,8 +6,6 @@
 pub struct DramConfig {
     /// Number of memory channels (each hosting one DIMM in this model).
     pub channels: usize,
-    /// Row-buffer (page) size in bytes. 8 KB in the paper.
-    pub row_buffer_bytes: usize,
     /// Cache-line / transfer granularity in bytes.
     pub line_bytes: usize,
     /// Memory-controller clock frequency in MHz (data rate is 2× this).
@@ -20,7 +18,6 @@ impl Default for DramConfig {
     fn default() -> Self {
         DramConfig {
             channels: 8,
-            row_buffer_bytes: 8 * 1024,
             line_bytes: 64,
             clock_mhz: 1600,
             bus_width_bytes: 8,
@@ -49,7 +46,6 @@ mod tests {
     fn default_matches_paper_system() {
         let cfg = DramConfig::default();
         assert_eq!(cfg.channels, 8);
-        assert_eq!(cfg.row_buffer_bytes, 8192);
         assert!((cfg.channel_peak_bandwidth_gbps() - 25.6).abs() < 1e-9);
         assert!((cfg.total_peak_bandwidth_gbps() - 204.8).abs() < 1e-9);
     }

@@ -45,12 +45,12 @@ fn configs() -> [DramConfig; 3] {
     ]
 }
 
-/// The MacroNode layout never overlaps allocations within a DIMM, keeps every
-/// allocation inside its DIMM's region and at least as large as the node, and
-/// assigns consecutive slots to DIMMs in ascending order, an equal number each
-/// (Fig. 11's one boundary per DIMM).
+/// The MacroNode layout assigns consecutive slots to DIMMs in ascending
+/// order, an equal number each but the last (Fig. 11's one boundary per
+/// DIMM), round-robins them over a DIMM's PEs, and rounds every access up to
+/// whole lines.
 #[test]
-fn node_layout_is_disjoint() {
+fn node_layout_partitions_slots_across_dimms_and_pes() {
     let mut rng = Rng::new(0x001A_7007);
     for config in configs() {
         for _ in 0..256 {
@@ -58,26 +58,24 @@ fn node_layout_is_disjoint() {
             let sizes: Vec<usize> = (0..len).map(|_| rng.range(1, 4_096) as usize).collect();
             let layout = NodeLayout::new(&sizes, &config);
             assert_eq!(layout.slot_count(), len);
+            assert_eq!(layout.dimm_count(), config.channels);
             let per_dimm = len.div_ceil(config.channels);
+            let pes = rng.range(1, 40) as usize;
 
-            let mut per_dimm_ranges = vec![Vec::new(); config.channels];
+            let mut per_dimm_slots = vec![0usize; config.channels];
             for (slot, &size) in sizes.iter().enumerate() {
                 let dimm = layout.dimm_of(slot);
                 assert_eq!(dimm, slot / per_dimm, "slot {slot} of {len}");
-                assert!(layout.allocated_size(slot) >= size);
-                assert_eq!(layout.allocated_size(slot) % config.line_bytes, 0);
-                let start = layout.address_of(slot);
-                let end = start + layout.allocated_size(slot) as u64;
-                let region = dimm as u64 * layout.dimm_capacity();
-                assert!(start >= region && end <= region + layout.dimm_capacity());
-                per_dimm_ranges[dimm].push((start, end));
+                per_dimm_slots[dimm] += 1;
+                assert_eq!(layout.pe_of(slot, pes), slot % pes);
+                let bytes = layout.access_bytes(size);
+                assert!(bytes >= size as u64 && bytes < (size + config.line_bytes) as u64);
+                assert_eq!(bytes % config.line_bytes as u64, 0);
             }
-            for ranges in &mut per_dimm_ranges {
-                ranges.sort_unstable();
-                for pair in ranges.windows(2) {
-                    assert!(pair[0].1 <= pair[1].0, "overlapping allocations");
-                }
-            }
+            // Full DIMMs, then at most one partial one, then empty ones.
+            let partial = per_dimm_slots.iter().filter(|&&n| 0 < n && n < per_dimm);
+            assert!(partial.count() <= 1, "{per_dimm_slots:?}");
+            assert!(per_dimm_slots.windows(2).all(|w| w[0] >= w[1]));
         }
     }
 }

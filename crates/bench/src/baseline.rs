@@ -350,7 +350,7 @@ fn is_invalidation_target_baseline(graph: &PakGraph, node: &MacroNode) -> bool {
         let mut out: Vec<Kmer> = aggregate_baseline(
             node.paths()
                 .iter()
-                .filter_map(|p| p.prefix.as_ref().map(|e| (e.clone(), p.count))),
+                .filter_map(|p| p.prefix.as_ref().map(|e| (e.to_dna_string(), p.count))),
         )
         .iter()
         .map(|(prefix, _)| {
@@ -368,7 +368,7 @@ fn is_invalidation_target_baseline(graph: &PakGraph, node: &MacroNode) -> bool {
         let mut out: Vec<Kmer> = aggregate_baseline(
             node.paths()
                 .iter()
-                .filter_map(|p| p.suffix.as_ref().map(|e| (e.clone(), p.count))),
+                .filter_map(|p| p.suffix.as_ref().map(|e| (e.to_dna_string(), p.count))),
         )
         .iter()
         .map(|(suffix, _)| {

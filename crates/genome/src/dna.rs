@@ -7,8 +7,7 @@ use crate::kmer::mask_for;
 use std::fmt;
 
 /// Number of packed bytes stored inline before spilling to the heap; 16 bytes hold
-/// 64 bases, which covers every (k-1)-mer, every single-base extension, and the
-/// overwhelming majority of MacroNode extensions during early compaction.
+/// 64 bases, which covers every (k-1)-mer and k-mer window without an allocation.
 const INLINE_BYTES: usize = 16;
 
 /// Maximum number of bases the inline representation holds.
@@ -112,11 +111,13 @@ pub(crate) fn reverse_base_order(word: u64) -> u64 {
 /// contigs. Four bases are packed per byte, which keeps the synthetic workloads used
 /// by the experiments an order of magnitude smaller than an ASCII representation —
 /// the same reason the paper packs k-mers into machine words. Sequences of up to
-/// [`INLINE_BASES`] bases live entirely inline (no heap allocation), which is what
-/// keeps MacroNode wiring and TransferNode extraction off the allocator: nearly all
-/// extensions flowing through Iterative Compaction are short. [`DnaString::slice`],
+/// [`INLINE_BASES`] bases live entirely inline (no heap allocation). MacroNode
+/// extensions are not `DnaString`s: they are words in the k-mer layout (the
+/// assembler's `Extension`), which meet this type through
+/// [`DnaString::packed_window`] and [`DnaString::push_packed`]. [`DnaString::slice`],
 /// [`DnaString::extend_from`], [`DnaString::ends_with`], `==` and the k-mer word
-/// conversions ([`DnaString::packed_window`], [`DnaString::from_packed`]) work on
+/// conversions ([`DnaString::packed_window`], [`DnaString::from_packed`],
+/// [`DnaString::push_packed`]) work on
 /// whole machine words, 32 bases per step; [`DnaString::push`],
 /// [`DnaString::get`] and the iterators are the per-base interface.
 ///
@@ -423,17 +424,28 @@ impl DnaString {
     /// Panics if `len > 32`.
     #[inline]
     pub fn from_packed(packed: u64, len: usize) -> DnaString {
+        let mut out = DnaString::new();
+        out.push_packed(packed, len);
+        out
+    }
+
+    /// Appends the `len ≤ 32` bases held in the low `2 * len` bits of
+    /// `packed` in the [`crate::Kmer`] bit layout (first base in the most
+    /// significant occupied 2-bit group) — one base-order reversal and one
+    /// word append. Bits above `2 * len` are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len > 32`.
+    #[inline]
+    pub fn push_packed(&mut self, packed: u64, len: usize) {
         assert!(len <= WORD_BASES, "a packed word holds at most 32 bases");
         if len == 0 {
-            return DnaString::new();
+            return;
         }
         // Left-aligning first drops the ignored high bits; the reversal then
-        // lands base 0 at bits 0 with zero padding above.
-        let word = reverse_base_order(packed << (2 * (WORD_BASES - len)));
-        DnaString {
-            repr: Repr::Inline(u128::from(word).to_le_bytes()),
-            len,
-        }
+        // lands the first base at bits 0 with zero padding above.
+        self.append_word(reverse_base_order(packed << (2 * (WORD_BASES - len))), len);
     }
 
     /// The `len ≤ 32` bases at `[start, start + len)` packed in the
@@ -899,6 +911,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn push_packed_appends_what_packed_window_reads() {
+        let text = "GATTACACCGTAGGCTTAACGTTGCAACGTTTTGGGGCCCCAAAATGCA";
+        let source = DnaString::from_ascii(text).unwrap();
+        // Every alignment of the destination, inline and on the heap.
+        for head in [0, 1, 3, 4, 30, 63, 64, 65, 99] {
+            for n in 0..=WORD_BASES {
+                let mut s = DnaString::from_ascii(&"C".repeat(head)).unwrap();
+                s.push_packed(source.packed_window(1, n) | !mask_for(n), n);
+                assert_eq!(
+                    s.to_ascii(),
+                    format!("{}{}", "C".repeat(head), &text[1..1 + n])
+                );
+            }
+        }
+        assert_eq!(DnaString::from_packed(0b1110, 2).to_ascii(), "GT");
     }
 
     #[test]

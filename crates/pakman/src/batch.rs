@@ -826,7 +826,7 @@ mod tests {
     #[test]
     fn folding_batches_equals_the_sort_and_scan_merge() {
         use crate::macronode::ThroughPath;
-        use nmp_pak_genome::{DnaString, Kmer};
+        use nmp_pak_genome::{Base, Kmer};
 
         // xorshift64*, the generator of `tests/count_props.rs`.
         let mut state = 0x00F0_1DED_u64;
@@ -852,9 +852,8 @@ mod tests {
                         let mut node = MacroNode::new(Kmer::from_packed(packed, 3));
                         for _ in 0..1 + below(3) {
                             let mut ext = || {
-                                let mut dna = DnaString::new();
-                                (0..1 + below(40)).for_each(|_| dna.push_code(below(4) as u8));
-                                dna
+                                let len = 1 + below(40);
+                                (0..len).map(|_| Base::from_code(below(4) as u8)).collect()
                             };
                             tag += 1;
                             node.push_path(ThroughPath::through(ext(), ext(), tag));

@@ -45,6 +45,7 @@
 use crate::config::PakmanConfig;
 use crate::control::RunControl;
 use crate::error::PakmanError;
+use crate::extension::Extension;
 use crate::graph::PakGraph;
 use crate::macronode::{MacroNode, ThroughPath};
 use crate::par::{fork_join_into, plan, CHECK_LOOKAHEAD, DEST_LOOKAHEAD, GRAIN, SOURCE_LOOKAHEAD};
@@ -265,7 +266,7 @@ pub(crate) trait NodeStore: Sync {
     /// retired node of slot `source`; `dest` is its destination's slot if that
     /// is still alive. Applies it there, in place, and returns whether it found
     /// its extension; `false` if it was dropped (no `dest`).
-    fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: &TransferNode) -> bool;
+    fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: TransferNode) -> bool;
     /// Ends the iteration's stream.
     fn close(&mut self) {}
 }
@@ -294,7 +295,7 @@ impl NodeStore for PakGraph {
     fn prefetch(&self, slot: usize) {
         PakGraph::prefetch(self, slot);
     }
-    fn deliver(&mut self, _: usize, dest: Option<usize>, transfer: &TransferNode) -> bool {
+    fn deliver(&mut self, _: usize, dest: Option<usize>, transfer: TransferNode) -> bool {
         dest.is_some_and(|slot| {
             apply_transfer(self.node_mut(slot).expect("destination is alive"), transfer)
         })
@@ -588,7 +589,7 @@ impl CompactionScratch {
                 if let (Some(events), Some(dest_slot)) = (events.as_deref_mut(), dest) {
                     events.push(TransferEvent::new(source, dest_slot, transfer.size_bytes()));
                 }
-                let matched = store.deliver(source, dest, &transfer);
+                let matched = store.deliver(source, dest, transfer);
                 if !matched {
                     self.unmatched += 1;
                 }
@@ -884,8 +885,26 @@ pub(crate) fn is_invalidation_target_with<R>(
 /// Applies one TransferNode to its destination node, splitting paths as necessary so
 /// that exactly `transfer.count` units of flow receive the new extension. Returns
 /// `false` if no matching extension was found.
-fn apply_transfer(dest: &mut MacroNode, transfer: &TransferNode) -> bool {
-    let mut remaining = transfer.count;
+///
+/// Takes the transfer by value: the path that receives the last of its flow —
+/// in the common case the one matching path, taking all of it — gets
+/// `new_ext` moved in; only a transfer spread over several paths clones it.
+fn apply_transfer(dest: &mut MacroNode, transfer: TransferNode) -> bool {
+    let TransferNode {
+        side,
+        match_ext,
+        new_ext,
+        count,
+        ..
+    } = transfer;
+    fn side_of(path: &mut ThroughPath, side: TransferSide) -> &mut Option<Extension> {
+        match side {
+            TransferSide::Predecessor => &mut path.suffix,
+            TransferSide::Successor => &mut path.prefix,
+        }
+    }
+    let mut new_ext = Some(new_ext);
+    let mut remaining = count;
     let mut new_paths = Vec::new();
     let paths = dest.paths_mut();
 
@@ -893,36 +912,31 @@ fn apply_transfer(dest: &mut MacroNode, transfer: &TransferNode) -> bool {
         if remaining == 0 {
             break;
         }
-        let matches = match transfer.side {
-            TransferSide::Predecessor => path.suffix.as_ref() == Some(&transfer.match_ext),
-            TransferSide::Successor => path.prefix.as_ref() == Some(&transfer.match_ext),
-        };
-        if !matches {
+        if side_of(path, side).as_ref() != Some(&match_ext) {
             continue;
         }
         let take = path.count.min(remaining);
+        remaining -= take;
+        let ext = if remaining == 0 {
+            new_ext.take()
+        } else {
+            new_ext.clone()
+        };
         if take == path.count {
             // Whole path is redirected.
-            match transfer.side {
-                TransferSide::Predecessor => path.suffix = Some(transfer.new_ext.clone()),
-                TransferSide::Successor => path.prefix = Some(transfer.new_ext.clone()),
-            }
+            *side_of(path, side) = ext;
         } else {
             // Split: `take` units get the new extension, the rest keeps the old one.
             path.count -= take;
             let mut split = path.clone();
             split.count = take;
-            match transfer.side {
-                TransferSide::Predecessor => split.suffix = Some(transfer.new_ext.clone()),
-                TransferSide::Successor => split.prefix = Some(transfer.new_ext.clone()),
-            }
+            *side_of(&mut split, side) = ext;
             new_paths.push(split);
         }
-        remaining -= take;
     }
 
     paths.extend(new_paths);
-    remaining < transfer.count
+    remaining < count
 }
 
 #[cfg(test)]
@@ -1122,6 +1136,71 @@ mod tests {
     }
 
     #[test]
+    fn an_applied_transfer_grows_an_extension_past_one_word() {
+        // Two paths hold the extension a 5-unit transfer looks for (3 and 4
+        // units): the first is redirected whole, the second split 2 + 2. The
+        // 20-base suffix becomes 40 bases (the long form), and a successor
+        // transfer then grows a prefix to 70.
+        let ext = |text: &str| text.parse::<Extension>().unwrap();
+        let old = "GATTACAGATTACAGATTAC";
+        let grown = format!("{old}CCGTACCGTAGGATCCATGA");
+        let k1mer = Kmer::from_ascii("ACGTACGTAC").unwrap();
+        let mut dest = MacroNode::new(k1mer);
+        dest.push_path(ThroughPath::through(ext("C"), ext(old), 3));
+        dest.push_path(ThroughPath::through(ext("T"), ext("A"), 9));
+        dest.push_path(ThroughPath::through(ext("G"), ext(old), 4));
+        let transfer = |side, match_ext: &str, new_ext: &str, count| TransferNode {
+            destination: k1mer,
+            side,
+            match_ext: ext(match_ext),
+            new_ext: ext(new_ext),
+            count,
+        };
+        assert!(apply_transfer(
+            &mut dest,
+            transfer(TransferSide::Predecessor, old, &grown, 5)
+        ));
+        let render = |node: &MacroNode| -> Vec<(String, String, u32)> {
+            let text = |e: &Option<Extension>| e.as_ref().unwrap().to_string();
+            let paths = node.paths().iter();
+            paths
+                .map(|p| (text(&p.prefix), text(&p.suffix), p.count))
+                .collect()
+        };
+        let row = |prefix: &str, suffix: &str, count| (prefix.into(), suffix.into(), count);
+        assert_eq!(
+            render(&dest),
+            [
+                row("C", &grown, 3),
+                row("T", "A", 9),
+                row("G", old, 2),
+                row("G", &grown, 2),
+            ]
+        );
+        let mut spelled = old.parse::<DnaString>().unwrap();
+        spelled.extend_from(&"CCGTACCGTAGGATCCATGA".parse().unwrap());
+        assert_eq!(
+            dest.paths()[0].suffix.as_ref().unwrap().to_dna_string(),
+            spelled
+        );
+
+        let long_prefix = "TGCA".repeat(17) + "GG";
+        assert!(apply_transfer(
+            &mut dest,
+            transfer(TransferSide::Successor, "T", &long_prefix, 9)
+        ));
+        assert_eq!(render(&dest)[1], row(&long_prefix, "A", 9));
+        assert_eq!(dest.paths()[1].prefix.as_ref().unwrap().len(), 70);
+        // An extension nobody holds changes nothing.
+        let before = dest.clone();
+        assert!(!apply_transfer(
+            &mut dest,
+            transfer(TransferSide::Successor, "A", &grown, 1)
+        ));
+        assert_eq!(dest, before);
+    }
+
+    #[test]
     fn iteration_cap_is_respected() {
         let mut graph = graph_from_reads(&["ACGTACCTGATCAGTTGCAACGGTTACCAGT"], 5);
         let cfg = PakmanConfig {
@@ -1188,10 +1267,9 @@ mod tests {
         fn prefetch(&self, slot: usize) {
             self.graph.prefetch(slot);
         }
-        fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: &TransferNode) -> bool {
-            let matched = self.graph.deliver(source, dest, transfer);
-            self.deliveries
-                .push((source, dest, transfer.clone(), matched));
+        fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: TransferNode) -> bool {
+            let matched = self.graph.deliver(source, dest, transfer.clone());
+            self.deliveries.push((source, dest, transfer, matched));
             matched
         }
     }
@@ -1201,7 +1279,7 @@ mod tests {
     /// `T…` as a predecessor that does not list it back, both dominate what they
     /// list, and `T…` is retired beside the node that sends to it.
     fn graph_with_a_doomed_destination() -> PakGraph {
-        let dna = |text: String| text.parse::<DnaString>().unwrap();
+        let dna = |text: String| text.parse::<Extension>().unwrap();
         let k1mer = |unit: &str| Kmer::from_ascii(&unit.repeat(20 / unit.len())).unwrap();
         let wired = |unit: &str, path: Option<(&str, &str)>| {
             let mut node = MacroNode::new(k1mer(unit));
@@ -1247,7 +1325,7 @@ mod tests {
                 .map(|(source, transfer)| {
                     let dest = oracle.index_of(&transfer.destination);
                     let matched = dest.is_some_and(|slot| {
-                        apply_transfer(oracle.node_mut(slot).unwrap(), &transfer)
+                        apply_transfer(oracle.node_mut(slot).unwrap(), transfer.clone())
                     });
                     (source, dest, transfer, matched)
                 })
@@ -1383,7 +1461,7 @@ mod tests {
             fn take_retired(&mut self, _: usize) -> MacroNode {
                 unreachable!()
             }
-            fn deliver(&mut self, _: usize, _: Option<usize>, _: &TransferNode) -> bool {
+            fn deliver(&mut self, _: usize, _: Option<usize>, _: TransferNode) -> bool {
                 unreachable!()
             }
         }

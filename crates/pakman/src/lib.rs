@@ -51,6 +51,7 @@ pub mod config;
 pub mod contig;
 pub mod control;
 pub mod error;
+pub mod extension;
 pub mod graph;
 pub mod kmer_count;
 pub mod macronode;
@@ -75,6 +76,7 @@ pub use config::{PakmanConfig, ShardConfig, ShardSchedule, SpillConfig};
 pub use contig::{AssemblyStats, Contig};
 pub use control::{CancelToken, NullObserver, ProgressObserver, RunControl};
 pub use error::PakmanError;
+pub use extension::Extension;
 pub use graph::PakGraph;
 pub use kmer_count::{count_kmers, count_kmers_spilled, CountedKmer, KmerCounterConfig};
 pub use macronode::{MacroNode, ThroughPath};

@@ -12,7 +12,8 @@
 //! internal wiring information are all derived views of this list, which keeps the
 //! TransferNode extraction and update rules (Fig. 4) straightforward to express.
 
-use nmp_pak_genome::{Base, DnaString, Kmer};
+use crate::extension::Extension;
+use nmp_pak_genome::{Base, Kmer};
 
 /// One unit of sequence flow through a MacroNode.
 ///
@@ -26,17 +27,17 @@ use nmp_pak_genome::{Base, DnaString, Kmer};
 pub struct ThroughPath {
     /// Incoming extension (bases that precede the (k-1)-mer), or `None` for a
     /// read-start terminal.
-    pub prefix: Option<DnaString>,
+    pub prefix: Option<Extension>,
     /// Outgoing extension (bases that follow the (k-1)-mer), or `None` for a
     /// read-end terminal.
-    pub suffix: Option<DnaString>,
+    pub suffix: Option<Extension>,
     /// Number of k-mer observations supporting this path.
     pub count: u32,
 }
 
 impl ThroughPath {
     /// Creates a path with both sides present.
-    pub fn through(prefix: DnaString, suffix: DnaString, count: u32) -> Self {
+    pub fn through(prefix: Extension, suffix: Extension, count: u32) -> Self {
         ThroughPath {
             prefix: Some(prefix),
             suffix: Some(suffix),
@@ -49,10 +50,16 @@ impl ThroughPath {
         self.prefix.is_some() && self.suffix.is_some()
     }
 
-    /// Approximate heap bytes used by this path (packed extensions plus bookkeeping).
+    /// Bytes this path takes in PaKman's MacroNode layout (Fig. 11): each
+    /// present extension packed four bases a byte behind a 16-byte header, an
+    /// absent one a byte, plus the count and list bookkeeping.
+    ///
+    /// This models the paper's node, not this struct (a path here is 40
+    /// bytes, its extensions inline up to 32 bases): the trace, the memory
+    /// footprints and Fig. 12's traffic are all read off this formula.
     pub fn size_bytes(&self) -> usize {
         let ext_bytes =
-            |e: &Option<DnaString>| e.as_ref().map(|s| s.len().div_ceil(4) + 16).unwrap_or(1);
+            |e: &Option<Extension>| e.as_ref().map(|s| s.len().div_ceil(4) + 16).unwrap_or(1);
         // count (4) + two Option discriminants (2) + vector bookkeeping share (8)
         14 + ext_bytes(&self.prefix) + ext_bytes(&self.suffix)
     }
@@ -209,23 +216,23 @@ impl MacroNode {
         MacroNode {
             k1mer,
             paths: PathList(Paths::One(ThroughPath::through(
-                std::iter::once(prefix).collect(),
-                std::iter::once(suffix).collect(),
+                Extension::from_base(prefix),
+                Extension::from_base(suffix),
                 prefix_count.max(suffix_count),
             ))),
         }
     }
 
     fn wire(&mut self, prefixes: Vec<(Base, u32)>, suffixes: Vec<(Base, u32)>) {
-        let mut ps: Vec<(DnaString, u32)> = prefixes
+        let mut ps: Vec<(Extension, u32)> = prefixes
             .into_iter()
             .filter(|(_, c)| *c > 0)
-            .map(|(b, c)| (std::iter::once(b).collect(), c))
+            .map(|(b, c)| (Extension::from_base(b), c))
             .collect();
-        let mut ss: Vec<(DnaString, u32)> = suffixes
+        let mut ss: Vec<(Extension, u32)> = suffixes
             .into_iter()
             .filter(|(_, c)| *c > 0)
-            .map(|(b, c)| (std::iter::once(b).collect(), c))
+            .map(|(b, c)| (Extension::from_base(b), c))
             .collect();
         ps.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
         ss.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
@@ -324,7 +331,7 @@ impl MacroNode {
     }
 
     /// Distinct prefix extensions with aggregated counts.
-    pub fn prefix_extensions(&self) -> Vec<(DnaString, u32)> {
+    pub fn prefix_extensions(&self) -> Vec<(Extension, u32)> {
         aggregate(
             self.paths
                 .iter()
@@ -333,7 +340,7 @@ impl MacroNode {
     }
 
     /// Distinct suffix extensions with aggregated counts.
-    pub fn suffix_extensions(&self) -> Vec<(DnaString, u32)> {
+    pub fn suffix_extensions(&self) -> Vec<(Extension, u32)> {
         aggregate(
             self.paths
                 .iter()
@@ -391,56 +398,49 @@ impl MacroNode {
     ///
     /// This is the "calculate preceding node's (k-1)-mer" append operation of
     /// pipeline stage P1 (Fig. 4 (b), Fig. 10): the first k-1 bases of
-    /// `prefix + self.k1mer`. Computed directly on the packed representations —
-    /// no intermediate `DnaString` is spelled out — because stage P1 evaluates
-    /// this for every neighbour of every checked node, every iteration.
+    /// `prefix + self.k1mer`. The extension and the (k-1)-mer share one bit
+    /// layout, so this is the extension's head shifted over the (k-1)-mer's
+    /// remaining bases — stage P1 evaluates it for every neighbour of every
+    /// checked node, every iteration.
     #[inline]
-    pub fn predecessor_k1mer(&self, prefix: &DnaString) -> Kmer {
-        let k1_len = self.k1mer.k();
-        let p = prefix.len();
+    pub fn predecessor_k1mer(&self, prefix: &Extension) -> Kmer {
+        let (k1_len, p) = (self.k1mer.k(), prefix.len());
         if p >= k1_len {
             // The neighbour lies entirely inside the extension.
-            return Kmer::from_packed(prefix.packed_window(0, k1_len), k1_len);
+            return Kmer::from_packed(prefix.head(k1_len), k1_len);
         }
         // `prefix` supplies the leading bases; the rest is our own (k-1)-mer with
         // its last `p` bases dropped (`packed >> 2p`).
-        let high = prefix.packed_window(0, p);
         let low = self.k1mer.packed() >> (2 * p);
-        Kmer::from_packed((high << (2 * (k1_len - p))) | low, k1_len)
+        Kmer::from_packed((prefix.head(p) << (2 * (k1_len - p))) | low, k1_len)
     }
 
     /// The (k-1)-mer of the successor node reached through suffix extension `suffix`:
-    /// the last k-1 bases of `self.k1mer + suffix`. Packed-arithmetic mirror of
+    /// the last k-1 bases of `self.k1mer + suffix`. Mirror of
     /// [`MacroNode::predecessor_k1mer`].
     #[inline]
-    pub fn successor_k1mer(&self, suffix: &DnaString) -> Kmer {
-        let k1_len = self.k1mer.k();
-        let s = suffix.len();
+    pub fn successor_k1mer(&self, suffix: &Extension) -> Kmer {
+        let (k1_len, s) = (self.k1mer.k(), suffix.len());
         if s >= k1_len {
-            return Kmer::from_packed(suffix.packed_window(s - k1_len, k1_len), k1_len);
+            return Kmer::from_packed(suffix.tail(k1_len), k1_len);
         }
-        // Our own (k-1)-mer with its first `s` bases dropped (mask keeps the low
-        // bases), then `suffix` appended below it.
-        let keep = k1_len - s;
-        let high = self.k1mer.packed() & ((1u64 << (2 * keep)) - 1);
-        let low = suffix.packed_window(0, s);
-        Kmer::from_packed((high << (2 * s)) | low, k1_len)
+        // Our own (k-1)-mer shifted up by `s` bases (`from_packed` masks off
+        // the first `s`), then `suffix` below it.
+        Kmer::from_packed((self.k1mer.packed() << (2 * s)) | suffix.tail(s), k1_len)
     }
 
     /// The suffix extension under which the predecessor reached through `prefix`
     /// records this edge: the last `prefix.len()` bases of `prefix + self.k1mer`
     /// (the spelled edge minus the predecessor's own (k-1)-mer) — `pred_ext` of
-    /// Fig. 4 (c). Word operations on the packed values; nothing is spelled.
+    /// Fig. 4 (c). A mask of our (k-1)-mer, or the tail of `prefix` joined to it.
     #[inline]
-    pub fn predecessor_suffix(&self, prefix: &DnaString) -> DnaString {
+    pub fn predecessor_suffix(&self, prefix: &Extension) -> Extension {
         let (k1_len, p) = (self.k1mer.k(), prefix.len());
         if p <= k1_len {
             // The low 2p bits of our own packed (k-1)-mer.
-            return DnaString::from_packed(self.k1mer.packed(), p);
+            return Extension::from_packed(self.k1mer.packed(), p);
         }
-        let mut out = prefix.slice(k1_len, p - k1_len);
-        out.extend_from(&self.k1mer.to_dna_string());
-        out
+        prefix.range_then_word(k1_len, p - k1_len, self.k1mer.packed(), k1_len)
     }
 
     /// The prefix extension under which the successor reached through `suffix`
@@ -448,29 +448,31 @@ impl MacroNode {
     /// Mirror of [`MacroNode::predecessor_suffix`]; the walk matches a
     /// successor's paths against it.
     #[inline]
-    pub fn successor_prefix(&self, suffix: &DnaString) -> DnaString {
+    pub fn successor_prefix(&self, suffix: &Extension) -> Extension {
         let (k1_len, s) = (self.k1mer.k(), suffix.len());
         if s <= k1_len {
-            return DnaString::from_packed(self.k1mer.packed() >> (2 * (k1_len - s)), s);
+            return Extension::from_packed(self.k1mer.packed() >> (2 * (k1_len - s)), s);
         }
-        let mut out = self.k1mer.to_dna_string();
-        out.extend_from(&suffix.slice(0, s - k1_len));
-        out
+        Extension::word_then_range(self.k1mer.packed(), k1_len, suffix, s - k1_len)
     }
 
     /// `prefix == self.successor_prefix(suffix)` without building the right-hand
-    /// side: the first bases of `prefix` against this node's (k-1)-mer, the rest
-    /// against the head of `suffix`, a word at a time. The walk asks this of
-    /// every candidate path of every step.
+    /// side past one word: the first bases of `prefix` against this node's
+    /// (k-1)-mer, the rest against the head of `suffix`, a word at a time. The
+    /// walk asks this of every candidate path of every step.
     #[inline]
-    pub fn successor_prefix_is(&self, suffix: &DnaString, prefix: &DnaString) -> bool {
+    pub fn successor_prefix_is(&self, suffix: &Extension, prefix: &Extension) -> bool {
         let (k1_len, s) = (self.k1mer.k(), suffix.len());
-        let head = s.min(k1_len);
-        prefix.len() == s
-            && prefix.packed_window(0, head) == self.k1mer.packed() >> (2 * (k1_len - head))
+        if prefix.len() != s {
+            return false;
+        }
+        if s <= 32 {
+            return *prefix == self.successor_prefix(suffix);
+        }
+        prefix.head(k1_len) == self.k1mer.packed()
             && (k1_len..s).step_by(32).all(|at| {
                 let n = (s - at).min(32);
-                prefix.packed_window(at, n) == suffix.packed_window(at - k1_len, n)
+                prefix.window(at, n) == suffix.window(at - k1_len, n)
             })
     }
 
@@ -498,11 +500,14 @@ impl MacroNode {
         out
     }
 
-    /// Approximate in-memory size of the node in bytes.
+    /// Bytes this node takes in PaKman's MacroNode layout (Fig. 11): a fixed
+    /// header (packed (k-1)-mer, vector headers, map entry) plus each path's
+    /// [`ThroughPath::size_bytes`] — the accounting of Figs. 7–8 and the 1 KB
+    /// hybrid-offload threshold.
     ///
-    /// Mirrors the accounting the paper uses for Figs. 7–8 and the 1 KB hybrid-offload
-    /// threshold: a fixed header (packed (k-1)-mer, vector headers, map entry) plus the
-    /// per-path extension storage.
+    /// This models the paper's node, not this struct (56 bytes with its first
+    /// path, more only for a second path or a long extension); the trace, the
+    /// memory footprints and Fig. 12 are all read off this formula.
     pub fn size_bytes(&self) -> usize {
         const HEADER_BYTES: usize = 64;
         HEADER_BYTES
@@ -514,63 +519,43 @@ impl MacroNode {
     }
 }
 
-/// `prefix + k1mer` spelled out as a [`DnaString`] — the reference construction
-/// the packed-arithmetic paths are tested against.
+/// `prefix + k1mer` spelled out as a [`nmp_pak_genome::DnaString`] — the
+/// reference construction the word arithmetic is tested against.
 #[cfg(test)]
-pub(crate) fn spell_prefix(prefix: &DnaString, k1mer: &Kmer) -> DnaString {
-    let mut s = prefix.clone();
+pub(crate) fn spell_prefix(prefix: &Extension, k1mer: &Kmer) -> nmp_pak_genome::DnaString {
+    let mut s = prefix.to_dna_string();
     s.extend_from(&k1mer.to_dna_string());
     s
 }
 
-/// `k1mer + suffix` spelled out as a [`DnaString`] (test reference, as above).
+/// `k1mer + suffix` spelled out (test reference, as above).
 #[cfg(test)]
-pub(crate) fn spell_suffix(k1mer: &Kmer, suffix: &DnaString) -> DnaString {
+pub(crate) fn spell_suffix(k1mer: &Kmer, suffix: &Extension) -> nmp_pak_genome::DnaString {
     let mut s = k1mer.to_dna_string();
-    s.extend_from(suffix);
+    s.extend_from(&suffix.to_dna_string());
     s
 }
 
 /// Extracts the `[start, start + len)` window of `dna` as a [`Kmer`].
 #[cfg(test)]
-pub(crate) fn kmer_from_slice(dna: &DnaString, start: usize, len: usize) -> Kmer {
+pub(crate) fn kmer_from_slice(dna: &nmp_pak_genome::DnaString, start: usize, len: usize) -> Kmer {
     Kmer::from_dna(dna, start, len).expect("window bounds validated by caller")
 }
 
-/// ASCII-lexicographic rank of each 2-bit base code: the packed code order is
-/// `A < C < T < G` (the paper's Fig. 4 ordering) but extension lists are sorted
-/// in character order `A < C < G < T`, so codes `T` (2) and `G` (3) swap ranks.
-const LEX_RANK: [u8; 4] = [0, 1, 3, 2];
-
-/// Compares two sequences in ASCII-lexicographic order (`A < C < G < T`, shorter
-/// prefix first) without spelling either one out. Equivalent to
-/// `a.to_string().cmp(&b.to_string())`, which the previous comparator computed —
-/// allocating two `String`s per comparison.
-fn cmp_lexicographic(a: &DnaString, b: &DnaString) -> std::cmp::Ordering {
-    for (ca, cb) in a.codes().zip(b.codes()) {
-        match LEX_RANK[ca as usize].cmp(&LEX_RANK[cb as usize]) {
-            std::cmp::Ordering::Equal => continue,
-            non_eq => return non_eq,
-        }
-    }
-    a.len().cmp(&b.len())
-}
-
 /// Merges duplicate extensions and orders the result by count (descending), then
-/// ASCII-lexicographically. The dedupe is a sort over the packed codes followed by
-/// a run-length merge; the seed's linear-scan dedupe was O(n²) and its comparator
-/// called `to_string()` on every comparison.
-fn aggregate<I: Iterator<Item = (DnaString, u32)>>(items: I) -> Vec<(DnaString, u32)> {
-    let mut out: Vec<(DnaString, u32)> = items.collect();
-    out.sort_by(|a, b| cmp_lexicographic(&a.0, &b.0));
-    let mut merged: Vec<(DnaString, u32)> = Vec::with_capacity(out.len());
+/// ASCII-lexicographically ([`Extension::cmp_lexicographic`]). The dedupe is a
+/// sort over the packed words followed by a run-length merge.
+fn aggregate<I: Iterator<Item = (Extension, u32)>>(items: I) -> Vec<(Extension, u32)> {
+    let mut out: Vec<(Extension, u32)> = items.collect();
+    out.sort_by(|a, b| a.0.cmp_lexicographic(&b.0));
+    let mut merged: Vec<(Extension, u32)> = Vec::with_capacity(out.len());
     for (ext, count) in out {
         match merged.last_mut() {
             Some((e, c)) if *e == ext => *c += count,
             _ => merged.push((ext, count)),
         }
     }
-    merged.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| cmp_lexicographic(&a.0, &b.0)));
+    merged.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp_lexicographic(&b.0)));
     merged
 }
 
@@ -582,7 +567,7 @@ mod tests {
         Kmer::from_ascii(text).unwrap()
     }
 
-    fn d(text: &str) -> DnaString {
+    fn d(text: &str) -> Extension {
         text.parse().unwrap()
     }
 
@@ -659,13 +644,13 @@ mod tests {
     #[test]
     fn slot_and_transfer_layouts_stay_within_their_cache_line_budget() {
         // A graph slot is the node, its (k-1)-mer and its first path in one
-        // piece: two cache lines at most. A TransferNode with its source slot is
-        // what the streamed pass builds and hands over per transfer. A new field
-        // must not silently double either.
+        // piece: one cache line at most. A TransferNode with its source slot is
+        // what the streamed pass builds and hands over per transfer: one line
+        // too. A new field must not silently double either.
         use std::mem::size_of;
-        assert!(size_of::<Option<MacroNode>>() <= 128);
+        assert!(size_of::<Option<MacroNode>>() <= 64);
         assert_eq!(size_of::<Option<MacroNode>>(), size_of::<MacroNode>());
-        assert!(size_of::<(usize, crate::transfer::TransferNode)>() <= 112);
+        assert!(size_of::<(usize, crate::transfer::TransferNode)>() <= 64);
     }
 
     #[test]
@@ -806,13 +791,16 @@ mod tests {
             // What the neighbour records for the edge is the spelled edge
             // minus that neighbour's own (k-1)-mer.
             assert_eq!(
-                node.predecessor_suffix(&ext),
+                node.predecessor_suffix(&ext).to_dna_string(),
                 pred_spell.slice(k1.k(), ext.len())
             );
-            assert_eq!(node.successor_prefix(&ext), succ_spell.slice(0, ext.len()));
+            assert_eq!(
+                node.successor_prefix(&ext).to_dna_string(),
+                succ_spell.slice(0, ext.len())
+            );
         }
-        assert!(node.predecessor_suffix(&DnaString::new()).is_empty());
-        assert!(node.successor_prefix(&DnaString::new()).is_empty());
+        assert!(node.predecessor_suffix(&d("")).is_empty());
+        assert!(node.successor_prefix(&d("")).is_empty());
     }
 
     #[test]
@@ -850,9 +838,9 @@ mod tests {
         for a in ["A", "C", "G", "T", "GA", "GAT", "TA"] {
             for b in ["A", "C", "G", "T", "GA", "GAT", "TA"] {
                 assert_eq!(
-                    cmp_lexicographic(&d(a), &d(b)),
+                    d(a).cmp_lexicographic(&d(b)),
                     a.to_string().cmp(&b.to_string()),
-                    "cmp_lexicographic({a}, {b})"
+                    "{a}.cmp_lexicographic({b})"
                 );
             }
         }

@@ -327,10 +327,10 @@ impl NodeStore for OwnerLedger<'_> {
     /// Books the transfer on its (src, dst) lane — a dropped one too: it
     /// crossed the network before anyone could know — then applies it in
     /// place, as the single graph does.
-    fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: &TransferNode) -> bool {
+    fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: TransferNode) -> bool {
         let src = self.sharded.shard_of_global(source);
         let dst = shard_of_packed(transfer.destination.packed(), self.sharded.shard_count);
-        self.mailbox.enter(src, dst, transfer);
+        self.mailbox.enter(src, dst, &transfer);
         self.sharded.graph.deliver(source, dest, transfer)
     }
 
@@ -417,7 +417,7 @@ mod tests {
     /// both dominate every neighbour they do list (A < C < T < G). `CCCC` holds
     /// the extension `GGGG`'s transfer looks for; `AAAA` and `ACAC` hold none.
     fn asymmetric_nodes() -> Vec<MacroNode> {
-        let dna = |text: &str| text.parse::<nmp_pak_genome::DnaString>().unwrap();
+        let dna = |text: &str| text.parse::<crate::Extension>().unwrap();
         let node = |k1mer: &str, prefix: Option<&str>, suffix: Option<&str>| {
             let mut node = MacroNode::new(Kmer::from_ascii(k1mer).unwrap());
             if prefix.is_some() || suffix.is_some() {

@@ -1,8 +1,9 @@
 //! TransferNodes: the messages that carry an invalidated MacroNode's sequence content
 //! to its neighbours during Iterative Compaction (Fig. 4 (c)–(d)).
 
+use crate::extension::Extension;
 use crate::macronode::{MacroNode, ThroughPath};
-use nmp_pak_genome::{DnaString, Kmer};
+use nmp_pak_genome::Kmer;
 
 /// Which side of the destination MacroNode a TransferNode updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,18 +35,21 @@ pub struct TransferNode {
     /// Which side of the destination is updated.
     pub side: TransferSide,
     /// The existing extension at the destination to locate (`pred_ext` in Fig. 4).
-    pub match_ext: DnaString,
+    pub match_ext: Extension,
     /// The replacement extension (`new_ext` in Fig. 4).
-    pub new_ext: DnaString,
+    pub new_ext: Extension,
     /// Flow count carried by this transfer.
     pub count: u32,
-    /// (k-1)-mer of the invalidated source node (for bookkeeping and traces).
-    pub source: Kmer,
 }
 
 impl TransferNode {
-    /// Approximate wire size of this TransferNode in bytes, used by the hardware model
-    /// when routing transfers through the crossbar / network bridge.
+    /// Wire size of this TransferNode in bytes, as PaKman sends it (Fig. 11)
+    /// and the hardware model routes it through the crossbar / network bridge:
+    /// a 24-byte header and both extensions packed four bases a byte.
+    ///
+    /// This models the message on the wire, not this struct (whose extensions
+    /// are inline words up to 32 bases, and which names no source): the trace,
+    /// the shard ledger's lane bytes and Fig. 12's traffic are read off it.
     pub fn size_bytes(&self) -> usize {
         // destination + source (8 B each), side + count (8 B), packed extensions.
         24 + self.match_ext.len().div_ceil(4) + self.new_ext.len().div_ceil(4)
@@ -69,7 +73,8 @@ impl TransferNode {
     /// Everything is computed on the packed words: the destinations by
     /// [`MacroNode::predecessor_k1mer`] / [`MacroNode::successor_k1mer`], the
     /// extensions to match by [`MacroNode::predecessor_suffix`] /
-    /// [`MacroNode::successor_prefix`], the replacements by one word append each.
+    /// [`MacroNode::successor_prefix`], the replacements by one
+    /// [`Extension::concat`] each — a shift and an OR while they fit a word.
     /// The edge `prefix + k1mer + suffix` is never spelled out.
     #[inline]
     pub fn extract_pair(
@@ -79,15 +84,10 @@ impl TransferNode {
         let (Some(prefix), Some(suffix)) = (&path.prefix, &path.suffix) else {
             return None;
         };
-        let k1 = node.k1mer();
-
         let pred_match = node.predecessor_suffix(prefix);
-        let mut pred_new = pred_match.clone();
-        pred_new.extend_from(suffix);
-
+        let pred_new = pred_match.concat(suffix);
         let succ_match = node.successor_prefix(suffix);
-        let mut succ_new = prefix.clone();
-        succ_new.extend_from(&succ_match);
+        let succ_new = prefix.concat(&succ_match);
 
         Some((
             TransferNode {
@@ -96,7 +96,6 @@ impl TransferNode {
                 match_ext: pred_match,
                 new_ext: pred_new,
                 count: path.count,
-                source: k1,
             },
             TransferNode {
                 destination: node.successor_k1mer(suffix),
@@ -104,7 +103,6 @@ impl TransferNode {
                 match_ext: succ_match,
                 new_ext: succ_new,
                 count: path.count,
-                source: k1,
             },
         ))
     }
@@ -128,7 +126,7 @@ impl TransferNode {
         }
         let k1 = node.k1mer();
         let k1_len = k1.k();
-        let (e, x, f) = (prefix.to_ascii(), k1.to_string(), suffix.to_ascii());
+        let (e, x, f) = (prefix.to_string(), k1.to_string(), suffix.to_string());
 
         let pred_spell = format!("{e}{x}");
         let (pred_k1mer, pred_match) = pred_spell.split_at(k1_len);
@@ -141,7 +139,6 @@ impl TransferNode {
             match_ext: bases(match_ext).collect(),
             new_ext: bases(&new_ext).collect(),
             count: path.count,
-            source: k1,
         };
         Some((
             transfer(
@@ -222,7 +219,7 @@ mod tests {
         Kmer::from_ascii(text).unwrap()
     }
 
-    fn d(text: &str) -> DnaString {
+    fn d(text: &str) -> Extension {
         text.parse().unwrap()
     }
 

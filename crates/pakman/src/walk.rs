@@ -14,10 +14,12 @@
 //! fork that once ran here measured 35× slower than this core (DESIGN.md,
 //! "Streaming contig output"). Each contig's backing
 //! [`DnaString`] is allocated once, pre-sized from the span of the chosen path,
-//! and filled by appending packed codes — no per-node re-encoding.
+//! and filled by appending each extension's k-mer-order words
+//! ([`DnaString::push_packed`]) — no per-node re-encoding.
 
 use crate::contig::Contig;
 use crate::error::PakmanError;
+use crate::extension::Extension;
 use crate::graph::PakGraph;
 use crate::macronode::MacroNode;
 use nmp_pak_genome::{fasta, DnaString};
@@ -224,7 +226,7 @@ impl UsedPaths {
 fn best_unused(
     node: &MacroNode,
     used: &[bool],
-    accept: impl Fn(&DnaString) -> bool,
+    accept: impl Fn(&Extension) -> bool,
 ) -> Option<usize> {
     let mut best: Option<(usize, u32)> = None;
     for (i, path) in node.paths().iter().enumerate() {
@@ -247,12 +249,12 @@ fn best_unused(
 /// and a walk takes at most as many steps as the graph has paths — a bound of
 /// the graph's content, not of its slot layout.
 /// The contig is then spelled in one pass: a single allocation pre-sized to the
-/// walk's span, then the start (k-1)-mer and each suffix spliced in packed form
-/// via [`DnaString::extend_from`].
+/// walk's span, then the start (k-1)-mer and each suffix appended a k-mer-order
+/// word at a time ([`DnaString::push_packed`]).
 fn walk_from<'g>(
     graph: &'g PakGraph,
     used: &mut UsedPaths,
-    suffixes: &mut Vec<&'g DnaString>,
+    suffixes: &mut Vec<&'g Extension>,
     start_slot: usize,
     start_path: usize,
 ) -> Contig {
@@ -286,14 +288,14 @@ fn walk_from<'g>(
         let next_slot = next_slot as usize;
         let next_node = graph.node(next_slot).expect("successor is alive");
         let next_used = used.of(next_slot);
-        let exact = |prefix: &DnaString| node.successor_prefix_is(suffix, prefix);
+        let exact = |prefix: &Extension| node.successor_prefix_is(suffix, prefix);
         // Compaction can leave the two sides of an edge at different extension lengths
         // (partial transfers); accept a consistent prefix — one string being a suffix
         // of the other — when no exact match remains.
         let next_path = best_unused(next_node, next_used, exact).or_else(|| {
             let incoming = node.successor_prefix(suffix);
             let consistent =
-                |prefix: &DnaString| incoming.ends_with(prefix) || prefix.ends_with(&incoming);
+                |prefix: &Extension| incoming.ends_with(prefix) || prefix.ends_with(&incoming);
             best_unused(next_node, next_used, consistent)
         });
 
@@ -310,9 +312,9 @@ fn walk_from<'g>(
     // exactly, so no growth reallocation and no per-node re-encoding happens.
     let span = start_k1mer.k() + suffixes.iter().map(|s| s.len()).sum::<usize>();
     let mut sequence = DnaString::with_capacity(span);
-    sequence.extend_from(&start_k1mer.to_dna_string());
+    sequence.push_packed(start_k1mer.packed(), start_k1mer.k());
     for suffix in suffixes.iter() {
-        sequence.extend_from(suffix);
+        suffix.append_to(&mut sequence);
     }
     debug_assert_eq!(sequence.len(), span);
     Contig::new(sequence)
@@ -495,7 +497,7 @@ mod tests {
         // walk takes all 40 paths. A cap derived from the slot count (it was
         // 4 × slots + 16) cut it short on the two-slot layout, and padding the
         // same two nodes with dead slots then walked different contigs.
-        let dna = |text: &str| text.parse::<DnaString>().unwrap();
+        let dna = |text: &str| text.parse::<Extension>().unwrap();
         let cycle = |k1mer: &str, prefix: &str, suffix: &str| {
             let mut node = MacroNode::new(Kmer::from_ascii(k1mer).unwrap());
             for count in 1..=20 {
@@ -550,8 +552,9 @@ mod tests {
         let node = MacroNode::new(k1mer);
         let unit = "TGCATGGATTACA";
         for len in [1, 2, 4, 5, 9, 31, 32, 33, 37, 38, 64, 65, 69, 70, 100] {
-            let suffix: DnaString = unit.repeat(len / unit.len() + 1)[..len].parse().unwrap();
+            let suffix: Extension = unit.repeat(len / unit.len() + 1)[..len].parse().unwrap();
             let via_spell = crate::macronode::spell_suffix(&k1mer, &suffix).slice(0, len);
+            let via_spell = Extension::from(&via_spell);
             assert_eq!(node.successor_prefix(&suffix), via_spell, "suffix of {len}");
 
             // The in-place comparison accepts exactly that string: not one with
@@ -561,21 +564,20 @@ mod tests {
                 "suffix of {len}"
             );
             for at in 0..len {
-                let mut text = via_spell.to_ascii().into_bytes();
+                let mut text = via_spell.to_string().into_bytes();
                 text[at] = if text[at] == b'A' { b'C' } else { b'A' };
-                let wrong: DnaString = String::from_utf8(text).unwrap().parse().unwrap();
+                let wrong: Extension = String::from_utf8(text).unwrap().parse().unwrap();
                 assert!(
                     !node.successor_prefix_is(&suffix, &wrong),
                     "{len}: base {at}"
                 );
             }
-            let shorter = via_spell.slice(0, len - 1);
+            let shorter: Extension = via_spell.to_string()[..len - 1].parse().unwrap();
             assert!(
                 !node.successor_prefix_is(&suffix, &shorter),
                 "suffix of {len}"
             );
-            let mut longer = via_spell.clone();
-            longer.extend_from(&"A".parse().unwrap());
+            let longer = via_spell.concat(&"A".parse().unwrap());
             assert!(
                 !node.successor_prefix_is(&suffix, &longer),
                 "suffix of {len}"
@@ -585,7 +587,7 @@ mod tests {
 
     #[test]
     fn the_best_unused_path_is_the_last_of_the_highest_counts() {
-        let dna = |text: &str| text.parse::<DnaString>().unwrap();
+        let dna = |text: &str| text.parse::<Extension>().unwrap();
         let mut node = MacroNode::new(Kmer::from_ascii("ACGT").unwrap());
         for (prefix, count) in [("A", 2), ("C", 5), ("A", 5), ("G", 9), ("A", 5), ("A", 1)] {
             node.push_path(crate::macronode::ThroughPath::through(
@@ -594,7 +596,7 @@ mod tests {
                 count,
             ));
         }
-        let is_a = |prefix: &DnaString| *prefix == dna("A");
+        let is_a = |prefix: &Extension| *prefix == dna("A");
         let oracle = |used: &[bool]| {
             let paths = node.paths().iter().enumerate();
             let open = paths.filter(|(i, p)| !used[*i] && p.prefix.as_ref().is_some_and(is_a));

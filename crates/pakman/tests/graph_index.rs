@@ -15,14 +15,14 @@
 //!   `index_of(&transfer.destination)` returns, for every transfer.
 
 use nmp_pak_genome::{
-    shard_of_packed, DnaString, Kmer, ReadSimulator, ReferenceGenome, SequencerConfig,
-    SequencingRead,
+    shard_of_packed, Kmer, ReadSimulator, ReferenceGenome, SequencerConfig, SequencingRead,
 };
 use nmp_pak_pakman::compaction::{compact, is_invalidation_target};
 use nmp_pak_pakman::kmer_count::{count_kmers, CountedKmer, KmerCounterConfig};
 use nmp_pak_pakman::shard::{compact_sharded, ShardedGraph};
 use nmp_pak_pakman::{
-    MacroNode, PakGraph, PakmanAssembler, PakmanConfig, ShardConfig, ThroughPath, TransferNode,
+    Extension, MacroNode, PakGraph, PakmanAssembler, PakmanConfig, ShardConfig, ThroughPath,
+    TransferNode,
 };
 
 const K: usize = 21;
@@ -346,7 +346,7 @@ fn assert_handoff_matches_index_of(graph: &PakGraph, threads: usize, what: &str)
 /// does not list `GGGG` back, and both dominate every neighbour they do list
 /// (A < C < T < G). P1 sees `TTTT` alive and invalidates both.
 fn asymmetric_graph() -> PakGraph {
-    let dna = |text: &str| text.parse::<DnaString>().unwrap();
+    let dna = |text: &str| text.parse::<Extension>().unwrap();
     let node = |k1mer: &str, path: Option<(&str, &str)>| {
         let mut node = MacroNode::new(Kmer::from_ascii(k1mer).unwrap());
         if let Some((prefix, suffix)) = path {

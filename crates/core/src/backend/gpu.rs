@@ -1,12 +1,11 @@
 //! The GPU-baseline execution backend (§5.3, §6.6).
 //!
 //! An A100-class device runs the optimized flow at high bandwidth but behind a
-//! hard memory-capacity wall: [`GpuBackend::capacity_check`] is what forces the
+//! hard memory-capacity wall: a footprint past [`GpuConfig::fits`] sets the
+//! result's [`BackendResult::capacity_exceeded`], which is what forces the
 //! small batch sizes — and the contig-quality collapse — analysed in Table 1.
 
-use super::{
-    BackendId, BackendResult, CapacityVerdict, CompactionBackend, SimulationContext, SystemConfig,
-};
+use super::{BackendId, BackendResult, CompactionBackend, SimulationContext, SystemConfig};
 use nmp_pak_memsim::gpu::simulate_gpu_compaction;
 use nmp_pak_memsim::{DramConfig, GpuConfig, NodeLayout};
 use nmp_pak_pakman::CompactionTrace;
@@ -56,17 +55,6 @@ impl CompactionBackend for GpuBackend {
         self.label
     }
 
-    fn capacity_check(&self, footprint_bytes: u64) -> CapacityVerdict {
-        if self.gpu.fits(footprint_bytes) {
-            CapacityVerdict::Fits
-        } else {
-            CapacityVerdict::Exceeded {
-                footprint_bytes,
-                capacity_bytes: self.gpu.memory_capacity_bytes,
-            }
-        }
-    }
-
     fn simulate(
         &self,
         trace: &CompactionTrace,
@@ -98,21 +86,19 @@ mod tests {
         let system = SystemConfig::default();
         let gpu = GpuBackend::baseline(&system);
 
-        assert!(gpu.capacity_check(1 << 30).fits());
-        let ok = gpu.simulate(&trace, &layout, &SimulationContext::new(1 << 30));
-        assert!(!ok.capacity_exceeded);
-
-        let verdict = gpu.capacity_check(500 << 30);
-        assert!(!verdict.fits());
-        if let CapacityVerdict::Exceeded {
-            footprint_bytes,
-            capacity_bytes,
-        } = verdict
-        {
-            assert_eq!(footprint_bytes, 500 << 30);
-            assert_eq!(capacity_bytes, system.gpu.memory_capacity_bytes);
+        // The flag is the device's capacity check, at and on either side of
+        // its capacity.
+        let capacity = system.gpu.memory_capacity_bytes;
+        let cases = [
+            (1 << 30, false),
+            (capacity, false),
+            (capacity + 1, true),
+            (500 << 30, true),
+        ];
+        for (footprint, exceeded) in cases {
+            let result = gpu.simulate(&trace, &layout, &SimulationContext::new(footprint));
+            assert_eq!(result.capacity_exceeded, exceeded, "{footprint} B");
+            assert_eq!(system.gpu.fits(footprint), !exceeded, "{footprint} B");
         }
-        let over = gpu.simulate(&trace, &layout, &SimulationContext::new(500 << 30));
-        assert!(over.capacity_exceeded);
     }
 }

@@ -74,28 +74,6 @@ impl std::fmt::Display for BackendId {
     }
 }
 
-/// Whether a workload footprint fits a backend's memory capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CapacityVerdict {
-    /// The footprint fits (or the backend has no hard capacity limit).
-    Fits,
-    /// The footprint exceeds the backend's capacity; the workload must be batched
-    /// down (§6.6's GPU analysis) before it can run there.
-    Exceeded {
-        /// The workload's peak footprint in bytes.
-        footprint_bytes: u64,
-        /// The backend's memory capacity in bytes.
-        capacity_bytes: u64,
-    },
-}
-
-impl CapacityVerdict {
-    /// `true` if the workload fits.
-    pub fn fits(&self) -> bool {
-        matches!(self, CapacityVerdict::Fits)
-    }
-}
-
 /// Workload-level context shared by every backend simulation.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -141,15 +119,6 @@ pub trait CompactionBackend: std::fmt::Debug + Send + Sync {
 
     /// The label used by the paper's figures.
     fn label(&self) -> &'static str;
-
-    /// Checks whether a workload footprint fits this backend's memory.
-    ///
-    /// The default is [`CapacityVerdict::Fits`]: host-memory backends are bounded
-    /// by DIMM count, not device capacity.
-    fn capacity_check(&self, footprint_bytes: u64) -> CapacityVerdict {
-        let _ = footprint_bytes;
-        CapacityVerdict::Fits
-    }
 
     /// Simulates Iterative Compaction in one pass over `trace`'s events, placed
     /// by `layout`.
@@ -408,15 +377,5 @@ pub(crate) mod tests {
         let results =
             BackendRegistry::standard(&assembler.system).simulate_all(trace, &layout, &ctx);
         assert_pinned(&results, &PINNED);
-    }
-
-    #[test]
-    fn capacity_verdict_reports_fit() {
-        assert!(CapacityVerdict::Fits.fits());
-        assert!(!CapacityVerdict::Exceeded {
-            footprint_bytes: 2,
-            capacity_bytes: 1
-        }
-        .fits());
     }
 }

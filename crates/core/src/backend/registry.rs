@@ -175,11 +175,15 @@ mod tests {
             nmp_pak_memsim::GpuConfig::a100_80gb(),
         )));
         assert_eq!(registry.ids(), before, "order preserved on replacement");
-        assert!(registry
-            .get(BackendId::GPU_BASELINE)
-            .unwrap()
-            .capacity_check(50 << 30)
-            .fits());
+        // A 50 GB footprint exceeds the 40 GB baseline and fits the 80 GB one.
+        let (trace, layout) = synthetic();
+        let ctx = SimulationContext::new(50 << 30);
+        let exceeded = |registry: &BackendRegistry| {
+            let gpu = registry.get(BackendId::GPU_BASELINE).unwrap();
+            gpu.simulate(&trace, &layout, &ctx).capacity_exceeded
+        };
+        assert!(exceeded(&BackendRegistry::standard(&system)));
+        assert!(!exceeded(&registry));
     }
 
     #[test]

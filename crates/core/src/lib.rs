@@ -40,7 +40,6 @@ pub mod workload;
 
 pub use assembler::{NmpPakAssembler, SystemRun};
 pub use backend::{
-    BackendId, BackendRegistry, BackendResult, CapacityVerdict, CompactionBackend,
-    SimulationContext, SystemConfig,
+    BackendId, BackendRegistry, BackendResult, CompactionBackend, SimulationContext, SystemConfig,
 };
 pub use workload::Workload;

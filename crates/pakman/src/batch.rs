@@ -171,7 +171,7 @@ pub struct BatchAssemblyOutput {
     /// Peak footprint of the largest single batch (the batched peak, §4.4).
     pub peak_batch_footprint: MemoryFootprint,
     /// Footprint the same workload would need without batching.
-    pub unbatched_footprint: MemoryFootprint,
+    pub(crate) unbatched_footprint: MemoryFootprint,
     /// Peak approximate bytes of read data concurrently admitted to the batch
     /// scheduler ([`ReadChunk::approx_read_bytes`] accounting). For a streamed
     /// source this is the ingestion memory high-water mark — bounded by
@@ -180,8 +180,6 @@ pub struct BatchAssemblyOutput {
     /// is joined: its reads are dropped at the end of stage B, before its
     /// graph is built.
     pub peak_inflight_read_bytes: u64,
-    /// The merged compacted graph.
-    pub merged_graph: PakGraph,
 }
 
 impl BatchAssemblyOutput {
@@ -275,13 +273,6 @@ impl BatchAssembler {
             batch_fraction,
             schedule,
         }
-    }
-
-    /// The configured batch fraction (used only by the slice-based
-    /// [`BatchAssembler::assemble`]; a streamed source defines its own batch
-    /// boundaries).
-    pub fn batch_fraction(&self) -> f64 {
-        self.batch_fraction
     }
 
     /// The configured schedule.
@@ -389,7 +380,6 @@ impl BatchAssembler {
             peak_batch_footprint: folded.peak_batch_footprint,
             unbatched_footprint,
             peak_inflight_read_bytes,
-            merged_graph,
         })
     }
 }

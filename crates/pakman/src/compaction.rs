@@ -29,12 +29,13 @@
 //! serial order by construction, on the calling thread (a destination-sharded
 //! parallel apply never repaid its sort and scatter: DESIGN.md, "Fork-join and grain").
 //!
-//! One private driver, `run_barriered`, runs that iteration for both barriered
-//! entry points: it is generic over a `NodeStore` — the graph it compacts, and
-//! what is booked on the way — which [`compact`] instantiates with the
-//! [`PakGraph`] itself and [`crate::shard::compact_sharded`] with a store that
-//! forwards to the same graph and keeps the owner ledger, so a stage-D change is
-//! made in one place and every transfer is applied by one function. All
+//! One driver runs that iteration over the one [`PakGraph`] for both entry
+//! points: [`compact`] passes it no ledger, and
+//! [`crate::shard::compact_sharded`] passes the owner ledger, which the driver
+//! books from records it already holds — P1's re-check list, each transfer's
+//! source slot and destination key before it is applied, and the iteration's
+//! close. So there is one compiled copy of the loop, a stage-D change is made
+//! in one place, and every transfer is applied by one function. All
 //! per-iteration buffers live in the driver's scratch, so the untraced hot loop
 //! performs no per-iteration reallocation. Iterations repeat until the alive
 //! node count drops below the configured threshold, no node can be invalidated,
@@ -49,6 +50,7 @@ use crate::extension::Extension;
 use crate::graph::PakGraph;
 use crate::macronode::{MacroNode, ThroughPath};
 use crate::par::{fork_join_into, plan, CHECK_LOOKAHEAD, DEST_LOOKAHEAD, GRAIN, SOURCE_LOOKAHEAD};
+use crate::shard::OwnerLedger;
 use crate::trace::{CompactionTrace, IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 use crate::transfer::{TransferNode, TransferSide};
 use nmp_pak_genome::Kmer;
@@ -194,8 +196,8 @@ pub struct IterationProfile {
     /// and P3 per node — extraction, routing and the in-place update of every
     /// destination.
     pub p2: Duration,
-    /// Wall-clock of the end-of-iteration flush: the sharded store enters the
-    /// iteration's lanes in its flush ledger, and a traced run records its
+    /// Wall-clock of the iteration's close: a sharded run's owner ledger enters
+    /// the iteration's lanes in its flush ledger, and a traced run records its
     /// update events. Every transfer was applied in the streamed pass.
     pub p3: Duration,
     /// Invalidation predicates actually evaluated this iteration: every alive
@@ -229,77 +231,6 @@ pub struct CompactionOutcome {
     /// Per-iteration stage timings and checked-node counts (always recorded; two
     /// `Instant` reads per stage per iteration).
     pub profile: CompactionProfile,
-}
-
-/// The graph a barriered compaction run works on, and what it books on the
-/// way — all the two barriered entry points differ in. [`run_barriered`] is
-/// monomorphised per store: a [`PakGraph`] answers from its own slots and
-/// applies on delivery, so a single-graph run executes no telemetry code; the
-/// sharded store (`shard.rs`) forwards every access to the same graph and keeps
-/// the owner ledger — P1 work per owner shard, each transfer on its
-/// (source owner, destination owner) lane.
-pub(crate) trait NodeStore: Sync {
-    /// The checkpoint a cancellation is reported at.
-    const CHECKPOINT: &'static str;
-
-    /// Number of slots, alive or not.
-    fn slot_count(&self) -> usize;
-    /// `true` if `slot` holds an alive node.
-    fn is_alive(&self, slot: usize) -> bool;
-    /// The node at `slot`: alive, or retired and not yet taken.
-    fn node(&self, slot: usize) -> Option<&MacroNode>;
-    /// The slot of the alive node with this (k-1)-mer, if any.
-    fn index_of(&self, k1mer: &Kmer) -> Option<usize>;
-    /// The first half of an invalidation: `slot` stops being alive, its node
-    /// stays readable.
-    fn retire(&mut self, slot: usize);
-    /// The second half: moves the retired node out of `slot`.
-    fn take_retired(&mut self, slot: usize) -> MacroNode;
-    /// P1 evaluated the predicate on `slots` this iteration (a load ledger's hook).
-    fn checked(&mut self, _slots: &[usize]) {}
-    /// `slot` will be read soon: a store may start fetching it. A hint only —
-    /// it must change nothing.
-    fn prefetch(&self, _slot: usize) {}
-    /// Opens `iteration`'s stream.
-    fn open(&mut self, _iteration: usize) {}
-    /// Stage P3 for one TransferNode of the canonical stream, sent by the
-    /// retired node of slot `source`; `dest` is its destination's slot if that
-    /// is still alive. Applies it there, in place, and returns whether it found
-    /// its extension; `false` if it was dropped (no `dest`).
-    fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: TransferNode) -> bool;
-    /// Ends the iteration's stream.
-    fn close(&mut self) {}
-}
-
-impl NodeStore for PakGraph {
-    const CHECKPOINT: &'static str = "compaction";
-
-    fn slot_count(&self) -> usize {
-        PakGraph::slot_count(self)
-    }
-    fn is_alive(&self, slot: usize) -> bool {
-        PakGraph::is_alive(self, slot)
-    }
-    fn node(&self, slot: usize) -> Option<&MacroNode> {
-        PakGraph::node(self, slot)
-    }
-    fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
-        PakGraph::index_of(self, k1mer)
-    }
-    fn retire(&mut self, slot: usize) {
-        PakGraph::retire(self, slot);
-    }
-    fn take_retired(&mut self, slot: usize) -> MacroNode {
-        PakGraph::take_retired(self, slot)
-    }
-    fn prefetch(&self, slot: usize) {
-        PakGraph::prefetch(self, slot);
-    }
-    fn deliver(&mut self, _: usize, dest: Option<usize>, transfer: TransferNode) -> bool {
-        dest.is_some_and(|slot| {
-            apply_transfer(self.node_mut(slot).expect("destination is alive"), transfer)
-        })
-    }
 }
 
 /// One P1 verdict, as stage D's census folds it: the node's slot, its size and
@@ -337,13 +268,12 @@ impl Frontier {
     }
 }
 
-/// Every buffer [`run_barriered`]'s loop needs, allocated once per run and
+/// Every buffer [`compact_booked`]'s loop needs, allocated once per run and
 /// carried across its iterations — §4.5's "pre-allocated per-thread buffers"
 /// applied to compaction: the untraced hot loop performs no per-iteration heap
-/// allocation once the buffers have grown to their steady-state sizes. Slots
-/// are the graph's, under either store. The methods are the driver's steps, one
-/// call site each; the fields a step reads are the outputs of the steps before
-/// it.
+/// allocation once the buffers have grown to their steady-state sizes. The
+/// methods are the driver's steps, one call site each; the fields a step reads
+/// are the outputs of the steps before it.
 #[derive(Debug, Default)]
 struct CompactionScratch {
     /// Destinations the last streamed pass reached: the slots to re-evaluate.
@@ -396,25 +326,31 @@ struct CompactionScratch {
 }
 
 impl CompactionScratch {
-    /// The scratch of a run over `store`: its alive census taken, its vectors
-    /// reserved (why so: DESIGN.md, "Step D"). A store with more slots than the
-    /// census's `u32`s can name is [`PakmanError::InvalidConfig`], unallocated.
-    fn new<S: NodeStore>(store: &S) -> Result<Self, PakmanError> {
-        let slot_count = store.slot_count();
-        let Ok(slots) = u32::try_from(slot_count) else {
-            let checkpoint = S::CHECKPOINT;
-            let message =
-                format!("{checkpoint}: {slot_count} slots do not fit the 32-bit alive census");
-            return Err(PakmanError::InvalidConfig { message });
-        };
-        let alive_list: Vec<u32> = (0..slots)
-            .filter(|&slot| store.is_alive(slot as usize))
+    /// The alive census names slots as `u32`s: a graph of more slots is
+    /// [`PakmanError::InvalidConfig`], reported at `checkpoint` before the
+    /// scratch is allocated.
+    fn check_slot_count(slot_count: usize, checkpoint: &str) -> Result<(), PakmanError> {
+        if u32::try_from(slot_count).is_ok() {
+            return Ok(());
+        }
+        let message =
+            format!("{checkpoint}: {slot_count} slots do not fit the 32-bit alive census");
+        Err(PakmanError::InvalidConfig { message })
+    }
+
+    /// The scratch of a run over `graph`, whose slots passed
+    /// [`CompactionScratch::check_slot_count`]: its alive census taken, its
+    /// vectors reserved (why so: DESIGN.md, "Step D").
+    fn new(graph: &PakGraph) -> Self {
+        let slot_count = graph.slot_count();
+        let alive_list: Vec<u32> = (0..slot_count as u32)
+            .filter(|&slot| graph.is_alive(slot as usize))
             .collect();
         // The vectors that grow start at iteration 0's bound — an entry a node,
         // two ranks a node — for a run of up to two grains, which forks nowhere
         // and then never regrows; a larger one doubles from there as before.
         let n = alive_list.len().min(2 * GRAIN);
-        Ok(CompactionScratch {
+        CompactionScratch {
             recheck: Vec::with_capacity(n),
             check_results: Vec::with_capacity(n),
             invalidated: Vec::with_capacity(n),
@@ -426,7 +362,7 @@ impl CompactionScratch {
             running_hist: SizeHistogram::new(),
             touched: vec![false; slot_count],
             ..CompactionScratch::default()
-        })
+        }
     }
 
     /// Stage P1: evaluates the invalidation predicate for `recheck` (ascending),
@@ -437,8 +373,8 @@ impl CompactionScratch {
     /// contiguous chunks ([`plan`] over [`GRAIN`]): `check_results` is position-aligned with the
     /// input, chunk 0 writes `resolved` itself and the helpers' rank buffers are
     /// appended in chunk order, so the chunk count cannot change either output.
-    /// Each chunk hints the store at the slot [`CHECK_LOOKAHEAD`] checks on.
-    fn check<S: NodeStore>(&mut self, store: &S, chunks: usize) {
+    /// Each chunk hints the cache at the slot [`CHECK_LOOKAHEAD`] checks on.
+    fn check(&mut self, graph: &PakGraph, chunks: usize) {
         self.check_results.clear();
         self.check_results
             .resize(self.recheck.len(), Verdict::default());
@@ -453,14 +389,14 @@ impl CompactionScratch {
             |(out_chunk, slot_chunk), ranks| {
                 for (j, (out, &slot)) in out_chunk.iter_mut().zip(slot_chunk).enumerate() {
                     if let Some(&ahead) = slot_chunk.get(j + CHECK_LOOKAHEAD) {
-                        store.prefetch(ahead);
+                        graph.prefetch(ahead);
                     }
-                    let node = store.node(slot).expect("slot is alive");
+                    let node = graph.node(slot).expect("slot is alive");
                     // The ranks are kept only when the verdict is `true` (a
                     // rejected node emits no transfers).
                     let mark = ranks.len();
                     let invalidated = is_invalidation_target_with(
-                        |k1mer| store.index_of(k1mer),
+                        |k1mer| graph.index_of(k1mer),
                         node,
                         |rank| ranks.push(Some(rank)),
                     );
@@ -530,33 +466,34 @@ impl CompactionScratch {
     /// destination be invalidated beside its source, and the re-test is what
     /// makes `dest` exactly `index_of(&transfer.destination)`. Then each retired
     /// node is taken out of its slot and its TransferNodes go, in path order,
-    /// predecessor before successor, straight to the store; what reached an
-    /// alive destination is recorded as it lands — the trace event (into
-    /// `events`, when tracing), the next frontier (every destination a transfer
-    /// lands on), the unmatched count and the first-touch update order. Returns
-    /// the number of transfers delivered. Every slot the pass reads is named in
-    /// advance, so it hints the store at the source [`SOURCE_LOOKAHEAD`] visits
-    /// on and the destination [`DEST_LOOKAHEAD`] transfers on
-    /// ([`NodeStore::prefetch`]).
+    /// predecessor before successor, straight into their destinations. Each is
+    /// booked on `ledger`'s lane before it is applied — a dropped one too —
+    /// and what reached an alive destination is recorded as it lands: the
+    /// trace event (into `events`, when tracing), the next frontier (every
+    /// destination a transfer lands on), the unmatched count and the
+    /// first-touch update order. Returns the number of transfers delivered.
+    /// Every slot the pass reads is named in advance, so it hints the cache at
+    /// the source [`SOURCE_LOOKAHEAD`] visits on and the destination
+    /// [`DEST_LOOKAHEAD`] transfers on.
     ///
     /// The hand-off is checked ahead of the first change to any node, in release
     /// builds too: P1 must have handed over one rank per transfer the
     /// invalidated nodes will yield (two a path — they are fully interior), or
     /// transfers would be paired with the wrong destinations.
-    fn stream<S: NodeStore>(
+    fn stream(
         &mut self,
-        store: &mut S,
-        iteration: usize,
+        graph: &mut PakGraph,
+        mut ledger: Option<&mut OwnerLedger>,
         mut events: Option<&mut Vec<TransferEvent>>,
     ) -> usize {
-        let expected = Self::transfer_count(self.invalidated.iter().map(|&slot| store.node(slot)));
+        let expected = Self::transfer_count(self.invalidated.iter().map(|&slot| graph.node(slot)));
         assert_eq!(
             self.resolved.len(),
             expected,
             "P1 must hand P3 one resolved rank per transfer of the nodes it invalidated"
         );
         for &slot in &self.invalidated {
-            store.retire(slot);
+            graph.retire(slot);
             self.running_hist.unrecord(self.cached_size[slot]);
         }
         Self::remove_sorted(&mut self.alive_list, &self.invalidated);
@@ -568,7 +505,6 @@ impl CompactionScratch {
         if let Some(events) = events.as_deref_mut() {
             events.reserve_exact(expected);
         }
-        store.open(iteration);
         let parking = self.invalidated.len().min(2 * GRAIN);
         self.retired.reserve(parking);
 
@@ -576,20 +512,28 @@ impl CompactionScratch {
         for i in 0..self.invalidated.len() {
             let source = self.invalidated[i];
             if let Some(&ahead) = self.invalidated.get(i + SOURCE_LOOKAHEAD) {
-                store.prefetch(ahead);
+                graph.prefetch(ahead);
             }
-            let node = store.take_retired(source);
+            let node = graph.take_retired(source);
             for transfer in TransferNode::extract_all(&node) {
                 if let Some(&Some(ahead)) = self.resolved.get(delivered + DEST_LOOKAHEAD) {
-                    store.prefetch(ahead);
+                    graph.prefetch(ahead);
                 }
-                let dest = self.resolved[delivered].filter(|&rank| store.is_alive(rank));
-                debug_assert_eq!(dest, store.index_of(&transfer.destination));
+                let dest = self.resolved[delivered].filter(|&rank| graph.is_alive(rank));
+                debug_assert_eq!(dest, graph.index_of(&transfer.destination));
                 delivered += 1;
+                if let Some(ledger) = ledger.as_deref_mut() {
+                    ledger.enter(graph.slot_keys()[source], &transfer);
+                }
                 if let (Some(events), Some(dest_slot)) = (events.as_deref_mut(), dest) {
                     events.push(TransferEvent::new(source, dest_slot, transfer.size_bytes()));
                 }
-                let matched = store.deliver(source, dest, transfer);
+                let matched = dest.is_some_and(|slot| {
+                    apply_transfer(
+                        graph.node_mut(slot).expect("destination is alive"),
+                        transfer,
+                    )
+                });
                 if !matched {
                     self.unmatched += 1;
                 }
@@ -614,18 +558,18 @@ impl CompactionScratch {
 
     /// The traced update records of the pass just run: one per destination a
     /// transfer landed on, in first-touch order, with the node's size after the
-    /// pass. Hints the store [`DEST_LOOKAHEAD`] destinations ahead, as the pass
+    /// pass. Hints the cache [`DEST_LOOKAHEAD`] destinations ahead, as the pass
     /// does, so the reads overlap instead of paying one miss each. A touched
     /// destination is alive by construction: a missing one panics, in release
     /// builds too, naming its slot.
-    fn trace_updates<S: NodeStore>(&self, store: &S) -> Vec<UpdateEvent> {
+    fn trace_updates(&self, graph: &PakGraph) -> Vec<UpdateEvent> {
         let order = &self.touched_order;
         let mut updates = Vec::with_capacity(order.len());
         for (i, &dest_slot) in order.iter().enumerate() {
             if let Some(&ahead) = order.get(i + DEST_LOOKAHEAD) {
-                store.prefetch(ahead);
+                graph.prefetch(ahead);
             }
-            let node = store.node(dest_slot).unwrap_or_else(|| {
+            let node = graph.node(dest_slot).unwrap_or_else(|| {
                 panic!("touched destination {dest_slot} is not alive at the update record")
             });
             updates.push(UpdateEvent::new(dest_slot, node.size_bytes()));
@@ -685,26 +629,36 @@ pub fn compact_controlled(
     config: &PakmanConfig,
     control: &RunControl<'_>,
 ) -> Result<CompactionOutcome, PakmanError> {
-    run_barriered(graph, config, control)
+    compact_booked(graph, None, config, control)
 }
 
 /// The barriered iteration loop — the one copy of it. Every iteration runs
 /// frontier build → P1 → census fold → the streamed pass (retire, then P2 + P3
-/// per invalidated node) → [`NodeStore::close`] over `store`'s slot space, with
-/// an all-chunks join after the forked P1; what differs between a single graph
-/// and a sharded run is behind [`NodeStore`].
-pub(crate) fn run_barriered<S: NodeStore>(
-    store: &mut S,
+/// per invalidated node) → the iteration's close over `graph`'s slots, with an
+/// all-chunks join after the forked P1. A sharded run passes its owner
+/// `ledger`, and the loop books into it at three points: P1's re-check list,
+/// each transfer before it is applied, and the close. Cancellation is
+/// reported at `"sharded compaction"` when there is a ledger, at
+/// `"compaction"` when there is none.
+pub(crate) fn compact_booked(
+    graph: &mut PakGraph,
+    mut ledger: Option<&mut OwnerLedger>,
     config: &PakmanConfig,
     control: &RunControl<'_>,
 ) -> Result<CompactionOutcome, PakmanError> {
-    let slot_count = store.slot_count();
-    let mut scratch = CompactionScratch::new(store)?;
+    let checkpoint = if ledger.is_some() {
+        "sharded compaction"
+    } else {
+        "compaction"
+    };
+    let slot_count = graph.slot_count();
+    CompactionScratch::check_slot_count(slot_count, checkpoint)?;
+    let mut scratch = CompactionScratch::new(graph);
     let initial_nodes = scratch.alive_list.len();
     let mut trace = config.record_trace.then(|| {
         let mut sizes = vec![0usize; slot_count];
         for &slot in &scratch.alive_list {
-            let node = store.node(slot as usize).expect("slot is alive");
+            let node = graph.node(slot as usize).expect("slot is alive");
             sizes[slot as usize] = node.size_bytes();
         }
         CompactionTrace::new(slot_count, sizes)
@@ -718,7 +672,7 @@ pub(crate) fn run_barriered<S: NodeStore>(
     let mut profile = CompactionProfile::default();
 
     for iteration in 0..config.max_compaction_iterations {
-        control.check(S::CHECKPOINT)?;
+        control.check(checkpoint)?;
         let alive_before = scratch.alive_list.len();
         control.compaction_iteration(iteration, alive_before);
         if alive_before <= config.compaction_node_threshold {
@@ -738,8 +692,10 @@ pub(crate) fn run_barriered<S: NodeStore>(
             // keeps its cached "not a target" verdict (see DESIGN.md).
             scratch.dirty.drain_into(&mut scratch.recheck);
         }
-        scratch.check(store, plan(scratch.recheck.len(), config.threads, GRAIN));
-        store.checked(&scratch.recheck);
+        scratch.check(graph, plan(scratch.recheck.len(), config.threads, GRAIN));
+        if let Some(ledger) = ledger.as_deref_mut() {
+            ledger.checked(graph.slot_keys(), &scratch.recheck);
+        }
         scratch.fold_census();
         let histogram = scratch.running_hist.clone();
         // The trace lists one NodeCheck per alive node per iteration.
@@ -748,21 +704,23 @@ pub(crate) fn run_barriered<S: NodeStore>(
         }
         let p1 = p1_start.elapsed();
 
-        // ---- Stages P2 + P3: the streamed pass, then the store's flush ----
+        // ---- Stages P2 + P3: the streamed pass, then the iteration's close ----
         // Every destination is a neighbour P1 resolved, handed over in the
         // order the pass emits the transfers: no second search.
         let p2_start = Instant::now();
         let mut transfer_events = Vec::new();
         let transfers = scratch.stream(
-            store,
-            iteration,
+            graph,
+            ledger.as_deref_mut(),
             trace.is_some().then_some(&mut transfer_events),
         );
         let p2 = p2_start.elapsed();
         let p3_start = Instant::now();
-        store.close();
+        if let Some(ledger) = ledger.as_deref_mut() {
+            ledger.close(iteration);
+        }
         let updates = if trace.is_some() {
-            scratch.trace_updates(store)
+            scratch.trace_updates(graph)
         } else {
             Vec::new()
         };
@@ -797,12 +755,12 @@ pub(crate) fn run_barriered<S: NodeStore>(
     }
 
     // The incremental census is all that counts the alive nodes; cross-check
-    // it against the store once per run, in release builds too.
+    // it against the graph's bitmap once per run, in release builds too.
     stats.final_nodes = scratch.alive_list.len();
-    let alive_in_store = (0..slot_count).filter(|&slot| store.is_alive(slot)).count();
+    let alive_in_graph = (0..slot_count).filter(|&slot| graph.is_alive(slot)).count();
     assert_eq!(
-        stats.final_nodes, alive_in_store,
-        "the alive census drifted from the store"
+        stats.final_nodes, alive_in_graph,
+        "the alive census drifted from the graph"
     );
     if stats.final_nodes <= config.compaction_node_threshold {
         stats.converged = true;
@@ -831,9 +789,9 @@ pub fn is_invalidation_target(graph: &PakGraph, node: &MacroNode) -> bool {
     is_invalidation_target_with(|k1mer| graph.index_of(k1mer), node, |_| {})
 }
 
-/// [`is_invalidation_target`] generalized over the neighbour lookup, so every
-/// [`NodeStore`] can route lookups its own way while evaluating the very same
-/// predicate. `resolve` answers "alive, and where" for one
+/// [`is_invalidation_target`] generalized over the neighbour lookup: P1
+/// resolves through the graph's rank index, and a test through a lookup that
+/// finds every neighbour alive. `resolve` answers "alive, and where" for one
 /// neighbour (k-1)-mer (`None` = not alive); every answer is handed to `sink` in
 /// path order, predecessor before successor — the order
 /// [`TransferNode::extract_pair`] emits a path's two TransferNodes — so a caller
@@ -848,7 +806,7 @@ pub fn is_invalidation_target(graph: &PakGraph, node: &MacroNode) -> bool {
 /// aliveness pass. The verdict, and with it the frontier and every count, is
 /// the one a lookup-first evaluation returns.
 pub(crate) fn is_invalidation_target_with<R>(
-    resolve: impl Fn(&nmp_pak_genome::Kmer) -> Option<R>,
+    resolve: impl Fn(&Kmer) -> Option<R>,
     node: &MacroNode,
     mut sink: impl FnMut(R),
 ) -> bool {
@@ -1126,7 +1084,7 @@ mod tests {
     #[test]
     fn a_vanished_destination_is_not_recorded_as_an_empty_write_back() {
         let mut graph = graph_from_reads(&["ACGTTAC"], 5);
-        let mut scratch = CompactionScratch::new(&graph).unwrap();
+        let mut scratch = CompactionScratch::new(&graph);
         scratch.touched_order.extend([0, 2]);
         assert!(graph.invalidate(2).is_some());
         let record = std::panic::AssertUnwindSafe(|| scratch.trace_updates(&graph));
@@ -1215,7 +1173,7 @@ mod tests {
 
     /// P1 over `slots` on `chunks` chunks, on a scratch of its own.
     fn checks_on(graph: &PakGraph, slots: &[usize], chunks: usize) -> CompactionScratch {
-        let mut scratch = CompactionScratch::new(graph).unwrap();
+        let mut scratch = CompactionScratch::new(graph);
         scratch.recheck.extend_from_slice(slots);
         scratch.check(graph, chunks);
         scratch
@@ -1236,64 +1194,9 @@ mod tests {
         assert!(!serial.resolved.is_empty());
     }
 
-    /// A store that answers and applies as the graph it wraps, keeping every
-    /// delivery: `(source, dest, transfer, matched)`.
-    struct Recording {
-        graph: PakGraph,
-        deliveries: Vec<(usize, Option<usize>, TransferNode, bool)>,
-    }
-
-    impl NodeStore for Recording {
-        const CHECKPOINT: &'static str = "recording";
-
-        fn slot_count(&self) -> usize {
-            self.graph.slot_count()
-        }
-        fn is_alive(&self, slot: usize) -> bool {
-            self.graph.is_alive(slot)
-        }
-        fn node(&self, slot: usize) -> Option<&MacroNode> {
-            self.graph.node(slot)
-        }
-        fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
-            self.graph.index_of(k1mer)
-        }
-        fn retire(&mut self, slot: usize) {
-            self.graph.retire(slot);
-        }
-        fn take_retired(&mut self, slot: usize) -> MacroNode {
-            NodeStore::take_retired(&mut self.graph, slot)
-        }
-        fn prefetch(&self, slot: usize) {
-            self.graph.prefetch(slot);
-        }
-        fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: TransferNode) -> bool {
-            let matched = self.graph.deliver(source, dest, transfer.clone());
-            self.deliveries.push((source, dest, transfer, matched));
-            matched
-        }
-    }
-
-    /// The simulated graph plus the hand-wired case of `tests/graph_index.rs` at
-    /// k = 21, so its first iteration meets every kind of delivery: `G…` lists
-    /// `T…` as a predecessor that does not list it back, both dominate what they
-    /// list, and `T…` is retired beside the node that sends to it.
+    /// The simulated graph plus the hand-wired case of `tests/graph_index.rs`.
     fn graph_with_a_doomed_destination() -> PakGraph {
-        let dna = |text: String| text.parse::<Extension>().unwrap();
-        let k1mer = |unit: &str| Kmer::from_ascii(&unit.repeat(20 / unit.len())).unwrap();
-        let wired = |unit: &str, path: Option<(&str, &str)>| {
-            let mut node = MacroNode::new(k1mer(unit));
-            if let Some((prefix, suffix)) = path {
-                let path = ThroughPath::through(dna(prefix.repeat(20)), dna(suffix.repeat(10)), 1);
-                node.push_path(path);
-            }
-            node
-        };
-        let mut nodes = simulated_graph().into_nodes();
-        nodes.push(wired("G", Some(("T", "CC"))));
-        nodes.push(wired("T", Some(("A", "AC"))));
-        nodes.extend(["A", "C", "AC"].map(|unit| wired(unit, None)));
-        PakGraph::from_nodes(nodes, 21)
+        crate::test_util::with_a_doomed_destination(simulated_graph().into_nodes(), 21)
     }
 
     #[test]
@@ -1303,6 +1206,7 @@ mod tests {
         // target, resolve each destination afresh, apply in stream order. On a
         // pass longer than the destination look-ahead (its hints run ahead, then
         // stop at its tail) and on one shorter (one chain node: no hint at all).
+        // The pass books into a four-owner ledger as it goes.
         let chain = graph_from_reads(&["ACGTTAC"], 5);
         for (graph, long) in [(graph_with_a_doomed_destination(), true), (chain, false)] {
             let mut scratch = checks_on(&graph, &graph.alive_slots(), 4);
@@ -1344,20 +1248,17 @@ mod tests {
                 assert_eq!((invalidated.len(), expected.len(), unmatched), (1, 2, 0));
             }
 
-            let mut store = Recording {
-                graph: graph.clone(),
-                deliveries: Vec::new(),
-            };
+            let mut streamed = graph.clone();
+            let mut ledger = OwnerLedger::new(&graph, 4);
             let mut events = Vec::new();
-            let delivered = scratch.stream(&mut store, 0, Some(&mut events));
+            let delivered = scratch.stream(&mut streamed, Some(&mut ledger), Some(&mut events));
             assert_eq!(delivered, expected.len());
-            assert_eq!(store.deliveries, expected);
             // The nodes the pass parked (its first two grains' worth) went with it.
             assert!(scratch.retired.is_empty());
             assert!(scratch.retired.capacity() >= invalidated.len().min(2 * GRAIN));
             for slot in 0..graph.slot_count() {
-                assert_eq!(store.graph.node(slot), oracle.node(slot), "slot {slot}");
-                assert_eq!(store.graph.is_alive(slot), oracle.is_alive(slot));
+                assert_eq!(streamed.node(slot), oracle.node(slot), "slot {slot}");
+                assert_eq!(streamed.is_alive(slot), oracle.is_alive(slot));
             }
 
             // What the pass recorded as each transfer landed is the fold of that
@@ -1382,6 +1283,32 @@ mod tests {
             let mut frontier = Vec::new();
             scratch.dirty.drain_into(&mut frontier);
             assert_eq!(frontier, reached);
+
+            // The ledger booked every transfer of the stream, the dropped one
+            // too, on the lane of its source's owner and its destination's;
+            // the close flushes the busy lanes in (src, dst) order and zeroes
+            // them all.
+            let owner = |key: u64| nmp_pak_genome::shard_of_packed(key, 4);
+            let mut lanes = [(0u64, 0u64); 16];
+            for (source, _, transfer, _) in &expected {
+                let src = owner(graph.slot_keys()[*source]);
+                let lane = &mut lanes[src * 4 + owner(transfer.destination.packed())];
+                *lane = (lane.0 + 1, lane.1 + transfer.size_bytes() as u64);
+            }
+            let busy = lanes.iter().enumerate().filter(|(_, lane)| lane.0 > 0);
+            let flushes: Vec<_> = busy
+                .map(|(i, &(transfers, bytes))| crate::shard::MailboxFlushStats {
+                    src: i / 4,
+                    dst: i % 4,
+                    src_iteration: 7,
+                    transfers,
+                    bytes,
+                })
+                .collect();
+            assert!(flushes.len() > 1, "{} busy lanes", flushes.len());
+            ledger.close(7);
+            ledger.close(8);
+            assert_eq!(ledger.telemetry.flushes, flushes);
         }
     }
 
@@ -1393,7 +1320,7 @@ mod tests {
         assert!(scratch.invalidated.len() > 100);
         scratch.resolved.pop();
         let mut victim = graph.clone();
-        let pass = std::panic::AssertUnwindSafe(|| scratch.stream(&mut victim, 0, None));
+        let pass = std::panic::AssertUnwindSafe(|| scratch.stream(&mut victim, None, None));
         let panic = std::panic::catch_unwind(pass).expect_err("a short hand-off must not run");
         let message = panic.downcast_ref::<String>().expect("an assert message");
         assert!(
@@ -1439,39 +1366,15 @@ mod tests {
 
     #[test]
     fn more_slots_than_the_census_can_name_is_a_typed_error() {
-        /// Claims 2^32 slots and must not be asked anything else.
-        struct Oversized;
-        impl NodeStore for Oversized {
-            const CHECKPOINT: &'static str = "oversized store";
-            fn slot_count(&self) -> usize {
-                u32::MAX as usize + 1
-            }
-            fn is_alive(&self, _: usize) -> bool {
-                unreachable!("rejected before the census is taken")
-            }
-            fn node(&self, _: usize) -> Option<&MacroNode> {
-                unreachable!()
-            }
-            fn index_of(&self, _: &Kmer) -> Option<usize> {
-                unreachable!()
-            }
-            fn retire(&mut self, _: usize) {
-                unreachable!()
-            }
-            fn take_retired(&mut self, _: usize) -> MacroNode {
-                unreachable!()
-            }
-            fn deliver(&mut self, _: usize, _: Option<usize>, _: TransferNode) -> bool {
-                unreachable!()
-            }
-        }
-        let err = run_barriered(&mut Oversized, &compact_config(0), &RunControl::default())
+        let most = u32::MAX as usize;
+        assert!(CompactionScratch::check_slot_count(most, "compaction").is_ok());
+        let err = CompactionScratch::check_slot_count(most + 1, "sharded compaction")
             .expect_err("2^32 slots overflow the u32 census");
         let PakmanError::InvalidConfig { message } = err else {
             panic!("expected InvalidConfig, got {err:?}");
         };
         assert!(
-            message.contains("oversized store: 4294967296 slots"),
+            message.contains("sharded compaction: 4294967296 slots"),
             "{message}"
         );
     }

@@ -41,19 +41,17 @@ pub struct AssemblyStats {
     pub n50: usize,
     /// Length of the largest contig.
     pub largest_contig: usize,
-    /// Mean contig length (rounded down), 0 when there are no contigs.
-    pub mean_length: usize,
 }
 
 impl AssemblyStats {
     /// Computes statistics for a set of contigs.
-    pub fn from_contigs(contigs: &[Contig]) -> Self {
+    pub(crate) fn from_contigs(contigs: &[Contig]) -> Self {
         let lengths: Vec<usize> = contigs.iter().map(Contig::len).collect();
         Self::from_lengths(&lengths)
     }
 
     /// Computes statistics directly from contig lengths.
-    pub fn from_lengths(lengths: &[usize]) -> Self {
+    pub(crate) fn from_lengths(lengths: &[usize]) -> Self {
         let total_length: usize = lengths.iter().sum();
         let contig_count = lengths.len();
         AssemblyStats {
@@ -61,7 +59,6 @@ impl AssemblyStats {
             total_length,
             n50: n50(lengths),
             largest_contig: lengths.iter().copied().max().unwrap_or(0),
-            mean_length: total_length.checked_div(contig_count).unwrap_or(0),
         }
     }
 }
@@ -154,7 +151,6 @@ mod tests {
         assert_eq!(stats.contig_count, 3);
         assert_eq!(stats.total_length, 16);
         assert_eq!(stats.largest_contig, 10);
-        assert_eq!(stats.mean_length, 5);
         assert_eq!(stats.n50, 10);
     }
 

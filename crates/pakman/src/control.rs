@@ -15,7 +15,8 @@
 //! [`crate::AssemblyPipeline`] has no twins: every one of its methods takes
 //! the control, and [`RunControl::default`] is the unobserved run.
 //! The two compaction entry points run one barriered iteration driver (the
-//! lock-step schedule), so they share one contract: the token is polled, then
+//! lock-step schedule) over the one graph — the sharded one hands it the owner
+//! ledger to book into — so they share one contract: the token is polled, then
 //! the observer called, at the top of every iteration, and only the checkpoint
 //! label differs (`"compaction"` / `"sharded compaction"`).
 

@@ -324,13 +324,26 @@ impl PakGraph {
     /// (k-1)-mers, in any order: the nodes are sorted into ascending (k-1)-mer
     /// order here. The batch merge hands over an already-ascending list, which
     /// the sort passes over in one linear scan.
+    ///
+    /// # Panics
+    ///
+    /// In release builds too, if `k < 2`, or if two nodes share a (k-1)-mer or
+    /// a node's (k-1)-mer is not `k - 1` bases long: the index would find only
+    /// one of two nodes with one key, and misfile a key of another length.
     pub fn from_nodes(mut nodes: Vec<MacroNode>, k: usize) -> PakGraph {
-        debug_assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
+        assert!(k >= 2, "k = {k} must be at least 2 to form (k-1)-mers");
         nodes.sort_by_key(MacroNode::k1mer);
         let mut keys = Vec::with_capacity(nodes.len());
         let mut slots = Vec::with_capacity(nodes.len());
         for node in nodes {
-            keys.push(node.k1mer().packed());
+            let k1mer = node.k1mer();
+            let ascending = keys.last().is_none_or(|&last| last < k1mer.packed());
+            assert!(
+                ascending && k1mer.k() + 1 == k,
+                "nodes must hold distinct {}-base (k-1)-mers",
+                k - 1
+            );
+            keys.push(k1mer.packed());
             slots.push(Some(node));
         }
         PakGraph {
@@ -1067,6 +1080,20 @@ mod tests {
         for pair in k1mers.windows(2) {
             assert!(pair[0] < pair[1]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct 4-base (k-1)-mers")]
+    fn nodes_sharing_a_k1mer_panic() {
+        let node = || MacroNode::new(Kmer::from_ascii("ACGT").unwrap());
+        PakGraph::from_nodes(vec![node(), node()], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct 4-base (k-1)-mers")]
+    fn a_node_of_another_length_panics() {
+        let node = |text: &str| MacroNode::new(Kmer::from_ascii(text).unwrap());
+        PakGraph::from_nodes(vec![node("ACGT"), node("ACGTA"), node("CCGT")], 5);
     }
 
     #[test]

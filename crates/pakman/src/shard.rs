@@ -14,10 +14,10 @@
 //! * [`ShardedGraph`] — the one built [`PakGraph`] plus its shard count; the
 //!   owner of every slot is the hash of its key;
 //! * [`compact_sharded`] — Iterative Compaction by [`crate::compaction`]'s
-//!   barriered driver over a store that forwards every access to that graph
-//!   and keeps the owner ledger: P1 work per owner shard, and every
-//!   TransferNode on its (owner of source, owner of destination) lane, flushed
-//!   **once per iteration**;
+//!   one driver over that graph, booking into the owner ledger from the
+//!   driver's own records: P1 work per owner shard, and every TransferNode on
+//!   its (owner of source, owner of destination) lane, flushed **once per
+//!   iteration**;
 //! * [`ShardingTelemetry`] — the measured per-shard load and inter-shard
 //!   traffic the hardware models consume instead of assuming uniformity; its
 //!   flush ledger is the one record of the exchange, and every traffic total
@@ -34,15 +34,14 @@
 //! iteration (§4.2), and the ledger books exactly that barriered schedule.
 //! [`crate::ShardSchedule`] selects nothing: both of its variants run it.
 
-use crate::compaction::{run_barriered, CompactionOutcome, NodeStore};
+use crate::compaction::{compact_booked, CompactionOutcome};
 use crate::config::PakmanConfig;
 use crate::control::RunControl;
 use crate::error::PakmanError;
 use crate::graph::PakGraph;
 use crate::kmer_count::CountedKmer;
-use crate::macronode::MacroNode;
-use crate::transfer::{ShardMailbox, TransferNode};
-use nmp_pak_genome::{shard_of_packed, Kmer};
+use crate::transfer::TransferNode;
+use nmp_pak_genome::shard_of_packed;
 
 /// The PaK-graph under owner-computes sharding: the one built graph, whose
 /// slot layout every artifact (traces, statistics, the compacted output
@@ -109,11 +108,7 @@ impl ShardedGraph {
     /// Alive MacroNodes per owner shard — the per-channel residency the
     /// hardware model reads as measured (not assumed) load.
     pub fn per_shard_alive(&self) -> Vec<usize> {
-        let mut alive = vec![0; self.shard_count];
-        for slot in self.graph.alive_slots() {
-            alive[self.shard_of_global(slot)] += 1;
-        }
-        alive
+        alive_per_shard(&self.graph, self.shard_count)
     }
 
     /// The graph, dead slots included, for the walk, batch merging and the
@@ -166,19 +161,6 @@ pub struct ShardingTelemetry {
 }
 
 impl ShardingTelemetry {
-    /// The telemetry of a run about to start on `sharded`: residency recorded,
-    /// every ledger empty.
-    fn at_start(sharded: &ShardedGraph) -> ShardingTelemetry {
-        let shard_count = sharded.shard_count();
-        ShardingTelemetry {
-            shard_count,
-            initial_alive_per_shard: sharded.per_shard_alive(),
-            final_alive_per_shard: Vec::new(),
-            checked_per_shard: vec![0; shard_count],
-            flushes: Vec::new(),
-        }
-    }
-
     /// Per-shard load imbalance: max over mean of the per-shard P1 work
     /// (falls back to the initial residency when no predicate ran). 1.0 means
     /// perfectly balanced; the hardware model multiplies its
@@ -265,91 +247,90 @@ pub fn compact_sharded_controlled(
     config: &PakmanConfig,
     control: &RunControl<'_>,
 ) -> Result<(CompactionOutcome, ShardingTelemetry), PakmanError> {
-    let mut store = OwnerLedger {
-        mailbox: ShardMailbox::new(sharded.shard_count),
-        telemetry: ShardingTelemetry::at_start(sharded),
-        iteration: 0,
-        sharded,
-    };
-    let outcome = run_barriered(&mut store, config, control)?;
-    let mut telemetry = store.telemetry;
-    telemetry.final_alive_per_shard = store.sharded.per_shard_alive();
+    let mut ledger = OwnerLedger::new(&sharded.graph, sharded.shard_count);
+    let outcome = compact_booked(&mut sharded.graph, Some(&mut ledger), config, control)?;
+    let mut telemetry = ledger.telemetry;
+    telemetry.final_alive_per_shard = sharded.per_shard_alive();
     Ok((outcome, telemetry))
 }
 
-/// The sharded [`NodeStore`]: every access goes to the one graph, as
-/// [`PakGraph`]'s own store does, and the ledger books what each owner shard
-/// would have done — its P1 checks, and each transfer on its (owner of
-/// source, owner of destination) lane; the iteration's lanes enter the flush
-/// ledger when it closes.
-struct OwnerLedger<'g> {
-    sharded: &'g mut ShardedGraph,
-    mailbox: ShardMailbox,
-    telemetry: ShardingTelemetry,
-    /// The open iteration.
-    iteration: usize,
+/// Alive MacroNodes of `graph` per owner shard of `shards`.
+fn alive_per_shard(graph: &PakGraph, shards: usize) -> Vec<usize> {
+    let mut alive = vec![0; shards];
+    for slot in graph.alive_slot_iter() {
+        alive[shard_of_packed(graph.slot_keys()[slot], shards)] += 1;
+    }
+    alive
 }
 
-impl NodeStore for OwnerLedger<'_> {
-    const CHECKPOINT: &'static str = "sharded compaction";
+/// What each owner shard would have done, booked by the compaction driver
+/// from its own records — the software image of distributed PaKman's
+/// `MPI_Alltoallv` and of the NMP hardware's cross-channel hop, kept as
+/// counts: no node or transfer is held or moved. The owner of a slot is the
+/// hash of its key.
+#[derive(Debug)]
+pub(crate) struct OwnerLedger {
+    /// Number of shards, the side of the lane matrix.
+    shards: usize,
+    /// `(transfers, payload bytes)` booked shard→shard in the open iteration,
+    /// flattened `src * shards + dst`; zeroed at every close, so the matrix is
+    /// allocated once per run (§4.5's pre-allocation).
+    lanes: Vec<(u64, u64)>,
+    /// The run's telemetry, residency recorded at the start.
+    pub(crate) telemetry: ShardingTelemetry,
+}
 
-    fn slot_count(&self) -> usize {
-        self.sharded.graph.slot_count()
-    }
-    fn is_alive(&self, slot: usize) -> bool {
-        self.sharded.graph.is_alive(slot)
-    }
-    fn node(&self, slot: usize) -> Option<&MacroNode> {
-        self.sharded.graph.node(slot)
-    }
-    fn index_of(&self, k1mer: &Kmer) -> Option<usize> {
-        self.sharded.graph.index_of(k1mer)
-    }
-    fn retire(&mut self, slot: usize) {
-        self.sharded.graph.retire(slot);
-    }
-    fn take_retired(&mut self, slot: usize) -> MacroNode {
-        self.sharded.graph.take_retired(slot)
-    }
-    fn checked(&mut self, slots: &[usize]) {
-        for &slot in slots {
-            self.telemetry.checked_per_shard[self.sharded.shard_of_global(slot)] += 1;
+impl OwnerLedger {
+    /// The ledger of a run about to start on `graph` under `shards` owners:
+    /// residency recorded, every count zero.
+    pub(crate) fn new(graph: &PakGraph, shards: usize) -> OwnerLedger {
+        OwnerLedger {
+            shards,
+            lanes: vec![(0, 0); shards * shards],
+            telemetry: ShardingTelemetry {
+                shard_count: shards,
+                initial_alive_per_shard: alive_per_shard(graph, shards),
+                final_alive_per_shard: Vec::new(),
+                checked_per_shard: vec![0; shards],
+                flushes: Vec::new(),
+            },
         }
     }
-    fn prefetch(&self, slot: usize) {
-        self.sharded.graph.prefetch(slot);
-    }
-    fn open(&mut self, iteration: usize) {
-        self.mailbox.clear();
-        self.iteration = iteration;
+
+    /// P1 evaluated the predicate on `slots`, whose keys are in `keys`.
+    pub(crate) fn checked(&mut self, keys: &[u64], slots: &[usize]) {
+        for &slot in slots {
+            self.telemetry.checked_per_shard[shard_of_packed(keys[slot], self.shards)] += 1;
+        }
     }
 
-    /// Books the transfer on its (src, dst) lane — a dropped one too: it
-    /// crossed the network before anyone could know — then applies it in
-    /// place, as the single graph does.
-    fn deliver(&mut self, source: usize, dest: Option<usize>, transfer: TransferNode) -> bool {
-        let src = self.sharded.shard_of_global(source);
-        let dst = shard_of_packed(transfer.destination.packed(), self.sharded.shard_count);
-        self.mailbox.enter(src, dst, &transfer);
-        self.sharded.graph.deliver(source, dest, transfer)
+    /// Books `transfer`, sent by the node keyed `source_key`, on the lane from
+    /// its owner to the owner of its destination — whether or not it then
+    /// lands: it crossed the exchange before anyone could know.
+    pub(crate) fn enter(&mut self, source_key: u64, transfer: &TransferNode) {
+        let src = shard_of_packed(source_key, self.shards);
+        let dst = shard_of_packed(transfer.destination.packed(), self.shards);
+        let lane = &mut self.lanes[src * self.shards + dst];
+        lane.0 += 1;
+        lane.1 += transfer.size_bytes() as u64;
     }
 
-    /// Enters the iteration's exchange in the flush ledger: one record per
-    /// (src, dst) lane with traffic, already in (iteration, src, dst) order by
-    /// construction.
-    fn close(&mut self) {
-        let src_iteration = self.iteration;
-        let flushes = self
-            .mailbox
-            .lanes()
-            .map(|(src, dst, transfers, bytes)| MailboxFlushStats {
-                src,
-                dst,
-                src_iteration,
-                transfers,
-                bytes,
-            });
-        self.telemetry.flushes.extend(flushes);
+    /// Closes `iteration`: one flush record per (src, dst) lane with traffic,
+    /// in (iteration, src, dst) order by construction; every lane zeroed.
+    pub(crate) fn close(&mut self, iteration: usize) {
+        let shards = self.shards;
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let (transfers, bytes) = std::mem::take(lane);
+            if transfers > 0 {
+                self.telemetry.flushes.push(MailboxFlushStats {
+                    src: i / shards,
+                    dst: i % shards,
+                    src_iteration: iteration,
+                    transfers,
+                    bytes,
+                });
+            }
+        }
     }
 }
 
@@ -359,8 +340,10 @@ mod tests {
     use crate::compaction::compact;
     use crate::config::ShardSchedule;
     use crate::kmer_count::{count_kmers, KmerCounterConfig};
+    use crate::macronode::MacroNode;
     use crate::test_util::reads_for;
     use crate::walk::generate_contigs;
+    use nmp_pak_genome::Kmer;
 
     fn counted_for(k: usize) -> Vec<CountedKmer> {
         let reads = reads_for(4_000, 15.0, 0x5A4D);
@@ -439,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn a_destination_retired_beside_its_source_is_dropped_under_every_store() {
+    fn a_destination_retired_beside_its_source_is_dropped_and_still_booked() {
         use crate::trace::{TransferEvent, UpdateEvent};
         let nodes = asymmetric_nodes();
         let sharded_over =
@@ -654,6 +637,100 @@ mod tests {
                 sharded.shard_of_global(slot),
                 node.owner_shard(sharded.shard_count())
             );
+        }
+    }
+
+    /// Per iteration of a full-scan chain over `graph` (one-iteration
+    /// `compact` calls, `iterations` of them): how many of the transfers its
+    /// targets send go to a destination that is itself a target, and their
+    /// wire bytes.
+    fn transfers_to_targets(
+        mut graph: PakGraph,
+        config: &PakmanConfig,
+        iterations: usize,
+    ) -> Vec<(usize, u64)> {
+        use crate::compaction::is_invalidation_target;
+        let one_step = PakmanConfig {
+            max_compaction_iterations: 1,
+            ..*config
+        };
+        let mut dropped = Vec::new();
+        for _ in 0..iterations {
+            let targets: Vec<usize> = graph
+                .iter_alive()
+                .filter(|(_, node)| is_invalidation_target(&graph, node))
+                .map(|(slot, _)| slot)
+                .collect();
+            let (mut count, mut bytes) = (0usize, 0u64);
+            for &slot in &targets {
+                for transfer in TransferNode::extract_all(graph.node(slot).unwrap()) {
+                    let dest = graph.index_of(&transfer.destination);
+                    if targets
+                        .binary_search(&dest.expect("P1 found it alive"))
+                        .is_ok()
+                    {
+                        count += 1;
+                        bytes += transfer.size_bytes() as u64;
+                    }
+                }
+            }
+            dropped.push((count, bytes));
+            compact(&mut graph, &one_step);
+        }
+        dropped
+    }
+
+    #[test]
+    fn check_counts_and_lane_totals_are_folds_over_the_trace() {
+        // The ledger books nothing a trace cannot give back. Its per-shard
+        // check counts are iteration 0's check list, then each iteration the
+        // distinct destinations the previous one's transfers landed on (the
+        // frontier), mapped to owners. Its transfers beyond the traced ones
+        // are, iteration by iteration, exactly those sent to a destination
+        // retired beside its source.
+        let nodes = PakGraph::from_counted_kmers(&counted_for(17), 17, 1).into_nodes();
+        let graph = crate::test_util::with_a_doomed_destination(nodes, 17);
+        let iterations = compact(&mut graph.clone(), &cfg(1)).stats.iterations.len();
+        let dropped = transfers_to_targets(graph.clone(), &cfg(1), iterations);
+        assert_eq!(dropped[0].0, 1, "G's transfer to T");
+        assert!(dropped[1..].iter().all(|&(count, _)| count == 0));
+
+        for shards in [1, 2, 7, 8, 32] {
+            for threads in [1, 4] {
+                let what = format!("shards = {shards}, threads = {threads}");
+                let mut sharded = ShardedGraph::new(graph.clone(), shards);
+                let (outcome, telemetry) = compact_sharded(&mut sharded, &cfg(threads));
+                let trace = outcome.trace.expect("traced");
+                assert_eq!(trace.iterations.len(), iterations, "{what}");
+
+                let mut checked = vec![0u64; shards];
+                for (i, it) in trace.iterations.iter().enumerate() {
+                    let mut frontier: Vec<u32> = match i {
+                        0 => it.checks.iter().map(|check| check.slot).collect(),
+                        _ => {
+                            let landed = trace.iterations[i - 1].transfers.iter();
+                            landed.map(|event| event.dest_slot).collect()
+                        }
+                    };
+                    frontier.sort_unstable();
+                    frontier.dedup();
+                    let profiled = outcome.profile.iterations[i].checked_nodes;
+                    assert_eq!(frontier.len(), profiled, "{what}, iteration {i}");
+                    for slot in frontier {
+                        checked[sharded.shard_of_global(slot as usize)] += 1;
+                    }
+
+                    let flushes = telemetry.flushes.iter().filter(|f| f.src_iteration == i);
+                    let booked = flushes.fold((0, 0), |(n, b), f| (n + f.transfers, b + f.bytes));
+                    let traced = it.transfers.iter().map(|event| u64::from(event.size_bytes));
+                    let beyond = (
+                        (booked.0 - it.transfers.len() as u64) as usize,
+                        booked.1 - traced.sum::<u64>(),
+                    );
+                    assert_eq!(beyond, dropped[i], "{what}, iteration {i}");
+                }
+                assert_eq!(checked, telemetry.checked_per_shard, "{what}");
+            }
         }
     }
 }

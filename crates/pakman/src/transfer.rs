@@ -57,7 +57,7 @@ impl TransferNode {
 
     /// The TransferNodes of every interior path of `node` (pipeline stage P2),
     /// in path order, predecessor before successor — the one extractor:
-    /// compaction's streamed pass hands them, one at a time, to its store.
+    /// compaction's streamed pass applies them one at a time.
     ///
     /// Paths with terminal flow produce no transfers; callers should only invalidate
     /// fully interior nodes (see [`MacroNode::is_fully_interior`]).
@@ -154,59 +154,6 @@ impl TransferNode {
                 format!("{e}{succ_match}"),
             ),
         ))
-    }
-}
-
-/// The per-iteration TransferNode ledger of a sharded run — the software
-/// image of distributed PaKman's `MPI_Alltoallv` and of the NMP hardware's
-/// cross-channel hop, kept as counts: no transfer is held or moved.
-///
-/// The compaction driver streams the canonical (source-slot-major, path-order)
-/// transfers one at a time, and [`ShardMailbox::enter`] books each on its
-/// (source shard, destination shard) lane: one transfer and its payload bytes.
-/// Those lanes are the traffic the hardware model consumes as measured
-/// cross-channel traffic; the transfer itself is applied in place by the
-/// store that booked it.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardMailbox {
-    /// Number of shards, the side of the lane matrix.
-    shards: usize,
-    /// `(transfers, payload bytes)` entered shard→shard this iteration,
-    /// flattened `src * shards + dst`.
-    lanes: Vec<(u64, u64)>,
-}
-
-impl ShardMailbox {
-    /// An empty mailbox for `shard_count` shards.
-    pub(crate) fn new(shard_count: usize) -> ShardMailbox {
-        let shards = shard_count.max(1);
-        ShardMailbox {
-            shards,
-            lanes: vec![(0, 0); shards * shards],
-        }
-    }
-
-    /// Zeroes every lane (the lane matrix is reused across iterations, §4.5's
-    /// pre-allocation discipline applied to the mailbox).
-    pub(crate) fn clear(&mut self) {
-        self.lanes.fill((0, 0));
-    }
-
-    /// Books `transfer`, sent by shard `src`, on the lane to shard `dst`, the
-    /// owner of its destination.
-    pub(crate) fn enter(&mut self, src: usize, dst: usize, transfer: &TransferNode) {
-        debug_assert!(src < self.shards && dst < self.shards);
-        let lane = &mut self.lanes[src * self.shards + dst];
-        lane.0 += 1;
-        lane.1 += transfer.size_bytes() as u64;
-    }
-
-    /// The lanes with traffic this iteration: `(src, dst, transfers, payload
-    /// bytes)`, in (src, dst) order.
-    pub(crate) fn lanes(&self) -> impl Iterator<Item = (usize, usize, u64, u64)> + '_ {
-        let shards = self.shards;
-        let busy = self.lanes.iter().enumerate().filter(|(_, lane)| lane.0 > 0);
-        busy.map(move |(i, &(transfers, bytes))| (i / shards, i % shards, transfers, bytes))
     }
 }
 
@@ -358,52 +305,6 @@ mod tests {
             count: 2,
         });
         assert_eq!(TransferNode::extract_all(&node).next(), None);
-    }
-
-    #[test]
-    fn mailbox_lanes_account_for_every_transfer() {
-        // A small canonical stream: transfers to several destinations, sources
-        // attributed round-robin across 3 shards.
-        let shards = 3usize;
-        let node_a = MacroNode::from_extensions(k("GTCA"), vec![(Base::A, 2)], vec![(Base::T, 2)]);
-        let node_b = MacroNode::from_extensions(k("CATG"), vec![(Base::C, 1)], vec![(Base::G, 1)]);
-        let mut stream: Vec<(usize, TransferNode)> = Vec::new();
-        for (slot, node) in [(0usize, &node_a), (1, &node_b), (2, &node_a)] {
-            for t in TransferNode::extract_all(node) {
-                stream.push((slot, t));
-            }
-        }
-        let owner = |transfer: &TransferNode| {
-            nmp_pak_genome::shard_of_packed(transfer.destination.packed(), shards)
-        };
-        let mut mailbox = ShardMailbox::new(shards);
-        let enter_all = |mailbox: &mut ShardMailbox| {
-            for (slot, transfer) in &stream {
-                mailbox.enter(slot % shards, owner(transfer), transfer);
-            }
-        };
-        enter_all(&mut mailbox);
-
-        // The lanes account for every transfer and byte, each on the lane of
-        // its source's shard and its destination's owner.
-        let mut traffic = vec![(0u64, 0u64); shards * shards];
-        for (slot, transfer) in &stream {
-            let lane = &mut traffic[slot % shards * shards + owner(transfer)];
-            *lane = (lane.0 + 1, lane.1 + transfer.size_bytes() as u64);
-        }
-        let cells = (0..shards).flat_map(|s| (0..shards).map(move |d| (s, d)));
-        let expected_lanes: Vec<(usize, usize, u64, u64)> = cells
-            .map(|(s, d)| (s, d, traffic[s * shards + d].0, traffic[s * shards + d].1))
-            .filter(|lane| lane.2 > 0)
-            .collect();
-        assert!(expected_lanes.len() > 1 && expected_lanes.len() < shards * shards);
-        assert_eq!(mailbox.lanes().collect::<Vec<_>>(), expected_lanes);
-
-        // A clear empties every lane; entering again books the same lanes.
-        mailbox.clear();
-        assert_eq!(mailbox.lanes().count(), 0);
-        enter_all(&mut mailbox);
-        assert_eq!(mailbox.lanes().collect::<Vec<_>>(), expected_lanes);
     }
 
     #[test]

@@ -445,7 +445,7 @@ fn telemetry_digest(telemetry: &ShardingTelemetry) -> u64 {
 fn traces_and_telemetry_repeat_the_pinned_values_across_threads_and_shards() {
     // A 40 kbp read set whose iteration 0 moves more than two grains of
     // transfers and whose late iterations move fewer than one. The values were
-    // taken from the materialised transfer stream; every store since repeats
+    // taken from the materialised transfer stream; every engine since repeats
     // them.
     const TRACE: u64 = 0xee42_5a01_588f_2d1a;
     const TELEMETRY: [(usize, u64); 3] = [

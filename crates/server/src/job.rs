@@ -61,21 +61,21 @@ pub enum JobInput {
 
 /// Default admission reservation when the spec does not set one and the input
 /// size is unknown (a file path): 16 MiB.
-pub const DEFAULT_RESERVATION_BYTES: u64 = 16 << 20;
+pub(crate) const DEFAULT_RESERVATION_BYTES: u64 = 16 << 20;
 
 /// One assembly job: input, assembly configuration, scheduling class, and the
 /// admission reservation charged against the server's shared memory ledger.
 #[derive(Debug)]
 pub struct JobSpec {
     /// The read source.
-    pub input: JobInput,
+    pub(crate) input: JobInput,
     /// Assembly configuration (validated at submission).
-    pub config: PakmanConfig,
+    pub(crate) config: PakmanConfig,
     /// Scheduling class.
-    pub priority: JobPriority,
+    pub(crate) priority: JobPriority,
     /// Bytes reserved in the server ledger at admission; `None` lets the
     /// server estimate from the input ([`JobSpec::estimated_reservation`]).
-    pub reservation_bytes: Option<u64>,
+    pub(crate) reservation_bytes: Option<u64>,
 }
 
 impl JobSpec {
@@ -107,7 +107,7 @@ impl JobSpec {
     /// reservation when set, otherwise an input-derived estimate (in-memory
     /// reads: their approximate footprint; synthetic: coverage × genome
     /// length; file: [`DEFAULT_RESERVATION_BYTES`]).
-    pub fn estimated_reservation(&self) -> u64 {
+    pub(crate) fn estimated_reservation(&self) -> u64 {
         if let Some(bytes) = self.reservation_bytes {
             return bytes;
         }

@@ -62,7 +62,7 @@ mod registry;
 mod scheduler;
 
 pub use event::{JobEvent, JobSummary};
-pub use job::{JobHandle, JobId, JobInput, JobPriority, JobSpec, DEFAULT_RESERVATION_BYTES};
+pub use job::{JobHandle, JobId, JobInput, JobPriority, JobSpec};
 
 use nmp_pak_pakman::{MemoryBudget, PakmanError};
 use scheduler::Inner;

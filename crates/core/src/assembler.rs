@@ -7,17 +7,16 @@
 //! assembly output (contigs, N50, footprint) with the hardware-simulation result
 //! (runtime, traffic, bandwidth, communication locality).
 //!
-//! Backends are selected by [`BackendId`] and resolved through the
-//! [`BackendRegistry`]; [`NmpPakAssembler::run_with`] accepts any
-//! [`CompactionBackend`] trait object directly, registered or not.
+//! Backends are selected by [`BackendId`] from the seven §5.3 configurations
+//! of the [`BackendRegistry`].
 
 use crate::backend::{
-    BackendId, BackendRegistry, BackendResult, CompactionBackend, SimulationContext, SystemConfig,
+    Backend, BackendId, BackendRegistry, BackendResult, SimulationContext, SystemConfig,
 };
 use crate::workload::Workload;
 use nmp_pak_genome::ReadSource;
 use nmp_pak_memsim::NodeLayout;
-use nmp_pak_pakman::{AssemblyOutput, CompactionTrace, PakmanAssembler, PakmanConfig, PakmanError};
+use nmp_pak_pakman::{AssemblyOutput, PakmanAssembler, PakmanConfig, PakmanError};
 
 /// The complete result of one system run.
 #[derive(Debug)]
@@ -71,59 +70,64 @@ impl NmpPakAssembler {
         BackendRegistry::standard(&self.system)
     }
 
-    /// The trace `assembly` recorded and the MacroNode layout built from it:
-    /// what every backend replays. The trace stays where it was recorded.
-    fn replay_inputs<'a>(&self, assembly: &'a AssemblyOutput) -> (&'a CompactionTrace, NodeLayout) {
+    /// The step every run shares: lays the trace `assembly` recorded out
+    /// across the DIMMs and simulates each of `backends` on it, in order. The
+    /// trace stays where it was recorded.
+    pub(crate) fn replay<'b>(
+        &self,
+        assembly: &AssemblyOutput,
+        backends: impl IntoIterator<Item = &'b Backend>,
+    ) -> (NodeLayout, Vec<BackendResult>) {
         let trace = assembly
             .trace
             .as_ref()
             .expect("trace recording is forced on by NmpPakAssembler");
         let layout = NodeLayout::new(&trace.initial_sizes, &self.system.dram);
-        (trace, layout)
+        let ctx = Self::context_for(assembly);
+        let results = backends
+            .into_iter()
+            .map(|backend| backend.simulate(trace, &layout, &ctx))
+            .collect();
+        (layout, results)
     }
 
-    /// Runs the pipeline on `workload` and simulates compaction on the backend
-    /// registered under `backend`.
+    /// The standard backend with id `id`.
+    fn standard_backend(&self, id: BackendId) -> Result<Backend, PakmanError> {
+        self.registry()
+            .get(id)
+            .copied()
+            .ok_or_else(|| PakmanError::InvalidConfig {
+                message: format!("backend id `{id}` is not in the standard registry"),
+            })
+    }
+
+    /// [`NmpPakAssembler::replay`] on one backend.
+    fn system_run(&self, assembly: AssemblyOutput, backend: &Backend) -> SystemRun {
+        let (layout, mut results) = self.replay(&assembly, [backend]);
+        let backend_result = results.pop().expect("one backend, one result");
+        SystemRun {
+            assembly,
+            layout,
+            backend_result,
+        }
+    }
+
+    /// Runs the pipeline on `workload` and simulates compaction on the standard
+    /// backend with id `backend`.
     ///
     /// # Errors
     ///
     /// Propagates configuration and empty-input errors from the software
     /// pipeline, and returns [`PakmanError::InvalidConfig`] for an id that is not
-    /// in the standard registry (use [`NmpPakAssembler::run_with`] for custom
-    /// backends).
+    /// in the standard registry.
     pub fn run(
         &self,
         workload: &Workload,
         backend: impl Into<BackendId>,
     ) -> Result<SystemRun, PakmanError> {
-        let id = backend.into();
-        let registry = self.registry();
-        let backend = registry.get(id).ok_or_else(|| PakmanError::InvalidConfig {
-            message: format!("backend id `{id}` is not in the standard registry"),
-        })?;
-        self.run_with(workload, backend)
-    }
-
-    /// Runs the pipeline on `workload` and simulates compaction on an explicit
-    /// backend object.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and empty-input errors from the software pipeline.
-    pub fn run_with(
-        &self,
-        workload: &Workload,
-        backend: &dyn CompactionBackend,
-    ) -> Result<SystemRun, PakmanError> {
+        let backend = self.standard_backend(backend.into())?;
         let assembly = PakmanAssembler::new(self.pakman).assemble(&workload.reads)?;
-        let (trace, layout) = self.replay_inputs(&assembly);
-        let ctx = Self::context_for(&assembly);
-        let backend_result = backend.simulate(trace, &layout, &ctx);
-        Ok(SystemRun {
-            assembly,
-            layout,
-            backend_result,
-        })
+        Ok(self.system_run(assembly, &backend))
     }
 
     /// The simulation context for an assembly: peak footprint plus — when the
@@ -142,7 +146,7 @@ impl NmpPakAssembler {
 
     /// Runs the pipeline over a streaming [`ReadSource`] (a FASTA/FASTQ file, a
     /// synthetic generator, chunked in-memory reads) and simulates compaction on
-    /// the backend registered under `backend`. The reads stream through stage A
+    /// the standard backend with id `backend`. The reads stream through stage A
     /// without a `Workload` ever being materialized by the caller.
     ///
     /// # Errors
@@ -155,24 +159,13 @@ impl NmpPakAssembler {
         source: impl ReadSource<'s>,
         backend: impl Into<BackendId>,
     ) -> Result<SystemRun, PakmanError> {
-        let id = backend.into();
-        let registry = self.registry();
-        let backend = registry.get(id).ok_or_else(|| PakmanError::InvalidConfig {
-            message: format!("backend id `{id}` is not in the standard registry"),
-        })?;
+        let backend = self.standard_backend(backend.into())?;
         let assembly = PakmanAssembler::new(self.pakman).assemble_source(source)?;
-        let (trace, layout) = self.replay_inputs(&assembly);
-        let ctx = Self::context_for(&assembly);
-        let backend_result = backend.simulate(trace, &layout, &ctx);
-        Ok(SystemRun {
-            assembly,
-            layout,
-            backend_result,
-        })
+        Ok(self.system_run(assembly, &backend))
     }
 
-    /// Runs the software pipeline once and simulates every registered backend on
-    /// the same trace, returning results in registry (Fig. 12) order.
+    /// Runs the software pipeline once and simulates every standard backend on
+    /// the same trace, returning results in Fig. 12 order.
     ///
     /// # Errors
     ///
@@ -182,9 +175,7 @@ impl NmpPakAssembler {
         workload: &Workload,
     ) -> Result<(AssemblyOutput, Vec<BackendResult>), PakmanError> {
         let assembly = PakmanAssembler::new(self.pakman).assemble(&workload.reads)?;
-        let (trace, layout) = self.replay_inputs(&assembly);
-        let ctx = Self::context_for(&assembly);
-        let results = self.registry().simulate_all(trace, &layout, &ctx);
+        let (_, results) = self.replay(&assembly, self.registry().iter());
         Ok((assembly, results))
     }
 }
@@ -192,7 +183,6 @@ impl NmpPakAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{GpuBackend, NmpBackend};
 
     #[test]
     fn run_produces_contigs_and_a_backend_result() {
@@ -220,15 +210,24 @@ mod tests {
     fn run_with_accepts_unregistered_backends() {
         let workload = Workload::tiny(8).unwrap();
         let assembler = NmpPakAssembler::default();
-        let custom = GpuBackend::custom(
-            BackendId::new("gpu-80gb"),
-            "GPU-80GB",
-            assembler.system.dram,
-            nmp_pak_memsim::GpuConfig::a100_80gb(),
+        let assembly = PakmanAssembler::new(assembler.pakman)
+            .assemble(&workload.reads)
+            .unwrap();
+        let custom = Backend::nmp(
+            BackendId::new("nmp-64pe"),
+            "NMP-64PE",
+            nmp_pak_nmphw::NmpConfig {
+                pes_per_channel: 64,
+                ..assembler.system.nmp
+            },
+            &assembler.system,
         );
-        let run = assembler.run_with(&workload, &custom).unwrap();
-        assert_eq!(run.backend_result.backend, BackendId::new("gpu-80gb"));
-        assert!(run.backend_result.runtime_ns > 0.0);
+        assert!(assembler.registry().get(custom.id()).is_none());
+        let (_, results) = assembler.replay(&assembly, [&custom]);
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].backend, BackendId::new("nmp-64pe"));
+        assert_eq!(results[0].label, "NMP-64PE");
+        assert!(results[0].runtime_ns > 0.0);
     }
 
     #[test]
@@ -281,9 +280,13 @@ mod tests {
         let workload = Workload::tiny(12).unwrap();
         let assembler = NmpPakAssembler::default();
         let via_id = assembler.run(&workload, BackendId::NMP_PAK).unwrap();
-        let direct = assembler
-            .run_with(&workload, &NmpBackend::pak(&assembler.system))
-            .unwrap();
-        assert_eq!(direct.backend_result, via_id.backend_result);
+        let direct = Backend::nmp(
+            BackendId::NMP_PAK,
+            "NMP-PaK",
+            assembler.system.nmp,
+            &assembler.system,
+        );
+        let (_, results) = assembler.replay(&via_id.assembly, [&direct]);
+        assert_eq!(results, [via_id.backend_result]);
     }
 }

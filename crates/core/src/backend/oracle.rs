@@ -10,7 +10,7 @@
 
 use super::{
     BackendId, BackendRegistry, BackendResult, SimulationContext, SystemConfig,
-    UnoptimizedCpuConfig,
+    UNOPTIMIZED_CPU_THREADS,
 };
 use nmp_pak_memsim::{
     CpuConfig, DramConfig, MemoryStats, NodeLayout, ProcessFlow, StallBreakdown, TrafficSummary,
@@ -375,7 +375,7 @@ fn standard(
         threads,
         ..config.cpu
     };
-    let unoptimized = host(UnoptimizedCpuConfig::default().threads);
+    let unoptimized = host(UNOPTIMIZED_CPU_THREADS);
     let dram = &config.dram;
     let mut results = vec![
         cpu(

@@ -4,12 +4,14 @@
 //! can print the rows the paper reports, measured on the scaled synthetic workloads.
 
 use crate::assembler::NmpPakAssembler;
-use crate::backend::{BackendId, BackendResult, CompactionBackend, NmpBackend};
+use crate::backend::{Backend, BackendId, BackendResult};
 use crate::workload::Workload;
 use nmp_pak_memsim::{NodeLayout, StallBreakdown};
 use nmp_pak_nmphw::area_power::GpuComparison;
 use nmp_pak_nmphw::{AreaPowerModel, CommStats, NmpConfig};
-use nmp_pak_pakman::{AssemblyOutput, BatchAssembler, CompactionTrace, PakmanError, SizeHistogram};
+use nmp_pak_pakman::{
+    AssemblyOutput, BatchAssembler, CompactionTrace, PakmanAssembler, PakmanError, SizeHistogram,
+};
 
 /// A label/value pair, the common row format of the figure drivers.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,12 +57,12 @@ impl Experiments {
     ///
     /// Propagates software-pipeline errors.
     pub fn prepare(workload: Workload, assembler: NmpPakAssembler) -> Result<Self, PakmanError> {
-        let (mut assembly, backends) = assembler.run_all_backends(&workload)?;
+        let mut assembly = PakmanAssembler::new(assembler.pakman).assemble(&workload.reads)?;
+        let (layout, backends) = assembler.replay(&assembly, assembler.registry().iter());
         let trace = assembly
             .trace
             .take()
             .expect("NmpPakAssembler always records the trace");
-        let layout = NodeLayout::new(&trace.initial_sizes, &assembler.system.dram);
         Ok(Experiments {
             workload,
             assembler,
@@ -224,7 +226,7 @@ impl Experiments {
                     pes_per_channel: pes,
                     ..self.assembler.system.nmp
                 };
-                let backend = NmpBackend::with_config(
+                let backend = Backend::nmp(
                     BackendId::new("nmp-pe-sweep"),
                     "NMP-PaK (PE sweep)",
                     config,
@@ -449,6 +451,18 @@ mod tests {
         assert!((baseline.1 - 1.0).abs() < 1e-9);
         assert!(nmp.1 < baseline.1);
         assert!(nmp.2 < baseline.2);
+    }
+
+    #[test]
+    fn fig15_at_the_systems_own_pe_count_is_fig12s_nmp_pak_bar() {
+        let exp = prepared();
+        let pes = exp.assembler.system.nmp.pes_per_channel;
+        assert_eq!(pes, 32);
+        let row = &exp.fig15_pe_sweep(&[pes])[0];
+        assert_eq!(row.label, "32 PE/ch");
+        let fig12 = exp.fig12_normalized_performance();
+        let bar = fig12.iter().find(|r| r.label == "NMP-PaK").unwrap();
+        assert_eq!(row.value.to_bits(), bar.value.to_bits());
     }
 
     #[test]

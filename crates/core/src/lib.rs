@@ -9,10 +9,10 @@
 //! * [`assembler`] — [`assembler::NmpPakAssembler`], the top-level API: run the
 //!   software pipeline, record the compaction trace, and simulate Iterative
 //!   Compaction on a chosen execution backend,
-//! * [`backend`] — the pluggable [`backend::CompactionBackend`] trait, the
-//!   [`backend::BackendRegistry`], and the seven §5.3 configurations (CPU
-//!   baseline with and without software optimizations, CPU-PaK, GPU baseline,
-//!   NMP-PaK, ideal-PE and ideal-forwarding variants) as registrable backends,
+//! * [`backend`] — the seven §5.3 configurations (CPU baseline with and
+//!   without software optimizations, CPU-PaK, GPU baseline, NMP-PaK, ideal-PE
+//!   and ideal-forwarding variants) as one closed [`backend::Backend`] type,
+//!   built from one table by [`backend::BackendRegistry::standard`],
 //! * [`experiments`] — one driver per table/figure of the evaluation (Figs. 5–15,
 //!   Tables 1 and 3, §6.3, §6.4, §6.6).
 //!
@@ -40,6 +40,6 @@ pub mod workload;
 
 pub use assembler::{NmpPakAssembler, SystemRun};
 pub use backend::{
-    BackendId, BackendRegistry, BackendResult, CompactionBackend, SimulationContext, SystemConfig,
+    Backend, BackendId, BackendRegistry, BackendResult, SimulationContext, SystemConfig,
 };
 pub use workload::Workload;

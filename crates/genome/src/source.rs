@@ -406,12 +406,11 @@ impl<R: BufRead> ReadSource<'static> for FastaFastqSource<R> {
 /// Double-buffered prefetching adapter over any owning [`ReadSource`].
 ///
 /// Parsing/generation moves onto a dedicated worker thread that pushes chunks
-/// through a bounded channel ([`PrefetchSource::DEFAULT_DEPTH`] slots, the
-/// classic double buffer): while the consumer computes on chunk *i*, the worker
-/// is already parsing chunk *i + 1*, so disk latency hides under stage B even
-/// in a `Sequential` batch schedule. The chunk stream — order, boundaries,
-/// contents — is exactly the inner source's, so wrapping a source cannot
-/// change any assembly bit.
+/// through a bounded channel of two slots (the classic double buffer): while
+/// the consumer computes on chunk *i*, the worker is already parsing chunk
+/// *i + 1*, so disk latency hides under stage B even in a `Sequential` batch
+/// schedule. The chunk stream — order, boundaries, contents — is exactly the
+/// inner source's, so wrapping a source cannot change any assembly bit.
 ///
 /// Dropping the source mid-stream shuts the worker down cleanly: the stop flag
 /// is raised, the queued chunks are drained (unblocking a worker parked on a
@@ -438,28 +437,19 @@ pub struct PrefetchSource {
     bases_upper: Option<u64>,
 }
 
+/// [`PrefetchSource`]'s channel depth: one chunk being consumed, one being
+/// parsed ahead.
+const PREFETCH_DEPTH: usize = 2;
+
 impl PrefetchSource {
-    /// Default channel depth: two slots — one chunk being consumed, one being
-    /// parsed ahead.
-    pub const DEFAULT_DEPTH: usize = 2;
-
-    /// Wraps `source` with a prefetching worker at the default depth.
-    pub fn new<S>(source: S) -> PrefetchSource
-    where
-        S: ReadSource<'static> + Send + 'static,
-    {
-        PrefetchSource::with_depth(source, Self::DEFAULT_DEPTH)
-    }
-
-    /// Wraps `source` with a prefetching worker and a `depth`-slot channel
-    /// (clamped to at least 1).
-    pub fn with_depth<S>(mut source: S, depth: usize) -> PrefetchSource
+    /// Wraps `source` with a prefetching worker.
+    pub fn new<S>(mut source: S) -> PrefetchSource
     where
         S: ReadSource<'static> + Send + 'static,
     {
         let (reads_lower, reads_upper) = source.reads_hint();
         let bases_upper = source.bases_hint();
-        let (tx, rx) = std::sync::mpsc::sync_channel(depth.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel(PREFETCH_DEPTH);
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let pending_error: std::sync::Arc<std::sync::Mutex<Option<GenomeError>>> =
             std::sync::Arc::new(std::sync::Mutex::new(None));
@@ -635,11 +625,6 @@ impl SyntheticSource {
     pub fn with_chunk_reads(mut self, chunk_reads: usize) -> SyntheticSource {
         self.chunk_reads = chunk_reads.max(1);
         self
-    }
-
-    /// Total number of reads this source will generate.
-    pub fn total_reads(&self) -> usize {
-        self.total_reads
     }
 }
 
@@ -926,7 +911,7 @@ mod tests {
         )
         .unwrap()
         .with_chunk_reads(4);
-        let mut source = PrefetchSource::with_depth(inner, 1);
+        let mut source = PrefetchSource::new(inner);
         // Consume one chunk, then drop with the worker parked on a full channel.
         source.next_chunk().unwrap().unwrap();
         drop(source);
@@ -948,7 +933,10 @@ mod tests {
         let source = SyntheticSource::new(genome, config)
             .unwrap()
             .with_chunk_reads(17);
-        assert_eq!(source.total_reads(), simulated.len());
+        assert_eq!(
+            source.reads_hint(),
+            (simulated.len(), Some(simulated.len()))
+        );
         let streamed = collect_reads(source).unwrap();
         assert_eq!(streamed, simulated);
     }

@@ -10,8 +10,8 @@
 //! locality is not modelled.
 //!
 //! * [`config`] — DDR4-3200 organization parameters (Table 2),
-//! * [`layout`] — MacroNode-slot → physical-address layout (ascending (k-1)-mer order
-//!   across DIMMs, §4.2),
+//! * [`layout`] — MacroNode-slot → DIMM and PE placement (ascending (k-1)-mer order
+//!   across DIMMs, §4.2) and the line rounding of every access,
 //! * [`traffic`] — the per-iteration read/write traffic of a trace under either the
 //!   baseline (sequential-stage) or the optimized (pipelined, data-reusing) process
 //!   flow (§4.5),

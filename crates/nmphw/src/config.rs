@@ -63,22 +63,6 @@ impl NmpConfig {
         }
     }
 
-    /// The ideal-PE study configuration.
-    pub fn ideal_pe() -> Self {
-        NmpConfig {
-            pe_variant: PeVariant::Ideal,
-            ..NmpConfig::default()
-        }
-    }
-
-    /// The ideal-forwarding study configuration.
-    pub fn ideal_forwarding() -> Self {
-        NmpConfig {
-            ideal_forwarding: true,
-            ..NmpConfig::default()
-        }
-    }
-
     /// Validates the configuration, returning a description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
         if self.pes_per_channel == 0 {
@@ -117,8 +101,6 @@ mod tests {
     #[test]
     fn variants_toggle_the_right_knobs() {
         assert_eq!(NmpConfig::sixteen_pes().pes_per_channel, 16);
-        assert_eq!(NmpConfig::ideal_pe().pe_variant, PeVariant::Ideal);
-        assert!(NmpConfig::ideal_forwarding().ideal_forwarding);
     }
 
     #[test]

@@ -123,7 +123,10 @@ mod tests {
 
     #[test]
     fn ideal_pe_is_single_cycle() {
-        let m = PeCycleModel::from_config(&NmpConfig::ideal_pe());
+        let m = PeCycleModel::from_config(&NmpConfig {
+            pe_variant: PeVariant::Ideal,
+            ..NmpConfig::default()
+        });
         assert_eq!(m.p1_cycles(32_768), 1);
         assert_eq!(m.p2_cycles(32_768), 1);
         assert_eq!(m.p3_cycles(1024, 32_768), 1);

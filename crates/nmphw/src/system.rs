@@ -454,6 +454,7 @@ impl NmpSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PeVariant;
     use nmp_pak_pakman::trace::{IterationTrace, NodeCheck, TransferEvent, UpdateEvent};
 
     /// A synthetic trace with a skewed size distribution and uniformly random
@@ -579,8 +580,16 @@ mod tests {
     fn ideal_pe_changes_little_ideal_forwarding_helps_some() {
         let (trace, layout) = synthetic_trace(4_000, 5);
         let base = system(NmpConfig::default()).simulate(&trace, &layout, None);
-        let ideal_pe = system(NmpConfig::ideal_pe()).simulate(&trace, &layout, None);
-        let ideal_fwd = system(NmpConfig::ideal_forwarding()).simulate(&trace, &layout, None);
+        let ideal_pe = system(NmpConfig {
+            pe_variant: PeVariant::Ideal,
+            ..NmpConfig::default()
+        })
+        .simulate(&trace, &layout, None);
+        let ideal_fwd = system(NmpConfig {
+            ideal_forwarding: true,
+            ..NmpConfig::default()
+        })
+        .simulate(&trace, &layout, None);
         // Ideal PEs: at most a small improvement (PEs are not the bottleneck).
         assert!(ideal_pe.runtime_ns <= base.runtime_ns);
         assert!(

@@ -44,13 +44,6 @@ pub(crate) fn plan(len: usize, threads: usize, grain: usize) -> usize {
     threads.min(len / grain).max(1)
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Helpers this thread has spawned through [`fork_join`]: lets a test pin
-    /// "`threads = 1` spawns nothing" on a whole stage entry point.
-    pub(crate) static HELPERS_SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// Runs `work` on every task and returns the results in task order. The first
 /// task runs on the calling thread — after the helpers for tasks 1.. have been
 /// spawned, one scoped thread each — so a single task spawns nothing, allocates
@@ -133,6 +126,13 @@ pub(crate) fn merge_two<T: Ord + Copy>(a: Vec<T>, b: Vec<T>) -> Vec<T> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Helpers this thread has spawned through [`fork_join`]: lets a test pin
+    /// "`threads = 1` spawns nothing" on a whole stage entry point.
+    pub(crate) static HELPERS_SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

@@ -9,14 +9,16 @@
 //!   an ART-like short-read simulator and FASTA/FASTQ I/O.
 //! * [`pakman`] — the PaKman assembly algorithm: k-mer counting, MacroNodes, the
 //!   PaK-graph, Iterative Compaction, contig generation and batch processing.
-//! * [`memsim`] — the memory-system substrate: a DDR4 channel/bank timing model,
-//!   CPU-core and GPU analytic models, and traffic/bandwidth statistics.
+//! * [`memsim`] — the memory-system substrate: the DDR4 organization, the
+//!   MacroNode slot → DIMM/PE layout, CPU-core and GPU analytic models folded
+//!   over the compaction trace, and traffic/bandwidth statistics.
 //! * [`nmphw`] — the NMP-PaK hardware model: pipelined systolic processing elements in
 //!   the DIMM buffer chip, crossbar, inter-DIMM network bridge, hybrid CPU-NMP runtime
 //!   and the area/power model.
-//! * [`core`] — the end-to-end system: execution backends (CPU baseline, CPU-PaK, GPU,
-//!   NMP-PaK and ideal variants) and one experiment driver per table/figure of the
-//!   paper's evaluation.
+//! * [`core`] — the end-to-end system: the seven execution backends of Fig. 12
+//!   (CPU baseline with and without software optimizations, CPU-PaK, GPU, NMP-PaK
+//!   and its ideal-PE and ideal-forwarding variants) and one experiment driver per
+//!   table/figure of the paper's evaluation.
 //! * [`server`] — assembly-as-a-service: a multi-tenant job server scheduling many
 //!   concurrent assemblies onto one shared worker pool under a global memory ledger,
 //!   with priorities, cooperative cancellation and per-job progress-event streams.

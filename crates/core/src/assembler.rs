@@ -235,7 +235,7 @@ mod tests {
         let workload = Workload::tiny(9).unwrap();
         let assembler = NmpPakAssembler::default();
         let (assembly, results) = assembler.run_all_backends(&workload).unwrap();
-        assert_eq!(results.len(), assembler.registry().len());
+        assert_eq!(results.len(), assembler.registry().ids().len());
         assert!(assembly.stats.total_length > 0);
         // NMP-PaK outperforms the CPU baseline on the shared trace.
         let cpu = results

@@ -363,19 +363,10 @@ impl BackendRegistry {
         self.backends.iter().map(|b| b.id).collect()
     }
 
-    /// Number of backends.
-    pub fn len(&self) -> usize {
-        self.backends.len()
-    }
-
-    /// `true` if there is no backend.
-    pub fn is_empty(&self) -> bool {
-        self.backends.is_empty()
-    }
-
     /// Simulates every backend on the same trace, in Fig. 12 order (the
     /// Fig. 12 sweep).
-    pub fn simulate_all(
+    #[cfg(test)]
+    fn simulate_all(
         &self,
         trace: &CompactionTrace,
         layout: &NodeLayout,
@@ -640,7 +631,7 @@ pub(crate) mod tests {
     fn labels_are_unique() {
         let registry = BackendRegistry::standard(&SystemConfig::default());
         let labels: std::collections::HashSet<&str> = registry.iter().map(|b| b.label()).collect();
-        assert_eq!(labels.len(), registry.len());
+        assert_eq!(labels.len(), registry.ids().len());
     }
 
     #[test]

@@ -314,8 +314,8 @@ impl BatchAssembler {
 
     /// [`BatchAssembler::assemble_source`] under an explicit [`RunControl`]:
     /// cancellation is polled at every batch boundary, the pipelined window's
-    /// byte ledger is chained into the control's shared ledger (so a server can
-    /// account all jobs against one global budget), and progress observers see
+    /// byte ledger is chained into the control's ledger (so a caller-supplied
+    /// ledger sees the window's resident read bytes), and progress observers see
     /// per-batch stage callbacks. Passing [`RunControl::default`] is exactly
     /// [`BatchAssembler::assemble_source`].
     ///
@@ -427,8 +427,6 @@ fn run_window<'r, S: ReadSource<'r>>(
         let mut window: Window<'_, 'r> = Window {
             inflight: VecDeque::new(),
             staged: None,
-            // Chained into the shared ledger (when one is set) so a multi-job
-            // server sees every window's resident read bytes in one place.
             budget: control.adopt(match max_inflight_bytes {
                 Some(bytes) => MemoryBudget::bounded(bytes),
                 None => MemoryBudget::unbounded(),

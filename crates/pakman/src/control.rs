@@ -1,12 +1,12 @@
-//! Cooperative run control: cancellation, progress observation, and a shared
-//! memory ledger for multi-tenant execution.
+//! Cooperative run control: cancellation, progress observation, and a
+//! caller-supplied memory ledger.
 //!
 //! [`crate::PakmanConfig`] is plain `Copy` data — a pure description of *what*
 //! to assemble — so everything about *who is watching this particular run* lives
 //! here instead: a [`CancelToken`] polled at stage boundaries and between
 //! compaction iterations, a [`ProgressObserver`] that streams stage/iteration
-//! events out (the job server turns these into `JobEvent`s), and an optional
-//! global [`MemoryBudget`] ledger that per-run budgets are chained into.
+//! events out, and an optional [`MemoryBudget`] ledger that per-run budgets
+//! are chained into.
 //!
 //! The controlled entry points ([`crate::compact_controlled`],
 //! [`crate::compact_sharded_controlled`], the stages' `run_controlled`) are
@@ -88,12 +88,6 @@ pub trait ProgressObserver: Sync {
     }
 }
 
-/// No-op observer used when a controlled entry point runs unobserved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl ProgressObserver for NullObserver {}
-
 /// The control plane for one run: cancellation + observation + shared ledger.
 ///
 /// Borrowed (`&RunControl`) across every stage and scoped worker thread of the
@@ -106,10 +100,10 @@ pub struct RunControl<'a> {
     pub cancel: CancelToken,
     /// Progress sink, if anyone is listening.
     pub observer: Option<&'a dyn ProgressObserver>,
-    /// Global memory ledger; when present, every per-run [`MemoryBudget`]
-    /// (batch window, spill budget) is chained into it via
-    /// [`RunControl::adopt`], so host-wide pressure stalls and spills exactly
-    /// like local pressure.
+    /// The caller's memory ledger; when present, every per-run
+    /// [`MemoryBudget`] (batch window, spill budget) is chained into it via
+    /// [`RunControl::adopt`], so pressure on it stalls and spills exactly like
+    /// local pressure.
     pub ledger: Option<&'a Arc<MemoryBudget>>,
 }
 

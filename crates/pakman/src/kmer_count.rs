@@ -151,7 +151,7 @@ pub fn count_kmers_spilled(
 /// The counter behind every entry point and [`crate::stage::CountStage`]:
 /// validates, opens the run's ledger, runs the wave loop, and reports
 /// [`SpillTelemetry`] when `spill` is bounded. A bounded ledger is chained into
-/// the control's, so host-wide pressure from other tenants triggers eviction
+/// the control's, so pressure on the caller's ledger triggers eviction
 /// exactly like local pressure (the counted stream stays bit-identical, only
 /// the telemetry varies); an unbounded run holds nothing anyone could evict,
 /// so its ledger stays its own. The cancellation token is polled once per

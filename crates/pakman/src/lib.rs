@@ -74,7 +74,7 @@ pub use compaction::{
 };
 pub use config::{PakmanConfig, ShardConfig, ShardSchedule, SpillConfig};
 pub use contig::{AssemblyStats, Contig};
-pub use control::{CancelToken, NullObserver, ProgressObserver, RunControl};
+pub use control::{CancelToken, ProgressObserver, RunControl};
 pub use error::PakmanError;
 pub use extension::Extension;
 pub use graph::PakGraph;

@@ -29,11 +29,11 @@ use std::sync::Arc;
 ///
 /// Budgets can be chained: a child created with [`MemoryBudget::with_parent`]
 /// forwards every charge and release to its parent, and reports an overdraft
-/// when *either* its own capacity or the parent's is exceeded. This is how the
-/// job server imposes one host-wide cap across many concurrent assemblies —
-/// each job's batch window and spill budget are children of the server's
-/// global ledger, so global pressure stalls admission or triggers spilling
-/// exactly like local pressure does, without changing any output bit.
+/// when *either* its own capacity or the parent's is exceeded. A run's batch
+/// window and spill budget are children of the ledger its caller supplies
+/// ([`crate::RunControl::with_ledger`]), so pressure on that ledger stalls
+/// admission or triggers spilling exactly like local pressure does, without
+/// changing any output bit.
 #[derive(Debug, Default)]
 pub struct MemoryBudget {
     /// Budget in bytes; `None` is unbounded (the ledger still tracks the peak).
@@ -112,14 +112,6 @@ impl MemoryBudget {
     pub fn is_over(&self) -> bool {
         self.capacity.is_some_and(|cap| self.used() > cap)
             || self.parent.as_ref().is_some_and(|p| p.is_over())
-    }
-
-    /// `true` if charging `bytes` more would exceed a bounded capacity, this
-    /// ledger's own or any ancestor's.
-    pub fn would_exceed(&self, bytes: u64) -> bool {
-        self.capacity
-            .is_some_and(|cap| self.used().saturating_add(bytes) > cap)
-            || self.parent.as_ref().is_some_and(|p| p.would_exceed(bytes))
     }
 }
 
@@ -292,8 +284,6 @@ mod tests {
         assert!(!budget.is_over());
         assert_eq!(budget.charge(60), 60);
         assert!(!budget.is_over());
-        assert!(budget.would_exceed(41));
-        assert!(!budget.would_exceed(40));
         assert_eq!(budget.charge(60), 120);
         assert!(budget.is_over());
         assert_eq!(budget.peak_bytes(), 120);
@@ -317,7 +307,6 @@ mod tests {
         // The child itself is unbounded, but the parent's cap makes it report
         // overdraft once the *global* ledger is saturated.
         assert!(!child.is_over());
-        assert!(child.would_exceed(41));
         global.charge(50);
         assert!(child.is_over());
         child.release(60);
@@ -335,7 +324,6 @@ mod tests {
         assert_eq!(budget.capacity(), None);
         budget.charge(u64::MAX / 2);
         assert!(!budget.is_over());
-        assert!(!budget.would_exceed(u64::MAX / 2));
         assert_eq!(budget.peak_bytes(), u64::MAX / 2);
     }
 }

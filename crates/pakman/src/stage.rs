@@ -11,8 +11,7 @@
 //!
 //! [`AssemblyPipeline`] has one method per boundary — `count` (A–B),
 //! `construct` (C), `compact` (D), `walk` (E) — and `run` / `run_source`
-//! composing them, each under the caller's [`RunControl`]. The job server
-//! schedules the boundaries as separate work units. The streaming batch
+//! composing them, each under the caller's [`RunControl`]. The streaming batch
 //! scheduler ([`crate::batch`]) runs `count` of later batches on their own
 //! scoped threads while batch *i* goes through `construct` and `compact` on
 //! the calling thread: the paper's pipelined process flow (§4.4–4.5, Fig. 2)
@@ -557,10 +556,9 @@ impl AssemblyPipeline {
     }
 
     /// Runs the full pipeline (A–E). For the whole run the reads'
-    /// [`ReadChunk::approx_read_bytes`] — the unit the batch window and the job
-    /// server's reservations use — are charged to the control's ledger and
-    /// released on every exit. Stages C–E charge nothing yet: the graph is not
-    /// on the ledger.
+    /// [`ReadChunk::approx_read_bytes`] — the unit the batch window uses — are
+    /// charged to the control's ledger and released on every exit. Stages C–E
+    /// charge nothing yet: the graph is not on the ledger.
     ///
     /// # Errors
     ///

@@ -19,13 +19,9 @@
 //!   (CPU baseline with and without software optimizations, CPU-PaK, GPU, NMP-PaK
 //!   and its ideal-PE and ideal-forwarding variants) and one experiment driver per
 //!   table/figure of the paper's evaluation.
-//! * [`server`] — assembly-as-a-service: a multi-tenant job server scheduling many
-//!   concurrent assemblies onto one shared worker pool under a global memory ledger,
-//!   with priorities, cooperative cancellation and per-job progress-event streams.
 
 pub use nmp_pak_core as core;
 pub use nmp_pak_genome as genome;
 pub use nmp_pak_memsim as memsim;
 pub use nmp_pak_nmphw as nmphw;
 pub use nmp_pak_pakman as pakman;
-pub use nmp_pak_server as server;

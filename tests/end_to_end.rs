@@ -112,7 +112,7 @@ fn all_backends_simulate_the_same_workload_consistently() {
     let workload = Workload::tiny(2024).unwrap();
     let assembler = NmpPakAssembler::default();
     let (_, results) = assembler.run_all_backends(&workload).unwrap();
-    assert_eq!(results.len(), assembler.registry().len());
+    assert_eq!(results.len(), assembler.registry().ids().len());
 
     let by = |b: BackendId| results.iter().find(|r| r.backend == b).unwrap();
     let baseline = by(BackendId::CPU_BASELINE);

@@ -331,29 +331,52 @@ fn both_barriered_entry_points_keep_one_control_contract() {
 fn cancel_mid_sharded_compaction_drains_the_ledger() {
     // A 7-shard pipeline run cancelled from inside its own progress callback
     // stops at the sharded store's checkpoint, and unwinding releases the
-    // drained reads it charged to the run's ledger. One shard is the
-    // single-graph run, which stops at the plain compaction checkpoint.
+    // drained reads it charged to the run's ledger.
     let reads = simulated_reads(20_000, 15.0, 0xCA9CE1);
-    for (shards, at) in [(7, "sharded compaction"), (1, "compaction")] {
-        let config = PakmanConfig {
-            record_trace: false,
-            compaction_node_threshold: 0,
-            ..config(shards, 4)
-        };
-        let pipeline = AssemblyPipeline::new(config).unwrap();
-        let observer = Recording::new(Some(2));
-        let ledger = Arc::new(MemoryBudget::unbounded());
-        let control = observer.control().with_ledger(&ledger);
+    let config = PakmanConfig {
+        record_trace: false,
+        compaction_node_threshold: 0,
+        ..config(7, 4)
+    };
+    let pipeline = AssemblyPipeline::new(config).unwrap();
+    let observer = Recording::new(Some(2));
+    let ledger = Arc::new(MemoryBudget::unbounded());
+    let control = observer.control().with_ledger(&ledger);
 
-        let err = pipeline
-            .run_source(InMemorySource::new(&reads), &control)
-            .expect_err("cancelled mid-compaction must not complete");
-        let at = at.to_string();
-        assert_eq!(err, PakmanError::Cancelled { at });
-        assert_eq!(observer.seen().len(), 3, "cancelled after callback 2");
-        assert!(ledger.peak_bytes() > 0, "the run charged real memory");
-        assert_eq!(ledger.used(), 0, "every charge is released on unwind");
-    }
+    let err = pipeline
+        .run_source(InMemorySource::new(&reads), &control)
+        .expect_err("cancelled mid-compaction must not complete");
+    let at = "sharded compaction".to_string();
+    assert_eq!(err, PakmanError::Cancelled { at });
+    assert_eq!(observer.seen().len(), 3, "cancelled after callback 2");
+    assert!(ledger.peak_bytes() > 0, "the run charged real memory");
+    assert_eq!(ledger.used(), 0, "every charge is released on unwind");
+}
+
+#[test]
+fn cancellation_mid_compaction_frees_the_reservation() {
+    // The single-graph counterpart: a one-shard run cancelled from inside its
+    // own progress callback stops at the plain compaction checkpoint, and
+    // unwinding releases everything it charged to the run's ledger.
+    let reads = simulated_reads(20_000, 15.0, 0xCA9CE1);
+    let config = PakmanConfig {
+        record_trace: false,
+        compaction_node_threshold: 0,
+        ..config(1, 4)
+    };
+    let pipeline = AssemblyPipeline::new(config).unwrap();
+    let observer = Recording::new(Some(2));
+    let ledger = Arc::new(MemoryBudget::unbounded());
+    let control = observer.control().with_ledger(&ledger);
+
+    let err = pipeline
+        .run_source(InMemorySource::new(&reads), &control)
+        .expect_err("cancelled mid-compaction must not complete");
+    let at = "compaction".to_string();
+    assert_eq!(err, PakmanError::Cancelled { at });
+    assert_eq!(observer.seen().len(), 3, "cancelled after callback 2");
+    assert!(ledger.peak_bytes() > 0, "the run charged real memory");
+    assert_eq!(ledger.used(), 0, "every charge is released on unwind");
 }
 
 #[test]
